@@ -2,6 +2,11 @@
 //! round every node relaxes its incident edges, so after `n − 1` rounds every
 //! estimate is exact — at the cost of `Θ(mn)` messages in the worst case and
 //! up to `Θ(n)` messages over a single edge.
+//!
+//! Every node is awake until the globally known round `n + 2`, but a node
+//! whose neighbours have gone quiet has nothing to relax: it waits for the
+//! next improvement in [`NodeCtx::listen_until`], charged and receptive as if
+//! it were stepped through every round.
 
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol};
@@ -24,6 +29,7 @@ impl Protocol for BellmanFordNode {
             self.dist = Distance::ZERO;
             ctx.broadcast(&[0]);
         }
+        ctx.listen_until(self.rounds_total + 1);
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
@@ -49,9 +55,12 @@ impl Protocol for BellmanFordNode {
             }
         }
         // Estimates are exact after n - 1 relaxation rounds; everyone stops
-        // at the globally known round n + 1.
+        // at the globally known round n + 2. Until then only mail can change
+        // anything.
         if ctx.round() > self.rounds_total {
             ctx.halt();
+        } else {
+            ctx.listen_until(self.rounds_total + 1);
         }
     }
 }
@@ -67,6 +76,19 @@ pub fn distributed_bellman_ford(
     g: &Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
+) -> Result<AlgoRun, AlgoError> {
+    run_bellman_ford(g, sources, config, |node| node, |node| node.dist)
+}
+
+/// [`distributed_bellman_ford`] over any protocol built from a
+/// [`BellmanFordNode`], so that the tests can put the always-stepped
+/// reference through the same set-up.
+fn run_bellman_ford<P: Protocol>(
+    g: &Graph,
+    sources: &[NodeId],
+    config: &AlgoConfig,
+    protocol: impl Fn(BellmanFordNode) -> P,
+    dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
     if sources.is_empty() {
         return Err(AlgoError::EmptySourceSet);
@@ -85,20 +107,80 @@ pub fn distributed_bellman_ford(
     };
     let rounds_total = g.node_count() as u64 + 1;
     let mut sim = config.sim.clone();
-    sim.max_rounds = sim.max_rounds.max(rounds_total + 10);
-    let run = Engine::new(g, sim).run(|id: NodeId| BellmanFordNode {
-        dist: Distance::Infinite,
-        is_source: is_source[id.index()],
-        rounds_total,
+    sim.max_rounds = sim.max_rounds.max(rounds_total.saturating_add(10));
+    let run = Engine::new(g, sim).run(|id: NodeId| {
+        protocol(BellmanFordNode {
+            dist: Distance::Infinite,
+            is_source: is_source[id.index()],
+            rounds_total,
+        })
     })?;
-    let distances = run.states.iter().map(|s| s.dist).collect();
+    let distances = run.states.iter().map(dist).collect();
     Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs;
     use congest_graph::{generators, sequential};
+
+    /// The protocol as it was before [`NodeCtx::listen_until`]: stepped in
+    /// every round, idling through the ones in which nothing arrives. Kept as
+    /// the reference the listening protocol must be indistinguishable from.
+    #[derive(Debug, Clone)]
+    struct AlwaysStepped(BellmanFordNode);
+
+    impl Protocol for AlwaysStepped {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.0.is_source {
+                self.0.dist = Distance::ZERO;
+                ctx.broadcast(&[0]);
+            }
+        }
+
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            let node = &mut self.0;
+            let mut improved = false;
+            for msg in inbox {
+                let w = ctx
+                    .neighbors()
+                    .iter()
+                    .find(|a| a.edge == msg.edge)
+                    .map(|a| a.weight)
+                    .expect("messages arrive on incident edges");
+                let cand = Distance::Finite(msg.word(0) + w);
+                if cand < node.dist {
+                    node.dist = cand;
+                    improved = true;
+                }
+            }
+            if improved {
+                if let Some(d) = node.dist.finite() {
+                    ctx.broadcast(&[d]);
+                }
+            }
+            if ctx.round() > node.rounds_total {
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn listening_changes_nothing_the_simulation_can_observe() {
+        for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
+            for cfg in test_graphs::configs() {
+                for sources in [&[NodeId(0)][..], &[NodeId(0), NodeId(5)]] {
+                    let fast = distributed_bellman_ford(g, sources, &cfg).unwrap();
+                    let slow =
+                        run_bellman_ford(g, sources, &cfg, AlwaysStepped, |s| s.0.dist).unwrap();
+                    // Full AlgoRun equality: distances, every metrics field
+                    // (per-node energy included), and the trace.
+                    assert_eq!(fast, slow, "workload {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn bellman_ford_matches_dijkstra() {

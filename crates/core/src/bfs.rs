@@ -5,6 +5,11 @@
 //! limit has certainly been reached, so the energy per node equals the time.
 //! Each node broadcasts its distance exactly once, so the congestion is at
 //! most one message per edge per direction.
+//!
+//! Awake is not the same as busy: a node acts only when the wavefront's mail
+//! reaches it and at the globally known round `limit + 1`, so in between it
+//! waits in [`NodeCtx::listen_until`] — charged and receptive every round,
+//! exactly as if it were stepped through them, but costing the host nothing.
 
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol};
@@ -31,6 +36,7 @@ impl Protocol for BfsNode {
                 ctx.broadcast(&[0]);
             }
         }
+        ctx.listen_until(self.limit + 1);
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
@@ -53,15 +59,19 @@ impl Protocol for BfsNode {
         }
         // The wavefront cannot travel further than one hop per round, so by
         // round `limit + 1` everything within the threshold has been reached.
+        // Until then only mail can change anything.
         if ctx.round() > self.limit {
             ctx.halt();
+        } else {
+            ctx.listen_until(self.limit + 1);
         }
     }
 }
 
 /// Runs multi-source BFS from `sources` up to hop distance `limit`
 /// (a *`limit`-thresholded BFS* in the paper's terminology): nodes at hop
-/// distance greater than `limit` output [`Distance::Infinite`].
+/// distance greater than `limit` output [`Distance::Infinite`]. A limit above
+/// `n` is the same as `n` — no wavefront travels further — and runs as that.
 ///
 /// # Errors
 ///
@@ -72,6 +82,19 @@ pub fn thresholded_bfs(
     sources: &[NodeId],
     limit: u64,
     config: &AlgoConfig,
+) -> Result<AlgoRun, AlgoError> {
+    run_bfs(g, sources, limit, config, |node| node, |node| node.dist)
+}
+
+/// [`thresholded_bfs`] over any protocol built from a [`BfsNode`], so that
+/// the tests can put the always-stepped reference through the same set-up.
+fn run_bfs<P: Protocol>(
+    g: &Graph,
+    sources: &[NodeId],
+    limit: u64,
+    config: &AlgoConfig,
+    protocol: impl Fn(BfsNode) -> P,
+    dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
     if sources.is_empty() {
         return Err(AlgoError::EmptySourceSet);
@@ -88,15 +111,18 @@ pub fn thresholded_bfs(
         }
         v
     };
+    let limit = limit.min(g.node_count() as u64);
     let mut sim = config.sim.clone();
     sim.max_rounds = sim.max_rounds.max(limit + 10);
-    let run = Engine::new(g, sim).run(|id| BfsNode {
-        dist: Distance::Infinite,
-        is_source: is_source[id.index()],
-        announced: false,
-        limit,
+    let run = Engine::new(g, sim).run(|id| {
+        protocol(BfsNode {
+            dist: Distance::Infinite,
+            is_source: is_source[id.index()],
+            announced: false,
+            limit,
+        })
     })?;
-    let distances = run.states.iter().map(|s| s.dist).collect();
+    let distances = run.states.iter().map(dist).collect();
     Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
 }
 
@@ -112,7 +138,78 @@ pub fn bfs(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<AlgoRun
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs;
     use congest_graph::{generators, sequential};
+
+    /// The protocol as it was before [`NodeCtx::listen_until`]: stepped in
+    /// every round, idling through the ones in which nothing arrives. Kept as
+    /// the reference the listening protocol must be indistinguishable from.
+    #[derive(Debug, Clone)]
+    struct AlwaysStepped(BfsNode);
+
+    impl Protocol for AlwaysStepped {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            let node = &mut self.0;
+            if node.is_source {
+                node.dist = Distance::ZERO;
+                node.announced = true;
+                if node.limit > 0 {
+                    ctx.broadcast(&[0]);
+                }
+            }
+        }
+
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            let node = &mut self.0;
+            for msg in inbox {
+                let cand = Distance::Finite(msg.word(0) + 1);
+                if cand < node.dist {
+                    node.dist = cand;
+                }
+            }
+            if !node.announced {
+                if let Some(d) = node.dist.finite() {
+                    node.announced = true;
+                    if d < node.limit {
+                        ctx.broadcast(&[d]);
+                    }
+                }
+            }
+            if ctx.round() > node.limit {
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn listening_changes_nothing_the_simulation_can_observe() {
+        for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
+            let n = g.node_count() as u64;
+            for cfg in test_graphs::configs() {
+                for sources in [&[NodeId(0)][..], &[NodeId(0), NodeId(5)]] {
+                    // Unthresholded, truncating, degenerate.
+                    for limit in [n, 3, 1, 0] {
+                        let fast = thresholded_bfs(g, sources, limit, &cfg).unwrap();
+                        let slow =
+                            run_bfs(g, sources, limit, &cfg, AlwaysStepped, |s| s.0.dist).unwrap();
+                        // Full AlgoRun equality: distances, every metrics
+                        // field (per-node energy included), and the trace.
+                        assert_eq!(fast, slow, "workload {i}, limit {limit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_limit_beyond_n_is_the_unthresholded_run() {
+        let cfg = AlgoConfig::default().with_traces();
+        let g = generators::random_connected(30, 40, 2);
+        let unthresholded = bfs(&g, &[NodeId(0)], &cfg).unwrap();
+        for limit in [31, 1 << 40, u64::MAX - 9, u64::MAX] {
+            assert_eq!(thresholded_bfs(&g, &[NodeId(0)], limit, &cfg).unwrap(), unthresholded);
+        }
+    }
 
     #[test]
     fn bfs_matches_sequential_on_random_graphs() {

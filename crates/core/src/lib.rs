@@ -80,6 +80,8 @@ mod result;
 pub mod seq_recursive;
 pub mod solver;
 pub mod spanning_forest;
+#[cfg(test)]
+mod test_graphs;
 pub mod thresholded;
 pub mod weighted_bfs;
 

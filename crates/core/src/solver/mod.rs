@@ -568,6 +568,19 @@ mod tests {
     }
 
     #[test]
+    fn a_hop_limit_of_u64_max_is_the_unthresholded_bfs() {
+        // `limit + 10` used to overflow here: a panic in debug builds, a
+        // wrapped round limit of 9 (then `RoundLimitExceeded`) in release.
+        let g = weighted(30, 3);
+        let request = Solver::on(&g)
+            .algorithm(Algorithm::Bfs)
+            .source(NodeId(0))
+            .config(AlgoConfig::default().with_traces());
+        let unthresholded = request.clone().run().unwrap();
+        assert_eq!(request.threshold(u64::MAX).run().unwrap(), unthresholded);
+    }
+
+    #[test]
     fn every_algorithm_is_reachable_via_the_facade() {
         let g = weighted(10, 1);
         for info in registry() {

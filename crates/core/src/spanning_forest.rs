@@ -63,29 +63,23 @@ pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metri
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let mut metrics = Metrics::zero(n, m);
-    if n == 0 {
-        let forest = DistributedForest {
-            tree_edges: vec![],
-            parents: vec![],
-            roots: vec![],
-            depths: vec![],
-            component_of: vec![],
-            component_count: 0,
-            phases: 0,
-        };
-        return (forest, metrics);
-    }
 
     // Fragment id per node (initially its own id) and accumulated tree edges.
     let mut fragment: Vec<u32> = (0..n as u32).collect();
     let mut tree_edges: Vec<EdgeId> = Vec::new();
     let mut phases = 0u64;
+    // `merged_into[f]` is the fragment that absorbed fragment `f` (itself
+    // while `f` is still a fragment's label): within a phase the labels in
+    // `fragment` go stale merge by merge and are looked up through this,
+    // then rewritten once when the phase's merges are done.
+    let mut merged_into: Vec<u32> = (0..n as u32).collect();
+    // The rooted forest over the tree edges chosen so far, re-derived once
+    // per phase in buffers that live for the whole run. Its depth after one
+    // phase's merges is the depth the next phase starts from.
+    let mut rooted = RootedForest::new(n);
+    let mut depth_now = rooted.orient(g, &tree_edges);
 
     loop {
-        // Current forest adjacency (for depth computation and convergecast
-        // cost accounting).
-        let depth_now = forest_max_depth(g, n, &tree_edges);
-
         // Each fragment picks its smallest-id outgoing edge. Only edges that
         // still cross fragments are probed (an edge whose endpoints merged in
         // an earlier phase is known to be internal and stays silent).
@@ -117,26 +111,26 @@ pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metri
         newly_chosen.dedup();
         for &e in &newly_chosen {
             let edge = g.edge(e);
-            let (fu, fv) = (fragment[edge.u.index()], fragment[edge.v.index()]);
+            let fu = current_label(&mut merged_into, fragment[edge.u.index()]);
+            let fv = current_label(&mut merged_into, fragment[edge.v.index()]);
             if fu == fv {
                 continue; // already merged transitively within this phase
             }
             tree_edges.push(e);
-            // Relabel the smaller fragment-id group to the larger's label (any
+            // The merged fragment takes the smaller of the two labels (any
             // deterministic rule works; a distributed implementation floods
             // the winning label through the merged fragment).
             let (winner, loser) = if fu < fv { (fu, fv) } else { (fv, fu) };
-            for f in fragment.iter_mut() {
-                if *f == loser {
-                    *f = winner;
-                }
-            }
+            merged_into[loser as usize] = winner;
+        }
+        for f in fragment.iter_mut() {
+            *f = current_label(&mut merged_into, *f);
         }
 
         // Charge the phase costs. The convergecast that finds the outgoing
         // edge runs over the pre-merge fragment trees; announcing and
         // installing the merge floods the post-merge fragment trees.
-        let depth_after = forest_max_depth(g, n, &tree_edges);
+        let depth_after = rooted.orient(g, &tree_edges);
         let phase_rounds = 2 * depth_now + 2 * depth_after + 4;
         metrics.rounds += phase_rounds;
         for &e in &probed_edges {
@@ -153,10 +147,12 @@ pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metri
         for v in 0..n {
             metrics.node_energy[v] += if low_energy { 4 } else { phase_rounds };
         }
+        depth_now = depth_after;
     }
 
-    // Root every component at its smallest node id and orient the tree.
-    let (parents, roots, depths, component_of, component_count) = orient_forest(g, n, &tree_edges);
+    // Every component is rooted at its smallest node id: the orientation of
+    // the last phase (or of the edgeless start) is the result.
+    let RootedForest { parents, roots, depths, component_of, component_count, .. } = rooted;
     let forest = DistributedForest {
         tree_edges,
         parents,
@@ -169,58 +165,303 @@ pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metri
     (forest, metrics)
 }
 
-/// Maximum depth of the current forest when each component is rooted at its
-/// smallest node id.
-fn forest_max_depth(g: &Graph, n: usize, tree_edges: &[EdgeId]) -> u64 {
-    let (_, _, depths, _, _) = orient_forest(g, n, tree_edges);
-    depths.iter().copied().max().unwrap_or(0)
+/// The label fragment `f` goes by now: the end of its `merged_into` chain
+/// (halved on the way, so later look-ups are short).
+fn current_label(merged_into: &mut [u32], mut f: u32) -> u32 {
+    while merged_into[f as usize] != f {
+        let next = merged_into[f as usize];
+        merged_into[f as usize] = merged_into[next as usize];
+        f = next;
+    }
+    f
 }
 
-#[allow(clippy::type_complexity)]
-fn orient_forest(
-    g: &Graph,
-    n: usize,
-    tree_edges: &[EdgeId],
-) -> (Vec<Option<NodeId>>, Vec<NodeId>, Vec<u64>, Vec<usize>, usize) {
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for &e in tree_edges {
-        let edge = g.edge(e);
-        adj[edge.u.index()].push(edge.v);
-        adj[edge.v.index()].push(edge.u);
-    }
-    let mut parents = vec![None; n];
-    let mut roots: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let mut depths = vec![0u64; n];
-    let mut component_of = vec![usize::MAX; n];
-    let mut count = 0usize;
-    for start in 0..n {
-        if component_of[start] != usize::MAX {
-            continue;
+/// A forest rooted at the smallest node id of every component, with the
+/// scratch space to re-derive it as the forest grows: the adjacency lives in
+/// one flat buffer (`adjacent[first[v]..first[v + 1]]` are `v`'s tree
+/// neighbours, in tree-edge order), reused by every [`RootedForest::orient`].
+struct RootedForest {
+    parents: Vec<Option<NodeId>>,
+    roots: Vec<NodeId>,
+    depths: Vec<u64>,
+    component_of: Vec<usize>,
+    component_count: usize,
+    first: Vec<usize>,
+    adjacent: Vec<NodeId>,
+    queue: Vec<NodeId>,
+}
+
+impl RootedForest {
+    fn new(n: usize) -> Self {
+        RootedForest {
+            parents: vec![None; n],
+            roots: (0..n as u32).map(NodeId).collect(),
+            depths: vec![0; n],
+            component_of: vec![usize::MAX; n],
+            component_count: 0,
+            first: vec![0; n + 1],
+            adjacent: Vec::new(),
+            queue: Vec::with_capacity(n),
         }
-        let root = NodeId(start as u32);
-        component_of[start] = count;
-        roots[start] = root;
-        let mut q = std::collections::VecDeque::from([root]);
-        while let Some(v) = q.pop_front() {
-            for &u in &adj[v.index()] {
-                if component_of[u.index()] == usize::MAX {
-                    component_of[u.index()] = count;
-                    parents[u.index()] = Some(v);
-                    roots[u.index()] = root;
-                    depths[u.index()] = depths[v.index()] + 1;
-                    q.push_back(u);
-                }
+    }
+
+    /// Roots the forest `tree_edges` (breadth-first from the smallest node id
+    /// of every component, neighbours in tree-edge order) and returns its
+    /// maximum depth.
+    fn orient(&mut self, g: &Graph, tree_edges: &[EdgeId]) -> u64 {
+        let n = self.parents.len();
+        // Counting sort of the edge endpoints into the flat adjacency.
+        self.first.fill(0);
+        for &e in tree_edges {
+            let edge = g.edge(e);
+            self.first[edge.u.index() + 1] += 1;
+            self.first[edge.v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            self.first[v + 1] += self.first[v];
+        }
+        self.adjacent.clear();
+        self.adjacent.resize(2 * tree_edges.len(), NodeId(0));
+        for &e in tree_edges {
+            let edge = g.edge(e);
+            for (from, to) in [(edge.u, edge.v), (edge.v, edge.u)] {
+                self.adjacent[self.first[from.index()]] = to;
+                self.first[from.index()] += 1;
             }
         }
-        count += 1;
+        // Filling advanced every `first[v]` to the end of `v`'s run, which is
+        // where `v + 1`'s begins: shift back.
+        self.first.copy_within(0..n, 1);
+        self.first[0] = 0;
+
+        self.parents.fill(None);
+        self.depths.fill(0);
+        self.component_of.fill(usize::MAX);
+        self.component_count = 0;
+        let mut max_depth = 0;
+        for start in 0..n {
+            if self.component_of[start] != usize::MAX {
+                continue;
+            }
+            let root = NodeId(start as u32);
+            self.component_of[start] = self.component_count;
+            self.roots[start] = root;
+            self.queue.clear();
+            self.queue.push(root);
+            let mut head = 0;
+            while let Some(&v) = self.queue.get(head) {
+                head += 1;
+                for &u in &self.adjacent[self.first[v.index()]..self.first[v.index() + 1]] {
+                    if self.component_of[u.index()] == usize::MAX {
+                        self.component_of[u.index()] = self.component_count;
+                        self.parents[u.index()] = Some(v);
+                        self.roots[u.index()] = root;
+                        self.depths[u.index()] = self.depths[v.index()] + 1;
+                        max_depth = max_depth.max(self.depths[u.index()]);
+                        self.queue.push(u);
+                    }
+                }
+            }
+            self.component_count += 1;
+        }
+        max_depth
     }
-    (parents, roots, depths, component_of, count)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use congest_graph::{generators, sequential};
+
+    /// The implementation as it was before the bookkeeping was tightened: two
+    /// orientations per phase (plus one at the end), each over a freshly
+    /// allocated `Vec<Vec<_>>` adjacency. Kept as the reference
+    /// [`spanning_forest`] must stay bit-identical to.
+    fn spanning_forest_reference(g: &Graph, low_energy: bool) -> (DistributedForest, Metrics) {
+        let n = g.node_count() as usize;
+        let m = g.edge_count() as usize;
+        let mut metrics = Metrics::zero(n, m);
+        if n == 0 {
+            let forest = DistributedForest {
+                tree_edges: vec![],
+                parents: vec![],
+                roots: vec![],
+                depths: vec![],
+                component_of: vec![],
+                component_count: 0,
+                phases: 0,
+            };
+            return (forest, metrics);
+        }
+
+        // Fragment id per node (initially its own id) and accumulated tree edges.
+        let mut fragment: Vec<u32> = (0..n as u32).collect();
+        let mut tree_edges: Vec<EdgeId> = Vec::new();
+        let mut phases = 0u64;
+
+        loop {
+            // Current forest adjacency (for depth computation and convergecast
+            // cost accounting).
+            let depth_now = forest_max_depth(g, n, &tree_edges);
+
+            // Each fragment picks its smallest-id outgoing edge. Only edges that
+            // still cross fragments are probed (an edge whose endpoints merged in
+            // an earlier phase is known to be internal and stays silent).
+            let mut choice: std::collections::BTreeMap<u32, EdgeId> =
+                std::collections::BTreeMap::new();
+            let mut probed_edges: Vec<EdgeId> = Vec::new();
+            for e in g.edge_ids() {
+                let edge = g.edge(e);
+                let (fu, fv) = (fragment[edge.u.index()], fragment[edge.v.index()]);
+                if fu == fv {
+                    continue;
+                }
+                probed_edges.push(e);
+                for f in [fu, fv] {
+                    let entry = choice.entry(f).or_insert(e);
+                    if e < *entry {
+                        *entry = e;
+                    }
+                }
+            }
+            if choice.is_empty() {
+                break;
+            }
+            phases += 1;
+
+            // Merge fragments along chosen edges (and add the chosen edges to the
+            // forest, skipping duplicates chosen by both endpoints' fragments).
+            let mut newly_chosen: Vec<EdgeId> = choice.values().copied().collect();
+            newly_chosen.sort();
+            newly_chosen.dedup();
+            for &e in &newly_chosen {
+                let edge = g.edge(e);
+                let (fu, fv) = (fragment[edge.u.index()], fragment[edge.v.index()]);
+                if fu == fv {
+                    continue; // already merged transitively within this phase
+                }
+                tree_edges.push(e);
+                // Relabel the smaller fragment-id group to the larger's label (any
+                // deterministic rule works; a distributed implementation floods
+                // the winning label through the merged fragment).
+                let (winner, loser) = if fu < fv { (fu, fv) } else { (fv, fu) };
+                for f in fragment.iter_mut() {
+                    if *f == loser {
+                        *f = winner;
+                    }
+                }
+            }
+
+            // Charge the phase costs. The convergecast that finds the outgoing
+            // edge runs over the pre-merge fragment trees; announcing and
+            // installing the merge floods the post-merge fragment trees.
+            let depth_after = forest_max_depth(g, n, &tree_edges);
+            let phase_rounds = 2 * depth_now + 2 * depth_after + 4;
+            metrics.rounds += phase_rounds;
+            for &e in &probed_edges {
+                // Fragment-id exchange across every still-crossing edge (both
+                // directions).
+                metrics.edge_congestion[e.index()] += 2;
+                metrics.messages += 2;
+            }
+            for &e in &tree_edges {
+                // Convergecast + broadcast + merge announcement on tree edges.
+                metrics.edge_congestion[e.index()] += 3;
+                metrics.messages += 3;
+            }
+            for v in 0..n {
+                metrics.node_energy[v] += if low_energy { 4 } else { phase_rounds };
+            }
+        }
+
+        // Root every component at its smallest node id and orient the tree.
+        let (parents, roots, depths, component_of, component_count) =
+            orient_forest(g, n, &tree_edges);
+        let forest = DistributedForest {
+            tree_edges,
+            parents,
+            roots,
+            depths,
+            component_of,
+            component_count,
+            phases,
+        };
+        (forest, metrics)
+    }
+
+    /// Maximum depth of the current forest when each component is rooted at its
+    /// smallest node id.
+    fn forest_max_depth(g: &Graph, n: usize, tree_edges: &[EdgeId]) -> u64 {
+        let (_, _, depths, _, _) = orient_forest(g, n, tree_edges);
+        depths.iter().copied().max().unwrap_or(0)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn orient_forest(
+        g: &Graph,
+        n: usize,
+        tree_edges: &[EdgeId],
+    ) -> (Vec<Option<NodeId>>, Vec<NodeId>, Vec<u64>, Vec<usize>, usize) {
+        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for &e in tree_edges {
+            let edge = g.edge(e);
+            adj[edge.u.index()].push(edge.v);
+            adj[edge.v.index()].push(edge.u);
+        }
+        let mut parents = vec![None; n];
+        let mut roots: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let mut depths = vec![0u64; n];
+        let mut component_of = vec![usize::MAX; n];
+        let mut count = 0usize;
+        for start in 0..n {
+            if component_of[start] != usize::MAX {
+                continue;
+            }
+            let root = NodeId(start as u32);
+            component_of[start] = count;
+            roots[start] = root;
+            let mut q = std::collections::VecDeque::from([root]);
+            while let Some(v) = q.pop_front() {
+                for &u in &adj[v.index()] {
+                    if component_of[u.index()] == usize::MAX {
+                        component_of[u.index()] = count;
+                        parents[u.index()] = Some(v);
+                        roots[u.index()] = root;
+                        depths[u.index()] = depths[v.index()] + 1;
+                        q.push_back(u);
+                    }
+                }
+            }
+            count += 1;
+        }
+        (parents, roots, depths, component_of, count)
+    }
+
+    #[test]
+    fn forest_and_metrics_are_bit_identical_to_the_reference() {
+        let mut graphs = vec![
+            Graph::empty(0),
+            Graph::empty(5),
+            generators::path(40, 1),
+            generators::star(30, 1),
+            generators::grid(7, 9, 1),
+            generators::disjoint_copies(&generators::random_connected(15, 20, 1), 4),
+            generators::disjoint_copies(&generators::star(6, 1), 3),
+        ];
+        for seed in 0..6 {
+            graphs.push(generators::random_connected(20 + 30 * seed as u32, 40 * seed, seed));
+            graphs.push(generators::erdos_renyi_gnm(60, 50 + 10 * seed, seed));
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            for low_energy in [false, true] {
+                assert_eq!(
+                    spanning_forest(g, low_energy),
+                    spanning_forest_reference(g, low_energy),
+                    "graph {i}, low_energy {low_energy}"
+                );
+            }
+        }
+    }
 
     fn check_forest(g: &Graph) -> (DistributedForest, Metrics) {
         let (forest, metrics) = spanning_forest(g, false);

@@ -6,6 +6,12 @@
 //! `O(n/ε)`, so waiting BFS finishes in `O(n/ε)` rounds — and each node
 //! announces its final distance exactly once, so the congestion is `O(1)`
 //! per edge.
+//!
+//! Every node is awake for all `limit` rounds but acts only `O(deg)` times:
+//! when an announcement arrives, in the round equal to its pending distance,
+//! and at the limit. Between those it waits in [`NodeCtx::listen_until`] —
+//! charged and receptive every round, as the model demands, while the
+//! simulation pays per event instead of per node-round.
 
 use std::sync::Arc;
 
@@ -43,6 +49,14 @@ impl WaitingBfsNode {
             }
         }
     }
+
+    /// Waits for the next round in which this node acts without being told
+    /// to: the round its pending distance comes due, else the limit. Mail
+    /// ends the wait early.
+    fn wait(&self, ctx: &mut NodeCtx<'_>) {
+        let due = self.best.finite().filter(|&b| !self.finalized && b > ctx.round());
+        ctx.listen_until(due.map_or(self.limit, |b| b.min(self.limit)));
+    }
 }
 
 impl Protocol for WaitingBfsNode {
@@ -50,6 +64,7 @@ impl Protocol for WaitingBfsNode {
         // `best` was pre-set to the source offset by the factory (or left
         // infinite for non-sources). A source with offset 0 finalizes now.
         self.maybe_finalize(ctx);
+        self.wait(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
@@ -63,6 +78,8 @@ impl Protocol for WaitingBfsNode {
         self.maybe_finalize(ctx);
         if ctx.round() >= self.limit {
             ctx.halt();
+        } else {
+            self.wait(ctx);
         }
     }
 }
@@ -84,6 +101,20 @@ pub fn waiting_bfs(
     weights: &[Weight],
     limit: u64,
     config: &AlgoConfig,
+) -> Result<AlgoRun, AlgoError> {
+    run_waiting_bfs(g, sources, weights, limit, config, |node| node, |node| node.dist)
+}
+
+/// [`waiting_bfs`] over any protocol built from a [`WaitingBfsNode`], so that
+/// the tests can put the always-stepped reference through the same set-up.
+fn run_waiting_bfs<P: Protocol>(
+    g: &Graph,
+    sources: &[SourceOffset],
+    weights: &[Weight],
+    limit: u64,
+    config: &AlgoConfig,
+    protocol: impl Fn(WaitingBfsNode) -> P,
+    dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
     if sources.is_empty() {
         return Err(AlgoError::EmptySourceSet);
@@ -109,25 +140,110 @@ pub fn waiting_bfs(
     }
     let weights = Arc::new(weights.to_vec());
     let mut sim = config.sim.clone();
-    sim.max_rounds = sim.max_rounds.max(limit + 10);
-    let run = Engine::new(g, sim).run(|id: NodeId| WaitingBfsNode {
-        dist: Distance::Infinite,
-        best: offsets[id.index()],
-        finalized: false,
-        limit,
-        weights: Arc::clone(&weights),
+    sim.max_rounds = sim.max_rounds.max(limit.saturating_add(10));
+    let run = Engine::new(g, sim).run(|id: NodeId| {
+        protocol(WaitingBfsNode {
+            dist: Distance::Infinite,
+            best: offsets[id.index()],
+            finalized: false,
+            limit,
+            weights: Arc::clone(&weights),
+        })
     })?;
-    let distances = run.states.iter().map(|s| s.dist).collect();
+    let distances = run.states.iter().map(dist).collect();
     Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs;
     use congest_graph::{generators, sequential};
 
     fn graph_weights(g: &Graph) -> Vec<Weight> {
         g.edges().iter().map(|e| e.w).collect()
+    }
+
+    /// The protocol as it was before [`NodeCtx::listen_until`]: stepped in
+    /// every round, idling through the ones in which nothing arrives and
+    /// nothing comes due. Kept as the reference the listening protocol must
+    /// be indistinguishable from.
+    #[derive(Debug, Clone)]
+    struct AlwaysStepped(WaitingBfsNode);
+
+    impl Protocol for AlwaysStepped {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.0.maybe_finalize(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            let node = &mut self.0;
+            for msg in inbox {
+                let w = node.weights[msg.edge.index()];
+                let cand = Distance::Finite(msg.word(0) + w);
+                if cand < node.best {
+                    node.best = cand;
+                }
+            }
+            node.maybe_finalize(ctx);
+            if ctx.round() >= node.limit {
+                ctx.halt();
+            }
+        }
+    }
+
+    /// The cutter's instance of Lemma 2.1 (see `approx.rs`): weights and
+    /// offsets rounded to `⌈x · ε⁻¹ · n / W⌉`, run for `(2ε⁻¹ + 1) · n + 2`
+    /// rounds — the shape of every waiting BFS the recursion issues.
+    fn rounded(
+        g: &Graph,
+        sources: &[SourceOffset],
+        w_max: u64,
+        inv: u64,
+    ) -> (Vec<SourceOffset>, Vec<Weight>, u64) {
+        let n = g.node_count() as u64;
+        let scale = |x: u64| (x * inv * n).div_ceil(w_max);
+        let sources = sources
+            .iter()
+            .map(|s| SourceOffset { node: s.node, offset: scale(s.offset) })
+            .collect();
+        (sources, g.edges().iter().map(|e| scale(e.w)).collect(), (2 * inv + 1) * n + 2)
+    }
+
+    #[test]
+    fn listening_changes_nothing_the_simulation_can_observe() {
+        let plain = [SourceOffset::plain(NodeId(0))];
+        let offset = [
+            SourceOffset { node: NodeId(0), offset: 4 },
+            SourceOffset { node: NodeId(5), offset: 0 },
+        ];
+        for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
+            let full = g.distance_upper_bound();
+            // Everything in reach, a truncating threshold, and two degenerate
+            // limits on the unrounded weights.
+            let mut instances = vec![];
+            for sources in [&plain[..], &offset] {
+                for inv in [1, 2, 10] {
+                    instances.push(rounded(g, sources, full, inv));
+                    instances.push(rounded(g, sources, (full / 8).max(1), inv));
+                }
+                instances.push((sources.to_vec(), graph_weights(g), 2));
+                instances.push((sources.to_vec(), graph_weights(g), 0));
+            }
+            for cfg in test_graphs::configs() {
+                for (sources, weights, limit) in &instances {
+                    let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
+                    let slow =
+                        run_waiting_bfs(g, sources, weights, *limit, &cfg, AlwaysStepped, |s| {
+                            s.0.dist
+                        })
+                        .unwrap();
+                    // Full AlgoRun equality: distances, every metrics field
+                    // (per-node energy included), and the trace.
+                    assert_eq!(fast, slow, "workload {i}, limit {limit}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! cost scales with awake work, not `n · rounds`:
 //!
 //! * `active_set` — a wake bucket queue; each round touches only the nodes
-//!   scheduled to run in it, and sleeping nodes cost nothing.
+//!   scheduled to run in it, and sleeping nodes — and awake-but-idle
+//!   *listening* ones, see below — cost nothing.
 //! * `delivery` — a flat, reusable message arena replacing per-round per-node
 //!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`.
 //! * `capacity` — dense per-edge-direction CONGEST capacity counters reset
@@ -22,6 +23,41 @@
 //! * `sharded` — the multi-threaded execution mode behind
 //!   [`crate::SimConfig::threads`], bit-identical to the sequential path at
 //!   every thread count. See the determinism argument below.
+//!
+//! # Listening: awake in the model, idle on the host
+//!
+//! [`NodeCtx::listen_until`]`(d)` is the always-awake counterpart of
+//! [`NodeCtx::sleep_until`]. Its meaning is defined, naively, by
+//! [`Engine::run_reference`]: until round `d` the node is **awake in every
+//! round** — charged one energy unit, receptive to every message — and the
+//! sweep skips its `on_round` exactly when its inbox is empty and `d` has not
+//! come. So the node's next callback is in the first round with mail, or at
+//! `d`, whichever is first; that callback ends the wait, and whatever it
+//! requests (nothing, sleep, listen again, halt) applies from there. When
+//! `sleep_until` and `listen_until` are both called in one step the last call
+//! wins, and `halt` beats both.
+//!
+//! The fast engines never visit the skipped rounds, and arrive at the same
+//! outcome anyway:
+//!
+//! * The deadline sits in the wake queue like a sleeper's wake-up, and
+//!   `ActiveSet` remembers the round the node last ran in.
+//! * Before delivery, every *listening* recipient of this round's in-flight
+//!   stream is pulled into the round's id-sorted awake list (and its
+//!   scheduled round pulled forward to now, which is what makes it
+//!   receptive). A listener without mail is not touched.
+//! * Energy is settled when the node is next stepped: `round − last_ran`
+//!   units instead of one. A fault plan that crashes (or restarts) a
+//!   listener at round `c` settles `c − 1 − last_ran` on the spot — the node
+//!   was up through round `c − 1`.
+//! * The early wake-up leaves the deadline's queue entry behind, stale. The
+//!   queue therefore switches to the filtering mode fault plans already use
+//!   (entries are a superset, `wake_at` is authoritative) at the first listen
+//!   request of a run — a protocol that never listens never pays for it.
+//!
+//! Quiet stretches between deadlines still fast-forward: with every awake
+//! node listening, a round without mail or deadline steps nobody, and the
+//! engine jumps to the next queue entry as it does for sleepers.
 //!
 //! # Sharded execution and the shard-merge determinism argument
 //!
@@ -59,6 +95,17 @@
 //!   the merge rolls the identical fates in the identical order, and the
 //!   jitter buffer fills in the same order too. Crash/restart churn and all
 //!   scheduler mutation (halt/reschedule/revive) stay on the main thread.
+//! * **Early wake-ups.** Which listeners this round's mail wakes is decided
+//!   on the main thread, in the pre-round phase, from the complete shared
+//!   in-flight stream (jitter arrivals merged in) — the same stream, in the
+//!   same state, the sequential loop reads — and *before* the awake list is
+//!   cut into shard segments. A woken listener is from then on one more
+//!   entry of the id-sorted awake list: it lands in its owner's contiguous
+//!   segment, is receptive by the same read-only query, and the order
+//!   argument above covers it unchanged. Workers only *read* the listening
+//!   bookkeeping (to charge `round − last_ran` into their shard's energy
+//!   slice); listen requests travel back in the per-shard decision lists and
+//!   are applied during the merge, in node-id order, like sleeps and halts.
 //!
 //! The hot path takes no locks: each worker locks its own uncontended shard
 //! mutex and a shared read-write lock once per round (both futex-based, no
@@ -218,7 +265,7 @@ impl<'g> Engine<'g> {
                         FaultAction::Crash { permanent } => {
                             metrics.crashes += 1;
                             rt.crashed[ev.node.index()] = true;
-                            active.set_down(ev.node);
+                            metrics.node_energy[ev.node.index()] += active.set_down(ev.node, round);
                             if permanent {
                                 active.halt(ev.node);
                             }
@@ -228,7 +275,7 @@ impl<'g> Engine<'g> {
                             rt.crashed[ev.node.index()] = false;
                             rt.reinit[ev.node.index()] = true;
                             states[ev.node.index()] = factory(ev.node);
-                            active.revive(ev.node, round);
+                            metrics.node_energy[ev.node.index()] += active.revive(ev.node, round);
                         }
                     }
                 }
@@ -243,9 +290,21 @@ impl<'g> Engine<'g> {
             // model) — and counted, so protocol bugs cannot hide in silence.
             // Under a fault plan, jitter-delayed messages due this round
             // join the inbox stream first, and deliveries onto a crashed
-            // node are attributed to the fault layer instead.
+            // node are attributed to the fault layer instead. A listening
+            // recipient joins this round's awake list before delivery reads
+            // receptivity: its wait ends with its first mail.
             if let Some(rt) = faults.as_mut() {
                 rt.merge_due(round, &mut incoming);
+            }
+            // Whether any node has listened yet is read once per round: a
+            // node stepped below can only be in a wait it asked for in an
+            // earlier round, so a first request made during this round's
+            // steps changes nothing until the next one.
+            let listeners = active.has_listeners();
+            if listeners {
+                active.wake_listeners(round, incoming.iter().map(|f| f.to), &mut awake);
+            }
+            if let Some(rt) = faults.as_mut() {
                 let crashed_hits =
                     incoming.iter().filter(|f| rt.crashed[f.to.index()]).count() as u64;
                 let lost = arena.build(&mut incoming, |v| {
@@ -261,7 +320,8 @@ impl<'g> Engine<'g> {
             capacity.reset();
             this_round_trace.clear();
             for &v in &awake {
-                metrics.node_energy[v.index()] += 1;
+                metrics.node_energy[v.index()] +=
+                    if listeners { active.awake_rounds(v, round) } else { 1 };
                 let sends_from = outgoing.len();
                 let mut ctx = NodeCtx::new(v, round, &self.network, &mut outgoing);
                 // A node freshly revived by a fault-injected restart re-runs
@@ -273,7 +333,7 @@ impl<'g> Engine<'g> {
                 } else {
                     states[v.index()].on_round(&mut ctx, arena.inbox(v));
                 }
-                let (wake_at, halt) = (ctx.wake_at, ctx.halt);
+                let request = ctx.request();
                 // Validate and account this node's sends in place.
                 for flight in &outgoing[sends_from..] {
                     let edge = flight.msg.edge;
@@ -313,12 +373,7 @@ impl<'g> Engine<'g> {
                         rt.apply_message_faults(&mut metrics, round, &mut outgoing, sends_from);
                     }
                 }
-                // Process sleep/halt requests.
-                if halt {
-                    active.halt(v);
-                } else {
-                    active.reschedule(v, round, wake_at.unwrap_or(round + 1));
-                }
+                active.apply(v, round, request);
             }
 
             if let Some(t) = trace.as_mut() {
@@ -697,6 +752,85 @@ mod tests {
             |_| Sleeper { woke_at: None },
             |a: &Sleeper, b: &Sleeper| assert_eq!(a.woke_at, b.woke_at),
         );
+    }
+
+    /// One BFS wave among listeners: everyone is awake for the whole run, but
+    /// a node is called back only by mail or by the common deadline.
+    #[derive(Debug, Clone)]
+    struct ListeningBfs {
+        is_source: bool,
+        until: u64,
+        dist: Distance,
+        callbacks: u64,
+    }
+
+    impl Protocol for ListeningBfs {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.is_source {
+                self.dist = Distance::ZERO;
+                ctx.broadcast(&[0]);
+            }
+            ctx.listen_until(self.until);
+        }
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            self.callbacks += 1;
+            let heard = inbox.iter().map(|m| Distance::Finite(m.words[0] + 1)).min();
+            if heard.is_some_and(|d| d < self.dist) {
+                self.dist = heard.expect("checked above");
+                ctx.broadcast(&[self.dist.expect_finite()]);
+            }
+            if ctx.round() >= self.until {
+                ctx.halt();
+            } else {
+                ctx.listen_until(self.until);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_listeners_are_charged_but_not_called() {
+        // No clock: the host work of a run is the number of callbacks, which
+        // the protocol counts itself. Each node hears the wave, hears its
+        // successor's echo, and meets the deadline.
+        let n = 1000u32;
+        let g = generators::path(n, 1);
+        let until = 2 * n as u64;
+        let factory = |id| ListeningBfs {
+            is_source: id == NodeId(0),
+            until,
+            dist: Distance::Infinite,
+            callbacks: 0,
+        };
+        let run = Engine::new(&g, SimConfig::default()).run(factory).unwrap();
+        let callbacks: u64 = run.states.iter().map(|s| s.callbacks).sum();
+        assert!(callbacks <= 3 * n as u64, "{callbacks} callbacks for {n} nodes");
+        assert_eq!(run.metrics.rounds, until + 1);
+        assert_eq!(run.metrics.node_energy.iter().sum::<u64>(), n as u64 * run.metrics.rounds);
+        assert_eq!(run.metrics.messages_lost, 0, "a listener is never deaf");
+        for v in g.nodes() {
+            assert_eq!(run.states[v.index()].dist, Distance::Finite(v.0 as u64));
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_listeners() {
+        let g = generators::grid(6, 5, 1);
+        for fast_forward_idle in [true, false] {
+            let cfg = SimConfig { fast_forward_idle, ..SimConfig::default().with_edge_trace(true) };
+            assert_equivalent(
+                &g,
+                cfg,
+                |id| ListeningBfs {
+                    is_source: id == NodeId(7),
+                    until: 100,
+                    dist: Distance::Infinite,
+                    callbacks: 0,
+                },
+                |a: &ListeningBfs, b: &ListeningBfs| {
+                    assert_eq!((a.dist, a.callbacks), (b.dist, b.callbacks));
+                },
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! produce bit-identical [`RunOutcome`]s (states, [`Metrics`], traces); the
 //! proptest harness in `tests/engine_equivalence.rs` and the E11 throughput
 //! experiment both enforce this.
+//!
+//! It is also where [`crate::NodeCtx::listen_until`] is *defined*: a
+//! listening node is awake in every round — charged one energy unit,
+//! receptive to every message — and the sweep merely skips its callback
+//! while its inbox is empty and its deadline has not come. The fast engines
+//! never visit those rounds and must arrive at the same outcome anyway.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -16,14 +22,17 @@ use congest_graph::{EdgeId, NodeId};
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::{EdgeUsageTrace, Metrics};
-use crate::node::NodeCtx;
+use crate::node::{NodeCtx, Request};
 use crate::{Engine, Message, Protocol, RunOutcome, SimError};
 
 /// Per-node bookkeeping of the reference loop.
 #[derive(Debug, Clone)]
 struct NodeStatus {
-    /// The earliest round at which the node is next awake.
+    /// The earliest round at which the node next runs regardless of mail.
     wake_at: u64,
+    /// Until `wake_at` the node is not asleep but listening: awake in every
+    /// round, and run as soon as its inbox is non-empty.
+    listening: bool,
     /// The node has halted for good.
     halted: bool,
     /// The node is down due to a fault-injected crash (awaiting restart).
@@ -51,7 +60,8 @@ impl Engine<'_> {
         let n = graph.node_count() as usize;
         let m = graph.edge_count() as usize;
         let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
-        let mut status = vec![NodeStatus { wake_at: 0, halted: false, down: false }; n];
+        let mut status =
+            vec![NodeStatus { wake_at: 0, listening: false, halted: false, down: false }; n];
         let mut faults = FaultRuntime::new(&config.faults, n, m);
         let mut metrics = Metrics::zero(n, m);
         let mut trace =
@@ -93,6 +103,7 @@ impl Engine<'_> {
                             st.down = false;
                             st.halted = false;
                             st.wake_at = round;
+                            st.listening = false;
                             states[ev.node.index()] = factory(ev.node);
                         }
                     }
@@ -110,7 +121,7 @@ impl Engine<'_> {
                 let st = &status[flight.to.index()];
                 if faults.as_ref().is_some_and(|rt| rt.crashed[flight.to.index()]) {
                     metrics.fault_drops += 1;
-                } else if !st.halted && st.wake_at <= round {
+                } else if !st.halted && (st.wake_at <= round || st.listening) {
                     inboxes[flight.to.index()].push(flight.msg);
                 } else {
                     metrics.messages_lost += 1;
@@ -124,11 +135,16 @@ impl Engine<'_> {
             let mut any_awake = false;
             for v in graph.nodes() {
                 let st = &status[v.index()];
-                if st.halted || st.down || st.wake_at > round {
+                if st.halted || st.down || (st.wake_at > round && !st.listening) {
                     continue;
                 }
                 any_awake = true;
                 metrics.node_energy[v.index()] += 1;
+                // A listener is awake but idle: charged above, receptive
+                // below, and not called back until mail or its deadline.
+                if st.wake_at > round && inboxes[v.index()].is_empty() {
+                    continue;
+                }
                 // A freshly allocated outbox per node, as the pre-refactor
                 // engine did — this loop deliberately keeps the naive
                 // allocation profile the E13 experiment baselines against.
@@ -141,7 +157,7 @@ impl Engine<'_> {
                 } else {
                     states[v.index()].on_round(&mut ctx, &inboxes[v.index()]);
                 }
-                let (wake_at, halt) = (ctx.wake_at, ctx.halt);
+                let request = ctx.request();
                 // Process sends.
                 for flight in &outbox {
                     let edge = flight.msg.edge;
@@ -183,14 +199,17 @@ impl Engine<'_> {
                     }
                 }
                 in_flight.append(&mut outbox);
-                // Process sleep/halt requests.
+                // Process sleep/listen/halt requests.
                 let st = &mut status[v.index()];
-                if halt {
-                    st.halted = true;
-                } else if let Some(w) = wake_at {
-                    st.wake_at = w;
-                } else {
-                    st.wake_at = round + 1;
+                st.listening = false;
+                match request {
+                    Request::Halt => st.halted = true,
+                    Request::Stay => st.wake_at = round + 1,
+                    Request::SleepUntil(w) => st.wake_at = w,
+                    Request::ListenUntil(w) => {
+                        st.wake_at = w;
+                        st.listening = true;
+                    }
                 }
             }
 

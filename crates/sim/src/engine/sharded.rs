@@ -27,7 +27,7 @@ use congest_graph::{EdgeId, NodeId};
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::{EdgeUsageTrace, Metrics};
-use crate::node::NodeCtx;
+use crate::node::{NodeCtx, Request};
 use crate::{Engine, Network, Protocol, RunOutcome, SimError};
 
 use super::active_set::ActiveSet;
@@ -46,7 +46,8 @@ struct Shared {
     awake: Vec<NodeId>,
     /// `awake[bounds[s]..bounds[s + 1]]` is shard `s`'s segment.
     bounds: Vec<usize>,
-    /// The scheduler; workers only call the read-only receptivity query.
+    /// The scheduler; workers only call its read-only queries (receptivity,
+    /// and the awake rounds a listener is charged for when stepped).
     active: ActiveSet,
     /// The fault layer; workers only read `crashed` / `reinit`.
     faults: Option<FaultRuntime>,
@@ -62,17 +63,18 @@ struct Shard<P> {
     hi: u32,
     /// Protocol states of nodes `[lo, hi)`, indexed by `id - lo`.
     states: Vec<P>,
-    /// Awake-round counters of nodes `[lo, hi)`, merged into
-    /// [`Metrics::node_energy`] at termination.
+    /// Awake-round counters of nodes `[lo, hi)`, added to
+    /// [`Metrics::node_energy`] at termination (which already holds what the
+    /// main thread charged listeners interrupted by a fault plan).
     energy: Vec<u64>,
     /// Range-restricted delivery arena over `[lo, hi)`.
     arena: DeliveryArena,
     /// This round's sends, in node-id order; drained into the global stream
     /// by the merge.
     outbox: Vec<InFlight>,
-    /// Per-node `(node, wake_at, halt)` outcomes, applied by the main thread
-    /// in order during the merge.
-    decisions: Vec<(NodeId, Option<u64>, bool)>,
+    /// Per-node scheduling requests, applied by the main thread in order
+    /// during the merge.
+    decisions: Vec<(NodeId, Request)>,
     /// Sleeping-model losses within this shard's range this round.
     lost: u64,
     /// Deliveries onto crashed nodes within this shard's range this round.
@@ -202,9 +204,12 @@ fn step_shard<P: Protocol>(sd: &mut Shard<P>, sh: &Shared, network: &Network<'_>
     let seg = &sh.awake[sh.bounds[sd.index]..sh.bounds[sd.index + 1]];
     let lo = sd.lo as usize;
     let Shard { states, energy, arena, outbox, decisions, panic, .. } = sd;
+    // Read once per pass, as in the sequential loop: requests made this round
+    // are only applied by the merge.
+    let listeners = sh.active.has_listeners();
     for &v in seg {
         let i = v.index() - lo;
-        energy[i] += 1;
+        energy[i] += if listeners { sh.active.awake_rounds(v, round) } else { 1 };
         let sends_from = outbox.len();
         // Same rule as the sequential loop, minus the flag *take*: workers
         // read `reinit`; the main thread clears it during the merge.
@@ -219,9 +224,9 @@ fn step_shard<P: Protocol>(sd: &mut Shard<P>, sh: &Shared, network: &Network<'_>
                 state.on_round(&mut ctx, inbox);
             }
         }));
-        let (wake_at, halt) = (ctx.wake_at, ctx.halt);
+        let request = ctx.request();
         match caught {
-            Ok(()) => decisions.push((v, wake_at, halt)),
+            Ok(()) => decisions.push((v, request)),
             Err(payload) => {
                 // Discard the panicking node's partial sends — the sequential
                 // engine never accounts a node's sends unless its callback
@@ -287,7 +292,8 @@ where
                         FaultAction::Crash { permanent } => {
                             metrics.crashes += 1;
                             rt.crashed[ev.node.index()] = true;
-                            sh.active.set_down(ev.node);
+                            metrics.node_energy[ev.node.index()] +=
+                                sh.active.set_down(ev.node, round);
                             if permanent {
                                 sh.active.halt(ev.node);
                             }
@@ -300,7 +306,8 @@ where
                             let mut sd = shards[owner].lock().expect("shard lock");
                             let slot = ev.node.index() - sd.lo as usize;
                             sd.states[slot] = factory(ev.node);
-                            sh.active.revive(ev.node, round);
+                            metrics.node_energy[ev.node.index()] +=
+                                sh.active.revive(ev.node, round);
                         }
                     }
                 }
@@ -309,6 +316,12 @@ where
             active.take_awake(round, awake);
             if let Some(rt) = faults.as_mut() {
                 rt.merge_due(round, incoming);
+            }
+            // Early wake-ups are decided here, from the complete delivery
+            // stream and before the awake list is cut into shard segments:
+            // workers see a listener with mail as one more awake node.
+            if active.has_listeners() {
+                active.wake_listeners(round, incoming.iter().map(|f| f.to), awake);
             }
             for (s, bound) in bounds.iter_mut().enumerate().take(shard_count) {
                 *bound = awake.partition_point(|v| v.index() < s * chunk);
@@ -391,13 +404,10 @@ where
                         rt.apply_message_faults(&mut metrics, round, &mut outgoing, from);
                     }
                 }
-                // Sleep/halt requests, in node-id order within the shard.
-                for &(v, wake_at, halt) in &sd.decisions {
-                    if halt {
-                        sh.active.halt(v);
-                    } else {
-                        sh.active.reschedule(v, round, wake_at.unwrap_or(round + 1));
-                    }
+                // Sleep/listen/halt requests, in node-id order within the
+                // shard.
+                for &(v, request) in &sd.decisions {
+                    sh.active.apply(v, round, request);
                 }
             }
             // The sequential loop *takes* each running node's re-init flag
@@ -441,7 +451,9 @@ where
             for shard in shards {
                 let mut sd = shard.lock().expect("shard lock");
                 let (lo, hi) = (sd.lo as usize, sd.hi as usize);
-                metrics.node_energy[lo..hi].copy_from_slice(&sd.energy);
+                for (total, stepped) in metrics.node_energy[lo..hi].iter_mut().zip(&sd.energy) {
+                    *total += stepped;
+                }
                 states.append(&mut sd.states);
             }
             return Ok(RunOutcome { states, metrics, trace });

@@ -16,7 +16,24 @@ use crate::Message;
 /// * the messages its neighbours sent it in the previous round.
 ///
 /// Nodes control their own sleep schedule through [`NodeCtx::sleep_for`] /
-/// [`NodeCtx::sleep_until`] and stop participating with [`NodeCtx::halt`].
+/// [`NodeCtx::sleep_until`], wait for mail with [`NodeCtx::listen_until`], and
+/// stop participating with [`NodeCtx::halt`].
+///
+/// # Sleeping or listening
+///
+/// A node with nothing to do until some round has two ways to say so:
+///
+/// * [`NodeCtx::sleep_until`] — **deaf and free**: no energy is charged, and
+///   messages that arrive meanwhile are lost. The sleeping-model primitive;
+///   use it when the protocol knows nothing can arrive (or can afford to lose
+///   it), as the low-energy algorithms of Section 3 do.
+/// * [`NodeCtx::listen_until`] — **receptive and charged**: the node is awake
+///   in the model every round (one energy unit each, nothing is lost), but
+///   `on_round` is next called in the first round its inbox is non-empty or
+///   at the deadline. Use it for always-awake protocols that act only on
+///   mail or at a known round: the simulated execution is exactly that of
+///   idling through `on_round` every round, while the host cost follows the
+///   events instead of `rounds × nodes`.
 ///
 /// `Send` is a supertrait because the engine's sharded execution mode (see
 /// [`crate::SimConfig::threads`]) moves per-node state machines onto worker
@@ -29,7 +46,9 @@ pub trait Protocol: Send {
 
     /// Called in every round `>= 1` in which this node is awake, with the
     /// messages delivered to it this round (messages sent to it while it was
-    /// asleep are lost, per the sleeping model).
+    /// asleep are lost, per the sleeping model). A node that asked to
+    /// [`NodeCtx::listen_until`] a deadline is awake throughout but is only
+    /// called back when mail arrives or the deadline comes.
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]);
 }
 
@@ -50,13 +69,42 @@ pub struct NodeCtx<'a> {
     /// The engine's round outbox; this node's sends start at the position the
     /// engine recorded before handing out the context.
     outbox: &'a mut Vec<InFlight>,
-    /// If set, the node sleeps and next wakes at this round.
+    /// If set, the node sleeps (or, with `listen`, listens) and next runs at
+    /// this round.
     pub(crate) wake_at: Option<u64>,
+    /// `wake_at` is a listening deadline: the node stays awake — charged and
+    /// receptive — and runs earlier if mail arrives.
+    pub(crate) listen: bool,
     /// The node halts (stops for good; counts no further energy).
     pub(crate) halt: bool,
 }
 
+/// What a node asked for while it ran: how the engine schedules it next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// Nothing: awake (and run) next round.
+    Stay,
+    /// Asleep — deaf and free — until this round.
+    SleepUntil(u64),
+    /// Awake — receptive and charged — but next run at the first mail or at
+    /// this round.
+    ListenUntil(u64),
+    /// Stop for good.
+    Halt,
+}
+
 impl<'a> NodeCtx<'a> {
+    /// The scheduling request this step ends with: `halt` beats the sleep
+    /// and listen requests, of which the last call won.
+    pub(crate) fn request(&self) -> Request {
+        match self.wake_at {
+            _ if self.halt => Request::Halt,
+            Some(round) if self.listen => Request::ListenUntil(round),
+            Some(round) => Request::SleepUntil(round),
+            None => Request::Stay,
+        }
+    }
+
     pub(crate) fn new(
         node: NodeId,
         round: u64,
@@ -72,6 +120,7 @@ impl<'a> NodeCtx<'a> {
             index: network.index(),
             outbox,
             wake_at: None,
+            listen: false,
             halt: false,
         }
     }
@@ -172,15 +221,42 @@ impl<'a> NodeCtx<'a> {
     /// round as usual).
     pub fn sleep_for(&mut self, rounds: u64) {
         if rounds > 0 {
-            self.wake_at = Some(self.round + rounds + 1);
+            self.sleep_until(self.round.saturating_add(rounds).saturating_add(1));
         }
     }
 
     /// Puts the node to sleep until the given round (it is next awake at
     /// `round`). A target in the past or the immediate next round is a no-op.
+    ///
+    /// Asleep means deaf and free: no energy is charged and arriving messages
+    /// are lost. To keep receiving while waiting, use
+    /// [`NodeCtx::listen_until`]. When both are called in one step the last
+    /// call wins.
     pub fn sleep_until(&mut self, round: u64) {
         if round > self.round + 1 {
             self.wake_at = Some(round);
+            self.listen = false;
+        }
+    }
+
+    /// Keeps the node awake but idle until the given round: it is charged one
+    /// energy unit per round and receives every message sent to it, exactly
+    /// as if its `on_round` ran and did nothing, but the engine next calls
+    /// [`Protocol::on_round`] in the first round the node's inbox is
+    /// non-empty, or at `round`, whichever comes first. A target in the past
+    /// or the immediate next round is a no-op (the node runs next round
+    /// anyway).
+    ///
+    /// Prefer this to [`NodeCtx::sleep_until`] when a message may arrive
+    /// before the deadline and must not be lost; prefer it to returning
+    /// without a request when the node has nothing to do until mail or a
+    /// known round, so that the simulation does not pay for the idle rounds.
+    /// When both are called in one step the last call wins, and
+    /// [`NodeCtx::halt`] beats both.
+    pub fn listen_until(&mut self, round: u64) {
+        if round > self.round + 1 {
+            self.wake_at = Some(round);
+            self.listen = true;
         }
     }
 
@@ -231,6 +307,13 @@ mod tests {
         assert_eq!(ctx.wake_at, Some(12));
         ctx.sleep_until(3);
         assert_eq!(ctx.wake_at, Some(12), "past targets are ignored");
+        assert!(!ctx.listen);
+        ctx.listen_until(30);
+        assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true));
+        ctx.listen_until(11);
+        assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true), "next-round targets are ignored");
+        ctx.sleep_for(1);
+        assert_eq!((ctx.wake_at, ctx.listen), (Some(12), false), "the last call wins");
         assert!(!ctx.halt);
         ctx.halt();
         assert!(ctx.halt);

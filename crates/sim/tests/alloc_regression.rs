@@ -13,11 +13,16 @@
 //! This is the contract the inline-payload [`congest_sim::Words`] refactor
 //! establishes: in the CONGEST model a message is `O(log n)` bits, so moving
 //! one must never touch the allocator.
+//!
+//! Listening ([`NodeCtx::listen_until`]) holds the same contract: waking a
+//! listener early, filtering the deadline entry it left behind, and settling
+//! its idle rounds all work in place on per-run buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use congest_graph::{generators, NodeId};
+use congest_sim::workloads::ChaosListener;
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc); frees are not
@@ -117,6 +122,9 @@ fn steady_state_rounds_allocate_nothing_and_the_probe_is_honest() {
     steady_state_rounds_allocate_nothing(2);
     steady_state_rounds_allocate_nothing(4);
     reference_engine_allocates_every_round();
+    for threads in [1, 2, 4] {
+        listening_rounds_allocate_nothing(threads);
+    }
 }
 
 fn steady_state_rounds_allocate_nothing(threads: usize) {
@@ -174,4 +182,78 @@ fn reference_engine_allocates_every_round() {
             "reference round {r0} allocated nothing — the probe is not observing the engine"
         );
     }
+}
+
+/// The listening chaos workload with a probe in place of node 0: the probe
+/// is stepped every round (it never listens) and snapshots the allocation
+/// counter, while every other node listens, sleeps, is woken early by mail
+/// and re-listens around it.
+enum ProbedListener {
+    Probe { until: u64, snapshots: Vec<(u64, u64)> },
+    Node(ChaosListener),
+}
+
+impl Protocol for ProbedListener {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        if let ProbedListener::Node(node) = self {
+            node.init(ctx);
+        }
+    }
+
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        match self {
+            ProbedListener::Probe { until, snapshots } => {
+                // simlint::allow(relaxed-ordering: the counter is monotone and single-purpose; an exact-at-a-boundary read is not required)
+                snapshots.push((ctx.round(), ALLOCATIONS.load(Ordering::Relaxed)));
+                if ctx.round() >= *until {
+                    ctx.halt();
+                }
+            }
+            ProbedListener::Node(node) => node.on_round(ctx, inbox),
+        }
+    }
+}
+
+fn listening_rounds_allocate_nothing(threads: usize) {
+    // Waits of at most 60 rounds keep every deadline inside the wake queue's
+    // 64-slot ring (its overflow map is a `BTreeMap`, whose nodes allocate —
+    // that is the far-sleeper path, not this one). The load is random, so a
+    // buffer's high-water mark is never final; to make the measured window
+    // allocation-free by construction rather than by luck, the odd half of
+    // the nodes halts by round 200 and the window opens at 300, at half the
+    // load every buffer was sized under.
+    let (warmup, until) = (300u64, 700u64);
+    let g = generators::random_connected(192, 400, 47);
+    let run = Engine::new(&g, SimConfig::default().with_threads(threads))
+        .run(|id| {
+            if id == NodeId(0) {
+                ProbedListener::Probe { until, snapshots: Vec::with_capacity(until as usize + 2) }
+            } else {
+                let lifetime = if id.0 % 2 == 1 { 200 } else { 1600 };
+                ProbedListener::Node(ChaosListener::new(53, id, lifetime, 60))
+            }
+        })
+        .expect("listeners halt on a schedule");
+
+    let ProbedListener::Probe { snapshots, .. } = &run.states[0] else { unreachable!() };
+    assert_eq!(snapshots.len() as u64, until, "the probe saw every round from 1 to until");
+    for pair in snapshots.windows(2) {
+        let [(r0, a0), (r1, a1)] = pair else { unreachable!() };
+        assert_eq!(*r1, r0 + 1, "the probe never listens");
+        assert!(
+            *r0 < warmup || a1 == a0,
+            "round {r0} -> {r1} performed {} heap allocation(s) at {threads} thread(s) \
+             while nodes listened",
+            a1 - a0
+        );
+    }
+    // The window was not vacuous: the listeners idled through most of their
+    // awake rounds (charged, not called) and were called back in the rest.
+    let calls: u64 = run
+        .states
+        .iter()
+        .map(|s| if let ProbedListener::Node(node) = s { node.calls } else { 0 })
+        .sum();
+    let energy: u64 = run.metrics.node_energy[1..].iter().sum();
+    assert!(calls > 10 * until && energy > 2 * calls, "{calls} calls, {energy} awake rounds");
 }

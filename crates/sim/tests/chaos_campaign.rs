@@ -9,8 +9,14 @@
 //! net of the round limit: no fault plan, however hostile, may wedge the
 //! simulator — a protocol that never halts still comes back as
 //! `RoundLimitExceeded`, and one that halts on a schedule still halts.
+//!
+//! Listening nodes ([`congest_sim::NodeCtx::listen_until`]) meet the same
+//! plans: the fast engine settles a listener's idle rounds lazily, so a
+//! crash, a restart, or a jittered delivery that lands in the middle of a
+//! wait is exactly where it could drift from the reference.
 
 use congest_graph::{generators, Graph, NodeId};
+use congest_sim::workloads::ChaosListener;
 use congest_sim::{Engine, FaultPlan, Message, NodeCtx, Protocol, SimConfig};
 use proptest::prelude::*;
 use rand::{splitmix64, Rng, SeedableRng};
@@ -103,15 +109,37 @@ fn build_plan(
 /// Runs the chaos protocol under the plan through both engines and asserts
 /// they are indistinguishable — on success *and* on error.
 fn assert_engines_equivalent_under_faults(g: &Graph, cfg: SimConfig, seed: u64) {
-    let fast = Engine::new(g, cfg.clone()).run(|id| ChaosNode::new(seed, id));
-    let slow = Engine::new(g, cfg).run_reference(|id| ChaosNode::new(seed, id));
+    assert_equivalent_under_faults(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
+}
+
+/// The same for the listening chaos protocol, whose lifetimes outlast the
+/// plans' crash rounds (< 24) and restarts (< 34).
+fn assert_listeners_equivalent_under_faults(g: &Graph, cfg: SimConfig, seed: u64) {
+    let node = |id| ChaosListener::new(seed, id, 100, 40);
+    assert_equivalent_under_faults(g, cfg, seed, node, |s| (s.digest, s.calls));
+}
+
+/// Runs one protocol under the plan through both engines; `key` reads the
+/// part of a final state the comparison is on.
+fn assert_equivalent_under_faults<P, K>(
+    g: &Graph,
+    cfg: SimConfig,
+    seed: u64,
+    node: impl Fn(NodeId) -> P,
+    key: impl Fn(&P) -> K,
+) where
+    P: Protocol + std::fmt::Debug,
+    K: PartialEq + std::fmt::Debug,
+{
+    let fast = Engine::new(g, cfg.clone()).run(&node);
+    let slow = Engine::new(g, cfg).run_reference(&node);
     match (fast, slow) {
         (Ok(fast), Ok(slow)) => {
             assert_eq!(fast.metrics, slow.metrics, "metrics diverged (seed {seed})");
             assert_eq!(fast.trace, slow.trace, "edge traces diverged (seed {seed})");
-            let fd: Vec<u64> = fast.states.iter().map(|s| s.digest).collect();
-            let sd: Vec<u64> = slow.states.iter().map(|s| s.digest).collect();
-            assert_eq!(fd, sd, "state digests diverged (seed {seed})");
+            let fd: Vec<K> = fast.states.iter().map(&key).collect();
+            let sd: Vec<K> = slow.states.iter().map(&key).collect();
+            assert_eq!(fd, sd, "final states diverged (seed {seed})");
         }
         (Err(fast), Err(slow)) => {
             assert_eq!(fast, slow, "errors diverged (seed {seed})");
@@ -146,6 +174,33 @@ proptest! {
             ..SimConfig::default()
         };
         assert_engines_equivalent_under_faults(&g, cfg, protocol_seed);
+    }
+
+    /// Listeners under the same plans: crashes and restarts land in the
+    /// middle of waits, and jittered messages end them early.
+    #[test]
+    fn listeners_are_equivalent_under_random_fault_plans(
+        n in 2u32..24,
+        extra in 0u64..30,
+        graph_seed in 0u64..1_000_000,
+        protocol_seed in 0u64..1_000_000,
+        plan_seed in 0u64..1_000_000,
+        drop_ppm in 0u32..400_000,
+        max_skew in 0u64..4,
+        crash_count in 0u32..5,
+        churn_seed in 0u64..1_000_000,
+        fast_forward in 0u8..2,
+    ) {
+        let g = generators::random_connected(n, extra, graph_seed);
+        let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
+        let cfg = SimConfig {
+            strict_capacity: false,
+            record_edge_trace: true,
+            fast_forward_idle: fast_forward == 1,
+            faults: plan,
+            ..SimConfig::default()
+        };
+        assert_listeners_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
     /// The killer-family topologies (see `docs/SEQ_BASELINES.md`) built to
@@ -257,6 +312,102 @@ proptest! {
             _ => prop_assert!(false, "engines disagreed on liveness: {fast:?} vs {slow:?}"),
         }
     }
+}
+
+/// A relay over `path(3)`: node 0 sends in the rounds it is told to, nodes 1
+/// and 2 listen to round 40 and note every round they are called back in.
+#[derive(Debug, Clone)]
+struct Listener {
+    send_in: &'static [u64],
+    called_in: Vec<u64>,
+    heard: u64,
+}
+
+impl Protocol for Listener {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.listen_until(if self.send_in.is_empty() { 40 } else { self.send_in[0] });
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        let round = ctx.round();
+        self.called_in.push(round);
+        self.heard += inbox.len() as u64;
+        if self.send_in.contains(&round) {
+            ctx.broadcast(&[round]);
+        }
+        match self.send_in.iter().find(|&&r| r > round) {
+            Some(&next) => ctx.listen_until(next),
+            None if round >= 40 => ctx.halt(),
+            None => ctx.listen_until(40),
+        }
+    }
+}
+
+fn run_listeners(plan: FaultPlan) -> [congest_sim::RunOutcome<Listener>; 2] {
+    let g = generators::path(3, 1);
+    let node = |id: NodeId| Listener {
+        send_in: if id == NodeId(0) { &[5, 12, 30] } else { &[] },
+        called_in: Vec::new(),
+        heard: 0,
+    };
+    let cfg = SimConfig::default().with_faults(plan);
+    let fast = Engine::new(&g, cfg.clone()).run(node).expect("listeners halt at round 40");
+    let slow = Engine::new(&g, cfg).run_reference(node).expect("listeners halt at round 40");
+    assert_eq!(fast.metrics, slow.metrics);
+    for (f, s) in fast.states.iter().zip(&slow.states) {
+        assert_eq!((&f.called_in, f.heard), (&s.called_in, s.heard));
+    }
+    [fast, slow]
+}
+
+/// A listener that crashes mid-wait is charged through the round before the
+/// crash, hears nothing while down, and after its restart (fresh state,
+/// `init` again) listens and is charged anew.
+#[test]
+fn a_listener_crashed_and_restarted_mid_wait_pays_for_exactly_the_rounds_it_was_up() {
+    let [clean, _] = run_listeners(FaultPlan::none());
+    assert_eq!(clean.states[1].called_in, [6, 13, 31, 40]);
+    assert_eq!(clean.metrics.node_energy, [41, 41, 41]);
+
+    // Down over rounds 10..20: the round-13 delivery is a fault drop.
+    let [run, _] = run_listeners(FaultPlan::none().with_crash(NodeId(1), 10, Some(20)));
+    assert_eq!(run.states[1].called_in, [31, 40], "the restarted state starts from scratch");
+    assert_eq!(run.states[1].heard, 1);
+    assert_eq!(run.metrics.fault_drops, 1);
+    assert_eq!(run.metrics.node_energy, [41, 10 + 21, 41], "rounds 0..=9 and 20..=40");
+
+    // A permanent crash in the middle of the last wait: charged 0..=34, and
+    // the run still ends when the others halt.
+    let [run, _] = run_listeners(FaultPlan::none().with_crash(NodeId(1), 35, None));
+    assert_eq!(run.states[1].called_in, [6, 13, 31]);
+    assert_eq!(run.metrics.node_energy, [41, 35, 41]);
+
+    // Overlapping windows restart a node that is up and listening: the wait
+    // is cut at the restart round and charged up to it.
+    let plan =
+        FaultPlan::none().with_crash(NodeId(1), 8, Some(15)).with_crash(NodeId(1), 9, Some(25));
+    let [run, _] = run_listeners(plan);
+    assert_eq!(run.states[1].called_in, [31, 40]);
+    assert_eq!(run.metrics.restarts, 2);
+    assert_eq!(run.metrics.node_energy, [41, 8 + 26, 41], "rounds 0..=7 and 15..=40");
+}
+
+/// A delivery delayed by jitter ends a listener's wait in the round it
+/// actually arrives in, in both engines.
+#[test]
+fn a_jittered_delivery_wakes_a_listener_in_its_arrival_round() {
+    let [clean, _] = run_listeners(FaultPlan::none());
+    let mut delayed = 0;
+    for seed in 0..8 {
+        let [run, _] = run_listeners(FaultPlan::none().with_seed(seed).with_max_skew(3));
+        let called = &run.states[1].called_in;
+        assert_eq!(called.len(), 4, "three deliveries and the deadline (seed {seed})");
+        for (got, on_time) in called.iter().zip(&clean.states[1].called_in) {
+            assert!((*on_time..=on_time + 3).contains(got), "seed {seed}: {called:?}");
+        }
+        assert_eq!(run.metrics.node_energy, [41, 41, 41], "jitter costs a listener nothing");
+        delayed += run.metrics.fault_delays;
+    }
+    assert!(delayed > 0, "skew 3 over 8 seeds must delay something");
 }
 
 /// A scheduled (self-halting) workload terminates under *any* loss rate —

@@ -10,8 +10,15 @@
 //! traces, and identical final states. The digest depends on message
 //! *content, order, and arrival round*, so any divergence in scheduling or
 //! delivery shows up as a state mismatch, not just a metric mismatch.
+//!
+//! [`ChaosListener`] runs through the same comparison: it mixes
+//! `listen_until` into the sends, sleeps and halts, and its state also counts
+//! its callbacks, so the lazy settlement of idle listening rounds in
+//! [`Engine::run`] is checked against the reference's round-by-round
+//! definition of them.
 
 use congest_graph::{generators, Graph, NodeId};
+use congest_sim::workloads::ChaosListener;
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -89,20 +96,39 @@ impl Protocol for ChaosNode {
     }
 }
 
-/// Runs the chaos protocol through both engines and asserts equivalence.
-fn assert_engines_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
-    let fast = Engine::new(g, cfg.clone()).run(|id| ChaosNode::new(seed, id));
-    let slow = Engine::new(g, cfg).run_reference(|id| ChaosNode::new(seed, id));
+/// Runs one protocol through both engines and asserts equivalence; `key`
+/// reads the part of a final state the comparison is on.
+fn assert_equivalent_runs<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt::Debug>(
+    g: &Graph,
+    cfg: SimConfig,
+    seed: u64,
+    node: impl Fn(NodeId) -> P,
+    key: impl Fn(&P) -> K,
+) {
+    let fast = Engine::new(g, cfg.clone()).run(&node);
+    let slow = Engine::new(g, cfg).run_reference(&node);
     match (fast, slow) {
         (Ok(fast), Ok(slow)) => {
             assert_eq!(fast.metrics, slow.metrics, "metrics diverged (seed {seed})");
             assert_eq!(fast.trace, slow.trace, "edge traces diverged (seed {seed})");
-            let fd: Vec<u64> = fast.states.iter().map(|s| s.digest).collect();
-            let sd: Vec<u64> = slow.states.iter().map(|s| s.digest).collect();
-            assert_eq!(fd, sd, "state digests diverged (seed {seed})");
+            let fd: Vec<K> = fast.states.iter().map(&key).collect();
+            let sd: Vec<K> = slow.states.iter().map(&key).collect();
+            assert_eq!(fd, sd, "final states diverged (seed {seed})");
         }
         (fast, slow) => panic!("one engine failed: fast={fast:?} slow={slow:?} (seed {seed})"),
     }
+}
+
+/// Runs the chaos protocol through both engines and asserts equivalence.
+fn assert_engines_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
+    assert_equivalent_runs(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
+}
+
+/// The same for the listening chaos protocol. Waits of up to 90 rounds put
+/// deadlines on both sides of the wake queue's 64-round ring.
+fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
+    let node = |id| ChaosListener::new(seed, id, 160, 90);
+    assert_equivalent_runs(g, cfg, seed, node, |s| (s.digest, s.calls));
 }
 
 fn chaos_config() -> impl Strategy<Value = SimConfig> {
@@ -129,6 +155,20 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         assert_engines_equivalent(&g, cfg, protocol_seed);
+    }
+
+    #[test]
+    fn engines_are_equivalent_on_listeners(
+        n in 2u32..28,
+        extra in 0u64..40,
+        graph_seed in 0u64..1_000_000,
+        protocol_seed in 0u64..1_000_000,
+        cfg in chaos_config(),
+    ) {
+        // `chaos_config` covers both settings of `fast_forward_idle` and of
+        // the edge trace.
+        let g = generators::random_connected(n, extra, graph_seed);
+        assert_listeners_equivalent(&g, cfg, protocol_seed);
     }
 
     #[test]
@@ -161,7 +201,8 @@ fn engines_are_equivalent_on_structured_graphs() {
                 record_edge_trace: true,
                 ..SimConfig::default()
             };
-            assert_engines_equivalent(&g, cfg, seed * 1000 + i as u64);
+            assert_engines_equivalent(&g, cfg.clone(), seed * 1000 + i as u64);
+            assert_listeners_equivalent(&g, cfg, seed * 1000 + i as u64);
         }
     }
 }

@@ -10,10 +10,15 @@
 //! thread count in `{1, 2, 4}` plus once through `run_reference`. Metrics,
 //! edge traces, and per-node state digests must agree exactly across all
 //! four executions — and strict-mode errors must be the *same* error.
+//!
+//! The listening chaos protocol ([`ChaosListener`]) goes through the same
+//! four-way comparison, with and without fault plans: early wake-ups are
+//! decided on the main thread before the awake list is cut into shard
+//! segments, and this is where a mistake in that order would show.
 
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::fault::FaultPlan;
-use congest_sim::workloads::WaveBfs;
+use congest_sim::workloads::{ChaosListener, WaveBfs};
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -96,11 +101,29 @@ impl Protocol for ChaosNode {
 /// Runs the chaos protocol at every thread count plus through the reference
 /// engine and asserts all four executions are indistinguishable.
 fn assert_thread_counts_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
+    assert_runs_equivalent(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
+}
+
+/// The same for the listening chaos protocol (waits on both sides of the
+/// wake queue's 64-round ring).
+fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
+    let node = |id| ChaosListener::new(seed, id, 120, 90);
+    assert_runs_equivalent(g, cfg, seed, node, |s| (s.digest, s.calls));
+}
+
+/// Runs one protocol at every thread count plus through the reference
+/// engine; `key` reads the part of a final state the comparison is on.
+fn assert_runs_equivalent<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt::Debug>(
+    g: &Graph,
+    cfg: SimConfig,
+    seed: u64,
+    node: impl Fn(NodeId) -> P,
+    key: impl Fn(&P) -> K,
+) {
     clear_thread_override();
-    let baseline = Engine::new(g, cfg.clone().with_threads(1)).run(|id| ChaosNode::new(seed, id));
+    let baseline = Engine::new(g, cfg.clone().with_threads(1)).run(&node);
     for threads in &THREAD_COUNTS[1..] {
-        let sharded =
-            Engine::new(g, cfg.clone().with_threads(*threads)).run(|id| ChaosNode::new(seed, id));
+        let sharded = Engine::new(g, cfg.clone().with_threads(*threads)).run(&node);
         match (&baseline, &sharded) {
             (Ok(b), Ok(s)) => {
                 assert_eq!(
@@ -108,9 +131,9 @@ fn assert_thread_counts_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
                     "metrics diverged at {threads} threads (seed {seed})"
                 );
                 assert_eq!(b.trace, s.trace, "traces diverged at {threads} threads (seed {seed})");
-                let bd: Vec<u64> = b.states.iter().map(|s| s.digest).collect();
-                let sd: Vec<u64> = s.states.iter().map(|s| s.digest).collect();
-                assert_eq!(bd, sd, "state digests diverged at {threads} threads (seed {seed})");
+                let bd: Vec<K> = b.states.iter().map(&key).collect();
+                let sd: Vec<K> = s.states.iter().map(&key).collect();
+                assert_eq!(bd, sd, "final states diverged at {threads} threads (seed {seed})");
             }
             (Err(b), Err(s)) => {
                 assert_eq!(b, s, "errors diverged at {threads} threads (seed {seed})");
@@ -119,11 +142,14 @@ fn assert_thread_counts_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
         }
     }
     // The reference loop is the semantic oracle for all of them.
-    let reference = Engine::new(g, cfg).run_reference(|id| ChaosNode::new(seed, id));
+    let reference = Engine::new(g, cfg).run_reference(&node);
     match (&baseline, &reference) {
         (Ok(b), Ok(r)) => {
             assert_eq!(b.metrics, r.metrics, "metrics diverged from reference (seed {seed})");
             assert_eq!(b.trace, r.trace, "traces diverged from reference (seed {seed})");
+            let bd: Vec<K> = b.states.iter().map(&key).collect();
+            let rd: Vec<K> = r.states.iter().map(&key).collect();
+            assert_eq!(bd, rd, "final states diverged from reference (seed {seed})");
         }
         (Err(b), Err(r)) => assert_eq!(b, r, "errors diverged from reference (seed {seed})"),
         (b, r) => panic!("outcome kind diverged from reference: run={b:?} reference={r:?}"),
@@ -182,6 +208,31 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         assert_thread_counts_equivalent(&g, cfg.with_faults(plan), protocol_seed);
+    }
+
+    #[test]
+    fn thread_counts_agree_on_listeners(
+        n in 2u32..28,
+        extra in 0u64..40,
+        graph_seed in 0u64..1_000_000,
+        protocol_seed in 0u64..1_000_000,
+        cfg in chaos_config(),
+    ) {
+        let g = generators::random_connected(n, extra, graph_seed);
+        assert_listeners_equivalent(&g, cfg, protocol_seed);
+    }
+
+    #[test]
+    fn thread_counts_agree_on_listeners_under_fault_plans(
+        n in 3u32..24,
+        extra in 0u64..30,
+        graph_seed in 0u64..1_000_000,
+        protocol_seed in 0u64..1_000_000,
+        cfg in chaos_config(),
+        plan in fault_plan(24),
+    ) {
+        let g = generators::random_connected(n, extra, graph_seed);
+        assert_listeners_equivalent(&g, cfg.with_faults(plan), protocol_seed);
     }
 
     #[test]
@@ -254,6 +305,77 @@ fn strict_errors_agree_across_thread_counts() {
             sharded.expect_err("same violation"),
             err,
             "error diverged at {threads} threads"
+        );
+    }
+}
+
+/// Listeners woken by the same round's mail, spread over every shard, fail in
+/// node-id order like any other awake nodes: the first strict violation and
+/// the first protocol panic are the sequential engine's (and the
+/// reference's) at every thread count.
+#[test]
+fn woken_listeners_fail_in_the_same_order_at_every_thread_count() {
+    clear_thread_override();
+
+    /// The hub of a star broadcasts in round 0; every leaf listens to round
+    /// 50 and is woken in round 1. Leaves 3.. then misbehave.
+    #[derive(Debug, Clone, Copy)]
+    enum Tripwire {
+        Oversend,
+        Panic,
+    }
+    impl Protocol for Tripwire {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            if ctx.node_id() == NodeId(0) {
+                ctx.broadcast(&[7]);
+            }
+            ctx.listen_until(50);
+        }
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            assert_eq!((ctx.round(), inbox.len()), (1, 1), "woken by the hub's mail, not later");
+            if ctx.node_id().0 >= 3 {
+                match self {
+                    Tripwire::Oversend => {
+                        ctx.broadcast(&[1]);
+                        ctx.broadcast(&[2]);
+                    }
+                    Tripwire::Panic => panic!("leaf {} tripped", ctx.node_id().0),
+                }
+            }
+            ctx.halt();
+        }
+    }
+
+    let g = generators::star(8, 1);
+    let run = |threads: usize, mode: Tripwire| {
+        let engine = Engine::new(&g, SimConfig::default().with_threads(threads));
+        std::panic::catch_unwind(|| match threads {
+            0 => engine.run_reference(|_| mode),
+            _ => engine.run(|_| mode),
+        })
+        .map(|outcome| outcome.map(|_| ()))
+        .map_err(|payload| *payload.downcast::<String>().expect("a formatted panic message"))
+    };
+    let strict = run(1, Tripwire::Oversend).expect("no panic").expect_err("capacity 1 is exceeded");
+    assert!(
+        matches!(
+            strict,
+            congest_sim::SimError::EdgeCapacityExceeded { node: NodeId(3), round: 1, .. }
+        ),
+        "{strict:?}"
+    );
+    assert_eq!(run(1, Tripwire::Panic).expect_err("leaf 3 panics"), "leaf 3 tripped");
+    // 0 stands for the reference loop.
+    for threads in [0, 2, 3, 4] {
+        assert_eq!(
+            run(threads, Tripwire::Oversend).expect("no panic").expect_err("same violation"),
+            strict,
+            "error diverged at {threads} threads"
+        );
+        assert_eq!(
+            run(threads, Tripwire::Panic).expect_err("same panic"),
+            "leaf 3 tripped",
+            "panic diverged at {threads} threads"
         );
     }
 }
