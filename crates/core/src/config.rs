@@ -35,11 +35,12 @@ pub struct AlgoConfig {
     pub slowdown_safety_factor: u64,
     /// Rounds charged per level of layered-cover construction, as a multiple
     /// of `B^j · log² n` (Theorem 3.12 charges `O(B^j log^15 n)`; we charge
-    /// the measured BFS work times this factor — see DESIGN.md §6).
+    /// the measured BFS work times this factor — see `docs/COVERS.md`,
+    /// "Energy accounting").
     pub cover_build_round_factor: u64,
     /// Awake rounds charged to every node per level of layered-cover
     /// construction, as a multiple of `log² n` (Theorem 3.12 charges
-    /// `O(log^25 n)`; see DESIGN.md §6).
+    /// `O(log^25 n)`; see `docs/COVERS.md`, "Energy accounting").
     pub cover_build_energy_factor: u64,
 }
 

@@ -19,7 +19,8 @@
 //! (periods, tree depths, activation windows) using the closed-form awake
 //! bound of [`ClusterSchedule`], and the megaround factor (Section 3.1.3) is
 //! the *measured* maximum number of cluster trees sharing an edge. See
-//! DESIGN.md §6 for why this substitution preserves the claimed behaviour.
+//! `docs/COVERS.md` ("Energy accounting") for why this substitution preserves
+//! the claimed behaviour.
 
 use congest_cover::{ClusterSchedule, LayeredCover};
 use congest_graph::{Distance, Graph, NodeId};
@@ -55,7 +56,8 @@ impl EnergyBfsRun {
 
 /// Runs low-energy `limit`-thresholded BFS from scratch: constructs the
 /// layered cover (charging its cost per Theorem 3.12/3.13) and then runs the
-/// covered BFS (Theorem 3.8).
+/// covered BFS (Theorem 3.8). A limit above `n` behaves like `n` (no hop
+/// distance exceeds `n - 1`).
 ///
 /// # Errors
 ///
@@ -67,6 +69,7 @@ pub fn low_energy_bfs(
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
+    let limit = limit.min(g.node_count() as u64);
     let cover = LayeredCover::construct_default(g, limit.max(1));
     low_energy_bfs_with_cover(g, sources, limit, &cover, true, config)
 }
@@ -97,6 +100,7 @@ pub fn low_energy_bfs_with_cover(
     }
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
+    let limit = limit.min(n as u64);
     let mut metrics = Metrics::zero(n, m);
 
     // What the BFS computes (exactly the classic wavefront).
@@ -111,7 +115,7 @@ pub fn low_energy_bfs_with_cover(
     // Megaround width: maximum number of cluster trees sharing one edge,
     // summed over levels (Section 3.1.3: all tree subroutines share edges).
     let megaround: u64 =
-        cover.levels.iter().map(|lvl| lvl.stats().max_edge_tree_load as u64).sum::<u64>().max(1);
+        cover.levels.iter().map(|lvl| lvl.max_edge_tree_load() as u64).sum::<u64>().max(1);
 
     // Slowdown: the wavefront must advance slowly enough that an activation
     // signal (latency of the parent cluster's schedule) always beats the
@@ -250,8 +254,8 @@ pub fn low_energy_bfs_with_cover(
                 continue;
             }
             let awake = sched.awake_rounds_bound(from, to);
-            for (&node, &depth) in c.tree.depth.iter() {
-                let _ = depth; // every tree node follows the schedule
+            // Every tree node (member or Steiner) follows the schedule.
+            for node in c.tree.nodes() {
                 metrics.node_energy[node.index()] += awake;
             }
             // Convergecast/broadcast messages: 2 per tree edge per period.
@@ -450,5 +454,21 @@ mod tests {
         let reached_max = (0..20).map(|v| run.metrics.node_energy[v]).max().unwrap();
         let dormant_max = (20..40).map(|v| run.metrics.node_energy[v]).max().unwrap();
         assert!(dormant_max <= reached_max);
+    }
+
+    #[test]
+    fn grid_16x16_accounting_is_pinned() {
+        // Recorded before cover construction moved to the bounded-BFS
+        // workspace and the flat cluster trees: the accounting reads the
+        // cover through `tree.nodes()`, `tree.edges()` and
+        // `max_edge_tree_load()`, and must charge exactly what it did.
+        let g = generators::grid(16, 16, 1);
+        let run = low_energy_bfs(&g, &[NodeId(0)], 256, &AlgoConfig::default()).unwrap();
+        let m = &run.metrics;
+        assert_eq!((m.rounds, m.messages), (29_152, 561_640));
+        assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (7_444, 770_656));
+        assert_eq!((m.max_congestion(), m.edge_congestion.iter().sum::<u64>()), (4_674, 561_640));
+        assert_eq!((run.slowdown, run.megaround, run.cover_levels), (14, 4, 2));
+        assert_eq!(run.cover_build_rounds, 14_080);
     }
 }

@@ -19,9 +19,9 @@
 //! using the same accounting as [`crate::energy::bfs`]. This keeps the
 //! per-node energy tied to the actually-constructed covers and the actually
 //! executed recursion rather than to a closed-form formula in `n`.
-//! See DESIGN.md §6.
+//! See `docs/COVERS.md` ("Energy accounting").
 
-use congest_cover::{ClusterSchedule, LayeredCover};
+use congest_cover::{ClusterSchedule, CoverStats, LayeredCover, SparseCover};
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
@@ -86,16 +86,15 @@ pub fn low_energy_cssp(
     // the rounded graph). Its measured parameters drive the energy charges.
     let cover = LayeredCover::construct_default(g, g.node_count() as u64);
     let levels = cover.level_count();
+    let level_stats: Vec<CoverStats> = cover.levels.iter().map(SparseCover::stats).collect();
     let megaround: u64 =
-        cover.levels.iter().map(|lvl| lvl.stats().max_edge_tree_load as u64).sum::<u64>().max(1);
+        level_stats.iter().map(|stats| stats.max_edge_tree_load as u64).sum::<u64>().max(1);
     // Awake rounds a node spends per low-energy thresholded BFS: a constant
     // number of awake rounds per period per cluster it belongs to, over the
     // activation window of O(B) periods at each level, plus initialization —
     // the same accounting as `energy::bfs`, aggregated per level.
     let mut per_bfs_energy: u64 = 0;
-    for j in 0..levels {
-        let lvl = &cover.levels[j];
-        let stats = lvl.stats();
+    for (j, stats) in level_stats.iter().enumerate() {
         let period = cover.radius(j);
         let sched = ClusterSchedule::new(period, stats.max_tree_depth);
         // A cluster stays active for O(parent diameter) wavefront steps.

@@ -569,15 +569,19 @@ mod tests {
 
     #[test]
     fn a_hop_limit_of_u64_max_is_the_unthresholded_bfs() {
-        // `limit + 10` used to overflow here: a panic in debug builds, a
-        // wrapped round limit of 9 (then `RoundLimitExceeded`) in release.
+        // `limit + 10` used to overflow in the BFS (a panic in debug builds, a
+        // wrapped round limit of 9, then `RoundLimitExceeded`, in release),
+        // and `2 * target` in the low-energy BFS's layered cover (a panic in
+        // debug builds, wrapped — too few — rounds in release).
         let g = weighted(30, 3);
-        let request = Solver::on(&g)
-            .algorithm(Algorithm::Bfs)
-            .source(NodeId(0))
-            .config(AlgoConfig::default().with_traces());
-        let unthresholded = request.clone().run().unwrap();
-        assert_eq!(request.threshold(u64::MAX).run().unwrap(), unthresholded);
+        for algorithm in [Algorithm::Bfs, Algorithm::LowEnergyBfs] {
+            let request = Solver::on(&g)
+                .algorithm(algorithm)
+                .source(NodeId(0))
+                .config(AlgoConfig::default().with_traces());
+            let unthresholded = request.clone().run().unwrap();
+            assert_eq!(request.threshold(u64::MAX).run().unwrap(), unthresholded, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Clusters and their (Steiner) trees.
 
-use std::collections::BTreeMap;
-
 use congest_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -22,84 +20,100 @@ impl std::fmt::Display for ClusterId {
     }
 }
 
+/// One node of a [`ClusterTree`]: `(node, parent, depth)`, the parent being
+/// `None` for the root.
+pub type TreeRow = (NodeId, Option<NodeId>, u64);
+
 /// A rooted tree spanning a cluster's members, possibly through *Steiner*
 /// nodes that are not members themselves (Theorem 3.10 of the paper: each
 /// cluster has a Steiner tree whose terminal set is the cluster).
 ///
-/// The tree stores, for every node it touches, the node's parent (or `None`
-/// for the root) and its depth.
+/// The tree is stored flat: its nodes sorted by id, with the parent (`None`
+/// for the root) and the depth of each node in parallel columns. Lookups are
+/// binary searches, iteration is a slice walk (`docs/COVERS.md`, "Flat tree
+/// layout").
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterTree {
     /// The root node of the tree.
     pub root: NodeId,
-    /// `parent[v]` for every tree node `v` (root maps to `None`).
-    pub parent: BTreeMap<NodeId, Option<NodeId>>,
-    /// `depth[v]` for every tree node `v` (root has depth 0).
-    pub depth: BTreeMap<NodeId, u64>,
+    /// The tree nodes, strictly increasing.
+    nodes: Vec<NodeId>,
+    /// `parents[i]` is the parent of `nodes[i]`.
+    parents: Vec<Option<NodeId>>,
+    /// `depths[i]` is the depth of `nodes[i]` (the root has depth 0).
+    depths: Vec<u64>,
+    max_depth: u64,
 }
 
 impl ClusterTree {
     /// Creates a single-node tree.
     pub fn singleton(root: NodeId) -> Self {
-        let mut parent = BTreeMap::new();
-        let mut depth = BTreeMap::new();
-        parent.insert(root, None);
-        depth.insert(root, 0);
-        ClusterTree { root, parent, depth }
+        ClusterTree { root, nodes: vec![root], parents: vec![None], depths: vec![0], max_depth: 0 }
+    }
+
+    /// Builds a tree from `(node, parent, depth)` rows in any order, one row
+    /// per tree node; sorts `rows` by node in place (so a caller building
+    /// many trees can reuse one row buffer). The rows are taken as given:
+    /// [`is_consistent`](Self::is_consistent) checks them.
+    pub fn from_rows(root: NodeId, rows: &mut [TreeRow]) -> Self {
+        rows.sort_unstable_by_key(|&(v, _, _)| v);
+        ClusterTree {
+            root,
+            nodes: rows.iter().map(|&(v, _, _)| v).collect(),
+            parents: rows.iter().map(|&(_, p, _)| p).collect(),
+            depths: rows.iter().map(|&(_, _, d)| d).collect(),
+            max_depth: rows.iter().map(|&(_, _, d)| d).max().unwrap_or(0),
+        }
     }
 
     /// The maximum depth of any tree node.
     pub fn max_depth(&self) -> u64 {
-        self.depth.values().copied().max().unwrap_or(0)
+        self.max_depth
     }
 
     /// Number of nodes touched by the tree (members plus Steiner nodes).
     pub fn node_count(&self) -> usize {
-        self.parent.len()
+        self.nodes.len()
+    }
+
+    /// The nodes touched by the tree (members plus Steiner nodes), sorted by
+    /// id.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Iterates over `(node, parent, depth)` in node-id order.
+    pub fn entries(&self) -> impl Iterator<Item = TreeRow> + '_ {
+        self.nodes.iter().zip(&self.parents).zip(&self.depths).map(|((&v, &p), &d)| (v, p, d))
     }
 
     /// Returns `true` if `v` is part of the tree (as member or Steiner node).
     pub fn contains(&self, v: NodeId) -> bool {
-        self.parent.contains_key(&v)
+        self.nodes.binary_search(&v).is_ok()
     }
 
     /// The depth of `v` in the tree, if it is a tree node.
     pub fn depth_of(&self, v: NodeId) -> Option<u64> {
-        self.depth.get(&v).copied()
+        self.nodes.binary_search(&v).ok().map(|i| self.depths[i])
     }
 
     /// Iterates over the undirected edges `(child, parent)` of the tree.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.parent.iter().filter_map(|(&v, &p)| p.map(|p| (v, p)))
+        self.nodes.iter().zip(&self.parents).filter_map(|(&v, &p)| p.map(|p| (v, p)))
     }
 
-    /// Checks structural sanity: the root has depth 0, every non-root node's
-    /// depth is its parent's depth plus one, and every parent is a tree node.
+    /// Checks structural sanity: every node has exactly one row, the root has
+    /// depth 0 and is the only node without a parent, every other node's
+    /// depth is its parent's depth plus one, every parent is a tree node, and
+    /// the cached maximum depth is the real one.
     pub fn is_consistent(&self) -> bool {
-        if self.depth.get(&self.root) != Some(&0) {
-            return false;
-        }
-        if self.parent.get(&self.root) != Some(&None) {
-            return false;
-        }
-        for (&v, &p) in &self.parent {
-            match p {
-                None => {
-                    if v != self.root {
-                        return false;
-                    }
-                }
-                Some(p) => {
-                    let (Some(&dv), Some(&dp)) = (self.depth.get(&v), self.depth.get(&p)) else {
-                        return false;
-                    };
-                    if dv != dp + 1 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.nodes.windows(2).all(|w| w[0] < w[1])
+            && self.depth_of(self.root) == Some(0)
+            && self.max_depth == self.depths.iter().copied().max().unwrap_or(0)
+            && self.entries().all(|(v, p, dv)| match p {
+                None => v == self.root,
+                Some(p) => self.depth_of(p).is_some_and(|dp| dv == dp + 1),
+            })
     }
 }
 
@@ -141,13 +155,8 @@ impl Cluster {
 mod tests {
     use super::*;
 
-    fn small_tree() -> ClusterTree {
-        let mut t = ClusterTree::singleton(NodeId(0));
-        t.parent.insert(NodeId(1), Some(NodeId(0)));
-        t.depth.insert(NodeId(1), 1);
-        t.parent.insert(NodeId(2), Some(NodeId(1)));
-        t.depth.insert(NodeId(2), 2);
-        t
+    fn chain_rows() -> Vec<TreeRow> {
+        vec![(NodeId(2), Some(NodeId(1)), 2), (NodeId(0), None, 0), (NodeId(1), Some(NodeId(0)), 1)]
     }
 
     #[test]
@@ -163,23 +172,30 @@ mod tests {
 
     #[test]
     fn chain_tree_depths_and_edges() {
-        let t = small_tree();
+        let t = ClusterTree::from_rows(NodeId(0), &mut chain_rows());
         assert!(t.is_consistent());
         assert_eq!(t.max_depth(), 2);
         assert_eq!(t.node_count(), 3);
-        assert_eq!(t.edges().count(), 2);
+        assert_eq!(t.nodes(), [NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(t.edges().collect::<Vec<_>>(), [(NodeId(1), NodeId(0)), (NodeId(2), NodeId(1))]);
+        assert_eq!(t.entries().nth(2), Some((NodeId(2), Some(NodeId(1)), 2)));
         assert_eq!(t.depth_of(NodeId(2)), Some(2));
         assert!(!t.contains(NodeId(9)));
+        assert_eq!(t.depth_of(NodeId(9)), None);
     }
 
     #[test]
     fn inconsistent_tree_is_detected() {
-        let mut t = small_tree();
-        t.depth.insert(NodeId(2), 5); // wrong depth
-        assert!(!t.is_consistent());
-        let mut t = small_tree();
-        t.parent.insert(NodeId(3), Some(NodeId(9))); // parent not in tree
-        assert!(!t.is_consistent());
+        let broken = |edit: fn(&mut Vec<TreeRow>)| {
+            let mut rows = chain_rows();
+            edit(&mut rows);
+            !ClusterTree::from_rows(NodeId(0), &mut rows).is_consistent()
+        };
+        assert!(broken(|rows| rows[0].2 = 5), "wrong depth");
+        assert!(broken(|rows| rows.push((NodeId(3), Some(NodeId(9)), 1))), "parent not in tree");
+        assert!(broken(|rows| rows.push((NodeId(3), None, 0))), "a second root");
+        assert!(broken(|rows| rows.push((NodeId(1), Some(NodeId(0)), 1))), "a duplicate row");
+        assert!(broken(|rows| rows[1].2 = 1), "root below depth 0");
     }
 
     #[test]

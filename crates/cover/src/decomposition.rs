@@ -16,14 +16,16 @@
 //! These are exactly the output properties the paper's sparse-cover and
 //! low-energy constructions rely on; the substitution (a different
 //! deterministic construction with the same guarantees, measured and
-//! validated rather than cited) is documented in `DESIGN.md`.
-
-use std::collections::VecDeque;
+//! validated rather than cited) is documented in `docs/COVERS.md`, together
+//! with the bounded search that makes a cluster cost the ball it explores.
+//!
+//! simlint: hot-path
 
 use congest_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterId, ClusterTree};
+use crate::workspace::BfsWorkspace;
 
 /// A `k`-separated weak-diameter network decomposition: a partition of the
 /// nodes into clusters, grouped into color classes, such that same-color
@@ -64,53 +66,6 @@ impl Decomposition {
     }
 }
 
-/// Hop-distance BFS that also returns parents (for building Steiner trees).
-fn hop_bfs_with_parents(g: &Graph, source: NodeId) -> (Vec<Option<u64>>, Vec<Option<NodeId>>) {
-    let mut dist = vec![None; g.node_count() as usize];
-    let mut parent = vec![None; g.node_count() as usize];
-    dist[source.index()] = Some(0);
-    let mut q = VecDeque::from([source]);
-    while let Some(v) = q.pop_front() {
-        let dv = dist[v.index()].expect("queued nodes have distances");
-        for adj in g.neighbors(v) {
-            if dist[adj.neighbor.index()].is_none() {
-                dist[adj.neighbor.index()] = Some(dv + 1);
-                parent[adj.neighbor.index()] = Some(v);
-                q.push_back(adj.neighbor);
-            }
-        }
-    }
-    (dist, parent)
-}
-
-/// Builds the Steiner tree of a cluster: the union of BFS-tree paths from the
-/// center to every member, using whatever intermediate nodes the BFS went
-/// through (Steiner nodes).
-fn build_steiner_tree(
-    center: NodeId,
-    members: &[NodeId],
-    dist: &[Option<u64>],
-    parent: &[Option<NodeId>],
-) -> ClusterTree {
-    let mut tree = ClusterTree::singleton(center);
-    for &member in members {
-        let mut v = member;
-        // Walk up to the first node already in the tree.
-        let mut path = Vec::new();
-        while !tree.contains(v) {
-            path.push(v);
-            v = parent[v.index()].expect("members are reachable from the center");
-        }
-        // Insert the path (from the tree boundary downward).
-        for &node in path.iter().rev() {
-            let p = parent[node.index()].expect("non-center nodes have parents");
-            tree.parent.insert(node, Some(p));
-            tree.depth.insert(node, dist[node.index()].expect("reachable"));
-        }
-    }
-    tree
-}
-
 /// Computes a deterministic `k`-separated weak-diameter network decomposition
 /// of `g` (hop distances).
 ///
@@ -118,103 +73,108 @@ fn build_steiner_tree(
 ///
 /// Panics if `k == 0`.
 pub fn separated_decomposition(g: &Graph, k: u64) -> Decomposition {
+    carve(g, k, &mut BfsWorkspace::new(g.node_count() as usize))
+}
+
+/// [`separated_decomposition`] over a caller-owned workspace.
+///
+/// Each ball is grown by one depth-bounded BFS that is *extended*, never
+/// restarted: explore to `radius + k`, count the claimable nodes of the ball
+/// and of its next shell off the visit list, and explore `k` hops further
+/// whenever the shell more than doubles the ball. The cost of a cluster is
+/// the size of the last ball explored, not `n` (`docs/COVERS.md`).
+pub(crate) fn carve(g: &Graph, k: u64, ws: &mut BfsWorkspace) -> Decomposition {
     assert!(k > 0, "the separation parameter must be positive");
     let n = g.node_count() as usize;
-    let mut assigned = vec![false; n];
-    let mut home = vec![ClusterId(0); n];
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut colors: Vec<Vec<ClusterId>> = Vec::new();
+    // `free_from[v]` is the first color at which `v` is claimable: 0 at the
+    // start, `color + 1` once `v` falls into a shell of `color` (deferred to a
+    // later color), `ASSIGNED` once a cluster claims it.
+    const ASSIGNED: u32 = u32::MAX;
+    let mut free_from = vec![0u32; n]; // simlint::allow(hot-path-alloc: per-carving state, shared by every cluster)
+    let mut home = vec![ClusterId(0); n]; // simlint::allow(hot-path-alloc: output column, one per decomposition)
+    let mut clusters: Vec<Cluster> = Vec::new(); // simlint::allow(hot-path-alloc: output, one per decomposition)
+    let mut colors: Vec<Vec<ClusterId>> = Vec::new(); // simlint::allow(hot-path-alloc: output, one per decomposition)
+    let mut rows = Vec::new(); // simlint::allow(hot-path-alloc: tree-row scratch, drained by every cluster)
     let mut remaining = n;
 
     while remaining > 0 {
         let color = colors.len() as u32;
-        let mut this_color: Vec<ClusterId> = Vec::new();
-        // Nodes deferred to a later color because they fell into a shell.
-        let mut deferred = vec![false; n];
-        // Nodes claimed by a cluster of this color (subset of assigned).
+        let mut this_color: Vec<ClusterId> = Vec::new(); // simlint::allow(hot-path-alloc: output, one per color)
         for center_idx in 0..n {
-            if assigned[center_idx] || deferred[center_idx] {
+            if free_from[center_idx] > color {
                 continue;
             }
             let center = NodeId(center_idx as u32);
-            let (dist, parent) = hop_bfs_with_parents(g, center);
-            // A node is claimable if it is unassigned, not deferred, and
-            // reachable from the center.
-            let claimable: Vec<bool> =
-                (0..n).map(|v| !assigned[v] && !deferred[v] && dist[v].is_some()).collect();
-            // Grow the radius in steps of k until the next shell does not
-            // double the claimable ball.
-            let mut radius = 0u64;
+            ws.begin();
+            ws.seed(center);
+            // Grow the ball in steps of k until the next shell does not double
+            // its claimable nodes. The visit list is sorted by hop distance
+            // and ends at the explored bound, so the ball is its prefix of
+            // length `ball` (`inside` of them claimable) and the shell is
+            // everything after it.
+            let mut explored = 0u64;
+            let (mut ball, mut inside) = (1, 1); // the center
             loop {
-                let inside = (0..n)
-                    .filter(|&v| claimable[v] && dist[v].unwrap_or(u64::MAX) <= radius)
-                    .count();
-                let expanded = (0..n)
-                    .filter(|&v| claimable[v] && dist[v].unwrap_or(u64::MAX) <= radius + k)
-                    .count();
-                if expanded > 2 * inside {
-                    radius += k;
-                } else {
+                explored = explored.saturating_add(k);
+                ws.explore_to(g, explored);
+                let shell = &ws.visited()[ball..];
+                let expanded =
+                    inside + shell.iter().filter(|v| free_from[v.index()] <= color).count();
+                if expanded <= 2 * inside {
                     break;
                 }
+                (ball, inside) = (ws.visited().len(), expanded);
             }
             // Claim the interior, defer the shell.
-            let members: Vec<NodeId> = (0..n)
-                .filter(|&v| claimable[v] && dist[v].unwrap_or(u64::MAX) <= radius)
-                .map(|v| NodeId(v as u32))
-                .collect();
-            debug_assert!(!members.is_empty(), "the center itself is always claimable");
-            for v in 0..n {
-                if claimable[v] {
-                    let d = dist[v].unwrap_or(u64::MAX);
-                    if d > radius && d <= radius + k {
-                        deferred[v] = true;
-                    }
+            let id = ClusterId(clusters.len() as u32);
+            let mut members = Vec::with_capacity(inside);
+            for (i, &v) in ws.visited().iter().enumerate() {
+                if free_from[v.index()] > color {
+                    continue;
+                }
+                if i < ball {
+                    members.push(v);
+                } else {
+                    free_from[v.index()] = color + 1;
                 }
             }
-            let id = ClusterId(clusters.len() as u32);
-            for &v in &members {
-                assigned[v.index()] = true;
-                home[v.index()] = id;
-                remaining -= 1;
+            debug_assert!(!members.is_empty(), "the center itself is always claimable");
+            members.sort_unstable();
+            // The Steiner tree: the union of the BFS-tree paths from the
+            // center to every member, through whatever intermediate
+            // (Steiner) nodes the BFS went through.
+            ws.mark(center, 0);
+            rows.push((center, None, 0));
+            for &member in &members {
+                let mut v = member;
+                while ws.marked(v).is_none() {
+                    let depth = ws.dist(v);
+                    ws.mark(v, depth);
+                    rows.push((v, Some(ws.parent(v)), depth));
+                    v = ws.parent(v);
+                }
+                free_from[member.index()] = ASSIGNED;
+                home[member.index()] = id;
             }
-            let tree = build_steiner_tree(center, &members, &dist, &parent);
+            remaining -= members.len();
+            let tree = ClusterTree::from_rows(center, &mut rows);
+            rows.clear();
             clusters.push(Cluster { id, color, center, members, tree });
             this_color.push(id);
         }
+        // Each color clusters at least the smallest-id remaining node, so
+        // this loop terminates.
         colors.push(this_color);
-        // Safety: each color must make progress (it always clusters at least
-        // the smallest-id remaining node), so this loop terminates.
     }
 
     Decomposition { separation: k, clusters, colors, home }
 }
 
-/// Multi-source hop-distance BFS used by consumers of the decomposition.
-pub(crate) fn multi_source_hops(g: &Graph, sources: &[NodeId]) -> Vec<Option<u64>> {
-    let mut dist = vec![None; g.node_count() as usize];
-    let mut q = VecDeque::new();
-    for &s in sources {
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            q.push_back(s);
-        }
-    }
-    while let Some(v) = q.pop_front() {
-        let dv = dist[v.index()].expect("queued nodes have distances");
-        for adj in g.neighbors(v) {
-            if dist[adj.neighbor.index()].is_none() {
-                dist[adj.neighbor.index()] = Some(dv + 1);
-                q.push_back(adj.neighbor);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{multi_source_hops, separated_decomposition_reference};
+    use crate::test_graphs::{families, radii};
     use congest_graph::generators;
 
     /// Checks the three defining properties of the decomposition.
@@ -308,6 +268,42 @@ mod tests {
         let a = separated_decomposition(&g, 4);
         let b = separated_decomposition(&g, 4);
         assert_eq!(a, b, "the construction uses no randomness");
+    }
+
+    #[test]
+    fn bounded_carving_equals_the_whole_graph_reference() {
+        for (name, g) in families() {
+            for d in radii(&g) {
+                let k = 2 * d + 1;
+                assert_eq!(
+                    separated_decomposition(&g, k),
+                    separated_decomposition_reference(&g, k),
+                    "{name}, k = {k}"
+                );
+            }
+        }
+        let g = generators::grid(64, 64, 1);
+        assert_eq!(separated_decomposition(&g, 3), separated_decomposition_reference(&g, 3));
+    }
+
+    #[test]
+    fn a_separation_of_u64_max_does_not_overflow() {
+        let g = generators::path(9, 1);
+        let d = separated_decomposition(&g, u64::MAX);
+        assert_eq!(d, separated_decomposition_reference(&g, u64::MAX));
+        assert_eq!(d.clusters.len(), 1);
+    }
+
+    #[test]
+    fn carving_visits_balls_not_the_graph() {
+        // Host cost without a clock: the reference visits every node once per
+        // cluster (331 × n here); the bounded search visits Σ|ball(radius+k)|.
+        let g = generators::grid(64, 64, 1);
+        let n = g.node_count() as usize;
+        let mut ws = BfsWorkspace::new(n);
+        let d = carve(&g, 3, &mut ws);
+        assert!(d.clusters.len() > 100);
+        assert!(ws.visited_total <= 16 * n, "visited {} nodes for n = {n}", ws.visited_total);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! covers so that Observation 3.3 applies; [`LayeredCover::recommended_base`]
 //! computes a suitable value from `n`.
 
-use congest_graph::{Graph, NodeId};
+use congest_graph::Graph;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterId;
-use crate::decomposition::multi_source_hops;
-use crate::sparse_cover::{CoverError, SparseCover};
+use crate::sparse_cover::{first_uncovered, CoverError, SparseCover};
+use crate::workspace::BfsWorkspace;
 
 /// A layered sparse `D`-cover: sparse `B^j`-covers for `j = 0..levels`, with
 /// parent links from every level-`j` cluster to a level-`j+1` cluster that
@@ -43,9 +43,9 @@ impl LayeredCover {
         6 * log + 6
     }
 
-    /// The radius of level `j` (`B^j`).
+    /// The radius of level `j` (`B^j`, saturating at `u64::MAX`).
     pub fn radius(&self, level: usize) -> u64 {
-        self.base.pow(level as u32)
+        self.base.saturating_pow(level as u32)
     }
 
     /// The number of levels.
@@ -60,9 +60,9 @@ impl LayeredCover {
 
     /// Constructs a layered sparse `target`-cover of `g` with the given base.
     ///
-    /// Levels are built until `B^j >= 2 * target` or until every connected
-    /// component is fully contained in single clusters of the current level
-    /// (the stopping rule of Theorem 3.13).
+    /// Levels are built until `B^j >= 2 * target` (saturating) or until every
+    /// connected component is fully contained in single clusters of the
+    /// current level (the stopping rule of Theorem 3.13).
     ///
     /// # Panics
     ///
@@ -76,7 +76,7 @@ impl LayeredCover {
             let cover = SparseCover::construct(g, radius);
             let spans_components = components_spanned(g, &cover);
             levels.push(cover);
-            if radius >= 2 * target || spans_components {
+            if radius >= target.saturating_mul(2) || spans_components {
                 break;
             }
             radius = radius.saturating_mul(base);
@@ -111,16 +111,14 @@ impl LayeredCover {
         for level in &self.levels {
             level.validate(g)?;
         }
+        let mut ws = BfsWorkspace::new(g.node_count() as usize);
         for (j, links) in self.parents.iter().enumerate() {
             let upper = &self.levels[j + 1];
             let reach = self.radius(j + 1) / 2;
             for (c, &pid) in self.levels[j].clusters.iter().zip(links) {
                 let parent = upper.cluster(pid);
-                let dist = multi_source_hops(g, &c.members);
-                for u in g.nodes() {
-                    if dist[u.index()].is_some_and(|x| x <= reach) && !parent.contains(u) {
-                        return Err(CoverError::BallNotCovered { node: c.center, missing: u });
-                    }
+                if let Some(missing) = first_uncovered(g, &mut ws, &c.members, reach, parent) {
+                    return Err(CoverError::BallNotCovered { node: c.center, missing });
                 }
             }
         }
@@ -132,21 +130,61 @@ impl LayeredCover {
 /// single cluster of `cover` (so no further levels are needed).
 fn components_spanned(g: &Graph, cover: &SparseCover) -> bool {
     let components = congest_graph::sequential::connected_components(g);
-    for comp in 0..components.component_count {
-        let members: Vec<NodeId> = components.members(comp);
-        let Some(&first) = members.first() else { continue };
-        let home = cover.home_of(first);
-        if !members.iter().all(|&v| home.contains(v)) {
-            return false;
-        }
-    }
-    true
+    // The cluster that has to span component `c`: the home of its first node.
+    let mut spanning = vec![None; components.component_count];
+    g.nodes().zip(&components.labels).all(|(v, &c)| {
+        let home = *spanning[c].get_or_insert(cover.home[v.index()]);
+        cover.cluster(home).contains(v)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{components_spanned_reference, layered_reference, stats_reference};
+    use crate::test_graphs::families;
     use congest_graph::generators;
+
+    #[test]
+    fn layered_covers_and_their_stats_equal_the_reference() {
+        for (name, g) in families() {
+            let n = u64::from(g.node_count());
+            let base = LayeredCover::recommended_base(g.node_count());
+            let lc = LayeredCover::construct_default(&g, n);
+            assert_eq!(lc, layered_reference(&g, n, base), "{name}");
+            lc.validate(&g).expect("layered cover is valid");
+            for (j, level) in lc.levels.iter().enumerate() {
+                assert_eq!(level.stats(), stats_reference(level), "{name}, level {j}");
+                assert_eq!(
+                    components_spanned(&g, level),
+                    components_spanned_reference(&g, level),
+                    "{name}, level {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn many_tiny_components_leave_the_layered_cover_unchanged() {
+        // Some 1950 isolated nodes, a few small components and one path long
+        // enough to need a second level: the stopping rule used to rescan
+        // all labels once per component.
+        let path = (100..140).map(|v| (v, v + 1, 1));
+        let edges = [(0, 1, 1), (1, 2, 1), (7, 1999, 1), (40, 41, 1)].into_iter().chain(path);
+        let g = Graph::from_edges(2000, edges).unwrap();
+        let lc = LayeredCover::construct(&g, 2000, 4);
+        assert_eq!(lc, layered_reference(&g, 2000, 4));
+        assert!(components_spanned(&g, lc.levels.last().unwrap()));
+        assert!(!components_spanned(&g, &lc.levels[0]));
+    }
+
+    #[test]
+    fn huge_targets_and_levels_saturate() {
+        let g = generators::path(12, 1);
+        let lc = LayeredCover::construct(&g, u64::MAX, 8);
+        assert_eq!(lc.levels, layered_reference(&g, 1 << 40, 8).levels);
+        assert_eq!(lc.radius(64), u64::MAX);
+    }
 
     #[test]
     fn layered_cover_of_path() {

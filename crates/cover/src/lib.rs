@@ -39,10 +39,15 @@
 pub mod cluster;
 pub mod decomposition;
 pub mod layered;
+#[cfg(test)]
+mod reference;
 pub mod schedule;
 pub mod sparse_cover;
+#[cfg(test)]
+mod test_graphs;
+mod workspace;
 
-pub use cluster::{Cluster, ClusterId, ClusterTree};
+pub use cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
 pub use decomposition::{separated_decomposition, Decomposition};
 pub use layered::LayeredCover;
 pub use schedule::ClusterSchedule;

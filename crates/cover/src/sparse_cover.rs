@@ -1,16 +1,23 @@
 //! Sparse neighborhood `d`-covers (Definition 3.2 / Theorem 3.11 of the
 //! paper), built by expanding every cluster of a separated decomposition by
 //! its `d`-neighborhood.
+//!
+//! Construction shares one [`BfsWorkspace`] between the carving and every
+//! cluster's expansion, so its cost follows the balls it explores
+//! (`docs/COVERS.md`); the lint header below keeps per-cluster `O(n)`
+//! allocations from coming back.
+//!
+//! simlint: hot-path
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use congest_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{Cluster, ClusterId, ClusterTree};
-use crate::decomposition::{multi_source_hops, separated_decomposition};
+use crate::cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
+use crate::decomposition::{carve, Decomposition};
+use crate::workspace::BfsWorkspace;
 
 /// A sparse `d`-cover of a graph (Definition 3.2):
 ///
@@ -24,12 +31,14 @@ pub struct SparseCover {
     pub d: u64,
     /// All clusters of the cover, indexed by [`ClusterId`].
     pub clusters: Vec<Cluster>,
-    /// `membership[v]` lists the clusters containing node `v`.
-    pub membership: Vec<Vec<ClusterId>>,
+    /// Membership index in CSR form: the clusters containing node `v` are
+    /// `member_clusters[member_offsets[v]..member_offsets[v + 1]]`, ascending.
+    pub(crate) member_offsets: Vec<usize>,
+    pub(crate) member_clusters: Vec<ClusterId>,
     /// `home[v]` is the cluster guaranteed to contain `B_d(v)`.
     pub home: Vec<ClusterId>,
     /// Number of colors of the underlying decomposition.
-    colors: u32,
+    pub(crate) colors: u32,
 }
 
 /// Validation failures of a claimed sparse cover.
@@ -112,25 +121,31 @@ impl SparseCover {
     /// ways; `d = 0` itself is allowed (clusters are the decomposition
     /// clusters themselves).
     pub fn construct(g: &Graph, d: u64) -> SparseCover {
-        let decomposition = separated_decomposition(g, 2 * d + 1);
         let n = g.node_count() as usize;
-        let mut clusters = Vec::with_capacity(decomposition.clusters.len());
-        let mut membership: Vec<Vec<ClusterId>> = vec![Vec::new(); n];
-        for c in &decomposition.clusters {
-            let (members, tree) = expand_cluster(g, c, d);
-            let id = c.id;
-            for &v in &members {
-                membership[v.index()].push(id);
+        let mut ws = BfsWorkspace::new(n);
+        let decomposition = carve(g, d.saturating_mul(2).saturating_add(1), &mut ws);
+        let colors = decomposition.color_count();
+        let Decomposition { clusters, home, .. } = decomposition;
+        let mut rows = Vec::new(); // simlint::allow(hot-path-alloc: tree-row scratch, one per construct, drained by every cluster)
+        let clusters: Vec<Cluster> =
+            clusters.into_iter().map(|c| expand_cluster(g, c, d, &mut ws, &mut rows)).collect(); // simlint::allow(hot-path-alloc: the cluster list is output, one per construct)
+
+        let mut member_offsets = vec![0; n + 1]; // simlint::allow(hot-path-alloc: membership index, one per construct)
+        for v in clusters.iter().flat_map(|c| &c.members) {
+            member_offsets[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            member_offsets[v + 1] += member_offsets[v];
+        }
+        let mut member_clusters = vec![ClusterId(0); member_offsets[n]]; // simlint::allow(hot-path-alloc: membership index, one per construct)
+        let mut next = member_offsets.clone();
+        for c in &clusters {
+            for &v in &c.members {
+                member_clusters[next[v.index()]] = c.id;
+                next[v.index()] += 1;
             }
-            clusters.push(Cluster { id, color: c.color, center: c.center, members, tree });
         }
-        SparseCover {
-            d,
-            clusters,
-            membership,
-            home: decomposition.home.clone(),
-            colors: decomposition.color_count(),
-        }
+        SparseCover { d, clusters, member_offsets, member_clusters, home, colors }
     }
 
     /// Number of colors of the underlying decomposition (the upper bound on
@@ -151,7 +166,7 @@ impl SparseCover {
 
     /// The clusters containing `v`.
     pub fn clusters_of(&self, v: NodeId) -> &[ClusterId] {
-        &self.membership[v.index()]
+        &self.member_clusters[self.member_offsets[v.index()]..self.member_offsets[v.index() + 1]]
     }
 
     /// The maximum cluster-tree depth.
@@ -159,31 +174,39 @@ impl SparseCover {
         self.clusters.iter().map(|c| c.tree.max_depth()).max().unwrap_or(0)
     }
 
+    /// The maximum number of cluster trees any single (undirected) edge
+    /// participates in — the megaround width this cover contributes
+    /// (Section 3.1.3).
+    pub fn max_edge_tree_load(&self) -> usize {
+        let mut keys = Vec::with_capacity(self.clusters.iter().map(|c| c.tree.node_count()).sum());
+        for c in &self.clusters {
+            keys.extend(
+                c.tree.edges().map(|(child, parent)| (child.min(parent), child.max(parent))),
+            );
+        }
+        keys.sort_unstable();
+        // The longest run of equal keys.
+        let (mut longest, mut run) = (0, 0);
+        for (i, key) in keys.iter().enumerate() {
+            run = if i > 0 && keys[i - 1] == *key { run + 1 } else { 1 };
+            longest = longest.max(run);
+        }
+        longest
+    }
+
     /// Computes quality statistics (used by experiment E8 and the validation
     /// tests).
     pub fn stats(&self) -> CoverStats {
-        let n = self.membership.len().max(1);
-        let max_membership = self.membership.iter().map(|m| m.len()).max().unwrap_or(0);
-        let mean_membership =
-            self.membership.iter().map(|m| m.len()).sum::<usize>() as f64 / n as f64;
-        // Edge load: how many cluster trees use each (undirected) edge. A
-        // BTreeMap keeps the tally structure deterministic end to end.
-        let mut edge_load: std::collections::BTreeMap<(NodeId, NodeId), usize> =
-            std::collections::BTreeMap::new();
-        for c in &self.clusters {
-            for (child, parent) in c.tree.edges() {
-                let key = if child < parent { (child, parent) } else { (parent, child) };
-                *edge_load.entry(key).or_insert(0) += 1;
-            }
-        }
+        let n = self.home.len();
+        let memberships = self.member_offsets.windows(2).map(|w| w[1] - w[0]);
         CoverStats {
             d: self.d,
             cluster_count: self.clusters.len(),
             colors: self.colors,
-            max_membership,
-            mean_membership,
+            max_membership: memberships.max().unwrap_or(0),
+            mean_membership: self.member_clusters.len() as f64 / n.max(1) as f64,
             max_tree_depth: self.max_tree_depth(),
-            max_edge_tree_load: edge_load.values().copied().max().unwrap_or(0),
+            max_edge_tree_load: self.max_edge_tree_load(),
         }
     }
 
@@ -194,7 +217,6 @@ impl SparseCover {
     /// Returns the first violated property, or the cover's [`CoverStats`] if
     /// everything holds.
     pub fn validate(&self, g: &Graph) -> Result<CoverStats, CoverError> {
-        let n = g.node_count() as usize;
         // Membership index agrees with cluster member lists.
         for c in &self.clusters {
             if !c.tree.is_consistent() {
@@ -204,32 +226,27 @@ impl SparseCover {
                 if !c.tree.contains(v) {
                     return Err(CoverError::BrokenTree { cluster: c.id });
                 }
-                if !self.membership[v.index()].contains(&c.id) {
+                if !self.clusters_of(v).contains(&c.id) {
                     return Err(CoverError::InconsistentMembership { node: v });
                 }
             }
         }
         // At most one cluster per color per node.
-        for v in 0..n {
-            let mut colors_seen = std::collections::BTreeSet::new();
-            for &cid in &self.membership[v] {
-                let color = self.cluster(cid).color;
-                if !colors_seen.insert(color) {
-                    return Err(CoverError::DuplicateColorMembership {
-                        node: NodeId(v as u32),
-                        color,
-                    });
+        for node in g.nodes() {
+            let ids = self.clusters_of(node);
+            for (i, &id) in ids.iter().enumerate() {
+                let color = self.cluster(id).color;
+                if ids[..i].iter().any(|&earlier| self.cluster(earlier).color == color) {
+                    return Err(CoverError::DuplicateColorMembership { node, color });
                 }
             }
         }
         // d-ball coverage by the home cluster.
-        for v in g.nodes() {
-            let home = self.home_of(v);
-            let dist = multi_source_hops(g, &[v]);
-            for u in g.nodes() {
-                if dist[u.index()].is_some_and(|x| x <= self.d) && !home.contains(u) {
-                    return Err(CoverError::BallNotCovered { node: v, missing: u });
-                }
+        let mut ws = BfsWorkspace::new(g.node_count() as usize);
+        for node in g.nodes() {
+            if let Some(missing) = first_uncovered(g, &mut ws, &[node], self.d, self.home_of(node))
+            {
+                return Err(CoverError::BallNotCovered { node, missing });
             }
         }
         Ok(self.stats())
@@ -252,7 +269,7 @@ impl SparseCover {
 /// `>= limit`, so a ball of `limit` hops fits inside the last level). A
 /// `limit` of 0 still yields `[1]` — an oracle always has at least one level.
 pub fn geometric_levels(limit: u64) -> Vec<u64> {
-    let mut ds = vec![1u64];
+    let mut ds = vec![1u64]; // simlint::allow(hot-path-alloc: the level list, one per oracle build)
     while *ds.last().expect("non-empty by construction") < limit {
         let next = ds.last().expect("non-empty by construction").saturating_mul(2);
         ds.push(next);
@@ -260,61 +277,116 @@ pub fn geometric_levels(limit: u64) -> Vec<u64> {
     ds
 }
 
+/// The smallest-id node within `reach` hops of `seeds` that `cluster` does
+/// not contain, if any. Searches no further than `reach` hops.
+pub(crate) fn first_uncovered(
+    g: &Graph,
+    ws: &mut BfsWorkspace,
+    seeds: &[NodeId],
+    reach: u64,
+    cluster: &Cluster,
+) -> Option<NodeId> {
+    ws.begin();
+    for &s in seeds {
+        ws.seed(s);
+    }
+    ws.explore_to(g, reach);
+    ws.visited().iter().copied().filter(|&u| !cluster.contains(u)).min()
+}
+
 /// Expands a decomposition cluster by its `d`-neighborhood and extends its
-/// Steiner tree along the expansion BFS.
-fn expand_cluster(g: &Graph, c: &Cluster, d: u64) -> (Vec<NodeId>, ClusterTree) {
-    let n = g.node_count() as usize;
-    // Multi-source BFS from the cluster members.
-    let mut dist = vec![None; n];
-    let mut parent = vec![None; n];
-    let mut q = VecDeque::new();
+/// Steiner tree along the expansion BFS: a new node hangs below the node it
+/// was discovered from, one level deeper than that node's tree depth.
+fn expand_cluster(
+    g: &Graph,
+    c: Cluster,
+    d: u64,
+    ws: &mut BfsWorkspace,
+    rows: &mut Vec<TreeRow>,
+) -> Cluster {
+    ws.begin();
+    for (v, _, depth) in c.tree.entries() {
+        ws.mark(v, depth);
+    }
     for &s in &c.members {
-        dist[s.index()] = Some(0u64);
-        q.push_back(s);
+        ws.seed(s);
     }
-    while let Some(v) = q.pop_front() {
-        let dv = dist[v.index()].expect("queued nodes have distances");
-        if dv >= d {
-            continue;
-        }
-        for adj in g.neighbors(v) {
-            if dist[adj.neighbor.index()].is_none() {
-                dist[adj.neighbor.index()] = Some(dv + 1);
-                parent[adj.neighbor.index()] = Some(v);
-                q.push_back(adj.neighbor);
-            }
-        }
-    }
-    let members: Vec<NodeId> =
-        (0..n).filter(|&v| dist[v].is_some_and(|x| x <= d)).map(|v| NodeId(v as u32)).collect();
-    // Extend the tree: new nodes hang below the member they were discovered
-    // from (depths continue below that member's tree depth).
-    let mut tree = c.tree.clone();
-    for &v in &members {
-        if tree.contains(v) {
-            continue;
-        }
-        // Walk back to the first node already in the tree, then attach.
-        let mut chain = Vec::new();
-        let mut cur = v;
-        while !tree.contains(cur) {
-            chain.push(cur);
-            cur = parent[cur.index()].expect("expansion nodes have parents toward the cluster");
-        }
-        for &node in chain.iter().rev() {
-            let p = parent[node.index()].expect("non-root expansion nodes have parents");
-            let pd = tree.depth_of(p).expect("parent inserted before child");
-            tree.parent.insert(node, Some(p));
-            tree.depth.insert(node, pd + 1);
+    ws.explore_to(g, d);
+    rows.extend(c.tree.entries());
+    // In discovery order a node's BFS parent is a seed (a tree node) or an
+    // earlier visit, so its depth mark is always in place.
+    for i in 0..ws.visited().len() {
+        let v = ws.visited()[i];
+        if ws.marked(v).is_none() {
+            let parent = ws.parent(v);
+            let depth = ws.marked(parent).expect("parents are marked before their children") + 1;
+            ws.mark(v, depth);
+            rows.push((v, Some(parent), depth));
         }
     }
-    (members, tree)
+    let mut members = ws.visited().to_vec(); // simlint::allow(hot-path-alloc: the cluster's member list is output)
+    members.sort_unstable();
+    let tree = ClusterTree::from_rows(c.tree.root, rows);
+    rows.clear();
+    Cluster { members, tree, ..c }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{
+        construct_reference, first_uncovered_ball_reference, max_edge_tree_load_reference,
+        multi_source_hops,
+    };
+    use crate::test_graphs::{families, radii};
     use congest_graph::generators;
+
+    #[test]
+    fn construction_equals_the_whole_graph_reference() {
+        for (name, g) in families() {
+            for d in radii(&g) {
+                let cover = SparseCover::construct(&g, d);
+                assert_eq!(cover, construct_reference(&g, d), "{name}, d = {d}");
+                assert_eq!(
+                    cover.max_edge_tree_load(),
+                    max_edge_tree_load_reference(&cover),
+                    "{name}, d = {d}"
+                );
+                for v in g.nodes() {
+                    let of_v: Vec<ClusterId> =
+                        cover.clusters.iter().filter(|c| c.contains(v)).map(|c| c.id).collect();
+                    assert_eq!(cover.clusters_of(v), of_v, "{name}, d = {d}, {v}");
+                }
+            }
+        }
+        let g = generators::grid(64, 64, 1);
+        assert_eq!(SparseCover::construct(&g, 1), construct_reference(&g, 1));
+    }
+
+    #[test]
+    fn a_radius_of_u64_max_does_not_overflow() {
+        let g = generators::disjoint_copies(&generators::path(5, 1), 2);
+        let cover = SparseCover::construct(&g, u64::MAX);
+        assert_eq!(cover, construct_reference(&g, u64::MAX));
+        assert!(cover.is_component_cover(&g));
+        cover.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn bounded_validation_reports_the_first_violation_of_the_sweep() {
+        for (name, g) in families() {
+            for d in [1, 2, 5] {
+                let mut cover = SparseCover::construct(&g, d);
+                assert_eq!(first_uncovered_ball_reference(&g, &cover), None, "{name}, d = {d}");
+                // Corrupt: the largest cluster loses its last two members.
+                let big = cover.clusters.iter_mut().max_by_key(|c| c.len()).unwrap();
+                big.members.truncate(big.members.len().saturating_sub(2));
+                let expected = first_uncovered_ball_reference(&g, &cover)
+                    .map(|(node, missing)| CoverError::BallNotCovered { node, missing });
+                assert_eq!(cover.validate(&g).err(), expected, "{name}, d = {d}");
+            }
+        }
+    }
 
     fn check(g: &Graph, d: u64) -> CoverStats {
         let cover = SparseCover::construct(g, d);
@@ -359,7 +431,7 @@ mod tests {
         let cover = SparseCover::construct(&g, 0);
         cover.validate(&g).unwrap();
         // With d = 0, clusters partition the nodes (each node in exactly one).
-        assert!(cover.membership.iter().all(|m| m.len() == 1));
+        assert!(g.nodes().all(|v| cover.clusters_of(v).len() == 1));
     }
 
     #[test]
