@@ -17,7 +17,7 @@ use congest_graph::{Distance, Graph, Weight};
 use congest_sim::Metrics;
 
 use crate::result::{AlgoRun, SourceOffset};
-use crate::weighted_bfs::waiting_bfs;
+use crate::weighted_bfs::waiting_bfs_owned;
 use crate::{AlgoConfig, AlgoError};
 
 /// The result of one cutter invocation.
@@ -80,7 +80,7 @@ pub fn approximate_cssp(
     // 2*inv*n + n + 1 (one +1 per path edge plus one for the offset), so this
     // round limit retains all of them.
     let limit = (2 * inv + 1) * n + 2;
-    let run: AlgoRun = waiting_bfs(g, &scaled_sources, &weights, limit, config)?;
+    let run: AlgoRun = waiting_bfs_owned(g, &scaled_sources, weights, limit, config)?;
     let estimates = run
         .output
         .distances

@@ -10,38 +10,44 @@
 //!
 //! Each SSSP instance is executed on its own (which preserves its
 //! correctness) and produces per-edge message counts and a round count. The
-//! instance's edge usage is spread evenly over its duration to form a
-//! per-round usage trace, and the traces are superimposed by the
-//! random-delay queueing scheduler of [`congest_sim::scheduler`]. The
+//! instance's edge usage is spread evenly over its duration — message `k` of
+//! an edge's `t` in round `⌊k·R/t⌋` — and the instances are superimposed by
+//! the random-delay queueing scheduler of [`congest_sim::scheduler`]. The
 //! reported makespan is the realized completion time under a per-round
-//! per-edge message budget. See DESIGN.md §6.
+//! per-edge message budget. See `docs/APSP.md`.
 //!
 //! ## Execution pipeline and cost
 //!
 //! [`apsp`] runs the `n` independent SSSP instances **in parallel across OS
 //! threads** (`std::thread::scope`; instances are handed out one source at a
-//! time from a shared atomic counter, so threads stay load-balanced), and
-//! **streams** each finished instance's trace into the event-driven
-//! [`ScheduleBuilder`] instead of materializing all `n` traces: results flow
-//! back over a channel, a small reorder buffer replays them **in source-index
-//! order**, each trace is folded into the scheduler's arrival buckets, and
-//! then dropped. Distances, instance statistics, the delay stream, and hence
-//! the entire [`ApspRun`] are therefore **bit-identical regardless of thread
-//! count** — parallelism changes wall-clock time only. Peak memory beyond the
-//! `O(n²)` distance matrix is `O(m + makespan)` (arrival buckets + dense
-//! per-edge scheduler state) instead of the former `O(n · m)` trace pile.
+//! time from a shared atomic counter, so threads stay load-balanced). An
+//! instance's usage trace is a pure function of its per-edge totals and its
+//! round count, so none is ever built: each finished instance leaves its
+//! distances, its round count and its per-edge totals (`n + m` words) in
+//! slot `i` of the assembly, in whatever order the threads finish, and the
+//! composition is one call of [`schedule_spread`], which generates the
+//! spread arrivals edge by edge. The `n` delays are drawn up front in source
+//! order. Distances, instance statistics, the delay stream, and hence the
+//! entire [`ApspRun`] are therefore **bit-identical regardless of thread
+//! count** — parallelism changes wall-clock time only. The composition costs
+//! `O(messages)` time; peak memory beyond the `O(n²)` distance matrix is
+//! `O(n · m + occupied rounds)` — the per-edge totals plus the scheduler's
+//! one count column. (Earlier versions streamed materialised traces into
+//! per-round arrival buckets and claimed `O(m + makespan)`; the buckets were
+//! `O(total messages)`, two thirds of the peak heap at `n = 64`.)
 //!
 //! The pre-rework driver — sequential instance loop, all traces
 //! materialized, round-by-round reference scheduler — is retained as
 //! [`apsp_reference`], the oracle for differential tests and the baseline of
 //! the APSP-throughput experiment (`EXPERIMENTS.md`, E12).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
 
 use congest_graph::{Distance, EdgeId, Graph, NodeId};
-use congest_sim::scheduler::{draw_delay, schedule_reference, ScheduleBuilder, ScheduleOutcome};
+use congest_sim::scheduler::{
+    draw_delay, schedule_reference, schedule_spread, ScheduleOutcome, SpreadInstance,
+};
 use congest_sim::EdgeUsageTrace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -91,7 +97,8 @@ pub struct ApspConfig {
 /// Everything one SSSP instance contributes to the APSP composition.
 struct InstanceRun {
     distances: Vec<Distance>,
-    trace: EdgeUsageTrace,
+    /// Messages per edge (the instance's `Metrics::edge_congestion`, moved).
+    edge_totals: Vec<u64>,
     rounds: u64,
     max_congestion: u64,
     messages: u64,
@@ -101,61 +108,69 @@ struct InstanceRun {
 fn run_instance(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<InstanceRun, AlgoError> {
     let run = sssp(g, source, config)?;
     Ok(InstanceRun {
-        trace: spread_trace(&run.metrics.edge_congestion, run.metrics.rounds),
         rounds: run.metrics.rounds,
         max_congestion: run.metrics.max_congestion(),
         messages: run.metrics.messages,
+        edge_totals: run.metrics.edge_congestion,
         distances: run.output.distances,
     })
 }
 
-/// Accumulates instance results *in source-index order*: draws the
-/// instance's delay (one PRNG draw per instance, in order, so the stream is
-/// identical to the sequential driver's), streams the trace into the
-/// scheduler's arrival buckets, and records the per-instance statistics. The
-/// trace is dropped right after the fold.
+/// Collects the instance results, in any order: instance `i` owns slot `i`
+/// of every column, and the two scalars are a max and a sum, so the writes
+/// commute. The delays are drawn up front, one PRNG draw per instance in
+/// index order — the stream [`apsp_reference`] draws.
 struct Assembly {
-    rng: ChaCha8Rng,
-    max_delay: u64,
-    builder: ScheduleBuilder,
+    budget: u32,
+    delays: Vec<u64>,
     distances: Vec<Vec<Distance>>,
     instance_rounds: Vec<u64>,
+    edge_totals: Vec<Vec<u64>>,
     max_instance_congestion: u64,
     total_messages: u64,
 }
 
 impl Assembly {
     fn new(n: usize, budget: u32, max_delay: u64, seed: u64) -> Assembly {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Assembly {
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            max_delay,
-            builder: ScheduleBuilder::new(budget),
+            budget,
+            delays: (0..n).map(|_| draw_delay(&mut rng, max_delay)).collect(),
             distances: vec![Vec::new(); n],
             instance_rounds: vec![0; n],
+            edge_totals: vec![Vec::new(); n],
             max_instance_congestion: 0,
             total_messages: 0,
         }
     }
 
     fn consume(&mut self, index: usize, run: InstanceRun) {
-        let delay = draw_delay(&mut self.rng, self.max_delay);
-        self.builder.push_trace(&run.trace, delay);
         self.distances[index] = run.distances;
         self.instance_rounds[index] = run.rounds;
+        self.edge_totals[index] = run.edge_totals;
         self.max_instance_congestion = self.max_instance_congestion.max(run.max_congestion);
         self.total_messages += run.messages;
     }
 
-    fn finish(self) -> ApspRun {
+    /// Composes the collected instances under their delays.
+    fn finish(self) -> Result<ApspRun, AlgoError> {
+        let instances: Vec<SpreadInstance<'_>> = (0..self.delays.len())
+            .map(|i| SpreadInstance {
+                delay: self.delays[i],
+                rounds: self.instance_rounds[i],
+                edge_totals: &self.edge_totals[i],
+            })
+            .collect();
+        let schedule = schedule_spread(&instances, self.budget)?;
         let sequential_rounds = self.instance_rounds.iter().sum();
-        ApspRun {
+        Ok(ApspRun {
             distances: self.distances,
             instance_rounds: self.instance_rounds,
             max_instance_congestion: self.max_instance_congestion,
-            schedule: self.builder.finish(),
+            schedule,
             sequential_rounds,
             total_messages: self.total_messages,
-        }
+        })
     }
 }
 
@@ -196,7 +211,9 @@ fn effective_budget(n: u32, configured: u32) -> u32 {
 ///
 /// # Errors
 ///
-/// Propagates any SSSP failure (the first one in source order observed).
+/// Propagates any SSSP failure (the first one in source order observed), and
+/// reports a schedule whose horizon — a start delay plus an instance's
+/// rounds — does not fit `u64` as [`AlgoError::Simulation`].
 pub fn apsp(
     g: &Graph,
     config: &AlgoConfig,
@@ -209,21 +226,15 @@ pub fn apsp(
     let mut assembly = Assembly::new(n as usize, budget, max_delay, apsp_config.seed);
 
     assemble(n, threads, &mut assembly, |i| run_instance(g, NodeId(i), config))?;
-    Ok(assembly.finish())
+    assembly.finish()
 }
 
-/// Runs instances `0..n` through `run` on `threads` OS threads and feeds the
-/// results into `assembly` in index order. With one thread everything happens
+/// Runs instances `0..n` through `run` on `threads` OS threads and hands the
+/// results to `assembly` as they arrive. With one thread everything happens
 /// on the calling thread; otherwise workers self-schedule indices off an
-/// atomic counter and send results over a channel, and the assembler replays
-/// them through a reorder buffer.
-///
-/// The buffer is kept at `O(threads)` entries even under skewed instance
-/// durations: a worker may only *start* instance `i` once the assembler's
-/// consumption watermark is within `2 × threads` of `i`, so completed
-/// results can never pile up behind one slow straggler — at most
-/// `window + threads` instance results (each `O(m)`) exist at once, which is
-/// what keeps the streaming pipeline's memory at `O(m + makespan)`.
+/// atomic counter and send results over a channel. An `InstanceRun` is what
+/// the [`ApspRun`] keeps of the instance anyway, so nothing needs bounding or
+/// reordering.
 fn assemble<F>(n: u32, threads: usize, assembly: &mut Assembly, run: F) -> Result<(), AlgoError>
 where
     F: Fn(u32) -> Result<InstanceRun, AlgoError> + Sync,
@@ -236,8 +247,8 @@ where
     }
 
     /// Sets the abort flag if its thread unwinds, so a panic in one instance
-    /// releases the workers parked on the backpressure watermark (the scope
-    /// join then re-raises the panic) instead of deadlocking the assembler.
+    /// stops the other workers at their next index (the scope join then
+    /// re-raises the panic) instead of letting them finish the whole batch.
     struct AbortOnUnwind<'a>(&'a AtomicBool);
     impl Drop for AbortOnUnwind<'_> {
         fn drop(&mut self) {
@@ -247,39 +258,20 @@ where
         }
     }
 
-    let window = 2 * threads as u32;
     let next_index = AtomicU32::new(0);
-    let consumed = AtomicU32::new(0);
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<(u32, Result<InstanceRun, AlgoError>)>();
     let mut first_error: Option<(u32, AlgoError)> = None;
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let next_index = &next_index;
-            let consumed = &consumed;
-            let abort = &abort;
-            let run = &run;
+            let (next_index, abort, run) = (&next_index, &abort, &run);
             scope.spawn(move || {
                 let _guard = AbortOnUnwind(abort);
-                'work: loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !abort.load(Ordering::Relaxed) {
                     let i = next_index.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
-                    }
-                    // Backpressure: wait until the assembler has caught up
-                    // to within the window. The instance holding up the
-                    // watermark is always an index below ours, so it is
-                    // already running on some thread and the watermark
-                    // eventually advances (or the run aborts).
-                    while i >= consumed.load(Ordering::Acquire).saturating_add(window) {
-                        if abort.load(Ordering::Relaxed) {
-                            break 'work;
-                        }
-                        std::thread::park_timeout(std::time::Duration::from_millis(1));
                     }
                     let result = run(i);
                     if result.is_err() {
@@ -293,21 +285,14 @@ where
         }
         drop(tx);
 
-        let mut pending: BTreeMap<u32, InstanceRun> = BTreeMap::new();
-        let mut next_consume = 0u32;
         for (index, result) in rx {
             match result {
-                Ok(instance) => {
-                    pending.insert(index, instance);
-                    while let Some(instance) = pending.remove(&next_consume) {
-                        assembly.consume(next_consume as usize, instance);
-                        next_consume += 1;
-                    }
-                    consumed.store(next_consume, Ordering::Release);
-                }
+                Ok(instance) => assembly.consume(index as usize, instance),
                 Err(e) => match &first_error {
                     // Keep the error of the smallest failing index, matching
-                    // what the sequential loop would have surfaced first.
+                    // what the sequential loop would have surfaced first:
+                    // indices are handed out in order, so every index below
+                    // a failing one is already running and reports too.
                     Some((seen, _)) if *seen <= index => {}
                     _ => first_error = Some((index, e)),
                 },
@@ -347,7 +332,7 @@ pub fn apsp_reference(
         instance_rounds.push(run.rounds);
         max_instance_congestion = max_instance_congestion.max(run.max_congestion);
         total_messages += run.messages;
-        traces.push(run.trace);
+        traces.push(spread_trace(&run.edge_totals, run.rounds));
         distances.push(run.distances);
     }
 
@@ -383,6 +368,14 @@ pub fn apsp_reference(
 /// * `total > R`: every round is occupied and round `r` carries
 ///   `ceil((r+1)·total/R) - ceil(r·total/R)` messages — walk the `R` round
 ///   boundaries.
+///
+/// Only [`apsp_reference`] materialises traces; [`apsp`] hands the totals to
+/// [`schedule_spread`], which counts in `u64`.
+///
+/// # Panics
+///
+/// Panics if an edge's per-round share `total / R` reaches `2³²`, the limit
+/// of the trace's count type — one reason this copy is the oracle's only.
 fn spread_trace(edge_congestion: &[u64], rounds: u64) -> EdgeUsageTrace {
     let rounds = rounds.max(1) as usize;
     let mut per_round: Vec<Vec<(EdgeId, u32)>> = vec![Vec::new(); rounds];
@@ -487,7 +480,7 @@ mod tests {
             }
             Ok(InstanceRun {
                 distances: Vec::new(),
-                trace: EdgeUsageTrace::default(),
+                edge_totals: Vec::new(),
                 rounds: 1,
                 max_congestion: 0,
                 messages: 0,
@@ -503,56 +496,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assembly_stays_bounded_under_skewed_instances() {
-        // Index 0 is a straggler: every other instance finishes instantly,
-        // so without backpressure the reorder buffer would absorb nearly all
-        // of the other 63 results while 0 runs. The consumption-watermark
-        // window forbids that: while 0 is unfinished the watermark is 0, so
-        // no index >= window may even start.
-        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-        let threads = 4usize;
-        let window = 2 * threads as u32;
-        let zero_done = AtomicBool::new(false);
-        let max_started_while_blocked = AtomicU32::new(0);
-        let run = |i: u32| -> Result<InstanceRun, AlgoError> {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(40));
-                zero_done.store(true, Ordering::SeqCst);
-            } else if !zero_done.load(Ordering::SeqCst) {
-                max_started_while_blocked.fetch_max(i, Ordering::SeqCst);
-            }
-            Ok(InstanceRun {
-                distances: vec![Distance::Finite(i as u64)],
-                trace: EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 1)]] },
-                rounds: i as u64,
-                max_congestion: 1,
-                messages: 1,
-            })
-        };
-        let n = 64u32;
-        let mut parallel = Assembly::new(n as usize, 2, 17, 9);
-        assemble(n, threads, &mut parallel, run).unwrap();
-        zero_done.store(false, Ordering::SeqCst); // irrelevant for 1 thread
-        let mut sequential = Assembly::new(n as usize, 2, 17, 9);
-        assemble(n, 1, &mut sequential, run).unwrap();
-        assert_eq!(parallel.finish(), sequential.finish());
-        let peak = max_started_while_blocked.load(Ordering::SeqCst);
-        assert!(peak < window, "index {peak} started while the watermark was held at 0");
-    }
-
-    #[test]
     #[should_panic] // scope re-raises with its own "a scoped thread panicked" payload
     fn parallel_assembly_propagates_instance_panics() {
         // A panicking instance must bring the whole call down (via the scope
-        // join), not deadlock workers parked on the backpressure watermark.
-        // A regression here shows up as this test hanging.
+        // join) rather than be swallowed by the channel.
         let run = |i: u32| -> Result<InstanceRun, AlgoError> {
             if i == 7 {
                 panic!("instance 7 exploded");
             }
             Ok(InstanceRun {
                 distances: Vec::new(),
-                trace: EdgeUsageTrace::default(),
+                edge_totals: Vec::new(),
                 rounds: 1,
                 max_congestion: 0,
                 messages: 0,
@@ -573,24 +527,119 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assembly_consumes_in_index_order() {
-        // Deterministic assembly: regardless of which thread finishes first,
-        // instance i must land at index i with the delay stream drawn in
-        // index order. Distinguishable instances (rounds = i) pin this.
+    fn any_completion_order_gives_the_sequential_run() {
+        // Instance i lands in slot i with delay i of the stream, whichever
+        // thread finishes first. Distinguishable instances (rounds, totals
+        // and distances all depend on i) pin this.
         let run = |i: u32| -> Result<InstanceRun, AlgoError> {
             Ok(InstanceRun {
                 distances: vec![Distance::Finite(i as u64)],
-                trace: EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 1)]] },
-                rounds: i as u64,
-                max_congestion: 1,
-                messages: 1,
+                edge_totals: vec![1 + i as u64 % 3, i as u64],
+                rounds: 1 + i as u64,
+                max_congestion: i as u64,
+                messages: 1 + i as u64 % 3 + i as u64,
             })
         };
         let mut sequential = Assembly::new(40, 2, 17, 9);
         assemble(40, 1, &mut sequential, run).unwrap();
-        let mut parallel = Assembly::new(40, 2, 17, 9);
-        assemble(40, 4, &mut parallel, run).unwrap();
-        assert_eq!(parallel.finish(), sequential.finish());
+        let sequential = sequential.finish().unwrap();
+        assert_eq!(sequential.max_instance_congestion, 39);
+        assert_eq!(sequential.schedule.total_messages, sequential.total_messages);
+        for threads in [2usize, 4, 7] {
+            let mut parallel = Assembly::new(40, 2, 17, 9);
+            assemble(40, threads, &mut parallel, run).unwrap();
+            assert_eq!(parallel.finish().unwrap(), sequential, "{threads} threads");
+        }
+        // The orders threads happen to produce are near-sequential; force two
+        // that are not: reversed, and a stride permutation.
+        let orders: [Vec<u32>; 2] =
+            [(0..40).rev().collect(), (0..40).map(|i| (i * 7 + 3) % 40).collect()];
+        for order in orders {
+            let mut shuffled = Assembly::new(40, 2, 17, 9);
+            for i in order {
+                shuffled.consume(i as usize, run(i).unwrap());
+            }
+            assert_eq!(shuffled.finish().unwrap(), sequential);
+        }
+    }
+
+    #[test]
+    fn huge_delay_ranges_cost_nothing_and_change_only_the_makespan() {
+        // Regression: the scheduler used to keep one `Vec` header per round
+        // up to the largest delay — `1 << 34` aborted on a 285 GB allocation
+        // and `1 << 63` panicked with a capacity overflow.
+        let g = generators::with_random_weights(&generators::random_connected(8, 12, 3), 5, 3);
+        let algo = AlgoConfig::default();
+        let with =
+            |max_delay| ApspConfig { max_delay: Some(max_delay), seed: 5, ..Default::default() };
+        let tight = apsp(&g, &algo, &with(1)).unwrap();
+        for max_delay in [1u64 << 34, 1 << 63] {
+            let run = apsp(&g, &algo, &with(max_delay)).unwrap();
+            let latest = run.schedule.delays.iter().copied().max().unwrap();
+            assert!(latest > 1 << 30, "the delays really are spread over the range");
+            assert!(run.schedule.makespan >= latest);
+            assert_eq!(run.total_messages, tight.total_messages);
+            assert_eq!(run.schedule.total_messages, tight.schedule.total_messages);
+            assert_eq!(run.schedule.congestion, tight.schedule.congestion);
+            assert_eq!(run.distances, tight.distances);
+            // The facade takes the same path.
+            let facade = crate::Solver::on(&g)
+                .algorithm(crate::Algorithm::Apsp)
+                .apsp_config(with(max_delay))
+                .run()
+                .unwrap();
+            assert_eq!(facade.all_pairs.as_ref(), Some(&run.distances));
+        }
+        // The reference driver (idle stretches skipped) agrees on all of it.
+        assert_eq!(
+            apsp_reference(&g, &algo, &with(1 << 34)).unwrap(),
+            apsp(&g, &algo, &with(1 << 34)).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_horizon_past_u64_is_an_error_not_a_panic() {
+        // Delays drawn from 0..u64::MAX land within an instance's length of
+        // the end of the axis for some seed; force the case directly.
+        let mut assembly = Assembly::new(2, 1, 1, 0);
+        assembly.delays = vec![0, u64::MAX - 1];
+        for i in 0..2 {
+            let run = InstanceRun {
+                distances: Vec::new(),
+                edge_totals: vec![1],
+                rounds: 5,
+                max_congestion: 1,
+                messages: 1,
+            };
+            assembly.consume(i, run);
+        }
+        assert!(matches!(
+            assembly.finish(),
+            Err(AlgoError::Simulation(congest_sim::SimError::ScheduleHorizonOverflow { .. }))
+        ));
+    }
+
+    #[test]
+    fn composition_matches_the_reference_across_budgets_and_delay_ranges() {
+        for (n, extra, seed) in [(16u32, 24u64, 1u64), (24, 40, 2)] {
+            let g = generators::with_random_weights(
+                &generators::random_connected(n, extra, seed),
+                9,
+                seed,
+            );
+            let algo = AlgoConfig::default();
+            for budget in [0u32, 1, 2, 50] {
+                for max_delay in [None, Some(0), Some(1000), Some(3000)] {
+                    let cfg =
+                        ApspConfig { edge_budget_per_round: budget, max_delay, seed, threads: 1 };
+                    assert_eq!(
+                        apsp(&g, &algo, &cfg).unwrap(),
+                        apsp_reference(&g, &algo, &cfg).unwrap(),
+                        "n {n}, budget {budget}, max_delay {max_delay:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

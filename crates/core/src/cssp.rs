@@ -13,7 +13,7 @@ use congest_graph::{Distance, EdgeId, Graph, NodeId};
 use congest_sim::Metrics;
 
 use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
-use crate::thresholded::{thresholded_cssp, RecursionStats, ThresholdedRun};
+use crate::thresholded::{thresholded_cssp_validated, RecursionStats, ThresholdedRun};
 use crate::{AlgoConfig, AlgoError};
 
 /// The result of a full CSSP/SSSP run: distances, metrics, and the recursion
@@ -56,11 +56,12 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
             return Err(AlgoError::SourceOutOfRange { node: s });
         }
     }
-    let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
-
+    // The sources are checked above and the weights here, once: the recursion
+    // is entered past its own validation on both paths.
     if g.edges().iter().all(|e| e.w > 0) {
+        let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
         let threshold = g.distance_upper_bound().max(1);
-        let run = thresholded_cssp(g, &offsets, threshold, config)?;
+        let run = thresholded_cssp_validated(g, &offsets, threshold, config)?;
         return Ok(finish(run));
     }
 
@@ -79,7 +80,7 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
             .collect()
     };
     let threshold = contraction.graph.distance_upper_bound().max(1);
-    let run = thresholded_cssp(&contraction.graph, &super_sources, threshold, config)?;
+    let run = thresholded_cssp_validated(&contraction.graph, &super_sources, threshold, config)?;
 
     // Distances: every original node inherits its supernode's distance.
     let distances: Vec<Distance> =

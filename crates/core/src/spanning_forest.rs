@@ -60,98 +60,11 @@ impl DistributedForest {
 /// awake for the whole run); with `low_energy = true` it follows Theorem 3.1
 /// (periodic convergecast schedules, `O(1)` awake rounds per node per phase).
 pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metrics) {
-    let n = g.node_count() as usize;
-    let m = g.edge_count() as usize;
-    let mut metrics = Metrics::zero(n, m);
-
-    // Fragment id per node (initially its own id) and accumulated tree edges.
-    let mut fragment: Vec<u32> = (0..n as u32).collect();
-    let mut tree_edges: Vec<EdgeId> = Vec::new();
-    let mut phases = 0u64;
-    // `merged_into[f]` is the fragment that absorbed fragment `f` (itself
-    // while `f` is still a fragment's label): within a phase the labels in
-    // `fragment` go stale merge by merge and are looked up through this,
-    // then rewritten once when the phase's merges are done.
-    let mut merged_into: Vec<u32> = (0..n as u32).collect();
-    // The rooted forest over the tree edges chosen so far, re-derived once
-    // per phase in buffers that live for the whole run. Its depth after one
-    // phase's merges is the depth the next phase starts from.
-    let mut rooted = RootedForest::new(n);
-    let mut depth_now = rooted.orient(g, &tree_edges);
-
-    loop {
-        // Each fragment picks its smallest-id outgoing edge. Only edges that
-        // still cross fragments are probed (an edge whose endpoints merged in
-        // an earlier phase is known to be internal and stays silent).
-        let mut choice: std::collections::BTreeMap<u32, EdgeId> = std::collections::BTreeMap::new();
-        let mut probed_edges: Vec<EdgeId> = Vec::new();
-        for e in g.edge_ids() {
-            let edge = g.edge(e);
-            let (fu, fv) = (fragment[edge.u.index()], fragment[edge.v.index()]);
-            if fu == fv {
-                continue;
-            }
-            probed_edges.push(e);
-            for f in [fu, fv] {
-                let entry = choice.entry(f).or_insert(e);
-                if e < *entry {
-                    *entry = e;
-                }
-            }
-        }
-        if choice.is_empty() {
-            break;
-        }
-        phases += 1;
-
-        // Merge fragments along chosen edges (and add the chosen edges to the
-        // forest, skipping duplicates chosen by both endpoints' fragments).
-        let mut newly_chosen: Vec<EdgeId> = choice.values().copied().collect();
-        newly_chosen.sort();
-        newly_chosen.dedup();
-        for &e in &newly_chosen {
-            let edge = g.edge(e);
-            let fu = current_label(&mut merged_into, fragment[edge.u.index()]);
-            let fv = current_label(&mut merged_into, fragment[edge.v.index()]);
-            if fu == fv {
-                continue; // already merged transitively within this phase
-            }
-            tree_edges.push(e);
-            // The merged fragment takes the smaller of the two labels (any
-            // deterministic rule works; a distributed implementation floods
-            // the winning label through the merged fragment).
-            let (winner, loser) = if fu < fv { (fu, fv) } else { (fv, fu) };
-            merged_into[loser as usize] = winner;
-        }
-        for f in fragment.iter_mut() {
-            *f = current_label(&mut merged_into, *f);
-        }
-
-        // Charge the phase costs. The convergecast that finds the outgoing
-        // edge runs over the pre-merge fragment trees; announcing and
-        // installing the merge floods the post-merge fragment trees.
-        let depth_after = rooted.orient(g, &tree_edges);
-        let phase_rounds = 2 * depth_now + 2 * depth_after + 4;
-        metrics.rounds += phase_rounds;
-        for &e in &probed_edges {
-            // Fragment-id exchange across every still-crossing edge (both
-            // directions).
-            metrics.edge_congestion[e.index()] += 2;
-            metrics.messages += 2;
-        }
-        for &e in &tree_edges {
-            // Convergecast + broadcast + merge announcement on tree edges.
-            metrics.edge_congestion[e.index()] += 3;
-            metrics.messages += 3;
-        }
-        for v in 0..n {
-            metrics.node_energy[v] += if low_energy { 4 } else { phase_rounds };
-        }
-        depth_now = depth_after;
-    }
-
+    let mut scratch = ForestScratch::default();
+    scratch.run(g, low_energy);
     // Every component is rooted at its smallest node id: the orientation of
     // the last phase (or of the edgeless start) is the result.
+    let ForestScratch { tree_edges, rooted, metrics, phases, .. } = scratch;
     let RootedForest { parents, roots, depths, component_of, component_count, .. } = rooted;
     let forest = DistributedForest {
         tree_edges,
@@ -163,6 +76,152 @@ pub fn spanning_forest(g: &Graph, low_energy: bool) -> (DistributedForest, Metri
         phases,
     };
     (forest, metrics)
+}
+
+/// "No choice yet" in [`ForestScratch::choice`].
+const NO_EDGE: EdgeId = EdgeId(u32::MAX);
+
+/// Every buffer a spanning-forest run works in. A caller that builds many
+/// forests — the CSSP recursion builds one per subproblem — keeps one of
+/// these and calls [`ForestScratch::run`] on it; after the first few runs
+/// nothing is allocated any more.
+#[derive(Debug, Default)]
+pub(crate) struct ForestScratch {
+    /// Fragment id per node (initially its own id).
+    fragment: Vec<u32>,
+    /// `merged_into[f]` is the fragment that absorbed fragment `f` (itself
+    /// while `f` is still a fragment's label): within a phase the labels in
+    /// `fragment` go stale merge by merge and are looked up through this,
+    /// then rewritten once when the phase's merges are done.
+    merged_into: Vec<u32>,
+    /// The smallest-id outgoing edge of each fragment label this phase.
+    choice: Vec<EdgeId>,
+    tree_edges: Vec<EdgeId>,
+    probed_edges: Vec<EdgeId>,
+    newly_chosen: Vec<EdgeId>,
+    /// The rooted forest over the tree edges chosen so far, re-derived once
+    /// per phase. Its depth after one phase's merges is the depth the next
+    /// phase starts from.
+    rooted: RootedForest,
+    metrics: Metrics,
+    phases: u64,
+}
+
+impl ForestScratch {
+    /// Runs the algorithm on `g`, leaving the forest in the buffers, and
+    /// returns the charged metrics (all the CSSP recursion reads of a run).
+    pub(crate) fn run(&mut self, g: &Graph, low_energy: bool) -> &Metrics {
+        let n = g.node_count() as usize;
+        let m = g.edge_count() as usize;
+        let Self {
+            fragment,
+            merged_into,
+            choice,
+            tree_edges,
+            probed_edges,
+            newly_chosen,
+            rooted,
+            metrics,
+            phases,
+        } = self;
+        reset_metrics(metrics, n, m);
+        fragment.clear();
+        fragment.extend(0..n as u32);
+        merged_into.clear();
+        merged_into.extend(0..n as u32);
+        choice.clear();
+        choice.resize(n, NO_EDGE);
+        tree_edges.clear();
+        *phases = 0;
+        rooted.resize(n);
+        let mut depth_now = rooted.orient(g, tree_edges);
+
+        loop {
+            // Each fragment picks its smallest-id outgoing edge. Only edges that
+            // still cross fragments are probed (an edge whose endpoints merged in
+            // an earlier phase is known to be internal and stays silent). Edges
+            // come in id order, so a fragment's first sighting is its choice.
+            probed_edges.clear();
+            for e in g.edge_ids() {
+                let edge = g.edge(e);
+                let (fu, fv) = (fragment[edge.u.index()], fragment[edge.v.index()]);
+                if fu == fv {
+                    continue;
+                }
+                probed_edges.push(e);
+                for f in [fu, fv] {
+                    if choice[f as usize] == NO_EDGE {
+                        choice[f as usize] = e;
+                    }
+                }
+            }
+            if probed_edges.is_empty() {
+                break;
+            }
+            *phases += 1;
+
+            // Merge fragments along chosen edges (and add the chosen edges to the
+            // forest, skipping duplicates chosen by both endpoints' fragments).
+            newly_chosen.clear();
+            for c in choice.iter_mut().filter(|c| **c != NO_EDGE) {
+                newly_chosen.push(std::mem::replace(c, NO_EDGE));
+            }
+            newly_chosen.sort_unstable();
+            newly_chosen.dedup();
+            for &e in newly_chosen.iter() {
+                let edge = g.edge(e);
+                let fu = current_label(merged_into, fragment[edge.u.index()]);
+                let fv = current_label(merged_into, fragment[edge.v.index()]);
+                if fu == fv {
+                    continue; // already merged transitively within this phase
+                }
+                tree_edges.push(e);
+                // The merged fragment takes the smaller of the two labels (any
+                // deterministic rule works; a distributed implementation floods
+                // the winning label through the merged fragment).
+                let (winner, loser) = if fu < fv { (fu, fv) } else { (fv, fu) };
+                merged_into[loser as usize] = winner;
+            }
+            for f in fragment.iter_mut() {
+                *f = current_label(merged_into, *f);
+            }
+
+            // Charge the phase costs. The convergecast that finds the outgoing
+            // edge runs over the pre-merge fragment trees; announcing and
+            // installing the merge floods the post-merge fragment trees.
+            let depth_after = rooted.orient(g, tree_edges);
+            let phase_rounds = 2 * depth_now + 2 * depth_after + 4;
+            metrics.rounds += phase_rounds;
+            for &e in probed_edges.iter() {
+                // Fragment-id exchange across every still-crossing edge (both
+                // directions).
+                metrics.edge_congestion[e.index()] += 2;
+                metrics.messages += 2;
+            }
+            for &e in tree_edges.iter() {
+                // Convergecast + broadcast + merge announcement on tree edges.
+                metrics.edge_congestion[e.index()] += 3;
+                metrics.messages += 3;
+            }
+            for energy in metrics.node_energy.iter_mut() {
+                *energy += if low_energy { 4 } else { phase_rounds };
+            }
+            depth_now = depth_after;
+        }
+        metrics
+    }
+}
+
+/// Makes `metrics` the all-zero value for `n` nodes and `m` edges, keeping
+/// its two vectors' storage.
+fn reset_metrics(metrics: &mut Metrics, n: usize, m: usize) {
+    let mut edge_congestion = std::mem::take(&mut metrics.edge_congestion);
+    let mut node_energy = std::mem::take(&mut metrics.node_energy);
+    edge_congestion.clear();
+    edge_congestion.resize(m, 0);
+    node_energy.clear();
+    node_energy.resize(n, 0);
+    *metrics = Metrics { edge_congestion, node_energy, ..Metrics::default() };
 }
 
 /// The label fragment `f` goes by now: the end of its `merged_into` chain
@@ -180,6 +239,7 @@ fn current_label(merged_into: &mut [u32], mut f: u32) -> u32 {
 /// scratch space to re-derive it as the forest grows: the adjacency lives in
 /// one flat buffer (`adjacent[first[v]..first[v + 1]]` are `v`'s tree
 /// neighbours, in tree-edge order), reused by every [`RootedForest::orient`].
+#[derive(Debug, Default)]
 struct RootedForest {
     parents: Vec<Option<NodeId>>,
     roots: Vec<NodeId>,
@@ -192,17 +252,15 @@ struct RootedForest {
 }
 
 impl RootedForest {
-    fn new(n: usize) -> Self {
-        RootedForest {
-            parents: vec![None; n],
-            roots: (0..n as u32).map(NodeId).collect(),
-            depths: vec![0; n],
-            component_of: vec![usize::MAX; n],
-            component_count: 0,
-            first: vec![0; n + 1],
-            adjacent: Vec::new(),
-            queue: Vec::with_capacity(n),
-        }
+    /// Sizes the buffers for a forest on `n` nodes. Their contents are
+    /// whatever the previous forest left: [`RootedForest::orient`] rewrites
+    /// every entry.
+    fn resize(&mut self, n: usize) {
+        self.parents.resize(n, None);
+        self.roots.resize(n, NodeId(0));
+        self.depths.resize(n, 0);
+        self.component_of.resize(n, usize::MAX);
+        self.first.resize(n + 1, 0);
     }
 
     /// Roots the forest `tree_edges` (breadth-first from the smallest node id
@@ -452,12 +510,31 @@ mod tests {
             graphs.push(generators::random_connected(20 + 30 * seed as u32, 40 * seed, seed));
             graphs.push(generators::erdos_renyi_gnm(60, 50 + 10 * seed, seed));
         }
+        // One scratch for the whole sequence, as the CSSP recursion holds it:
+        // graphs of every size in turn, nothing carried over between runs.
+        let mut scratch = ForestScratch::default();
         for (i, g) in graphs.iter().enumerate() {
             for low_energy in [false, true] {
+                let reference = spanning_forest_reference(g, low_energy);
                 assert_eq!(
                     spanning_forest(g, low_energy),
-                    spanning_forest_reference(g, low_energy),
+                    reference,
                     "graph {i}, low_energy {low_energy}"
+                );
+                let metrics = scratch.run(g, low_energy).clone();
+                let in_buffers = DistributedForest {
+                    tree_edges: scratch.tree_edges.clone(),
+                    parents: scratch.rooted.parents.clone(),
+                    roots: scratch.rooted.roots.clone(),
+                    depths: scratch.rooted.depths.clone(),
+                    component_of: scratch.rooted.component_of.clone(),
+                    component_count: scratch.rooted.component_count,
+                    phases: scratch.phases,
+                };
+                assert_eq!(
+                    (in_buffers, metrics),
+                    reference,
+                    "reused scratch, graph {i}, low_energy {low_energy}"
                 );
             }
         }

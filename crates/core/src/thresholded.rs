@@ -23,17 +23,34 @@
 //! Every distance-carrying step (the cutter's waiting BFS) executes as a real
 //! CONGEST protocol on the induced subgraph; the recursion bookkeeping and
 //! coordination costs are charged by the orchestrator following the paper's
-//! own accounting (see DESIGN.md §6).
+//! own accounting (see `docs/APSP.md`, "The recursion workspace").
+//!
+//! ## Host cost
+//!
+//! One `Recursion` workspace serves the whole recursion tree, so a
+//! subproblem costs its own size and volume, not the graph's: node sets
+//! travel as id-sorted slices, results as id-sorted `(node, distance)` runs
+//! that are merged, membership and the node renumbering are one
+//! epoch-stamped column ([`SubsetMarks`]) re-marked at each point of use,
+//! the induced subgraph is built from the members' adjacency straight into
+//! CSR ([`Graph::induced_on`]), phases are scatter-added into the accumulated
+//! metrics ([`Metrics::merge_sequential_mapped`]), and the spanning forest
+//! runs in buffers the workspace owns. The per-subproblem allocations that
+//! remain are outputs: the subgraph, its edge map, the filtered source list,
+//! `V₁`, the second half's node set and the result runs — plus whatever the
+//! simulator allocates per cutter run. The B-tree recursion this replaced
+//! lives on in `thresholded/reference.rs` (test-only) as the differential
+//! oracle.
+//!
+//! simlint: hot-path
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use congest_graph::{Distance, EdgeId, Graph, NodeId, Weight};
+use congest_graph::{Distance, EdgeId, Graph, NodeId, SubsetMarks, Weight};
 use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
 use crate::approx::approximate_cssp;
 use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
-use crate::spanning_forest::spanning_forest;
+use crate::spanning_forest::ForestScratch;
 use crate::{AlgoConfig, AlgoError};
 
 /// Instrumentation of the recursion tree (used by experiment E10 to check
@@ -78,68 +95,6 @@ impl ThresholdedRun {
     }
 }
 
-/// Accumulates metrics and instrumentation across the recursion.
-struct Accumulator {
-    metrics: Metrics,
-    participation: Vec<u64>,
-    subproblems: u64,
-    total_size: u64,
-}
-
-impl Accumulator {
-    fn new(n: usize, m: usize) -> Self {
-        Accumulator {
-            metrics: Metrics::zero(n, m),
-            participation: vec![0; n],
-            subproblems: 0,
-            total_size: 0,
-        }
-    }
-
-    fn register_subproblem(&mut self, nodes: &BTreeSet<NodeId>) {
-        self.subproblems += 1;
-        self.total_size += nodes.len() as u64;
-        for &v in nodes {
-            self.participation[v.index()] += 1;
-        }
-    }
-
-    fn add_phase(&mut self, phase: &Metrics) {
-        self.metrics.merge_sequential(phase);
-    }
-
-    /// Charges a coordination phase of `rounds` rounds in which every node of
-    /// `nodes` is awake (spanning-tree convergecast / start-time agreement).
-    fn charge_coordination(&mut self, nodes: &BTreeSet<NodeId>, rounds: u64) {
-        self.metrics.rounds += rounds;
-        for &v in nodes {
-            self.metrics.node_energy[v.index()] += rounds;
-        }
-    }
-}
-
-/// Builds the induced subgraph of `keep` together with node and edge maps back
-/// to the original graph.
-fn induced_with_maps(g: &Graph, keep: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>, Vec<EdgeId>) {
-    let mut old_to_new = vec![u32::MAX; g.node_count() as usize];
-    let mut node_map = Vec::with_capacity(keep.len());
-    for (idx, &v) in keep.iter().enumerate() {
-        old_to_new[v.index()] = idx as u32;
-        node_map.push(v);
-    }
-    let mut builder = Graph::builder(keep.len() as u32);
-    let mut edge_map = Vec::new();
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        let (nu, nv) = (old_to_new[edge.u.index()], old_to_new[edge.v.index()]);
-        if nu != u32::MAX && nv != u32::MAX {
-            builder.add_edge(nu, nv, edge.w).expect("existing edges are valid");
-            edge_map.push(e);
-        }
-    }
-    (builder.build(), node_map, edge_map)
-}
-
 /// Runs the `threshold`-thresholded CSSP from `sources` (with offsets): every
 /// node at (offset) distance at most `threshold` learns its exact distance,
 /// every other node outputs [`Distance::Infinite`].
@@ -168,182 +123,415 @@ pub fn thresholded_cssp(
     if let Some(e) = g.edges().iter().position(|e| e.w == 0) {
         return Err(AlgoError::ZeroWeightNotSupported { edge: EdgeId(e as u32) });
     }
-    let n = g.node_count() as usize;
-    let m = g.edge_count() as usize;
+    thresholded_cssp_validated(g, sources, threshold, config)
+}
+
+/// [`thresholded_cssp`] for a caller that has established its preconditions
+/// already — a non-empty source set inside the graph, positive weights — as
+/// [`crate::cssp::cssp`] has by the time it gets here.
+pub(crate) fn thresholded_cssp_validated(
+    g: &Graph,
+    sources: &[SourceOffset],
+    threshold: u64,
+    config: &AlgoConfig,
+) -> Result<ThresholdedRun, AlgoError> {
     // Round the threshold up to a power of two so that halving stays exact
     // down to the base case D = 1 (the paper picks D = 2^L similarly).
     let threshold = threshold.max(1).next_power_of_two();
-    let mut acc = Accumulator::new(n, m);
-    let all_nodes: BTreeSet<NodeId> = g.nodes().collect();
-    let solved = solve(g, &all_nodes, sources, threshold, config, &mut acc)?;
+    let mut recursion = Recursion::new(g, config);
+    // simlint::allow(hot-path-alloc: per-run, the root subproblem's node set)
+    let all_nodes: Vec<NodeId> = g.nodes().collect();
+    let solved = recursion.solve(&all_nodes, sources, threshold)?;
 
-    let mut distances = vec![Distance::Infinite; n];
+    // simlint::allow(hot-path-alloc: per-run, the output)
+    let mut distances = vec![Distance::Infinite; all_nodes.len()];
     for (v, d) in solved {
         distances[v.index()] = Distance::Finite(d);
     }
     let stats = RecursionStats {
-        subproblems: acc.subproblems,
-        participation: acc.participation,
-        total_subproblem_size: acc.total_size,
+        subproblems: recursion.subproblems,
+        participation: recursion.participation,
+        total_subproblem_size: recursion.total_size,
         levels: threshold.trailing_zeros() + 1,
     };
-    Ok(ThresholdedRun { output: DistanceOutput { distances }, metrics: acc.metrics, stats })
+    Ok(ThresholdedRun { output: DistanceOutput { distances }, metrics: recursion.metrics, stats })
 }
 
-/// Solves one subproblem: distances (at most `d`) from `sources` within the
-/// induced subgraph on `nodes`. Distances are keyed by original node id.
-fn solve(
-    g: &Graph,
-    nodes: &BTreeSet<NodeId>,
-    sources: &[SourceOffset],
-    d: u64,
-    config: &AlgoConfig,
-    acc: &mut Accumulator,
-) -> Result<BTreeMap<NodeId, Weight>, AlgoError> {
-    // Keep only sources that are part of this subproblem.
-    let sources: Vec<SourceOffset> =
-        sources.iter().copied().filter(|s| nodes.contains(&s.node)).collect();
-    if sources.is_empty() || nodes.is_empty() {
-        return Ok(BTreeMap::new());
+/// The distances a subproblem settled: `(node, distance)` sorted by node id,
+/// one entry per node.
+type Solved = Vec<(NodeId, Weight)>;
+
+/// "No cut offset yet" in [`Recursion::cut_offsets`]; real offsets are
+/// bounded by the threshold plus an edge weight.
+const NO_OFFSET: Weight = Weight::MAX;
+
+/// The workspace of one recursion: the accumulated metrics and
+/// instrumentation, and every node-indexed buffer the subproblems share.
+struct Recursion<'a> {
+    g: &'a Graph,
+    config: &'a AlgoConfig,
+    /// The phases run so far, attributed to the original graph.
+    metrics: Metrics,
+    participation: Vec<u64>,
+    subproblems: u64,
+    total_size: u64,
+    /// Membership and local index of whichever node set is in use: the
+    /// subproblem's nodes from its entry through the induced build and the
+    /// source renumbering (or through the base case), then — after the first
+    /// recursive call has clobbered them — `V₁ \ V₂` while the cut is formed.
+    /// Each use re-marks; nothing is assumed to survive a recursive call.
+    marks: SubsetMarks,
+    forest: ForestScratch,
+    /// The best offset found so far for each node of `V₁ \ V₂` (by local
+    /// index) while the second half's sources are collected.
+    cut_offsets: Vec<Weight>,
+    /// Adjacency entries read by base cases (host cost without a clock).
+    #[cfg(test)]
+    base_case_scanned: u64,
+}
+
+impl<'a> Recursion<'a> {
+    fn new(g: &'a Graph, config: &'a AlgoConfig) -> Self {
+        let n = g.node_count() as usize;
+        Recursion {
+            g,
+            config,
+            metrics: Metrics::zero(n, g.edge_count() as usize),
+            // simlint::allow(hot-path-alloc: the workspace itself — one per run, shared by every subproblem)
+            participation: vec![0; n],
+            subproblems: 0,
+            total_size: 0,
+            marks: SubsetMarks::new(n),
+            forest: ForestScratch::default(),
+            cut_offsets: Vec::new(), // simlint::allow(hot-path-alloc: workspace column, as above)
+            #[cfg(test)]
+            base_case_scanned: 0,
+        }
     }
-    acc.register_subproblem(nodes);
 
-    if d <= config.base_case_threshold.max(1) {
-        return Ok(base_case(g, nodes, &sources, d, acc));
+    /// Solves one subproblem: distances (at most `d`) from `sources` within
+    /// the induced subgraph on `nodes` (sorted by id).
+    fn solve(
+        &mut self,
+        nodes: &[NodeId],
+        sources: &[SourceOffset],
+        d: u64,
+    ) -> Result<Solved, AlgoError> {
+        // Keep only sources that are part of this subproblem.
+        self.marks.mark(nodes);
+        let marks = &self.marks;
+        let inside = sources.iter().copied().filter(|s| marks.contains(s.node));
+        // simlint::allow(hot-path-alloc: per-subproblem input, outlives both recursive calls)
+        let sources: Vec<SourceOffset> = inside.collect();
+        if sources.is_empty() {
+            return Ok(Vec::new()); // simlint::allow(hot-path-alloc: an empty run does not allocate)
+        }
+        self.subproblems += 1;
+        self.total_size += nodes.len() as u64;
+        for &v in nodes {
+            self.participation[v.index()] += 1;
+        }
+
+        if d <= self.config.base_case_threshold.max(1) {
+            return Ok(self.base_case(nodes, &sources, d));
+        }
+
+        let v1 = self.cut(nodes, &sources, d)?;
+        let d1 = d / 2;
+
+        // Step 4: first half of the recursion — distances up to d1 from S.
+        let first = self.solve(&v1, &sources, d1)?;
+
+        // Step 5: per-component convergecast to agree on the start of the second
+        // half (charged as Θ(|V'|) rounds with the subproblem's nodes awake).
+        let coordination = 2 * nodes.len() as u64 + 2;
+        self.metrics.rounds += coordination;
+        for &v in nodes {
+            self.metrics.node_energy[v.index()] += coordination;
+        }
+
+        // Step 6: second half — the cut sources, on V1 minus the settled V2.
+        let mut settled = first.iter().map(|&(v, _)| v).peekable();
+        let unsettled = v1.iter().copied().filter(|&v| {
+            while settled.next_if(|&s| s < v).is_some() {}
+            settled.peek() != Some(&v)
+        });
+        // simlint::allow(hot-path-alloc: per-subproblem output, the second half's node set)
+        let rest: Vec<NodeId> = unsettled.collect();
+        drop(v1);
+        let second_sources = self.cut_sources(&rest, &first, &sources, d1);
+        let second = if second_sources.is_empty() {
+            Vec::new() // simlint::allow(hot-path-alloc: an empty run does not allocate)
+        } else {
+            self.solve(&rest, &second_sources, d1)?
+        };
+
+        // Combine: dist(S, y) = d1 + dist(X, y) for the second half.
+        Ok(merge_halves(first, second, d1, d))
     }
 
-    let (sub, node_map, edge_map) = induced_with_maps(g, nodes);
-    let to_sub: BTreeMap<NodeId, NodeId> =
-        node_map.iter().enumerate().map(|(i, &orig)| (orig, NodeId(i as u32))).collect();
+    /// Steps 1–3 on the induced subgraph of `nodes`: the spanning forest for
+    /// per-component coordination (Theorem 2.2), the approximate cutter with
+    /// `W = d` (Lemma 2.1), and `V₁` — the nodes whose estimate is within
+    /// `d + err`. The subgraph does not outlive the call.
+    fn cut(
+        &mut self,
+        nodes: &[NodeId],
+        sources: &[SourceOffset],
+        d: u64,
+    ) -> Result<Vec<NodeId>, AlgoError> {
+        let (sub, edge_map) = self.g.induced_on(nodes, &mut self.marks);
+        let marks = &self.marks;
+        let renumbered = sources.iter().map(|s| {
+            let local = marks.local(s.node).expect("the sources were filtered to the subproblem");
+            SourceOffset { node: NodeId(local), offset: s.offset }
+        });
+        // simlint::allow(hot-path-alloc: per-subproblem input of the cutter run)
+        let sub_sources: Vec<SourceOffset> = renumbered.collect();
 
-    // Step 1: spanning forest for per-component coordination (Theorem 2.2).
-    let (_forest, forest_metrics) = spanning_forest(&sub, false);
-    acc.add_phase(&forest_metrics.remap(
-        &node_map,
-        &edge_map,
-        g.node_count() as usize,
-        g.edge_count() as usize,
-    ));
+        let forest_metrics = self.forest.run(&sub, false);
+        self.metrics.merge_sequential_mapped(forest_metrics, nodes, &edge_map);
 
-    // Step 2: approximate cutter with W = d (Lemma 2.1).
-    let sub_sources: Vec<SourceOffset> =
-        sources.iter().map(|s| SourceOffset { node: to_sub[&s.node], offset: s.offset }).collect();
-    let cut = approximate_cssp(&sub, &sub_sources, d, config)?;
-    acc.add_phase(&cut.metrics.remap(
-        &node_map,
-        &edge_map,
-        g.node_count() as usize,
-        g.edge_count() as usize,
-    ));
+        let cut = approximate_cssp(&sub, &sub_sources, d, self.config)?;
+        self.metrics.merge_sequential_mapped(&cut.metrics, nodes, &edge_map);
 
-    // Step 3: V1 = nodes whose estimate is within d + err.
-    let include = cut.inclusion_threshold(d);
-    let v1: BTreeSet<NodeId> = node_map
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| cut.estimates[i] <= include)
-        .map(|(_, &orig)| orig)
-        .collect();
+        let include = cut.inclusion_threshold(d);
+        let v1 = nodes.iter().zip(&cut.estimates).filter(|(_, &e)| e <= include).map(|(&v, _)| v);
+        Ok(v1.collect()) // simlint::allow(hot-path-alloc: per-subproblem output, the first half's node set)
+    }
 
-    let d1 = d / 2;
-
-    // Step 4: first half of the recursion — distances up to d1 from S.
-    let first = solve(g, &v1, &sources, d1, config, acc)?;
-
-    // Step 5: per-component convergecast to agree on the start of the second
-    // half (charged as Θ(|V'|) rounds with the subproblem's nodes awake).
-    acc.charge_coordination(nodes, 2 * nodes.len() as u64 + 2);
-
-    // Step 6: second half — the cut sources.
-    let v2: BTreeSet<NodeId> = first.keys().copied().collect();
-    let rest: BTreeSet<NodeId> = v1.difference(&v2).copied().collect();
-    let mut cut_offsets: BTreeMap<NodeId, Weight> = BTreeMap::new();
-    for (&v, &dist_v) in &first {
-        for adj in g.neighbors(v) {
-            let u = adj.neighbor;
-            if rest.contains(&u) {
-                let through = dist_v + adj.weight;
-                debug_assert!(through > d1, "u would have distance <= d1 and belong to V2");
-                let offset = through - d1;
-                cut_offsets.entry(u).and_modify(|o| *o = (*o).min(offset)).or_insert(offset);
+    /// Forms the cut: every node of `rest = V₁ \ V₂` adjacent to the settled
+    /// set becomes a source of the second half with offset
+    /// `dist(S, v) + w(v, u) − d1`, and original sources whose offset exceeds
+    /// `d1` are carried over, shifted by `d1` (the "virtual edge" view of the
+    /// offsets). Sorted by node, one entry per node, the smallest offset.
+    fn cut_sources(
+        &mut self,
+        rest: &[NodeId],
+        first: &[(NodeId, Weight)],
+        sources: &[SourceOffset],
+        d1: u64,
+    ) -> Vec<SourceOffset> {
+        self.marks.mark(rest);
+        self.cut_offsets.clear();
+        self.cut_offsets.resize(rest.len(), NO_OFFSET);
+        for &(v, dist_v) in first {
+            for adj in self.g.neighbors(v) {
+                if let Some(u) = self.marks.local(adj.neighbor) {
+                    let through = dist_v + adj.weight;
+                    // Fault-free, `u` would have distance <= d1 and belong to
+                    // V2. Under a fault plan the first half can miss a node
+                    // it should have settled; it then enters the second half
+                    // at the boundary (an overestimate, as faults allow).
+                    debug_assert!(through > d1 || !self.config.sim.faults.is_none());
+                    let offset = &mut self.cut_offsets[u as usize];
+                    *offset = (*offset).min(through.saturating_sub(d1));
+                }
             }
         }
-    }
-    // Original sources whose offset exceeds d1 still act as sources of the
-    // second half, shifted by d1 (the "virtual edge" view of the offsets).
-    for s in &sources {
-        if s.offset > d1 && rest.contains(&s.node) {
-            let offset = s.offset - d1;
-            cut_offsets.entry(s.node).and_modify(|o| *o = (*o).min(offset)).or_insert(offset);
+        for s in sources.iter().filter(|s| s.offset > d1) {
+            if let Some(u) = self.marks.local(s.node) {
+                let offset = &mut self.cut_offsets[u as usize];
+                *offset = (*offset).min(s.offset - d1);
+            }
         }
+        let found = rest.iter().zip(&self.cut_offsets).filter(|(_, &offset)| offset != NO_OFFSET);
+        // simlint::allow(hot-path-alloc: per-subproblem output, the second half's sources)
+        found.map(|(&node, &offset)| SourceOffset { node, offset }).collect()
     }
-    let second_sources: Vec<SourceOffset> =
-        cut_offsets.iter().map(|(&node, &offset)| SourceOffset { node, offset }).collect();
-    let second = if second_sources.is_empty() {
-        BTreeMap::new()
-    } else {
-        solve(g, &rest, &second_sources, d1, config, acc)?
-    };
 
-    // Combine: dist(S, y) = d1 + dist(X, y) for the second half.
-    let mut out = first;
+    /// Base case `D ≤ 1`: only sources with offset `≤ D` and nodes adjacent to
+    /// an offset-0 source via an edge of weight `≤ D` are within distance `D`;
+    /// one round of local exchange settles it (Section 2.3, step 1). Expects
+    /// `nodes` marked.
+    fn base_case(&mut self, nodes: &[NodeId], sources: &[SourceOffset], d: u64) -> Solved {
+        let g = self.g;
+        let mut out: Solved = Vec::new(); // simlint::allow(hot-path-alloc: per-subproblem output)
+        out.extend(sources.iter().filter(|s| s.offset <= d).map(|s| (s.node, s.offset)));
+        for s in sources {
+            for adj in g.neighbors(s.node).iter().filter(|adj| self.marks.contains(adj.neighbor)) {
+                let through = s.offset + adj.weight;
+                if through <= d {
+                    out.push((adj.neighbor, through));
+                }
+            }
+        }
+        // Per node, the smallest candidate comes first and is the one kept.
+        out.sort_unstable();
+        out.dedup_by_key(|&mut (v, _)| v);
+
+        // Charge one round of local exchange: every node in the subproblem is
+        // awake for it and each internal edge — seen from its lower endpoint —
+        // carries one message per direction.
+        self.metrics.rounds += 1;
+        for &v in nodes {
+            self.metrics.node_energy[v.index()] += 1;
+            for adj in g.neighbors(v) {
+                if adj.neighbor > v && self.marks.contains(adj.neighbor) {
+                    self.metrics.edge_congestion[adj.edge.index()] += 2;
+                    self.metrics.messages += 2;
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            let volume = |v: NodeId| g.degree(v) as u64;
+            self.base_case_scanned += sources.iter().map(|s| volume(s.node)).sum::<u64>();
+            self.base_case_scanned += nodes.iter().map(|&v| volume(v)).sum::<u64>();
+        }
+        out
+    }
+}
+
+/// `first` (exact up to `d1`) and `second` (distances from the cut, to be
+/// shifted by `d1`) merged into one sorted run. The halves settle disjoint
+/// node sets; should one node ever appear in both, the smaller value wins.
+fn merge_halves(first: Solved, second: Solved, d1: u64, d: u64) -> Solved {
+    if second.is_empty() {
+        return first;
+    }
+    let mut out = Solved::with_capacity(first.len() + second.len());
+    let mut first = first.into_iter().peekable();
     for (v, r) in second {
         let total = d1 + r;
         debug_assert!(total <= d);
-        out.entry(v).and_modify(|cur| *cur = (*cur).min(total)).or_insert(total);
-    }
-    Ok(out)
-}
-
-/// Base case `D ≤ 1`: only sources with offset `≤ D` and nodes adjacent to an
-/// offset-0 source via an edge of weight `≤ D` are within distance `D`; one
-/// round of local exchange settles it (Section 2.3, step 1).
-fn base_case(
-    g: &Graph,
-    nodes: &BTreeSet<NodeId>,
-    sources: &[SourceOffset],
-    d: u64,
-    acc: &mut Accumulator,
-) -> BTreeMap<NodeId, Weight> {
-    let mut out: BTreeMap<NodeId, Weight> = BTreeMap::new();
-    for s in sources {
-        if s.offset <= d {
-            out.entry(s.node).and_modify(|cur| *cur = (*cur).min(s.offset)).or_insert(s.offset);
+        while let Some(settled) = first.next_if(|&(u, _)| u < v) {
+            out.push(settled);
+        }
+        match first.next_if(|&(u, _)| u == v) {
+            Some((_, settled)) => out.push((v, settled.min(total))),
+            None => out.push((v, total)),
         }
     }
-    for s in sources {
-        for adj in g.neighbors(s.node) {
-            if !nodes.contains(&adj.neighbor) {
-                continue;
-            }
-            let through = s.offset + adj.weight;
-            if through <= d {
-                out.entry(adj.neighbor)
-                    .and_modify(|cur| *cur = (*cur).min(through))
-                    .or_insert(through);
-            }
-        }
-    }
-    // Charge one round of local exchange: every node in the subproblem is
-    // awake for it and each internal edge carries one message per direction.
-    acc.metrics.rounds += 1;
-    for &v in nodes {
-        acc.metrics.node_energy[v.index()] += 1;
-    }
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        if nodes.contains(&edge.u) && nodes.contains(&edge.v) {
-            acc.metrics.edge_congestion[e.index()] += 2;
-            acc.metrics.messages += 2;
-        }
-    }
+    out.extend(first);
     out
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{induced_with_maps, thresholded_cssp_reference};
     use super::*;
+    use crate::test_graphs;
     use congest_graph::{generators, sequential};
+    use std::collections::BTreeSet;
+
+    /// The differential families: the weighted workloads, a multigraph with
+    /// parallel edges (as zero-weight contraction produces), and disjoint
+    /// copies of a random graph.
+    fn differential_graphs() -> Vec<Graph> {
+        let mut graphs = test_graphs::weighted_workloads();
+        let mut multi = Graph::builder(9);
+        for (u, v, w) in [
+            (0, 1, 4),
+            (1, 0, 2),
+            (1, 2, 7),
+            (2, 3, 1),
+            (3, 1, 3),
+            (1, 3, 3),
+            (3, 4, 9),
+            (4, 5, 2),
+            (5, 3, 2),
+            (5, 6, 6),
+            (6, 7, 1),
+            (7, 5, 8),
+            (5, 7, 1),
+            (0, 8, 20),
+            (8, 0, 5),
+        ] {
+            multi.add_edge(u, v, w).unwrap();
+        }
+        graphs.push(multi.build());
+        let piece = generators::with_random_weights(&generators::random_connected(14, 20, 5), 7, 5);
+        graphs.push(generators::disjoint_copies(&piece, 3));
+        graphs
+    }
+
+    #[test]
+    fn the_workspace_recursion_is_bit_identical_to_the_btree_recursion() {
+        let plain = [SourceOffset::plain(NodeId(0))];
+        let offset = [
+            SourceOffset { node: NodeId(0), offset: 4 },
+            SourceOffset { node: NodeId(5), offset: 0 },
+        ];
+        // Duplicates, the last node, an offset beyond the small thresholds.
+        let tangled = |g: &Graph| {
+            vec![
+                SourceOffset { node: NodeId(g.node_count() - 1), offset: 9 },
+                SourceOffset { node: NodeId(2), offset: 1 },
+                SourceOffset { node: NodeId(2), offset: 0 },
+            ]
+        };
+        for (i, g) in differential_graphs().iter().enumerate() {
+            let full = g.distance_upper_bound();
+            for cfg in test_graphs::configs() {
+                for sources in [&plain[..], &offset, &tangled(g)] {
+                    for threshold in [full, (full / 8).max(1), 1] {
+                        // Whole-run equality: distances, every metrics field
+                        // (per-node energy and per-edge congestion included),
+                        // subproblem counts and per-node participation.
+                        assert_eq!(
+                            thresholded_cssp(g, sources, threshold, &cfg),
+                            thresholded_cssp_reference(g, sources, threshold, &cfg),
+                            "graph {i}, sources {sources:?}, threshold {threshold}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn induced_on_builds_what_the_edge_scan_built() {
+        for (i, g) in differential_graphs().iter().enumerate() {
+            let mut marks = SubsetMarks::new(g.node_count() as usize);
+            let n = g.node_count();
+            let subsets: Vec<BTreeSet<NodeId>> = vec![
+                BTreeSet::new(),
+                BTreeSet::from([NodeId(n / 2)]),
+                g.nodes().collect(),
+                g.nodes().filter(|v| v.0 % 2 == 1).collect(),
+                g.nodes().filter(|v| v.0 % 3 != 0).collect(),
+                g.nodes().filter(|v| v.0 >= n / 3 && v.0 < n - n / 4).collect(),
+            ];
+            for keep in &subsets {
+                let members: Vec<NodeId> = keep.iter().copied().collect();
+                let (sub, edge_map) = g.induced_on(&members, &mut marks);
+                let (old_sub, old_node_map, old_edge_map) = induced_with_maps(g, keep);
+                assert_eq!(
+                    (&sub, &members, &edge_map),
+                    (&old_sub, &old_node_map, &old_edge_map),
+                    "graph {i}, subset {keep:?}"
+                );
+                assert_eq!(g.induced_subgraph(keep), (old_sub, old_node_map), "graph {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_subproblem_costs_its_volume_not_the_graph() {
+        // Host cost without a clock: adjacency entries read by the induced
+        // builds and the base cases. The B-tree recursion scanned all m edges
+        // in every one of them (subproblems × m); the workspace reads each
+        // subproblem's own rows — once for an induced build, and in a leaf
+        // once for the charge plus the sources' rows for the exchange.
+        let g = generators::with_random_weights(&generators::random_connected(512, 1024, 9), 20, 9);
+        let cfg = AlgoConfig::default();
+        let mut recursion = Recursion::new(&g, &cfg);
+        let all_nodes: Vec<NodeId> = g.nodes().collect();
+        let threshold = g.distance_upper_bound().next_power_of_two();
+        recursion.solve(&all_nodes, &[SourceOffset::plain(NodeId(0))], threshold).unwrap();
+        let touched = recursion.marks.adjacency_scanned() + recursion.base_case_scanned;
+        let volume: u64 =
+            g.nodes().map(|v| recursion.participation[v.index()] * g.degree(v) as u64).sum();
+        assert!(recursion.subproblems > 50 && volume > 0);
+        assert!(
+            touched <= 4 * volume,
+            "{touched} adjacency entries touched for a total subproblem volume of {volume}"
+        );
+    }
 
     fn check_thresholded(g: &Graph, sources: &[NodeId], threshold: u64) -> ThresholdedRun {
         let cfg = AlgoConfig::default();

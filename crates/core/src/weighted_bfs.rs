@@ -102,7 +102,20 @@ pub fn waiting_bfs(
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<AlgoRun, AlgoError> {
+    let weights = Arc::new(weights.to_vec());
     run_waiting_bfs(g, sources, weights, limit, config, |node| node, |node| node.dist)
+}
+
+/// [`waiting_bfs`] on a weight map the caller built for this run and hands
+/// over (the cutter's rounded weights), saving the copy.
+pub(crate) fn waiting_bfs_owned(
+    g: &Graph,
+    sources: &[SourceOffset],
+    weights: Vec<Weight>,
+    limit: u64,
+    config: &AlgoConfig,
+) -> Result<AlgoRun, AlgoError> {
+    run_waiting_bfs(g, sources, Arc::new(weights), limit, config, |node| node, |node| node.dist)
 }
 
 /// [`waiting_bfs`] over any protocol built from a [`WaitingBfsNode`], so that
@@ -110,7 +123,7 @@ pub fn waiting_bfs(
 fn run_waiting_bfs<P: Protocol>(
     g: &Graph,
     sources: &[SourceOffset],
-    weights: &[Weight],
+    weights: Arc<Vec<Weight>>,
     limit: u64,
     config: &AlgoConfig,
     protocol: impl Fn(WaitingBfsNode) -> P,
@@ -138,7 +151,6 @@ fn run_waiting_bfs<P: Protocol>(
             offsets[s.node.index()] = d;
         }
     }
-    let weights = Arc::new(weights.to_vec());
     let mut sim = config.sim.clone();
     sim.max_rounds = sim.max_rounds.max(limit.saturating_add(10));
     let run = Engine::new(g, sim).run(|id: NodeId| {
@@ -233,8 +245,9 @@ mod tests {
             for cfg in test_graphs::configs() {
                 for (sources, weights, limit) in &instances {
                     let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
+                    let shared = Arc::new(weights.clone());
                     let slow =
-                        run_waiting_bfs(g, sources, weights, *limit, &cfg, AlwaysStepped, |s| {
+                        run_waiting_bfs(g, sources, shared, *limit, &cfg, AlwaysStepped, |s| {
                             s.0.dist
                         })
                         .unwrap();

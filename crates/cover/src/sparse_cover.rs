@@ -2,7 +2,7 @@
 //! paper), built by expanding every cluster of a separated decomposition by
 //! its `d`-neighborhood.
 //!
-//! Construction shares one [`BfsWorkspace`] between the carving and every
+//! Construction shares one `BfsWorkspace` between the carving and every
 //! cluster's expansion, so its cost follows the balls it explores
 //! (`docs/COVERS.md`); the lint header below keeps per-cluster `O(n)`
 //! allocations from coming back.

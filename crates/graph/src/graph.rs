@@ -150,12 +150,39 @@ impl Graph {
 
     /// Starts building a graph with `n` nodes.
     pub fn builder(n: u32) -> GraphBuilder {
-        GraphBuilder {
-            node_count: n,
-            edges: Vec::new(),
-            adjacency: vec![Vec::new(); n as usize],
-            max_weight: 0,
+        GraphBuilder { node_count: n, edges: Vec::new(), max_weight: 0 }
+    }
+
+    /// The one place a [`Graph`] is put together: lays the adjacency of
+    /// already validated `edges` (endpoints in range, no self-loops) out in
+    /// CSR form by a counting pass — two sweeps over the edge list and three
+    /// allocations, whatever `n` is. Walking the edges in id order leaves
+    /// every node's run in edge-insertion order.
+    fn from_valid_edges(node_count: u32, edges: Vec<Edge>, max_weight: Weight) -> Graph {
+        let n = node_count as usize;
+        let mut adj_offsets = vec![0u32; n + 1];
+        for e in &edges {
+            adj_offsets[e.u.index() + 1] += 1;
+            adj_offsets[e.v.index() + 1] += 1;
         }
+        for v in 0..n {
+            adj_offsets[v + 1] += adj_offsets[v];
+        }
+        let filler = Adjacency { neighbor: NodeId(0), edge: EdgeId(0), weight: 0 };
+        let mut adjacency = vec![filler; 2 * edges.len()];
+        for (id, e) in edges.iter().enumerate() {
+            let edge = EdgeId(id as u32);
+            for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+                let at = &mut adj_offsets[from.index()];
+                adjacency[*at as usize] = Adjacency { neighbor: to, edge, weight: e.w };
+                *at += 1;
+            }
+        }
+        // Filling advanced every `adj_offsets[v]` to the end of `v`'s run,
+        // which is where `v + 1`'s begins: shift back.
+        adj_offsets.copy_within(0..n, 1);
+        adj_offsets[0] = 0;
+        Graph { node_count, edges, adj_offsets, adjacency, max_weight }
     }
 
     /// Builds a graph on `n` nodes from `(u, v, w)` edge triples.
@@ -257,26 +284,71 @@ impl Graph {
     /// each new node id, the original node id it corresponds to.
     ///
     /// Nodes are renumbered densely in increasing order of their original id;
-    /// edges keep their weights. Edges with an endpoint outside `keep` are
-    /// dropped.
+    /// edges keep their weights and their relative order. Edges with an
+    /// endpoint outside `keep` are dropped.
+    ///
+    /// This is [`Graph::induced_on`] with a one-off [`SubsetMarks`]; build
+    /// many subgraphs of one graph through that instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node of `keep` is not in the graph.
     pub fn induced_subgraph(&self, keep: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>) {
-        let mut old_to_new = vec![u32::MAX; self.node_count as usize];
-        let mut new_to_old = Vec::with_capacity(keep.len());
-        for (new_idx, &old) in keep.iter().enumerate() {
-            assert!(self.contains_node(old), "node {old} not in graph");
-            old_to_new[old.index()] = new_idx as u32;
-            new_to_old.push(old);
+        let members: Vec<NodeId> = keep.iter().copied().collect();
+        let mut marks = SubsetMarks::new(self.node_count as usize);
+        let (sub, _edge_map) = self.induced_on(&members, &mut marks);
+        (sub, members)
+    }
+
+    /// Builds the subgraph induced by `members` — node ids in strictly
+    /// increasing order — at a cost of the members' adjacency, not of the
+    /// graph: `O(|members| + vol(members))` plus sorting the edges found.
+    ///
+    /// Subgraph node `i` is `members[i]`; the returned map gives, for each
+    /// subgraph edge id, the original edge id. Subgraph edges are numbered in
+    /// increasing original-id order and keep the orientation (`u`, `v`) and
+    /// weight of the original, so adjacency order — and with it the message
+    /// order of any protocol simulated on the subgraph — is that of the
+    /// original graph restricted to `members`.
+    ///
+    /// `marks` (sized for this graph) is left marking `members`, so the
+    /// caller can translate further node ids with [`SubsetMarks::local`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is not in the graph.
+    pub fn induced_on(&self, members: &[NodeId], marks: &mut SubsetMarks) -> (Graph, Vec<EdgeId>) {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must be sorted");
+        if let Some(&last) = members.last() {
+            assert!(self.contains_node(last), "node {last} not in graph");
         }
-        let mut builder = Graph::builder(keep.len() as u32);
-        for e in &self.edges {
-            let (nu, nv) = (old_to_new[e.u.index()], old_to_new[e.v.index()]);
-            if nu != u32::MAX && nv != u32::MAX {
-                builder
-                    .add_edge(nu, nv, e.w)
-                    .expect("re-adding an existing valid edge cannot fail");
-            }
+        marks.mark(members);
+        // Every internal edge is found twice; keep the sighting from its
+        // lower endpoint.
+        let mut edge_map = std::mem::take(&mut marks.edges);
+        edge_map.clear();
+        for &v in members {
+            let row = self.neighbors(v);
+            marks.adjacency_scanned += row.len() as u64;
+            edge_map.extend(
+                row.iter().filter(|a| a.neighbor > v && marks.contains(a.neighbor)).map(|a| a.edge),
+            );
         }
-        (builder.build(), new_to_old)
+        edge_map.sort_unstable();
+        let mut max_weight = 0;
+        let edges: Vec<Edge> = edge_map
+            .iter()
+            .map(|&e| {
+                let Edge { u, v, w } = self.edges[e.index()];
+                max_weight = max_weight.max(w);
+                Edge { u: NodeId(marks.local[u.index()]), v: NodeId(marks.local[v.index()]), w }
+            })
+            .collect();
+        let sub = Graph::from_valid_edges(members.len() as u32, edges, max_weight);
+        // The caller keeps an exact-size copy; the scratch keeps its capacity.
+        let out = edge_map.clone();
+        marks.edges = edge_map;
+        (sub, out)
     }
 
     /// Total size of the graph representation, `n + m`, a convenient proxy for
@@ -286,16 +358,79 @@ impl Graph {
     }
 }
 
+/// An epoch-stamped node-subset column for one graph: which nodes belong to
+/// the current subset, and each member's index in it. Re-marking costs the
+/// new subset, not `n` — the device that lets a recursion build thousands of
+/// induced subgraphs ([`Graph::induced_on`]) and membership tests out of one
+/// allocation.
+#[derive(Debug, Clone)]
+pub struct SubsetMarks {
+    epoch: u32,
+    /// `stamp[v] == epoch` iff `v` is in the current subset.
+    stamp: Vec<u32>,
+    /// The index of `v` in the current subset (valid iff stamped).
+    local: Vec<u32>,
+    /// Edge-id scratch of [`Graph::induced_on`].
+    edges: Vec<EdgeId>,
+    adjacency_scanned: u64,
+}
+
+impl SubsetMarks {
+    /// An empty subset of the nodes `0..n`.
+    pub fn new(n: usize) -> SubsetMarks {
+        SubsetMarks {
+            epoch: 0,
+            stamp: vec![0; n],
+            local: vec![0; n],
+            edges: Vec::new(),
+            adjacency_scanned: 0,
+        }
+    }
+
+    /// Makes `members` the current subset (forgetting the previous one):
+    /// `members[i]` gets local index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range.
+    pub fn mark(&mut self, members: &[NodeId]) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        for (i, &v) in members.iter().enumerate() {
+            self.stamp[v.index()] = self.epoch;
+            self.local[v.index()] = i as u32;
+        }
+    }
+
+    /// Whether `v` is in the current subset.
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.epoch
+    }
+
+    /// The index of `v` in the current subset, if it is a member.
+    pub fn local(&self, v: NodeId) -> Option<u32> {
+        self.contains(v).then(|| self.local[v.index()])
+    }
+
+    /// Adjacency entries read by every [`Graph::induced_on`] that used these
+    /// marks — a deterministic work counter (host cost without a clock).
+    pub fn adjacency_scanned(&self) -> u64 {
+        self.adjacency_scanned
+    }
+}
+
 /// Incremental builder for [`Graph`] (see [`Graph::builder`]).
 ///
-/// The builder keeps per-node `Vec`s so edge insertion stays `O(1)`;
-/// [`GraphBuilder::build`] flattens them into the graph's CSR layout in one
-/// `O(n + m)` pass, preserving each node's edge-insertion order.
+/// The builder only collects (validated) edges; [`GraphBuilder::build`] lays
+/// the adjacency out in CSR form in one `O(n + m)` counting pass, each
+/// node's run in edge-insertion order.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     node_count: u32,
     edges: Vec<Edge>,
-    adjacency: Vec<Vec<Adjacency>>,
     max_weight: Weight,
 }
 
@@ -321,31 +456,15 @@ impl GraphBuilder {
             return Err(GraphError::WeightOutOfRange { weight: w, max: Graph::MAX_WEIGHT });
         }
         let id = EdgeId(self.edges.len() as u32);
-        let (u, v) = (NodeId(u), NodeId(v));
-        self.edges.push(Edge { u, v, w });
-        self.adjacency[u.index()].push(Adjacency { neighbor: v, edge: id, weight: w });
-        self.adjacency[v.index()].push(Adjacency { neighbor: u, edge: id, weight: w });
+        self.edges.push(Edge { u: NodeId(u), v: NodeId(v), w });
         self.max_weight = self.max_weight.max(w);
         Ok(id)
     }
 
-    /// Finishes building and returns the graph, flattening the per-node
-    /// adjacency lists into the CSR layout.
+    /// Finishes building and returns the graph, laying the adjacency out in
+    /// the CSR layout.
     pub fn build(self) -> Graph {
-        let mut adj_offsets = Vec::with_capacity(self.node_count as usize + 1);
-        let mut adjacency = Vec::with_capacity(2 * self.edges.len());
-        adj_offsets.push(0);
-        for row in &self.adjacency {
-            adjacency.extend_from_slice(row);
-            adj_offsets.push(adjacency.len() as u32);
-        }
-        Graph {
-            node_count: self.node_count,
-            edges: self.edges,
-            adj_offsets,
-            adjacency,
-            max_weight: self.max_weight,
-        }
+        Graph::from_valid_edges(self.node_count, self.edges, self.max_weight)
     }
 }
 
@@ -438,6 +557,135 @@ mod tests {
         assert!(sub.has_edge(NodeId(0), NodeId(1)));
         assert!(sub.has_edge(NodeId(1), NodeId(2)));
         assert!(!sub.has_edge(NodeId(0), NodeId(2)));
+    }
+
+    /// An edge as `Graph::from_edges` takes it.
+    type Triple = (u32, u32, Weight);
+
+    /// Graph construction as it was before the counting pass: one `Vec` of
+    /// adjacency entries per node, flattened at the end. The reference
+    /// [`Graph::from_valid_edges`] must stay bit-identical to.
+    fn graph_via_rows(n: u32, triples: &[Triple]) -> Graph {
+        let mut rows: Vec<Vec<Adjacency>> = vec![Vec::new(); n as usize];
+        let mut edges = Vec::new();
+        for (id, &(u, v, w)) in triples.iter().enumerate() {
+            let (u, v, edge) = (NodeId(u), NodeId(v), EdgeId(id as u32));
+            edges.push(Edge { u, v, w });
+            rows[u.index()].push(Adjacency { neighbor: v, edge, weight: w });
+            rows[v.index()].push(Adjacency { neighbor: u, edge, weight: w });
+        }
+        let mut adj_offsets = vec![0];
+        let mut adjacency = Vec::new();
+        for row in &rows {
+            adjacency.extend_from_slice(row);
+            adj_offsets.push(adjacency.len() as u32);
+        }
+        let max_weight = triples.iter().map(|t| t.2).max().unwrap_or(0);
+        Graph { node_count: n, edges, adj_offsets, adjacency, max_weight }
+    }
+
+    /// Induced subgraphs as they were built before [`Graph::induced_on`]: a
+    /// scan of every edge of the graph through an `n`-sized renumbering.
+    fn induced_reference(g: &Graph, keep: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>, Vec<EdgeId>) {
+        let mut old_to_new = vec![u32::MAX; g.node_count() as usize];
+        let node_map: Vec<NodeId> = keep.iter().copied().collect();
+        for (i, v) in node_map.iter().enumerate() {
+            old_to_new[v.index()] = i as u32;
+        }
+        let (mut triples, mut edge_map) = (Vec::new(), Vec::new());
+        for e in g.edge_ids() {
+            let Edge { u, v, w } = g.edge(e);
+            let (nu, nv) = (old_to_new[u.index()], old_to_new[v.index()]);
+            if nu != u32::MAX && nv != u32::MAX {
+                triples.push((nu, nv, w));
+                edge_map.push(e);
+            }
+        }
+        (graph_via_rows(keep.len() as u32, &triples), node_map, edge_map)
+    }
+
+    /// Small graphs with the awkward features: parallel edges, both edge
+    /// orientations, isolated nodes, several components, zero weights.
+    fn construction_cases() -> Vec<(u32, Vec<Triple>)> {
+        let mut cases = vec![
+            (0, vec![]),
+            (1, vec![]),
+            (4, vec![]),
+            (3, vec![(0, 1, 9), (1, 2, 1), (0, 1, 2), (2, 0, 5)]),
+            (6, vec![(5, 0, 3), (0, 5, 3), (5, 0, 0), (2, 3, 7)]),
+        ];
+        // A pseudo-random multigraph, deterministic without a generator.
+        let mut x = 12345u32;
+        let mut next = |bound: u32| {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            (x >> 8) % bound
+        };
+        let mut random = Vec::new();
+        while random.len() < 90 {
+            let (u, v) = (next(25), next(25));
+            if u != v {
+                random.push((u, v, Weight::from(next(20))));
+            }
+        }
+        cases.push((25, random));
+        cases
+    }
+
+    #[test]
+    fn the_counting_pass_builds_what_per_node_rows_built() {
+        for (n, triples) in construction_cases() {
+            let built = Graph::from_edges(n, triples.iter().copied()).unwrap();
+            assert_eq!(built, graph_via_rows(n, &triples), "{n} nodes, {triples:?}");
+        }
+    }
+
+    #[test]
+    fn induced_on_equals_the_whole_graph_scan() {
+        for (n, triples) in construction_cases() {
+            let g = Graph::from_edges(n, triples.iter().copied()).unwrap();
+            let mut marks = SubsetMarks::new(n as usize);
+            let everyone: BTreeSet<NodeId> = g.nodes().collect();
+            let mut subsets = vec![BTreeSet::new(), everyone.clone()];
+            subsets.extend(g.nodes().map(|v| BTreeSet::from([v])));
+            for stride in [2, 3] {
+                for phase in 0..stride {
+                    subsets.push(g.nodes().filter(|v| v.0 % stride == phase).collect());
+                }
+            }
+            subsets.push(g.nodes().filter(|v| v.0 < n / 2).collect());
+            let mut volume = 0;
+            for keep in &subsets {
+                let members: Vec<NodeId> = keep.iter().copied().collect();
+                volume += members.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
+                let (sub, edge_map) = g.induced_on(&members, &mut marks);
+                let expected = induced_reference(&g, keep);
+                assert_eq!((sub, members, edge_map), expected, "subset {keep:?} of {triples:?}");
+                // The marks are left on the subset, with its local indices.
+                for v in g.nodes() {
+                    let position = keep.iter().position(|&k| k == v).map(|i| i as u32);
+                    assert_eq!(marks.local(v), position);
+                }
+                let (sub, node_map) = g.induced_subgraph(keep);
+                assert_eq!((&sub, &node_map), (&expected.0, &expected.1));
+            }
+            assert_eq!(
+                marks.adjacency_scanned(),
+                volume,
+                "an induced build reads its members' rows"
+            );
+        }
+    }
+
+    #[test]
+    fn subset_marks_survive_an_epoch_wrap() {
+        let mut marks = SubsetMarks::new(4);
+        marks.mark(&[NodeId(1), NodeId(3)]);
+        marks.epoch = u32::MAX;
+        marks.stamp[2] = u32::MAX; // a stale stamp that a bare wrap would revive
+        marks.mark(&[NodeId(0)]);
+        assert!(marks.contains(NodeId(0)));
+        assert!(!marks.contains(NodeId(1)) && !marks.contains(NodeId(2)));
+        assert_eq!(marks.local(NodeId(0)), Some(0));
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub mod sequential;
 
 pub use distance::Distance;
 pub use error::GraphError;
-pub use graph::{Adjacency, Edge, EdgeId, Graph, GraphBuilder, NodeId, Weight};
+pub use graph::{Adjacency, Edge, EdgeId, Graph, GraphBuilder, NodeId, SubsetMarks, Weight};
 pub use radix_heap::RadixHeap;

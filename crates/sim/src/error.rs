@@ -38,6 +38,16 @@ pub enum SimError {
         /// The configured maximum.
         max_words: usize,
     },
+    /// The time axis of a random-delay schedule ([`crate::scheduler`]) does
+    /// not fit `u64`: a window of `rounds` rounds starting at round `delay`
+    /// — an instance's start delay plus its duration, or the round in which
+    /// the last queued message would be served — ends past `u64::MAX`.
+    ScheduleHorizonOverflow {
+        /// The round the window starts in.
+        delay: u64,
+        /// The length of the window.
+        rounds: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -54,6 +64,10 @@ impl fmt::Display for SimError {
             SimError::MessageTooLarge { node, words, max_words } => write!(
                 f,
                 "node {node} sent a message of {words} words, exceeding the limit of {max_words}"
+            ),
+            SimError::ScheduleHorizonOverflow { delay, rounds } => write!(
+                f,
+                "a schedule window of {rounds} rounds starting at round {delay} ends past u64::MAX"
             ),
         }
     }
@@ -80,6 +94,8 @@ mod tests {
         assert!(e.to_string().contains("e2"));
         let e = SimError::MessageTooLarge { node: NodeId(0), words: 9, max_words: 4 };
         assert!(e.to_string().contains("9 words"));
+        let e = SimError::ScheduleHorizonOverflow { delay: u64::MAX, rounds: 7 };
+        assert!(e.to_string().contains("7 rounds"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// disjoint parts of the network running side by side (rounds take the max);
 /// in both cases per-edge congestion and per-node energy add, because every
 /// message and awake round still happens.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Number of rounds (time complexity).
     pub rounds: u64,
@@ -100,6 +100,18 @@ impl Metrics {
         }
     }
 
+    /// Adds `other`'s event counters — everything but the rounds and the two
+    /// per-id vectors, which each merge treats its own way.
+    fn add_counters(&mut self, other: &Metrics) {
+        self.messages += other.messages;
+        self.capacity_violations += other.capacity_violations;
+        self.messages_lost += other.messages_lost;
+        self.fault_drops += other.fault_drops;
+        self.fault_delays += other.fault_delays;
+        self.crashes += other.crashes;
+        self.restarts += other.restarts;
+    }
+
     /// Accumulates `other` as a phase that runs *after* `self` (sequential
     /// composition): rounds add, congestion and energy add componentwise.
     ///
@@ -110,13 +122,7 @@ impl Metrics {
         assert_eq!(self.edge_congestion.len(), other.edge_congestion.len());
         assert_eq!(self.node_energy.len(), other.node_energy.len());
         self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.capacity_violations += other.capacity_violations;
-        self.messages_lost += other.messages_lost;
-        self.fault_drops += other.fault_drops;
-        self.fault_delays += other.fault_delays;
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
+        self.add_counters(other);
         for (a, b) in self.edge_congestion.iter_mut().zip(&other.edge_congestion) {
             *a += b;
         }
@@ -137,13 +143,7 @@ impl Metrics {
         assert_eq!(self.edge_congestion.len(), other.edge_congestion.len());
         assert_eq!(self.node_energy.len(), other.node_energy.len());
         self.rounds = self.rounds.max(other.rounds);
-        self.messages += other.messages;
-        self.capacity_violations += other.capacity_violations;
-        self.messages_lost += other.messages_lost;
-        self.fault_drops += other.fault_drops;
-        self.fault_delays += other.fault_delays;
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
+        self.add_counters(other);
         for (a, b) in self.edge_congestion.iter_mut().zip(&other.edge_congestion) {
             *a += b;
         }
@@ -178,6 +178,34 @@ impl Metrics {
             out.edge_congestion[orig.index()] += self.edge_congestion[j];
         }
         out
+    }
+
+    /// Accumulates `phase` — measured on a subgraph — as a phase that runs
+    /// after `self`, scattering its per-node and per-edge entries through the
+    /// maps: exactly `self.merge_sequential(&phase.remap(node_map, edge_map,
+    /// n, m))`, without building the `n + m` intermediate. Costs the
+    /// subgraph's size, not the graph's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the maps do not match `phase`'s vector lengths or name ids
+    /// outside `self`.
+    pub fn merge_sequential_mapped(
+        &mut self,
+        phase: &Metrics,
+        node_map: &[NodeId],
+        edge_map: &[EdgeId],
+    ) {
+        assert_eq!(node_map.len(), phase.node_energy.len(), "node map length mismatch");
+        assert_eq!(edge_map.len(), phase.edge_congestion.len(), "edge map length mismatch");
+        self.rounds += phase.rounds;
+        self.add_counters(phase);
+        for (&orig, energy) in node_map.iter().zip(&phase.node_energy) {
+            self.node_energy[orig.index()] += energy;
+        }
+        for (&orig, load) in edge_map.iter().zip(&phase.edge_congestion) {
+            self.edge_congestion[orig.index()] += load;
+        }
     }
 
     /// Multiplies the time and energy accounting by `factor`. Used to charge
@@ -312,6 +340,27 @@ mod tests {
         assert_eq!(out.edge_congestion, vec![0, 0, 9, 0]);
         assert_eq!(out.rounds, 4);
         assert_eq!(out.messages, 6);
+    }
+
+    #[test]
+    fn mapped_merge_is_remap_then_merge() {
+        let mut sub = sample(3, 2, 4);
+        sub.node_energy = vec![5, 7, 1];
+        sub.edge_congestion = vec![9, 2];
+        sub.messages_lost = 1;
+        sub.fault_drops = 2;
+        sub.fault_delays = 3;
+        sub.crashes = 4;
+        sub.restarts = 5;
+        sub.capacity_violations = 6;
+        // A repeated target accumulates, as in `remap`.
+        let (node_map, edge_map) = ([NodeId(3), NodeId(1), NodeId(3)], [EdgeId(2), EdgeId(0)]);
+        let mut direct = sample(5, 4, 11);
+        let mut via_remap = direct.clone();
+        direct.merge_sequential_mapped(&sub, &node_map, &edge_map);
+        via_remap.merge_sequential(&sub.remap(&node_map, &edge_map, 5, 4));
+        assert_eq!(direct, via_remap);
+        assert_eq!(direct.node_energy, vec![3, 10, 3, 9, 3]);
     }
 
     #[test]

@@ -22,23 +22,32 @@
 //!
 //! Edges do not interact under this queueing discipline: each edge serves its
 //! own backlog at `capacity` messages per round, so the whole schedule
-//! decomposes into independent per-edge queues. The default implementation
-//! ([`schedule_with_delays`], built on [`ScheduleBuilder`]) exploits this: it
-//! buckets arrivals by scheduler round and replays each edge's queue
-//! *event-driven* with dense per-edge arrays and lazy service draining, so
-//! the cost is `O(trace entries + horizon)` — proportional to the messages
-//! that actually exist, **not** `O(horizon × instances)` like a round-by-round
-//! replay. The pre-rework round-by-round `HashMap` loop is retained as
+//! decomposes into independent per-edge queues. The implementation (module
+//! `replay`) exploits this literally: it replays **one edge at a time**,
+//! pouring the edge's arrivals into one reusable round-indexed count column
+//! and running the edge's queue over the occupied rounds with lazy service
+//! draining. Two front ends feed that core:
+//!
+//! * [`schedule_spread`] takes instances as `(delay, rounds, per-edge
+//!   totals)` and generates their evenly spread arrivals on the fly — no
+//!   trace exists at any point. `congest_sssp::apsp` composes its `n` SSSP
+//!   instances through it in `O(messages)` time and `O(n · m + occupied
+//!   rounds)` memory (the `n` per-edge total vectors plus the column).
+//! * [`schedule_with_delays`] / [`random_delay_schedule`] take explicit
+//!   [`crate::EdgeUsageTrace`]s; their entries are grouped by edge with one
+//!   counting sort, `O(trace entries + edges + occupied rounds)` time and
+//!   memory.
+//!
+//! Neither costs anything per *scheduler round*: the column indexes only the
+//! union of the instances' `[delay, delay + len)` windows, so instances
+//! started `2^40` rounds apart cost the sum of their lengths. (An earlier
+//! design bucketed arrivals by round in a streaming builder and claimed
+//! `O(m + makespan)` memory for APSP; the buckets were `O(total messages)`
+//! — most of the peak heap — and one `Vec` header per round up to the
+//! largest delay.) The pre-rework round-by-round loop is retained as
 //! [`schedule_reference`], the oracle of the differential tests
 //! (`crates/sim/tests/scheduler_equivalence.rs`, mirroring the
-//! `Engine::run_reference` pattern).
-//!
-//! [`ScheduleBuilder`] additionally supports *streaming*: traces can be
-//! pushed one at a time (with their delay) and dropped immediately, so a
-//! caller composing `n` instances never has to hold all `n` traces in memory
-//! — only the arrival buckets, whose size is `O(makespan + total entries)`.
-//! `congest_sssp::apsp` uses exactly this to keep APSP memory near
-//! `O(m + makespan)`.
+//! `Engine::run_reference` pattern). `docs/APSP.md` has the full argument.
 //!
 //! # Makespan semantics
 //!
@@ -59,11 +68,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::EdgeUsageTrace;
 
-mod event;
 mod reference;
+mod replay;
 
-pub use event::ScheduleBuilder;
 pub use reference::schedule_reference;
+pub use replay::{schedule_spread, SpreadInstance};
 
 /// Configuration of the random-delay scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,8 +128,8 @@ pub struct ScheduleOutcome {
 /// 0 — consuming no randomness — when `max_delay` is 0 ("no delays").
 ///
 /// This is **the** delay-draw convention: every composer that promises a
-/// delay stream identical to [`random_delay_schedule`]'s (the streaming and
-/// reference APSP drivers in `congest_sssp::apsp`) must call this helper
+/// delay stream identical to [`random_delay_schedule`]'s (both APSP drivers
+/// in `congest_sssp::apsp`) must call this helper
 /// rather than re-implementing the draw, so the bit-identical-outcome
 /// guarantees cannot drift apart.
 pub fn draw_delay<R: Rng>(rng: &mut R, max_delay: u64) -> u64 {
@@ -147,23 +156,23 @@ pub fn random_delay_schedule(
 /// Like [`random_delay_schedule`] but with caller-chosen delays (useful for
 /// testing the best/worst case and for the "no delays" baseline).
 ///
-/// Runs the event-driven scheduler; [`schedule_reference`] is the retained
+/// Runs the per-edge replay; [`schedule_reference`] is the retained
 /// round-by-round oracle with identical semantics.
 ///
 /// # Panics
 ///
-/// Panics if `delays.len() != traces.len()` or the capacity is zero.
+/// Panics if `delays.len() != traces.len()`, the capacity is zero, or an
+/// instance's `delay + len` does not fit `u64` ([`schedule_spread`] reports
+/// that case as an error instead).
 pub fn schedule_with_delays(
     traces: &[EdgeUsageTrace],
     delays: &[u64],
     edge_capacity_per_round: u32,
 ) -> ScheduleOutcome {
-    assert_eq!(traces.len(), delays.len(), "one delay per instance required");
-    let mut builder = ScheduleBuilder::new(edge_capacity_per_round);
-    for (t, &d) in traces.iter().zip(delays) {
-        builder.push_trace(t, d);
+    match replay::schedule_traces(traces, delays, edge_capacity_per_round) {
+        Ok(outcome) => outcome,
+        Err(e) => panic!("{e}"),
     }
-    builder.finish()
 }
 
 #[cfg(test)]
@@ -312,18 +321,5 @@ mod tests {
                 capacity
             );
         }
-    }
-
-    #[test]
-    fn streaming_builder_matches_batch_scheduling() {
-        let traces: Vec<_> = (0..7).map(|e| uniform_trace(e % 3, 4 + e as usize)).collect();
-        let delays: Vec<u64> = (0..7).map(|i| (i * 3) % 11).collect();
-        let batch = schedule_with_delays(&traces, &delays, 2);
-        let mut builder = ScheduleBuilder::new(2);
-        for (t, &d) in traces.iter().zip(&delays) {
-            builder.push_trace(t, d);
-        }
-        assert_eq!(builder.instances(), 7);
-        assert_eq!(builder.finish(), batch);
     }
 }

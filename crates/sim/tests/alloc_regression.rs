@@ -17,11 +17,18 @@
 //! Listening ([`NodeCtx::listen_until`]) holds the same contract: waking a
 //! listener early, filtering the deadline entry it left behind, and settling
 //! its idle rounds all work in place on per-run buffers.
+//!
+//! The random-delay scheduler's spread front end
+//! ([`congest_sim::scheduler::schedule_spread`]) holds a per-*message*
+//! version of it: composing a fixed set of instances allocates the same
+//! handful of buffers whether they carry five thousand messages or fifty
+//! thousand.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use congest_graph::{generators, NodeId};
+use congest_sim::scheduler::{schedule_spread, SpreadInstance};
 use congest_sim::workloads::ChaosListener;
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 
@@ -124,6 +131,43 @@ fn steady_state_rounds_allocate_nothing_and_the_probe_is_honest() {
     reference_engine_allocates_every_round();
     for threads in [1, 2, 4] {
         listening_rounds_allocate_nothing(threads);
+    }
+    schedule_replay_allocations_do_not_depend_on_the_message_count();
+}
+
+/// 64 instances × 200 edges composed by the spread front end: the number of
+/// allocations is a function of the instance and edge counts alone — the same
+/// for 5 k messages as for 50 k or for none, on one timeline.
+fn schedule_replay_allocations_do_not_depend_on_the_message_count() {
+    let (instances, edges, rounds) = (64usize, 200usize, 400u64);
+    let allocations_for = |messages: u64| {
+        // `messages` in total, dealt round-robin over the (instance, edge)
+        // pairs so every instance has the same rounds, delay and vector length.
+        let pairs = (instances * edges) as u64;
+        let totals: Vec<Vec<u64>> = (0..instances as u64)
+            .map(|i| {
+                (0..edges as u64)
+                    .map(|e| messages / pairs + u64::from(i * edges as u64 + e < messages % pairs))
+                    .collect()
+            })
+            .collect();
+        let spread: Vec<SpreadInstance<'_>> = totals
+            .iter()
+            .enumerate()
+            .map(|(i, t)| SpreadInstance { delay: 3 * i as u64, rounds, edge_totals: t })
+            .collect();
+        // simlint::allow(relaxed-ordering: monotone test-only counter read on the thread that allocates)
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = schedule_spread(&spread, 4).expect("no overflow");
+        // simlint::allow(relaxed-ordering: as above)
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(out.total_messages, messages);
+        after - before
+    };
+    let base = allocations_for(5_000);
+    assert!(base <= 8, "timeline, column, bitmap and delays — not {base} allocations");
+    for messages in [0, 50_000, 500_000] {
+        assert_eq!(allocations_for(messages), base, "{messages} messages");
     }
 }
 
