@@ -82,7 +82,7 @@ impl AlgoConfig {
     }
 
     /// Sets the worker-thread count on the underlying simulator (see
-    /// [`congest_sim::SimConfig::threads`]): `1` is the sequential engine,
+    /// [`congest_sim::SimConfig::threads`]): `1` is the inline driver (the calling thread),
     /// `0` resolves to the host's available parallelism, `k > 1` shards the
     /// nodes across `k` workers. Results are bit-identical at every thread
     /// count.

@@ -5,6 +5,8 @@
 //! send path. This tracker instead keeps one dense counter per *edge
 //! direction* (`2m` counters, allocated once) and resets only the entries
 //! actually used, via a touched-list — `O(sends)` per round.
+//!
+//! simlint: hot-path
 
 use congest_graph::{EdgeId, Graph, NodeId};
 
@@ -21,7 +23,10 @@ pub(crate) struct CapacityTracker {
 impl CapacityTracker {
     /// Creates a tracker for a graph with `m` edges.
     pub(crate) fn new(m: usize) -> Self {
-        CapacityTracker { counts: vec![0; 2 * m], touched: Vec::new() }
+        CapacityTracker {
+            counts: vec![0; 2 * m], // simlint::allow(hot-path-alloc: per-run setup)
+            touched: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; drained in place each round)
+        }
     }
 
     /// Clears the counts touched in the previous round.

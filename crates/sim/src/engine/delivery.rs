@@ -24,10 +24,9 @@ const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: 
 /// Flat inbox storage for one round of deliveries.
 ///
 /// An arena covers a contiguous node-id range `[base, base + size)`. The
-/// sequential engine uses one arena over all `n` nodes; the sharded engine
-/// gives each shard an arena over exactly its slice (see
-/// [`DeliveryArena::new_range`] and [`DeliveryArena::build_range`]), so total
-/// index memory stays `O(n)` across all shards instead of `O(shards · n)`.
+/// inline driver uses one arena over all `n` nodes; the sharded one gives
+/// each shard an arena over exactly its slice, so total index memory stays
+/// `O(n)` across all shards instead of `O(shards · n)`.
 #[derive(Debug, Clone)]
 pub(crate) struct DeliveryArena {
     /// All delivered messages, grouped by recipient.
@@ -44,14 +43,16 @@ pub(crate) struct DeliveryArena {
     base: u32,
 }
 
-impl DeliveryArena {
-    /// Creates an empty arena for all `n` nodes. This is the only `O(n)`
-    /// allocation; every round after construction reuses it.
-    pub(crate) fn new(n: usize) -> Self {
-        DeliveryArena::new_range(0, n)
-    }
+/// The index of `v` in the per-node vectors of an arena starting at `base`, if
+/// `v` lies in its range at all: an id below `base` wraps to an index past
+/// any length, so one bounds check answers for both ends of the range.
+fn local(v: NodeId, base: u32) -> usize {
+    v.0.wrapping_sub(base) as usize
+}
 
-    /// Creates an empty arena covering the node-id range `[lo, hi)`.
+impl DeliveryArena {
+    /// Creates an empty arena covering the node-id range `[lo, hi)`. This is
+    /// the only `O(hi − lo)` allocation; every round after it reuses it.
     pub(crate) fn new_range(lo: usize, hi: usize) -> Self {
         DeliveryArena {
             msgs: Vec::new(), // simlint::allow(hot-path-alloc: one-time construction; rounds reuse the arena)
@@ -63,40 +64,48 @@ impl DeliveryArena {
         }
     }
 
-    /// The local index of `v`, or `None` if `v` is outside this arena's range.
-    fn local(&self, v: NodeId) -> Option<usize> {
-        let i = (v.0 as usize).checked_sub(self.base as usize)?;
-        (i < self.len.len()).then_some(i)
+    /// `true` iff `v` lies in this arena's range.
+    pub(crate) fn covers(&self, v: NodeId) -> bool {
+        local(v, self.base) < self.len.len()
     }
 
     /// Rebuilds the arena from the messages sent last round, delivering to
-    /// recipients for which `receptive` holds and dropping the rest (the
-    /// sleeping model loses messages to sleeping/halted nodes). Returns the
-    /// number of lost messages. `incoming` is drained but keeps its capacity.
+    /// recipients in this arena's range for which `receptive` holds and
+    /// dropping the rest of that range (the sleeping model loses messages to
+    /// sleeping/halted nodes). `incoming` is not drained: every shard's
+    /// worker scans the *shared* in-flight stream concurrently and keeps only
+    /// messages addressed to its own range.
     ///
-    /// Per-recipient message order is preserved from `incoming`, which itself
-    /// preserves send order, so inboxes are identical to the reference
-    /// engine's.
-    pub(crate) fn build(
+    /// Returns the number of messages lost on non-receptive recipients
+    /// *within this arena's range*; messages to other ranges are ignored
+    /// entirely (each message's recipient lies in exactly one shard, so the
+    /// shard tallies sum to the whole-range total). Per-recipient message
+    /// order is preserved from `incoming`, which itself preserves send
+    /// order, so inboxes are identical to the reference engine's.
+    pub(crate) fn build_range(
         &mut self,
-        incoming: &mut Vec<InFlight>,
+        incoming: &[InFlight],
         receptive: impl Fn(NodeId) -> bool,
     ) -> u64 {
-        debug_assert_eq!(self.base, 0, "draining build is for the engine-wide arena");
+        // The range bounds are read once, and the range test is the counts'
+        // own bounds check: two passes over every message of the round are
+        // the engine's innermost loops at one thread as at many.
+        let DeliveryArena { msgs, start, len, cursor, touched, base } = self;
+        let (len, base) = (&mut len[..], *base);
         // Reset last round's ranges.
-        for v in self.touched.drain(..) {
-            self.len[v.index()] = 0;
+        for v in touched.drain(..) {
+            len[local(v, base)] = 0;
         }
 
         // Counting pass: inbox sizes and the lost-message tally.
         let mut lost = 0u64;
-        for flight in incoming.iter() {
+        for flight in incoming {
+            let Some(count) = len.get_mut(local(flight.to, base)) else { continue };
             if receptive(flight.to) {
-                let i = flight.to.index();
-                if self.len[i] == 0 {
-                    self.touched.push(flight.to);
+                if *count == 0 {
+                    touched.push(flight.to);
                 }
-                self.len[i] += 1;
+                *count += 1;
             } else {
                 lost += 1;
             }
@@ -104,74 +113,23 @@ impl DeliveryArena {
 
         // Prefix pass: assign each touched recipient a contiguous range.
         let mut offset = 0u32;
-        for &v in &self.touched {
-            let i = v.index();
-            self.start[i] = offset;
-            self.cursor[i] = offset;
-            offset += self.len[i];
+        for &v in touched.iter() {
+            let i = local(v, base);
+            start[i] = offset;
+            cursor[i] = offset;
+            offset += len[i];
         }
 
-        // Placement pass: move every deliverable message into its slot.
-        self.msgs.clear();
-        self.msgs.resize(offset as usize, PLACEHOLDER);
-        for flight in incoming.drain(..) {
-            if receptive(flight.to) {
-                let c = &mut self.cursor[flight.to.index()];
-                self.msgs[*c as usize] = flight.msg;
-                *c += 1;
-            }
-        }
-        lost
-    }
-
-    /// The non-draining, range-filtered variant of [`DeliveryArena::build`]
-    /// used by the sharded engine: every shard's worker scans the *shared*
-    /// in-flight stream and keeps only messages addressed to its own range,
-    /// so `incoming` is read concurrently and must stay intact.
-    ///
-    /// Returns the number of messages lost on non-receptive recipients
-    /// *within this arena's range*; messages to other ranges are ignored
-    /// entirely (each message's recipient lies in exactly one shard, so the
-    /// shard tallies sum to the sequential engine's total). Per-recipient
-    /// order is the `incoming` order, exactly as in the draining build.
-    pub(crate) fn build_range(
-        &mut self,
-        incoming: &[InFlight],
-        receptive: impl Fn(NodeId) -> bool,
-    ) -> u64 {
-        let base = self.base as usize;
-        for v in self.touched.drain(..) {
-            self.len[v.index() - base] = 0;
-        }
-
-        let mut lost = 0u64;
+        // Placement pass: copy every deliverable message into its slot. A
+        // recipient in range was counted iff it is receptive, so the counts
+        // answer without a second look at the scheduler.
+        msgs.clear();
+        msgs.resize(offset as usize, PLACEHOLDER);
         for flight in incoming {
-            let Some(i) = self.local(flight.to) else { continue };
-            if receptive(flight.to) {
-                if self.len[i] == 0 {
-                    self.touched.push(flight.to);
-                }
-                self.len[i] += 1;
-            } else {
-                lost += 1;
-            }
-        }
-
-        let mut offset = 0u32;
-        for &v in &self.touched {
-            let i = v.index() - base;
-            self.start[i] = offset;
-            self.cursor[i] = offset;
-            offset += self.len[i];
-        }
-
-        self.msgs.clear();
-        self.msgs.resize(offset as usize, PLACEHOLDER);
-        for flight in incoming {
-            let Some(i) = self.local(flight.to) else { continue };
-            if receptive(flight.to) {
-                let c = &mut self.cursor[i];
-                self.msgs[*c as usize] = flight.msg;
+            let i = local(flight.to, base);
+            if len.get(i).is_some_and(|&count| count != 0) {
+                let c = &mut cursor[i];
+                msgs[*c as usize] = flight.msg;
                 *c += 1;
             }
         }
@@ -181,7 +139,7 @@ impl DeliveryArena {
     /// The inbox delivered to `v` this round (empty unless `v` was touched in
     /// the latest build). `v` must lie in this arena's range.
     pub(crate) fn inbox(&self, v: NodeId) -> &[Message] {
-        let i = v.index() - self.base as usize;
+        let i = local(v, self.base);
         let l = self.len[i] as usize;
         if l == 0 {
             // `start[v]` may be stale from an earlier round; never index it.
@@ -206,12 +164,10 @@ mod tests {
 
     #[test]
     fn groups_messages_by_recipient_preserving_order() {
-        let mut arena = DeliveryArena::new(4);
-        let mut incoming =
-            vec![flight(0, 2, 10), flight(1, 3, 20), flight(3, 2, 30), flight(2, 3, 40)];
-        let lost = arena.build(&mut incoming, |_| true);
+        let mut arena = DeliveryArena::new_range(0, 4);
+        let incoming = vec![flight(0, 2, 10), flight(1, 3, 20), flight(3, 2, 30), flight(2, 3, 40)];
+        let lost = arena.build_range(&incoming, |_| true);
         assert_eq!(lost, 0);
-        assert!(incoming.is_empty());
         let at = |v: u32, i: usize| arena.inbox(NodeId(v))[i].words[0];
         assert_eq!(arena.inbox(NodeId(2)).len(), 2);
         assert_eq!((at(2, 0), at(2, 1)), (10, 30), "arrival order per recipient");
@@ -221,9 +177,9 @@ mod tests {
 
     #[test]
     fn non_receptive_recipients_lose_messages() {
-        let mut arena = DeliveryArena::new(3);
-        let mut incoming = vec![flight(0, 1, 1), flight(0, 2, 2), flight(1, 2, 3)];
-        let lost = arena.build(&mut incoming, |v| v == NodeId(2));
+        let mut arena = DeliveryArena::new_range(0, 3);
+        let incoming = vec![flight(0, 1, 1), flight(0, 2, 2), flight(1, 2, 3)];
+        let lost = arena.build_range(&incoming, |v| v == NodeId(2));
         assert_eq!(lost, 1);
         assert!(arena.inbox(NodeId(1)).is_empty());
         assert_eq!(arena.inbox(NodeId(2)).len(), 2);
@@ -244,7 +200,7 @@ mod tests {
         let hub = hi_arena.inbox(NodeId(2));
         assert_eq!(hub.len(), 2);
         assert_eq!((hub[0].words[0], hub[1].words[0]), (10, 40), "stream order per recipient");
-        // Rebuilding resets stale ranges exactly like the draining build.
+        // Rebuilding resets stale ranges.
         let incoming = vec![flight(1, 0, 50)];
         lo_arena.build_range(&incoming, |_| true);
         assert!(lo_arena.inbox(NodeId(1)).is_empty());
@@ -253,16 +209,13 @@ mod tests {
 
     #[test]
     fn rebuild_resets_previous_round() {
-        let mut arena = DeliveryArena::new(3);
-        let mut incoming = vec![flight(0, 1, 1)];
-        arena.build(&mut incoming, |_| true);
+        let mut arena = DeliveryArena::new_range(0, 3);
+        arena.build_range(&[flight(0, 1, 1)], |_| true);
         assert_eq!(arena.inbox(NodeId(1)).len(), 1);
-        let mut incoming = vec![flight(1, 2, 2)];
-        arena.build(&mut incoming, |_| true);
+        arena.build_range(&[flight(1, 2, 2)], |_| true);
         assert!(arena.inbox(NodeId(1)).is_empty(), "stale ranges must be cleared");
         assert_eq!(arena.inbox(NodeId(2)).len(), 1);
-        let mut empty = Vec::new();
-        arena.build(&mut empty, |_| true);
+        arena.build_range(&[], |_| true);
         assert!(arena.inbox(NodeId(2)).is_empty());
     }
 }

@@ -10,34 +10,58 @@
 //!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`.
 //! * `capacity` — dense per-edge-direction CONGEST capacity counters reset
 //!   through a touched-list.
-//!
-//! Together with the inline-payload [`Message`] (see [`crate::Words`]) and
-//! the engine-owned, round-reused outbox that [`NodeCtx`] borrows, the whole
-//! message path — send, in-flight, delivery — is allocation-free in steady
-//! state; `tests/alloc_regression.rs` pins that with a counting global
-//! allocator.
+//! * `round` — `RoundCore`: the state of a run and every rule of a round,
+//!   each written once (next section).
+//! * `sharded` — the threaded driver behind [`crate::SimConfig::threads`].
 //! * `reference` — the retained naive `O(n)`-per-round loop
 //!   ([`Engine::run_reference`]), the semantic oracle for differential tests
 //!   and the baseline of the E11 engine-throughput experiment (see
-//!   `EXPERIMENTS.md`).
-//! * `sharded` — the multi-threaded execution mode behind
-//!   [`crate::SimConfig::threads`], bit-identical to the sequential path at
-//!   every thread count. See the determinism argument below.
+//!   `EXPERIMENTS.md`). It shares no code with `round`.
+//!
+//! Together with the inline-payload [`Message`](crate::Message) (see
+//! [`crate::Words`]) and the driver-owned, round-reused outbox that
+//! [`NodeCtx`](crate::NodeCtx) borrows, the whole message path — send,
+//! in-flight, delivery — is allocation-free in steady state;
+//! `tests/alloc_regression.rs` pins that with a counting global allocator,
+//! and pins the per-run set-up (allocations and bytes) beside it.
+//!
+//! # A round is these calls on `RoundCore`, in this order
+//!
+//! 1. `begin_round` — the round limit; this round's churn (a crash takes its
+//!    node down, a restart resets its state and re-queues it); the id-sorted
+//!    awake list; jitter arrivals merged into the delivery stream; listening
+//!    recipients of that stream pulled into the awake list.
+//! 2. `deliver_into` an arena — inboxes in stream order; messages to
+//!    sleeping or halted nodes lost, to crashed ones dropped; `count_losses`.
+//! 3. for each awake node in id order: `step_node` (`init` or `on_round`,
+//!    the awake rounds to charge, the scheduling request), `account_sends`
+//!    on what it sent (bandwidth, per-edge-direction capacity — the first
+//!    violation is the strict-mode error —, message and congestion counts,
+//!    trace, then fault fates), `apply` its request.
+//! 4. `end_round` — trace entry coalesced; termination (what is still in
+//!    flight is lost); else the quiescence fast-forward, or the next round
+//!    with this round's sends as its delivery stream.
+//!
+//! [`Engine::run`] at one thread is that list, inline, on the calling thread.
+//! The threaded driver differs in step 2 and 3 only: workers call the two
+//! `&self` rules (`deliver_into`, `step_node`) on their own shard in
+//! parallel, and the main thread then calls `account_sends` once per shard
+//! outbox and `apply` once per recorded request, in shard order.
 //!
 //! # Listening: awake in the model, idle on the host
 //!
-//! [`NodeCtx::listen_until`]`(d)` is the always-awake counterpart of
-//! [`NodeCtx::sleep_until`]. Its meaning is defined, naively, by
-//! [`Engine::run_reference`]: until round `d` the node is **awake in every
-//! round** — charged one energy unit, receptive to every message — and the
-//! sweep skips its `on_round` exactly when its inbox is empty and `d` has not
-//! come. So the node's next callback is in the first round with mail, or at
-//! `d`, whichever is first; that callback ends the wait, and whatever it
-//! requests (nothing, sleep, listen again, halt) applies from there. When
+//! [`NodeCtx::listen_until`](crate::NodeCtx::listen_until)`(d)` is the
+//! always-awake counterpart of `sleep_until`. Its meaning is defined,
+//! naively, by [`Engine::run_reference`]: until round `d` the node is **awake
+//! in every round** — charged one energy unit, receptive to every message —
+//! and the sweep skips its `on_round` exactly when its inbox is empty and `d`
+//! has not come. So the node's next callback is in the first round with mail,
+//! or at `d`, whichever is first; that callback ends the wait, and whatever
+//! it requests (nothing, sleep, listen again, halt) applies from there. When
 //! `sleep_until` and `listen_until` are both called in one step the last call
 //! wins, and `halt` beats both.
 //!
-//! The fast engines never visit the skipped rounds, and arrive at the same
+//! `RoundCore` never visits the skipped rounds, and arrives at the same
 //! outcome anyway:
 //!
 //! * The deadline sits in the wake queue like a sleeper's wake-up, and
@@ -59,77 +83,51 @@
 //! node listening, a round without mail or deadline steps nobody, and the
 //! engine jumps to the next queue entry as it does for sleepers.
 //!
-//! # Sharded execution and the shard-merge determinism argument
+//! # Why the thread count cannot be observed
 //!
-//! With `threads = S > 1`, [`Engine::run`] partitions the node ids into `S`
-//! contiguous shards. Each shard owns a slice of the protocol states, its own
-//! range-restricted delivery arena, and a private outbox; a persistent worker
-//! steps the shard's awake nodes each round, and the main thread merges the
-//! shard outboxes *in fixed shard order* before doing all global accounting
-//! itself. The outcome is byte-for-byte the sequential engine's:
+//! Both drivers run the same accounting code; what is left to argue is that
+//! the threaded one feeds it the same inputs in the same order.
 //!
-//! * **Execution order.** The awake list is globally sorted by node id, and
-//!   shards are contiguous id ranges, so a shard's segment of it is a
-//!   contiguous run. Concatenating the shard outboxes in shard order is
-//!   therefore exactly the node-id-ordered send stream the sequential loop
-//!   produces — for *any* S. Nodes only interact through messages (delivered
-//!   a round later) and never observe intra-round timing, so stepping them
-//!   concurrently is unobservable.
-//! * **Delivery order.** Each recipient's inbox is the in-flight stream
-//!   filtered to it, in stream order. Workers read the *shared* stream and
-//!   filter to their own range without reordering, so every inbox is the
-//!   same slice of the same stream the sequential arena builds. Receptivity
-//!   is a read-only query against start-of-round scheduler state.
-//! * **Capacity charging and strict errors.** All per-send accounting
-//!   (bandwidth check, per-edge-direction capacity counters, congestion,
-//!   traces) happens on the main thread during the merge, walking the merged
-//!   stream — i.e. in sequential send order — so counters take identical
-//!   values and the *first* violating send in strict mode produces the
-//!   identical error. A worker-side protocol panic is re-raised at the
-//!   panicking node's position in merge order, after the completed sends of
-//!   earlier nodes were accounted and with the panicking node's partial
-//!   sends discarded — again matching the sequential loop.
-//! * **Fault fates.** A message's drop/jitter fate is a pure function of
-//!   `(edge, sender, send round)` (see [`crate::fault`]) — no RNG state is
-//!   threaded through delivery — so applying fates batch-per-shard during
-//!   the merge rolls the identical fates in the identical order, and the
-//!   jitter buffer fills in the same order too. Crash/restart churn and all
-//!   scheduler mutation (halt/reschedule/revive) stay on the main thread.
-//! * **Early wake-ups.** Which listeners this round's mail wakes is decided
-//!   on the main thread, in the pre-round phase, from the complete shared
-//!   in-flight stream (jitter arrivals merged in) — the same stream, in the
-//!   same state, the sequential loop reads — and *before* the awake list is
-//!   cut into shard segments. A woken listener is from then on one more
-//!   entry of the id-sorted awake list: it lands in its owner's contiguous
-//!   segment, is receptive by the same read-only query, and the order
-//!   argument above covers it unchanged. Workers only *read* the listening
-//!   bookkeeping (to charge `round − last_ran` into their shard's energy
-//!   slice); listen requests travel back in the per-shard decision lists and
-//!   are applied during the merge, in node-id order, like sleeps and halts.
+//! * **Contiguous id shards.** The awake list is sorted by node id and a
+//!   shard is a contiguous id range, so its segment of the list is a
+//!   contiguous run, and the shard outboxes concatenated in shard order are
+//!   exactly the id-ordered send stream of the inline loop — for *any* `S`.
+//!   Capacity counters, congestion, traces, the *first* strict violation and
+//!   the jitter buffer's fill order follow. Nodes only interact through
+//!   messages (delivered a round later) and never observe intra-round
+//!   timing, so stepping them concurrently is unobservable. A worker-side
+//!   protocol panic is re-raised at the panicking node's position in that
+//!   order, its partial sends discarded.
+//! * **Read-only delivery.** Each inbox is the shared stream filtered to its
+//!   recipient, in stream order; receptivity is start-of-round scheduler
+//!   state. Requests made while stepping travel back in per-shard decision
+//!   lists and reach the scheduler only during the merge.
+//! * **Early wake-ups are decided before the cut.** `begin_round` pulls
+//!   woken listeners into the awake list on the main thread, from the
+//!   complete stream, before any worker looks for its segment.
+//! * **Fates are pure functions** of `(edge, sender, send round)` (see
+//!   [`crate::fault`]) — no RNG state is threaded through delivery — so one
+//!   fate pass per shard outbox rolls what one pass per node rolls.
 //!
-//! The hot path takes no locks: each worker locks its own uncontended shard
-//! mutex and a shared read-write lock once per round (both futex-based, no
-//! allocation), with two barriers delimiting the parallel section. Workers
-//! are spawned once per run, so steady-state rounds allocate nothing — the
-//! alloc-regression test covers the sharded path too.
+//! Workers are spawned once per run and each takes its own uncontended shard
+//! mutex and a shared read lock once per round (futex-based, no allocation),
+//! between two barriers; steady-state rounds allocate nothing on any thread.
 
 mod active_set;
 mod capacity;
 mod delivery;
 mod reference;
+mod round;
 mod sharded;
 
-use congest_graph::{EdgeId, Graph, NodeId};
+use congest_graph::{Graph, NodeId};
 
-use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::{EdgeUsageTrace, Metrics};
-use crate::node::NodeCtx;
 use crate::{Network, Protocol, SimConfig, SimError};
 
-use active_set::ActiveSet;
-use capacity::CapacityTracker;
 use delivery::DeliveryArena;
+use round::RoundCore;
 
 /// The result of running a protocol to completion.
 #[derive(Debug, Clone)]
@@ -184,11 +182,12 @@ impl<'g> Engine<'g> {
     /// total awake work rather than `n · rounds`. The semantics are those of
     /// the naive sweep ([`Engine::run_reference`]), bit for bit.
     ///
+    /// At one thread (the default) every round runs on the calling thread.
     /// With [`crate::SimConfig::threads`] resolving to more than one worker
     /// (see [`crate::SimConfig::resolved_threads`]), awake nodes are stepped
-    /// in parallel across contiguous node-id shards; results stay
-    /// bit-identical at every thread count (see the module docs for the
-    /// shard-merge determinism argument).
+    /// in parallel across contiguous node-id shards; both ways call the same
+    /// round rules and results are bit-identical at every thread count (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -197,242 +196,47 @@ impl<'g> Engine<'g> {
     /// * [`SimError::EdgeCapacityExceeded`] / [`SimError::MessageTooLarge`]
     ///   if a node violates the CONGEST constraints and `strict_capacity` is
     ///   enabled.
-    pub fn run<P, F>(&self, factory: F) -> Result<RunOutcome<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId) -> P,
-    {
-        let n = self.network.graph().node_count() as usize;
-        // More shards than nodes would just idle; an empty graph still needs
-        // one (sequential) pass to produce its trivial outcome.
-        let shards = self.config.resolved_threads().min(n.max(1));
-        if shards <= 1 {
-            self.run_seq(factory)
-        } else {
-            sharded::run_sharded(self, factory, shards)
-        }
-    }
-
-    /// The sequential (single-threaded) execution path of [`Engine::run`].
-    fn run_seq<P, F>(&self, mut factory: F) -> Result<RunOutcome<P>, SimError>
+    pub fn run<P, F>(&self, mut factory: F) -> Result<RunOutcome<P>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
     {
         let graph = self.network.graph();
         let n = graph.node_count() as usize;
-        let m = graph.edge_count() as usize;
-        let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
-        let mut active = ActiveSet::new(n);
-        // The fault layer: `None` for the empty plan, which keeps every hot
-        // path below on its original (allocation-free) fault-free branch.
-        let mut faults = FaultRuntime::new(&self.config.faults, n, m);
-        if faults.is_some() {
-            active.enable_fault_filtering();
+        // More shards than nodes would just idle; an empty graph still needs
+        // one (inline) pass to produce its trivial outcome.
+        let shards = self.config.resolved_threads().min(n.max(1));
+        if shards > 1 {
+            return sharded::run_sharded(self, factory, shards);
         }
-        let mut arena = DeliveryArena::new(n);
-        let mut capacity = CapacityTracker::new(m);
-        let mut metrics = Metrics::zero(n, m);
-        let mut trace =
-            if self.config.record_edge_trace { Some(EdgeUsageTrace::default()) } else { None };
 
-        // Double-buffered in-flight messages: `incoming` was sent last round
-        // and is delivered now; `outgoing` is the round's shared outbox that
-        // every awake node's `NodeCtx` appends into. Both keep their capacity
-        // across rounds, so the steady-state message path never allocates.
-        let mut incoming: Vec<InFlight> = Vec::new();
+        // The inline driver: one thread means the calling thread. Each
+        // node's sends are accounted in place and its request applied at
+        // once, so nothing is buffered per step.
+        let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
+        let mut core = RoundCore::new(self);
+        let mut arena = DeliveryArena::new_range(0, n);
+        // The round's outbox, which every awake node's `NodeCtx` appends
+        // into; `end_round` trades it for last round's emptied buffer.
         let mut outgoing: Vec<InFlight> = Vec::new();
-        let mut awake: Vec<NodeId> = Vec::new();
-        let mut this_round_trace: Vec<(EdgeId, u32)> = Vec::new();
-        let mut round: u64 = 0;
-        let max_words = self.config.effective_max_words();
-
         loop {
-            if round > self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    unhalted_nodes: active.unhalted(),
-                });
-            }
-
-            // Apply the churn events of this round before anything else: a
-            // crash takes effect at the start of its round (the node never
-            // runs in it), and a restart puts the node — with a fresh state —
-            // into this round's wake bucket.
-            if let Some(rt) = faults.as_mut() {
-                while let Some(ev) = rt.next_event(round) {
-                    match ev.action {
-                        FaultAction::Crash { permanent } => {
-                            metrics.crashes += 1;
-                            rt.crashed[ev.node.index()] = true;
-                            metrics.node_energy[ev.node.index()] += active.set_down(ev.node, round);
-                            if permanent {
-                                active.halt(ev.node);
-                            }
-                        }
-                        FaultAction::Restart => {
-                            metrics.restarts += 1;
-                            rt.crashed[ev.node.index()] = false;
-                            rt.reinit[ev.node.index()] = true;
-                            states[ev.node.index()] = factory(ev.node);
-                            metrics.node_energy[ev.node.index()] += active.revive(ev.node, round);
-                        }
-                    }
+            if core.begin_round(|v| states[v.index()] = factory(v))? {
+                let lost = core.deliver_into(&mut arena);
+                core.count_losses(lost);
+                // By index: the rules below borrow the core mutably.
+                for i in 0..core.awake().len() {
+                    let v = core.awake()[i];
+                    let sends_from = outgoing.len();
+                    let state = &mut states[v.index()];
+                    let step = core.step_node(v, state, &arena, &mut outgoing);
+                    core.charge(v, step.charge);
+                    core.account_sends(&mut outgoing, sends_from)?;
+                    core.apply(v, step.request);
                 }
             }
-
-            // The nodes that run this round, in id order. Taken before
-            // delivery, which reads start-of-round receptivity.
-            active.take_awake(round, &mut awake);
-
-            // Deliver messages sent last round. Messages to sleeping or
-            // halted nodes are lost (the defining property of the sleeping
-            // model) — and counted, so protocol bugs cannot hide in silence.
-            // Under a fault plan, jitter-delayed messages due this round
-            // join the inbox stream first, and deliveries onto a crashed
-            // node are attributed to the fault layer instead. A listening
-            // recipient joins this round's awake list before delivery reads
-            // receptivity: its wait ends with its first mail.
-            if let Some(rt) = faults.as_mut() {
-                rt.merge_due(round, &mut incoming);
+            if core.end_round(&mut outgoing) {
+                return Ok(core.into_outcome(states));
             }
-            // Whether any node has listened yet is read once per round: a
-            // node stepped below can only be in a wait it asked for in an
-            // earlier round, so a first request made during this round's
-            // steps changes nothing until the next one.
-            let listeners = active.has_listeners();
-            if listeners {
-                active.wake_listeners(round, incoming.iter().map(|f| f.to), &mut awake);
-            }
-            if let Some(rt) = faults.as_mut() {
-                let crashed_hits =
-                    incoming.iter().filter(|f| rt.crashed[f.to.index()]).count() as u64;
-                let lost = arena.build(&mut incoming, |v| {
-                    active.is_receptive(v, round) && !rt.crashed[v.index()]
-                });
-                metrics.fault_drops += crashed_hits;
-                metrics.messages_lost += lost - crashed_hits;
-            } else {
-                metrics.messages_lost +=
-                    arena.build(&mut incoming, |v| active.is_receptive(v, round));
-            }
-
-            capacity.reset();
-            this_round_trace.clear();
-            for &v in &awake {
-                metrics.node_energy[v.index()] +=
-                    if listeners { active.awake_rounds(v, round) } else { 1 };
-                let sends_from = outgoing.len();
-                let mut ctx = NodeCtx::new(v, round, &self.network, &mut outgoing);
-                // A node freshly revived by a fault-injected restart re-runs
-                // `init` (ignoring any inbox — both engines agree on this).
-                let run_init = round == 0
-                    || faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
-                if run_init {
-                    states[v.index()].init(&mut ctx);
-                } else {
-                    states[v.index()].on_round(&mut ctx, arena.inbox(v));
-                }
-                let request = ctx.request();
-                // Validate and account this node's sends in place.
-                for flight in &outgoing[sends_from..] {
-                    let edge = flight.msg.edge;
-                    if flight.sent_words > max_words {
-                        if self.config.strict_capacity {
-                            return Err(SimError::MessageTooLarge {
-                                node: v,
-                                words: flight.sent_words,
-                                max_words,
-                            });
-                        }
-                        metrics.capacity_violations += 1;
-                    }
-                    let used = capacity.record(graph, edge, v);
-                    if used > self.config.edge_capacity {
-                        if self.config.strict_capacity {
-                            return Err(SimError::EdgeCapacityExceeded {
-                                node: v,
-                                edge,
-                                round,
-                                capacity: self.config.edge_capacity,
-                            });
-                        }
-                        metrics.capacity_violations += 1;
-                    }
-                    metrics.messages += 1;
-                    metrics.edge_congestion[edge.index()] += 1;
-                    if trace.is_some() {
-                        this_round_trace.push((edge, 1));
-                    }
-                }
-                // Roll the fate of this node's sends: drops vanish (counted),
-                // jittered messages move to the pending buffer. This runs
-                // after accounting — a dropped message was still *sent*.
-                if let Some(rt) = faults.as_mut() {
-                    if rt.has_message_faults() {
-                        rt.apply_message_faults(&mut metrics, round, &mut outgoing, sends_from);
-                    }
-                }
-                active.apply(v, round, request);
-            }
-
-            if let Some(t) = trace.as_mut() {
-                // Coalesce duplicate edges in this round's trace entry; the
-                // BTreeMap iterates in edge order, so the entry comes out
-                // sorted with no hasher order anywhere near the trace.
-                let mut merged: std::collections::BTreeMap<EdgeId, u32> =
-                    std::collections::BTreeMap::new();
-                for &(e, c) in &this_round_trace {
-                    *merged.entry(e).or_insert(0) += c;
-                }
-                t.rounds.push(merged.into_iter().collect());
-            }
-
-            // Termination check: all halted and nothing in flight. Whatever
-            // was sent this round — including jittered messages still held in
-            // the fault layer — can never be delivered: count it as lost.
-            if active.all_halted() {
-                metrics.messages_lost += outgoing.len() as u64;
-                if let Some(rt) = faults.as_ref() {
-                    metrics.messages_lost += rt.pending_count();
-                }
-                metrics.rounds = round + 1;
-                return Ok(RunOutcome { states, metrics, trace });
-            }
-
-            // Quiescence fast-forward: nobody ran this round (so nothing was
-            // sent either) — jump straight to the next scheduled wake-up. The
-            // skipped rounds still exist in the model but cost nothing. Under
-            // a fault plan the next event is the earliest of a wake-up, a
-            // pending jittered delivery, and a churn event — and the bucket
-            // shortcut `next_wake` is unsound with churn's stale entries, so
-            // the authoritative O(n) scan replaces it.
-            if outgoing.is_empty() && awake.is_empty() && self.config.fast_forward_idle {
-                let target = if let Some(rt) = faults.as_ref() {
-                    [active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
-                        .into_iter()
-                        .flatten()
-                        .min()
-                } else {
-                    active.next_wake()
-                };
-                if let Some(w) = target.filter(|&w| w > round) {
-                    if let Some(t) = trace.as_mut() {
-                        for _ in round + 1..w {
-                            t.rounds.push(Vec::new());
-                        }
-                    }
-                    round = w;
-                    continue;
-                }
-            }
-            // Without fast-forward we step one round at a time; an empty
-            // round costs O(1) (a bucket-queue miss). If nothing can ever
-            // happen again, the round limit catches it.
-
-            incoming.clear();
-            std::mem::swap(&mut incoming, &mut outgoing);
-            round += 1;
         }
     }
 }
@@ -440,7 +244,7 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Message;
+    use crate::{Message, NodeCtx};
     use congest_graph::{generators, Distance};
 
     /// Single-source BFS where every node halts once its distance stabilizes

@@ -12,8 +12,12 @@
 //! It is also where [`crate::NodeCtx::listen_until`] is *defined*: a
 //! listening node is awake in every round — charged one energy unit,
 //! receptive to every message — and the sweep merely skips its callback
-//! while its inbox is empty and its deadline has not come. The fast engines
-//! never visit those rounds and must arrive at the same outcome anyway.
+//! while its inbox is empty and its deadline has not come. [`Engine::run`]
+//! never visits those rounds and must arrive at the same outcome anyway.
+//!
+//! Nothing here is shared with the rules [`Engine::run`] is made of
+//! (`engine/round.rs`): an oracle that called them would agree with them by
+//! construction.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -254,8 +258,12 @@ impl Engine<'_> {
             if in_flight.is_empty() && !any_awake && config.fast_forward_idle {
                 if let Some(w) = next_wake.filter(|&w| w > round) {
                     // Jump to the next scheduled wake-up. The skipped rounds
-                    // still exist in the model but cost nothing.
-                    if let Some(t) = trace.as_mut() {
+                    // still exist in the model but cost nothing — and get an
+                    // empty trace entry each, unless the jump lands past the
+                    // round limit: the check at the top of the loop refuses
+                    // it, and padding first would ask for a vector header per
+                    // round of a sleep to, say, 2^36.
+                    if let Some(t) = trace.as_mut().filter(|_| w <= config.max_rounds) {
                         for _ in round + 1..w {
                             t.rounds.push(Vec::new());
                         }

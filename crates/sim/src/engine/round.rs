@@ -1,0 +1,365 @@
+//! One simulated round, as the rules every driver of [`Engine::run`] calls.
+//!
+//! [`RoundCore`] owns everything about a run that is not a protocol state or
+//! a thread: the round counter, the in-flight stream being delivered, the
+//! awake list, the scheduler, the fault layer, the capacity counters, the
+//! [`Metrics`] and the optional trace. Each rule of the model is one method,
+//! written once; the inline driver in [`super`] and the threaded one in
+//! [`super::sharded`] differ only in *who* calls them and on which thread
+//! (the order is the module header of [`super`]). The reference loop shares
+//! nothing with this file — it is the oracle these rules are tested against.
+//!
+//! Methods taking `&self` are the ones a worker thread may call through a
+//! read lock during the parallel section: they read start-of-round state and
+//! write only what the caller hands them.
+//!
+//! The rules called once per stepped node are `#[inline(always)]`:
+//! [`Engine::run`] is generic and instantiated in the caller's crate, and an
+//! out-of-line call per node into this one (five of them, on a loop body of
+//! a few dozen instructions) is what separates the inline driver from a loop
+//! written out by hand.
+//!
+//! simlint: hot-path
+
+use std::collections::BTreeMap;
+
+use congest_graph::{EdgeId, NodeId};
+
+use crate::fault::{FaultAction, FaultRuntime};
+use crate::message::InFlight;
+use crate::metrics::{EdgeUsageTrace, Metrics};
+use crate::node::{NodeCtx, Request};
+use crate::{Engine, Protocol, RunOutcome, SimError};
+
+use super::active_set::ActiveSet;
+use super::capacity::CapacityTracker;
+use super::delivery::DeliveryArena;
+
+/// What one delivery pass could not deliver, by cause.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Losses {
+    /// Recipients asleep or halted: the sleeping model's own losses.
+    asleep: u64,
+    /// Recipients down in a fault-injected crash: the fault layer's drops.
+    crashed: u64,
+}
+
+/// How one node's step ended.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Step {
+    /// Awake rounds to charge the node: this one, plus the rounds a listener
+    /// idled through since it last ran.
+    pub(super) charge: u64,
+    /// How the node asked to be scheduled next.
+    pub(super) request: Request,
+}
+
+/// The state and rules of a run's rounds; see the module docs.
+pub(super) struct RoundCore<'e> {
+    engine: &'e Engine<'e>,
+    /// [`crate::SimConfig::effective_max_words`], worked out once per run.
+    max_words: usize,
+    round: u64,
+    /// Messages delivered this round: sent last round, plus the jitter
+    /// arrivals [`RoundCore::begin_round`] merges in. Double-buffered with
+    /// the driver's outbox, so the steady-state message path never allocates.
+    incoming: Vec<InFlight>,
+    /// The nodes that run this round, sorted by id.
+    awake: Vec<NodeId>,
+    /// Whether any node had listened by the start of this round. Read once
+    /// per round: a node stepped in it can only be in a wait it asked for in
+    /// an earlier one, so a first request made during this round's steps
+    /// changes nothing until the next.
+    listeners: bool,
+    active: ActiveSet,
+    /// The fault layer: `None` for the empty plan, which keeps every rule on
+    /// its original (allocation-free) fault-free branch.
+    faults: Option<FaultRuntime>,
+    capacity: CapacityTracker,
+    metrics: Metrics,
+    trace: Option<EdgeUsageTrace>,
+    /// This round's `(edge, 1)` per send, coalesced by `end_round`.
+    round_trace: Vec<(EdgeId, u32)>,
+}
+
+impl<'e> RoundCore<'e> {
+    /// The state of a run about to enter round 0: every node awake.
+    pub(super) fn new(engine: &'e Engine<'e>) -> Self {
+        let graph = engine.network().graph();
+        let (n, m) = (graph.node_count() as usize, graph.edge_count() as usize);
+        let config = engine.config();
+        let mut active = ActiveSet::new(n);
+        let faults = FaultRuntime::new(&config.faults, n, m);
+        if faults.is_some() {
+            active.enable_fault_filtering();
+        }
+        RoundCore {
+            engine,
+            max_words: config.effective_max_words(),
+            round: 0,
+            incoming: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; reused as the in-flight double buffer)
+            awake: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; refilled in place each round)
+            listeners: false,
+            active,
+            faults,
+            capacity: CapacityTracker::new(m),
+            metrics: Metrics::zero(n, m),
+            trace: config.record_edge_trace.then(EdgeUsageTrace::default),
+            round_trace: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; cleared in place)
+        }
+    }
+
+    /// The nodes that run this round, sorted by id.
+    #[inline(always)]
+    pub(super) fn awake(&self) -> &[NodeId] {
+        &self.awake
+    }
+
+    /// Opens the round: enforces the round limit, applies the round's churn
+    /// (`reset` must replace the named node's protocol state with a fresh
+    /// one), fixes the awake list and completes the delivery stream. Returns
+    /// whether there is anything to deliver or step; an entirely empty round
+    /// needs neither pass.
+    pub(super) fn begin_round(&mut self, mut reset: impl FnMut(NodeId)) -> Result<bool, SimError> {
+        let round = self.round;
+        if round > self.engine.config().max_rounds {
+            return Err(SimError::RoundLimitExceeded {
+                limit: self.engine.config().max_rounds,
+                unhalted_nodes: self.active.unhalted(),
+            });
+        }
+        // Churn before anything else: a crash takes effect at the start of
+        // its round (the node never runs in it), and a restart puts the node
+        // — with a fresh state — into this round's wake bucket. A listener
+        // either one interrupts was up through `round − 1` and is charged
+        // for that here.
+        if let Some(rt) = self.faults.as_mut() {
+            while let Some(ev) = rt.next_event(round) {
+                let i = ev.node.index();
+                match ev.action {
+                    FaultAction::Crash { permanent } => {
+                        self.metrics.crashes += 1;
+                        rt.crashed[i] = true;
+                        self.metrics.node_energy[i] += self.active.set_down(ev.node, round);
+                        if permanent {
+                            self.active.halt(ev.node);
+                        }
+                    }
+                    FaultAction::Restart => {
+                        self.metrics.restarts += 1;
+                        rt.crashed[i] = false;
+                        rt.reinit[i] = true;
+                        reset(ev.node);
+                        self.metrics.node_energy[i] += self.active.revive(ev.node, round);
+                    }
+                }
+            }
+        }
+        // The awake list is taken before delivery, which reads start-of-round
+        // receptivity. Jitter-delayed messages due now join the stream after
+        // the on-time ones; then every listening recipient of the complete
+        // stream joins the awake list — its wait ends with its first mail —
+        // before anybody cuts that list into shard segments.
+        self.active.take_awake(round, &mut self.awake);
+        if let Some(rt) = self.faults.as_mut() {
+            rt.merge_due(round, &mut self.incoming);
+        }
+        self.listeners = self.active.has_listeners();
+        if self.listeners {
+            let recipients = self.incoming.iter().map(|f| f.to);
+            self.active.wake_listeners(round, recipients, &mut self.awake);
+        }
+        self.capacity.reset();
+        self.round_trace.clear();
+        Ok(!(self.incoming.is_empty() && self.awake.is_empty()))
+    }
+
+    /// Builds the inboxes of `arena`'s node range from this round's stream,
+    /// in stream order. Messages to sleeping or halted nodes are lost (the
+    /// defining property of the sleeping model) — and counted, so protocol
+    /// bugs cannot hide in silence; deliveries onto a crashed node are
+    /// attributed to the fault layer instead. Each recipient lies in exactly
+    /// one range, so the per-range [`Losses`] of a sharded run sum to the
+    /// whole-range figure.
+    pub(super) fn deliver_into(&self, arena: &mut DeliveryArena) -> Losses {
+        let round = self.round;
+        let Some(rt) = self.faults.as_ref() else {
+            let asleep = arena.build_range(&self.incoming, |v| self.active.is_receptive(v, round));
+            return Losses { asleep, crashed: 0 };
+        };
+        let down = |f: &&InFlight| arena.covers(f.to) && rt.crashed[f.to.index()];
+        let crashed = self.incoming.iter().filter(down).count() as u64;
+        let lost = arena.build_range(&self.incoming, |v| {
+            self.active.is_receptive(v, round) && !rt.crashed[v.index()]
+        });
+        Losses { asleep: lost - crashed, crashed }
+    }
+
+    /// Books what a delivery pass lost.
+    pub(super) fn count_losses(&mut self, lost: Losses) {
+        self.metrics.messages_lost += lost.asleep;
+        self.metrics.fault_drops += lost.crashed;
+    }
+
+    /// Runs `v`'s callback for this round — `init` in round 0 and for a node
+    /// freshly revived by a fault-injected restart (which ignores any inbox),
+    /// `on_round` on its inbox in `arena` otherwise — with its sends appended
+    /// to `sent`.
+    #[inline(always)]
+    pub(super) fn step_node<P: Protocol>(
+        &self,
+        v: NodeId,
+        state: &mut P,
+        arena: &DeliveryArena,
+        sent: &mut Vec<InFlight>,
+    ) -> Step {
+        let charge = if self.listeners { self.active.awake_rounds(v, self.round) } else { 1 };
+        let mut ctx = NodeCtx::new(v, self.round, self.engine.network(), sent);
+        // The re-init flag is only read here; `apply` clears it, on the
+        // thread that owns the fault layer.
+        if self.round == 0 || self.faults.as_ref().is_some_and(|rt| rt.reinit[v.index()]) {
+            state.init(&mut ctx);
+        } else {
+            state.on_round(&mut ctx, arena.inbox(v));
+        }
+        Step { charge, request: ctx.request() }
+    }
+
+    /// Charges `v` the awake rounds of its step.
+    #[inline(always)]
+    pub(super) fn charge(&mut self, v: NodeId, rounds: u64) {
+        self.metrics.node_energy[v.index()] += rounds;
+    }
+
+    /// Validates and accounts the sends `sent[from..]` — whole steps of one
+    /// or more nodes, in node-id order — then rolls their fault fates: drops
+    /// vanish (counted), jittered messages move to the pending buffer. Fates
+    /// come after accounting — a dropped message was still *sent* — and are
+    /// pure functions of `(edge, sender, send round)`, so one call per node
+    /// and one per shard visit the same fates in the same order.
+    #[inline(always)]
+    pub(super) fn account_sends(
+        &mut self,
+        sent: &mut Vec<InFlight>,
+        from: usize,
+    ) -> Result<(), SimError> {
+        // The loop's invariants, read once: the capacity counter is a call
+        // the optimiser cannot see through, so it would reload each of them
+        // from `self` per message.
+        let (graph, config) = (self.engine.network().graph(), self.engine.config());
+        let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
+        let (max_words, tracing) = (self.max_words, self.trace.is_some());
+        for flight in &sent[from..] {
+            let (edge, node) = (flight.msg.edge, flight.msg.from);
+            if flight.sent_words > max_words {
+                if strict_capacity {
+                    let words = flight.sent_words;
+                    return Err(SimError::MessageTooLarge { node, words, max_words });
+                }
+                self.metrics.capacity_violations += 1;
+            }
+            if self.capacity.record(graph, edge, node) > edge_capacity {
+                if strict_capacity {
+                    let (round, capacity) = (self.round, edge_capacity);
+                    return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });
+                }
+                self.metrics.capacity_violations += 1;
+            }
+            self.metrics.messages += 1;
+            self.metrics.edge_congestion[edge.index()] += 1;
+            if tracing {
+                self.round_trace.push((edge, 1));
+            }
+        }
+        if let Some(rt) = self.faults.as_mut() {
+            if rt.has_message_faults() {
+                rt.apply_message_faults(&mut self.metrics, self.round, sent, from);
+            }
+        }
+        Ok(())
+    }
+
+    /// Schedules `v` as its step asked, and clears its re-init flag.
+    #[inline(always)]
+    pub(super) fn apply(&mut self, v: NodeId, request: Request) {
+        if let Some(rt) = self.faults.as_mut() {
+            rt.reinit[v.index()] = false;
+        }
+        self.active.apply(v, self.round, request);
+    }
+
+    /// Closes the round `sent` was sent in and says whether the run is over.
+    /// Otherwise `sent` becomes the next round's delivery stream and comes
+    /// back empty, with its capacity.
+    pub(super) fn end_round(&mut self, sent: &mut Vec<InFlight>) -> bool {
+        let round = self.round;
+        // Delivered or counted as lost, all of it (the arena build does not
+        // drain) — and jitter arrivals merge into this buffer next round.
+        self.incoming.clear();
+        if let Some(t) = self.trace.as_mut() {
+            // Coalesce duplicate edges in this round's trace entry; the
+            // BTreeMap iterates in edge order, so the entry comes out
+            // sorted with no hasher order anywhere near the trace.
+            let mut merged: BTreeMap<EdgeId, u32> = BTreeMap::new();
+            for &(e, c) in &self.round_trace {
+                *merged.entry(e).or_insert(0) += c;
+            }
+            // simlint::allow(hot-path-alloc: trace recording is a diagnostic mode; the alloc gate runs untraced)
+            t.rounds.push(merged.into_iter().collect());
+        }
+
+        // Termination: all halted and nothing in flight. Whatever was sent
+        // this round — including jittered messages still held in the fault
+        // layer — can never be delivered: count it as lost.
+        if self.active.all_halted() {
+            self.metrics.messages_lost += sent.len() as u64;
+            if let Some(rt) = self.faults.as_ref() {
+                self.metrics.messages_lost += rt.pending_count();
+            }
+            self.metrics.rounds = round + 1;
+            return true;
+        }
+
+        // Quiescence fast-forward: nobody ran this round (so nothing was
+        // sent either) — jump straight to the next scheduled wake-up. The
+        // skipped rounds still exist in the model but cost nothing. Under a
+        // fault plan the next event is the earliest of a wake-up, a pending
+        // jittered delivery, and a churn event — and the bucket shortcut
+        // `next_wake` is unsound with churn's stale entries, so the
+        // authoritative O(n) scan replaces it.
+        let config = self.engine.config();
+        if sent.is_empty() && self.awake.is_empty() && config.fast_forward_idle {
+            let target = if let Some(rt) = self.faults.as_ref() {
+                [self.active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
+                    .into_iter()
+                    .flatten()
+                    .min()
+            } else {
+                self.active.next_wake()
+            };
+            if let Some(w) = target.filter(|&w| w > round) {
+                // The trace gets one empty entry per skipped round — unless
+                // the jump passes the round limit, which `begin_round` is
+                // about to refuse: padding first would allocate a vector
+                // header per round of a sleep to, say, 2^36 and abort.
+                if let Some(t) = self.trace.as_mut().filter(|_| w <= config.max_rounds) {
+                    // simlint::allow(hot-path-alloc: trace mode only, and an empty Vec::new never touches the heap)
+                    t.rounds.resize_with(t.rounds.len() + (w - round - 1) as usize, Vec::new);
+                }
+                self.round = w;
+                return false;
+            }
+        }
+        // Without fast-forward we step one round at a time; an empty round
+        // costs O(1) (a bucket-queue miss). If nothing can ever happen
+        // again, the round limit catches it.
+        std::mem::swap(&mut self.incoming, sent);
+        self.round += 1;
+        false
+    }
+
+    /// The outcome of a run [`RoundCore::end_round`] declared over.
+    pub(super) fn into_outcome<P>(self, states: Vec<P>) -> RunOutcome<P> {
+        RunOutcome { states, metrics: self.metrics, trace: self.trace }
+    }
+}

@@ -177,7 +177,8 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Number of worker threads [`Engine::run`] steps awake nodes on.
     ///
-    /// * `1` (the default) — the sequential engine, unchanged.
+    /// * `1` (the default) — the inline driver: every round runs on the
+    ///   calling thread; no worker is spawned, no lock or barrier touched.
     /// * `0` — resolve to the host's available parallelism at run time.
     /// * `k > 1` — shard the nodes across `k` workers.
     ///
@@ -278,6 +279,6 @@ mod config_tests {
         assert!(SimConfig::resolve_threads(Some(0), 1) >= 1);
         assert!(SimConfig::resolve_threads(None, 0) >= 1);
         assert_eq!(SimConfig::default().with_threads(2).threads, 2);
-        assert_eq!(SimConfig::default().threads, 1, "default stays sequential");
+        assert_eq!(SimConfig::default().threads, 1, "default stays on the calling thread");
     }
 }

@@ -225,7 +225,11 @@ impl Metrics {
 /// concurrently (the paper's APSP construction).
 ///
 /// `rounds[r]` lists `(edge, messages_sent_over_edge_in_round_r)` pairs,
-/// sparsely (edges with zero usage are omitted).
+/// sparsely (edges with zero usage are omitted). The round axis itself is
+/// dense: a fast-forwarded idle span still gets one (empty, heap-free) entry
+/// per skipped round, so a traced run costs `O(rounds)` memory however little
+/// happens in it — bounded by [`crate::SimConfig::max_rounds`], since a jump
+/// past the limit is refused before it is padded.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EdgeUsageTrace {
     /// Sparse per-round edge usage.

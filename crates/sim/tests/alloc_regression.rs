@@ -18,6 +18,12 @@
 //! listener early, filtering the deadline entry it left behind, and settling
 //! its idle rounds all work in place on per-run buffers.
 //!
+//! One `Engine::run` at one thread also has a pinned *set-up*: the number of
+//! allocations and of bytes a run asks for before its first round is stepped
+//! is what the parent of the round-core refactor asked for — a second energy
+//! column, a per-step decision list or a copy of the state vector would show
+//! here without a clock.
+//!
 //! The random-delay scheduler's spread front end
 //! ([`congest_sim::scheduler::schedule_spread`]) holds a per-*message*
 //! version of it: composing a fixed set of instances allocates the same
@@ -29,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use congest_graph::{generators, NodeId};
 use congest_sim::scheduler::{schedule_spread, SpreadInstance};
-use congest_sim::workloads::ChaosListener;
+use congest_sim::workloads::{ChaosListener, WaveBfs};
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc); frees are not
@@ -37,6 +43,8 @@ use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for by those calls (the new size, for a realloc).
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -44,6 +52,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // simlint::allow(relaxed-ordering: as above)
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's `Layout` contract unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -52,6 +62,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // simlint::allow(relaxed-ordering: as above)
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's `Layout` contract unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -60,6 +72,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // simlint::allow(relaxed-ordering: as above)
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's pointer/layout contract unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -133,6 +147,42 @@ fn steady_state_rounds_allocate_nothing_and_the_probe_is_honest() {
         listening_rounds_allocate_nothing(threads);
     }
     schedule_replay_allocations_do_not_depend_on_the_message_count();
+    per_run_setup_is_what_the_hand_written_loop_asked_for();
+}
+
+/// `(allocations, bytes)` one call of `run` asks the allocator for.
+fn allocations_of<T>(run: impl FnOnce() -> T) -> (u64, u64) {
+    // simlint::allow(relaxed-ordering: monotone test-only counters read on the thread that allocates)
+    let before = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let out = run();
+    // simlint::allow(relaxed-ordering: as above)
+    let after = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    drop(out);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// The ceilings are the numbers of `run_seq`, the hand-written one-thread
+/// loop the inline driver replaced, measured by this very function on the
+/// commit before (x86-64, where a `WaveBfs` is 32 bytes): the driver over
+/// `RoundCore` must not ask for one allocation or byte more. Running one
+/// thread as a single inline shard of the threaded driver — the other way to
+/// one loop — asks for 131 072 bytes more on the large run for a second
+/// energy column alone, and more again for a decision list and two copies of
+/// the states.
+fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
+    // What the ledger's `sim.wave_run_setup_us` times: every node of the
+    // `engine-wave` grid halts in round 0.
+    let grid = generators::grid(128, 128, 1);
+    let engine = Engine::new(&grid, SimConfig::default());
+    let halt_at_once = allocations_of(|| engine.run(|_| WaveBfs::new(None)).expect("halts"));
+    // One run at the size of the cutter's instances inside `apsp-random`.
+    let small = generators::random_connected(32, 40, 3);
+    let schedule = WaveBfs::schedule(&small, &[NodeId(0)]);
+    let engine = Engine::new(&small, SimConfig::default());
+    let wave =
+        allocations_of(|| engine.run(|id| WaveBfs::new(schedule[id.index()])).expect("halts"));
+    assert!(halt_at_once.0 <= 13 && halt_at_once.1 <= 1_668_608, "16384 nodes: {halt_at_once:?}");
+    assert!(wave.0 <= 43 && wave.1 <= 23_680, "32 nodes: {wave:?}");
 }
 
 /// 64 instances × 200 edges composed by the spread front end: the number of

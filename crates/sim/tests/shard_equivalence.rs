@@ -1,31 +1,37 @@
-//! Differential testing of the sharded engine against the sequential one.
+//! Differential testing of the threaded driver against the inline one.
 //!
-//! The sharding design note in `engine/mod.rs` claims results are
-//! **bit-identical at every thread count** — sharding is an execution
-//! strategy, not a semantic knob. This harness checks that claim the same way
-//! `engine_equivalence.rs` checks the active-set engine against the naive
-//! loop: a pseudo-random chaos protocol (random sends, sleeps, halts, and a
-//! running digest over message content/order/arrival round) runs on random
-//! graphs under random configurations *and random fault plans*, once per
-//! thread count in `{1, 2, 4}` plus once through `run_reference`. Metrics,
-//! edge traces, and per-node state digests must agree exactly across all
-//! four executions — and strict-mode errors must be the *same* error.
+//! The design note in `engine/mod.rs` claims results are **bit-identical at
+//! every thread count** — sharding is an execution strategy, not a semantic
+//! knob. This harness checks that claim the same way `engine_equivalence.rs`
+//! checks the active-set engine against the naive loop: a pseudo-random chaos
+//! protocol (random sends, sleeps, halts, and a running digest over message
+//! content/order/arrival round) runs on random graphs under random
+//! configurations *and random fault plans*, once per thread count in
+//! `{1, 2, 3, 4}` plus once through `run_reference`. Metrics, edge traces,
+//! and per-node state digests must agree exactly across all five executions
+//! — and strict-mode errors must be the *same* error.
 //!
 //! The listening chaos protocol ([`ChaosListener`]) goes through the same
-//! four-way comparison, with and without fault plans: early wake-ups are
-//! decided on the main thread before the awake list is cut into shard
-//! segments, and this is where a mistake in that order would show.
+//! comparison, with and without fault plans: early wake-ups are decided on
+//! the main thread before the awake list is cut into shard segments, and
+//! this is where a mistake in that order would show.
+//!
+//! Both drivers call one set of round rules (`engine/round.rs`), so what can
+//! still diverge is the order and the thread they are called on — and what
+//! can be wrong in both at once is a rule itself, which only the reference
+//! loop can tell. The fixed cases at the end name the rules that used to
+//! have one copy per driver and run each through all five executions.
 
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::fault::FaultPlan;
 use congest_sim::workloads::{ChaosListener, WaveBfs};
-use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
+use congest_sim::{Engine, Message, NodeCtx, Protocol, RunOutcome, SimConfig, SimError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// The thread counts every scenario is replayed at (1 = the sequential path).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// The thread counts every scenario is replayed at (1 = the inline driver).
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
 /// Clears a `SIM_THREADS` override once per process: it would force every
 /// run onto one thread count and collapse the sweep this harness exists for.
@@ -101,25 +107,27 @@ impl Protocol for ChaosNode {
 /// Runs the chaos protocol at every thread count plus through the reference
 /// engine and asserts all four executions are indistinguishable.
 fn assert_thread_counts_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
-    assert_runs_equivalent(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
+    let _ = assert_runs_equivalent(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
 }
 
 /// The same for the listening chaos protocol (waits on both sides of the
 /// wake queue's 64-round ring).
 fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
     let node = |id| ChaosListener::new(seed, id, 120, 90);
-    assert_runs_equivalent(g, cfg, seed, node, |s| (s.digest, s.calls));
+    let _ = assert_runs_equivalent(g, cfg, seed, node, |s| (s.digest, s.calls));
 }
 
 /// Runs one protocol at every thread count plus through the reference
 /// engine; `key` reads the part of a final state the comparison is on.
+/// Returns what they all agreed on, for the caller to check that the case
+/// exercised what it was written for.
 fn assert_runs_equivalent<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt::Debug>(
     g: &Graph,
     cfg: SimConfig,
     seed: u64,
     node: impl Fn(NodeId) -> P,
     key: impl Fn(&P) -> K,
-) {
+) -> Result<RunOutcome<P>, SimError> {
     clear_thread_override();
     let baseline = Engine::new(g, cfg.clone().with_threads(1)).run(&node);
     for threads in &THREAD_COUNTS[1..] {
@@ -154,6 +162,7 @@ fn assert_runs_equivalent<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt
         (Err(b), Err(r)) => assert_eq!(b, r, "errors diverged from reference (seed {seed})"),
         (b, r) => panic!("outcome kind diverged from reference: run={b:?} reference={r:?}"),
     }
+    baseline
 }
 
 fn chaos_config() -> impl Strategy<Value = SimConfig> {
@@ -311,8 +320,8 @@ fn strict_errors_agree_across_thread_counts() {
 
 /// Listeners woken by the same round's mail, spread over every shard, fail in
 /// node-id order like any other awake nodes: the first strict violation and
-/// the first protocol panic are the sequential engine's (and the
-/// reference's) at every thread count.
+/// the first protocol panic are the inline driver's (and the reference's) at
+/// every thread count.
 #[test]
 fn woken_listeners_fail_in_the_same_order_at_every_thread_count() {
     clear_thread_override();
@@ -378,4 +387,240 @@ fn woken_listeners_fail_in_the_same_order_at_every_thread_count() {
             "panic diverged at {threads} threads"
         );
     }
+}
+
+// --- One named case per round rule ------------------------------------------
+//
+// Fixed, not random: each is the smallest execution in which one rule of
+// `engine/round.rs` decides the outcome, run through `run_reference` and
+// `run` at every thread count and compared whole.
+
+/// Counts its callbacks; always awake and talking until round `until`.
+#[derive(Debug, Clone)]
+struct Chatter {
+    until: u64,
+    inits: u32,
+    steps: u32,
+}
+
+impl Protocol for Chatter {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.inits += 1;
+        ctx.broadcast(&[ctx.round()]);
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        self.steps += inbox.len() as u32;
+        if ctx.round() >= self.until {
+            ctx.halt();
+        } else {
+            ctx.broadcast(&[ctx.round()]);
+        }
+    }
+}
+
+/// Churn, then the re-init flag: a node restarted in round 4 is stepped in
+/// that very round through `init` (on a fresh state, its waiting mail
+/// ignored), and through `on_round` from round 5 on — the flag is cleared by
+/// the step that read it, once.
+#[test]
+fn a_restarted_node_reinitialises_in_its_restart_round_and_only_then() {
+    let g = generators::cycle(6, 1);
+    let plan = FaultPlan::none().with_crash(NodeId(4), 2, Some(4));
+    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let node = |_| Chatter { until: 8, inits: 0, steps: 0 };
+    let run = assert_runs_equivalent(&g, cfg, 0, node, |s| (s.inits, s.steps)).expect("halts");
+    assert_eq!((run.metrics.crashes, run.metrics.restarts), (1, 1));
+    // Two neighbours' mail in each of rounds 5..=8, none counted in round 4.
+    assert_eq!((run.states[4].inits, run.states[4].steps), (1, 8));
+    assert_eq!((run.states[0].inits, run.states[0].steps), (1, 16));
+    // Up in rounds 0, 1 and 4..=8.
+    assert_eq!(run.metrics.node_energy[4], 7);
+}
+
+/// Node 0 talks in rounds 0..=5 and then sleeps; node 1 listens, re-listening
+/// to the same deadline every time mail wakes it.
+#[derive(Debug, Clone)]
+struct Patient {
+    deadline: u64,
+    calls: Vec<u64>,
+}
+
+impl Protocol for Patient {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        if ctx.node_id() == NodeId(0) {
+            ctx.broadcast(&[0]);
+        } else {
+            ctx.listen_until(self.deadline);
+        }
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        self.calls.push(ctx.round() << 8 | inbox.len() as u64);
+        if ctx.round() >= self.deadline {
+            ctx.halt();
+        } else if ctx.node_id() != NodeId(0) {
+            ctx.listen_until(self.deadline);
+        } else if ctx.round() <= 5 {
+            ctx.broadcast(&[ctx.round()]);
+        } else {
+            ctx.sleep_until(self.deadline);
+        }
+    }
+}
+
+/// Listener wake-up off the *merged* stream: a jitter-delayed message is not
+/// in the buffer the previous round's sends left behind, yet its arrival must
+/// wake the listener — whose deadline entry then sits stale in the wake queue
+/// and is filtered out when the deadline round comes.
+#[test]
+fn a_jittered_arrival_wakes_a_listener_and_its_deadline_entry_goes_stale() {
+    let g = generators::path(2, 1);
+    let plan = FaultPlan::none().with_seed(5).with_max_skew(6);
+    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let node = |_| Patient { deadline: 40, calls: Vec::new() };
+    let run = assert_runs_equivalent(&g, cfg, 5, node, |s| s.calls.clone()).expect("halts");
+    assert!(run.metrics.fault_delays > 0, "the case needs a delayed message");
+    let listener = &run.states[1].calls;
+    let mail: u64 = listener.iter().map(|c| c & 0xff).sum();
+    assert_eq!(mail, 6, "every message arrives, late or not: {listener:?}");
+    assert!(listener.iter().any(|c| c >> 8 > 6), "one arrives after the last send: {listener:?}");
+    assert_eq!(listener.last(), Some(&(40 << 8)), "the deadline callback runs once, without mail");
+    assert_eq!(run.metrics.node_energy[1], 41, "awake in every round, stepped in few");
+}
+
+/// Says something to everyone and stops.
+#[derive(Debug, Clone)]
+struct LastWords;
+
+impl Protocol for LastWords {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.broadcast(&[1]);
+        ctx.halt();
+    }
+    fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {}
+}
+
+/// Termination: everyone halts in round 0 with messages on the wire and in
+/// the jitter buffer; neither kind can be delivered, both count as lost.
+#[test]
+fn termination_counts_pending_jitter_as_lost() {
+    let g = generators::star(8, 1);
+    let plan = FaultPlan::none().with_seed(9).with_max_skew(4);
+    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let run = assert_runs_equivalent(&g, cfg, 9, |_| LastWords, |_| ()).expect("halts");
+    assert_eq!((run.metrics.rounds, run.metrics.messages), (1, 14));
+    assert!(run.metrics.fault_delays > 0, "the case needs a message held back");
+    assert!(run.metrics.fault_delays < 14, "and one on the wire");
+    assert_eq!(run.metrics.messages_lost, 14);
+}
+
+/// Sleeps to a round far past any limit.
+#[derive(Debug, Clone)]
+struct FarSleeper(u64);
+
+impl Protocol for FarSleeper {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.sleep_until(self.0);
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {
+        ctx.halt();
+    }
+}
+
+/// The round limit, met by a fast-forward jump: the jump is refused with the
+/// error a round-by-round run would end in — decided *before* the trace is
+/// padded with one entry per skipped round, which for this sleeper used to
+/// be a 1.6 TB allocation. Without a fault plan the jump target comes from
+/// the wake buckets, with one from the scan over `wake_at`.
+#[test]
+fn a_jump_past_the_round_limit_is_the_round_limit_error() {
+    let g = generators::path(2, 1);
+    let churn = FaultPlan::none().with_crash(NodeId(0), 5, Some(7));
+    for plan in [FaultPlan::none(), churn] {
+        for traced in [false, true] {
+            let cfg = SimConfig::default().with_edge_trace(traced).with_faults(plan.clone());
+            let err = assert_runs_equivalent(&g, cfg, 0, |_| FarSleeper(1 << 36), |_| ())
+                .expect_err("2^36 is past the default limit");
+            assert_eq!(err, SimError::RoundLimitExceeded { limit: 10_000_000, unhalted_nodes: 2 });
+        }
+    }
+    // Below the limit the padding is still there: one entry per round.
+    let cfg = SimConfig::default().with_edge_trace(true);
+    let run = assert_runs_equivalent(&g, cfg, 0, |_| FarSleeper(1000), |_| ()).expect("halts");
+    assert_eq!(run.metrics.rounds, 1001);
+    assert_eq!(run.trace.expect("traced").len() as u64, run.metrics.rounds);
+}
+
+/// Breaks both CONGEST bounds on one edge in one step.
+#[derive(Debug, Clone)]
+struct Loudmouth;
+
+impl Protocol for Loudmouth {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        let edge = ctx.neighbors()[0].edge;
+        ctx.send_on_edge(edge, &[1, 2, 3, 4, 5]);
+        ctx.send_on_edge(edge, &[6]);
+        ctx.halt();
+    }
+    fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {}
+}
+
+/// Lenient accounting: an oversized message and a second message on the same
+/// edge are one violation each, and both are still sent and counted.
+#[test]
+fn lenient_mode_counts_an_oversized_and_an_over_capacity_send_separately() {
+    let g = generators::path(3, 1);
+    let cfg = SimConfig { strict_capacity: false, ..SimConfig::default().with_edge_trace(true) };
+    let run = assert_runs_equivalent(&g, cfg, 0, |_| Loudmouth, |_| ()).expect("lenient");
+    assert_eq!((run.metrics.messages, run.metrics.capacity_violations), (6, 6));
+    // In strict mode the oversized one is met first, at node 0.
+    let err = assert_runs_equivalent(&g, SimConfig::default(), 0, |_| Loudmouth, |_| ())
+        .expect_err("strict");
+    assert_eq!(err, SimError::MessageTooLarge { node: NodeId(0), words: 5, max_words: 4 });
+}
+
+/// One thread means the calling thread: no worker is spawned and no barrier
+/// touched, so every callback of a one-thread run executes on the thread
+/// that called [`Engine::run`]; with four threads on 64 nodes the callbacks
+/// are spread over workers, and nothing else about the run differs.
+#[test]
+fn one_thread_means_the_calling_thread() {
+    clear_thread_override();
+
+    #[derive(Debug, Clone)]
+    struct Witness {
+        seen: Vec<std::thread::ThreadId>,
+        heard: u64,
+    }
+    impl Protocol for Witness {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.seen.push(std::thread::current().id());
+            ctx.broadcast(&[ctx.node_id().0 as u64]);
+        }
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            self.seen.push(std::thread::current().id());
+            self.heard += inbox.iter().map(|m| m.word(0)).sum::<u64>();
+            if ctx.round() >= 3 {
+                ctx.halt();
+            } else {
+                ctx.broadcast(&[self.heard]);
+            }
+        }
+    }
+
+    let g = generators::random_connected(64, 100, 23);
+    let run = |threads: usize| {
+        Engine::new(&g, SimConfig::default().with_threads(threads))
+            .run(|_| Witness { seen: Vec::new(), heard: 0 })
+            .expect("halts in round 3")
+    };
+    let (inline, sharded) = (run(1), run(4));
+    let caller = std::thread::current().id();
+    assert!(inline.states.iter().all(|s| s.seen.len() == 4 && s.seen.iter().all(|&t| t == caller)));
+    let mut workers: Vec<_> = sharded.states.iter().flat_map(|s| s.seen.clone()).collect();
+    workers.sort_by_key(|t| format!("{t:?}"));
+    workers.dedup();
+    assert!(workers.len() >= 2, "four shards of sixteen nodes ran on {workers:?}");
+    assert_eq!(inline.metrics, sharded.metrics);
+    let heard = |run: &RunOutcome<Witness>| run.states.iter().map(|s| s.heard).collect::<Vec<_>>();
+    assert_eq!(heard(&inline), heard(&sharded));
 }
