@@ -14,10 +14,10 @@
 //! The run takes `O(ε⁻¹ · n)` rounds and sends `O(1)` messages per edge.
 
 use congest_graph::{Distance, Graph, Weight};
-use congest_sim::Metrics;
+use congest_sim::{Metrics, RunScratch};
 
 use crate::result::{AlgoRun, SourceOffset};
-use crate::weighted_bfs::waiting_bfs_owned;
+use crate::weighted_bfs::waiting_bfs_in;
 use crate::{AlgoConfig, AlgoError};
 
 /// The result of one cutter invocation.
@@ -59,6 +59,19 @@ pub fn approximate_cssp(
     w_max: u64,
     config: &AlgoConfig,
 ) -> Result<CutterOutcome, AlgoError> {
+    approximate_cssp_in(g, sources.to_vec(), w_max, config, &mut RunScratch::default())
+}
+
+/// [`approximate_cssp`] with its waiting BFS run in engine buffers the caller
+/// keeps (the recursion's, see `docs/APSP.md`), on a source list the caller
+/// built for this call and hands over to be rescaled in place.
+pub(crate) fn approximate_cssp_in(
+    g: &Graph,
+    mut sources: Vec<SourceOffset>,
+    w_max: u64,
+    config: &AlgoConfig,
+    scratch: &mut RunScratch,
+) -> Result<CutterOutcome, AlgoError> {
     assert!(w_max > 0, "the cutter threshold W must be positive");
     let n = g.node_count().max(2) as u64;
     let inv = config.epsilon_inverse.max(1);
@@ -74,22 +87,20 @@ pub fn approximate_cssp(
         num.div_ceil(inv as u128 * n as u128) as u64
     };
     let weights: Vec<Weight> = g.edges().iter().map(|e| scale(e.w)).collect();
-    let scaled_sources: Vec<SourceOffset> =
-        sources.iter().map(|s| SourceOffset { node: s.node, offset: scale(s.offset) }).collect();
+    for source in &mut sources {
+        source.offset = scale(source.offset);
+    }
     // Nodes with true (offset) distance <= 2W have scaled distance at most
     // 2*inv*n + n + 1 (one +1 per path edge plus one for the offset), so this
     // round limit retains all of them.
     let limit = (2 * inv + 1) * n + 2;
-    let run: AlgoRun = waiting_bfs_owned(g, &scaled_sources, weights, limit, config)?;
-    let estimates = run
-        .output
-        .distances
-        .iter()
-        .map(|d| match d {
-            Distance::Finite(s) => Distance::Finite(unscale(*s)),
-            Distance::Infinite => Distance::Infinite,
-        })
-        .collect();
+    let run: AlgoRun = waiting_bfs_in(g, &sources, &weights, limit, config, scratch)?;
+    let mut estimates = run.output.distances;
+    for estimate in &mut estimates {
+        if let Distance::Finite(scaled) = estimate {
+            *scaled = unscale(*scaled);
+        }
+    }
     let error_bound = w_max.div_ceil(inv) + 2;
     Ok(CutterOutcome { estimates, error_bound, metrics: run.metrics, trace: run.trace })
 }

@@ -35,20 +35,21 @@
 //! the induced subgraph is built from the members' adjacency straight into
 //! CSR ([`Graph::induced_on`]), phases are scatter-added into the accumulated
 //! metrics ([`Metrics::merge_sequential_mapped`]), and the spanning forest
-//! runs in buffers the workspace owns. The per-subproblem allocations that
+//! and the cutter's simulated run work in buffers the workspace owns
+//! (`ForestScratch`, [`RunScratch`]). The per-subproblem allocations that
 //! remain are outputs: the subgraph, its edge map, the filtered source list,
-//! `V₁`, the second half's node set and the result runs — plus whatever the
-//! simulator allocates per cutter run. The B-tree recursion this replaced
+//! `V₁`, the second half's node set and the result runs — plus the cutter's
+//! rounded weights and what its run returns. The B-tree recursion this replaced
 //! lives on in `thresholded/reference.rs` (test-only) as the differential
 //! oracle.
 //!
 //! simlint: hot-path
 
 use congest_graph::{Distance, EdgeId, Graph, NodeId, SubsetMarks, Weight};
-use congest_sim::Metrics;
+use congest_sim::{Metrics, RunScratch};
 use serde::{Deserialize, Serialize};
 
-use crate::approx::approximate_cssp;
+use crate::approx::approximate_cssp_in;
 use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
 use crate::spanning_forest::ForestScratch;
 use crate::{AlgoConfig, AlgoError};
@@ -182,6 +183,9 @@ struct Recursion<'a> {
     /// Each use re-marks; nothing is assumed to survive a recursive call.
     marks: SubsetMarks,
     forest: ForestScratch,
+    /// The simulator's buffers for the cutter's waiting BFS, one run per
+    /// subproblem: each run re-arms them for its own subgraph.
+    engine: RunScratch,
     /// The best offset found so far for each node of `V₁ \ V₂` (by local
     /// index) while the second half's sources are collected.
     cut_offsets: Vec<Weight>,
@@ -203,6 +207,7 @@ impl<'a> Recursion<'a> {
             total_size: 0,
             marks: SubsetMarks::new(n),
             forest: ForestScratch::default(),
+            engine: RunScratch::default(),
             cut_offsets: Vec::new(), // simlint::allow(hot-path-alloc: workspace column, as above)
             #[cfg(test)]
             base_case_scanned: 0,
@@ -286,13 +291,13 @@ impl<'a> Recursion<'a> {
             let local = marks.local(s.node).expect("the sources were filtered to the subproblem");
             SourceOffset { node: NodeId(local), offset: s.offset }
         });
-        // simlint::allow(hot-path-alloc: per-subproblem input of the cutter run)
+        // simlint::allow(hot-path-alloc: per-subproblem input of the cutter run, which rescales it in place)
         let sub_sources: Vec<SourceOffset> = renumbered.collect();
 
         let forest_metrics = self.forest.run(&sub, false);
         self.metrics.merge_sequential_mapped(forest_metrics, nodes, &edge_map);
 
-        let cut = approximate_cssp(&sub, &sub_sources, d, self.config)?;
+        let cut = approximate_cssp_in(&sub, sub_sources, d, self.config, &mut self.engine)?;
         self.metrics.merge_sequential_mapped(&cut.metrics, nodes, &edge_map);
 
         let include = cut.inclusion_threshold(d);

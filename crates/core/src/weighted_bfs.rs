@@ -13,17 +13,16 @@
 //! charged and receptive every round, as the model demands, while the
 //! simulation pays per event instead of per node-round.
 
-use std::sync::Arc;
-
 use congest_graph::{Distance, Graph, NodeId, Weight};
-use congest_sim::{Engine, Message, NodeCtx, Protocol};
+use congest_sim::{Engine, Message, NodeCtx, Protocol, RunScratch};
 
 use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
 use crate::{AlgoConfig, AlgoError};
 
-/// Per-node state of the waiting-BFS protocol.
+/// Per-node state of the waiting-BFS protocol, over the weight map `'w` of
+/// its run.
 #[derive(Debug, Clone)]
-pub struct WaitingBfsNode {
+pub struct WaitingBfsNode<'w> {
     /// The weighted distance from the source set (under the protocol's weight
     /// map), or infinity if beyond the round limit.
     pub dist: Distance,
@@ -31,10 +30,10 @@ pub struct WaitingBfsNode {
     finalized: bool,
     limit: u64,
     /// Rounded weight per edge id (shared, read-only).
-    weights: Arc<Vec<Weight>>,
+    weights: &'w [Weight],
 }
 
-impl WaitingBfsNode {
+impl WaitingBfsNode<'_> {
     fn maybe_finalize(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.finalized {
             return;
@@ -59,7 +58,7 @@ impl WaitingBfsNode {
     }
 }
 
-impl Protocol for WaitingBfsNode {
+impl Protocol for WaitingBfsNode<'_> {
     fn init(&mut self, ctx: &mut NodeCtx<'_>) {
         // `best` was pre-set to the source offset by the factory (or left
         // infinite for non-sources). A source with offset 0 finalizes now.
@@ -102,31 +101,34 @@ pub fn waiting_bfs(
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<AlgoRun, AlgoError> {
-    let weights = Arc::new(weights.to_vec());
-    run_waiting_bfs(g, sources, weights, limit, config, |node| node, |node| node.dist)
+    waiting_bfs_in(g, sources, weights, limit, config, &mut RunScratch::default())
 }
 
-/// [`waiting_bfs`] on a weight map the caller built for this run and hands
-/// over (the cutter's rounded weights), saving the copy.
-pub(crate) fn waiting_bfs_owned(
+/// [`waiting_bfs`] in engine buffers the caller keeps: the recursion makes
+/// thousands of these runs on a few dozen nodes each, and owns one scratch
+/// for all of them.
+pub(crate) fn waiting_bfs_in(
     g: &Graph,
     sources: &[SourceOffset],
-    weights: Vec<Weight>,
+    weights: &[Weight],
     limit: u64,
     config: &AlgoConfig,
+    scratch: &mut RunScratch,
 ) -> Result<AlgoRun, AlgoError> {
-    run_waiting_bfs(g, sources, Arc::new(weights), limit, config, |node| node, |node| node.dist)
+    run_waiting_bfs(g, sources, weights, limit, config, scratch, |node| node, |node| node.dist)
 }
 
 /// [`waiting_bfs`] over any protocol built from a [`WaitingBfsNode`], so that
 /// the tests can put the always-stepped reference through the same set-up.
-fn run_waiting_bfs<P: Protocol>(
+#[allow(clippy::too_many_arguments)]
+fn run_waiting_bfs<'w, P: Protocol>(
     g: &Graph,
     sources: &[SourceOffset],
-    weights: Arc<Vec<Weight>>,
+    weights: &'w [Weight],
     limit: u64,
     config: &AlgoConfig,
-    protocol: impl Fn(WaitingBfsNode) -> P,
+    scratch: &mut RunScratch,
+    protocol: impl Fn(WaitingBfsNode<'w>) -> P,
     dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
     if sources.is_empty() {
@@ -153,13 +155,13 @@ fn run_waiting_bfs<P: Protocol>(
     }
     let mut sim = config.sim.clone();
     sim.max_rounds = sim.max_rounds.max(limit.saturating_add(10));
-    let run = Engine::new(g, sim).run(|id: NodeId| {
+    let run = Engine::new(g, sim).run_in(scratch, |id: NodeId| {
         protocol(WaitingBfsNode {
             dist: Distance::Infinite,
             best: offsets[id.index()],
             finalized: false,
             limit,
-            weights: Arc::clone(&weights),
+            weights,
         })
     })?;
     let distances = run.states.iter().map(dist).collect();
@@ -181,9 +183,9 @@ mod tests {
     /// nothing comes due. Kept as the reference the listening protocol must
     /// be indistinguishable from.
     #[derive(Debug, Clone)]
-    struct AlwaysStepped(WaitingBfsNode);
+    struct AlwaysStepped<'w>(WaitingBfsNode<'w>);
 
-    impl Protocol for AlwaysStepped {
+    impl Protocol for AlwaysStepped<'_> {
         fn init(&mut self, ctx: &mut NodeCtx<'_>) {
             self.0.maybe_finalize(ctx);
         }
@@ -222,6 +224,54 @@ mod tests {
         (sources, g.edges().iter().map(|e| scale(e.w)).collect(), (2 * inv + 1) * n + 2)
     }
 
+    /// A waiting-BFS node that also notes the rounds it was called back in.
+    #[derive(Debug, Clone)]
+    struct Recorded<'w>(WaitingBfsNode<'w>, Vec<u64>);
+
+    impl Protocol for Recorded<'_> {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.1.push(ctx.round());
+            self.0.init(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            self.1.push(ctx.round());
+            self.0.on_round(ctx, inbox);
+        }
+    }
+
+    #[test]
+    fn the_engine_visits_only_rounds_in_which_a_node_is_called_back() {
+        // Host cost without a clock: on the cutter's instances every node
+        // listens, so a round has something in it — mail, or a deadline come
+        // due — exactly when somebody's callback runs in it. The engine must
+        // look at those rounds and at no other: not at the round after one
+        // in which a node acted without sending (more than a quarter of all
+        // visits before the fast-forward stopped waiting for an empty round),
+        // and not at a deadline its listener was woken ahead of.
+        let plain = [SourceOffset::plain(NodeId(0))];
+        let cfg = AlgoConfig::default();
+        let scratch = &mut RunScratch::default();
+        for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
+            let full = g.distance_upper_bound();
+            for w_max in [full, (full / 8).max(1)] {
+                let (sources, weights, limit) = rounded(g, &plain, w_max, 2);
+                let calls = std::cell::RefCell::new(std::collections::BTreeSet::new());
+                let before = scratch.rounds_visited();
+                let wrap = |node| Recorded(node, Vec::new());
+                let read = |s: &Recorded| {
+                    calls.borrow_mut().extend(s.1.iter().copied());
+                    s.0.dist
+                };
+                run_waiting_bfs(g, &sources, &weights, limit, &cfg, scratch, wrap, read).unwrap();
+                let visited = scratch.rounds_visited() - before;
+                let eventful = calls.borrow().len() as u64;
+                assert!(eventful > 2 && eventful < limit, "workload {i}: {eventful} of {limit}");
+                assert_eq!(visited, eventful, "workload {i}, W = {w_max}, {limit} rounds");
+            }
+        }
+    }
+
     #[test]
     fn listening_changes_nothing_the_simulation_can_observe() {
         let plain = [SourceOffset::plain(NodeId(0))];
@@ -245,12 +295,19 @@ mod tests {
             for cfg in test_graphs::configs() {
                 for (sources, weights, limit) in &instances {
                     let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
-                    let shared = Arc::new(weights.clone());
-                    let slow =
-                        run_waiting_bfs(g, sources, shared, *limit, &cfg, AlwaysStepped, |s| {
-                            s.0.dist
-                        })
-                        .unwrap();
+                    let fresh = &mut RunScratch::default();
+                    let stepped = |s: &AlwaysStepped| s.0.dist;
+                    let slow = run_waiting_bfs(
+                        g,
+                        sources,
+                        weights,
+                        *limit,
+                        &cfg,
+                        fresh,
+                        AlwaysStepped,
+                        stepped,
+                    )
+                    .unwrap();
                     // Full AlgoRun equality: distances, every metrics field
                     // (per-node energy included), and the trace.
                     assert_eq!(fast, slow, "workload {i}, limit {limit}");

@@ -13,9 +13,11 @@
 //!   rounds. Always-awake nodes cycle through the ring's recycled `Vec`s, so
 //!   a steady-state round allocates nothing (the allocation-regression test
 //!   `tests/alloc_regression.rs` pins this);
-//! * an **overflow** `BTreeMap` for wake-ups beyond the ring horizon —
-//!   sleeping-model protocols legitimately schedule arbitrarily far ahead.
-//!   Its bucket `Vec`s are recycled through a spare pool.
+//! * a **far tier** for wake-ups beyond the ring horizon — sleeping-model
+//!   protocols legitimately schedule arbitrarily far ahead: `(round, node)`
+//!   entries in flat buffers (`FarTier`) that, like the ring's, survive
+//!   [`ActiveSet::rearm`], so a warm scheduler allocates nothing on this
+//!   path either.
 //!
 //! Invariant: a non-halted node `v` runs in round `r` iff
 //! `wake_at[v] == r`. (`wake_at` only ever moves forward, and it is only
@@ -34,23 +36,27 @@
 //! rounds it idled through are never visited: [`ActiveSet::awake_rounds`]
 //! settles their energy in one subtraction when the node next runs.
 //!
+//! The scheduler is part of a [`crate::RunScratch`]: a run starts by
+//! [`ActiveSet::rearm`]ing it, which forgets the last run and keeps every
+//! buffer's capacity.
+//!
 //! simlint: hot-path
-
-use std::collections::BTreeMap;
 
 use congest_graph::NodeId;
 
+use super::zeroed;
 use crate::node::Request;
 
 /// Ring width: wake-ups at most this many rounds ahead stay in the
 /// allocation-free ring. Chosen to cover every always-awake cadence (wake
 /// next round) and short sleeps (e.g. megaround pulses) with room to spare;
-/// longer sleeps take the overflow path, whose cost is charged to genuinely
+/// longer sleeps take the far tier, whose sorting is charged to genuinely
 /// low-duty-cycle executions.
 const WINDOW: u64 = 64;
 
-/// Per-node status plus the two-tier wake bucket queue.
-#[derive(Debug, Clone)]
+/// Per-node status plus the two-tier wake queue. The `Default` value is the
+/// scheduler of no run; [`ActiveSet::rearm`] makes it the scheduler of one.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ActiveSet {
     /// The round in which each node next runs (meaningless once halted).
     wake_at: Vec<u64>,
@@ -61,22 +67,27 @@ pub(crate) struct ActiveSet {
     /// `r % WINDOW`. Draining a slot keeps its capacity, so steady-state
     /// rescheduling never allocates.
     ring: Vec<Vec<NodeId>>,
-    /// Far-future buckets (wake more than `WINDOW` rounds ahead), keyed by
-    /// absolute round.
-    overflow: BTreeMap<u64, Vec<NodeId>>,
-    /// Recycled bucket vectors for `overflow` inserts.
-    spare: Vec<Vec<NodeId>>,
+    /// Far-future entries (wake more than `WINDOW` rounds ahead of the round
+    /// they were scheduled in), earliest round on top.
+    far: FarTier,
     /// Nodes currently down due to a fault-injected crash (awaiting restart).
     /// Empty (all-false) outside fault mode.
     down: Vec<bool>,
     /// Nodes currently waiting in [`crate::NodeCtx::listen_until`]. Empty
-    /// until the first listen request of the run allocates it (and
+    /// until the first listen request of the run sizes it (and
     /// `listen_from`), so protocols that never listen run the path — and pay
     /// the per-run set-up — they always did.
     listening: Vec<bool>,
     /// For a listening node, the round in which it last ran (it has been
     /// awake, unvisited, in every round since); meaningless otherwise.
     listen_from: Vec<u64>,
+    /// For a node of a run with listeners: the round of a far-tier entry of
+    /// its that is known to be in the far tier still, or 0. A listener woken
+    /// early mostly goes back to the deadline it came from (the waiting BFS
+    /// returns to its round limit after every message), and without this its
+    /// deadline's round would open by popping one stale entry per callback of
+    /// the whole run. Sized with `listening`.
+    far_deadline: Vec<u64>,
     /// Queue entries may be stale (a revived node is re-enqueued without its
     /// old entry being removable; an early-woken listener leaves its deadline
     /// entry behind), so [`ActiveSet::take_awake`] must filter and dedup
@@ -85,26 +96,101 @@ pub(crate) struct ActiveSet {
     filtering: bool,
 }
 
-impl ActiveSet {
-    /// Creates the scheduler for `n` nodes, all awake in round 0 (the
-    /// initialization round of the model).
-    pub(crate) fn new(n: usize) -> Self {
-        // simlint::allow(hot-path-alloc: one-time construction; steady-state rounds only recycle these buckets)
-        let mut ring = vec![Vec::new(); WINDOW as usize];
-        // simlint::allow(hot-path-alloc: one-time construction of the round-0 bucket)
-        ring[0] = (0..n as u32).map(NodeId).collect();
-        ActiveSet {
-            wake_at: vec![0; n],    // simlint::allow(hot-path-alloc: per-run setup)
-            halted: vec![false; n], // simlint::allow(hot-path-alloc: per-run setup)
-            halted_count: 0,
-            ring,
-            overflow: BTreeMap::new(),
-            spare: Vec::new(),     // simlint::allow(hot-path-alloc: per-run setup)
-            down: vec![false; n],  // simlint::allow(hot-path-alloc: per-run setup)
-            listening: Vec::new(), // simlint::allow(hot-path-alloc: empty; sized by the first listen request)
-            listen_from: Vec::new(), // simlint::allow(hot-path-alloc: empty; sized by the first listen request)
-            filtering: false,
+/// The far tier of the wake queue: `(round, node)` entries more than
+/// [`WINDOW`] rounds ahead of the round they were made in, in two flat
+/// buffers that survive [`ActiveSet::rearm`]. New entries are staged in push
+/// order, and sorted in only once one of them is due before everything
+/// already in order (or nothing is): a schedule handed over in one round
+/// (every node of a wave sleeping to its own round) costs one sort, and
+/// sleepers that each go back to sleep for a period, one after the other,
+/// cost one sort per period. The sort also takes whatever is in order and no
+/// later than the latest staged entry, so the case to know about is a staged
+/// buffer holding an entry earlier than the whole run *and* one later than
+/// most of it: that sorts most of the run again.
+#[derive(Debug, Clone, Default)]
+struct FarTier {
+    /// Sorted by round, latest first: the earliest entry is the last one.
+    sorted: Vec<(u64, NodeId)>,
+    /// Entries pushed since `sorted` was last completed.
+    staged: Vec<(u64, NodeId)>,
+    /// The earliest round in `staged` (meaningless while it is empty).
+    staged_min: u64,
+}
+
+impl FarTier {
+    fn clear(&mut self) {
+        self.sorted.clear();
+        self.staged.clear();
+    }
+
+    fn push(&mut self, round: u64, v: NodeId) {
+        self.staged_min = if self.staged.is_empty() { round } else { self.staged_min.min(round) };
+        self.staged.push((round, v));
+    }
+
+    /// The earliest round queued, if any.
+    fn earliest(&self) -> Option<u64> {
+        let staged = (!self.staged.is_empty()).then_some(self.staged_min);
+        staged.into_iter().chain(self.sorted.last().map(|e| e.0)).min()
+    }
+
+    /// The earliest entry, if any. Answered from the sorted run as it stands
+    /// unless a staged entry comes before all of it.
+    fn first(&mut self) -> Option<(u64, NodeId)> {
+        let in_order = self.sorted.last().map(|e| e.0);
+        if !self.staged.is_empty() && in_order.map_or(true, |r| self.staged_min < r) {
+            let latest = self.staged.iter().map(|e| e.0).max().expect("non-empty");
+            let keep = self.sorted.partition_point(|e| e.0 > latest);
+            self.sorted.append(&mut self.staged);
+            // By round alone: the order within a round is `take_awake`'s.
+            self.sorted[keep..].sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         }
+        self.sorted.last().copied()
+    }
+
+    /// Removes the entry [`FarTier::first`] just returned.
+    fn pop(&mut self) {
+        self.sorted.pop();
+    }
+
+    /// Removes and returns the earliest entry if it is due by `round`.
+    fn due(&mut self, round: u64) -> Option<(u64, NodeId)> {
+        if self.earliest()? > round {
+            return None;
+        }
+        let first = self.first();
+        self.pop();
+        first
+    }
+}
+
+impl ActiveSet {
+    /// Creates the scheduler for `n` nodes, all awake in round 0.
+    #[cfg(test)]
+    pub(crate) fn new(n: usize) -> Self {
+        let mut fresh = ActiveSet::default();
+        fresh.rearm(n);
+        fresh
+    }
+
+    /// Makes this the scheduler of a run about to enter round 0 on `n` nodes
+    /// — all awake, the initialization round of the model — whatever state
+    /// the previous run (finished, failed or unwound) left it in. `O(n)`, and
+    /// allocation-free once the buffers have seen a run this large.
+    pub(crate) fn rearm(&mut self, n: usize) {
+        zeroed(&mut self.wake_at, n);
+        zeroed(&mut self.halted, n);
+        self.halted_count = 0;
+        // simlint::allow(hot-path-alloc: the ring's buckets, created by a scratch's first run and recycled by every later one)
+        self.ring.resize_with(WINDOW as usize, Vec::new);
+        self.ring.iter_mut().for_each(Vec::clear);
+        self.ring[0].extend((0..n as u32).map(NodeId));
+        self.far.clear();
+        zeroed(&mut self.down, n);
+        self.listening.clear();
+        self.listen_from.clear();
+        self.far_deadline.clear();
+        self.filtering = false;
     }
 
     /// Switches the scheduler into fault (churn) mode: queue entries are no
@@ -120,10 +206,12 @@ impl ActiveSet {
     pub(crate) fn take_awake(&mut self, round: u64, out: &mut Vec<NodeId>) {
         out.clear();
         out.append(&mut self.ring[(round % WINDOW) as usize]);
-        if !self.overflow.is_empty() {
-            if let Some(mut far) = self.overflow.remove(&round) {
-                out.append(&mut far);
-                self.spare.push(far);
+        // Every live entry's round is visited, so an entry the far tier still
+        // holds for an earlier round went stale before its round came.
+        while let Some((due, v)) = self.far.due(round) {
+            self.forget_far(due, v);
+            if due == round {
+                out.push(v);
             }
         }
         if self.filtering {
@@ -244,8 +332,9 @@ impl ActiveSet {
             // and switch the stale-entry filtering on. Nothing is stale yet,
             // so buckets taken unfiltered were exact.
             let n = self.wake_at.len();
-            self.listening = vec![false; n]; // simlint::allow(hot-path-alloc: once per run, at its first listen request)
-            self.listen_from = vec![0; n]; // simlint::allow(hot-path-alloc: once per run, at its first listen request)
+            self.listening.resize(n, false);
+            self.listen_from.resize(n, 0);
+            self.far_deadline.resize(n, 0);
             self.filtering = true;
         }
         self.listening[v.index()] = true;
@@ -261,8 +350,18 @@ impl ActiveSet {
             // Slots (round, round + WINDOW] are distinct mod WINDOW, and the
             // slot shared with `round` itself was drained by `take_awake`.
             self.ring[(w % WINDOW) as usize].push(v);
-        } else {
-            self.overflow.entry(w).or_insert_with(|| self.spare.pop().unwrap_or_default()).push(v);
+        } else if self.far_deadline.get(v.index()) != Some(&w) {
+            self.far.push(w, v);
+            if let Some(known) = self.far_deadline.get_mut(v.index()) {
+                *known = w;
+            }
+        }
+    }
+
+    /// Notes that the far tier's entry `(due, v)` has been taken out of it.
+    fn forget_far(&mut self, due: u64, v: NodeId) {
+        if let Some(known) = self.far_deadline.get_mut(v.index()).filter(|k| **k == due) {
+            *known = 0;
         }
     }
 
@@ -324,29 +423,38 @@ impl ActiveSet {
         (self.halted.len() - self.halted_count) as u32
     }
 
-    /// The earliest round in which any node is scheduled to wake, if any.
-    /// `O(WINDOW)`: each non-empty ring slot's round is read off its first
-    /// entry's `wake_at` (all entries of a slot share one round).
+    /// The earliest round after `round` — the round just stepped — in which
+    /// any node is scheduled to wake, if any.
     ///
-    /// Once nodes listen, a slot's first entry may be stale, so every ring
-    /// entry is read instead: each live node has an entry at its `wake_at`,
-    /// and a stale entry only names its node's real, later wake-up, so the
-    /// minimum over unhalted entries is exact. A stale overflow key can only
-    /// make the answer too early, which costs one empty round and nothing
-    /// else (no key is ever jumped over, so none lingers behind `round`).
-    /// Not for fault mode — see [`ActiveSet::next_wake_scan`].
-    pub(crate) fn next_wake(&self) -> Option<u64> {
-        let far = self.overflow.keys().next().copied();
-        let near = if self.filtering {
-            let live = self.ring.iter().flatten().filter(|v| !self.halted[v.index()]);
-            live.map(|v| self.wake_at[v.index()]).min()
-        } else {
-            self.ring.iter().filter_map(|slot| slot.first()).map(|v| self.wake_at[v.index()]).min()
-        };
-        match (near, far) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// Ring entries lie in `(round, round + WINDOW]`, a different slot for
+    /// each of those rounds, so the slots are visited in round order and the
+    /// walk stops at the first one that holds a live entry — an unhalted one
+    /// whose `wake_at` is the slot's round: the first entry looked at, until
+    /// nodes listen and an early wake-up or a halt leaves entries behind,
+    /// stale. Stale entries at the front of the far tier are dropped on the
+    /// way: `wake_at` is only ever set to a future round together with a
+    /// fresh entry for it, or with the knowledge (`far_deadline`) that one is
+    /// still queued, so a stale entry is never needed again. Not for fault
+    /// mode — see [`ActiveSet::next_wake_scan`].
+    pub(crate) fn next_wake(&mut self, round: u64) -> Option<u64> {
+        let near = (round + 1..=round + WINDOW).find(|&r| {
+            let live = |v: &NodeId| self.wake_at[v.index()] == r && !self.halted[v.index()];
+            self.ring[(r % WINDOW) as usize].iter().any(live)
+        });
+        // Most jumps end in the ring; the far tier is put in order only when
+        // it may hold something earlier.
+        let Some(bound) = self.far.earliest() else { return near };
+        if near.is_some_and(|near| near <= bound) {
+            return near;
         }
+        while let Some((due, v)) = self.far.first() {
+            if !self.filtering || (self.wake_at[v.index()] == due && !self.halted[v.index()]) {
+                return Some(near.map_or(due, |near| near.min(due)));
+            }
+            self.far.pop();
+            self.forget_far(due, v);
+        }
+        near
     }
 
     /// Fault-mode replacement for [`ActiveSet::next_wake`]: an `O(n)` scan of
@@ -385,10 +493,10 @@ mod tests {
         a.reschedule(NodeId(1), 0, 5);
         a.reschedule(NodeId(2), 0, 7);
         a.halt(NodeId(0));
-        assert_eq!(a.next_wake(), Some(5));
+        assert_eq!(a.next_wake(0), Some(5));
         a.take_awake(5, &mut awake);
         assert_eq!(awake, vec![NodeId(1), NodeId(3)]);
-        assert_eq!(a.next_wake(), Some(7));
+        assert_eq!(a.next_wake(5), Some(7));
     }
 
     #[test]
@@ -417,29 +525,29 @@ mod tests {
 
     #[test]
     fn empty_network_is_trivially_halted() {
-        let a = ActiveSet::new(0);
+        let mut a = ActiveSet::new(0);
         assert!(a.all_halted());
-        assert_eq!(a.next_wake(), None);
+        assert_eq!(a.next_wake(0), None);
     }
 
     #[test]
-    fn far_wakeups_go_through_overflow_and_come_back() {
+    fn far_wakeups_go_through_the_far_tier_and_come_back() {
         let mut a = ActiveSet::new(3);
         let mut awake = Vec::new();
         a.take_awake(0, &mut awake);
         // One near, one just past the ring horizon, one far out.
         a.reschedule(NodeId(0), 0, WINDOW); // last ring slot
-        a.reschedule(NodeId(1), 0, WINDOW + 1); // first overflow round
+        a.reschedule(NodeId(1), 0, WINDOW + 1); // first far-tier round
         a.reschedule(NodeId(2), 0, 10 * WINDOW);
-        assert_eq!(a.next_wake(), Some(WINDOW));
+        assert_eq!(a.next_wake(0), Some(WINDOW));
         a.take_awake(WINDOW, &mut awake);
         assert_eq!(awake, vec![NodeId(0)]);
         a.halt(NodeId(0));
-        assert_eq!(a.next_wake(), Some(WINDOW + 1));
+        assert_eq!(a.next_wake(WINDOW), Some(WINDOW + 1));
         a.take_awake(WINDOW + 1, &mut awake);
         assert_eq!(awake, vec![NodeId(1)]);
         a.halt(NodeId(1));
-        assert_eq!(a.next_wake(), Some(10 * WINDOW));
+        assert_eq!(a.next_wake(WINDOW + 1), Some(10 * WINDOW));
         a.take_awake(10 * WINDOW, &mut awake);
         assert_eq!(awake, vec![NodeId(2)]);
     }
@@ -481,14 +589,14 @@ mod tests {
         a.take_awake(0, &mut awake);
         assert!(!a.has_listeners());
         assert_eq!(a.awake_rounds(NodeId(0), 0), 1);
-        // 0 and 1 listen to a far deadline (overflow), 2 to a near one
+        // 0 and 1 listen to a far deadline (the far tier), 2 to a near one
         // (ring), 3 sleeps.
         a.listen(NodeId(0), 0, 200);
         a.listen(NodeId(1), 0, 200);
         a.listen(NodeId(2), 0, 9);
         a.reschedule(NodeId(3), 0, 200);
         assert!(a.has_listeners());
-        assert_eq!(a.next_wake(), Some(9));
+        assert_eq!(a.next_wake(0), Some(9));
 
         // Mail for 1 (twice), 2 and the sleeper in round 5: the listeners
         // join the awake list once each, in id order; the sleeper stays deaf.
@@ -503,7 +611,7 @@ mod tests {
         // leaving its round-9 entry stale.
         a.listen(NodeId(1), 5, 200);
         a.halt(NodeId(2));
-        assert_eq!(a.next_wake(), Some(200), "a stale first entry does not stop the jump");
+        assert_eq!(a.next_wake(5), Some(200), "a stale first entry does not stop the jump");
 
         // The deadline bucket holds 0, 1 twice, and 3: filtered and deduped.
         a.take_awake(200, &mut awake);
@@ -537,12 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_and_overflow_entries_for_one_round_are_merged_and_sorted() {
+    fn ring_and_far_entries_for_one_round_are_merged_and_sorted() {
         let mut a = ActiveSet::new(4);
         let mut awake = Vec::new();
         a.take_awake(0, &mut awake);
         let target = WINDOW + 5;
-        // Scheduled far ahead of round 0: overflow.
+        // Scheduled far ahead of round 0: the far tier.
         a.reschedule(NodeId(3), 0, target);
         a.reschedule(NodeId(1), 0, target);
         // Nodes 0 and 2 step forward and, once close enough, schedule the
@@ -555,6 +663,126 @@ mod tests {
         a.reschedule(NodeId(2), 10, target);
         a.take_awake(target, &mut awake);
         assert_eq!(awake, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(a.next_wake(), None);
+        assert_eq!(a.next_wake(target), None);
+    }
+
+    #[test]
+    fn the_far_tier_hands_out_what_a_sorted_list_would() {
+        // Bursts pushed between pops, as the engine makes them: rounds dense
+        // or scattered over 2^40, later than everything queued, earlier, or
+        // in between.
+        let mut rng = 7u64;
+        let mut draw = |bound: u64| rand::splitmix64(&mut rng) % bound;
+        let (mut far, mut model) = (FarTier::default(), Vec::new());
+        let mut now = 0u64;
+        for burst in 0..400 {
+            let spread = [8, 300, 1 << 40][burst % 3];
+            for _ in 0..draw(40) {
+                let entry = (now + WINDOW + 1 + draw(spread), NodeId(draw(50) as u32));
+                far.push(entry.0, entry.1);
+                model.push(entry);
+            }
+            assert_eq!(far.earliest(), model.iter().map(|e| e.0).min());
+            now += draw(3) * draw(200);
+            let mut handed_out = Vec::new();
+            while let Some(entry) = far.due(now) {
+                assert!(handed_out.last().map_or(true, |last: &(u64, NodeId)| last.0 <= entry.0));
+                handed_out.push(entry);
+            }
+            let mut due: Vec<_> = model.iter().copied().filter(|e| e.0 <= now).collect();
+            model.retain(|e| e.0 > now);
+            due.sort_unstable();
+            handed_out.sort_unstable();
+            assert_eq!(handed_out, due, "burst {burst}, round {now}");
+        }
+        assert!(now > 10_000 && !model.is_empty(), "entries came due and entries stayed");
+        far.clear();
+        assert_eq!((far.earliest(), far.first()), (None, None));
+    }
+
+    #[test]
+    fn sleepers_taking_turns_are_sorted_once_per_period() {
+        // Node `i` wakes in round `period + i` and sleeps `period` more, for
+        // ever: every visited round pushes one entry later than everything
+        // queued. Work is counted in entries handed to a sort, not in time.
+        let (n, period, periods) = (500u64, 1000u64, 4u64);
+        let mut a = ActiveSet::new(n as usize);
+        let mut awake = Vec::new();
+        a.take_awake(0, &mut awake);
+        for i in 0..n {
+            a.reschedule(NodeId(i as u32), 0, period + i);
+        }
+        let mut sorted_entries = 0;
+        let mut counting = |a: &mut ActiveSet, call: &mut dyn FnMut(&mut ActiveSet)| {
+            let (staged, in_order) = (a.far.staged.len(), a.far.sorted.len());
+            call(a);
+            if a.far.staged.len() < staged {
+                // A sort: of the staged entries and at most the whole run.
+                sorted_entries += staged + in_order;
+            }
+        };
+        let mut round = 0;
+        for _ in 0..periods * n {
+            let mut next = None;
+            counting(&mut a, &mut |a| next = a.next_wake(round));
+            round = next.expect("somebody always wakes");
+            counting(&mut a, &mut |a| a.take_awake(round, &mut awake));
+            assert_eq!(awake, vec![NodeId(((round - period) % period) as u32)]);
+            a.reschedule(awake[0], round, round + period);
+        }
+        assert_eq!(round, periods * period + n - 1);
+        assert_eq!(sorted_entries as u64, periods * n, "each entry is sorted once");
+    }
+
+    #[test]
+    fn the_next_wake_is_the_first_live_entry_in_round_order() {
+        let mut a = ActiveSet::new(4);
+        let mut awake = Vec::new();
+        a.take_awake(0, &mut awake);
+        // Slot order is not round order: from round 60, round 70 sits in
+        // slot 6 and round 62 in slot 62.
+        a.reschedule(NodeId(0), 0, 60);
+        a.listen(NodeId(1), 0, 300);
+        a.listen(NodeId(2), 0, 500);
+        a.halt(NodeId(3));
+        a.take_awake(60, &mut awake);
+        a.listen(NodeId(0), 60, 70);
+        assert_eq!(a.next_wake(60), Some(70));
+        // Mail wakes 0 and 1 early; both move on and leave their deadlines
+        // behind — 0's in the ring, 1's on top of the far tier.
+        a.take_awake(61, &mut awake);
+        a.wake_listeners(61, [NodeId(0), NodeId(1)].into_iter(), &mut awake);
+        a.listen(NodeId(0), 61, 64);
+        a.listen(NodeId(1), 61, 400);
+        assert_eq!(a.next_wake(61), Some(64));
+        a.take_awake(64, &mut awake);
+        a.halt(NodeId(0));
+        assert_eq!(a.next_wake(64), Some(400), "neither stale entry is a wake-up");
+        a.take_awake(400, &mut awake);
+        assert_eq!(awake, vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn rearming_forgets_whatever_the_last_run_left() {
+        let mut a = ActiveSet::new(5);
+        a.enable_fault_filtering();
+        let mut awake = Vec::new();
+        a.take_awake(0, &mut awake);
+        // Abandoned mid-run: ring and far entries, a listener, a crashed and
+        // a halted node.
+        a.reschedule(NodeId(0), 0, 3);
+        a.reschedule(NodeId(1), 0, 1000);
+        a.listen(NodeId(2), 0, 9);
+        a.set_down(NodeId(3), 1);
+        a.halt(NodeId(4));
+        for n in [2, 7, 0] {
+            a.rearm(n);
+            assert_eq!(a.unhalted() as usize, n);
+            assert!(!a.has_listeners());
+            a.take_awake(0, &mut awake);
+            assert_eq!(awake, (0..n as u32).map(NodeId).collect::<Vec<_>>());
+            assert_eq!(a.next_wake(0), None);
+            assert!((0..n as u32).all(|v| !a.is_down(NodeId(v)) && a.is_receptive(NodeId(v), 0)));
+        }
     }
 }

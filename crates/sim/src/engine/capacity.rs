@@ -3,15 +3,18 @@
 //! The reference engine tracks per-round edge usage in a
 //! `HashMap<(EdgeId, NodeId), u32>`, paying hashing and allocation on the hot
 //! send path. This tracker instead keeps one dense counter per *edge
-//! direction* (`2m` counters, allocated once) and resets only the entries
+//! direction* (`2m` counters, sized once per run) and resets only the entries
 //! actually used, via a touched-list — `O(sends)` per round.
 //!
 //! simlint: hot-path
 
 use congest_graph::{EdgeId, Graph, NodeId};
 
-/// Dense per-edge-direction send counters for one round.
-#[derive(Debug, Clone)]
+use super::zeroed;
+
+/// Dense per-edge-direction send counters for one round. Part of a
+/// [`crate::RunScratch`]: [`CapacityTracker::rearm`] sizes it for a run.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CapacityTracker {
     /// `counts[2e + d]` = messages sent over edge `e` in direction `d` this
     /// round, where `d = 0` means "sent by `edge.u`" and `d = 1` "by `edge.v`".
@@ -22,11 +25,18 @@ pub(crate) struct CapacityTracker {
 
 impl CapacityTracker {
     /// Creates a tracker for a graph with `m` edges.
+    #[cfg(test)]
     pub(crate) fn new(m: usize) -> Self {
-        CapacityTracker {
-            counts: vec![0; 2 * m], // simlint::allow(hot-path-alloc: per-run setup)
-            touched: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; drained in place each round)
-        }
+        let mut fresh = CapacityTracker::default();
+        fresh.rearm(m);
+        fresh
+    }
+
+    /// Makes this the tracker of a run on a graph with `m` edges, all counts
+    /// zero whatever the previous run left in them. `O(m)`; keeps capacity.
+    pub(crate) fn rearm(&mut self, m: usize) {
+        zeroed(&mut self.counts, 2 * m);
+        self.touched.clear();
     }
 
     /// Clears the counts touched in the previous round.

@@ -4,7 +4,7 @@
 //! round — an `O(n)` allocation even in rounds where two messages move. This
 //! arena instead keeps one flat `Vec<Message>` grouped by recipient plus
 //! per-node `(start, len)` range indexes, rebuilt in place each round with a
-//! counting pass. All per-node index vectors are allocated once and reset
+//! counting pass. All per-node index vectors are sized once per run and reset
 //! through a touched-list, so the per-round cost is `O(deliveries)`, not
 //! `O(n)` — and since [`Message`] carries its payload inline and is `Copy`,
 //! the placement pass is a flat move with **zero per-message allocations**
@@ -14,6 +14,7 @@
 
 use congest_graph::{EdgeId, NodeId};
 
+use super::zeroed;
 use crate::message::{InFlight, Words};
 use crate::Message;
 
@@ -26,8 +27,9 @@ const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: 
 /// An arena covers a contiguous node-id range `[base, base + size)`. The
 /// inline driver uses one arena over all `n` nodes; the sharded one gives
 /// each shard an arena over exactly its slice, so total index memory stays
-/// `O(n)` across all shards instead of `O(shards · n)`.
-#[derive(Debug, Clone)]
+/// `O(n)` across all shards instead of `O(shards · n)`. The former is part of
+/// a [`crate::RunScratch`] and is [`DeliveryArena::rearm`]ed for each run.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryArena {
     /// All delivered messages, grouped by recipient.
     msgs: Vec<Message>,
@@ -51,17 +53,24 @@ fn local(v: NodeId, base: u32) -> usize {
 }
 
 impl DeliveryArena {
-    /// Creates an empty arena covering the node-id range `[lo, hi)`. This is
-    /// the only `O(hi − lo)` allocation; every round after it reuses it.
+    /// Creates an empty arena covering the node-id range `[lo, hi)`.
     pub(crate) fn new_range(lo: usize, hi: usize) -> Self {
-        DeliveryArena {
-            msgs: Vec::new(), // simlint::allow(hot-path-alloc: one-time construction; rounds reuse the arena)
-            start: vec![0; hi - lo], // simlint::allow(hot-path-alloc: per-run setup)
-            len: vec![0; hi - lo], // simlint::allow(hot-path-alloc: per-run setup)
-            cursor: vec![0; hi - lo], // simlint::allow(hot-path-alloc: per-run setup)
-            touched: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup)
-            base: lo as u32,
+        let mut fresh = DeliveryArena::default();
+        fresh.rearm(lo, hi);
+        fresh
+    }
+
+    /// Makes this an empty arena covering the node-id range `[lo, hi)`,
+    /// whatever range and inboxes the previous run left in it. This is the
+    /// only `O(hi − lo)` pass; every round after it works in `O(deliveries)`.
+    /// Keeps capacity.
+    pub(crate) fn rearm(&mut self, lo: usize, hi: usize) {
+        self.msgs.clear();
+        for column in [&mut self.start, &mut self.len, &mut self.cursor] {
+            zeroed(column, hi - lo);
         }
+        self.touched.clear();
+        self.base = lo as u32;
     }
 
     /// `true` iff `v` lies in this arena's range.

@@ -11,7 +11,8 @@
 //! * `capacity` — dense per-edge-direction CONGEST capacity counters reset
 //!   through a touched-list.
 //! * `round` — `RoundCore`: the state of a run and every rule of a round,
-//!   each written once (next section).
+//!   each written once (next section), over the buffers of a [`RunScratch`]
+//!   ("Per-run scratch" below).
 //! * `sharded` — the threaded driver behind [`crate::SimConfig::threads`].
 //! * `reference` — the retained naive `O(n)`-per-round loop
 //!   ([`Engine::run_reference`]), the semantic oracle for differential tests
@@ -23,7 +24,8 @@
 //! [`NodeCtx`](crate::NodeCtx) borrows, the whole message path — send,
 //! in-flight, delivery — is allocation-free in steady state;
 //! `tests/alloc_regression.rs` pins that with a counting global allocator,
-//! and pins the per-run set-up (allocations and bytes) beside it.
+//! and pins the per-run set-up (allocations and bytes) beside it: what a
+//! fresh scratch asks for, and that a warm one asks for nothing.
 //!
 //! # A round is these calls on `RoundCore`, in this order
 //!
@@ -39,8 +41,13 @@
 //!    violation is the strict-mode error —, message and congestion counts,
 //!    trace, then fault fates), `apply` its request.
 //! 4. `end_round` — trace entry coalesced; termination (what is still in
-//!    flight is lost); else the quiescence fast-forward, or the next round
-//!    with this round's sends as its delivery stream.
+//!    flight is lost); else, if this round's sends are in flight, the next
+//!    round with them as its delivery stream; else — nothing was sent, so
+//!    nothing can happen before somebody's wake-up — straight to the
+//!    earliest wake-up (under a fault plan: or jittered arrival, or churn
+//!    event), be it the next round or a million on. Only with
+//!    [`crate::SimConfig::fast_forward_idle`] off is a round with nothing in
+//!    it ever opened.
 //!
 //! [`Engine::run`] at one thread is that list, inline, on the calling thread.
 //! The threaded driver differs in step 2 and 3 only: workers call the two
@@ -79,9 +86,34 @@
 //!   (entries are a superset, `wake_at` is authoritative) at the first listen
 //!   request of a run — a protocol that never listens never pays for it.
 //!
-//! Quiet stretches between deadlines still fast-forward: with every awake
-//! node listening, a round without mail or deadline steps nobody, and the
-//! engine jumps to the next queue entry as it does for sleepers.
+//! Quiet stretches between deadlines are never visited: after a round in
+//! which nothing was sent, `end_round` jumps to the earliest *live* queue
+//! entry — the wake queue walks its ring in round order past entries whose
+//! node has moved on, and drops such entries off the top of its far tier —
+//! so a run of listeners opens exactly the rounds in which somebody is
+//! called back, and [`RunScratch::rounds_visited`] says so without a clock.
+//!
+//! # Per-run scratch
+//!
+//! What a run needs besides its protocol states is `O(n + m)` of scheduler
+//! columns, counters and message buffers. Built per run, that set-up is the
+//! larger part of a *small* run — the recursion of Section 2.3 makes
+//! thousands on a few dozen nodes each — so the buffers live in a
+//! [`RunScratch`] the caller may keep: [`Engine::run_in`] is the one driver,
+//! and [`Engine::run`] is `run_in` on a scratch it drops afterwards.
+//!
+//! The rule that makes reuse safe is **re-arm at entry**: a run never
+//! trusts what it finds. `RoundCore::new` clears every buffer and sizes it
+//! for this run's graph (`O(n + m)`, keeping capacity, so a warm scratch
+//! allocates nothing), whatever the previous run was — another graph,
+//! another thread count, a fault plan — and however it ended: finished,
+//! failed mid-round with its counters half-written, or unwound by a protocol
+//! panic. Nothing is cleaned up at exit, so nothing depends on an exit
+//! having happened. The states, the two [`Metrics`] columns and the trace
+//! are the run's results and are allocated fresh; the fault layer belongs to
+//! the run's plan. The threaded driver takes the round state and the merged
+//! outbox from the same scratch; its shards (state slices, arenas, outboxes)
+//! are sized by the thread count and stay per run.
 //!
 //! # Why the thread count cannot be observed
 //!
@@ -127,7 +159,20 @@ use crate::metrics::{EdgeUsageTrace, Metrics};
 use crate::{Network, Protocol, SimConfig, SimError};
 
 use delivery::DeliveryArena;
-use round::RoundCore;
+use round::{RoundCore, RoundScratch};
+
+/// Makes `column` hold `n` zeros — `T::default()` — for a run, without giving
+/// up capacity it already has. A column that has to grow (every column of a
+/// fresh [`RunScratch`]) is replaced by a zeroed allocation, which for the
+/// large ones comes as untouched pages, instead of being grown and filled.
+fn zeroed<T: Clone + Default>(column: &mut Vec<T>, n: usize) {
+    if column.capacity() < n {
+        *column = vec![T::default(); n];
+    } else {
+        column.clear();
+        column.resize(n, T::default());
+    }
+}
 
 /// The result of running a protocol to completion.
 #[derive(Debug, Clone)]
@@ -152,9 +197,39 @@ pub struct Engine<'g> {
     config: SimConfig,
 }
 
+/// The buffers [`Engine::run_in`] works in, kept from one run to the next so
+/// that a small run costs its events and not its set-up: the wake queue, the
+/// delivery arena, the capacity counters, the in-flight double buffer and
+/// the awake list (see "Per-run scratch" in the engine module docs).
+///
+/// A scratch carries nothing from run to run but capacity. Each run re-arms
+/// it on entry — for its own graph, configuration and thread count, which
+/// may all differ from the last run's — so neither a finished run nor one
+/// that ended in an error or a panic can be observed by the next.
+#[derive(Debug, Default)]
+pub struct RunScratch {
+    /// What both drivers use, through `RoundCore`.
+    round: RoundScratch,
+    /// The inline driver's arena over all nodes (shards bring their own).
+    arena: DeliveryArena,
+    /// The round's outbox, which every awake node's `NodeCtx` appends into;
+    /// `end_round` trades it for last round's emptied buffer.
+    outgoing: Vec<InFlight>,
+}
+
+impl RunScratch {
+    /// The rounds opened — looked at, whether or not anything happened in
+    /// them — by every run that used this scratch: a deterministic work
+    /// counter (host cost without a clock), the same at every thread count.
+    /// Rounds a run fast-forwards over are not counted.
+    pub fn rounds_visited(&self) -> u64 {
+        self.round.rounds_visited()
+    }
+}
+
 impl<'g> Engine<'g> {
     /// Creates an engine over the given graph with the given model
-    /// configuration.
+    /// configuration. Allocates nothing.
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
         Engine { network: Network::new(graph), config }
     }
@@ -189,6 +264,9 @@ impl<'g> Engine<'g> {
     /// round rules and results are bit-identical at every thread count (see
     /// the module docs).
     ///
+    /// This is [`Engine::run_in`] on a fresh [`RunScratch`]; a caller with
+    /// many runs to make keeps one and calls that.
+    ///
     /// # Errors
     ///
     /// * [`SimError::RoundLimitExceeded`] if the protocol does not halt within
@@ -196,7 +274,28 @@ impl<'g> Engine<'g> {
     /// * [`SimError::EdgeCapacityExceeded`] / [`SimError::MessageTooLarge`]
     ///   if a node violates the CONGEST constraints and `strict_capacity` is
     ///   enabled.
-    pub fn run<P, F>(&self, mut factory: F) -> Result<RunOutcome<P>, SimError>
+    pub fn run<P, F>(&self, factory: F) -> Result<RunOutcome<P>, SimError>
+    where
+        P: Protocol,
+        F: FnMut(NodeId) -> P,
+    {
+        self.run_in(&mut RunScratch::default(), factory)
+    }
+
+    /// [`Engine::run`] in buffers the caller keeps: the run re-arms `scratch`
+    /// on entry (`O(n + m)` clears, no allocation once the buffers have seen
+    /// a run this large) and allocates only what it returns — the states and
+    /// the two [`Metrics`] columns. The outcome does not depend on what
+    /// `scratch` was used for before, by which engine, or how that run ended.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    pub fn run_in<P, F>(
+        &self,
+        scratch: &mut RunScratch,
+        mut factory: F,
+    ) -> Result<RunOutcome<P>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
@@ -207,34 +306,33 @@ impl<'g> Engine<'g> {
         // one (inline) pass to produce its trivial outcome.
         let shards = self.config.resolved_threads().min(n.max(1));
         if shards > 1 {
-            return sharded::run_sharded(self, factory, shards);
+            return sharded::run_sharded(self, scratch, factory, shards);
         }
 
         // The inline driver: one thread means the calling thread. Each
         // node's sends are accounted in place and its request applied at
         // once, so nothing is buffered per step.
         let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
-        let mut core = RoundCore::new(self);
-        let mut arena = DeliveryArena::new_range(0, n);
-        // The round's outbox, which every awake node's `NodeCtx` appends
-        // into; `end_round` trades it for last round's emptied buffer.
-        let mut outgoing: Vec<InFlight> = Vec::new();
+        let RunScratch { round, arena, outgoing } = scratch;
+        let mut core = RoundCore::new(self, round);
+        arena.rearm(0, n);
+        outgoing.clear();
         loop {
             if core.begin_round(|v| states[v.index()] = factory(v))? {
-                let lost = core.deliver_into(&mut arena);
+                let lost = core.deliver_into(arena);
                 core.count_losses(lost);
                 // By index: the rules below borrow the core mutably.
                 for i in 0..core.awake().len() {
                     let v = core.awake()[i];
                     let sends_from = outgoing.len();
                     let state = &mut states[v.index()];
-                    let step = core.step_node(v, state, &arena, &mut outgoing);
+                    let step = core.step_node(v, state, arena, outgoing);
                     core.charge(v, step.charge);
-                    core.account_sends(&mut outgoing, sends_from)?;
+                    core.account_sends(outgoing, sends_from)?;
                     core.apply(v, step.request);
                 }
             }
-            if core.end_round(&mut outgoing) {
+            if core.end_round(outgoing) {
                 return Ok(core.into_outcome(states));
             }
         }
@@ -605,9 +703,16 @@ mod tests {
             dist: Distance::Infinite,
             callbacks: 0,
         };
-        let run = Engine::new(&g, SimConfig::default()).run(factory).unwrap();
+        let mut scratch = RunScratch::default();
+        let run = Engine::new(&g, SimConfig::default()).run_in(&mut scratch, factory).unwrap();
         let callbacks: u64 = run.states.iter().map(|s| s.callbacks).sum();
         assert!(callbacks <= 3 * n as u64, "{callbacks} callbacks for {n} nodes");
+        // Nor does the engine look at a round in which nobody is called:
+        // round 0, the `n` rounds in which the wave and its echoes arrive,
+        // and the deadline — not the round after the last echo, to which
+        // nothing was sent, and none of the `n − 1` idle ones before the
+        // deadline.
+        assert_eq!(scratch.rounds_visited(), n as u64 + 2);
         assert_eq!(run.metrics.rounds, until + 1);
         assert_eq!(run.metrics.node_energy.iter().sum::<u64>(), n as u64 * run.metrics.rounds);
         assert_eq!(run.metrics.messages_lost, 0, "a listener is never deaf");

@@ -1,11 +1,13 @@
 //! One simulated round, as the rules every driver of [`Engine::run`] calls.
 //!
-//! [`RoundCore`] owns everything about a run that is not a protocol state or
-//! a thread: the round counter, the in-flight stream being delivered, the
-//! awake list, the scheduler, the fault layer, the capacity counters, the
-//! [`Metrics`] and the optional trace. Each rule of the model is one method,
-//! written once; the inline driver in [`super`] and the threaded one in
-//! [`super::sharded`] differ only in *who* calls them and on which thread
+//! [`RoundCore`] holds everything about a run that is not a protocol state or
+//! a thread: the round counter, the fault layer, the [`Metrics`] and the
+//! optional trace, which are the run's own, and — borrowed from the caller's
+//! [`crate::RunScratch`] as a [`RoundScratch`], re-armed by
+//! [`RoundCore::new`] — the in-flight stream being delivered, the awake
+//! list, the scheduler and the capacity counters. Each rule of the model is
+//! one method, written once; the inline driver in [`super`] and the threaded
+//! one in [`super::sharded`] differ only in *who* calls them and on which thread
 //! (the order is the module header of [`super`]). The reference loop shares
 //! nothing with this file — it is the oracle these rules are tested against.
 //!
@@ -54,65 +56,86 @@ pub(super) struct Step {
     pub(super) request: Request,
 }
 
-/// The state and rules of a run's rounds; see the module docs.
-pub(super) struct RoundCore<'e> {
-    engine: &'e Engine<'e>,
-    /// [`crate::SimConfig::effective_max_words`], worked out once per run.
-    max_words: usize,
-    round: u64,
+/// The buffers of [`RoundCore`] that outlive a run: the part of a
+/// [`crate::RunScratch`] both drivers use. Nothing in here is read before
+/// [`RoundCore::new`] has re-armed it, so what the previous run left behind —
+/// however it ended — cannot be observed.
+#[derive(Debug, Default)]
+pub(super) struct RoundScratch {
     /// Messages delivered this round: sent last round, plus the jitter
     /// arrivals [`RoundCore::begin_round`] merges in. Double-buffered with
     /// the driver's outbox, so the steady-state message path never allocates.
     incoming: Vec<InFlight>,
     /// The nodes that run this round, sorted by id.
     awake: Vec<NodeId>,
+    active: ActiveSet,
+    capacity: CapacityTracker,
+    /// This round's `(edge, 1)` per send, coalesced by `end_round`.
+    round_trace: Vec<(EdgeId, u32)>,
+    /// Rounds opened by every run on these buffers; see
+    /// [`crate::RunScratch::rounds_visited`].
+    rounds_visited: u64,
+}
+
+impl RoundScratch {
+    pub(super) fn rounds_visited(&self) -> u64 {
+        self.rounds_visited
+    }
+}
+
+/// The state and rules of a run's rounds; see the module docs.
+pub(super) struct RoundCore<'e> {
+    engine: &'e Engine<'e>,
+    /// [`crate::SimConfig::effective_max_words`], worked out once per run.
+    max_words: usize,
+    round: u64,
     /// Whether any node had listened by the start of this round. Read once
     /// per round: a node stepped in it can only be in a wait it asked for in
     /// an earlier one, so a first request made during this round's steps
     /// changes nothing until the next.
     listeners: bool,
-    active: ActiveSet,
+    /// The buffers that outlive the run, re-armed for it.
+    buf: &'e mut RoundScratch,
     /// The fault layer: `None` for the empty plan, which keeps every rule on
     /// its original (allocation-free) fault-free branch.
     faults: Option<FaultRuntime>,
-    capacity: CapacityTracker,
     metrics: Metrics,
     trace: Option<EdgeUsageTrace>,
-    /// This round's `(edge, 1)` per send, coalesced by `end_round`.
-    round_trace: Vec<(EdgeId, u32)>,
 }
 
 impl<'e> RoundCore<'e> {
-    /// The state of a run about to enter round 0: every node awake.
-    pub(super) fn new(engine: &'e Engine<'e>) -> Self {
+    /// The state of a run about to enter round 0, every node awake, in
+    /// `scratch` re-armed for it: `O(n + m)` clears that keep every
+    /// buffer's capacity.
+    pub(super) fn new(engine: &'e Engine<'e>, scratch: &'e mut RoundScratch) -> Self {
         let graph = engine.network().graph();
         let (n, m) = (graph.node_count() as usize, graph.edge_count() as usize);
         let config = engine.config();
-        let mut active = ActiveSet::new(n);
+        scratch.incoming.clear();
+        scratch.awake.clear();
+        scratch.active.rearm(n);
+        scratch.capacity.rearm(m);
+        scratch.round_trace.clear();
         let faults = FaultRuntime::new(&config.faults, n, m);
         if faults.is_some() {
-            active.enable_fault_filtering();
+            scratch.active.enable_fault_filtering();
         }
         RoundCore {
             engine,
             max_words: config.effective_max_words(),
             round: 0,
-            incoming: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; reused as the in-flight double buffer)
-            awake: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; refilled in place each round)
             listeners: false,
-            active,
+            buf: scratch,
             faults,
-            capacity: CapacityTracker::new(m),
             metrics: Metrics::zero(n, m),
             trace: config.record_edge_trace.then(EdgeUsageTrace::default),
-            round_trace: Vec::new(), // simlint::allow(hot-path-alloc: per-run setup; cleared in place)
         }
     }
 
     /// The nodes that run this round, sorted by id.
     #[inline(always)]
     pub(super) fn awake(&self) -> &[NodeId] {
-        &self.awake
+        &self.buf.awake
     }
 
     /// Opens the round: enforces the round limit, applies the round's churn
@@ -122,10 +145,11 @@ impl<'e> RoundCore<'e> {
     /// needs neither pass.
     pub(super) fn begin_round(&mut self, mut reset: impl FnMut(NodeId)) -> Result<bool, SimError> {
         let round = self.round;
+        self.buf.rounds_visited += 1;
         if round > self.engine.config().max_rounds {
             return Err(SimError::RoundLimitExceeded {
                 limit: self.engine.config().max_rounds,
-                unhalted_nodes: self.active.unhalted(),
+                unhalted_nodes: self.buf.active.unhalted(),
             });
         }
         // Churn before anything else: a crash takes effect at the start of
@@ -140,9 +164,9 @@ impl<'e> RoundCore<'e> {
                     FaultAction::Crash { permanent } => {
                         self.metrics.crashes += 1;
                         rt.crashed[i] = true;
-                        self.metrics.node_energy[i] += self.active.set_down(ev.node, round);
+                        self.metrics.node_energy[i] += self.buf.active.set_down(ev.node, round);
                         if permanent {
-                            self.active.halt(ev.node);
+                            self.buf.active.halt(ev.node);
                         }
                     }
                     FaultAction::Restart => {
@@ -150,7 +174,7 @@ impl<'e> RoundCore<'e> {
                         rt.crashed[i] = false;
                         rt.reinit[i] = true;
                         reset(ev.node);
-                        self.metrics.node_energy[i] += self.active.revive(ev.node, round);
+                        self.metrics.node_energy[i] += self.buf.active.revive(ev.node, round);
                     }
                 }
             }
@@ -160,18 +184,18 @@ impl<'e> RoundCore<'e> {
         // the on-time ones; then every listening recipient of the complete
         // stream joins the awake list — its wait ends with its first mail —
         // before anybody cuts that list into shard segments.
-        self.active.take_awake(round, &mut self.awake);
+        self.buf.active.take_awake(round, &mut self.buf.awake);
         if let Some(rt) = self.faults.as_mut() {
-            rt.merge_due(round, &mut self.incoming);
+            rt.merge_due(round, &mut self.buf.incoming);
         }
-        self.listeners = self.active.has_listeners();
+        self.listeners = self.buf.active.has_listeners();
         if self.listeners {
-            let recipients = self.incoming.iter().map(|f| f.to);
-            self.active.wake_listeners(round, recipients, &mut self.awake);
+            let recipients = self.buf.incoming.iter().map(|f| f.to);
+            self.buf.active.wake_listeners(round, recipients, &mut self.buf.awake);
         }
-        self.capacity.reset();
-        self.round_trace.clear();
-        Ok(!(self.incoming.is_empty() && self.awake.is_empty()))
+        self.buf.capacity.reset();
+        self.buf.round_trace.clear();
+        Ok(!(self.buf.incoming.is_empty() && self.buf.awake.is_empty()))
     }
 
     /// Builds the inboxes of `arena`'s node range from this round's stream,
@@ -184,13 +208,14 @@ impl<'e> RoundCore<'e> {
     pub(super) fn deliver_into(&self, arena: &mut DeliveryArena) -> Losses {
         let round = self.round;
         let Some(rt) = self.faults.as_ref() else {
-            let asleep = arena.build_range(&self.incoming, |v| self.active.is_receptive(v, round));
+            let asleep =
+                arena.build_range(&self.buf.incoming, |v| self.buf.active.is_receptive(v, round));
             return Losses { asleep, crashed: 0 };
         };
         let down = |f: &&InFlight| arena.covers(f.to) && rt.crashed[f.to.index()];
-        let crashed = self.incoming.iter().filter(down).count() as u64;
-        let lost = arena.build_range(&self.incoming, |v| {
-            self.active.is_receptive(v, round) && !rt.crashed[v.index()]
+        let crashed = self.buf.incoming.iter().filter(down).count() as u64;
+        let lost = arena.build_range(&self.buf.incoming, |v| {
+            self.buf.active.is_receptive(v, round) && !rt.crashed[v.index()]
         });
         Losses { asleep: lost - crashed, crashed }
     }
@@ -213,7 +238,7 @@ impl<'e> RoundCore<'e> {
         arena: &DeliveryArena,
         sent: &mut Vec<InFlight>,
     ) -> Step {
-        let charge = if self.listeners { self.active.awake_rounds(v, self.round) } else { 1 };
+        let charge = if self.listeners { self.buf.active.awake_rounds(v, self.round) } else { 1 };
         let mut ctx = NodeCtx::new(v, self.round, self.engine.network(), sent);
         // The re-init flag is only read here; `apply` clears it, on the
         // thread that owns the fault layer.
@@ -258,7 +283,7 @@ impl<'e> RoundCore<'e> {
                 }
                 self.metrics.capacity_violations += 1;
             }
-            if self.capacity.record(graph, edge, node) > edge_capacity {
+            if self.buf.capacity.record(graph, edge, node) > edge_capacity {
                 if strict_capacity {
                     let (round, capacity) = (self.round, edge_capacity);
                     return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });
@@ -268,7 +293,7 @@ impl<'e> RoundCore<'e> {
             self.metrics.messages += 1;
             self.metrics.edge_congestion[edge.index()] += 1;
             if tracing {
-                self.round_trace.push((edge, 1));
+                self.buf.round_trace.push((edge, 1));
             }
         }
         if let Some(rt) = self.faults.as_mut() {
@@ -285,7 +310,7 @@ impl<'e> RoundCore<'e> {
         if let Some(rt) = self.faults.as_mut() {
             rt.reinit[v.index()] = false;
         }
-        self.active.apply(v, self.round, request);
+        self.buf.active.apply(v, self.round, request);
     }
 
     /// Closes the round `sent` was sent in and says whether the run is over.
@@ -295,13 +320,13 @@ impl<'e> RoundCore<'e> {
         let round = self.round;
         // Delivered or counted as lost, all of it (the arena build does not
         // drain) — and jitter arrivals merge into this buffer next round.
-        self.incoming.clear();
+        self.buf.incoming.clear();
         if let Some(t) = self.trace.as_mut() {
             // Coalesce duplicate edges in this round's trace entry; the
             // BTreeMap iterates in edge order, so the entry comes out
             // sorted with no hasher order anywhere near the trace.
             let mut merged: BTreeMap<EdgeId, u32> = BTreeMap::new();
-            for &(e, c) in &self.round_trace {
+            for &(e, c) in &self.buf.round_trace {
                 *merged.entry(e).or_insert(0) += c;
             }
             // simlint::allow(hot-path-alloc: trace recording is a diagnostic mode; the alloc gate runs untraced)
@@ -311,7 +336,7 @@ impl<'e> RoundCore<'e> {
         // Termination: all halted and nothing in flight. Whatever was sent
         // this round — including jittered messages still held in the fault
         // layer — can never be delivered: count it as lost.
-        if self.active.all_halted() {
+        if self.buf.active.all_halted() {
             self.metrics.messages_lost += sent.len() as u64;
             if let Some(rt) = self.faults.as_ref() {
                 self.metrics.messages_lost += rt.pending_count();
@@ -320,22 +345,23 @@ impl<'e> RoundCore<'e> {
             return true;
         }
 
-        // Quiescence fast-forward: nobody ran this round (so nothing was
-        // sent either) — jump straight to the next scheduled wake-up. The
-        // skipped rounds still exist in the model but cost nothing. Under a
-        // fault plan the next event is the earliest of a wake-up, a pending
-        // jittered delivery, and a churn event — and the bucket shortcut
-        // `next_wake` is unsound with churn's stale entries, so the
-        // authoritative O(n) scan replaces it.
+        // Quiescence fast-forward: nothing was sent this round, so nothing
+        // can happen before the next scheduled wake-up — jump straight to
+        // it, whether that is the next round (somebody who just ran stays
+        // awake) or a thousand on. The skipped rounds still exist in the
+        // model but cost nothing. Under a fault plan the next event is the
+        // earliest of a wake-up, a pending jittered delivery, and a churn
+        // event — and the bucket shortcut `next_wake` is unsound with
+        // churn's stale entries, so the authoritative O(n) scan replaces it.
         let config = self.engine.config();
-        if sent.is_empty() && self.awake.is_empty() && config.fast_forward_idle {
+        if sent.is_empty() && config.fast_forward_idle {
             let target = if let Some(rt) = self.faults.as_ref() {
-                [self.active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
+                [self.buf.active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
                     .into_iter()
                     .flatten()
                     .min()
             } else {
-                self.active.next_wake()
+                self.buf.active.next_wake(round)
             };
             if let Some(w) = target.filter(|&w| w > round) {
                 // The trace gets one empty entry per skipped round — unless
@@ -350,10 +376,10 @@ impl<'e> RoundCore<'e> {
                 return false;
             }
         }
-        // Without fast-forward we step one round at a time; an empty round
-        // costs O(1) (a bucket-queue miss). If nothing can ever happen
-        // again, the round limit catches it.
-        std::mem::swap(&mut self.incoming, sent);
+        // Mail is in flight, or fast-forward is off: one round at a time (an
+        // empty round costs O(1), a bucket-queue miss). If nothing can ever
+        // happen again, the round limit catches it.
+        std::mem::swap(&mut self.buf.incoming, sent);
         self.round += 1;
         false
     }

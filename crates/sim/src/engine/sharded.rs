@@ -33,6 +33,7 @@ use crate::{Engine, Protocol, RunOutcome, SimError};
 
 use super::delivery::DeliveryArena;
 use super::round::{Losses, RoundCore};
+use super::RunScratch;
 
 const CORE_LOCK: &str = "round state lock";
 const SHARD_LOCK: &str = "shard lock";
@@ -66,9 +67,13 @@ struct Shard<P> {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// Runs the protocol across `shard_count >= 2` worker threads.
+/// Runs the protocol across `shard_count >= 2` worker threads. The round
+/// state and the merged outbox live in `scratch`, as they do for the inline
+/// driver; the shards — states, arenas, outboxes, decision lists — are this
+/// run's own.
 pub(super) fn run_sharded<P, F>(
     engine: &Engine<'_>,
+    scratch: &mut RunScratch,
     mut factory: F,
     shard_count: usize,
 ) -> Result<RunOutcome<P>, SimError>
@@ -102,7 +107,11 @@ where
     }
     shards.reverse();
 
-    let core = RwLock::new(RoundCore::new(engine));
+    let core = RwLock::new(RoundCore::new(engine, &mut scratch.round));
+    // This round's merged sends; becomes the core's delivery stream at round
+    // end (the inline driver's double-buffering, across the lock).
+    let outgoing = &mut scratch.outgoing;
+    outgoing.clear();
     let start = Barrier::new(shard_count + 1);
     let end = Barrier::new(shard_count + 1);
     let done = AtomicBool::new(false);
@@ -124,7 +133,7 @@ where
         // the scope would block forever joining threads parked at the start
         // barrier.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            drive(&mut factory, &core, &shards, chunk, &start, &end)
+            drive(&mut factory, &core, outgoing, &shards, chunk, &start, &end)
         }));
         done.store(true, Ordering::Release);
         start.wait();
@@ -184,6 +193,7 @@ fn step_shard<P: Protocol>(sd: &mut Shard<P>, core: &RoundCore<'_>) {
 fn drive<P, F>(
     factory: &mut F,
     core: &RwLock<RoundCore<'_>>,
+    outgoing: &mut Vec<InFlight>,
     shards: &[Mutex<Shard<P>>],
     chunk: usize,
     start: &Barrier,
@@ -193,9 +203,6 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    // This round's merged sends; becomes the core's delivery stream at round
-    // end (the inline driver's double-buffering, across the lock).
-    let mut outgoing: Vec<InFlight> = Vec::new(); // simlint::allow(hot-path-alloc: per-run setup; reused every round)
     loop {
         // A restart's fresh state is written straight into the owning shard.
         let dispatched = core.write().expect(CORE_LOCK).begin_round(|v| {
@@ -215,7 +222,7 @@ where
                 core.count_losses(sd.lost);
                 let from = outgoing.len();
                 outgoing.append(&mut sd.outbox);
-                core.account_sends(&mut outgoing, from)?;
+                core.account_sends(outgoing, from)?;
                 // A protocol panic surfaces at its node's position in merge
                 // order: earlier nodes' sends were accounted above (a strict
                 // violation among them wins, as it would inline), the
@@ -229,7 +236,7 @@ where
                 }
             }
         }
-        if core.end_round(&mut outgoing) {
+        if core.end_round(outgoing) {
             return Ok(());
         }
     }

@@ -1,15 +1,20 @@
 //! The simulated network: a view over a [`congest_graph::Graph`] plus a
-//! precomputed neighbour→adjacency index for fast send-path lookups.
+//! neighbour→adjacency index, built on first use, for fast send-by-neighbour
+//! lookups.
+
+use std::sync::OnceLock;
 
 use congest_graph::{Adjacency, Graph, NodeId};
 
-/// Precomputed per-node neighbour→adjacency lookup.
+/// Per-node neighbour→adjacency lookup.
 ///
 /// [`crate::NodeCtx::send`] must resolve "the lightest edge to neighbour `u`"
 /// on every call; scanning the adjacency list makes that `O(degree)` per send
 /// — `Θ(degree²)` per round on a hub that talks to every neighbour (see the
 /// E13 star benchmark). This index resolves it in `O(log degree)` from one
-/// `O(m log m)` build pass at [`Network::new`].
+/// `O(m log Δ)` build pass, made by the first [`crate::NodeCtx::send`] on the
+/// network: protocols that address edges (`send_on_edge`, `broadcast`) never
+/// pay for it.
 ///
 /// The index is CSR-shaped, like [`Graph`]'s adjacency itself: one flat array
 /// of best-edge entries (one per distinct `(node, neighbour)` pair, sorted by
@@ -79,19 +84,24 @@ impl NeighborIndex {
 /// The network does not own the graph; it provides the topology queries that
 /// nodes are allowed to make locally (their own neighbourhood) plus the global
 /// parameters every node is assumed to know (`n`, as is standard in CONGEST).
-/// Construction also builds the neighbour→adjacency index the send path uses
-/// for constant-time neighbour lookups (see `NeighborIndex`).
+///
+/// The neighbour→adjacency index behind [`crate::NodeCtx::send`] (see
+/// `NeighborIndex`) is built by the first such send and then shared: every
+/// node and every worker thread of a run — and of every later run on this
+/// network — reads that one index, and a clone of the network takes a copy
+/// of it along instead of building its own.
 #[derive(Debug, Clone)]
 pub struct Network<'g> {
     graph: &'g Graph,
-    index: NeighborIndex,
+    /// Set once, by whichever thread sends by neighbour first; a second
+    /// thread arriving meanwhile waits for that build instead of racing it.
+    index: OnceLock<NeighborIndex>,
 }
 
 impl<'g> Network<'g> {
-    /// Creates a network over `graph` (one `O(m)` pass to build the send
-    /// index).
+    /// Creates a network over `graph`. `O(1)`, no allocation.
     pub fn new(graph: &'g Graph) -> Self {
-        Network { graph, index: NeighborIndex::build(graph) }
+        Network { graph, index: OnceLock::new() }
     }
 
     /// The underlying graph.
@@ -114,9 +124,9 @@ impl<'g> Network<'g> {
         self.graph.neighbors(v)
     }
 
-    /// The send-path lookup index.
+    /// The send-by-neighbour lookup index, built on the first call.
     pub(crate) fn index(&self) -> &NeighborIndex {
-        &self.index
+        self.index.get_or_init(|| NeighborIndex::build(self.graph))
     }
 }
 
@@ -166,5 +176,19 @@ mod tests {
         let indexed = net.index().best_edge_to(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(indexed.edge, expected.edge);
         assert_eq!(indexed.weight, 2);
+    }
+
+    #[test]
+    fn the_index_is_built_by_the_first_lookup_and_travels_with_clones() {
+        let g = generators::star(5, 3);
+        let net = Network::new(&g);
+        assert!(net.index.get().is_none(), "construction builds nothing");
+        assert!(net.clone().index.get().is_none());
+        let built: *const NeighborIndex = net.index();
+        assert!(std::ptr::eq(built, net.index()), "one index per network");
+        let copy = net.clone();
+        let carried = copy.index.get().expect("a clone takes the built index along");
+        assert_eq!(carried.entries, net.index().entries);
+        assert_eq!(carried.offsets, net.index().offsets);
     }
 }

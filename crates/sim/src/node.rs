@@ -3,7 +3,7 @@
 use congest_graph::{Adjacency, EdgeId, Graph, NodeId};
 
 use crate::message::{InFlight, Words};
-use crate::network::{NeighborIndex, Network};
+use crate::network::Network;
 use crate::Message;
 
 /// A distributed protocol, written as a per-node state machine.
@@ -65,7 +65,9 @@ pub struct NodeCtx<'a> {
     round: u64,
     graph: &'a Graph,
     neighbors: &'a [Adjacency],
-    index: &'a NeighborIndex,
+    /// For the send-by-neighbour index, which only [`NodeCtx::send`] reads
+    /// (and the first such read builds).
+    network: &'a Network<'a>,
     /// The engine's round outbox; this node's sends start at the position the
     /// engine recorded before handing out the context.
     outbox: &'a mut Vec<InFlight>,
@@ -108,7 +110,7 @@ impl<'a> NodeCtx<'a> {
     pub(crate) fn new(
         node: NodeId,
         round: u64,
-        network: &'a Network<'_>,
+        network: &'a Network<'a>,
         outbox: &'a mut Vec<InFlight>,
     ) -> Self {
         NodeCtx {
@@ -117,7 +119,7 @@ impl<'a> NodeCtx<'a> {
             round,
             graph: network.graph(),
             neighbors: network.neighbors(node),
-            index: network.index(),
+            network,
             outbox,
             wake_at: None,
             listen: false,
@@ -194,15 +196,17 @@ impl<'a> NodeCtx<'a> {
     /// Sends a message to the given neighbour (over the lightest edge to it,
     /// if there are parallel edges).
     ///
-    /// `O(1)`: the edge comes from the network's precomputed
-    /// neighbour→adjacency index rather than an adjacency-list scan.
+    /// `O(log degree)`: the edge comes from the network's
+    /// neighbour→adjacency index rather than an adjacency-list scan. The
+    /// first call on a network builds that index (`O(m log Δ)`, once).
     ///
     /// # Panics
     ///
     /// Panics if `neighbor` is not adjacent to this node.
     pub fn send(&mut self, neighbor: NodeId, words: &[u64]) {
         let adj = self
-            .index
+            .network
+            .index()
             .best_edge_to(self.node, neighbor)
             .unwrap_or_else(|| panic!("node {neighbor} is not a neighbour of {}", self.node));
         self.push(adj.edge, neighbor, words);

@@ -506,8 +506,8 @@ impl ChaosListener {
     /// A node drawing from the stream of `(seed, id)` that halts in its first
     /// step at or after a round drawn from `lifetime / 2..=lifetime`, and
     /// waits at most `max_wait` (≥ 2) rounds at a time. A `max_wait` beyond
-    /// the wake queue's 64-round ring sends deadlines through its overflow
-    /// map as well.
+    /// the wake queue's 64-round ring sends deadlines through its far tier
+    /// as well.
     pub fn new(seed: u64, id: NodeId, lifetime: u64, max_wait: u64) -> ChaosListener {
         let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(id.0 as u64 + 1);
         let lifetime = lifetime / 2 + splitmix64(&mut rng) % (lifetime / 2 + 1);

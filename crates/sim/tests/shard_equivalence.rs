@@ -624,3 +624,51 @@ fn one_thread_means_the_calling_thread() {
     let heard = |run: &RunOutcome<Witness>| run.states.iter().map(|s| s.heard).collect::<Vec<_>>();
     assert_eq!(heard(&inline), heard(&sharded));
 }
+
+/// The neighbour index behind [`NodeCtx::send`] is built by the first send
+/// on a network, not with the engine. Here that first send is a race: the
+/// hub opens shard 0's pass and the first spoke of the other half opens
+/// shard 1's, each waits for the other at a barrier inside its `init`, and
+/// both then send by neighbour at once. Whichever builds the index, both —
+/// and every node and run after them — read that one: the run equals the
+/// inline one and the reference, and so does a second run on the same engine.
+#[test]
+fn the_first_send_by_neighbour_may_come_from_two_workers_at_once() {
+    use congest_sim::workloads::HubPingPong;
+    use std::sync::{Arc, Barrier};
+
+    clear_thread_override();
+
+    struct Gated {
+        gate: Option<Arc<Barrier>>,
+        node: HubPingPong,
+    }
+    impl Protocol for Gated {
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+            if let Some(gate) = self.gate.take() {
+                gate.wait();
+            }
+            self.node.init(ctx);
+        }
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+            self.node.on_round(ctx, inbox);
+        }
+    }
+
+    let g = generators::star(16, 1);
+    let plain = |id: NodeId| Gated { gate: None, node: HubPingPong::new(id == NodeId(0), 6) };
+    let folds = |run: &RunOutcome<Gated>| run.states.iter().map(|s| s.node.acc).collect::<Vec<_>>();
+    let inline = Engine::new(&g, SimConfig::default()).run(plain).expect("halts in round 6");
+    let reference = Engine::new(&g, SimConfig::default()).run_reference(plain).expect("the same");
+    assert_eq!((&inline.metrics, folds(&inline)), (&reference.metrics, folds(&reference)));
+
+    let engine = Engine::new(&g, SimConfig::default().with_threads(2));
+    let gate = Arc::new(Barrier::new(2));
+    // Two shards of eight: nodes 0 and 8 are the first their workers step.
+    let raced = engine
+        .run(|id| Gated { gate: (id.0 % 8 == 0).then(|| Arc::clone(&gate)), ..plain(id) })
+        .expect("halts in round 6");
+    assert_eq!((&raced.metrics, folds(&raced)), (&inline.metrics, folds(&inline)));
+    let again = engine.run(plain).expect("halts in round 6");
+    assert_eq!((&again.metrics, folds(&again)), (&inline.metrics, folds(&inline)));
+}
