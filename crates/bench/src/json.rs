@@ -157,8 +157,8 @@ impl_row_json! {
         baseline_rounds, round_budget, reached, unreached, max_abs_error, fault_drops, sleep_lost,
     }
     OracleReport {
-        fallback, levels, clusters, bytes, exact_matrix_bytes, stretch_bound, max_membership,
-        max_tree_depth, level_stats,
+        fallback, levels, clusters, bytes, row_width, exact_matrix_bytes, stretch_bound,
+        max_membership, max_tree_depth, level_stats, level_widths,
     }
     CoverStats {
         d, cluster_count, colors, max_membership, mean_membership, max_tree_depth,

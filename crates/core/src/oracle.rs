@@ -66,7 +66,7 @@ pub fn build_oracle(
         let max_congestion = run.schedule.congestion;
         let messages = run.total_messages;
         let oracle = DistanceOracle::exact(n, run.distances);
-        let report = report_of(&oracle, Vec::new());
+        let report = report_of(&oracle, Vec::new(), Vec::new());
         return Ok(OracleBuild { oracle, rounds, messages, max_congestion, report });
     }
 
@@ -105,23 +105,30 @@ pub fn build_oracle(
         }
     }
 
+    let level_widths = levels.iter().map(OracleLevel::width).collect();
     let oracle = DistanceOracle::from_levels(n, levels);
-    let report = report_of(&oracle, level_stats);
+    let report = report_of(&oracle, level_stats, level_widths);
     Ok(OracleBuild { oracle, rounds, messages, max_congestion, report })
 }
 
-fn report_of(oracle: &DistanceOracle, level_stats: Vec<CoverStats>) -> OracleReport {
+fn report_of(
+    oracle: &DistanceOracle,
+    level_stats: Vec<CoverStats>,
+    level_widths: Vec<u32>,
+) -> OracleReport {
     let stats = oracle.stats();
     OracleReport {
         fallback: stats.fallback,
         levels: stats.levels,
         clusters: stats.clusters,
         bytes: stats.bytes,
+        row_width: stats.row_width,
         exact_matrix_bytes: stats.exact_matrix_bytes,
         stretch_bound: stats.stretch_bound,
         max_membership: stats.max_membership,
         max_tree_depth: level_stats.iter().map(|s| s.max_tree_depth).max().unwrap_or(0),
         level_stats,
+        level_widths,
     }
 }
 
@@ -162,13 +169,7 @@ mod tests {
     #[test]
     fn cover_oracle_respects_its_stretch_bound() {
         let g = weighted(30, 7);
-        let build = build_oracle(
-            &g,
-            &AlgoConfig::default(),
-            &OracleConfig::default().with_fallback_threshold(0),
-            &ApspConfig::default(),
-        )
-        .unwrap();
+        let build = cover_build(&g);
         assert!(!build.oracle.is_exact());
         let report = &build.report;
         assert!(report.levels > 0 && report.levels as usize == report.level_stats.len());
@@ -189,18 +190,118 @@ mod tests {
         }
     }
 
+    fn cover_build(g: &Graph) -> OracleBuild {
+        build_oracle(
+            g,
+            &AlgoConfig::default(),
+            &OracleConfig::default().with_fallback_threshold(0),
+            &ApspConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// Weighted structured, random and disconnected graphs (the shapes of
+    /// `congest_cover`'s test families) plus the degenerate sizes.
+    fn families() -> Vec<(&'static str, Graph)> {
+        let weigh = |g: Graph, seed| generators::with_random_weights(&g, 12, seed);
+        vec![
+            ("one-node", Graph::empty(1)),
+            ("two-nodes", generators::path(2, 5)),
+            ("isolated", Graph::empty(5)),
+            ("path", weigh(generators::path(40, 1), 1)),
+            ("grid", weigh(generators::grid(7, 9, 1), 2)),
+            ("cycle", weigh(generators::cycle(31, 1), 3)),
+            ("star", weigh(generators::star(20, 1), 4)),
+            ("disconnected", weigh(generators::disjoint_copies(&generators::cycle(7, 1), 3), 5)),
+            ("random-sparse", weigh(generators::random_connected(60, 30, 1), 6)),
+            ("random-tree", weigh(generators::random_tree(50, 3), 7)),
+            ("almost-line", weigh(generators::almost_line(30, 5), 8)),
+        ]
+    }
+
+    /// The query's definition, straight from the covers: per level, every
+    /// cluster's members (sorted) with their Dijkstra distances from the
+    /// center inside the cluster's induced subgraph.
+    fn definition(g: &Graph) -> Vec<(Vec<NodeId>, Vec<Distance>)> {
+        let mut clusters = Vec::new();
+        for d in geometric_levels(u64::from(g.node_count().saturating_sub(1)).max(1)) {
+            let cover = SparseCover::construct(g, d);
+            for cluster in &cover.clusters {
+                let keep: BTreeSet<NodeId> = cluster.members.iter().copied().collect();
+                let (sub, new_to_old) = g.induced_subgraph(&keep);
+                let center = new_to_old.binary_search(&cluster.center).unwrap();
+                let dist = sequential::dijkstra(&sub, &[NodeId(center as u32)]).distances;
+                clusters.push((new_to_old, dist));
+            }
+            if cover.is_component_cover(g) {
+                break;
+            }
+        }
+        clusters
+    }
+
+    #[test]
+    fn queries_equal_the_min_over_shared_clusters_on_every_ordered_pair() {
+        for (name, g) in families() {
+            let build = cover_build(&g);
+            let clusters = definition(&g);
+            let pairs: Vec<(NodeId, NodeId)> =
+                g.nodes().flat_map(|u| g.nodes().map(move |v| (u, v))).collect();
+            let expected: Vec<Distance> = pairs
+                .iter()
+                .map(|&(u, v)| {
+                    if u == v {
+                        return Distance::ZERO;
+                    }
+                    let shared = clusters.iter().filter_map(|(members, dist)| {
+                        let du = dist[members.binary_search(&u).ok()?].finite()?;
+                        let dv = dist[members.binary_search(&v).ok()?].finite()?;
+                        Some(du + dv)
+                    });
+                    shared.min().map_or(Distance::Infinite, Distance::Finite)
+                })
+                .collect();
+            for (&(u, v), &want) in pairs.iter().zip(&expected) {
+                assert_eq!(build.oracle.query(u, v), want, "{name}: ({u},{v})");
+            }
+            for threads in [1, 2, 4, 7] {
+                let mut out = vec![Distance::ZERO; pairs.len()];
+                build.oracle.query_into(&pairs, &mut out, threads);
+                assert_eq!(out, expected, "{name}: query_into at {threads} threads");
+            }
+        }
+    }
+
+    /// Clock-free pin of the row width: covers hand their clusters over
+    /// colour-major, so first-fit never needs more slots than colours. A
+    /// change to the carving order that widened every row would fail here,
+    /// not in a benchmark.
+    #[test]
+    fn a_level_is_at_most_as_wide_as_its_cover_has_colours() {
+        for (name, g) in families() {
+            let report = cover_build(&g).report;
+            assert_eq!(report.level_widths.len(), report.level_stats.len(), "{name}");
+            for (&width, stats) in report.level_widths.iter().zip(&report.level_stats) {
+                assert!(width <= stats.colors, "{name}, d = {}: {width} slots", stats.d);
+                assert!(width as usize >= stats.max_membership, "{name}, d = {}", stats.d);
+            }
+            assert_eq!(report.row_width, report.level_widths.iter().sum::<u32>(), "{name}");
+            assert_eq!(report.bytes, 12 * u64::from(g.node_count()) * u64::from(report.row_width));
+        }
+        // The ledger's graph: no slot is wasted on the widest row of a level.
+        let g = generators::with_random_weights(&generators::grid(16, 16, 1), 16, 1);
+        let report = cover_build(&g).report;
+        let memberships: Vec<u32> =
+            report.level_stats.iter().map(|s| s.max_membership as u32).collect();
+        assert_eq!(report.level_widths, memberships);
+    }
+
     #[test]
     fn disconnected_pairs_are_infinite() {
         // Two disjoint paths: the component-cover stop still terminates and
         // cross-component queries answer Infinite.
         let g = generators::disjoint_copies(&generators::path(4, 2), 2);
-        let build = build_oracle(
-            &g,
-            &AlgoConfig::default(),
-            &OracleConfig::default().with_fallback_threshold(0),
-            &ApspConfig::default(),
-        )
-        .unwrap();
+        let build = cover_build(&g);
         assert!(build.oracle.query(NodeId(0), NodeId(7)).is_infinite());
         assert!(build.oracle.query(NodeId(0), NodeId(3)).is_finite());
     }

@@ -158,8 +158,12 @@ pub struct OracleReport {
     pub levels: u32,
     /// Total clusters across all levels.
     pub clusters: u64,
-    /// Bytes of the oracle's distance storage.
+    /// Bytes of the oracle's distance storage (`12 · n · row_width` on the
+    /// cover path: every slot of the table, free ones included).
     pub bytes: u64,
+    /// Slots per row of the oracle's table — what a query scans of each of
+    /// its two nodes (0 on the exact fallback).
+    pub row_width: u32,
     /// Bytes an exact `n × n` distance matrix would occupy, for comparison.
     pub exact_matrix_bytes: u64,
     /// Proven multiplicative stretch bound of every query answer (1 on the
@@ -172,6 +176,9 @@ pub struct OracleReport {
     /// Validated per-level cover statistics, in level order (empty on the
     /// exact fallback).
     pub level_stats: Vec<CoverStats>,
+    /// Slots per row each level contributes to `row_width`, in level order:
+    /// at most that level's colour count (empty on the exact fallback).
+    pub level_widths: Vec<u32>,
 }
 
 /// Sleeping-model instrumentation of a low-energy run.

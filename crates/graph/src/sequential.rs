@@ -195,9 +195,41 @@ pub fn bfs(g: &Graph, sources: &[NodeId]) -> ShortestPaths {
     let n = g.node_count() as usize;
     let mut dist = vec![Distance::Infinite; n];
     let mut parent = vec![None; n];
-    let mut queue = std::collections::VecDeque::new();
+    // The FIFO queue as a visit list with a head index: a node is pushed at
+    // most once, so nothing is ever popped from storage.
+    let mut visited = Vec::with_capacity(n);
     for &s in sources {
         assert!(g.contains_node(s), "source {s} out of range");
+        if dist[s.index()].is_infinite() {
+            dist[s.index()] = Distance::ZERO;
+            visited.push(s);
+        }
+    }
+    let mut head = 0;
+    while head < visited.len() {
+        let v = visited[head];
+        head += 1;
+        let dv = dist[v.index()].expect_finite();
+        for adj in g.neighbors(v) {
+            if dist[adj.neighbor.index()].is_infinite() {
+                dist[adj.neighbor.index()] = Distance::Finite(dv + 1);
+                parent[adj.neighbor.index()] = Some(v);
+                visited.push(adj.neighbor);
+            }
+        }
+    }
+    ShortestPaths { distances: dist, parents: parent }
+}
+
+/// [`bfs`] as it was written over a `VecDeque`: the reference for its FIFO
+/// order, which fixes the parents as well as the distances.
+#[cfg(test)]
+fn bfs_deque(g: &Graph, sources: &[NodeId]) -> ShortestPaths {
+    let n = g.node_count() as usize;
+    let mut dist = vec![Distance::Infinite; n];
+    let mut parent = vec![None; n];
+    let mut queue = std::collections::VecDeque::new();
+    for &s in sources {
         if dist[s.index()].is_infinite() {
             dist[s.index()] = Distance::ZERO;
             queue.push_back(s);
@@ -434,6 +466,35 @@ mod tests {
     fn bfs_on_unit_weights_equals_dijkstra() {
         let g = generators::erdos_renyi_gnp(40, 0.15, 5);
         assert_eq!(bfs(&g, &[NodeId(0)]).distances, dijkstra(&g, &[NodeId(0)]).distances);
+    }
+
+    #[test]
+    fn bfs_keeps_the_deque_order_distances_and_parents() {
+        let families = [
+            generators::path(40, 1),
+            generators::grid(9, 13, 1),
+            generators::cycle(31, 1),
+            generators::star(20, 1),
+            generators::disjoint_copies(&generators::cycle(7, 1), 3),
+            Graph::empty(5),
+            generators::random_connected(60, 30, 1),
+            generators::random_connected(64, 200, 2),
+            generators::random_tree(50, 3),
+            generators::erdos_renyi_gnp(40, 0.05, 5),
+            generators::grid_swirl(6),
+            generators::almost_line(30, 5),
+            generators::broom(9, 9, 1),
+            generators::barbell(8, 3, 1),
+        ];
+        for g in &families {
+            let n = g.node_count();
+            // One source, several (one of them twice), every node, none.
+            let some = [NodeId(n / 2), NodeId(0), NodeId(n - 1), NodeId(n / 2)];
+            let all: Vec<NodeId> = g.nodes().collect();
+            for sources in [&some[..1], &some[..], &all[..], &[]] {
+                assert_eq!(bfs(g, sources), bfs_deque(g, sources), "n = {n}, {sources:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,37 +5,35 @@
 //! This module is the oracle's steady state — a service answering millions of
 //! queries against an immutable structure — so it must not allocate per
 //! query (enforced statically by the `simlint: hot-path` header above and
-//! dynamically by `tests/alloc_regression.rs`). Shared clusters of two nodes
-//! are found by a linear merge of their sorted per-level membership slices;
-//! batch queries shard the input across threads by contiguous ranges
-//! (the same partitioning discipline as the simulator's sharded engine), and
-//! because every query is a pure read of the immutable oracle the results
-//! are bit-identical at any thread count by construction.
+//! dynamically by `tests/alloc_regression.rs`). A cluster sits in the same
+//! slot of every member's row (see the crate docs), so the shared clusters of
+//! two nodes are the positions where their rows hold equal ids: a query is one
+//! fixed-trip compare-and-min loop, the same cost for every pair, with no
+//! data-dependent control flow. Batch queries shard the input across threads
+//! by contiguous ranges (the same partitioning discipline as the simulator's
+//! sharded engine), and because every query is a pure read of the immutable
+//! oracle the results are bit-identical at any thread count by construction.
 
 use congest_graph::{Distance, NodeId};
 
-use crate::{Backend, DistanceOracle, OracleLevel, UNREACHED};
+use crate::{Backend, DistanceOracle, SlotTable, UNREACHED};
 
-/// The best estimate for `(u, v)` on one level: minimum of
-/// `dist(c, u) + dist(c, v)` over the clusters `c` shared by `u` and `v`,
-/// found by merging the two sorted membership slices.
-fn level_estimate(lvl: &OracleLevel, u: usize, v: usize) -> u64 {
-    let (cu, du) = lvl.of(u);
-    let (cv, dv) = lvl.of(v);
+/// The best estimate for `u ≠ v` over every level: minimum of
+/// `dist(c, u) + dist(c, v)` over the slots where both rows name the same
+/// cluster `c`. The sum cannot wrap: [`DistanceOracle::from_levels`] bounds
+/// every stored distance by `(u64::MAX − 1) / 2`. Only for `u ≠ v` — a row's
+/// free slots equal themselves.
+fn slot_estimate(table: &SlotTable, u: usize, v: usize) -> u64 {
+    let w = table.width;
+    let (ids_u, ids_v) = (&table.ids[u * w..][..w], &table.ids[v * w..][..w]);
+    let (dist_u, dist_v) = (&table.center_dist[u * w..][..w], &table.center_dist[v * w..][..w]);
     let mut best = UNREACHED;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < cu.len() && j < cv.len() {
-        match cu[i].cmp(&cv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if du[i] != UNREACHED && dv[j] != UNREACHED {
-                    best = best.min(du[i] + dv[j]);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
+    for k in 0..w {
+        // All ones where the ids differ: the sum, at most `UNREACHED − 1`,
+        // becomes `UNREACHED`. A mask and not an `if`, which compiles to a
+        // branch on the comparison.
+        let miss = u64::from(ids_u[k] != ids_v[k]).wrapping_neg();
+        best = best.min((dist_u[k] + dist_v[k]) | miss);
     }
     best
 }
@@ -47,13 +45,7 @@ fn raw_query(oracle: &DistanceOracle, u: usize, v: usize) -> u64 {
         return 0;
     }
     match &oracle.backend {
-        Backend::Levels(levels) => {
-            let mut best = UNREACHED;
-            for lvl in levels {
-                best = best.min(level_estimate(lvl, u, v));
-            }
-            best
-        }
+        Backend::Slots(table) => slot_estimate(table, u, v),
         Backend::Exact(matrix) => matrix[u * oracle.n as usize + v],
     }
 }

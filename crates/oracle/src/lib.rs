@@ -6,8 +6,8 @@
 //! sequence of sparse `d`-covers (d = 1, 2, 4, … — see
 //! `congest_cover::sparse_cover`), stores only each node's distances to the
 //! centers of the `O(log n)`-ish clusters it belongs to per level, and then
-//! answers point-to-point distance queries by scanning the shared clusters of
-//! the `O(log n)` levels.
+//! answers point-to-point distance queries by comparing the two nodes' rows of
+//! one fixed-width table.
 //!
 //! # Structure and guarantee
 //!
@@ -32,6 +32,25 @@
 //!   [`OracleStats::stretch_bound`]; [`DistanceOracle::query`] never returns
 //!   more than `stretch_bound × dist_G(u, v)`.
 //!
+//! # Layout: colour-slotted rows
+//!
+//! A sparse cover puts every node in at most one cluster per colour of the
+//! separated decomposition, so a cluster can be given a *slot* — a position
+//! that is the same in the row of every one of its members. [`LevelBuilder`]
+//! assigns slots first-fit: the lowest position still free in every member's
+//! row. Clusters arrive colour-major from `SparseCover::clusters` and
+//! same-colour clusters are disjoint, so by induction a cluster's slot is at
+//! most its colour and a level is at most `colours = O(log n)` slots wide.
+//! Any other push order stays exact; it can only make a level wider.
+//! [`DistanceOracle::from_levels`] concatenates the levels into one row-major
+//! table of `n` rows and `W = Σ W_ℓ` slots — a `u32` id column (cluster id
+//! plus the level's key base) and a `u64` distance column. A slot holding no
+//! answer carries an id no other row has and distance 0, so `u` and `v` share
+//! a cluster exactly where their rows hold equal ids, and a query is one
+//! fixed-trip compare-and-min loop over the two rows ([`batch`]). The price
+//! is space: `12·n·W` bytes, empty slots included ([`OracleStats::bytes`],
+//! [`OracleStats::row_width`]).
+//!
 //! The construction driver lives in `congest_sssp::oracle`: it runs one
 //! facade SSSP per cluster (reusing the registry's solvers rather than a
 //! private shortest-path implementation) and feeds this crate's
@@ -50,6 +69,8 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+#[cfg(test)]
+mod reference;
 
 use congest_graph::{Distance, NodeId};
 use serde::{Deserialize, Serialize};
@@ -58,6 +79,14 @@ use serde::{Deserialize, Serialize};
 /// cluster subgraph — defensive; covers built from connected expansions never
 /// produce it).
 pub(crate) const UNREACHED: u64 = u64::MAX;
+
+/// Largest finite distance an oracle stores: the sum of two stored distances
+/// stays below [`UNREACHED`], so the query kernel adds them with a plain `+`.
+const MAX_STORED: u64 = (u64::MAX - 1) / 2;
+
+/// Set in the id of a slot that holds no answer. The other 31 bits are the
+/// row's node, so no two rows agree on such an id.
+const EMPTY: u32 = 0x8000_0000;
 
 /// Construction policy for a [`DistanceOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,8 +126,8 @@ pub struct OracleStats {
     pub clusters: u64,
     /// Total stored `(cluster, center-distance)` entries across all levels.
     pub entries: u64,
-    /// Resident bytes of the query structure (per-level offset arrays plus
-    /// entry arrays, or `n²·8` for the exact fallback).
+    /// Resident bytes of the query structure (`12·n·row_width`: every slot
+    /// of the table, free ones included — or `n²·8` for the exact fallback).
     pub bytes: u64,
     /// Bytes an exact all-pairs matrix would take (`n²·8`), for comparison.
     pub exact_matrix_bytes: u64,
@@ -108,12 +137,15 @@ pub struct OracleStats {
     pub stretch_bound: u64,
     /// Maximum number of clusters any single node belongs to on one level.
     pub max_membership: u32,
+    /// Slots per row of the table, `W = Σ W_ℓ` over the levels: what one
+    /// query scans of each of its two nodes (0 for the exact fallback).
+    pub row_width: u32,
 }
 
 /// One cover level of the oracle: for every node, its clusters on this level
 /// and the exact in-cluster distance to each cluster's center, stored as a
-/// CSR-style flattened array (per-node slices sorted by cluster id, so two
-/// nodes' shared clusters are found by a linear merge without allocating).
+/// row-major table of `n` rows and [`OracleLevel::width`] slots. A cluster
+/// sits in the same slot of every member's row (see the crate docs).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OracleLevel {
     /// The cover radius `d` of this level.
@@ -123,110 +155,152 @@ pub struct OracleLevel {
     /// Largest finite stored center distance on this level (enters the
     /// stretch bound as the level's worst-case estimate `2 × max_center_dist`).
     pub max_center_dist: u64,
-    offsets: Vec<u32>,
-    cluster_ids: Vec<u32>,
+    n: u32,
+    width: u32,
+    /// Cluster id of an occupied slot, `EMPTY | node` of a free one.
+    ids: Vec<u32>,
+    /// Center distance of an occupied slot (`UNREACHED` for a stored
+    /// [`Distance::Infinite`]), 0 in a free one.
     center_dist: Vec<u64>,
 }
 
 impl OracleLevel {
-    /// The per-node membership slices of `v`: parallel `(cluster ids, center
-    /// distances)`, sorted by cluster id.
-    pub(crate) fn of(&self, v: usize) -> (&[u32], &[u64]) {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        (&self.cluster_ids[lo..hi], &self.center_dist[lo..hi])
+    /// Slots per row: the number of distinct first-fit positions the level's
+    /// clusters needed. At least [`OracleLevel::max_membership`], and at most
+    /// the cover's colour count for clusters pushed colour-major.
+    pub fn width(&self) -> u32 {
+        self.width
     }
 
-    /// Stored `(cluster, distance)` entries on this level.
+    /// Appends one free slot to every row, in place: rows move back to front,
+    /// so no row is overwritten before it has moved. A level widens at most
+    /// `colours` times, so a build allocates `O(levels · colours)` buffers
+    /// whatever `n` is.
+    fn widen(&mut self) {
+        let (n, w) = (self.n as usize, self.width as usize);
+        self.ids.resize(n * (w + 1), 0);
+        self.center_dist.resize(n * (w + 1), 0);
+        for v in (0..n).rev() {
+            self.ids.copy_within(v * w..(v + 1) * w, v * (w + 1));
+            self.center_dist.copy_within(v * w..(v + 1) * w, v * (w + 1));
+            self.ids[v * (w + 1) + w] = EMPTY | v as u32;
+            self.center_dist[v * (w + 1) + w] = 0;
+        }
+        self.width += 1;
+    }
+
+    /// Stored `(cluster, distance)` entries on this level: its occupied slots.
     pub fn entries(&self) -> u64 {
-        self.cluster_ids.len() as u64
+        self.ids.iter().filter(|&&id| id & EMPTY == 0).count() as u64
     }
 
-    /// Resident bytes of this level's arrays.
+    /// Resident bytes of this level's slots, free ones included.
     pub fn bytes(&self) -> u64 {
-        self.offsets.len() as u64 * 4 + self.entries() * 12
+        self.ids.len() as u64 * 12
     }
 
     /// Maximum entries of any single node on this level.
     pub fn max_membership(&self) -> u32 {
-        self.offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
+        // `chunks_exact(0)` panics; a level nobody pushed to has no slots.
+        self.ids
+            .chunks_exact(self.width.max(1) as usize)
+            .map(|row| row.iter().filter(|&&id| id & EMPTY == 0).count() as u32)
+            .max()
+            .unwrap_or(0)
     }
 }
 
 /// Accumulates one [`OracleLevel`] cluster by cluster.
 ///
-/// Clusters must be pushed in increasing id order (the natural iteration
-/// order of `SparseCover::clusters`) so that every node's entry list comes
-/// out sorted by cluster id — the merge-based query kernel relies on it.
+/// Each cluster takes the lowest slot free in every member's row. Pushing in
+/// increasing id order (the natural iteration order of
+/// `SparseCover::clusters`, which is colour-major) keeps the level as narrow
+/// as its colour count; any order gives the same query answers.
 #[derive(Debug)]
 pub struct LevelBuilder {
-    d: u64,
-    clusters: u32,
-    max_center_dist: u64,
-    per_node: Vec<Vec<(u32, u64)>>,
+    level: OracleLevel,
 }
 
 impl LevelBuilder {
     /// Starts an empty level with radius `d` over `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit in 31 bits.
     pub fn new(n: u32, d: u64) -> Self {
-        LevelBuilder { d, clusters: 0, max_center_dist: 0, per_node: vec![Vec::new(); n as usize] }
+        assert!(n < EMPTY, "node ids fit in 31 bits");
+        let level = OracleLevel {
+            d,
+            clusters: 0,
+            max_center_dist: 0,
+            n,
+            width: 0,
+            ids: Vec::new(),
+            center_dist: Vec::new(),
+        };
+        LevelBuilder { level }
     }
 
     /// Adds the next cluster: `members[i]` is a member node and `dist[i]` its
     /// exact distance from the cluster center inside the cluster's induced
     /// subgraph ([`Distance::Infinite`] is stored as a sentinel and skipped
-    /// by queries).
+    /// by queries). Members are distinct.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or a member is out of range.
     pub fn push_cluster(&mut self, members: &[NodeId], dist: &[Distance]) {
         assert_eq!(members.len(), dist.len(), "one distance per member");
-        let id = self.clusters;
-        self.clusters += 1;
+        let lvl = &mut self.level;
+        assert!(members.iter().all(|v| v.0 < lvl.n), "member out of range");
+        let id = lvl.clusters;
+        lvl.clusters += 1;
+        let w = lvl.width as usize;
+        let free =
+            (0..w).find(|&k| members.iter().all(|v| lvl.ids[v.index() * w + k] & EMPTY != 0));
+        let slot = free.unwrap_or_else(|| {
+            lvl.widen();
+            w
+        });
+        let w = lvl.width as usize;
         for (&v, &dd) in members.iter().zip(dist.iter()) {
             let stored = match dd.finite() {
                 Some(f) => {
-                    self.max_center_dist = self.max_center_dist.max(f);
+                    lvl.max_center_dist = lvl.max_center_dist.max(f);
                     f
                 }
                 None => UNREACHED,
             };
-            self.per_node[v.index()].push((id, stored));
+            lvl.ids[v.index() * w + slot] = id;
+            lvl.center_dist[v.index() * w + slot] = stored;
         }
     }
 
-    /// Flattens the accumulated memberships into the immutable level layout.
+    /// The finished level; the builder's table is the level's, nothing is
+    /// copied.
     pub fn finish(self) -> OracleLevel {
-        let entries: usize = self.per_node.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(self.per_node.len() + 1);
-        let mut cluster_ids = Vec::with_capacity(entries);
-        let mut center_dist = Vec::with_capacity(entries);
-        offsets.push(0u32);
-        for list in &self.per_node {
-            debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "sorted by cluster id");
-            for &(c, dd) in list {
-                cluster_ids.push(c);
-                center_dist.push(dd);
-            }
-            offsets.push(cluster_ids.len() as u32);
-        }
-        OracleLevel {
-            d: self.d,
-            clusters: self.clusters,
-            max_center_dist: self.max_center_dist,
-            offsets,
-            cluster_ids,
-            center_dist,
-        }
+        self.level
     }
+}
+
+/// The cover backend: every level's slots side by side, one row per node.
+/// `u` and `v` share a cluster exactly where `ids` agree on their two rows
+/// (a slot without an answer holds `EMPTY | node` and distance 0).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct SlotTable {
+    /// Slots per row, `W = Σ W_ℓ`.
+    pub(crate) width: usize,
+    /// Cluster id plus the level's key base.
+    pub(crate) ids: Vec<u32>,
+    /// Center distances, each at most `MAX_STORED`.
+    pub(crate) center_dist: Vec<u64>,
 }
 
 /// The oracle's two storage backends.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum Backend {
     /// The sparse-cover hierarchy.
-    Levels(Vec<OracleLevel>),
+    Slots(SlotTable),
     /// Row-major exact `n × n` matrix (`u64::MAX` = unreachable), used below
     /// the fallback threshold.
     Exact(Vec<u64>),
@@ -259,31 +333,65 @@ impl DistanceOracle {
     /// `⌈2 × max_center_dist(ℓ) / (d_{ℓ−1} + 1)⌉`, and the oracle's bound is
     /// the maximum over levels.
     ///
+    /// The finite stored distances are bounded here, once, so that the query
+    /// kernel's sum of two of them cannot wrap.
+    ///
     /// # Panics
     ///
-    /// Panics if the level radii are not strictly increasing.
+    /// Panics if the level radii are not strictly increasing, if a level was
+    /// built over a node count other than `n`, if the levels hold `2³¹` or
+    /// more clusters, or if a finite stored distance exceeds
+    /// `(u64::MAX − 1) / 2`.
     pub fn from_levels(n: u32, levels: Vec<OracleLevel>) -> Self {
         let mut stretch_bound: u64 = 1;
         let mut prev_d: u64 = 0;
         for lvl in &levels {
             assert!(lvl.d > prev_d, "strictly increasing radii");
+            assert_eq!(lvl.n, n, "every level is built over the oracle's nodes");
             let worst_estimate = lvl.max_center_dist.saturating_mul(2);
             stretch_bound = stretch_bound.max(worst_estimate.div_ceil(prev_d + 1));
             prev_d = lvl.d;
         }
-        let exact_matrix_bytes = n as u64 * n as u64 * 8;
+        let clusters: u64 = levels.iter().map(|l| l.clusters as u64).sum();
+        assert!(clusters < u64::from(EMPTY), "cluster keys fit in 31 bits");
+        let width: usize = levels.iter().map(|l| l.width as usize).sum();
         let stats = OracleStats {
             n,
             fallback: false,
             levels: levels.len() as u32,
-            clusters: levels.iter().map(|l| l.clusters as u64).sum(),
+            clusters,
             entries: levels.iter().map(OracleLevel::entries).sum(),
             bytes: levels.iter().map(OracleLevel::bytes).sum(),
-            exact_matrix_bytes,
+            exact_matrix_bytes: n as u64 * n as u64 * 8,
             stretch_bound,
             max_membership: levels.iter().map(OracleLevel::max_membership).max().unwrap_or(0),
+            row_width: width as u32,
         };
-        DistanceOracle { n, backend: Backend::Levels(levels), stats }
+
+        let mut ids = Vec::with_capacity(n as usize * width);
+        let mut center_dist = Vec::with_capacity(n as usize * width);
+        for v in 0..n as usize {
+            let mut key_base = 0u32;
+            for lvl in &levels {
+                let w = lvl.width as usize;
+                let row = v * w..(v + 1) * w;
+                for (&id, &dd) in lvl.ids[row.clone()].iter().zip(&lvl.center_dist[row]) {
+                    if id & EMPTY != 0 || dd == UNREACHED {
+                        ids.push(EMPTY | v as u32);
+                        center_dist.push(0);
+                    } else {
+                        assert!(
+                            dd <= MAX_STORED,
+                            "stored distances are at most (u64::MAX - 1) / 2"
+                        );
+                        ids.push(key_base + id);
+                        center_dist.push(dd);
+                    }
+                }
+                key_base += lvl.clusters;
+            }
+        }
+        DistanceOracle { n, backend: Backend::Slots(SlotTable { width, ids, center_dist }), stats }
     }
 
     /// Wraps an exact all-pairs matrix (the small-`n` fallback): queries are
@@ -310,6 +418,7 @@ impl DistanceOracle {
             exact_matrix_bytes: bytes,
             stretch_bound: 1,
             max_membership: 0,
+            row_width: 0,
         };
         DistanceOracle { n, backend: Backend::Exact(flat), stats }
     }
@@ -367,10 +476,30 @@ mod tests {
         assert_eq!(s.entries, 8 + 4);
         assert_eq!(s.max_membership, 3);
         assert_eq!(s.exact_matrix_bytes, 4 * 4 * 8);
-        let Backend::Levels(levels) = &o.backend else { panic!("level backend") };
-        let (ids, dist) = levels[0].of(1);
-        assert_eq!(ids, [0, 1, 2]);
-        assert_eq!(dist, [1, 0, 1]);
+        assert_eq!(s.row_width, 3 + 1);
+        assert_eq!(s.bytes, 12 * 4 * 4);
+        // Node 1's row: clusters 0, 1, 2 of level one in slots 0, 1, 2, then
+        // level two's cluster under its key base 3. Node 3 is in cluster 2
+        // alone, in that cluster's slot, between two free ones.
+        let Backend::Slots(table) = &o.backend else { panic!("cover backend") };
+        assert_eq!(table.width, 4);
+        assert_eq!(table.ids[4..8], [0, 1, 2, 3]);
+        assert_eq!(table.center_dist[4..8], [1, 0, 1, 1]);
+        assert_eq!(table.ids[12..16], [EMPTY | 3, EMPTY | 3, 2, 3]);
+        assert_eq!(table.center_dist[12..16], [0, 0, 1, 3]);
+    }
+
+    #[test]
+    fn a_cluster_takes_the_lowest_slot_free_in_every_members_row() {
+        let mut b = LevelBuilder::new(5, 1);
+        b.push_cluster(&[NodeId(0), NodeId(1)], &[Distance::ZERO, Distance::Finite(1)]);
+        b.push_cluster(&[NodeId(2), NodeId(3)], &[Distance::ZERO, Distance::Finite(1)]);
+        b.push_cluster(&[NodeId(1), NodeId(2)], &[Distance::ZERO, Distance::Finite(1)]);
+        b.push_cluster(&[NodeId(3), NodeId(4)], &[Distance::ZERO, Distance::Finite(1)]);
+        let lvl = b.finish();
+        assert_eq!(lvl.width(), 2);
+        assert_eq!(lvl.ids, [0, EMPTY, 0, 2, 1, 2, 1, 3, EMPTY | 4, 3]);
+        assert_eq!((lvl.entries(), lvl.max_membership(), lvl.bytes()), (8, 2, 12 * 5 * 2));
     }
 
     #[test]
@@ -416,7 +545,52 @@ mod tests {
         b.push_cluster(&[NodeId(0), NodeId(1)], &[Distance::ZERO, Distance::Infinite]);
         let lvl = b.finish();
         assert_eq!(lvl.max_center_dist, 0);
-        let (_, dist) = lvl.of(1);
-        assert_eq!(dist, [UNREACHED]);
+        assert_eq!(lvl.center_dist, [0, UNREACHED]);
+        assert_eq!(lvl.entries(), 2);
+        // In the oracle's table the sentinel's slot is a free one.
+        let o = DistanceOracle::from_levels(2, vec![lvl]);
+        let Backend::Slots(table) = &o.backend else { panic!("cover backend") };
+        assert_eq!((&table.ids[..], &table.center_dist[..]), (&[0, EMPTY | 1][..], &[0, 0][..]));
+        assert!(o.query(NodeId(0), NodeId(1)).is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "every level is built over the oracle's nodes")]
+    fn a_level_over_another_node_count_is_rejected() {
+        let _ = DistanceOracle::from_levels(3, vec![LevelBuilder::new(2, 1).finish()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member out of range")]
+    fn out_of_range_member_rejected() {
+        let mut b = LevelBuilder::new(2, 1);
+        b.push_cluster(&[NodeId(2)], &[Distance::ZERO]);
+    }
+
+    /// Two stored distances at the bound sum to `u64::MAX − 1`: still finite.
+    /// One above it, a plain `+` would wrap to a small number — an
+    /// underestimate — so `from_levels` refuses the level.
+    #[test]
+    fn stored_distances_at_the_bound_do_not_wrap() {
+        let bound = (u64::MAX - 1) / 2;
+        let mut b = LevelBuilder::new(2, 1);
+        b.push_cluster(
+            &[NodeId(0), NodeId(1)],
+            &[Distance::Finite(bound), Distance::Finite(bound)],
+        );
+        let o = DistanceOracle::from_levels(2, vec![b.finish()]);
+        assert_eq!(o.query(NodeId(0), NodeId(1)), Distance::Finite(u64::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "stored distances are at most (u64::MAX - 1) / 2")]
+    fn a_stored_distance_above_the_bound_is_rejected() {
+        let above = (u64::MAX - 1) / 2 + 1;
+        let mut b = LevelBuilder::new(2, 1);
+        b.push_cluster(
+            &[NodeId(0), NodeId(1)],
+            &[Distance::Finite(above), Distance::Finite(above)],
+        );
+        let _ = DistanceOracle::from_levels(2, vec![b.finish()]);
     }
 }

@@ -1,13 +1,19 @@
-//! Allocation regression test for the batch-query hot path.
+//! Allocation regression test for the batch-query hot path and the builder.
 //!
 //! A counting global allocator wraps [`std::alloc::System`] (the same probe
 //! as `crates/sim/tests/alloc_regression.rs`). The contract of
 //! [`DistanceOracle::query_into`]:
 //!
 //! * at `threads == 1` a batch of any size performs **zero** heap
-//!   allocations — the kernel is a pure merge over the immutable structure;
+//!   allocations — the kernel is a pure scan of two rows of the immutable
+//!   table;
 //! * at `threads > 1` the allocation count is `O(threads)` (the scoped
 //!   thread handles) and **independent of the batch size**.
+//!
+//! And of the write side: [`LevelBuilder`] grows one table per level in place
+//! and [`DistanceOracle::from_levels`] allocates the oracle's table once, so
+//! assembling an oracle from clusters already in hand costs two buffers per
+//! slot of row width plus three — whatever `n` is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,31 +64,45 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A synthetic two-level oracle over a unit-weight cycle of `n` nodes:
-/// level d=1 has one radius-1 ball per node, the top level one cluster
-/// spanning the cycle (center 0, tree distances along the shorter arc).
-/// The shapes (overlapping memberships, multi-level scan) exercise exactly
-/// what a cover-built oracle exercises; no solver runs are needed here.
-fn cycle_oracle(n: u32) -> DistanceOracle {
-    let mut l1 = LevelBuilder::new(n, 1);
-    for c in 0..n {
-        let prev = (c + n - 1) % n;
-        let next = (c + 1) % n;
-        let mut members = [NodeId(prev), NodeId(c), NodeId(next)];
-        members.sort();
-        let dist: Vec<Distance> = members
-            .iter()
-            .map(|&m| if m == NodeId(c) { Distance::ZERO } else { Distance::Finite(1) })
+/// The clusters of a synthetic two-level oracle over a unit-weight cycle of
+/// `n` nodes: level d=1 has one radius-1 ball per node, the top level one
+/// cluster spanning the cycle (center 0, tree distances along the shorter
+/// arc). The shapes (overlapping memberships, multi-level scan) exercise
+/// exactly what a cover-built oracle exercises; no solver runs are needed
+/// here.
+struct CycleClusters {
+    n: u32,
+    balls: Vec<([NodeId; 3], [Distance; 3])>,
+    top: (Vec<NodeId>, Vec<Distance>),
+}
+
+impl CycleClusters {
+    fn new(n: u32) -> Self {
+        let balls = (0..n)
+            .map(|c| {
+                let mut members = [NodeId((c + n - 1) % n), NodeId(c), NodeId((c + 1) % n)];
+                members.sort();
+                let dist =
+                    members
+                        .map(|m| if m == NodeId(c) { Distance::ZERO } else { Distance::Finite(1) });
+                (members, dist)
+            })
             .collect();
-        l1.push_cluster(&members, &dist);
+        let members = (0..n).map(NodeId).collect();
+        let dist = (0..n).map(|v| Distance::Finite(u64::from(v.min(n - v) % n))).collect();
+        CycleClusters { n, balls, top: (members, dist) }
     }
-    let top_d = u64::from(n);
-    let mut top = LevelBuilder::new(n, top_d);
-    let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let dist: Vec<Distance> =
-        (0..n).map(|v| Distance::Finite(u64::from(v.min(n - v) % n))).collect();
-    top.push_cluster(&members, &dist);
-    DistanceOracle::from_levels(n, vec![l1.finish(), top.finish()])
+
+    /// Everything the oracle crate does in a build, and nothing else.
+    fn assemble(&self) -> DistanceOracle {
+        let mut l1 = LevelBuilder::new(self.n, 1);
+        for (members, dist) in &self.balls {
+            l1.push_cluster(members, dist);
+        }
+        let mut top = LevelBuilder::new(self.n, u64::from(self.n));
+        top.push_cluster(&self.top.0, &self.top.1);
+        DistanceOracle::from_levels(self.n, vec![l1.finish(), top.finish()])
+    }
 }
 
 fn random_pairs(n: u32, count: usize, mut state: u64) -> Vec<(NodeId, NodeId)> {
@@ -103,7 +123,8 @@ fn random_pairs(n: u32, count: usize, mut state: u64) -> Vec<(NodeId, NodeId)> {
 #[test]
 fn batch_queries_allocate_nothing_per_query() {
     let n = 96;
-    let oracle = cycle_oracle(n);
+    let clusters = CycleClusters::new(n);
+    let oracle = clusters.assemble();
     let small = random_pairs(n, 500, 7);
     let large = random_pairs(n, 20_000, 11);
     let mut out_small = vec![Distance::Infinite; small.len()];
@@ -137,11 +158,25 @@ fn batch_queries_allocate_nothing_per_query() {
          the threaded path must allocate O(threads), not O(queries)"
     );
 
-    // The probe is honest: building an oracle allocates plenty.
-    let before = allocations();
-    let rebuilt = cycle_oracle(n);
-    assert!(allocations() > before, "the probe is not observing the allocator");
-    assert_eq!(rebuilt.stats().bytes, oracle.stats().bytes);
+    // The builder: two buffers per slot of row width (each level's id and
+    // distance columns, regrown in place when the level widens), the oracle's
+    // two columns and the `Vec` of levels — not a list per node and level.
+    // Ten times the nodes, the same count. (This is also what shows the probe
+    // observes the allocator.)
+    for clusters in [&clusters, &CycleClusters::new(10 * n)] {
+        let before = allocations();
+        let rebuilt = clusters.assemble();
+        let delta = allocations() - before;
+        let width = u64::from(rebuilt.stats().row_width);
+        assert_eq!(width, 3 + 1, "three slots of radius-1 balls, one for the cycle");
+        assert!(
+            (1..=2 * width + 3).contains(&delta),
+            "assembling {} nodes at row width {width} allocated {delta}x",
+            clusters.n
+        );
+        assert_eq!(rebuilt.stats().bytes, 12 * u64::from(clusters.n) * width);
+    }
+    assert_eq!(clusters.assemble(), oracle);
 
     // And the threaded outputs agree with the sequential ones bit for bit.
     let mut seq = vec![Distance::Infinite; large.len()];
