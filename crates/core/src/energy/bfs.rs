@@ -69,9 +69,10 @@ pub fn low_energy_bfs(
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
+    check_sources(g, sources)?;
     let limit = limit.min(g.node_count() as u64);
     let cover = LayeredCover::construct_default(g, limit.max(1));
-    low_energy_bfs_with_cover(g, sources, limit, &cover, true, config)
+    covered_bfs(g, sources, limit, &cover, true, config)
 }
 
 /// Runs low-energy `limit`-thresholded BFS with a pre-built layered cover.
@@ -90,14 +91,47 @@ pub fn low_energy_bfs_with_cover(
     charge_cover_build: bool,
     config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
+    check_sources(g, sources)?;
+    covered_bfs(g, sources, limit, cover, charge_cover_build, config)
+}
+
+/// Rejects an empty or out-of-range source set — before any cover is built.
+fn check_sources(g: &Graph, sources: &[NodeId]) -> Result<(), AlgoError> {
     if sources.is_empty() {
         return Err(AlgoError::EmptySourceSet);
     }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
+    match sources.iter().find(|&&s| !g.contains_node(s)) {
+        Some(&node) => Err(AlgoError::SourceOutOfRange { node }),
+        None => Ok(()),
     }
+}
+
+/// What the accounting knows of one cluster once the wavefront is computed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClusterState {
+    /// The cluster takes part in the run: its top-level ancestor holds a
+    /// source. Nothing else is filled in (or read) for a cluster that does not.
+    relevant: bool,
+    /// Some member is a source.
+    holds_source: bool,
+    /// Hop distances of the first and the last member the thresholded
+    /// wavefront hits, if it hits any.
+    hits: Option<(u64, u64)>,
+    /// The round from which the cluster follows its schedule.
+    active_from: u64,
+}
+
+/// The covered BFS of Theorem 3.8 on checked sources. Every sum and product
+/// saturates: an absurd constant yields `u64::MAX` rounds, never a wrapped
+/// underestimate.
+fn covered_bfs(
+    g: &Graph,
+    sources: &[NodeId],
+    limit: u64,
+    cover: &LayeredCover,
+    charge_cover_build: bool,
+    config: &AlgoConfig,
+) -> Result<EnergyBfsRun, AlgoError> {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let limit = limit.min(n as u64);
@@ -112,10 +146,6 @@ pub fn low_energy_bfs_with_cover(
         .collect();
 
     let levels = cover.level_count();
-    // Megaround width: maximum number of cluster trees sharing one edge,
-    // summed over levels (Section 3.1.3: all tree subroutines share edges).
-    let megaround: u64 =
-        cover.levels.iter().map(|lvl| lvl.max_edge_tree_load() as u64).sum::<u64>().max(1);
 
     // Slowdown: the wavefront must advance slowly enough that an activation
     // signal (latency of the parent cluster's schedule) always beats the
@@ -133,21 +163,22 @@ pub fn low_energy_bfs_with_cover(
     // Initialization: one convergecast/broadcast cycle over every cluster
     // (Section 3.3 "Initialization"): O(max tree depth + top period) rounds,
     // every node awake a constant number of rounds per cluster it belongs to.
-    let init_rounds = cover
+    let init_end = cover
         .levels
         .iter()
         .enumerate()
-        .map(|(j, lvl)| 2 * lvl.max_tree_depth() + 2 * cover.radius(j) + 2)
+        .map(|(j, lvl)| {
+            ClusterSchedule::new(cover.radius(j), lvl.max_tree_depth()).propagation_latency()
+        })
         .max()
         .unwrap_or(2);
-    let init_end = init_rounds;
-    let t_end = init_end + limit.saturating_mul(slowdown) + slowdown;
+    // The round the wavefront reaches hop distance `hops`.
+    let time_of = |hops: u64| init_end.saturating_add(hops.saturating_mul(slowdown));
+    let t_end = time_of(limit).saturating_add(slowdown);
 
-    // Per-cluster relevance, activation, and reached times.
-    // reached(C) (in rounds) = init_end + slowdown * min member hop distance.
-    let mut cluster_relevant: Vec<Vec<bool>> = Vec::with_capacity(levels);
-    let mut cluster_active_from: Vec<Vec<u64>> = Vec::with_capacity(levels);
-    let mut cluster_reached: Vec<Vec<Option<u64>>> = Vec::with_capacity(levels);
+    // Per-cluster relevance, activation, and reached times, top level first
+    // (relevance and activation flow downward): one pass over the members of
+    // every relevant cluster.
     let is_source = {
         let mut v = vec![false; n];
         for &s in sources {
@@ -155,65 +186,60 @@ pub fn low_energy_bfs_with_cover(
         }
         v
     };
-    // Top level first (relevance flows downward).
+    let mut states: Vec<Vec<ClusterState>> = vec![Vec::new(); levels];
     for j in (0..levels).rev() {
         let lvl = &cover.levels[j];
-        let mut relevant = vec![false; lvl.clusters.len()];
-        let mut reached = vec![None; lvl.clusters.len()];
-        let mut active_from = vec![init_end; lvl.clusters.len()];
-        for (ci, c) in lvl.clusters.iter().enumerate() {
-            // Reached time: first member hit by the (thresholded) wavefront.
-            let first_hit = c.members.iter().filter_map(|&v| distances[v.index()].finite()).min();
-            reached[ci] = first_hit.map(|h| init_end + h * slowdown);
-            if j + 1 == levels {
-                relevant[ci] = c.members.iter().any(|&v| is_source[v.index()]);
-                active_from[ci] = init_end;
-            } else {
+        let mut of_level = Vec::with_capacity(lvl.clusters.len());
+        for c in &lvl.clusters {
+            let mut state = ClusterState { active_from: init_end, ..ClusterState::default() };
+            if j + 1 < levels {
                 let parent = cover.parent_of(j, c.id).expect("non-top clusters have parents");
-                let p_idx = parent.index();
-                relevant[ci] = cluster_relevant[levels - 1 - (j + 1)][p_idx];
-                let parent_lvl = &cover.levels[j + 1];
-                let parent_sched = ClusterSchedule::new(
-                    cover.radius(j + 1),
-                    parent_lvl.cluster(parent).tree.max_depth(),
-                );
+                let above = states[j + 1][parent.index()];
+                if !above.relevant {
+                    of_level.push(state);
+                    continue;
+                }
+                state.relevant = true;
                 // Activated once the parent detects the wavefront and tells us
                 // (or at initialization if the parent holds a source).
-                let parent_holds_source =
-                    parent_lvl.cluster(parent).members.iter().any(|&v| is_source[v.index()]);
-                active_from[ci] = if parent_holds_source {
-                    init_end
-                } else {
-                    match cluster_reached[levels - 1 - (j + 1)][p_idx] {
-                        Some(r) => r + parent_sched.propagation_latency(),
+                if !above.holds_source {
+                    let depth = cover.levels[j + 1].cluster(parent).tree.max_depth();
+                    let parent_sched = ClusterSchedule::new(cover.radius(j + 1), depth);
+                    state.active_from = match above.hits {
+                        Some((first, _)) => {
+                            time_of(first).saturating_add(parent_sched.propagation_latency())
+                        }
                         None => t_end, // parent never reached: stays dormant
-                    }
-                };
+                    };
+                }
             }
+            cover_entries_read(c.members.len());
+            for &v in &c.members {
+                state.holds_source |= is_source[v.index()];
+                if let Some(h) = distances[v.index()].finite() {
+                    let (first, last) = state.hits.unwrap_or((h, h));
+                    state.hits = Some((first.min(h), last.max(h)));
+                }
+            }
+            if j + 1 == levels {
+                state.relevant = state.holds_source;
+            }
+            of_level.push(state);
         }
-        cluster_relevant.push(relevant);
-        cluster_reached.push(reached);
-        cluster_active_from.push(active_from);
+        states[j] = of_level;
     }
-    // The vectors above are stored top level first; re-index helper.
-    let rel = |j: usize, c: usize| cluster_relevant[levels - 1 - j][c];
-    let act = |j: usize, c: usize| cluster_active_from[levels - 1 - j][c];
-    let rch = |j: usize, c: usize| cluster_reached[levels - 1 - j][c];
 
     // Lemma 3.7 check: every relevant cluster is fully awake before the
     // wavefront reaches any of its members.
-    for j in 0..levels {
-        for (ci, _c) in cover.levels[j].clusters.iter().enumerate() {
-            if !rel(j, ci) {
-                continue;
-            }
-            if let Some(reached) = rch(j, ci) {
-                let awake_at = act(j, ci);
-                if awake_at > reached {
+    for (j, of_level) in states.iter().enumerate() {
+        for state in of_level.iter().filter(|state| state.relevant) {
+            if let Some((first, _)) = state.hits {
+                let reached = time_of(first);
+                if state.active_from > reached {
                     return Err(AlgoError::WakeScheduleViolation {
                         level: j,
                         reached_at: reached,
-                        awake_at,
+                        awake_at: state.active_from,
                     });
                 }
             }
@@ -224,58 +250,80 @@ pub fn low_energy_bfs_with_cover(
     // Init: 1 awake round for the very first round plus a constant number of
     // awake rounds per cluster membership for the initialization cycle.
     for v in 0..n {
-        metrics.node_energy[v] += 1;
         let memberships: usize =
             (0..levels).map(|j| cover.levels[j].clusters_of(NodeId(v as u32)).len()).sum();
-        metrics.node_energy[v] += 4 * memberships as u64;
+        metrics.node_energy[v] += 1 + 4 * memberships as u64;
     }
-    // Cluster-tree traffic and awake windows.
-    for j in 0..levels {
-        let lvl = &cover.levels[j];
+    // Cluster-tree traffic and awake windows, and the megaround width
+    // (Section 3.1.3: all tree subroutines share edges): the maximum number
+    // of cluster trees sharing one edge, summed over levels. Each tree edge is
+    // resolved to its graph edge once, for the width and the traffic alike;
+    // adjacency runs are in edge-id order at both ends, so a node pair
+    // resolves to one edge whichever end is the child and however many
+    // parallel edges join the pair.
+    let mut tree_load = vec![0u32; m];
+    let mut megaround: u64 = 0;
+    for (j, (lvl, of_level)) in cover.levels.iter().zip(&states).enumerate() {
         let period = cover.radius(j);
-        for (ci, c) in lvl.clusters.iter().enumerate() {
-            if !rel(j, ci) {
-                continue;
+        tree_load.fill(0);
+        let (mut width, mut all_resolved) = (0, true);
+        for (c, state) in lvl.clusters.iter().zip(of_level) {
+            // The awake rounds of every tree node and the messages over every
+            // tree edge, if the cluster is ever awake.
+            let mut charge = None;
+            if state.relevant {
+                let sched = ClusterSchedule::new(period, c.tree.max_depth());
+                let from = state.active_from;
+                // The cluster deactivates once all of its reached members have
+                // been passed by the wavefront and the fact has propagated, or
+                // at the global end of the BFS, whichever is earlier.
+                let last_hit = state.hits.map_or(from, |(_, last)| time_of(last));
+                let to = last_hit.saturating_add(sched.propagation_latency()).min(t_end);
+                if to > from {
+                    // Convergecast/broadcast messages: 2 per tree edge per period.
+                    let periods = ((to - from) / period).saturating_add(1);
+                    charge = Some((sched.awake_rounds_bound(from, to), periods.saturating_mul(4)));
+                }
             }
-            let sched = ClusterSchedule::new(period, c.tree.max_depth());
-            let from = act(j, ci);
-            // The cluster deactivates once all of its reached members have
-            // been passed by the wavefront and the fact has propagated, or at
-            // the global end of the BFS, whichever is earlier.
-            let last_hit = c
-                .members
-                .iter()
-                .filter_map(|&v| distances[v.index()].finite())
-                .max()
-                .map(|h| init_end + h * slowdown)
-                .unwrap_or(from);
-            let to = (last_hit + sched.propagation_latency()).min(t_end);
-            if to <= from {
-                continue;
+            if let Some((awake, _)) = charge {
+                // Every tree node (member or Steiner) follows the schedule.
+                cover_entries_read(c.tree.node_count());
+                for node in c.tree.nodes() {
+                    let energy = &mut metrics.node_energy[node.index()];
+                    *energy = energy.saturating_add(awake);
+                }
             }
-            let awake = sched.awake_rounds_bound(from, to);
-            // Every tree node (member or Steiner) follows the schedule.
-            for node in c.tree.nodes() {
-                metrics.node_energy[node.index()] += awake;
-            }
-            // Convergecast/broadcast messages: 2 per tree edge per period.
-            let periods = (to - from) / period + 1;
+            cover_entries_read(c.tree.node_count());
             for (child, parent) in c.tree.edges() {
-                if let Some(eid) = edge_between(g, child, parent) {
-                    metrics.edge_congestion[eid.index()] += 4 * periods;
-                    metrics.messages += 4 * periods;
+                let Some(eid) = edge_between(g, child, parent) else {
+                    all_resolved = false;
+                    continue;
+                };
+                tree_load[eid.index()] += 1;
+                width = width.max(tree_load[eid.index()]);
+                if let Some((_, messages)) = charge {
+                    let congestion = &mut metrics.edge_congestion[eid.index()];
+                    *congestion = congestion.saturating_add(messages);
+                    metrics.messages = metrics.messages.saturating_add(messages);
                 }
             }
         }
+        // A tree edge that is no edge of `g` (a cover of some other graph)
+        // carries no traffic but still counts towards the width.
+        let width = if all_resolved { u64::from(width) } else { lvl.max_edge_tree_load() as u64 };
+        megaround = megaround.saturating_add(width);
     }
+    let megaround = megaround.max(1);
     // Wavefront traffic: each reached node announces its distance once over
     // each incident edge, and is awake O(1) rounds to do so.
     for v in g.nodes() {
         if distances[v.index()].is_finite() {
-            metrics.node_energy[v.index()] += 2;
+            let energy = &mut metrics.node_energy[v.index()];
+            *energy = energy.saturating_add(2);
             for adj in g.neighbors(v) {
-                metrics.edge_congestion[adj.edge.index()] += 1;
-                metrics.messages += 1;
+                let congestion = &mut metrics.edge_congestion[adj.edge.index()];
+                *congestion = congestion.saturating_add(1);
+                metrics.messages = metrics.messages.saturating_add(1);
             }
         }
     }
@@ -288,17 +336,23 @@ pub fn low_energy_bfs_with_cover(
     // Cover construction cost (Theorems 3.12/3.13), charged analytically from
     // the measured level radii: each level costs `factor · B^j · log² n`
     // rounds and `factor · log² n` awake rounds per node.
-    let mut cover_build_rounds = 0;
+    let mut cover_build_rounds: u64 = 0;
     if charge_cover_build {
         let log2n = ((n.max(2)) as f64).log2().ceil() as u64;
+        let level_energy =
+            config.cover_build_energy_factor.saturating_mul(log2n).saturating_mul(log2n);
         for j in 0..levels {
-            let level_rounds = config.cover_build_round_factor * cover.radius(j) * log2n * log2n;
-            cover_build_rounds += level_rounds;
-            for v in 0..n {
-                metrics.node_energy[v] += config.cover_build_energy_factor * log2n * log2n;
+            let level_rounds = config
+                .cover_build_round_factor
+                .saturating_mul(cover.radius(j))
+                .saturating_mul(log2n)
+                .saturating_mul(log2n);
+            cover_build_rounds = cover_build_rounds.saturating_add(level_rounds);
+            for e in metrics.node_energy.iter_mut() {
+                *e = e.saturating_add(level_energy);
             }
         }
-        metrics.rounds += cover_build_rounds;
+        metrics.rounds = metrics.rounds.saturating_add(cover_build_rounds);
     }
 
     // The awake-round accounting uses closed-form upper bounds with additive
@@ -325,8 +379,25 @@ fn edge_between(g: &Graph, a: NodeId, b: NodeId) -> Option<congest_graph::EdgeId
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Member-list and tree entries of the cover read by the accounting runs
+    /// of this thread: host cost without a clock.
+    static COVER_ENTRIES_READ: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Tallies `entries` cover entries about to be read (in tests; nothing otherwise).
+#[inline]
+fn cover_entries_read(entries: usize) {
+    #[cfg(test)]
+    COVER_ENTRIES_READ.with(|read| read.set(read.get() + entries));
+    #[cfg(not(test))]
+    let _ = entries;
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::reference::low_energy_bfs_with_cover_reference;
     use congest_graph::{generators, sequential};
 
     fn check(g: &Graph, sources: &[NodeId], limit: u64) -> EnergyBfsRun {
@@ -454,6 +525,123 @@ mod tests {
         let reached_max = (0..20).map(|v| run.metrics.node_energy[v]).max().unwrap();
         let dormant_max = (20..40).map(|v| run.metrics.node_energy[v]).max().unwrap();
         assert!(dormant_max <= reached_max);
+    }
+
+    /// The graph families the cover crate compares its constructions on,
+    /// plus a multigraph whose parallel edges are inserted from both ends.
+    fn families() -> Vec<(&'static str, Graph)> {
+        let doubled = (0..11).flat_map(|v| [(v, v + 1, 1), (v + 1, v, 1)]);
+        let rungs = (0..9).map(|v| (v, v + 2, 1));
+        vec![
+            ("path", generators::path(40, 1)),
+            ("grid", generators::grid(9, 13, 1)),
+            ("cycle", generators::cycle(31, 1)),
+            ("star", generators::star(20, 1)),
+            ("disconnected", generators::disjoint_copies(&generators::cycle(7, 1), 3)),
+            ("disjoint-grids", generators::disjoint_copies(&generators::grid(5, 6, 1), 2)),
+            ("isolated", Graph::empty(5)),
+            ("random-sparse", generators::random_connected(60, 30, 1)),
+            ("random-dense", generators::random_connected(64, 200, 2)),
+            ("random-tree", generators::random_tree(50, 3)),
+            ("wrong-dijkstra-killer", generators::wrong_dijkstra_killer(24)),
+            ("spfa-killer", generators::spfa_killer(12)),
+            ("grid-swirl", generators::grid_swirl(6)),
+            ("almost-line", generators::almost_line(30, 5)),
+            ("max-dense", generators::max_dense(16, 6)),
+            ("parallel-edges", Graph::from_edges(12, doubled.chain(rungs)).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn whole_runs_equal_the_reference_accounting() {
+        let cfg = AlgoConfig::default();
+        let mut violations = 0;
+        for (name, g) in families() {
+            let n = g.node_count();
+            let source_sets = [vec![NodeId(0)], vec![NodeId(n - 1), NodeId(n / 2), NodeId(1)]];
+            for limit in [3, u64::from(n)] {
+                let covers = [
+                    LayeredCover::construct_default(&g, limit),
+                    LayeredCover::construct(&g, limit, 4),
+                ];
+                for (cover, sources) in
+                    covers.iter().flat_map(|c| source_sets.iter().map(move |s| (c, s)))
+                {
+                    for charge in [true, false] {
+                        let run =
+                            low_energy_bfs_with_cover(&g, sources, limit, cover, charge, &cfg);
+                        let expected = low_energy_bfs_with_cover_reference(
+                            &g, sources, limit, cover, charge, &cfg,
+                        );
+                        violations += usize::from(run.is_err());
+                        assert_eq!(
+                            run, expected,
+                            "{name}, limit {limit}, base {}, {sources:?}, charge {charge}",
+                            cover.base
+                        );
+                    }
+                }
+            }
+        }
+        // Base 4 is below the realized stretch: Lemma 3.7's check fires, and
+        // names the same cluster level and rounds.
+        assert!(violations > 0);
+    }
+
+    #[test]
+    fn a_cover_of_another_graph_is_accounted_like_the_reference() {
+        // The cycle's tree edge {0, 11} is no edge of the path: it carries no
+        // traffic but still counts towards the megaround width.
+        let (g, other) = (generators::path(12, 1), generators::cycle(12, 1));
+        let cfg = AlgoConfig::default();
+        let cover = LayeredCover::construct_default(&other, 12);
+        assert!(cover.levels.iter().flat_map(|l| &l.clusters).any(|c| {
+            c.tree.edges().any(|(child, parent)| edge_between(&g, child, parent).is_none())
+        }));
+        assert_eq!(
+            low_energy_bfs_with_cover(&g, &[NodeId(3)], 12, &cover, true, &cfg),
+            low_energy_bfs_with_cover_reference(&g, &[NodeId(3)], 12, &cover, true, &cfg),
+        );
+    }
+
+    #[test]
+    fn accounting_reads_the_cover_a_constant_number_of_times() {
+        // Host cost without a clock: before, every one of the 331 level-0
+        // clusters rescanned the 4 096 members of its parent (1.35 M reads).
+        let g = generators::grid(64, 64, 1);
+        let (n, m) = (g.node_count() as usize, g.edge_count() as usize);
+        let cover = LayeredCover::construct_default(&g, n as u64);
+        let clusters = || cover.levels.iter().flat_map(|l| &l.clusters);
+        let cover_size = clusters().map(|c| c.len() + c.tree.node_count()).sum::<usize>();
+        let before = COVER_ENTRIES_READ.with(|read| read.get());
+        low_energy_bfs_with_cover(&g, &[NodeId(0)], n as u64, &cover, true, &AlgoConfig::default())
+            .unwrap();
+        let read = COVER_ENTRIES_READ.with(|read| read.get()) - before;
+        assert!(read >= clusters().map(|c| c.len()).sum::<usize>());
+        assert!(read <= 4 * cover_size + n + m, "read {read} entries of {cover_size}");
+    }
+
+    #[test]
+    fn absurd_constants_saturate_instead_of_wrapping() {
+        let g = generators::path(40, 1);
+        let default = low_energy_bfs(&g, &[NodeId(0)], 40, &AlgoConfig::default()).unwrap();
+        for field in crate::energy::SLEEPING_MODEL_FIELDS {
+            for value in [0, 1, u64::MAX] {
+                let mut cfg = AlgoConfig::default();
+                *field(&mut cfg) = value;
+                match low_energy_bfs(&g, &[NodeId(0)], 40, &cfg) {
+                    Ok(run) if value == u64::MAX => {
+                        assert!(run.metrics.rounds >= default.metrics.rounds);
+                        assert!(run.metrics.max_energy() >= default.metrics.max_energy());
+                    }
+                    Ok(_) => {}
+                    Err(e) => assert!(
+                        value != u64::MAX && matches!(e, AlgoError::WakeScheduleViolation { .. }),
+                        "{e} at {value}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,14 +103,17 @@ pub fn low_energy_cssp(
         } else {
             2 * stats.max_tree_depth + 2 * period
         };
-        per_bfs_energy += stats.max_membership as u64 * sched.awake_rounds_bound(0, window.max(1));
-        per_bfs_energy += 4 * stats.max_membership as u64; // initialization cycle
+        let membership = stats.max_membership as u64;
+        per_bfs_energy = per_bfs_energy
+            .saturating_add(membership.saturating_mul(sched.awake_rounds_bound(0, window.max(1))))
+            .saturating_add(4 * membership); // initialization cycle
     }
     per_bfs_energy = per_bfs_energy.max(1).saturating_mul(megaround);
     // Each subproblem performs O(log n) thresholded BFSs (the rounded waiting
     // BFS is simulated as O(1) thresholded BFS sweeps with ε = 1/2) plus one
     // low-energy forest phase of O(log n) convergecasts.
-    let per_subproblem_energy = per_bfs_energy + 4 * log2n * megaround;
+    let per_subproblem_energy =
+        per_bfs_energy.saturating_add((4 * log2n).saturating_mul(megaround));
 
     // Time: each subproblem of size n' costs O(ε⁻¹ · n') wavefront steps times
     // the slowdown and megaround width, plus the forest time.
@@ -121,7 +124,7 @@ pub fn low_energy_cssp(
         slowdown = slowdown.max(latency.div_ceil((cover.radius(j) / 2).max(1)));
     }
     slowdown = slowdown.saturating_mul(config.slowdown_safety_factor.max(1));
-    let cutter_steps_per_node = 2 * config.epsilon_inverse + 1;
+    let cutter_steps_per_node = config.epsilon_inverse.saturating_mul(2).saturating_add(1);
     let rounds = base
         .stats
         .total_subproblem_size
@@ -129,17 +132,22 @@ pub fn low_energy_cssp(
         .saturating_mul(slowdown)
         .saturating_mul(megaround);
     // Cover construction (Theorem 3.13 bootstrap), charged once.
-    let cover_build_rounds: u64 = (0..levels)
-        .map(|j| config.cover_build_round_factor * cover.radius(j) * log2n * log2n)
-        .sum();
-    let cover_build_energy = config.cover_build_energy_factor * log2n * log2n * levels as u64;
+    let log2n_squared = log2n * log2n;
+    let cover_build_rounds = (0..levels).fold(0u64, |rounds, j| {
+        let level = config.cover_build_round_factor.saturating_mul(cover.radius(j));
+        rounds.saturating_add(level.saturating_mul(log2n_squared))
+    });
+    let cover_build_energy =
+        config.cover_build_energy_factor.saturating_mul(log2n_squared * levels as u64);
 
     // Low-energy forest of the whole graph (Theorem 3.1) contributes its own
     // measured metrics once per recursion level.
     let (_forest, forest_metrics) = spanning_forest(g, true);
 
     let mut metrics = Metrics::zero(n, m);
-    metrics.rounds = rounds + cover_build_rounds + forest_metrics.rounds * base.stats.levels as u64;
+    metrics.rounds = rounds
+        .saturating_add(cover_build_rounds)
+        .saturating_add(forest_metrics.rounds * base.stats.levels as u64);
     metrics.messages = base.metrics.messages;
     // The fault counters are facts about what the fault plan did to the
     // simulated recursion underneath, not charged quantities — carry them
@@ -218,6 +226,24 @@ mod tests {
         assert!(run.per_subproblem_energy > 0);
         assert!(run.megaround >= 1);
         assert!(run.cover_levels >= 1);
+    }
+
+    #[test]
+    fn absurd_constants_saturate_instead_of_wrapping() {
+        let g = generators::with_random_weights(&generators::path(24, 1), 4, 7);
+        let default = low_energy_cssp(&g, &[NodeId(0)], &AlgoConfig::default()).unwrap();
+        for field in crate::energy::SLEEPING_MODEL_FIELDS {
+            for value in [0, 1, u64::MAX] {
+                let mut cfg = AlgoConfig::default();
+                *field(&mut cfg) = value;
+                let run = low_energy_cssp(&g, &[NodeId(0)], &cfg).unwrap();
+                assert_eq!(run.output, default.output);
+                if value == u64::MAX {
+                    assert!(run.metrics.rounds >= default.metrics.rounds);
+                    assert!(run.metrics.max_energy() >= default.metrics.max_energy());
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,18 @@
 
 pub mod bfs;
 pub mod cssp;
+#[cfg(test)]
+mod reference;
 
 pub use bfs::{low_energy_bfs, low_energy_bfs_with_cover, EnergyBfsRun};
 pub use cssp::{low_energy_cssp, EnergyCsspRun};
+
+/// The `u64` constants of [`AlgoConfig`](crate::AlgoConfig)'s sleeping-model
+/// block, for the tests that drive each of them to its extremes.
+#[cfg(test)]
+const SLEEPING_MODEL_FIELDS: [fn(&mut crate::AlgoConfig) -> &mut u64; 4] = [
+    |c| &mut c.min_bfs_slowdown,
+    |c| &mut c.slowdown_safety_factor,
+    |c| &mut c.cover_build_round_factor,
+    |c| &mut c.cover_build_energy_factor,
+];

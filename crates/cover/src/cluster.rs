@@ -57,13 +57,20 @@ impl ClusterTree {
     /// [`is_consistent`](Self::is_consistent) checks them.
     pub fn from_rows(root: NodeId, rows: &mut [TreeRow]) -> Self {
         rows.sort_unstable_by_key(|&(v, _, _)| v);
-        ClusterTree {
+        let mut tree = ClusterTree {
             root,
-            nodes: rows.iter().map(|&(v, _, _)| v).collect(),
-            parents: rows.iter().map(|&(_, p, _)| p).collect(),
-            depths: rows.iter().map(|&(_, _, d)| d).collect(),
-            max_depth: rows.iter().map(|&(_, _, d)| d).max().unwrap_or(0),
+            nodes: Vec::with_capacity(rows.len()),
+            parents: Vec::with_capacity(rows.len()),
+            depths: Vec::with_capacity(rows.len()),
+            max_depth: 0,
+        };
+        for &(v, parent, depth) in rows.iter() {
+            tree.nodes.push(v);
+            tree.parents.push(parent);
+            tree.depths.push(depth);
+            tree.max_depth = tree.max_depth.max(depth);
         }
+        tree
     }
 
     /// The maximum depth of any tree node.

@@ -24,7 +24,7 @@
 use congest_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{Cluster, ClusterId, ClusterTree};
+use crate::cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
 use crate::workspace::BfsWorkspace;
 
 /// A `k`-separated weak-diameter network decomposition: a partition of the
@@ -73,17 +73,53 @@ impl Decomposition {
 ///
 /// Panics if `k == 0`.
 pub fn separated_decomposition(g: &Graph, k: u64) -> Decomposition {
-    carve(g, k, &mut BfsWorkspace::new(g.node_count() as usize))
+    carve(g, k, &mut BfsWorkspace::new(g.node_count() as usize), as_claimed)
 }
 
-/// [`separated_decomposition`] over a caller-owned workspace.
+/// A ball [`carve`] has just claimed, on its way to becoming a [`Cluster`].
+pub(crate) struct Claim<'a> {
+    pub(crate) id: ClusterId,
+    pub(crate) color: u32,
+    pub(crate) center: NodeId,
+    /// The claimed nodes, sorted by id.
+    pub(crate) members: &'a [NodeId],
+    /// One row per node of the Steiner tree (the BFS-tree paths from the
+    /// center to every member), in no particular order. The finisher may add
+    /// rows; the buffer is `carve`'s and comes back empty.
+    pub(crate) rows: &'a mut Vec<TreeRow>,
+}
+
+impl Claim<'_> {
+    /// The cluster of `members` spanned by the tree of the rows.
+    pub(crate) fn into_cluster(self, members: Vec<NodeId>) -> Cluster {
+        let tree = ClusterTree::from_rows(self.center, self.rows);
+        self.rows.clear();
+        Cluster { id: self.id, color: self.color, center: self.center, members, tree }
+    }
+}
+
+/// The finisher of a plain decomposition: the cluster is the claimed ball.
+pub(crate) fn as_claimed(_: &mut BfsWorkspace, claim: Claim<'_>) -> Cluster {
+    let members = claim.members.to_vec(); // simlint::allow(hot-path-alloc: the cluster's member list is output)
+    claim.into_cluster(members)
+}
+
+/// [`separated_decomposition`] over a caller-owned workspace, every claimed
+/// ball turned into its cluster by `finish` — which gets the workspace too:
+/// the carving is done with its search by then, so a cover can run the
+/// expansion there and build each cluster once.
 ///
 /// Each ball is grown by one depth-bounded BFS that is *extended*, never
 /// restarted: explore to `radius + k`, count the claimable nodes of the ball
 /// and of its next shell off the visit list, and explore `k` hops further
 /// whenever the shell more than doubles the ball. The cost of a cluster is
 /// the size of the last ball explored, not `n` (`docs/COVERS.md`).
-pub(crate) fn carve(g: &Graph, k: u64, ws: &mut BfsWorkspace) -> Decomposition {
+pub(crate) fn carve(
+    g: &Graph,
+    k: u64,
+    ws: &mut BfsWorkspace,
+    mut finish: impl FnMut(&mut BfsWorkspace, Claim<'_>) -> Cluster,
+) -> Decomposition {
     assert!(k > 0, "the separation parameter must be positive");
     let n = g.node_count() as usize;
     // `free_from[v]` is the first color at which `v` is claimable: 0 at the
@@ -94,7 +130,8 @@ pub(crate) fn carve(g: &Graph, k: u64, ws: &mut BfsWorkspace) -> Decomposition {
     let mut home = vec![ClusterId(0); n]; // simlint::allow(hot-path-alloc: output column, one per decomposition)
     let mut clusters: Vec<Cluster> = Vec::new(); // simlint::allow(hot-path-alloc: output, one per decomposition)
     let mut colors: Vec<Vec<ClusterId>> = Vec::new(); // simlint::allow(hot-path-alloc: output, one per decomposition)
-    let mut rows = Vec::new(); // simlint::allow(hot-path-alloc: tree-row scratch, drained by every cluster)
+    let mut members: Vec<NodeId> = Vec::new(); // simlint::allow(hot-path-alloc: claimed-ball scratch, one per carving, refilled by every cluster)
+    let mut rows = Vec::new(); // simlint::allow(hot-path-alloc: tree-row scratch, one per carving, drained by every cluster)
     let mut remaining = n;
 
     while remaining > 0 {
@@ -127,7 +164,7 @@ pub(crate) fn carve(g: &Graph, k: u64, ws: &mut BfsWorkspace) -> Decomposition {
             }
             // Claim the interior, defer the shell.
             let id = ClusterId(clusters.len() as u32);
-            let mut members = Vec::with_capacity(inside);
+            members.clear();
             for (i, &v) in ws.visited().iter().enumerate() {
                 if free_from[v.index()] > color {
                     continue;
@@ -157,9 +194,8 @@ pub(crate) fn carve(g: &Graph, k: u64, ws: &mut BfsWorkspace) -> Decomposition {
                 home[member.index()] = id;
             }
             remaining -= members.len();
-            let tree = ClusterTree::from_rows(center, &mut rows);
-            rows.clear();
-            clusters.push(Cluster { id, color, center, members, tree });
+            clusters
+                .push(finish(ws, Claim { id, color, center, members: &members, rows: &mut rows }));
             this_color.push(id);
         }
         // Each color clusters at least the smallest-id remaining node, so
@@ -301,7 +337,7 @@ mod tests {
         let g = generators::grid(64, 64, 1);
         let n = g.node_count() as usize;
         let mut ws = BfsWorkspace::new(n);
-        let d = carve(&g, 3, &mut ws);
+        let d = carve(&g, 3, &mut ws, as_claimed);
         assert!(d.clusters.len() > 100);
         assert!(ws.visited_total <= 16 * n, "visited {} nodes for n = {n}", ws.visited_total);
     }

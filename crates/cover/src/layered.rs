@@ -6,7 +6,8 @@
 //! covers so that Observation 3.3 applies; [`LayeredCover::recommended_base`]
 //! computes a suitable value from `n`.
 
-use congest_graph::Graph;
+use congest_graph::sequential::{connected_components, Components};
+use congest_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterId;
@@ -70,13 +71,14 @@ impl LayeredCover {
     pub fn construct(g: &Graph, target: u64, base: u64) -> LayeredCover {
         assert!(base >= 2, "the base must be at least 2");
         assert!(target >= 1, "the target distance must be positive");
+        let components = connected_components(g);
         let mut levels = Vec::new();
         let mut radius: u64 = 1;
         loop {
             let cover = SparseCover::construct(g, radius);
-            let spans_components = components_spanned(g, &cover);
+            let spanned = spans_components(&components, &cover);
             levels.push(cover);
-            if radius >= target.saturating_mul(2) || spans_components {
+            if radius >= target.saturating_mul(2) || spanned {
                 break;
             }
             radius = radius.saturating_mul(base);
@@ -108,10 +110,10 @@ impl LayeredCover {
     ///
     /// Returns the first violated property.
     pub fn validate(&self, g: &Graph) -> Result<(), CoverError> {
-        for level in &self.levels {
-            level.validate(g)?;
-        }
         let mut ws = BfsWorkspace::new(g.node_count() as usize);
+        for level in &self.levels {
+            level.validate_in(g, &mut ws)?;
+        }
         for (j, links) in self.parents.iter().enumerate() {
             let upper = &self.levels[j + 1];
             let reach = self.radius(j + 1) / 2;
@@ -126,15 +128,14 @@ impl LayeredCover {
     }
 }
 
-/// Returns `true` if every connected component of `g` is fully contained in a
-/// single cluster of `cover` (so no further levels are needed).
-fn components_spanned(g: &Graph, cover: &SparseCover) -> bool {
-    let components = congest_graph::sequential::connected_components(g);
+/// Returns `true` if every one of the `components` of the graph is fully
+/// contained in a single cluster of `cover` (so no further levels are needed).
+fn spans_components(components: &Components, cover: &SparseCover) -> bool {
     // The cluster that has to span component `c`: the home of its first node.
     let mut spanning = vec![None; components.component_count];
-    g.nodes().zip(&components.labels).all(|(v, &c)| {
-        let home = *spanning[c].get_or_insert(cover.home[v.index()]);
-        cover.cluster(home).contains(v)
+    components.labels.iter().enumerate().all(|(v, &c)| {
+        let home = *spanning[c].get_or_insert(cover.home[v]);
+        cover.cluster(home).contains(NodeId(v as u32))
     })
 }
 
@@ -144,6 +145,11 @@ mod tests {
     use crate::reference::{components_spanned_reference, layered_reference, stats_reference};
     use crate::test_graphs::families;
     use congest_graph::generators;
+
+    /// The stopping rule on a graph whose components are not labelled yet.
+    fn components_spanned(g: &Graph, cover: &SparseCover) -> bool {
+        spans_components(&connected_components(g), cover)
+    }
 
     #[test]
     fn layered_covers_and_their_stats_equal_the_reference() {

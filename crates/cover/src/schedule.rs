@@ -67,9 +67,9 @@ impl ClusterSchedule {
     /// An upper bound on the number of rounds from the moment any active node
     /// receives a signal until all active nodes of the cluster know it:
     /// one convergecast up (≤ depth + period rounds to start moving plus depth
-    /// to reach the root) plus one broadcast down.
+    /// to reach the root) plus one broadcast down. Saturates at `u64::MAX`.
     pub fn propagation_latency(&self) -> u64 {
-        2 * self.depth + 2 * self.period + 2
+        self.depth.saturating_mul(2).saturating_add(self.period.saturating_mul(2)).saturating_add(2)
     }
 
     /// The number of rounds a node at `node_depth` is awake within the
@@ -85,13 +85,13 @@ impl ClusterSchedule {
 
     /// A closed-form upper bound on [`ClusterSchedule::awake_rounds_in`]:
     /// at most `4 ⌈(to - from) / period⌉ + 4` awake rounds, and never more
-    /// than the window length itself.
+    /// than the window length itself. Saturates at `u64::MAX`.
     pub fn awake_rounds_bound(&self, from: u64, to: u64) -> u64 {
         if to <= from {
             return 0;
         }
         let window = to - from;
-        (4 * (window / self.period + 1) + 4).min(window)
+        (window / self.period).saturating_add(1).saturating_mul(4).saturating_add(4).min(window)
     }
 }
 
@@ -176,6 +176,14 @@ mod tests {
         assert_eq!(s.awake_rounds_in(2, 100, 100), 0);
         assert_eq!(s.awake_rounds_in(2, 100, 50), 0);
         assert_eq!(s.awake_rounds_bound(100, 100), 0);
+    }
+
+    #[test]
+    fn extreme_windows_and_depths_saturate() {
+        let s = ClusterSchedule::new(1, u64::MAX);
+        assert_eq!(s.propagation_latency(), u64::MAX);
+        assert_eq!(s.awake_rounds_bound(0, u64::MAX), u64::MAX);
+        assert_eq!(ClusterSchedule::new(u64::MAX, 0).propagation_latency(), u64::MAX);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::fmt;
 use congest_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
-use crate::decomposition::{carve, Decomposition};
+use crate::cluster::{Cluster, ClusterId};
+use crate::decomposition::{carve, Claim, Decomposition};
 use crate::workspace::BfsWorkspace;
 
 /// A sparse `d`-cover of a graph (Definition 3.2):
@@ -113,22 +113,22 @@ pub struct CoverStats {
 impl SparseCover {
     /// Builds a sparse `d`-cover of `g` deterministically: a `(2d+1)`-separated
     /// decomposition followed by `d`-neighborhood expansion of every cluster
-    /// (the construction of Theorem 3.11).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0` is combined with an empty graph only in degenerate
-    /// ways; `d = 0` itself is allowed (clusters are the decomposition
-    /// clusters themselves).
+    /// (the construction of Theorem 3.11). `d = 0` is allowed: the clusters
+    /// are the decomposition clusters themselves.
     pub fn construct(g: &Graph, d: u64) -> SparseCover {
         let n = g.node_count() as usize;
         let mut ws = BfsWorkspace::new(n);
-        let decomposition = carve(g, d.saturating_mul(2).saturating_add(1), &mut ws);
+        // Every claimed ball is expanded before it is built, so a cover
+        // cluster's member list and tree are laid out once.
+        let expanded = |ws: &mut BfsWorkspace, mut claim: Claim<'_>| {
+            expand(g, d, ws, &mut claim);
+            let mut members = ws.visited().to_vec(); // simlint::allow(hot-path-alloc: the cluster's member list is output)
+            members.sort_unstable();
+            claim.into_cluster(members)
+        };
+        let decomposition = carve(g, d.saturating_mul(2).saturating_add(1), &mut ws, expanded);
         let colors = decomposition.color_count();
         let Decomposition { clusters, home, .. } = decomposition;
-        let mut rows = Vec::new(); // simlint::allow(hot-path-alloc: tree-row scratch, one per construct, drained by every cluster)
-        let clusters: Vec<Cluster> =
-            clusters.into_iter().map(|c| expand_cluster(g, c, d, &mut ws, &mut rows)).collect(); // simlint::allow(hot-path-alloc: the cluster list is output, one per construct)
 
         let mut member_offsets = vec![0; n + 1]; // simlint::allow(hot-path-alloc: membership index, one per construct)
         for v in clusters.iter().flat_map(|c| &c.members) {
@@ -217,6 +217,15 @@ impl SparseCover {
     /// Returns the first violated property, or the cover's [`CoverStats`] if
     /// everything holds.
     pub fn validate(&self, g: &Graph) -> Result<CoverStats, CoverError> {
+        self.validate_in(g, &mut BfsWorkspace::new(g.node_count() as usize))
+    }
+
+    /// [`validate`](Self::validate) over a caller-owned workspace.
+    pub(crate) fn validate_in(
+        &self,
+        g: &Graph,
+        ws: &mut BfsWorkspace,
+    ) -> Result<CoverStats, CoverError> {
         // Membership index agrees with cluster member lists.
         for c in &self.clusters {
             if !c.tree.is_consistent() {
@@ -241,12 +250,33 @@ impl SparseCover {
                 }
             }
         }
-        // d-ball coverage by the home cluster.
-        let mut ws = BfsWorkspace::new(g.node_count() as usize);
-        for node in g.nodes() {
-            if let Some(missing) = first_uncovered(g, &mut ws, &[node], self.d, self.home_of(node))
-            {
-                return Err(CoverError::BallNotCovered { node, missing });
+        // d-ball coverage by the home cluster. The d-balls of the nodes at
+        // home in C lie in C iff the d-ball of their union does, so one
+        // search per cluster, seeded with all of them, decides it.
+        let mut group_start = vec![0; self.clusters.len() + 1]; // simlint::allow(hot-path-alloc: nodes grouped by home cluster, one index per validation)
+        for home in &self.home {
+            group_start[home.index() + 1] += 1;
+        }
+        for c in 0..self.clusters.len() {
+            group_start[c + 1] += group_start[c];
+        }
+        let mut at_home = vec![NodeId(0); self.home.len()]; // simlint::allow(hot-path-alloc: nodes grouped by home cluster, one column per validation)
+        let mut next = group_start.clone();
+        for (v, home) in g.nodes().zip(&self.home) {
+            at_home[next[home.index()]] = v;
+            next[home.index()] += 1;
+        }
+        let covered = self.clusters.iter().all(|c| {
+            let seeds = &at_home[group_start[c.id.index()]..group_start[c.id.index() + 1]];
+            first_uncovered(g, ws, seeds, self.d, c).is_none()
+        });
+        if !covered {
+            // Name the first node whose own ball sticks out, and the first
+            // node of that ball its home cluster lacks.
+            for node in g.nodes() {
+                if let Some(missing) = first_uncovered(g, ws, &[node], self.d, self.home_of(node)) {
+                    return Err(CoverError::BallNotCovered { node, missing });
+                }
             }
         }
         Ok(self.stats())
@@ -294,25 +324,19 @@ pub(crate) fn first_uncovered(
     ws.visited().iter().copied().filter(|&u| !cluster.contains(u)).min()
 }
 
-/// Expands a decomposition cluster by its `d`-neighborhood and extends its
-/// Steiner tree along the expansion BFS: a new node hangs below the node it
-/// was discovered from, one level deeper than that node's tree depth.
-fn expand_cluster(
-    g: &Graph,
-    c: Cluster,
-    d: u64,
-    ws: &mut BfsWorkspace,
-    rows: &mut Vec<TreeRow>,
-) -> Cluster {
+/// Expands a claimed ball by its `d`-neighborhood: leaves the expanded member
+/// set as the workspace's visit list and extends the claim's tree rows along
+/// the expansion BFS — a new node hangs below the node it was discovered
+/// from, one level deeper than that node's tree depth.
+fn expand(g: &Graph, d: u64, ws: &mut BfsWorkspace, claim: &mut Claim<'_>) {
     ws.begin();
-    for (v, _, depth) in c.tree.entries() {
+    for &(v, _, depth) in claim.rows.iter() {
         ws.mark(v, depth);
     }
-    for &s in &c.members {
+    for &s in claim.members {
         ws.seed(s);
     }
     ws.explore_to(g, d);
-    rows.extend(c.tree.entries());
     // In discovery order a node's BFS parent is a seed (a tree node) or an
     // earlier visit, so its depth mark is always in place.
     for i in 0..ws.visited().len() {
@@ -321,14 +345,9 @@ fn expand_cluster(
             let parent = ws.parent(v);
             let depth = ws.marked(parent).expect("parents are marked before their children") + 1;
             ws.mark(v, depth);
-            rows.push((v, Some(parent), depth));
+            claim.rows.push((v, Some(parent), depth));
         }
     }
-    let mut members = ws.visited().to_vec(); // simlint::allow(hot-path-alloc: the cluster's member list is output)
-    members.sort_unstable();
-    let tree = ClusterTree::from_rows(c.tree.root, rows);
-    rows.clear();
-    Cluster { members, tree, ..c }
 }
 
 #[cfg(test)]
@@ -386,6 +405,59 @@ mod tests {
                 assert_eq!(cover.validate(&g).err(), expected, "{name}, d = {d}");
             }
         }
+    }
+
+    #[test]
+    fn per_cluster_validation_names_the_node_the_per_node_search_names() {
+        let reported = |g: &Graph, cover: &SparseCover| {
+            first_uncovered_ball_reference(g, cover)
+                .map(|(node, missing)| CoverError::BallNotCovered { node, missing })
+        };
+        let mut wrong_homes_caught = 0;
+        for (name, g) in families() {
+            for d in [1, 2, 5] {
+                let cover = SparseCover::construct(&g, d);
+                // A shell node — in the expansion, at home elsewhere — goes
+                // missing from the last cluster that has one.
+                let shell = cover.clusters.iter().rev().find_map(|c| {
+                    let v = c.members.iter().rev().find(|v| cover.home[v.index()] != c.id)?;
+                    Some((c.id, *v))
+                });
+                if let Some((id, v)) = shell {
+                    let mut broken = cover.clone();
+                    broken.clusters[id.index()].members.retain(|&u| u != v);
+                    assert!(reported(&g, &broken).is_some(), "{name}, d = {d}");
+                    assert_eq!(broken.validate(&g).err(), reported(&g, &broken), "{name}, d = {d}");
+                }
+                // A wrong home: the last node claims the first cluster.
+                let mut broken = cover.clone();
+                *broken.home.last_mut().unwrap() = ClusterId(0);
+                assert_eq!(broken.validate(&g).err(), reported(&g, &broken), "{name}, d = {d}");
+                wrong_homes_caught += usize::from(reported(&g, &broken).is_some());
+            }
+        }
+        assert!(wrong_homes_caught > 10, "only {wrong_homes_caught} wrong homes left a ball out");
+    }
+
+    #[test]
+    fn validation_visits_clusters_not_balls() {
+        // Host cost without a clock, on the oracle's levels of the ledger's
+        // grid: one search per node visits Σ_v |ball(v, d)| nodes — n² from
+        // d = 16 on — and one per cluster Σ_C |ball(H_C, d)| ≤ Σ_C |C|.
+        let g = generators::grid(16, 16, 1);
+        let mut ws = BfsWorkspace::new(g.node_count() as usize);
+        let (mut levels, mut membership) = (0, 0);
+        for d in geometric_levels(255) {
+            let cover = SparseCover::construct(&g, d);
+            cover.validate_in(&g, &mut ws).expect("constructed covers are valid");
+            levels += 1;
+            membership += cover.member_clusters.len();
+            if cover.is_component_cover(&g) {
+                break;
+            }
+        }
+        assert_eq!(levels, 5);
+        assert!(ws.visited_total <= 4 * membership, "{} of {membership}", ws.visited_total);
     }
 
     fn check(g: &Graph, d: u64) -> CoverStats {

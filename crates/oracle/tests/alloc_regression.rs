@@ -60,8 +60,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Allocations of one call of `run`: the least of three repeats. The counter
+/// is process-global and libtest's own thread allocates now and then — in one
+/// repeat, where a regression of `run` is in every one.
+fn allocations_of<T>(mut run: impl FnMut() -> T) -> u64 {
+    let once = |_| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = run();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        drop(out);
+        after - before
+    };
+    (0..3).map(once).min().expect("three repeats")
 }
 
 /// The clusters of a synthetic two-level oracle over a unit-weight cycle of
@@ -136,9 +146,7 @@ fn batch_queries_allocate_nothing_per_query() {
 
     // Sequential batches: zero allocations, whatever the batch size.
     for (pairs, out) in [(&small, &mut out_small), (&large, &mut out_large)] {
-        let before = allocations();
-        oracle.query_into(pairs, out, 1);
-        let delta = allocations() - before;
+        let delta = allocations_of(|| oracle.query_into(pairs, out, 1));
         assert_eq!(delta, 0, "a sequential batch of {} queries allocated {delta}x", pairs.len());
     }
 
@@ -146,12 +154,8 @@ fn batch_queries_allocate_nothing_per_query() {
     // thread machinery — it must not grow with the batch size.
     let threads = 4;
     oracle.query_into(&small, &mut out_small, threads); // warm-up
-    let before = allocations();
-    oracle.query_into(&small, &mut out_small, threads);
-    let small_delta = allocations() - before;
-    let before = allocations();
-    oracle.query_into(&large, &mut out_large, threads);
-    let large_delta = allocations() - before;
+    let small_delta = allocations_of(|| oracle.query_into(&small, &mut out_small, threads));
+    let large_delta = allocations_of(|| oracle.query_into(&large, &mut out_large, threads));
     assert!(
         large_delta <= small_delta.max(1) * 2,
         "a 40x larger batch allocated {large_delta}x vs {small_delta}x at {threads} threads: \
@@ -164,9 +168,8 @@ fn batch_queries_allocate_nothing_per_query() {
     // Ten times the nodes, the same count. (This is also what shows the probe
     // observes the allocator.)
     for clusters in [&clusters, &CycleClusters::new(10 * n)] {
-        let before = allocations();
+        let delta = allocations_of(|| clusters.assemble());
         let rebuilt = clusters.assemble();
-        let delta = allocations() - before;
         let width = u64::from(rebuilt.stats().row_width);
         assert_eq!(width, 3 + 1, "three slots of radius-1 balls, one for the cycle");
         assert!(
