@@ -11,10 +11,7 @@ use congest_sssp::{
     SleepingReport,
 };
 
-use crate::{
-    ApspRow, ApspThroughputRow, ChaosRow, CoverRow, CutterRow, EnergyRow, ForestRow, OracleRow,
-    RecursionRow, SeqSolverRow, ShardScalingRow, SsspRow, ThroughputRow,
-};
+use crate::{ApspRow, ChaosRow, CoverRow, CutterRow, EnergyRow, ForestRow, RecursionRow, SsspRow};
 
 /// Types that can render themselves as a JSON value.
 pub trait ToJson {
@@ -140,18 +137,6 @@ impl_row_json! {
     }
     ForestRow { n, m, components, phases, rounds, max_congestion, low_energy_max, always_awake_max }
     RecursionRow { normalized_total, report }
-    ThroughputRow {
-        workload, engine, n, m, rounds, messages, messages_lost, max_energy, wall_ms,
-        node_rounds_per_sec, speedup_vs_reference, metrics_match,
-    }
-    ApspThroughputRow {
-        n, m, driver, threads, wall_ms, makespan, model_rounds, sequential_rounds,
-        total_messages, speedup_vs_reference, results_match,
-    }
-    ShardScalingRow {
-        workload, n, m, threads, host_cores, rounds, messages, max_energy, wall_ms,
-        node_rounds_per_sec, speedup_vs_one_thread, matches_one_thread,
-    }
     ChaosRow {
         algorithm, loss_ppm, outcome, graceful, deterministic, matches_baseline, rounds,
         baseline_rounds, round_budget, reached, unreached, max_abs_error, fault_drops, sleep_lost,
@@ -163,15 +148,6 @@ impl_row_json! {
     CoverStats {
         d, cluster_count, colors, max_membership, mean_membership, max_tree_depth,
         max_edge_tree_load,
-    }
-    OracleRow {
-        workload, n, m, fallback, levels, clusters, bytes, exact_matrix_bytes, space_ratio,
-        stretch_bound, max_observed_stretch, preprocess_rounds, queries, queries_per_sec,
-        threads_agree,
-    }
-    SeqSolverRow {
-        family, n, m, binary_ms, radix_ms, recursive_ms, speedup, distances_match,
-        recursive_matches,
     }
 }
 

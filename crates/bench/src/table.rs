@@ -11,10 +11,7 @@ use std::fmt::Write as _;
 
 use congest_sssp::{AlgorithmInfo, RunReport, SleepingReport};
 
-use crate::{
-    ApspRow, ApspThroughputRow, ChaosRow, CoverRow, CutterRow, EnergyRow, ForestRow, OracleRow,
-    RecursionRow, SeqSolverRow, ShardScalingRow, SsspRow, ThroughputRow,
-};
+use crate::{ApspRow, ChaosRow, CoverRow, CutterRow, EnergyRow, ForestRow, RecursionRow, SsspRow};
 
 /// One table column: header text plus whether its cells are right-aligned
 /// (numeric) in the rendered markdown.
@@ -281,112 +278,6 @@ impl TableRow for RecursionRow {
     }
 }
 
-impl TableRow for ThroughputRow {
-    fn columns() -> Vec<Column> {
-        vec![
-            text("workload"),
-            text("engine"),
-            num("n"),
-            num("m"),
-            num("rounds"),
-            num("messages"),
-            num("lost"),
-            num("max energy"),
-            num("wall ms"),
-            num("node-rounds/s"),
-            num("speedup"),
-            num("metrics match"),
-        ]
-    }
-
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.workload.clone(),
-            self.engine.clone(),
-            self.n.to_string(),
-            self.m.to_string(),
-            self.rounds.to_string(),
-            self.messages.to_string(),
-            self.messages_lost.to_string(),
-            self.max_energy.to_string(),
-            format!("{:.2}", self.wall_ms),
-            format!("{:.3e}", self.node_rounds_per_sec),
-            format!("{:.1}x", self.speedup_vs_reference),
-            self.metrics_match.to_string(),
-        ]
-    }
-}
-
-impl TableRow for ApspThroughputRow {
-    fn columns() -> Vec<Column> {
-        vec![
-            num("n"),
-            num("m"),
-            text("driver"),
-            num("threads"),
-            num("wall ms"),
-            num("makespan"),
-            num("model rounds"),
-            num("sequential rounds"),
-            num("messages"),
-            num("speedup"),
-            num("results match"),
-        ]
-    }
-
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.n.to_string(),
-            self.m.to_string(),
-            self.driver.clone(),
-            self.threads.to_string(),
-            format!("{:.1}", self.wall_ms),
-            self.makespan.to_string(),
-            self.model_rounds.to_string(),
-            self.sequential_rounds.to_string(),
-            self.total_messages.to_string(),
-            format!("{:.2}x", self.speedup_vs_reference),
-            self.results_match.to_string(),
-        ]
-    }
-}
-
-impl TableRow for ShardScalingRow {
-    fn columns() -> Vec<Column> {
-        vec![
-            text("workload"),
-            num("n"),
-            num("m"),
-            num("threads"),
-            num("host cores"),
-            num("rounds"),
-            num("messages"),
-            num("max energy"),
-            num("wall ms"),
-            num("node-rounds/s"),
-            num("speedup"),
-            num("matches 1t"),
-        ]
-    }
-
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.workload.clone(),
-            self.n.to_string(),
-            self.m.to_string(),
-            self.threads.to_string(),
-            self.host_cores.to_string(),
-            self.rounds.to_string(),
-            self.messages.to_string(),
-            self.max_energy.to_string(),
-            format!("{:.2}", self.wall_ms),
-            format!("{:.3e}", self.node_rounds_per_sec),
-            format!("{:.2}x", self.speedup_vs_one_thread),
-            self.matches_one_thread.to_string(),
-        ]
-    }
-}
-
 impl TableRow for ChaosRow {
     fn columns() -> Vec<Column> {
         vec![
@@ -451,76 +342,6 @@ impl TableRow for AlgorithmInfo {
             self.thresholded.to_string(),
             self.queryable.to_string(),
             self.summary.to_string(),
-        ]
-    }
-}
-
-impl TableRow for OracleRow {
-    fn columns() -> Vec<Column> {
-        vec![
-            num("n"),
-            num("m"),
-            num("fallback"),
-            num("levels"),
-            num("clusters"),
-            num("bytes"),
-            num("exact bytes"),
-            num("space ratio"),
-            num("stretch bound"),
-            num("observed stretch"),
-            num("preprocess rounds"),
-            num("queries"),
-            num("queries/s"),
-            num("threads agree"),
-        ]
-    }
-
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.n.to_string(),
-            self.m.to_string(),
-            self.fallback.to_string(),
-            self.levels.to_string(),
-            self.clusters.to_string(),
-            self.bytes.to_string(),
-            self.exact_matrix_bytes.to_string(),
-            format!("{:.3}", self.space_ratio),
-            self.stretch_bound.to_string(),
-            format!("{:.2}", self.max_observed_stretch),
-            self.preprocess_rounds.to_string(),
-            self.queries.to_string(),
-            format!("{:.3e}", self.queries_per_sec),
-            self.threads_agree.to_string(),
-        ]
-    }
-}
-
-impl TableRow for SeqSolverRow {
-    fn columns() -> Vec<Column> {
-        vec![
-            text("family"),
-            num("n"),
-            num("m"),
-            num("binary ms"),
-            num("radix ms"),
-            num("seq-bmssp ms"),
-            num("radix speedup"),
-            num("distances match"),
-            num("rival matches"),
-        ]
-    }
-
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.family.clone(),
-            self.n.to_string(),
-            self.m.to_string(),
-            format!("{:.2}", self.binary_ms),
-            format!("{:.2}", self.radix_ms),
-            format!("{:.2}", self.recursive_ms),
-            format!("{:.2}x", self.speedup),
-            self.distances_match.to_string(),
-            self.recursive_matches.to_string(),
         ]
     }
 }

@@ -36,19 +36,16 @@
 //! per-round arrival buckets and claimed `O(m + makespan)`; the buckets were
 //! `O(total messages)`, two thirds of the peak heap at `n = 64`.)
 //!
-//! The pre-rework driver — sequential instance loop, all traces
-//! materialized, round-by-round reference scheduler — is retained as
-//! [`apsp_reference`], the oracle for differential tests and the baseline of
-//! the APSP-throughput experiment (`EXPERIMENTS.md`, E12).
+//! [`apsp`] is the one shipped driver. The pre-rework one — sequential
+//! instance loop, all traces materialized, round-by-round reference
+//! scheduler — is kept test-only in `apsp/reference.rs`, as the oracle the
+//! differential tests below hold [`apsp`] to.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
 
-use congest_graph::{Distance, EdgeId, Graph, NodeId};
-use congest_sim::scheduler::{
-    draw_delay, schedule_reference, schedule_spread, ScheduleOutcome, SpreadInstance,
-};
-use congest_sim::EdgeUsageTrace;
+use congest_graph::{Distance, Graph, NodeId};
+use congest_sim::scheduler::{draw_delay, schedule_spread, ScheduleOutcome, SpreadInstance};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -119,7 +116,7 @@ fn run_instance(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<Instan
 /// Collects the instance results, in any order: instance `i` owns slot `i`
 /// of every column, and the two scalars are a max and a sum, so the writes
 /// commute. The delays are drawn up front, one PRNG draw per instance in
-/// index order — the stream [`apsp_reference`] draws.
+/// index order — the stream the test-only reference driver draws.
 struct Assembly {
     budget: u32,
     delays: Vec<u64>,
@@ -172,15 +169,6 @@ impl Assembly {
             total_messages: self.total_messages,
         })
     }
-}
-
-/// The number of OS threads [`apsp`] will actually use for the given
-/// configuration on a graph of `n` nodes: the configured `threads` (with `0`
-/// resolving to the host's available parallelism), capped by the instance
-/// count. Exposed so measurement harnesses can report the true thread count
-/// instead of re-deriving it.
-pub fn planned_threads(apsp_config: &ApspConfig, n: u32) -> usize {
-    resolve_threads(apsp_config.threads, n as usize)
 }
 
 /// Resolves the configured thread count against the host and the workload.
@@ -305,110 +293,14 @@ where
     }
 }
 
-/// The pre-rework APSP driver, retained as the differential oracle and the
-/// E12 baseline: runs the instances sequentially on the calling thread,
-/// materializes all `n` traces, and schedules them through the
-/// round-by-round [`schedule_reference`] loop.
-///
-/// Produces an [`ApspRun`] identical to [`apsp`]'s on every input.
-///
-/// # Errors
-///
-/// Propagates any SSSP failure.
-pub fn apsp_reference(
-    g: &Graph,
-    config: &AlgoConfig,
-    apsp_config: &ApspConfig,
-) -> Result<ApspRun, AlgoError> {
-    let n = g.node_count();
-    let mut distances = Vec::with_capacity(n as usize);
-    let mut traces = Vec::with_capacity(n as usize);
-    let mut instance_rounds = Vec::with_capacity(n as usize);
-    let mut max_instance_congestion = 0u64;
-    let mut total_messages = 0u64;
-
-    for s in g.nodes() {
-        let run = run_instance(g, s, config)?;
-        instance_rounds.push(run.rounds);
-        max_instance_congestion = max_instance_congestion.max(run.max_congestion);
-        total_messages += run.messages;
-        traces.push(spread_trace(&run.edge_totals, run.rounds));
-        distances.push(run.distances);
-    }
-
-    let budget = effective_budget(n, apsp_config.edge_budget_per_round);
-    let max_delay = apsp_config.max_delay.unwrap_or(n as u64).max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(apsp_config.seed);
-    let delays: Vec<u64> = traces.iter().map(|_| draw_delay(&mut rng, max_delay)).collect();
-    let schedule = schedule_reference(&traces, &delays, budget);
-    let sequential_rounds = instance_rounds.iter().sum();
-
-    Ok(ApspRun {
-        distances,
-        instance_rounds,
-        max_instance_congestion,
-        schedule,
-        sequential_rounds,
-        total_messages,
-    })
-}
-
-/// Spreads each edge's total message count evenly over the instance's
-/// duration, producing a per-round usage trace consistent with the measured
-/// congestion and dilation.
-///
-/// The partition assigns message `k` of an edge's `total` to round
-/// `⌊k·R/total⌋` over the instance's `R` rounds, with per-round counts
-/// computed directly in `O(min(total, R))` per edge instead of pushing (and
-/// then coalescing) one entry per message:
-///
-/// * `total ≤ R`: consecutive messages land `R/total ≥ 1` rounds apart, so
-///   every occupied round carries exactly one message — emit the `total`
-///   rounds `⌊k·R/total⌋` directly.
-/// * `total > R`: every round is occupied and round `r` carries
-///   `ceil((r+1)·total/R) - ceil(r·total/R)` messages — walk the `R` round
-///   boundaries.
-///
-/// Only [`apsp_reference`] materialises traces; [`apsp`] hands the totals to
-/// [`schedule_spread`], which counts in `u64`.
-///
-/// # Panics
-///
-/// Panics if an edge's per-round share `total / R` reaches `2³²`, the limit
-/// of the trace's count type — one reason this copy is the oracle's only.
-fn spread_trace(edge_congestion: &[u64], rounds: u64) -> EdgeUsageTrace {
-    let rounds = rounds.max(1) as usize;
-    let mut per_round: Vec<Vec<(EdgeId, u32)>> = vec![Vec::new(); rounds];
-    let r128 = rounds as u128;
-    for (e, &total) in edge_congestion.iter().enumerate() {
-        if total == 0 {
-            continue;
-        }
-        let edge = EdgeId(e as u32);
-        let t128 = total as u128;
-        if t128 <= r128 {
-            for k in 0..total {
-                let r = ((k as u128 * r128) / t128) as usize;
-                per_round[r].push((edge, 1));
-            }
-        } else {
-            let mut lo = 0u128; // ceil(0 * t / R)
-            for (r, bucket) in per_round.iter_mut().enumerate() {
-                let hi = ((r as u128 + 1) * t128).div_ceil(r128);
-                let count =
-                    u32::try_from(hi - lo).expect("per-round share fits the trace count type");
-                bucket.push((edge, count));
-                lo = hi;
-            }
-        }
-    }
-    EdgeUsageTrace { rounds: per_round }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{apsp_reference, spread_trace};
     use super::*;
-    use congest_graph::{generators, sequential};
+    use congest_graph::{generators, sequential, EdgeId};
 
     #[test]
     fn apsp_distances_match_sequential_all_pairs() {
@@ -517,13 +409,12 @@ mod tests {
     }
 
     #[test]
-    fn planned_threads_reports_the_resolved_count() {
-        let auto = ApspConfig::default();
+    fn resolve_threads_reports_the_resolved_count() {
         let host = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        assert_eq!(planned_threads(&auto, 1024), host.min(1024));
-        let fixed = ApspConfig { threads: 3, ..ApspConfig::default() };
-        assert_eq!(planned_threads(&fixed, 1024), 3);
-        assert_eq!(planned_threads(&fixed, 2), 2, "capped by the instance count");
+        assert_eq!(resolve_threads(0, 1024), host.min(1024));
+        assert_eq!(resolve_threads(3, 1024), 3);
+        assert_eq!(resolve_threads(3, 2), 2, "capped by the instance count");
+        assert_eq!(resolve_threads(3, 0), 1, "an empty graph still gets its calling thread");
     }
 
     #[test]

@@ -190,6 +190,32 @@ mod tests {
         }
     }
 
+    #[test]
+    fn default_config_above_the_threshold_builds_covers_smaller_than_the_matrix() {
+        // The space bar: at n = 160 the default configuration leaves the
+        // exact fallback behind and the colour-slotted table has to undercut
+        // the n × n matrix (7 680 of 204 800 bytes when this was written).
+        let base = generators::random_connected(160, 320, 23);
+        let g = generators::with_random_weights(&base, 160, 23 ^ 0x5eed);
+        assert_eq!((g.node_count(), g.edge_count()), (160, 479));
+        let build = build_oracle(
+            &g,
+            &AlgoConfig::default(),
+            &OracleConfig::default(),
+            &ApspConfig::default(),
+        )
+        .unwrap();
+        let report = &build.report;
+        assert!(!report.fallback && !build.oracle.is_exact());
+        assert!(report.levels > 0);
+        assert!(
+            report.bytes < report.exact_matrix_bytes,
+            "{} bytes against an exact matrix of {}",
+            report.bytes,
+            report.exact_matrix_bytes
+        );
+    }
+
     fn cover_build(g: &Graph) -> OracleBuild {
         build_oracle(
             g,

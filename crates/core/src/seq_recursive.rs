@@ -25,8 +25,9 @@
 //! band either through a frontier seed carrying its exact value (the crossing
 //! relaxation from its settled predecessor) or through an in-band relaxation,
 //! and the base case's Dijkstra completes all in-band chains. The registry
-//! differential proptests (`tests/solver_registry.rs`) and the E17 gate pin
-//! this against both sequential Dijkstra oracles on every generator family.
+//! differential proptests (`tests/solver_registry.rs`) and this module's
+//! killer-family test pin this against the sequential Dijkstra oracle on
+//! every generator family.
 //!
 //! Being centralized, the solver charges *sequential-work* metrics rather
 //! than CONGEST rounds: `rounds` counts heap pops, `messages` and per-edge

@@ -299,9 +299,9 @@ pub fn with_random_weights_zero(g: &Graph, max_weight: Weight, seed: u64) -> Gra
 
 // ---------------------------------------------------------------------------
 // Killer families: adversarial topologies engineered to punish specific
-// shortest-path strategies. Used by the differential proptests, the chaos
-// campaign, and the E17 sequential-solver gate — see `docs/SEQ_BASELINES.md`
-// for the gallery and the attack each family mounts.
+// shortest-path strategies. Used by the differential proptests and the chaos
+// campaign — see `docs/SEQ_BASELINES.md` for the gallery and the attack each
+// family mounts.
 // ---------------------------------------------------------------------------
 
 /// A decrease-key storm: the complete graph on `n` nodes with
@@ -309,9 +309,9 @@ pub fn with_random_weights_zero(g: &Graph, max_weight: Weight, seed: u64) -> Gra
 /// distinct). From source 0 the settle order is `0, 1, 2, …`, and every
 /// settled node `i` improves the tentative distance of *every* later node by
 /// exactly `i` — so a Dijkstra run performs `Θ(n²)` distance improvements and
-/// queues `Θ(n²)` entries. This is the dense family behind the E17 radix- vs
-/// binary-heap speedup gate, and the classic counterexample to "greedy
-/// without a priority queue" (hence the name).
+/// queues `Θ(n²)` entries. This is the dense family on which the radix heap
+/// beats the binary heap by the widest margin, and the classic counterexample
+/// to "greedy without a priority queue" (hence the name).
 ///
 /// # Panics
 ///

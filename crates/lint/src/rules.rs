@@ -22,8 +22,9 @@ use crate::scanner::{scan, ScanResult, Tok};
 /// traces, and merge paths — the exact hazard that breaks bit-identical
 /// engine replay. Scoped to the determinism-bearing crates.
 pub const NONDETERMINISTIC_ITERATION: &str = "nondeterministic-iteration";
-/// `Instant::now` / `SystemTime` outside `crates/bench`: simulated time must
-/// come from the round counter, never the host clock.
+/// `Instant::now` / `SystemTime`, in every scanned file: simulated time must
+/// come from the round counter, never the host clock. Host speed is measured
+/// by the perf ledger (`benchmark/`), which is not part of the workspace.
 pub const WALL_CLOCK: &str = "wall-clock";
 /// `thread_rng` / `rand::random` / `from_entropy`: all randomness must be
 /// ChaCha-seeded (like `FaultPlan`) so every run replays bit-identically.
@@ -281,25 +282,21 @@ fn check_nondeterministic_iteration(rel_path: &str, sc: &ScanResult, out: &mut V
 }
 
 fn check_wall_clock(rel_path: &str, sc: &ScanResult, out: &mut Vec<Finding>) {
-    if rel_path.starts_with("crates/bench/") {
-        return;
-    }
     for (i, t) in sc.tokens.iter().enumerate() {
         match t.ident() {
             Some("Instant") if path_seg(sc, i + 1, "now") => out.push(finding(
                 rel_path,
                 t.line(),
                 WALL_CLOCK,
-                "`Instant::now()` outside `crates/bench`: wall-clock time is \
-                 nondeterministic — simulated time is the round counter"
+                "`Instant::now()`: wall-clock time is nondeterministic — simulated time is \
+                 the round counter, host speed is the ledger's (`benchmark/`)"
                     .to_string(),
             )),
             Some("SystemTime") => out.push(finding(
                 rel_path,
                 t.line(),
                 WALL_CLOCK,
-                "`SystemTime` outside `crates/bench`: wall-clock time is nondeterministic"
-                    .to_string(),
+                "`SystemTime`: wall-clock time is nondeterministic".to_string(),
             )),
             _ => {}
         }

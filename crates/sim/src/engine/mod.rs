@@ -15,9 +15,8 @@
 //!   ("Per-run scratch" below).
 //! * `sharded` — the threaded driver behind [`crate::SimConfig::threads`].
 //! * `reference` — the retained naive `O(n)`-per-round loop
-//!   ([`Engine::run_reference`]), the semantic oracle for differential tests
-//!   and the baseline of the E11 engine-throughput experiment (see
-//!   `EXPERIMENTS.md`). It shares no code with `round`.
+//!   ([`Engine::run_reference`]), the semantic oracle for differential
+//!   tests. It shares no code with `round`.
 //!
 //! Together with the inline-payload [`Message`](crate::Message) (see
 //! [`crate::Words`]) and the driver-owned, round-reused outbox that

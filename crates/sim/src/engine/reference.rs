@@ -6,8 +6,7 @@
 //! is exactly what the active-set engine in [`super`] eliminates — but its
 //! simplicity makes it the semantic ground truth. [`Engine::run`] must
 //! produce bit-identical [`RunOutcome`]s (states, [`Metrics`], traces); the
-//! proptest harness in `tests/engine_equivalence.rs` and the E11 throughput
-//! experiment both enforce this.
+//! proptest harness in `tests/engine_equivalence.rs` enforces this.
 //!
 //! It is also where [`crate::NodeCtx::listen_until`] is *defined*: a
 //! listening node is awake in every round — charged one energy unit,
@@ -151,7 +150,7 @@ impl Engine<'_> {
                 }
                 // A freshly allocated outbox per node, as the pre-refactor
                 // engine did — this loop deliberately keeps the naive
-                // allocation profile the E13 experiment baselines against.
+                // allocation profile: it is the definition, not a fast path.
                 let mut outbox: Vec<InFlight> = Vec::new();
                 let mut ctx = NodeCtx::new(v, round, self.network(), &mut outbox);
                 let run_init = round == 0

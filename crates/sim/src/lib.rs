@@ -51,14 +51,13 @@
 //! `O(n · rounds)` — the property that makes simulating low-energy protocols
 //! (the paper's `poly(log n)` awake rounds per node) cheap even at large `n`
 //! and huge round counts. The pre-refactor `Θ(n)`-per-round sweep is retained
-//! as [`Engine::run_reference`], the oracle for differential tests and the
-//! baseline of the engine-throughput experiment (`EXPERIMENTS.md`, E11).
+//! as [`Engine::run_reference`], the oracle for differential tests.
 //!
 //! The message path itself is *allocation-free in steady state*: payloads are
 //! inline [`Words`] values (a message is `B = O(log n)` bits — a constant
 //! number of words), [`Message`] is `Copy`, and sends land in engine-owned,
-//! round-reused buffers. See the E13 message-throughput experiment and
-//! `tests/alloc_regression.rs`.
+//! round-reused buffers. See `tests/alloc_regression.rs` (the pin) and the
+//! perf ledger's `engine-flood` workload (the cost, `benchmark/`).
 //!
 //! # Writing a protocol
 //!

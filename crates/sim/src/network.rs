@@ -10,8 +10,8 @@ use congest_graph::{Adjacency, Graph, NodeId};
 ///
 /// [`crate::NodeCtx::send`] must resolve "the lightest edge to neighbour `u`"
 /// on every call; scanning the adjacency list makes that `O(degree)` per send
-/// — `Θ(degree²)` per round on a hub that talks to every neighbour (see the
-/// E13 star benchmark). This index resolves it in `O(log degree)` from one
+/// — `Θ(degree²)` per round on a hub that talks to every neighbour (the
+/// `HubPingPong` workload on a star). This index resolves it in `O(log degree)` from one
 /// `O(m log Δ)` build pass, made by the first [`crate::NodeCtx::send`] on the
 /// network: protocols that address edges (`send_on_edge`, `broadcast`) never
 /// pay for it.
@@ -21,7 +21,7 @@ use congest_graph::{Adjacency, Graph, NodeId};
 /// neighbour id within each node's run) plus an `n + 1` offset table, and a
 /// lookup is a binary search over the node's run. This replaces the earlier
 /// `HashMap<(u32, u32), Adjacency>`: flat arrays cost a fraction of the hash
-/// map's memory at large `n` (the million-node regime of E15), are `Send +
+/// map's memory at large `n` (the million-node regime), are `Send +
 /// Sync` plain data the sharded engine's workers can read concurrently, and
 /// binary search on a hub's cache-resident run competes well with hashing.
 #[derive(Debug, Clone)]

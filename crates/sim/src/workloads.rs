@@ -3,8 +3,8 @@
 //!
 //! The paper's low-energy algorithms keep almost every node asleep in almost
 //! every round; these protocols distill that cost profile into small,
-//! self-contained state machines the engine experiments can drive at large
-//! `n` (see `EXPERIMENTS.md`, E11):
+//! self-contained state machines the perf ledger can drive at large `n`
+//! (`benchmark/`, workload `engine-wave`):
 //!
 //! * [`WaveBfs`] — a BFS wavefront under a *perfect* wake schedule: each node
 //!   wakes exactly once, in the round its distance arrives. This is the ideal
@@ -17,7 +17,7 @@
 //!   does any work — the profile of a megaround schedule (Section 3.1.3).
 //!
 //! Two further workloads stress the *message fabric* rather than the sleep
-//! scheduler (see `EXPERIMENTS.md`, E13): in both, every node is awake every
+//! scheduler (`benchmark/`, workload `engine-flood`): in both, every node is awake every
 //! round, so an engine can only win by moving messages cheaply:
 //!
 //! * [`Flood`] — every node broadcasts one word per round and folds its whole
@@ -186,7 +186,7 @@ impl Protocol for PulseBfs {
 /// every incident edge. All nodes halt together after round `until`. Nothing
 /// ever sleeps, so every round moves exactly `2m` messages (one per edge per
 /// direction, the capacity-1 CONGEST maximum) — the densest message workload
-/// the model allows, and therefore the E13 message-fabric benchmark.
+/// the model allows, and therefore the ledger's `engine-flood` workload.
 ///
 /// The accumulator depends on message *content and per-sender arrival
 /// order*, so two engines only agree on the final states if their delivery

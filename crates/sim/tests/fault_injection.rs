@@ -8,8 +8,9 @@
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::{Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, SimConfig};
 
-/// Runs `factory` under `cfg` through both engines, asserts metric and trace
-/// equality, and returns the active-set outcome.
+/// Runs `factory` under `cfg` through both engines, asserts metric, trace and
+/// final-state equality (states by their `Debug` rendering: what each node
+/// received is part of it), and returns the active-set outcome.
 fn run_both<P, F>(g: &Graph, cfg: SimConfig, factory: F) -> (Vec<P>, Metrics)
 where
     P: Protocol + Clone + std::fmt::Debug,
@@ -19,6 +20,11 @@ where
     let slow = Engine::new(g, cfg).run_reference(factory).expect("reference run");
     assert_eq!(fast.metrics, slow.metrics, "metrics must be identical across engines");
     assert_eq!(fast.trace, slow.trace, "traces must be identical across engines");
+    assert_eq!(
+        format!("{:?}", fast.states),
+        format!("{:?}", slow.states),
+        "final states must be identical across engines"
+    );
     (fast.states, fast.metrics)
 }
 
@@ -203,6 +209,23 @@ fn certain_drop_loses_every_message_and_counts_it() {
     assert_eq!(metrics.fault_drops, metrics.messages, "ppm 1_000_000 drops everything");
     assert_eq!(metrics.messages_lost, 0, "nothing survives to be slept away");
     assert!(states.iter().all(|s| s.received == 0));
+}
+
+#[test]
+fn engines_agree_under_drops_jitter_and_churn_on_a_message_heavy_workload() {
+    // Every fault kind at once on the full-bandwidth flood: both engines must
+    // apply the identical schedule of drops, delays, crashes and a restart.
+    use congest_sim::workloads::ChaosFlood;
+    let g = generators::random_connected(64, 128, 29);
+    let plan = FaultPlan::none()
+        .with_seed(0xC4A0_5EED)
+        .with_drop_ppm(150_000)
+        .with_max_skew(2)
+        .with_crash(NodeId(3), 4, Some(9))
+        .with_crash(NodeId(7), 2, None);
+    let cfg = SimConfig::default().with_faults(plan);
+    let (_, metrics) = run_both(&g, cfg, |id| ChaosFlood::new(id, 48));
+    assert!(metrics.fault_drops > 0, "the chaos plan must actually inject faults");
 }
 
 /// Node 0 sends once at init; node 1 records the arrival round of each
