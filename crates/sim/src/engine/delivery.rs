@@ -4,9 +4,13 @@
 //! round — an `O(n)` allocation even in rounds where two messages move. This
 //! arena instead keeps one flat `Vec<Message>` grouped by recipient plus
 //! per-node `(start, len)` range indexes, rebuilt in place each round with a
-//! counting pass. All per-node index vectors are sized once per run and reset
-//! through a touched-list, so the per-round cost is `O(deliveries)`, not
-//! `O(n)` — and since [`Message`] carries its payload inline and is `Copy`,
+//! counting pass. The per-node index vectors are sized once per run; a round
+//! resets only the lengths of last round's recipients, asks the scheduler
+//! about each of this round's recipients once (not once per message), and
+//! writes each delivered message once into a buffer that only grows — it is
+//! neither cleared nor pre-filled per round, and no inbox range reaches past
+//! what this round wrote. So the per-round cost is `O(deliveries)`, not
+//! `O(n)`, and since [`Message`] carries its payload inline and is `Copy`,
 //! the placement pass is a flat move with **zero per-message allocations**
 //! once the arena's capacity has warmed up.
 //!
@@ -18,8 +22,9 @@ use super::zeroed;
 use crate::message::{InFlight, Words};
 use crate::Message;
 
-/// A placeholder message used to pre-size the arena before the placement
-/// pass; plain `Copy` data, so pre-sizing is a memset-like fill.
+/// A placeholder message used to grow the arena before the placement pass
+/// of a round larger than any before it; plain `Copy` data, so growing is a
+/// memset-like fill.
 const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: Words::EMPTY };
 
 /// Flat inbox storage for one round of deliveries.
@@ -31,7 +36,8 @@ const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: 
 /// a [`crate::RunScratch`] and is [`DeliveryArena::rearm`]ed for each run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryArena {
-    /// All delivered messages, grouped by recipient.
+    /// This round's delivered messages, grouped by recipient, at the front;
+    /// behind them, whatever earlier rounds left (never read).
     msgs: Vec<Message>,
     /// Per-node start of its inbox range in `msgs`, indexed by `id - base`.
     start: Vec<u32>,
@@ -39,7 +45,8 @@ pub(crate) struct DeliveryArena {
     len: Vec<u32>,
     /// Per-node fill cursor for the placement pass, indexed by `id - base`.
     cursor: Vec<u32>,
-    /// Recipients with a non-empty inbox this round (for `O(touched)` reset).
+    /// Recipients with a non-empty inbox this round, in first-message order
+    /// (for the next round's `O(touched)` reset).
     touched: Vec<NodeId>,
     /// First node id this arena covers (0 for the engine-wide arena).
     base: u32,
@@ -81,7 +88,8 @@ impl DeliveryArena {
     /// Rebuilds the arena from the messages sent last round, delivering to
     /// recipients in this arena's range for which `receptive` holds and
     /// dropping the rest of that range (the sleeping model loses messages to
-    /// sleeping/halted nodes). `incoming` is not drained: every shard's
+    /// sleeping/halted nodes); `receptive` is asked once per recipient in
+    /// range, not once per message. `incoming` is not drained: every shard's
     /// worker scans the *shared* in-flight stream concurrently and keeps only
     /// messages addressed to its own range.
     ///
@@ -106,21 +114,30 @@ impl DeliveryArena {
             len[local(v, base)] = 0;
         }
 
-        // Counting pass: inbox sizes and the lost-message tally.
-        let mut lost = 0u64;
+        // Counting pass: the messages to each recipient in range.
         for flight in incoming {
             let Some(count) = len.get_mut(local(flight.to, base)) else { continue };
-            if receptive(flight.to) {
-                if *count == 0 {
-                    touched.push(flight.to);
-                }
-                *count += 1;
-            } else {
-                lost += 1;
+            if *count == 0 {
+                touched.push(flight.to);
             }
+            *count += 1;
         }
 
-        // Prefix pass: assign each touched recipient a contiguous range.
+        // Receptivity, once per recipient: a non-receptive one loses its
+        // whole count and leaves the touched list with a zero length, so the
+        // next round's reset stays exact.
+        let mut lost = 0u64;
+        touched.retain(|&v| {
+            let count = &mut len[local(v, base)];
+            let keep = receptive(v);
+            if !keep {
+                lost += u64::from(*count);
+                *count = 0;
+            }
+            keep
+        });
+
+        // Prefix pass: assign each receptive recipient a contiguous range.
         let mut offset = 0u32;
         for &v in touched.iter() {
             let i = local(v, base);
@@ -129,11 +146,12 @@ impl DeliveryArena {
             offset += len[i];
         }
 
-        // Placement pass: copy every deliverable message into its slot. A
-        // recipient in range was counted iff it is receptive, so the counts
-        // answer without a second look at the scheduler.
-        msgs.clear();
-        msgs.resize(offset as usize, PLACEHOLDER);
+        // Placement pass: copy every deliverable message into its slot — a
+        // recipient in range has a non-zero count iff it is receptive. The
+        // buffer only grows; what lies past `offset` is never read.
+        if msgs.len() < offset as usize {
+            msgs.resize(offset as usize, PLACEHOLDER);
+        }
         for flight in incoming {
             let i = local(flight.to, base);
             if len.get(i).is_some_and(|&count| count != 0) {
@@ -145,8 +163,9 @@ impl DeliveryArena {
         lost
     }
 
-    /// The inbox delivered to `v` this round (empty unless `v` was touched in
-    /// the latest build). `v` must lie in this arena's range.
+    /// The inbox delivered to `v` this round (empty unless `v` received mail
+    /// and was receptive in the latest build), a range the latest build
+    /// wrote. `v` must lie in this arena's range.
     pub(crate) fn inbox(&self, v: NodeId) -> &[Message] {
         let i = local(v, self.base);
         let l = self.len[i] as usize;
@@ -226,5 +245,37 @@ mod tests {
         assert_eq!(arena.inbox(NodeId(2)).len(), 1);
         arena.build_range(&[], |_| true);
         assert!(arena.inbox(NodeId(2)).is_empty());
+    }
+
+    #[test]
+    fn a_deaf_recipient_loses_its_whole_count_and_the_next_reset_is_exact() {
+        let mut arena = DeliveryArena::new_range(0, 3);
+        let incoming = vec![flight(0, 1, 1), flight(2, 1, 2), flight(0, 2, 3), flight(2, 1, 4)];
+        let lost = arena.build_range(&incoming, |v| v != NodeId(1));
+        assert_eq!(lost, 3, "all three messages to node 1");
+        assert!(arena.inbox(NodeId(1)).is_empty());
+        assert_eq!(arena.inbox(NodeId(2))[0].words[0], 3);
+        // Node 1 left the touched list with a zero length: awake next round,
+        // it holds exactly what is sent to it then.
+        let lost = arena.build_range(&[flight(0, 1, 5)], |_| true);
+        assert_eq!(lost, 0);
+        assert_eq!(arena.inbox(NodeId(1)).len(), 1);
+        assert_eq!(arena.inbox(NodeId(1))[0].words[0], 5);
+        assert!(arena.inbox(NodeId(2)).is_empty());
+    }
+
+    #[test]
+    fn a_small_round_after_a_large_one_never_exposes_the_stale_tail() {
+        let mut arena = DeliveryArena::new_range(0, 4);
+        let six: Vec<InFlight> = (0..6).map(|i| flight(0, 1 + i % 3, 10 + u64::from(i))).collect();
+        arena.build_range(&six, |_| true);
+        assert_eq!(arena.inbox(NodeId(3)).len(), 2);
+        arena.build_range(&[flight(3, 2, 99)], |_| true);
+        for v in [0, 1, 3] {
+            assert!(arena.inbox(NodeId(v)).is_empty(), "node {v} reads last round's mail");
+        }
+        let inbox = arena.inbox(NodeId(2));
+        assert_eq!(inbox.len(), 1);
+        assert_eq!((inbox[0].from, inbox[0].words[0]), (NodeId(3), 99));
     }
 }

@@ -7,9 +7,11 @@
 //!   scheduled to run in it, and sleeping nodes — and awake-but-idle
 //!   *listening* ones, see below — cost nothing.
 //! * `delivery` — a flat, reusable message arena replacing per-round per-node
-//!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`.
-//! * `capacity` — dense per-edge-direction CONGEST capacity counters reset
-//!   through a touched-list.
+//!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`, with
+//!   one receptivity check per recipient and a buffer that only grows.
+//! * `capacity` — dense per-edge-direction CONGEST capacity counters, stamped
+//!   with the round's epoch: a round's reset is one increment, and a send
+//!   finds its direction from its two endpoints without an edge load.
 //! * `round` — `RoundCore`: the state of a run and every rule of a round,
 //!   each written once (next section), over the buffers of a [`RunScratch`]
 //!   ("Per-run scratch" below).

@@ -164,11 +164,12 @@ impl Engine<'_> {
                 // Process sends.
                 for flight in &outbox {
                     let edge = flight.msg.edge;
-                    if flight.sent_words > config.effective_max_words() {
+                    let words = flight.sent_words as usize;
+                    if words > config.effective_max_words() {
                         if config.strict_capacity {
                             return Err(SimError::MessageTooLarge {
                                 node: v,
-                                words: flight.sent_words,
+                                words,
                                 max_words: config.effective_max_words(),
                             });
                         }

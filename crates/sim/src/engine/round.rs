@@ -268,22 +268,20 @@ impl<'e> RoundCore<'e> {
         sent: &mut Vec<InFlight>,
         from: usize,
     ) -> Result<(), SimError> {
-        // The loop's invariants, read once: the capacity counter is a call
-        // the optimiser cannot see through, so it would reload each of them
-        // from `self` per message.
-        let (graph, config) = (self.engine.network().graph(), self.engine.config());
+        // The loop's invariants, read once.
+        let config = self.engine.config();
         let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
         let (max_words, tracing) = (self.max_words, self.trace.is_some());
         for flight in &sent[from..] {
             let (edge, node) = (flight.msg.edge, flight.msg.from);
-            if flight.sent_words > max_words {
+            let words = flight.sent_words as usize;
+            if words > max_words {
                 if strict_capacity {
-                    let words = flight.sent_words;
                     return Err(SimError::MessageTooLarge { node, words, max_words });
                 }
                 self.metrics.capacity_violations += 1;
             }
-            if self.buf.capacity.record(graph, edge, node) > edge_capacity {
+            if self.buf.capacity.record(edge, node, flight.to) > edge_capacity {
                 if strict_capacity {
                     let (round, capacity) = (self.round, edge_capacity);
                     return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });

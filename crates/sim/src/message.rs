@@ -165,14 +165,18 @@ impl Message {
 /// A message queued for delivery in the next round (internal to the engine).
 ///
 /// Plain `Copy` data: the engine appends these into a flat, round-reused
-/// outbox and the delivery arena moves them without cloning.
+/// outbox and the delivery arena moves them without cloning. 56 bytes on a
+/// 64-bit host: the 48-byte [`Message`], the recipient and the attempted
+/// length, which every send writes and both delivery passes read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) to: NodeId,
     /// The payload length the sender *attempted* (may exceed the inline
-    /// capacity, in which case `msg.words` holds the truncated prefix); the
-    /// engine polices it against `max_message_words`.
-    pub(crate) sent_words: usize,
+    /// capacity, in which case `msg.words` holds the truncated prefix),
+    /// saturated at `u32::MAX`; the engine polices it against
+    /// `max_message_words`, which is at most [`Words::CAPACITY`], so the
+    /// saturation never turns a violation into a legal send.
+    pub(crate) sent_words: u32,
     pub(crate) msg: Message,
 }
 
@@ -204,6 +208,13 @@ mod tests {
         assert_ne!(Words::new(&[1, 2]), Words::new(&[1]));
         assert_eq!(Words::new(&[1]), Words::from(&[1u64][..]));
         assert!(Words::EMPTY.is_empty());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_in_flight_record_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Message>(), 48);
+        assert_eq!(std::mem::size_of::<InFlight>(), 56);
     }
 
     #[test]

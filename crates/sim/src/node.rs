@@ -154,11 +154,12 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// Appends one send to the engine's outbox: an inline copy of the
-    /// payload, plus the attempted length for the engine's bandwidth check.
+    /// payload, plus the attempted length (saturated) for the engine's
+    /// bandwidth check.
     fn push(&mut self, edge: EdgeId, to: NodeId, words: &[u64]) {
         self.outbox.push(InFlight {
             to,
-            sent_words: words.len(),
+            sent_words: u32::try_from(words.len()).unwrap_or(u32::MAX),
             msg: Message { from: self.node, edge, words: Words::truncated(words) },
         });
     }

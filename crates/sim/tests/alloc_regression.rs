@@ -203,6 +203,15 @@ fn round_deltas(mut snapshots_of_run: impl FnMut() -> Vec<(u64, u64)>) -> Vec<(u
 /// one loop — asks for 131 072 bytes more on the large run for a second
 /// energy column alone, and more again for a decision list and two copies of
 /// the states.
+///
+/// One ceiling has moved since, on purpose: the capacity counters carry an
+/// epoch stamp beside each count, so a round's reset is one increment instead
+/// of a walk over a touched list. That column is `2m × 4` bytes — 260 096 on
+/// the 128 × 128 grid — in the same allocation as the counts; re-measured on
+/// the parent of that change, the large run asked for (13, 1 668 608), and
+/// asks for (13, 1 928 704) with it. The 32-node runs went down (43 → 39
+/// and 43 → 38 allocations: the touched list it replaced grew in steps), and
+/// their ceilings stay.
 fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // What the ledger's `sim.wave_run_setup_us` times: every node of the
     // `engine-wave` grid halts in round 0. The engine is built inside the
@@ -219,7 +228,7 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     let wave = allocations_of(|| {
         engine(&small).run(|id| WaveBfs::new(schedule[id.index()])).expect("halts")
     });
-    assert!(halt_at_once.0 <= 13 && halt_at_once.1 <= 1_668_608, "16384 nodes: {halt_at_once:?}");
+    assert!(halt_at_once.0 <= 13 && halt_at_once.1 <= 1_928_704, "16384 nodes: {halt_at_once:?}");
     assert!(wave.0 <= 43 && wave.1 <= 23_680, "32 nodes: {wave:?}");
     assert_eq!(allocations_of(|| engine(&grid)), (0, 0), "building an engine is free");
     // Deadlines beyond the wake queue's ring: the far tier is two flat
