@@ -89,7 +89,6 @@ fn list_algorithms() {
     );
     println!("- edge_capacity: {}", sim.edge_capacity);
     println!("- max_rounds: {}", sim.max_rounds);
-    println!("- fast_forward_idle: {}", sim.fast_forward_idle);
     println!("- strict_capacity: {}", sim.strict_capacity);
 }
 

@@ -15,14 +15,10 @@ pub struct AlgoConfig {
     /// The approximation parameter `ε ∈ (0, 1)` of the cutter (Lemma 2.1).
     /// The paper fixes `ε = 0.5` in the recursion (Section 2.3, step 3).
     pub epsilon_inverse: u64,
-    /// Threshold below which the recursion switches to the one-round base
-    /// case (the paper uses `D = 1`).
-    pub base_case_threshold: u64,
-    /// Simulator model configuration used for the protocol phases.
+    /// Simulator model configuration used for the protocol phases. Its
+    /// [`SimConfig::record_edge_trace`] decides whether a run returns a
+    /// per-round edge-usage trace (see [`AlgoConfig::with_traces`]).
     pub sim: SimConfig,
-    /// Record per-round edge-usage traces of protocol phases (needed when the
-    /// run will be fed to the APSP random-delay scheduler).
-    pub record_traces: bool,
 
     // --- Sleeping-model (Section 3) constants -------------------------------
     /// The BFS wavefront in the low-energy BFS advances one hop every
@@ -48,9 +44,7 @@ impl Default for AlgoConfig {
     fn default() -> Self {
         AlgoConfig {
             epsilon_inverse: 2,
-            base_case_threshold: 1,
             sim: SimConfig::default(),
-            record_traces: false,
             min_bfs_slowdown: 2,
             slowdown_safety_factor: 2,
             cover_build_round_factor: 4,
@@ -65,9 +59,9 @@ impl AlgoConfig {
         1.0 / self.epsilon_inverse as f64
     }
 
-    /// Enables trace recording (for APSP scheduling experiments).
+    /// Enables per-round edge-usage trace recording on the underlying
+    /// simulator ([`SimConfig::record_edge_trace`]).
     pub fn with_traces(mut self) -> Self {
-        self.record_traces = true;
         self.sim.record_edge_trace = true;
         self
     }
@@ -111,14 +105,12 @@ mod tests {
     fn default_epsilon_is_half() {
         let c = AlgoConfig::default();
         assert_eq!(c.epsilon(), 0.5);
-        assert_eq!(c.base_case_threshold, 1);
     }
 
     #[test]
-    fn with_traces_enables_sim_traces_too() {
-        let c = AlgoConfig::default().with_traces();
-        assert!(c.record_traces);
-        assert!(c.sim.record_edge_trace);
+    fn with_traces_enables_sim_traces() {
+        assert!(!AlgoConfig::default().sim.record_edge_trace);
+        assert!(AlgoConfig::default().with_traces().sim.record_edge_trace);
     }
 
     #[test]

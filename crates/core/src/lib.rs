@@ -18,10 +18,6 @@
 //! * **Baselines** ([`baseline`], [`bfs`]): distributed Bellman–Ford,
 //!   distributed Dijkstra, and the always-awake BFS, for the experiments in
 //!   `EXPERIMENTS.md`.
-//! * **A sequential rival** ([`seq_recursive`]): a centralized BMSSP-style
-//!   recursive bounded-multi-source solver (registry name `seq-bmssp`), so
-//!   every table compares the paper's algorithms against a serious
-//!   sequential baseline — see `docs/SEQ_BASELINES.md`.
 //!
 //! All of the above are reachable uniformly through the [`solver`] facade:
 //! [`Solver::on`] builds a request, [`registry`] enumerates every algorithm
@@ -77,7 +73,6 @@ pub mod energy;
 mod error;
 pub mod oracle;
 mod result;
-pub mod seq_recursive;
 pub mod solver;
 pub mod spanning_forest;
 #[cfg(test)]

@@ -48,7 +48,9 @@ pub struct AlgoRun {
     /// Rounds, messages, per-edge congestion, per-node energy.
     pub metrics: Metrics,
     /// Optional per-round edge usage trace (for the APSP scheduler), present
-    /// when [`crate::AlgoConfig::record_traces`] was enabled.
+    /// when the algorithm records one and
+    /// [`congest_sim::SimConfig::record_edge_trace`] was set in
+    /// [`crate::AlgoConfig::sim`].
     pub trace: Option<EdgeUsageTrace>,
 }
 

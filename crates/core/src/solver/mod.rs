@@ -54,7 +54,6 @@ use crate::oracle::{build_oracle, OracleConfig};
 use crate::result::{
     DistanceOutput, RecursionReport, RunReport, ScheduleReport, SleepingReport, SourceOffset,
 };
-use crate::seq_recursive::seq_recursive;
 use crate::thresholded::thresholded_cssp;
 use crate::{AlgoConfig, AlgoError};
 
@@ -252,15 +251,6 @@ impl SolverRequest<'_> {
                 let report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
                 Ok(SolverRun { output: run.output, all_pairs: None, report, trace: run.trace })
             }
-            Algorithm::SeqRecursive => {
-                // The sequential rival settles distances <= the (inclusive)
-                // bound; the default bound never truncates.
-                let bound = self.threshold.unwrap_or(full_distance);
-                let run = seq_recursive(g, &nodes, bound, &self.config)?;
-                let mut report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                report.recursion = Some(RecursionReport::from(&run.stats));
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
-            }
             Algorithm::Apsp => {
                 let row = nodes.first().copied().unwrap_or(NodeId(0));
                 if !g.contains_node(row) {
@@ -368,7 +358,8 @@ pub struct SolverRun {
     /// The unified complexity report.
     pub report: RunReport,
     /// Per-round edge usage trace, where the algorithm records one and
-    /// [`AlgoConfig::record_traces`] was enabled.
+    /// [`congest_sim::SimConfig::record_edge_trace`] was set in
+    /// [`AlgoConfig::sim`].
     pub trace: Option<EdgeUsageTrace>,
 }
 
@@ -582,6 +573,16 @@ mod tests {
             let unthresholded = request.clone().run().unwrap();
             assert_eq!(request.threshold(u64::MAX).run().unwrap(), unthresholded, "{algorithm:?}");
         }
+    }
+
+    #[test]
+    fn the_simulator_flag_alone_gates_the_trace() {
+        let g = weighted(12, 2);
+        let bfs = Solver::on(&g).algorithm(Algorithm::Bfs).source(NodeId(0));
+        assert!(bfs.clone().run().unwrap().trace.is_none());
+        let mut config = AlgoConfig::default();
+        config.sim.record_edge_trace = true;
+        assert!(bfs.config(config).run().unwrap().trace.is_some());
     }
 
     #[test]

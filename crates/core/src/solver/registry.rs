@@ -29,10 +29,6 @@ pub enum Algorithm {
     Dijkstra,
     /// The distributed Bellman–Ford baseline (`Θ(n)` congestion worst case).
     BellmanFord,
-    /// The *sequential* BMSSP-style recursive bounded-multi-source solver
-    /// (see [`crate::seq_recursive`]): an exact centralized rival baseline
-    /// charged with sequential-work metrics instead of CONGEST rounds.
-    SeqRecursive,
     /// APSP via `n` SSSP instances under random-delay scheduling
     /// (Section 1.1).
     Apsp,
@@ -82,7 +78,7 @@ impl AlgorithmInfo {
 }
 
 /// The registry: one entry per [`Algorithm`] variant, in display order.
-static REGISTRY: [AlgorithmInfo; 10] = [
+static REGISTRY: [AlgorithmInfo; 9] = [
     AlgorithmInfo {
         algorithm: Algorithm::Cssp,
         name: "recursive-cssp",
@@ -175,19 +171,6 @@ static REGISTRY: [AlgorithmInfo; 10] = [
         queryable: false,
     },
     AlgorithmInfo {
-        algorithm: Algorithm::SeqRecursive,
-        name: "seq-bmssp",
-        label: "seq-bmssp (rival)",
-        summary: "sequential BMSSP-style recursive bounded multi-source SSSP",
-        weighted: true,
-        multi_source: true,
-        sleeping_model: false,
-        approximate: false,
-        all_pairs: false,
-        thresholded: true,
-        queryable: false,
-    },
-    AlgorithmInfo {
         algorithm: Algorithm::Apsp,
         name: "apsp-scheduling",
         label: "apsp-scheduling (paper)",
@@ -222,7 +205,7 @@ pub fn registry() -> &'static [AlgorithmInfo] {
 
 impl Algorithm {
     /// Every variant, in registry (display) order.
-    pub const ALL: [Algorithm; 10] = [
+    pub const ALL: [Algorithm; 9] = [
         Algorithm::Cssp,
         Algorithm::ApproximateCssp,
         Algorithm::Bfs,
@@ -230,7 +213,6 @@ impl Algorithm {
         Algorithm::LowEnergyCssp,
         Algorithm::Dijkstra,
         Algorithm::BellmanFord,
-        Algorithm::SeqRecursive,
         Algorithm::Apsp,
         Algorithm::DistanceOracle,
     ];
@@ -316,13 +298,6 @@ mod tests {
             .filter(|i| i.weighted && i.exact() && !i.sleeping_model && !i.all_pairs)
             .map(|i| i.name)
             .collect();
-        assert_eq!(
-            comparison,
-            ["recursive-cssp", "distributed-dijkstra", "bellman-ford", "seq-bmssp"]
-        );
-        // The sequential rival is exact, thresholded, and multi-source.
-        let rival = Algorithm::SeqRecursive.info();
-        assert!(rival.weighted && rival.exact() && rival.thresholded && rival.multi_source);
-        assert!(!rival.sleeping_model && !rival.all_pairs && !rival.queryable);
+        assert_eq!(comparison, ["recursive-cssp", "distributed-dijkstra", "bellman-ford"]);
     }
 }

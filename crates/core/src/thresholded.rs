@@ -158,6 +158,10 @@ pub(crate) fn thresholded_cssp_validated(
     Ok(ThresholdedRun { output: DistanceOutput { distances }, metrics: recursion.metrics, stats })
 }
 
+/// The threshold at or below which a subproblem is solved by the one-round
+/// base case instead of recursing (the paper's `D = 1`).
+pub(crate) const BASE_CASE_THRESHOLD: u64 = 1;
+
 /// The distances a subproblem settled: `(node, distance)` sorted by node id,
 /// one entry per node.
 type Solved = Vec<(NodeId, Weight)>;
@@ -237,7 +241,7 @@ impl<'a> Recursion<'a> {
             self.participation[v.index()] += 1;
         }
 
-        if d <= self.config.base_case_threshold.max(1) {
+        if d <= BASE_CASE_THRESHOLD {
             return Ok(self.base_case(nodes, &sources, d));
         }
 

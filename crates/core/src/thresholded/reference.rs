@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use congest_graph::{Distance, EdgeId, Graph, NodeId, Weight};
 use congest_sim::Metrics;
 
-use super::{RecursionStats, ThresholdedRun};
+use super::{RecursionStats, ThresholdedRun, BASE_CASE_THRESHOLD};
 use crate::approx::approximate_cssp;
 use crate::result::{DistanceOutput, SourceOffset};
 use crate::spanning_forest::spanning_forest;
@@ -142,7 +142,7 @@ fn solve(
     }
     acc.register_subproblem(nodes);
 
-    if d <= config.base_case_threshold.max(1) {
+    if d <= BASE_CASE_THRESHOLD {
         return Ok(base_case(g, nodes, &sources, d, acc));
     }
 

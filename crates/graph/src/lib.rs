@@ -12,9 +12,9 @@
 //! * [`sequential`] — classical *sequential* shortest-path algorithms
 //!   (Dijkstra, Bellman–Ford, BFS, connected components, spanning forests)
 //!   used as ground truth when testing the distributed algorithms. The
-//!   default Dijkstra runs on a monotone [`RadixHeap`]; the binary-heap
-//!   implementation is retained as `dijkstra_binary_heap` and pinned
-//!   bit-identical by `tests/radix_differential.rs`.
+//!   default Dijkstra runs on a crate-private monotone radix heap; the
+//!   binary-heap implementation is retained as `dijkstra_binary_heap` and
+//!   pinned bit-identical by `tests/radix_differential.rs`.
 //! * [`properties`] — structural queries (diameter, eccentricities, degrees).
 //!
 //! # Example
@@ -43,4 +43,3 @@ pub mod sequential;
 pub use distance::Distance;
 pub use error::GraphError;
 pub use graph::{Adjacency, Edge, EdgeId, Graph, GraphBuilder, NodeId, SubsetMarks, Weight};
-pub use radix_heap::RadixHeap;

@@ -40,7 +40,7 @@ const BUCKETS: usize = 65;
 /// non-decreasing in distance, which Dijkstra guarantees. Pop order is
 /// lexicographic on `(distance, node)`, matching the binary-heap oracle.
 #[derive(Debug, Clone)]
-pub struct RadixHeap {
+pub(crate) struct RadixHeap {
     /// `buckets[i]` holds entries whose key differs from `last` first at
     /// (1-based) bit `i`; `buckets[0]` holds entries equal to `last`.
     buckets: Vec<Vec<(u64, u32)>>,
@@ -54,7 +54,7 @@ pub struct RadixHeap {
 impl RadixHeap {
     /// Creates an empty heap. This is the only place that allocates the
     /// bucket spines; [`RadixHeap::clear`] resets for reuse without freeing.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut buckets = Vec::with_capacity(BUCKETS);
         for _ in 0..BUCKETS {
             buckets.push(Vec::with_capacity(0));
@@ -62,26 +62,10 @@ impl RadixHeap {
         RadixHeap { buckets, last: 0, len: 0 }
     }
 
-    /// Number of entries currently queued (including stale duplicates).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The monotone floor: the distance of the most recent pop (0 before the
-    /// first pop). Pushing below this value is a logic error.
-    pub fn last(&self) -> u64 {
-        self.last
-    }
-
     /// Empties the heap and resets the monotone floor to 0, keeping every
     /// bucket's capacity so a reused heap (e.g. across the `n` runs of
     /// [`crate::sequential::all_pairs`]) stays allocation-free.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
         }
@@ -103,8 +87,8 @@ impl RadixHeap {
     ///
     /// # Panics
     ///
-    /// Debug-asserts the monotone invariant `dist >= self.last()`.
-    pub fn push(&mut self, dist: u64, node: u32) {
+    /// Debug-asserts the monotone invariant `dist >= self.last`.
+    pub(crate) fn push(&mut self, dist: u64, node: u32) {
         debug_assert!(
             dist >= self.last,
             "monotone violation: push {dist} below last {}",
@@ -117,7 +101,7 @@ impl RadixHeap {
 
     /// Removes and returns the minimum entry in `(distance, node)` order, or
     /// `None` when empty.
-    pub fn pop(&mut self) -> Option<(u64, u32)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, u32)> {
         if self.len == 0 {
             return None;
         }
@@ -161,12 +145,6 @@ impl RadixHeap {
     }
 }
 
-impl Default for RadixHeap {
-    fn default() -> Self {
-        RadixHeap::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,10 +154,9 @@ mod tests {
     #[test]
     fn empty_heap_pops_none() {
         let mut h = RadixHeap::new();
-        assert!(h.is_empty());
-        assert_eq!(h.len(), 0);
+        assert_eq!(h.len, 0);
         assert_eq!(h.pop(), None);
-        assert_eq!(h.last(), 0);
+        assert_eq!(h.last, 0);
     }
 
     #[test]
@@ -204,7 +181,7 @@ mod tests {
         let mut binary: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
         let mut floor = 0u64;
         for _ in 0..2000 {
-            if rng.gen_bool(0.6) || radix.is_empty() {
+            if rng.gen_bool(0.6) || radix.len == 0 {
                 let d = floor + rng.gen_range(0u64..1 << 20);
                 let v = rng.gen_range(0u32..64);
                 radix.push(d, v);
@@ -240,11 +217,11 @@ mod tests {
         let mut h = RadixHeap::new();
         h.push(100, 1);
         assert_eq!(h.pop(), Some((100, 1)));
-        assert_eq!(h.last(), 100);
+        assert_eq!(h.last, 100);
         h.push(200, 2);
         h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.last(), 0);
+        assert_eq!(h.len, 0);
+        assert_eq!(h.last, 0);
         // After clear, small keys are legal again.
         h.push(3, 4);
         assert_eq!(h.pop(), Some((3, 4)));
@@ -256,7 +233,7 @@ mod tests {
         h.push(7, 5);
         h.push(7, 5);
         h.push(7, 5);
-        assert_eq!(h.len(), 3);
+        assert_eq!(h.len, 3);
         assert_eq!(h.pop(), Some((7, 5)));
         assert_eq!(h.pop(), Some((7, 5)));
         assert_eq!(h.pop(), Some((7, 5)));

@@ -9,7 +9,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Distance, EdgeId, Graph, NodeId, RadixHeap, Weight};
+use crate::radix_heap::RadixHeap;
+use crate::{Distance, EdgeId, Graph, NodeId, Weight};
 
 /// The result of a single-source / closest-source shortest-path computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +54,8 @@ impl ShortestPaths {
     }
 }
 
-/// Closest-source shortest paths by Dijkstra's algorithm on a monotone
-/// [`RadixHeap`] — the workspace's default truth oracle.
+/// Closest-source shortest paths by Dijkstra's algorithm on a monotone radix
+/// heap — the workspace's default truth oracle.
 ///
 /// Works for any non-negative integer weights (including zero). With a single
 /// source this is ordinary SSSP; with several sources it computes

@@ -46,9 +46,9 @@
 //!    round with them as its delivery stream; else — nothing was sent, so
 //!    nothing can happen before somebody's wake-up — straight to the
 //!    earliest wake-up (under a fault plan: or jittered arrival, or churn
-//!    event), be it the next round or a million on. Only with
-//!    [`crate::SimConfig::fast_forward_idle`] off is a round with nothing in
-//!    it ever opened.
+//!    event), be it the next round or a million on. A round with nothing in
+//!    it is opened only when no event is left at all, on the way to the
+//!    round limit.
 //!
 //! [`Engine::run`] at one thread is that list, inline, on the calling thread.
 //! The threaded driver differs in step 2 and 3 only: workers call the two
@@ -645,18 +645,6 @@ mod tests {
         assert_equivalent(&g, cfg, |_| Spammer, |_: &Spammer, _: &Spammer| {});
     }
 
-    #[test]
-    fn engines_agree_without_fast_forward() {
-        let g = generators::path(4, 1);
-        let cfg = SimConfig { fast_forward_idle: false, ..SimConfig::default() };
-        assert_equivalent(
-            &g,
-            cfg,
-            |_| Sleeper { woke_at: None },
-            |a: &Sleeper, b: &Sleeper| assert_eq!(a.woke_at, b.woke_at),
-        );
-    }
-
     /// One BFS wave among listeners: everyone is awake for the whole run, but
     /// a node is called back only by mail or by the common deadline.
     #[derive(Debug, Clone)]
@@ -725,22 +713,19 @@ mod tests {
     #[test]
     fn engines_agree_on_listeners() {
         let g = generators::grid(6, 5, 1);
-        for fast_forward_idle in [true, false] {
-            let cfg = SimConfig { fast_forward_idle, ..SimConfig::default().with_edge_trace(true) };
-            assert_equivalent(
-                &g,
-                cfg,
-                |id| ListeningBfs {
-                    is_source: id == NodeId(7),
-                    until: 100,
-                    dist: Distance::Infinite,
-                    callbacks: 0,
-                },
-                |a: &ListeningBfs, b: &ListeningBfs| {
-                    assert_eq!((a.dist, a.callbacks), (b.dist, b.callbacks));
-                },
-            );
-        }
+        assert_equivalent(
+            &g,
+            SimConfig::default().with_edge_trace(true),
+            |id| ListeningBfs {
+                is_source: id == NodeId(7),
+                until: 100,
+                dist: Distance::Infinite,
+                callbacks: 0,
+            },
+            |a: &ListeningBfs, b: &ListeningBfs| {
+                assert_eq!((a.dist, a.callbacks), (b.dist, b.callbacks));
+            },
+        );
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl Engine<'_> {
                 }
                 t
             };
-            if in_flight.is_empty() && !any_awake && config.fast_forward_idle {
+            if in_flight.is_empty() && !any_awake {
                 if let Some(w) = next_wake.filter(|&w| w > round) {
                     // Jump to the next scheduled wake-up. The skipped rounds
                     // still exist in the model but cost nothing — and get an
@@ -272,11 +272,11 @@ impl Engine<'_> {
                     continue;
                 }
             }
-            // Without fast-forward we simply step to the next round. If
-            // nothing can ever happen again (no in-flight messages and no
-            // non-halted node will ever wake because they are all waiting on
-            // messages that will never come), the protocol is stuck. This can
-            // only be detected heuristically; the round limit catches it.
+            // Otherwise we simply step to the next round. If nothing can
+            // ever happen again (no in-flight messages and no non-halted node
+            // will ever wake because they are all waiting on messages that
+            // will never come), the protocol is stuck. This can only be
+            // detected heuristically; the round limit catches it.
 
             round += 1;
         }

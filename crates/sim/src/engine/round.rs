@@ -352,7 +352,7 @@ impl<'e> RoundCore<'e> {
         // event — and the bucket shortcut `next_wake` is unsound with
         // churn's stale entries, so the authoritative O(n) scan replaces it.
         let config = self.engine.config();
-        if sent.is_empty() && config.fast_forward_idle {
+        if sent.is_empty() {
             let target = if let Some(rt) = self.faults.as_ref() {
                 [self.buf.active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
                     .into_iter()
@@ -374,9 +374,9 @@ impl<'e> RoundCore<'e> {
                 return false;
             }
         }
-        // Mail is in flight, or fast-forward is off: one round at a time (an
-        // empty round costs O(1), a bucket-queue miss). If nothing can ever
-        // happen again, the round limit catches it.
+        // Mail is in flight: it is delivered next round. (If nothing can ever
+        // happen again, rounds go by one at a time until the round limit
+        // catches it.)
         std::mem::swap(&mut self.buf.incoming, sent);
         self.round += 1;
         false

@@ -45,8 +45,9 @@
 //! (a bucket queue keyed by each node's `wake_at` round) plus a per-round
 //! delivery arena. A round's simulation cost is proportional to the number
 //! of **awake nodes plus in-flight messages** in that round — sleeping nodes
-//! cost zero, empty rounds cost `O(1)`, and contiguous idle spans are
-//! fast-forwarded ([`SimConfig::fast_forward_idle`]). A full execution
+//! cost zero, and contiguous idle spans are skipped: the engine jumps
+//! straight to the next round with a wake-up or a delivery (the skipped
+//! rounds still count toward the round total). A full execution
 //! therefore costs `O(total awake work + total messages)`, **not**
 //! `O(n · rounds)` — the property that makes simulating low-energy protocols
 //! (the paper's `poly(log n)` awake rounds per node) cheap even at large `n`
@@ -157,12 +158,6 @@ pub struct SimConfig {
     /// Hard limit on the number of simulated rounds; exceeded limits produce
     /// [`SimError::RoundLimitExceeded`] rather than looping forever.
     pub max_rounds: u64,
-    /// If `true` (default), rounds in which every node is asleep and no
-    /// message is in flight are fast-forwarded to the next scheduled wake-up.
-    /// The skipped rounds still count toward the round total (they happen in
-    /// the model; nobody is awake during them), but they cost no simulation
-    /// work. Essential for low-energy protocols with long sleep periods.
-    pub fast_forward_idle: bool,
     /// If `true`, exceeding `edge_capacity` or `max_message_words` is a hard
     /// error; if `false`, violations are only counted in
     /// [`Metrics::capacity_violations`].
@@ -196,7 +191,6 @@ impl Default for SimConfig {
             edge_capacity: 1,
             max_message_words: 4,
             max_rounds: 10_000_000,
-            fast_forward_idle: true,
             strict_capacity: true,
             record_edge_trace: false,
             faults: FaultPlan::none(),

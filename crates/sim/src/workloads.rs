@@ -2,19 +2,13 @@
 //! differential testing.
 //!
 //! The paper's low-energy algorithms keep almost every node asleep in almost
-//! every round; these protocols distill that cost profile into small,
-//! self-contained state machines the perf ledger can drive at large `n`
-//! (`benchmark/`, workload `engine-wave`):
-//!
-//! * [`WaveBfs`] — a BFS wavefront under a *perfect* wake schedule: each node
-//!   wakes exactly once, in the round its distance arrives. This is the ideal
-//!   limit of the paper's cluster-activation schedules (Section 3): `O(1)`
-//!   energy per node, `D` rounds, and per-round awake work equal to one BFS
-//!   level.
-//! * [`PulseBfs`] — an oracle-free periodic BFS: every node wakes for two
-//!   rounds per period to talk and listen, so the wavefront advances one hop
-//!   per period. Energy is `O(D)`, but only a `2/period` fraction of rounds
-//!   does any work — the profile of a megaround schedule (Section 3.1.3).
+//! every round; [`WaveBfs`] distills that cost profile into a small,
+//! self-contained state machine the perf ledger can drive at large `n`
+//! (`benchmark/`, workload `engine-wave`): a BFS wavefront under a *perfect*
+//! wake schedule, where each node wakes exactly once, in the round its
+//! distance arrives. This is the ideal limit of the paper's
+//! cluster-activation schedules (Section 3): `O(1)` energy per node, `D`
+//! rounds, and per-round awake work equal to one BFS level.
 //!
 //! Two further workloads stress the *message fabric* rather than the sleep
 //! scheduler (`benchmark/`, workload `engine-flood`): in both, every node is awake every
@@ -27,11 +21,12 @@
 //!   round through targeted [`crate::NodeCtx::send`] calls, stressing the
 //!   per-call neighbour lookup on the highest-degree node a graph can have.
 //!
-//! A third family hardens the first two against the fault fabric
+//! A third family hardens BFS and flooding against the fault fabric
 //! ([`crate::FaultPlan`], see `docs/FAULT_MODEL.md`): [`ChaosWaveBfs`]
 //! widens the wave schedule into per-hop awake windows with rebroadcasts
 //! (exact under pure bounded jitter, loss-resilient under drops),
-//! [`ChaosPulseBfs`] re-announces every pulse instead of once, and
+//! [`ChaosPulseBfs`] is an oracle-free periodic BFS that wakes for two
+//! rounds per period and re-announces its distance every period, and
 //! [`ChaosFlood`] counts its deliveries so degradation is measurable. All
 //! three halt unconditionally on a schedule, so no fault plan can wedge them.
 //!
@@ -101,81 +96,6 @@ impl Protocol for WaveBfs {
             ctx.broadcast(&[d]);
         }
         ctx.halt();
-    }
-}
-
-/// Oracle-free periodic ("pulsed") BFS.
-///
-/// Time is divided into periods of `period` rounds. Every node is awake for
-/// the two rounds `k·period` (talk: announce a newly learned distance) and
-/// `k·period + 1` (listen: collect announcements), and asleep otherwise, so
-/// no announcement is ever lost. The wavefront crosses one hop per period;
-/// after `hop_bound` periods every reachable node within the bound knows its
-/// distance, and all nodes halt on the first listen round past
-/// `(hop_bound + 2) · period`.
-#[derive(Debug, Clone)]
-pub struct PulseBfs {
-    period: u64,
-    /// The round after which nodes halt (derived from the hop bound).
-    limit: u64,
-    announced: bool,
-    /// The hop distance this node computed (the protocol's output).
-    pub dist: Distance,
-}
-
-impl PulseBfs {
-    /// A node of a pulsed BFS with the given period (≥ 2) and hop bound
-    /// (an upper bound on the hop diameter, `n` always suffices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period < 2` (talk and listen rounds would collide).
-    pub fn new(is_source: bool, period: u64, hop_bound: u64) -> PulseBfs {
-        assert!(period >= 2, "pulse period must separate talk and listen rounds");
-        PulseBfs {
-            period,
-            limit: (hop_bound + 2).saturating_mul(period),
-            announced: false,
-            dist: if is_source { Distance::ZERO } else { Distance::Infinite },
-        }
-    }
-
-    /// The round of the next talk pulse strictly after `round`.
-    fn next_pulse(&self, round: u64) -> u64 {
-        (round / self.period + 1) * self.period
-    }
-}
-
-impl Protocol for PulseBfs {
-    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.sleep_until(self.period);
-    }
-
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
-        let r = ctx.round();
-        if r % self.period == 0 {
-            // Talk round: announce once, stay awake for the listen round.
-            if !self.announced {
-                if let Some(d) = self.dist.finite() {
-                    ctx.broadcast(&[d]);
-                    self.announced = true;
-                }
-            }
-        } else {
-            // Listen round: collect announcements, then sleep to the next
-            // pulse (or halt once the bound guarantees quiescence).
-            for msg in inbox {
-                let cand = Distance::Finite(msg.word(0) + 1);
-                if cand < self.dist {
-                    self.dist = cand;
-                }
-            }
-            if r >= self.limit {
-                ctx.halt();
-            } else {
-                ctx.sleep_until(self.next_pulse(r));
-            }
-        }
     }
 }
 
@@ -362,10 +282,16 @@ impl Protocol for ChaosWaveBfs {
     }
 }
 
-/// Chaos-hardened [`PulseBfs`]: re-announces every talk pulse (no
-/// announce-once latch), listens in *both* pulse rounds (a jittered arrival
-/// can land on a talk round), and halts unconditionally once the round limit
-/// passes — so message loss costs accuracy, never termination.
+/// Oracle-free periodic ("pulsed") BFS, hardened against faults.
+///
+/// Time is divided into periods of `period` rounds. Every node is awake for
+/// the two rounds `k·period` (talk) and `k·period + 1` (listen), and asleep
+/// otherwise, so the wavefront crosses one hop per period. A node
+/// re-announces its best distance at every talk round, absorbs arrivals in
+/// *both* rounds (a jittered arrival can land on a talk round), and halts
+/// unconditionally on the first listen round past `(hop_bound + 2) · period`
+/// — so message loss costs accuracy, never termination. Without faults the
+/// output is the exact hop distance.
 ///
 /// Repeated announcements give each hop one delivery attempt per period;
 /// under a drop rate `p` the chance a hop stays unserved decays
@@ -384,8 +310,7 @@ pub struct ChaosPulseBfs {
 
 impl ChaosPulseBfs {
     /// A node of a chaos-pulsed BFS with the given period (≥ 2) and hop
-    /// bound. The same `(hop_bound + 2) · period` halt schedule as
-    /// [`PulseBfs::new`].
+    /// bound (an upper bound on the hop diameter, `n` always suffices).
     ///
     /// # Panics
     ///
@@ -632,45 +557,14 @@ mod tests {
     }
 
     #[test]
-    fn pulse_bfs_computes_distances_without_an_oracle() {
-        let g = generators::grid(7, 5, 1);
-        let n = g.node_count();
-        let run = Engine::new(&g, SimConfig::default())
-            .run(|id| PulseBfs::new(id == NodeId(0), 8, n as u64))
-            .unwrap();
-        let truth = sequential::bfs(&g, &[NodeId(0)]);
-        for v in g.nodes() {
-            assert_eq!(run.states[v.index()].dist, truth.distance(v), "node {v}");
-        }
-        // The pulse schedule never drops an announcement.
-        assert_eq!(run.metrics.messages_lost, 0);
-        // Nodes sleep out most of each period.
-        assert!(run.metrics.max_energy() as f64 <= run.metrics.rounds as f64 * 2.0 / 8.0 + 3.0);
-    }
-
-    #[test]
-    fn both_wave_workloads_agree_across_engines() {
+    fn wave_bfs_agrees_across_engines() {
         let g = generators::grid(6, 6, 1);
         let sched = WaveBfs::schedule(&g, &[NodeId(0)]);
         let cfg = SimConfig::default();
         let fast = Engine::new(&g, cfg.clone()).run(|id| WaveBfs::new(sched[id.index()])).unwrap();
-        let slow = Engine::new(&g, cfg.clone())
-            .run_reference(|id| WaveBfs::new(sched[id.index()]))
-            .unwrap();
-        assert_eq!(fast.metrics, slow.metrics);
-
-        let n = g.node_count() as u64;
-        let fast =
-            Engine::new(&g, cfg.clone()).run(|id| PulseBfs::new(id == NodeId(0), 4, n)).unwrap();
         let slow =
-            Engine::new(&g, cfg).run_reference(|id| PulseBfs::new(id == NodeId(0), 4, n)).unwrap();
+            Engine::new(&g, cfg).run_reference(|id| WaveBfs::new(sched[id.index()])).unwrap();
         assert_eq!(fast.metrics, slow.metrics);
-    }
-
-    #[test]
-    #[should_panic(expected = "pulse period")]
-    fn pulse_period_one_is_rejected() {
-        let _ = PulseBfs::new(true, 1, 10);
     }
 
     #[test]
@@ -768,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_pulse_bfs_matches_pulse_bfs_without_faults_and_never_wedges_with() {
+    fn chaos_pulse_bfs_matches_sequential_bfs_without_faults_and_never_wedges_with_them() {
         let g = generators::grid(5, 5, 1);
         let n = g.node_count() as u64;
         let run = Engine::new(&g, SimConfig::default())

@@ -189,14 +189,12 @@ proptest! {
         max_skew in 0u64..4,
         crash_count in 0u32..5,
         churn_seed in 0u64..1_000_000,
-        fast_forward in 0u8..2,
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
         let cfg = SimConfig {
             strict_capacity: false,
             record_edge_trace: true,
-            fast_forward_idle: fast_forward == 1,
             faults: plan,
             ..SimConfig::default()
         };

@@ -145,11 +145,10 @@ fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
 }
 
 fn chaos_config() -> impl Strategy<Value = SimConfig> {
-    (1u32..3, 0u8..2, 0u8..2).prop_map(|(capacity, fast_forward, trace)| SimConfig {
+    (1u32..3, 0u8..2).prop_map(|(capacity, trace)| SimConfig {
         edge_capacity: capacity,
         // Lenient mode: violations are counted (and must match), not fatal.
         strict_capacity: false,
-        fast_forward_idle: fast_forward == 1,
         record_edge_trace: trace == 1,
         ..SimConfig::default()
     })
@@ -336,8 +335,7 @@ proptest! {
         protocol_seed in 0u64..1_000_000,
         cfg in chaos_config(),
     ) {
-        // `chaos_config` covers both settings of `fast_forward_idle` and of
-        // the edge trace.
+        // `chaos_config` covers both settings of the edge trace.
         let g = generators::random_connected(n, extra, graph_seed);
         assert_listeners_equivalent(&g, cfg, protocol_seed);
     }

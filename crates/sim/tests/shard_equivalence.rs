@@ -166,10 +166,9 @@ fn assert_runs_equivalent<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt
 }
 
 fn chaos_config() -> impl Strategy<Value = SimConfig> {
-    (1u32..3, 0u8..2, 0u8..2).prop_map(|(capacity, fast_forward, trace)| SimConfig {
+    (1u32..3, 0u8..2).prop_map(|(capacity, trace)| SimConfig {
         edge_capacity: capacity,
         strict_capacity: false,
-        fast_forward_idle: fast_forward == 1,
         record_edge_trace: trace == 1,
         ..SimConfig::default()
     })
