@@ -14,8 +14,8 @@
 //! mistyped CI step cannot pass by printing the default tables.
 //!
 //! The tables are E1–E10 (the paper's bounds) and the E14 chaos matrix. Every
-//! column is a simulated statistic: two runs print the same bytes, at any
-//! `SIM_THREADS`. The binary asserts nothing — the bars are `cargo test`'s —
+//! column is a simulated statistic: two runs print the same bytes. The
+//! binary asserts nothing — the bars are `cargo test`'s —
 //! and times nothing: host speed is the perf ledger's (`benchmark/`).
 //!
 //! All rows render through the generic `congest_bench::table` formatter, so
@@ -72,16 +72,9 @@ fn list_algorithms() {
     println!("# Algorithm registry ({} algorithms)\n", registry().len());
     print!("{}", render(registry()));
     // The effective engine configuration these algorithms would run under,
-    // env overrides included — so a CI log records the actual model
-    // parameters next to the registry.
+    // so a CI log records the actual model parameters next to the registry.
     let sim = congest_sim::SimConfig::default();
     println!("\n# Effective engine configuration\n");
-    println!(
-        "- threads: {} (configured {}, SIM_THREADS {})",
-        sim.resolved_threads(),
-        sim.threads,
-        std::env::var("SIM_THREADS").unwrap_or_else(|_| "unset".into()),
-    );
     println!(
         "- max_message_words: {} (effective {})",
         sim.max_message_words,

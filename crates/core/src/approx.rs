@@ -73,27 +73,36 @@ pub(crate) fn approximate_cssp_in(
     scratch: &mut RunScratch,
 ) -> Result<CutterOutcome, AlgoError> {
     assert!(w_max > 0, "the cutter threshold W must be positive");
-    let n = g.node_count().max(2) as u64;
-    let inv = config.epsilon_inverse.max(1);
-    // Scale factor: scaled = ceil(value * inv * n / w_max).
+    let n = g.node_count().max(2) as u128;
+    let inv = config.epsilon_inverse.max(1) as u128;
+    // Nodes with true (offset) distance <= 2W have scaled distance at most
+    // 2*inv*n + n + 1 (one +1 per path edge plus one for the offset), so this
+    // round limit retains all of them. A quarter of the `u64` range keeps
+    // every sum the waiting BFS forms below `u64::MAX`.
+    let limit = (2 * inv + 1) * n + 2;
+    if limit > u128::from(u64::MAX / 4) {
+        return Err(AlgoError::UnsupportedRequest {
+            algorithm: "approx-cutter",
+            reason: "an epsilon_inverse whose round limit exceeds u64::MAX / 4",
+        });
+    }
+    let limit = limit as u64;
+    // scaled = ceil(value * inv * n / w_max), clamped to `limit + 1`: exact,
+    // as a weight or offset beyond the limit is never crossed within it.
     let scale = |value: Weight| -> Weight {
-        // ceil(value * inv * n / w_max), computed in u128 to avoid overflow.
-        let num = value as u128 * inv as u128 * n as u128;
-        num.div_ceil(w_max as u128) as u64
+        let scaled = (value as u128 * inv * n).div_ceil(w_max as u128);
+        scaled.min(u128::from(limit) + 1) as u64
     };
     let unscale = |scaled: Weight| -> Weight {
-        // ceil(scaled * w_max / (inv * n)).
-        let num = scaled as u128 * w_max as u128;
-        num.div_ceil(inv as u128 * n as u128) as u64
+        // ceil(scaled * w_max / (inv * n)), saturated: `limit / (inv * n)`
+        // is at most 4, so it passes `u64::MAX` only for a `w_max` above a
+        // quarter of it.
+        u64::try_from((scaled as u128 * w_max as u128).div_ceil(inv * n)).unwrap_or(u64::MAX)
     };
     let weights: Vec<Weight> = g.edges().iter().map(|e| scale(e.w)).collect();
     for source in &mut sources {
         source.offset = scale(source.offset);
     }
-    // Nodes with true (offset) distance <= 2W have scaled distance at most
-    // 2*inv*n + n + 1 (one +1 per path edge plus one for the offset), so this
-    // round limit retains all of them.
-    let limit = (2 * inv + 1) * n + 2;
     let run: AlgoRun = waiting_bfs_in(g, &sources, &weights, limit, config, scratch)?;
     let mut estimates = run.output.distances;
     for estimate in &mut estimates {
@@ -101,7 +110,7 @@ pub(crate) fn approximate_cssp_in(
             *scaled = unscale(*scaled);
         }
     }
-    let error_bound = w_max.div_ceil(inv) + 2;
+    let error_bound = w_max.div_ceil(inv as u64).saturating_add(2);
     Ok(CutterOutcome { estimates, error_bound, metrics: run.metrics, trace: run.trace })
 }
 
@@ -228,6 +237,43 @@ mod tests {
             }
             Distance::Infinite => panic!("node 0 is well within 2W"),
         }
+    }
+
+    #[test]
+    fn a_huge_epsilon_inverse_is_exact_or_a_typed_error() {
+        // Scaled weights used to wrap (at 2^24 the heavy edge became a zero
+        // weight, a typed error on a valid graph; other values wrap to small
+        // weights, which underestimate), and `2 * inv` overflowed at
+        // `u64::MAX`.
+        use crate::{Algorithm, Solver};
+        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, Graph::MAX_WEIGHT)]).unwrap();
+        let expected = [Distance::ZERO, Distance::Finite(1), Distance::Infinite];
+        let check = |inv: u64, outcome: Result<Vec<Distance>, AlgoError>| match outcome {
+            Ok(estimates) => assert_eq!(estimates, expected, "inv = {inv}"),
+            Err(e) => {
+                assert!(inv > 1 << 59, "inv = {inv}: {e}");
+                assert!(matches!(e, AlgoError::UnsupportedRequest { .. }), "inv = {inv}: {e}");
+            }
+        };
+        for inv in [1, 2, 1 << 24, 1 << 40, 1 << 59, u64::MAX] {
+            let cfg = AlgoConfig::default().with_epsilon_inverse(inv);
+            let sources = [SourceOffset::plain(NodeId(0))];
+            check(inv, approximate_cssp(&g, &sources, 1, &cfg).map(|out| out.estimates));
+            let facade = Solver::on(&g)
+                .algorithm(Algorithm::ApproximateCssp)
+                .source(NodeId(0))
+                .threshold(1)
+                .config(cfg)
+                .run();
+            check(inv, facade.map(|run| run.output.distances));
+        }
+        // At `W = u64::MAX` an offset near it unscales past `u64::MAX` (it
+        // wrapped to an underestimate) and the error bound overflowed.
+        let far = [SourceOffset { node: NodeId(0), offset: u64::MAX - 1 }];
+        let cfg = AlgoConfig::default().with_epsilon_inverse(1);
+        let out = approximate_cssp(&generators::path(3, 1), &far, u64::MAX, &cfg).unwrap();
+        assert_eq!(out.estimates, [Distance::Finite(u64::MAX); 3]);
+        assert_eq!(out.error_bound, u64::MAX);
     }
 
     #[test]

@@ -75,13 +75,10 @@ impl AlgoConfig {
         self
     }
 
-    /// Sets the worker-thread count on the underlying simulator (see
-    /// [`congest_sim::SimConfig::threads`]): `1` is the inline driver (the calling thread),
-    /// `0` resolves to the host's available parallelism, `k > 1` shards the
-    /// nodes across `k` workers. Results are bit-identical at every thread
-    /// count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.sim.threads = threads;
+    /// Ignored: every simulated run steps its nodes on the calling thread.
+    /// Kept only for the perf ledger (`benchmark/`), its one caller.
+    #[deprecated(note = "ignored: the engine has one driver, on the calling thread")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -126,10 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_plumbs_to_the_simulator() {
-        let c = AlgoConfig::default();
-        assert_eq!(c.sim.threads, 1, "default stays sequential");
-        assert_eq!(c.with_threads(4).sim.threads, 4);
+    #[allow(deprecated)]
+    fn the_thread_shims_change_nothing() {
+        assert_eq!(AlgoConfig::default().with_threads(4), AlgoConfig::default());
+        assert_eq!(SimConfig::default().with_threads(2), SimConfig::default());
     }
 
     #[test]

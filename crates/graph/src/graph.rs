@@ -99,9 +99,8 @@ pub struct Adjacency {
 /// Adjacency is stored in CSR (compressed sparse row) form: one flat
 /// [`Adjacency`] array holding every node's entries back to back, plus an
 /// `n + 1` offset table. [`Graph::neighbors`] is a slice of the flat array,
-/// so iterating a whole node range walks memory linearly — the layout the
-/// simulator's sharded engine sweeps — instead of chasing `n` separate heap
-/// vectors. Within a node, entries keep edge-insertion order (the order
+/// so iterating a whole node range walks memory linearly instead of chasing
+/// `n` separate heap vectors. Within a node, entries keep edge-insertion order (the order
 /// `Vec<Vec<_>>` adjacency used to expose), which broadcast order and the
 /// send-path tie rules depend on.
 ///

@@ -1,8 +1,8 @@
 //! `simlint` — a static determinism / zero-allocation / safety linter for
 //! this workspace.
 //!
-//! Every replay guarantee the reproduction makes — bit-identical
-//! sharded-vs-sequential engine runs, seeded fault schedules, zero-allocation
+//! Every replay guarantee the reproduction makes — engine runs bit-identical
+//! to the reference loop, seeded fault schedules, zero-allocation
 //! steady-state rounds — is enforced dynamically by differential harnesses
 //! and a counting allocator. This crate enforces the *source-level* hazard
 //! class statically, before any test runs: one stray `HashMap` iteration or

@@ -9,10 +9,10 @@
 //! slot of every member's row (see the crate docs), so the shared clusters of
 //! two nodes are the positions where their rows hold equal ids: a query is one
 //! fixed-trip compare-and-min loop, the same cost for every pair, with no
-//! data-dependent control flow. Batch queries shard the input across threads
-//! by contiguous ranges (the same partitioning discipline as the simulator's
-//! sharded engine), and because every query is a pure read of the immutable
-//! oracle the results are bit-identical at any thread count by construction.
+//! data-dependent control flow. Batch queries split the input across threads
+//! by contiguous ranges, and because every query is a pure read of the
+//! immutable oracle the results are bit-identical at any thread count by
+//! construction.
 
 use congest_graph::{Distance, NodeId};
 

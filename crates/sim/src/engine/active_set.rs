@@ -220,9 +220,7 @@ impl ActiveSet {
             // deadline its listener did not wait for), so the buckets are a
             // superset: keep only genuinely runnable nodes and dedup after
             // sorting.
-            out.retain(|v| {
-                self.wake_at[v.index()] == round && !self.halted[v.index()] && !self.down[v.index()]
-            });
+            out.retain(|&v| self.is_live(v, round));
             out.sort_unstable();
             out.dedup();
             return;
@@ -428,19 +426,18 @@ impl ActiveSet {
     ///
     /// Ring entries lie in `(round, round + WINDOW]`, a different slot for
     /// each of those rounds, so the slots are visited in round order and the
-    /// walk stops at the first one that holds a live entry — an unhalted one
-    /// whose `wake_at` is the slot's round: the first entry looked at, until
-    /// nodes listen and an early wake-up or a halt leaves entries behind,
-    /// stale. Stale entries at the front of the far tier are dropped on the
-    /// way: `wake_at` is only ever set to a future round together with a
-    /// fresh entry for it, or with the knowledge (`far_deadline`) that one is
-    /// still queued, so a stale entry is never needed again. Not for fault
-    /// mode — see [`ActiveSet::next_wake_scan`].
+    /// walk stops at the first one that holds a live entry — one of a node
+    /// neither halted nor down whose `wake_at` is the slot's round: the
+    /// first entry looked at, until nodes listen or crash and an early
+    /// wake-up, a halt or a crash leaves entries behind, stale. Stale entries
+    /// at the front of the far tier are dropped on the way: `wake_at` is only
+    /// ever set to a future round together with a fresh entry for it, or
+    /// with the knowledge (`far_deadline`) that one is still queued, and a
+    /// crashed node comes back through [`ActiveSet::revive`], which queues it
+    /// afresh — so a stale entry is never needed again.
     pub(crate) fn next_wake(&mut self, round: u64) -> Option<u64> {
-        let near = (round + 1..=round + WINDOW).find(|&r| {
-            let live = |v: &NodeId| self.wake_at[v.index()] == r && !self.halted[v.index()];
-            self.ring[(r % WINDOW) as usize].iter().any(live)
-        });
+        let near = (round + 1..=round + WINDOW)
+            .find(|&r| self.ring[(r % WINDOW) as usize].iter().any(|&v| self.is_live(v, r)));
         // Most jumps end in the ring; the far tier is put in order only when
         // it may hold something earlier.
         let Some(bound) = self.far.earliest() else { return near };
@@ -448,7 +445,7 @@ impl ActiveSet {
             return near;
         }
         while let Some((due, v)) = self.far.first() {
-            if !self.filtering || (self.wake_at[v.index()] == due && !self.halted[v.index()]) {
+            if !self.filtering || self.is_live(v, due) {
                 return Some(near.map_or(due, |near| near.min(due)));
             }
             self.far.pop();
@@ -457,15 +454,11 @@ impl ActiveSet {
         near
     }
 
-    /// Fault-mode replacement for [`ActiveSet::next_wake`]: an `O(n)` scan of
-    /// the authoritative `wake_at` array over live (non-halted, non-down)
-    /// nodes. The bucket-based shortcut is unsound under churn — a stale
-    /// first entry can shadow a live later wake-up in the same ring slot.
-    pub(crate) fn next_wake_scan(&self) -> Option<u64> {
-        (0..self.wake_at.len())
-            .filter(|&i| !self.halted[i] && !self.down[i])
-            .map(|i| self.wake_at[i])
-            .min()
+    /// `true` iff a queue entry `(round, v)` is a wake-up: `v` is neither
+    /// halted nor down, and due in `round`.
+    fn is_live(&self, v: NodeId, round: u64) -> bool {
+        let i = v.index();
+        self.wake_at[i] == round && !self.halted[i] && !self.down[i]
     }
 }
 
@@ -568,8 +561,7 @@ mod tests {
         a.take_awake(2, &mut awake);
         assert_eq!(awake, vec![NodeId(1)], "down nodes are filtered out");
         a.reschedule(NodeId(1), 2, 100);
-        // Down and halted nodes are invisible to the wake scan.
-        assert_eq!(a.next_wake_scan(), Some(100));
+        assert_eq!(a.next_wake(2), Some(100));
         // Restart node 0 (clearing `down`) and even halted node 2: a revive
         // runs the node in its own round, and duplicates are absorbed.
         a.revive(NodeId(0), 7);
@@ -577,9 +569,18 @@ mod tests {
         a.revive(NodeId(2), 7);
         assert!(!a.is_down(NodeId(0)));
         assert!(!a.all_halted() && a.unhalted() == 3);
-        assert_eq!(a.next_wake_scan(), Some(7));
         a.take_awake(7, &mut awake);
         assert_eq!(awake, vec![NodeId(0), NodeId(2)]);
+        // A crashed node's entry, in the ring or in the far tier, is no
+        // wake-up to jump to.
+        a.reschedule(NodeId(0), 7, 9);
+        a.reschedule(NodeId(2), 7, 10);
+        assert_eq!(a.next_wake(7), Some(9));
+        a.set_down(NodeId(0), 8);
+        assert_eq!(a.next_wake(7), Some(10));
+        a.set_down(NodeId(1), 8);
+        a.set_down(NodeId(2), 8);
+        assert_eq!(a.next_wake(7), None);
     }
 
     #[test]

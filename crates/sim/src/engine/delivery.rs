@@ -27,96 +27,62 @@ use crate::Message;
 /// memset-like fill.
 const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: Words::EMPTY };
 
-/// Flat inbox storage for one round of deliveries.
-///
-/// An arena covers a contiguous node-id range `[base, base + size)`. The
-/// inline driver uses one arena over all `n` nodes; the sharded one gives
-/// each shard an arena over exactly its slice, so total index memory stays
-/// `O(n)` across all shards instead of `O(shards · n)`. The former is part of
-/// a [`crate::RunScratch`] and is [`DeliveryArena::rearm`]ed for each run.
+/// Flat inbox storage for one round of deliveries over all `n` nodes; part
+/// of a [`crate::RunScratch`], [`DeliveryArena::rearm`]ed for each run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryArena {
     /// This round's delivered messages, grouped by recipient, at the front;
     /// behind them, whatever earlier rounds left (never read).
     msgs: Vec<Message>,
-    /// Per-node start of its inbox range in `msgs`, indexed by `id - base`.
+    /// Per-node start of its inbox range in `msgs`.
     start: Vec<u32>,
-    /// Per-node inbox length, indexed by `id - base`.
+    /// Per-node inbox length.
     len: Vec<u32>,
-    /// Per-node fill cursor for the placement pass, indexed by `id - base`.
+    /// Per-node fill cursor for the placement pass.
     cursor: Vec<u32>,
     /// Recipients with a non-empty inbox this round, in first-message order
     /// (for the next round's `O(touched)` reset).
     touched: Vec<NodeId>,
-    /// First node id this arena covers (0 for the engine-wide arena).
-    base: u32,
-}
-
-/// The index of `v` in the per-node vectors of an arena starting at `base`, if
-/// `v` lies in its range at all: an id below `base` wraps to an index past
-/// any length, so one bounds check answers for both ends of the range.
-fn local(v: NodeId, base: u32) -> usize {
-    v.0.wrapping_sub(base) as usize
 }
 
 impl DeliveryArena {
-    /// Creates an empty arena covering the node-id range `[lo, hi)`.
-    pub(crate) fn new_range(lo: usize, hi: usize) -> Self {
-        let mut fresh = DeliveryArena::default();
-        fresh.rearm(lo, hi);
-        fresh
-    }
-
-    /// Makes this an empty arena covering the node-id range `[lo, hi)`,
-    /// whatever range and inboxes the previous run left in it. This is the
-    /// only `O(hi − lo)` pass; every round after it works in `O(deliveries)`.
-    /// Keeps capacity.
-    pub(crate) fn rearm(&mut self, lo: usize, hi: usize) {
+    /// Makes this an empty arena over `n` nodes, whatever inboxes the
+    /// previous run left in it. This is the only `O(n)` pass; every round
+    /// after it works in `O(deliveries)`. Keeps capacity.
+    pub(crate) fn rearm(&mut self, n: usize) {
         self.msgs.clear();
         for column in [&mut self.start, &mut self.len, &mut self.cursor] {
-            zeroed(column, hi - lo);
+            zeroed(column, n);
         }
         self.touched.clear();
-        self.base = lo as u32;
-    }
-
-    /// `true` iff `v` lies in this arena's range.
-    pub(crate) fn covers(&self, v: NodeId) -> bool {
-        local(v, self.base) < self.len.len()
     }
 
     /// Rebuilds the arena from the messages sent last round, delivering to
-    /// recipients in this arena's range for which `receptive` holds and
-    /// dropping the rest of that range (the sleeping model loses messages to
-    /// sleeping/halted nodes); `receptive` is asked once per recipient in
-    /// range, not once per message. `incoming` is not drained: every shard's
-    /// worker scans the *shared* in-flight stream concurrently and keeps only
-    /// messages addressed to its own range.
+    /// recipients for which `receptive` holds and dropping the rest (the
+    /// sleeping model loses messages to sleeping/halted nodes); `receptive`
+    /// is asked once per recipient, not once per message. `incoming` is not
+    /// drained.
     ///
-    /// Returns the number of messages lost on non-receptive recipients
-    /// *within this arena's range*; messages to other ranges are ignored
-    /// entirely (each message's recipient lies in exactly one shard, so the
-    /// shard tallies sum to the whole-range total). Per-recipient message
-    /// order is preserved from `incoming`, which itself preserves send
-    /// order, so inboxes are identical to the reference engine's.
-    pub(crate) fn build_range(
+    /// Returns the number of messages lost on non-receptive recipients.
+    /// Per-recipient message order is preserved from `incoming`, which
+    /// itself preserves send order, so inboxes are identical to the
+    /// reference engine's.
+    pub(crate) fn build(
         &mut self,
         incoming: &[InFlight],
         receptive: impl Fn(NodeId) -> bool,
     ) -> u64 {
-        // The range bounds are read once, and the range test is the counts'
-        // own bounds check: two passes over every message of the round are
-        // the engine's innermost loops at one thread as at many.
-        let DeliveryArena { msgs, start, len, cursor, touched, base } = self;
-        let (len, base) = (&mut len[..], *base);
+        // Two passes over every message of the round are the engine's
+        // innermost loops.
+        let DeliveryArena { msgs, start, len, cursor, touched } = self;
         // Reset last round's ranges.
         for v in touched.drain(..) {
-            len[local(v, base)] = 0;
+            len[v.index()] = 0;
         }
 
-        // Counting pass: the messages to each recipient in range.
+        // Counting pass: the messages to each recipient.
         for flight in incoming {
-            let Some(count) = len.get_mut(local(flight.to, base)) else { continue };
+            let count = &mut len[flight.to.index()];
             if *count == 0 {
                 touched.push(flight.to);
             }
@@ -128,7 +94,7 @@ impl DeliveryArena {
         // next round's reset stays exact.
         let mut lost = 0u64;
         touched.retain(|&v| {
-            let count = &mut len[local(v, base)];
+            let count = &mut len[v.index()];
             let keep = receptive(v);
             if !keep {
                 lost += u64::from(*count);
@@ -140,21 +106,21 @@ impl DeliveryArena {
         // Prefix pass: assign each receptive recipient a contiguous range.
         let mut offset = 0u32;
         for &v in touched.iter() {
-            let i = local(v, base);
+            let i = v.index();
             start[i] = offset;
             cursor[i] = offset;
             offset += len[i];
         }
 
         // Placement pass: copy every deliverable message into its slot — a
-        // recipient in range has a non-zero count iff it is receptive. The
-        // buffer only grows; what lies past `offset` is never read.
+        // recipient has a non-zero count iff it is receptive. The buffer
+        // only grows; what lies past `offset` is never read.
         if msgs.len() < offset as usize {
             msgs.resize(offset as usize, PLACEHOLDER);
         }
         for flight in incoming {
-            let i = local(flight.to, base);
-            if len.get(i).is_some_and(|&count| count != 0) {
+            let i = flight.to.index();
+            if len[i] != 0 {
                 let c = &mut cursor[i];
                 msgs[*c as usize] = flight.msg;
                 *c += 1;
@@ -165,9 +131,9 @@ impl DeliveryArena {
 
     /// The inbox delivered to `v` this round (empty unless `v` received mail
     /// and was receptive in the latest build), a range the latest build
-    /// wrote. `v` must lie in this arena's range.
+    /// wrote.
     pub(crate) fn inbox(&self, v: NodeId) -> &[Message] {
-        let i = local(v, self.base);
+        let i = v.index();
         let l = self.len[i] as usize;
         if l == 0 {
             // `start[v]` may be stale from an earlier round; never index it.
@@ -190,11 +156,18 @@ mod tests {
         }
     }
 
+    fn arena(n: usize) -> DeliveryArena {
+        let mut fresh = DeliveryArena::default();
+        fresh.rearm(n);
+        fresh
+    }
+
     #[test]
     fn groups_messages_by_recipient_preserving_order() {
-        let mut arena = DeliveryArena::new_range(0, 4);
+        let mut arena = arena(4);
         let incoming = vec![flight(0, 2, 10), flight(1, 3, 20), flight(3, 2, 30), flight(2, 3, 40)];
-        let lost = arena.build_range(&incoming, |_| true);
+        let lost = arena.build(&incoming, |_| true);
+        assert_eq!(incoming.len(), 4, "the stream is not drained");
         assert_eq!(lost, 0);
         let at = |v: u32, i: usize| arena.inbox(NodeId(v))[i].words[0];
         assert_eq!(arena.inbox(NodeId(2)).len(), 2);
@@ -205,59 +178,37 @@ mod tests {
 
     #[test]
     fn non_receptive_recipients_lose_messages() {
-        let mut arena = DeliveryArena::new_range(0, 3);
+        let mut arena = arena(3);
         let incoming = vec![flight(0, 1, 1), flight(0, 2, 2), flight(1, 2, 3)];
-        let lost = arena.build_range(&incoming, |v| v == NodeId(2));
+        let lost = arena.build(&incoming, |v| v == NodeId(2));
         assert_eq!(lost, 1);
         assert!(arena.inbox(NodeId(1)).is_empty());
         assert_eq!(arena.inbox(NodeId(2)).len(), 2);
     }
 
     #[test]
-    fn range_arena_filters_to_its_slice_without_draining() {
-        // Two shard arenas over [0, 2) and [2, 4); node 3 is not receptive.
-        let mut lo_arena = DeliveryArena::new_range(0, 2);
-        let mut hi_arena = DeliveryArena::new_range(2, 4);
-        let incoming = vec![flight(0, 2, 10), flight(1, 3, 20), flight(3, 1, 30), flight(0, 2, 40)];
-        let lo_lost = lo_arena.build_range(&incoming, |v| v != NodeId(3));
-        let hi_lost = hi_arena.build_range(&incoming, |v| v != NodeId(3));
-        assert_eq!(incoming.len(), 4, "the shared stream is not drained");
-        assert_eq!((lo_lost, hi_lost), (0, 1), "losses are counted per range");
-        assert_eq!(lo_arena.inbox(NodeId(1)).len(), 1);
-        assert_eq!(lo_arena.inbox(NodeId(1))[0].words[0], 30);
-        let hub = hi_arena.inbox(NodeId(2));
-        assert_eq!(hub.len(), 2);
-        assert_eq!((hub[0].words[0], hub[1].words[0]), (10, 40), "stream order per recipient");
-        // Rebuilding resets stale ranges.
-        let incoming = vec![flight(1, 0, 50)];
-        lo_arena.build_range(&incoming, |_| true);
-        assert!(lo_arena.inbox(NodeId(1)).is_empty());
-        assert_eq!(lo_arena.inbox(NodeId(0)).len(), 1);
-    }
-
-    #[test]
     fn rebuild_resets_previous_round() {
-        let mut arena = DeliveryArena::new_range(0, 3);
-        arena.build_range(&[flight(0, 1, 1)], |_| true);
+        let mut arena = arena(3);
+        arena.build(&[flight(0, 1, 1)], |_| true);
         assert_eq!(arena.inbox(NodeId(1)).len(), 1);
-        arena.build_range(&[flight(1, 2, 2)], |_| true);
+        arena.build(&[flight(1, 2, 2)], |_| true);
         assert!(arena.inbox(NodeId(1)).is_empty(), "stale ranges must be cleared");
         assert_eq!(arena.inbox(NodeId(2)).len(), 1);
-        arena.build_range(&[], |_| true);
+        arena.build(&[], |_| true);
         assert!(arena.inbox(NodeId(2)).is_empty());
     }
 
     #[test]
     fn a_deaf_recipient_loses_its_whole_count_and_the_next_reset_is_exact() {
-        let mut arena = DeliveryArena::new_range(0, 3);
+        let mut arena = arena(3);
         let incoming = vec![flight(0, 1, 1), flight(2, 1, 2), flight(0, 2, 3), flight(2, 1, 4)];
-        let lost = arena.build_range(&incoming, |v| v != NodeId(1));
+        let lost = arena.build(&incoming, |v| v != NodeId(1));
         assert_eq!(lost, 3, "all three messages to node 1");
         assert!(arena.inbox(NodeId(1)).is_empty());
         assert_eq!(arena.inbox(NodeId(2))[0].words[0], 3);
         // Node 1 left the touched list with a zero length: awake next round,
         // it holds exactly what is sent to it then.
-        let lost = arena.build_range(&[flight(0, 1, 5)], |_| true);
+        let lost = arena.build(&[flight(0, 1, 5)], |_| true);
         assert_eq!(lost, 0);
         assert_eq!(arena.inbox(NodeId(1)).len(), 1);
         assert_eq!(arena.inbox(NodeId(1))[0].words[0], 5);
@@ -266,11 +217,11 @@ mod tests {
 
     #[test]
     fn a_small_round_after_a_large_one_never_exposes_the_stale_tail() {
-        let mut arena = DeliveryArena::new_range(0, 4);
+        let mut arena = arena(4);
         let six: Vec<InFlight> = (0..6).map(|i| flight(0, 1 + i % 3, 10 + u64::from(i))).collect();
-        arena.build_range(&six, |_| true);
+        arena.build(&six, |_| true);
         assert_eq!(arena.inbox(NodeId(3)).len(), 2);
-        arena.build_range(&[flight(3, 2, 99)], |_| true);
+        arena.build(&[flight(3, 2, 99)], |_| true);
         for v in [0, 1, 3] {
             assert!(arena.inbox(NodeId(v)).is_empty(), "node {v} reads last round's mail");
         }

@@ -15,7 +15,6 @@
 //! * `round` — `RoundCore`: the state of a run and every rule of a round,
 //!   each written once (next section), over the buffers of a [`RunScratch`]
 //!   ("Per-run scratch" below).
-//! * `sharded` — the threaded driver behind [`crate::SimConfig::threads`].
 //! * `reference` — the retained naive `O(n)`-per-round loop
 //!   ([`Engine::run_reference`]), the semantic oracle for differential
 //!   tests. It shares no code with `round`.
@@ -34,13 +33,13 @@
 //!    node down, a restart resets its state and re-queues it); the id-sorted
 //!    awake list; jitter arrivals merged into the delivery stream; listening
 //!    recipients of that stream pulled into the awake list.
-//! 2. `deliver_into` an arena — inboxes in stream order; messages to
-//!    sleeping or halted nodes lost, to crashed ones dropped; `count_losses`.
-//! 3. for each awake node in id order: `step_node` (`init` or `on_round`,
-//!    the awake rounds to charge, the scheduling request), `account_sends`
-//!    on what it sent (bandwidth, per-edge-direction capacity — the first
-//!    violation is the strict-mode error —, message and congestion counts,
-//!    trace, then fault fates), `apply` its request.
+//! 2. `deliver` into an arena — inboxes in stream order; messages to
+//!    sleeping or halted nodes lost, to crashed ones dropped, both counted.
+//! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
+//!    the awake rounds to charge; what it sent accounted (bandwidth,
+//!    per-edge-direction capacity — the first violation is the strict-mode
+//!    error —, message and congestion counts, trace, then fault fates); its
+//!    scheduling request applied.
 //! 4. `end_round` — trace entry coalesced; termination (what is still in
 //!    flight is lost); else, if this round's sends are in flight, the next
 //!    round with them as its delivery stream; else — nothing was sent, so
@@ -50,11 +49,10 @@
 //!    it is opened only when no event is left at all, on the way to the
 //!    round limit.
 //!
-//! [`Engine::run`] at one thread is that list, inline, on the calling thread.
-//! The threaded driver differs in step 2 and 3 only: workers call the two
-//! `&self` rules (`deliver_into`, `step_node`) on their own shard in
-//! parallel, and the main thread then calls `account_sends` once per shard
-//! outbox and `apply` once per recorded request, in shard order.
+//! [`Engine::run`] is that list, inline, on the calling thread. Host
+//! parallelism lives a layer up, across independent runs (the APSP
+//! instances, the oracle's batch queries): an [`Engine`] is `Sync`, so any
+//! number of threads may run on one.
 //!
 //! # Listening: awake in the model, idle on the host
 //!
@@ -106,52 +104,18 @@
 //! The rule that makes reuse safe is **re-arm at entry**: a run never
 //! trusts what it finds. `RoundCore::new` clears every buffer and sizes it
 //! for this run's graph (`O(n + m)`, keeping capacity, so a warm scratch
-//! allocates nothing), whatever the previous run was — another graph,
-//! another thread count, a fault plan — and however it ended: finished,
-//! failed mid-round with its counters half-written, or unwound by a protocol
-//! panic. Nothing is cleaned up at exit, so nothing depends on an exit
-//! having happened. The states, the two [`Metrics`] columns and the trace
-//! are the run's results and are allocated fresh; the fault layer belongs to
-//! the run's plan. The threaded driver takes the round state and the merged
-//! outbox from the same scratch; its shards (state slices, arenas, outboxes)
-//! are sized by the thread count and stay per run.
-//!
-//! # Why the thread count cannot be observed
-//!
-//! Both drivers run the same accounting code; what is left to argue is that
-//! the threaded one feeds it the same inputs in the same order.
-//!
-//! * **Contiguous id shards.** The awake list is sorted by node id and a
-//!   shard is a contiguous id range, so its segment of the list is a
-//!   contiguous run, and the shard outboxes concatenated in shard order are
-//!   exactly the id-ordered send stream of the inline loop — for *any* `S`.
-//!   Capacity counters, congestion, traces, the *first* strict violation and
-//!   the jitter buffer's fill order follow. Nodes only interact through
-//!   messages (delivered a round later) and never observe intra-round
-//!   timing, so stepping them concurrently is unobservable. A worker-side
-//!   protocol panic is re-raised at the panicking node's position in that
-//!   order, its partial sends discarded.
-//! * **Read-only delivery.** Each inbox is the shared stream filtered to its
-//!   recipient, in stream order; receptivity is start-of-round scheduler
-//!   state. Requests made while stepping travel back in per-shard decision
-//!   lists and reach the scheduler only during the merge.
-//! * **Early wake-ups are decided before the cut.** `begin_round` pulls
-//!   woken listeners into the awake list on the main thread, from the
-//!   complete stream, before any worker looks for its segment.
-//! * **Fates are pure functions** of `(edge, sender, send round)` (see
-//!   [`crate::fault`]) — no RNG state is threaded through delivery — so one
-//!   fate pass per shard outbox rolls what one pass per node rolls.
-//!
-//! Workers are spawned once per run and each takes its own uncontended shard
-//! mutex and a shared read lock once per round (futex-based, no allocation),
-//! between two barriers; steady-state rounds allocate nothing on any thread.
+//! allocates nothing), whatever the previous run was — another graph, a
+//! fault plan — and however it ended: finished, failed mid-round with its
+//! counters half-written, or unwound by a protocol panic. Nothing is cleaned
+//! up at exit, so nothing depends on an exit having happened. The states,
+//! the two [`Metrics`] columns and the trace are the run's results and are
+//! allocated fresh; the fault layer belongs to the run's plan.
 
 mod active_set;
 mod capacity;
 mod delivery;
 mod reference;
 mod round;
-mod sharded;
 
 use congest_graph::{Graph, NodeId};
 
@@ -204,14 +168,14 @@ pub struct Engine<'g> {
 /// the awake list (see "Per-run scratch" in the engine module docs).
 ///
 /// A scratch carries nothing from run to run but capacity. Each run re-arms
-/// it on entry — for its own graph, configuration and thread count, which
-/// may all differ from the last run's — so neither a finished run nor one
-/// that ended in an error or a panic can be observed by the next.
+/// it on entry — for its own graph and configuration, which may both differ
+/// from the last run's — so neither a finished run nor one that ended in an
+/// error or a panic can be observed by the next.
 #[derive(Debug, Default)]
 pub struct RunScratch {
-    /// What both drivers use, through `RoundCore`.
+    /// The buffers of `RoundCore`.
     round: RoundScratch,
-    /// The inline driver's arena over all nodes (shards bring their own).
+    /// The round's inboxes.
     arena: DeliveryArena,
     /// The round's outbox, which every awake node's `NodeCtx` appends into;
     /// `end_round` trades it for last round's emptied buffer.
@@ -221,8 +185,8 @@ pub struct RunScratch {
 impl RunScratch {
     /// The rounds opened — looked at, whether or not anything happened in
     /// them — by every run that used this scratch: a deterministic work
-    /// counter (host cost without a clock), the same at every thread count.
-    /// Rounds a run fast-forwards over are not counted.
+    /// counter (host cost without a clock). Rounds a run fast-forwards over
+    /// are not counted.
     pub fn rounds_visited(&self) -> u64 {
         self.round.rounds_visited()
     }
@@ -256,14 +220,8 @@ impl<'g> Engine<'g> {
     /// nodes plus the number of in-flight messages — sleeping nodes cost
     /// zero — so low-energy protocols simulate in time proportional to their
     /// total awake work rather than `n · rounds`. The semantics are those of
-    /// the naive sweep ([`Engine::run_reference`]), bit for bit.
-    ///
-    /// At one thread (the default) every round runs on the calling thread.
-    /// With [`crate::SimConfig::threads`] resolving to more than one worker
-    /// (see [`crate::SimConfig::resolved_threads`]), awake nodes are stepped
-    /// in parallel across contiguous node-id shards; both ways call the same
-    /// round rules and results are bit-identical at every thread count (see
-    /// the module docs).
+    /// the naive sweep ([`Engine::run_reference`]), bit for bit. Every round
+    /// runs on the calling thread.
     ///
     /// This is [`Engine::run_in`] on a fresh [`RunScratch`]; a caller with
     /// many runs to make keeps one and calls that.
@@ -302,35 +260,20 @@ impl<'g> Engine<'g> {
         F: FnMut(NodeId) -> P,
     {
         let graph = self.network.graph();
-        let n = graph.node_count() as usize;
-        // More shards than nodes would just idle; an empty graph still needs
-        // one (inline) pass to produce its trivial outcome.
-        let shards = self.config.resolved_threads().min(n.max(1));
-        if shards > 1 {
-            return sharded::run_sharded(self, scratch, factory, shards);
-        }
-
-        // The inline driver: one thread means the calling thread. Each
-        // node's sends are accounted in place and its request applied at
-        // once, so nothing is buffered per step.
+        // Each node's sends are accounted in place and its request applied
+        // at once, so nothing is buffered per step.
         let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
         let RunScratch { round, arena, outgoing } = scratch;
         let mut core = RoundCore::new(self, round);
-        arena.rearm(0, n);
+        arena.rearm(graph.node_count() as usize);
         outgoing.clear();
         loop {
             if core.begin_round(|v| states[v.index()] = factory(v))? {
-                let lost = core.deliver_into(arena);
-                core.count_losses(lost);
-                // By index: the rules below borrow the core mutably.
+                core.deliver(arena);
+                // By index: a step borrows the core mutably.
                 for i in 0..core.awake().len() {
                     let v = core.awake()[i];
-                    let sends_from = outgoing.len();
-                    let state = &mut states[v.index()];
-                    let step = core.step_node(v, state, arena, outgoing);
-                    core.charge(v, step.charge);
-                    core.account_sends(outgoing, sends_from)?;
-                    core.apply(v, step.request);
+                    core.step_node(v, &mut states[v.index()], arena, outgoing)?;
                 }
             }
             if core.end_round(outgoing) {

@@ -1,25 +1,20 @@
-//! One simulated round, as the rules every driver of [`Engine::run`] calls.
+//! One simulated round, as the rules the driver of [`Engine::run`] calls.
 //!
-//! [`RoundCore`] holds everything about a run that is not a protocol state or
-//! a thread: the round counter, the fault layer, the [`Metrics`] and the
-//! optional trace, which are the run's own, and — borrowed from the caller's
+//! [`RoundCore`] holds everything about a run that is not a protocol state:
+//! the round counter, the fault layer, the [`Metrics`] and the optional
+//! trace, which are the run's own, and — borrowed from the caller's
 //! [`crate::RunScratch`] as a [`RoundScratch`], re-armed by
 //! [`RoundCore::new`] — the in-flight stream being delivered, the awake
 //! list, the scheduler and the capacity counters. Each rule of the model is
-//! one method, written once; the inline driver in [`super`] and the threaded
-//! one in [`super::sharded`] differ only in *who* calls them and on which thread
-//! (the order is the module header of [`super`]). The reference loop shares
-//! nothing with this file — it is the oracle these rules are tested against.
-//!
-//! Methods taking `&self` are the ones a worker thread may call through a
-//! read lock during the parallel section: they read start-of-round state and
-//! write only what the caller hands them.
+//! one method, called by the driver in [`super`] in the order its module
+//! header lists. The reference loop shares nothing with this file — it is
+//! the oracle these rules are tested against.
 //!
 //! The rules called once per stepped node are `#[inline(always)]`:
 //! [`Engine::run`] is generic and instantiated in the caller's crate, and an
-//! out-of-line call per node into this one (five of them, on a loop body of
-//! a few dozen instructions) is what separates the inline driver from a loop
-//! written out by hand.
+//! out-of-line call per node into this one (on a loop body of a few dozen
+//! instructions) is what separates the driver from a loop written out by
+//! hand.
 //!
 //! simlint: hot-path
 
@@ -30,34 +25,15 @@ use congest_graph::{EdgeId, NodeId};
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::{EdgeUsageTrace, Metrics};
-use crate::node::{NodeCtx, Request};
+use crate::node::NodeCtx;
 use crate::{Engine, Protocol, RunOutcome, SimError};
 
 use super::active_set::ActiveSet;
 use super::capacity::CapacityTracker;
 use super::delivery::DeliveryArena;
 
-/// What one delivery pass could not deliver, by cause.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct Losses {
-    /// Recipients asleep or halted: the sleeping model's own losses.
-    asleep: u64,
-    /// Recipients down in a fault-injected crash: the fault layer's drops.
-    crashed: u64,
-}
-
-/// How one node's step ended.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Step {
-    /// Awake rounds to charge the node: this one, plus the rounds a listener
-    /// idled through since it last ran.
-    pub(super) charge: u64,
-    /// How the node asked to be scheduled next.
-    pub(super) request: Request,
-}
-
-/// The buffers of [`RoundCore`] that outlive a run: the part of a
-/// [`crate::RunScratch`] both drivers use. Nothing in here is read before
+/// The buffers of [`RoundCore`] that outlive a run, kept in a
+/// [`crate::RunScratch`]. Nothing in here is read before
 /// [`RoundCore::new`] has re-armed it, so what the previous run left behind —
 /// however it ended — cannot be observed.
 #[derive(Debug, Default)]
@@ -182,8 +158,7 @@ impl<'e> RoundCore<'e> {
         // The awake list is taken before delivery, which reads start-of-round
         // receptivity. Jitter-delayed messages due now join the stream after
         // the on-time ones; then every listening recipient of the complete
-        // stream joins the awake list — its wait ends with its first mail —
-        // before anybody cuts that list into shard segments.
+        // stream joins the awake list — its wait ends with its first mail.
         self.buf.active.take_awake(round, &mut self.buf.awake);
         if let Some(rt) = self.faults.as_mut() {
             rt.merge_due(round, &mut self.buf.incoming);
@@ -198,76 +173,62 @@ impl<'e> RoundCore<'e> {
         Ok(!(self.buf.incoming.is_empty() && self.buf.awake.is_empty()))
     }
 
-    /// Builds the inboxes of `arena`'s node range from this round's stream,
-    /// in stream order. Messages to sleeping or halted nodes are lost (the
-    /// defining property of the sleeping model) — and counted, so protocol
-    /// bugs cannot hide in silence; deliveries onto a crashed node are
-    /// attributed to the fault layer instead. Each recipient lies in exactly
-    /// one range, so the per-range [`Losses`] of a sharded run sum to the
-    /// whole-range figure.
-    pub(super) fn deliver_into(&self, arena: &mut DeliveryArena) -> Losses {
-        let round = self.round;
+    /// Builds the inboxes in `arena` from this round's stream, in stream
+    /// order. Messages to sleeping or halted nodes are lost (the defining
+    /// property of the sleeping model) — and counted, so protocol bugs
+    /// cannot hide in silence; deliveries onto a crashed node are attributed
+    /// to the fault layer instead.
+    pub(super) fn deliver(&mut self, arena: &mut DeliveryArena) {
+        let (round, active, incoming) = (self.round, &self.buf.active, &self.buf.incoming);
         let Some(rt) = self.faults.as_ref() else {
-            let asleep =
-                arena.build_range(&self.buf.incoming, |v| self.buf.active.is_receptive(v, round));
-            return Losses { asleep, crashed: 0 };
+            self.metrics.messages_lost += arena.build(incoming, |v| active.is_receptive(v, round));
+            return;
         };
-        let down = |f: &&InFlight| arena.covers(f.to) && rt.crashed[f.to.index()];
-        let crashed = self.buf.incoming.iter().filter(down).count() as u64;
-        let lost = arena.build_range(&self.buf.incoming, |v| {
-            self.buf.active.is_receptive(v, round) && !rt.crashed[v.index()]
-        });
-        Losses { asleep: lost - crashed, crashed }
+        let crashed = incoming.iter().filter(|f| rt.crashed[f.to.index()]).count() as u64;
+        let lost =
+            arena.build(incoming, |v| active.is_receptive(v, round) && !rt.crashed[v.index()]);
+        self.metrics.messages_lost += lost - crashed;
+        self.metrics.fault_drops += crashed;
     }
 
-    /// Books what a delivery pass lost.
-    pub(super) fn count_losses(&mut self, lost: Losses) {
-        self.metrics.messages_lost += lost.asleep;
-        self.metrics.fault_drops += lost.crashed;
-    }
-
-    /// Runs `v`'s callback for this round — `init` in round 0 and for a node
-    /// freshly revived by a fault-injected restart (which ignores any inbox),
-    /// `on_round` on its inbox in `arena` otherwise — with its sends appended
-    /// to `sent`.
+    /// Steps `v` in this round: runs its callback — `init` in round 0 and for
+    /// a node freshly revived by a fault-injected restart (which ignores any
+    /// inbox), `on_round` on its inbox in `arena` otherwise — with its sends
+    /// appended to `sent`; charges it the awake rounds of the step (this one,
+    /// plus the rounds a listener idled through since it last ran); accounts
+    /// the sends; and schedules the node as it asked.
     #[inline(always)]
     pub(super) fn step_node<P: Protocol>(
-        &self,
+        &mut self,
         v: NodeId,
         state: &mut P,
         arena: &DeliveryArena,
         sent: &mut Vec<InFlight>,
-    ) -> Step {
-        let charge = if self.listeners { self.buf.active.awake_rounds(v, self.round) } else { 1 };
-        let mut ctx = NodeCtx::new(v, self.round, self.engine.network(), sent);
-        // The re-init flag is only read here; `apply` clears it, on the
-        // thread that owns the fault layer.
-        if self.round == 0 || self.faults.as_ref().is_some_and(|rt| rt.reinit[v.index()]) {
+    ) -> Result<(), SimError> {
+        let (round, from) = (self.round, sent.len());
+        let charge = if self.listeners { self.buf.active.awake_rounds(v, round) } else { 1 };
+        let reinit =
+            self.faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
+        let mut ctx = NodeCtx::new(v, round, self.engine.network(), sent);
+        if round == 0 || reinit {
             state.init(&mut ctx);
         } else {
             state.on_round(&mut ctx, arena.inbox(v));
         }
-        Step { charge, request: ctx.request() }
+        let request = ctx.request();
+        self.metrics.node_energy[v.index()] += charge;
+        self.account_sends(sent, from)?;
+        self.buf.active.apply(v, round, request);
+        Ok(())
     }
 
-    /// Charges `v` the awake rounds of its step.
+    /// Validates and accounts the sends `sent[from..]` — one node's step —
+    /// then rolls their fault fates: drops vanish (counted), jittered
+    /// messages move to the pending buffer. Fates come after accounting — a
+    /// dropped message was still *sent* — and are pure functions of
+    /// `(edge, sender, send round)`.
     #[inline(always)]
-    pub(super) fn charge(&mut self, v: NodeId, rounds: u64) {
-        self.metrics.node_energy[v.index()] += rounds;
-    }
-
-    /// Validates and accounts the sends `sent[from..]` — whole steps of one
-    /// or more nodes, in node-id order — then rolls their fault fates: drops
-    /// vanish (counted), jittered messages move to the pending buffer. Fates
-    /// come after accounting — a dropped message was still *sent* — and are
-    /// pure functions of `(edge, sender, send round)`, so one call per node
-    /// and one per shard visit the same fates in the same order.
-    #[inline(always)]
-    pub(super) fn account_sends(
-        &mut self,
-        sent: &mut Vec<InFlight>,
-        from: usize,
-    ) -> Result<(), SimError> {
+    fn account_sends(&mut self, sent: &mut Vec<InFlight>, from: usize) -> Result<(), SimError> {
         // The loop's invariants, read once.
         let config = self.engine.config();
         let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
@@ -300,15 +261,6 @@ impl<'e> RoundCore<'e> {
             }
         }
         Ok(())
-    }
-
-    /// Schedules `v` as its step asked, and clears its re-init flag.
-    #[inline(always)]
-    pub(super) fn apply(&mut self, v: NodeId, request: Request) {
-        if let Some(rt) = self.faults.as_mut() {
-            rt.reinit[v.index()] = false;
-        }
-        self.buf.active.apply(v, self.round, request);
     }
 
     /// Closes the round `sent` was sent in and says whether the run is over.
@@ -349,17 +301,16 @@ impl<'e> RoundCore<'e> {
         // awake) or a thousand on. The skipped rounds still exist in the
         // model but cost nothing. Under a fault plan the next event is the
         // earliest of a wake-up, a pending jittered delivery, and a churn
-        // event — and the bucket shortcut `next_wake` is unsound with
-        // churn's stale entries, so the authoritative O(n) scan replaces it.
+        // event.
         let config = self.engine.config();
         if sent.is_empty() {
-            let target = if let Some(rt) = self.faults.as_ref() {
-                [self.buf.active.next_wake_scan(), rt.next_pending_round(), rt.next_event_round()]
+            let wake = self.buf.active.next_wake(round);
+            let target = match self.faults.as_ref() {
+                Some(rt) => [wake, rt.next_pending_round(), rt.next_event_round()]
                     .into_iter()
                     .flatten()
-                    .min()
-            } else {
-                self.buf.active.next_wake(round)
+                    .min(),
+                None => wake,
             };
             if let Some(w) = target.filter(|&w| w > round) {
                 // The trace gets one empty entry per skipped round — unless

@@ -169,20 +169,6 @@ pub struct SimConfig {
     /// Defaults to [`FaultPlan::none`], which keeps both engines on their
     /// unmodified fault-free paths. See the [`fault`] module docs.
     pub faults: FaultPlan,
-    /// Number of worker threads [`Engine::run`] steps awake nodes on.
-    ///
-    /// * `1` (the default) — the inline driver: every round runs on the
-    ///   calling thread; no worker is spawned, no lock or barrier touched.
-    /// * `0` — resolve to the host's available parallelism at run time.
-    /// * `k > 1` — shard the nodes across `k` workers.
-    ///
-    /// Results are **bit-identical at every thread count** — sharding is an
-    /// execution strategy, not a semantic knob; see the shard-merge notes in
-    /// the engine module docs. The `SIM_THREADS` environment variable, when
-    /// set to a parseable value, overrides this field (same semantics, `0` =
-    /// auto), so CI can re-run an entire test suite sharded without touching
-    /// any configuration. See [`SimConfig::resolved_threads`].
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -194,7 +180,6 @@ impl Default for SimConfig {
             strict_capacity: true,
             record_edge_trace: false,
             faults: FaultPlan::none(),
-            threads: 1,
         }
     }
 }
@@ -225,9 +210,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker-thread count (see [`SimConfig::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Ignored: every run steps its nodes on the calling thread. Kept only
+    /// for the perf ledger (`benchmark/`), its one caller.
+    #[deprecated(note = "ignored: the engine has one driver, on the calling thread")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -236,42 +222,5 @@ impl SimConfig {
     /// capacity [`Words::CAPACITY`].
     pub fn effective_max_words(&self) -> usize {
         self.max_message_words.min(Words::CAPACITY)
-    }
-
-    /// The worker-thread count [`Engine::run`] will actually use: the
-    /// `SIM_THREADS` environment variable if set to a parseable value,
-    /// otherwise [`SimConfig::threads`], with `0` resolving to the host's
-    /// available parallelism (and an unreadable host falling back to `1`).
-    pub fn resolved_threads(&self) -> usize {
-        let env = std::env::var("SIM_THREADS").ok().and_then(|s| s.trim().parse::<usize>().ok());
-        Self::resolve_threads(env, self.threads)
-    }
-
-    /// Pure resolution rule behind [`SimConfig::resolved_threads`], split out
-    /// so the precedence is testable without touching process environment.
-    fn resolve_threads(env_override: Option<usize>, configured: usize) -> usize {
-        let requested = env_override.unwrap_or(configured);
-        if requested == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            requested
-        }
-    }
-}
-
-#[cfg(test)]
-mod config_tests {
-    use super::SimConfig;
-
-    #[test]
-    fn thread_resolution_precedence() {
-        // Env override wins, including `0 = auto`; absent env falls back to
-        // the configured value; `0` resolves to at least one thread.
-        assert_eq!(SimConfig::resolve_threads(Some(3), 1), 3);
-        assert_eq!(SimConfig::resolve_threads(None, 4), 4);
-        assert!(SimConfig::resolve_threads(Some(0), 1) >= 1);
-        assert!(SimConfig::resolve_threads(None, 0) >= 1);
-        assert_eq!(SimConfig::default().with_threads(2).threads, 2);
-        assert_eq!(SimConfig::default().threads, 1, "default stays on the calling thread");
     }
 }

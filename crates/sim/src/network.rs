@@ -21,9 +21,8 @@ use congest_graph::{Adjacency, Graph, NodeId};
 /// neighbour id within each node's run) plus an `n + 1` offset table, and a
 /// lookup is a binary search over the node's run. This replaces the earlier
 /// `HashMap<(u32, u32), Adjacency>`: flat arrays cost a fraction of the hash
-/// map's memory at large `n` (the million-node regime), are `Send +
-/// Sync` plain data the sharded engine's workers can read concurrently, and
-/// binary search on a hub's cache-resident run competes well with hashing.
+/// map's memory at large `n` (the million-node regime), and binary search on
+/// a hub's cache-resident run competes well with hashing.
 #[derive(Debug, Clone)]
 pub(crate) struct NeighborIndex {
     /// CSR offsets: node `v`'s best-edge entries live at
@@ -87,13 +86,13 @@ impl NeighborIndex {
 ///
 /// The neighbour→adjacency index behind [`crate::NodeCtx::send`] (see
 /// `NeighborIndex`) is built by the first such send and then shared: every
-/// node and every worker thread of a run — and of every later run on this
-/// network — reads that one index, and a clone of the network takes a copy
-/// of it along instead of building its own.
+/// node of a run — and of every later run on this network, on any thread —
+/// reads that one index, and a clone of the network takes a copy of it along
+/// instead of building its own.
 #[derive(Debug, Clone)]
 pub struct Network<'g> {
     graph: &'g Graph,
-    /// Set once, by whichever thread sends by neighbour first; a second
+    /// Set once, by whichever run sends by neighbour first; a run on another
     /// thread arriving meanwhile waits for that build instead of racing it.
     index: OnceLock<NeighborIndex>,
 }

@@ -34,12 +34,7 @@ use crate::Message;
 ///   mail or at a known round: the simulated execution is exactly that of
 ///   idling through `on_round` every round, while the host cost follows the
 ///   events instead of `rounds × nodes`.
-///
-/// `Send` is a supertrait because the engine's sharded execution mode (see
-/// [`crate::SimConfig::threads`]) moves per-node state machines onto worker
-/// threads. Protocol states are per-node values the engine owns outright, so
-/// any ordinary state type (plain data, seeded RNGs, …) is `Send` already.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// Called once, in round 0, when every node is awake. Typically used to
     /// send initial messages and set the initial sleep schedule.
     fn init(&mut self, ctx: &mut NodeCtx<'_>);

@@ -18,7 +18,7 @@
 //! listener early, filtering the deadline entry it left behind, and settling
 //! its idle rounds all work in place on per-run buffers.
 //!
-//! One `Engine::run` at one thread also has a pinned *set-up*: the number of
+//! One `Engine::run` also has a pinned *set-up*: the number of
 //! allocations and of bytes a run asks for before its first round is stepped
 //! is what the parent of the round-core refactor asked for — a second energy
 //! column, a per-step decision list or a copy of the state vector would show
@@ -135,19 +135,9 @@ impl Protocol for ProbedFlood {
 /// process-global allocation counter.
 #[test]
 fn steady_state_rounds_allocate_nothing_and_the_probe_is_honest() {
-    steady_state_rounds_allocate_nothing(1);
-    // The sharded engine holds the same contract: after the one-time setup
-    // (worker spawn, per-shard arenas/outboxes, the shared double buffer),
-    // a steady-state round takes only barrier waits and futex-based lock
-    // acquisitions — no allocator traffic on any thread. The counter is
-    // process-global and monotone, so a zero delta across node 0's
-    // snapshots bounds *all* threads' allocations, not just the main one.
-    steady_state_rounds_allocate_nothing(2);
-    steady_state_rounds_allocate_nothing(4);
+    steady_state_rounds_allocate_nothing();
     reference_engine_allocates_every_round();
-    for threads in [1, 2, 4] {
-        listening_rounds_allocate_nothing(threads);
-    }
+    listening_rounds_allocate_nothing();
     schedule_replay_allocations_do_not_depend_on_the_message_count();
     per_run_setup_is_what_the_hand_written_loop_asked_for();
     a_warm_scratch_run_allocates_its_outputs_only();
@@ -195,14 +185,12 @@ fn round_deltas(mut snapshots_of_run: impl FnMut() -> Vec<(u64, u64)>) -> Vec<(u
     least
 }
 
-/// The ceilings are the numbers of `run_seq`, the hand-written one-thread
-/// loop the inline driver replaced, measured by this very function on the
-/// commit before (x86-64, where a `WaveBfs` is 32 bytes): the driver over
-/// `RoundCore` must not ask for one allocation or byte more. Running one
-/// thread as a single inline shard of the threaded driver — the other way to
-/// one loop — asks for 131 072 bytes more on the large run for a second
-/// energy column alone, and more again for a decision list and two copies of
-/// the states.
+/// The ceilings are the numbers of `run_seq`, the hand-written loop the
+/// driver over `RoundCore` replaced, measured by this very function on the
+/// commit before (x86-64, where a `WaveBfs` is 32 bytes): the driver must not
+/// ask for one allocation or byte more. A second energy column alone would
+/// ask for 131 072 bytes more on the large run, and a per-step decision list
+/// or a copy of the states more again.
 ///
 /// One ceiling has moved since, on purpose: the capacity counters carry an
 /// epoch stamp beside each count, so a round's reset is one increment instead
@@ -340,7 +328,7 @@ fn schedule_replay_allocations_do_not_depend_on_the_message_count() {
     }
 }
 
-fn steady_state_rounds_allocate_nothing(threads: usize) {
+fn steady_state_rounds_allocate_nothing() {
     // Always-awake flood: every round moves 2m messages, reschedules every
     // node, and rebuilds every inbox — the maximal per-round churn of the
     // message path. 192 nodes keep the test fast; the buffers involved are
@@ -352,7 +340,7 @@ fn steady_state_rounds_allocate_nothing(threads: usize) {
     let warmup: u64 = 96;
     let g = generators::random_connected(192, 400, 41);
     let deltas = round_deltas(|| {
-        let mut run = Engine::new(&g, SimConfig::default().with_threads(threads))
+        let mut run = Engine::new(&g, SimConfig::default())
             .run(|id| ProbedFlood::new(id, until))
             .expect("flood runs clean");
         let snapshots = std::mem::take(&mut run.states[0].snapshots);
@@ -366,7 +354,7 @@ fn steady_state_rounds_allocate_nothing(threads: usize) {
             steady_rounds += 1;
             assert_eq!(
                 allocated, 0,
-                "round {round} performed {allocated} heap allocation(s) at {threads} thread(s); \
+                "round {round} performed {allocated} heap allocation(s); \
                  the steady-state message path must perform none"
             );
         }
@@ -425,7 +413,7 @@ impl Protocol for ProbedListener {
     }
 }
 
-fn listening_rounds_allocate_nothing(threads: usize) {
+fn listening_rounds_allocate_nothing() {
     // Waits of at most 60 rounds keep every deadline inside the wake queue's
     // 64-slot ring (the far tier's buffers grow with the entries queued, and
     // that is the far-sleeper path, not this one). The load is random, so a
@@ -436,7 +424,7 @@ fn listening_rounds_allocate_nothing(threads: usize) {
     let (warmup, until) = (300u64, 700u64);
     let g = generators::random_connected(192, 400, 47);
     let deltas = round_deltas(|| {
-        let mut run = Engine::new(&g, SimConfig::default().with_threads(threads))
+        let mut run = Engine::new(&g, SimConfig::default())
             .run(|id| {
                 if id == NodeId(0) {
                     let snapshots = Vec::with_capacity(until as usize + 2);
@@ -463,8 +451,7 @@ fn listening_rounds_allocate_nothing(threads: usize) {
     for (round, allocated) in deltas {
         assert!(
             round < warmup || allocated == 0,
-            "round {round} performed {allocated} heap allocation(s) at {threads} thread(s) \
-             while nodes listened"
+            "round {round} performed {allocated} heap allocation(s) while nodes listened"
         );
     }
 }
