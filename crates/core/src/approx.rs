@@ -16,7 +16,8 @@
 use congest_graph::{Distance, Graph, Weight};
 use congest_sim::{Metrics, RunScratch};
 
-use crate::result::{AlgoRun, SourceOffset};
+use crate::error::check_sources;
+use crate::result::SourceOffset;
 use crate::weighted_bfs::waiting_bfs_in;
 use crate::{AlgoConfig, AlgoError};
 
@@ -47,8 +48,9 @@ impl CutterOutcome {
 ///
 /// # Errors
 ///
-/// Propagates the waiting-BFS errors (empty sources, out-of-range sources,
-/// zero weights, simulation failure).
+/// Returns an error for an empty or out-of-range source set, an
+/// `epsilon_inverse` whose round limit does not fit, a zero weight, or a
+/// simulation failure.
 ///
 /// # Panics
 ///
@@ -59,12 +61,13 @@ pub fn approximate_cssp(
     w_max: u64,
     config: &AlgoConfig,
 ) -> Result<CutterOutcome, AlgoError> {
+    check_sources(g, sources.iter().map(|s| s.node))?;
     approximate_cssp_in(g, sources.to_vec(), w_max, config, &mut RunScratch::default())
 }
 
 /// [`approximate_cssp`] with its waiting BFS run in engine buffers the caller
-/// keeps (the recursion's, see `docs/APSP.md`), on a source list the caller
-/// built for this call and hands over to be rescaled in place.
+/// keeps (the recursion's, see `docs/APSP.md`), on a checked source list the
+/// caller built for this call and hands over to be rescaled in place.
 pub(crate) fn approximate_cssp_in(
     g: &Graph,
     mut sources: Vec<SourceOffset>,
@@ -103,7 +106,7 @@ pub(crate) fn approximate_cssp_in(
     for source in &mut sources {
         source.offset = scale(source.offset);
     }
-    let run: AlgoRun = waiting_bfs_in(g, &sources, &weights, limit, config, scratch)?;
+    let run = waiting_bfs_in(g, &sources, &weights, limit, config, scratch)?;
     let mut estimates = run.output.distances;
     for estimate in &mut estimates {
         if let Distance::Finite(scaled) = estimate {

@@ -18,7 +18,7 @@
 //!
 //! ## Execution pipeline and cost
 //!
-//! [`apsp`] runs the `n` independent SSSP instances **in parallel across OS
+//! `apsp` runs the `n` independent SSSP instances **in parallel across OS
 //! threads** (`std::thread::scope`; instances are handed out one source at a
 //! time from a shared atomic counter, so threads stay load-balanced). An
 //! instance's usage trace is a pure function of its per-edge totals and its
@@ -28,7 +28,7 @@
 //! composition is one call of [`schedule_spread`], which generates the
 //! spread arrivals edge by edge. The `n` delays are drawn up front in source
 //! order. Distances, instance statistics, the delay stream, and hence the
-//! entire [`ApspRun`] are therefore **bit-identical regardless of thread
+//! entire `ApspRun` are therefore **bit-identical regardless of thread
 //! count** — parallelism changes wall-clock time only. The composition costs
 //! `O(messages)` time; peak memory beyond the `O(n²)` distance matrix is
 //! `O(n · m + occupied rounds)` — the per-edge totals plus the scheduler's
@@ -36,10 +36,12 @@
 //! per-round arrival buckets and claimed `O(m + makespan)`; the buckets were
 //! `O(total messages)`, two thirds of the peak heap at `n = 64`.)
 //!
-//! [`apsp`] is the one shipped driver. The pre-rework one — sequential
+//! `apsp` is the one shipped driver, reached through the facade's
+//! [`crate::Algorithm::Apsp`] and the oracle's exact fallback; this module
+//! exports its configuration only. The pre-rework driver — sequential
 //! instance loop, all traces materialized, round-by-round reference
 //! scheduler — is kept test-only in `apsp/reference.rs`, as the oracle the
-//! differential tests below hold [`apsp`] to.
+//! differential tests below hold `apsp` to.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
@@ -50,12 +52,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::cssp::sssp;
+use crate::cssp::cssp;
 use crate::{AlgoConfig, AlgoError};
 
 /// The result of an APSP computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ApspRun {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ApspRun {
     /// `distances[s][v]` is the exact distance from source `s` to node `v`.
     pub distances: Vec<Vec<Distance>>,
     /// Rounds of each individual SSSP instance.
@@ -103,7 +105,7 @@ struct InstanceRun {
 
 /// Runs the SSSP instance for one source and packages its contribution.
 fn run_instance(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<InstanceRun, AlgoError> {
-    let run = sssp(g, source, config)?;
+    let run = cssp(g, &[source], config)?;
     Ok(InstanceRun {
         rounds: run.metrics.rounds,
         max_congestion: run.metrics.max_congestion(),
@@ -202,7 +204,7 @@ fn effective_budget(n: u32, configured: u32) -> u32 {
 /// Propagates any SSSP failure (the first one in source order observed), and
 /// reports a schedule whose horizon — a start delay plus an instance's
 /// rounds — does not fit `u64` as [`AlgoError::Simulation`].
-pub fn apsp(
+pub(crate) fn apsp(
     g: &Graph,
     config: &AlgoConfig,
     apsp_config: &ApspConfig,

@@ -65,14 +65,14 @@ impl Protocol for BellmanFordNode {
     }
 }
 
-/// Runs the distributed Bellman–Ford baseline from `sources` and returns
-/// exact distances together with its (deliberately large) complexity metrics.
+/// Runs the distributed Bellman–Ford baseline from `sources` (checked by the
+/// facade) and returns exact distances together with its (deliberately
+/// large) complexity metrics.
 ///
 /// # Errors
 ///
-/// Returns an error if the source set is empty, a source is out of range, or
-/// the simulation exceeds its round limit.
-pub fn distributed_bellman_ford(
+/// Returns an error if the simulation exceeds its round limit.
+pub(crate) fn distributed_bellman_ford(
     g: &Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
@@ -90,14 +90,6 @@ fn run_bellman_ford<P: Protocol>(
     protocol: impl Fn(BellmanFordNode) -> P,
     dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
     let is_source: Vec<bool> = {
         let mut v = vec![false; g.node_count() as usize];
         for &s in sources {
@@ -194,7 +186,7 @@ mod tests {
             let run = distributed_bellman_ford(&g, &[NodeId(0)], &cfg).unwrap();
             let truth = sequential::dijkstra(&g, &[NodeId(0)]);
             for v in g.nodes() {
-                assert_eq!(run.distance(v), truth.distance(v));
+                assert_eq!(run.output.distance(v), truth.distance(v));
             }
         }
     }
@@ -228,16 +220,5 @@ mod tests {
         let run = distributed_bellman_ford(&g, &sources, &cfg).unwrap();
         let truth = sequential::dijkstra(&g, &sources);
         assert_eq!(run.output.distances, truth.distances);
-    }
-
-    #[test]
-    fn rejects_bad_sources() {
-        let cfg = AlgoConfig::default();
-        let g = generators::path(3, 1);
-        assert!(matches!(distributed_bellman_ford(&g, &[], &cfg), Err(AlgoError::EmptySourceSet)));
-        assert!(matches!(
-            distributed_bellman_ford(&g, &[NodeId(5)], &cfg),
-            Err(AlgoError::SourceOutOfRange { .. })
-        ));
     }
 }

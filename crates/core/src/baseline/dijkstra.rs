@@ -18,26 +18,10 @@ use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
 
 use crate::result::{AlgoRun, DistanceOutput};
-use crate::{AlgoConfig, AlgoError};
 
-/// Runs the distributed-Dijkstra baseline from `sources`.
-///
-/// # Errors
-///
-/// Returns an error if the source set is empty or a source is out of range.
-pub fn distributed_dijkstra(
-    g: &Graph,
-    sources: &[NodeId],
-    _config: &AlgoConfig,
-) -> Result<AlgoRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
+/// Runs the distributed-Dijkstra baseline from `sources` (checked by the
+/// facade). Infallible: the iteration is computed, not simulated.
+pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let mut metrics = Metrics::zero(n, m);
@@ -103,7 +87,7 @@ pub fn distributed_dijkstra(
         }
     }
 
-    Ok(AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None })
+    AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None }
 }
 
 /// The pre-queue reference implementation: identical charging, but the next
@@ -111,19 +95,7 @@ pub fn distributed_dijkstra(
 /// oracle pinning that the priority-queue rewrite changed *nothing* about
 /// the simulated execution — output and full metrics must stay bit-identical.
 #[cfg(test)]
-fn distributed_dijkstra_scan_reference(
-    g: &Graph,
-    sources: &[NodeId],
-    _config: &AlgoConfig,
-) -> Result<AlgoRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
+fn distributed_dijkstra_scan_reference(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let mut metrics = Metrics::zero(n, m);
@@ -171,7 +143,7 @@ fn distributed_dijkstra_scan_reference(
         }
     }
 
-    Ok(AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None })
+    AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None }
 }
 
 #[cfg(test)]
@@ -181,14 +153,13 @@ mod tests {
 
     #[test]
     fn distances_match_sequential_dijkstra() {
-        let cfg = AlgoConfig::default();
         for seed in 0..3 {
             let g = generators::with_random_weights(
                 &generators::random_connected(40, 70, seed),
                 11,
                 seed,
             );
-            let run = distributed_dijkstra(&g, &[NodeId(0)], &cfg).unwrap();
+            let run = distributed_dijkstra(&g, &[NodeId(0)]);
             let truth = sequential::dijkstra(&g, &[NodeId(0)]);
             assert_eq!(run.output.distances, truth.distances, "seed {seed}");
         }
@@ -196,34 +167,30 @@ mod tests {
 
     #[test]
     fn time_scales_with_n_times_diameter() {
-        let cfg = AlgoConfig::default();
         let g = generators::path(50, 2);
-        let run = distributed_dijkstra(&g, &[NodeId(0)], &cfg).unwrap();
+        let run = distributed_dijkstra(&g, &[NodeId(0)]);
         // 50 iterations, each costing ~2 * 49 rounds of coordination.
         assert!(run.metrics.rounds >= 50 * 49);
     }
 
     #[test]
     fn message_complexity_includes_n_squared_term() {
-        let cfg = AlgoConfig::default();
         let g = generators::random_connected(60, 60, 2);
-        let run = distributed_dijkstra(&g, &[NodeId(0)], &cfg).unwrap();
+        let run = distributed_dijkstra(&g, &[NodeId(0)]);
         // n iterations × Θ(n) tree messages dominates m.
         assert!(run.metrics.messages as usize > 10 * g.edge_count() as usize);
     }
 
     #[test]
     fn multi_source_works() {
-        let cfg = AlgoConfig::default();
         let g = generators::with_random_weights(&generators::grid(5, 5, 1), 6, 1);
         let sources = [NodeId(0), NodeId(24)];
-        let run = distributed_dijkstra(&g, &sources, &cfg).unwrap();
+        let run = distributed_dijkstra(&g, &sources);
         assert_eq!(run.output.distances, sequential::dijkstra(&g, &sources).distances);
     }
 
     #[test]
     fn queue_selection_is_bit_identical_to_the_scan() {
-        let cfg = AlgoConfig::default();
         let workloads = [
             generators::with_random_weights(&generators::random_connected(40, 70, 1), 11, 1),
             generators::with_random_weights_zero(&generators::random_connected(30, 50, 2), 5, 2),
@@ -236,22 +203,11 @@ mod tests {
         for (i, g) in workloads.iter().enumerate() {
             let sources: &[NodeId] =
                 if i % 2 == 0 { &[NodeId(0)] } else { &[NodeId(0), NodeId(5)] };
-            let fast = distributed_dijkstra(g, sources, &cfg).unwrap();
-            let slow = distributed_dijkstra_scan_reference(g, sources, &cfg).unwrap();
+            let fast = distributed_dijkstra(g, sources);
+            let slow = distributed_dijkstra_scan_reference(g, sources);
             // Full AlgoRun equality: distances AND every metrics field
             // (rounds, messages, per-edge congestion, per-node energy).
             assert_eq!(fast, slow, "workload {i}: queue rewrite changed the execution");
         }
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        let cfg = AlgoConfig::default();
-        let g = generators::path(3, 1);
-        assert!(matches!(distributed_dijkstra(&g, &[], &cfg), Err(AlgoError::EmptySourceSet)));
-        assert!(matches!(
-            distributed_dijkstra(&g, &[NodeId(7)], &cfg),
-            Err(AlgoError::SourceOutOfRange { .. })
-        ));
     }
 }

@@ -9,8 +9,8 @@
 //! The always-awake BFS of [`crate::bfs`] doubles as the *energy* baseline
 //! (every node is awake for the whole run).
 
-pub mod bellman_ford;
-pub mod dijkstra;
+mod bellman_ford;
+mod dijkstra;
 
-pub use bellman_ford::distributed_bellman_ford;
-pub use dijkstra::distributed_dijkstra;
+pub(crate) use bellman_ford::distributed_bellman_ford;
+pub(crate) use dijkstra::distributed_dijkstra;

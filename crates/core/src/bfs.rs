@@ -68,16 +68,16 @@ impl Protocol for BfsNode {
     }
 }
 
-/// Runs multi-source BFS from `sources` up to hop distance `limit`
-/// (a *`limit`-thresholded BFS* in the paper's terminology): nodes at hop
-/// distance greater than `limit` output [`Distance::Infinite`]. A limit above
-/// `n` is the same as `n` — no wavefront travels further — and runs as that.
+/// Runs multi-source BFS from `sources` (checked by the facade) up to hop
+/// distance `limit` (a *`limit`-thresholded BFS* in the paper's
+/// terminology): nodes at hop distance greater than `limit` output
+/// [`Distance::Infinite`]. A limit above `n` is the same as `n` — no
+/// wavefront travels further — and runs as that.
 ///
 /// # Errors
 ///
-/// Returns an error if the source list is empty, a source id is out of range,
-/// or the simulation exceeds its round limit.
-pub fn thresholded_bfs(
+/// Returns an error if the simulation exceeds its round limit.
+pub(crate) fn thresholded_bfs(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
@@ -96,14 +96,6 @@ fn run_bfs<P: Protocol>(
     protocol: impl Fn(BfsNode) -> P,
     dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
     let is_source: Vec<bool> = {
         let mut v = vec![false; g.node_count() as usize];
         for &s in sources {
@@ -124,15 +116,6 @@ fn run_bfs<P: Protocol>(
     })?;
     let distances = run.states.iter().map(dist).collect();
     Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
-}
-
-/// Runs multi-source BFS with no threshold (limit `n`, which always suffices).
-///
-/// # Errors
-///
-/// Same conditions as [`thresholded_bfs`].
-pub fn bfs(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<AlgoRun, AlgoError> {
-    thresholded_bfs(g, sources, g.node_count() as u64, config)
 }
 
 #[cfg(test)]
@@ -201,11 +184,16 @@ mod tests {
         }
     }
 
+    /// Limit `n`, which always suffices.
+    fn unthresholded(g: &Graph, sources: &[NodeId], cfg: &AlgoConfig) -> AlgoRun {
+        thresholded_bfs(g, sources, g.node_count() as u64, cfg).unwrap()
+    }
+
     #[test]
     fn a_limit_beyond_n_is_the_unthresholded_run() {
         let cfg = AlgoConfig::default().with_traces();
         let g = generators::random_connected(30, 40, 2);
-        let unthresholded = bfs(&g, &[NodeId(0)], &cfg).unwrap();
+        let unthresholded = unthresholded(&g, &[NodeId(0)], &cfg);
         for limit in [31, 1 << 40, u64::MAX - 9, u64::MAX] {
             assert_eq!(thresholded_bfs(&g, &[NodeId(0)], limit, &cfg).unwrap(), unthresholded);
         }
@@ -216,11 +204,9 @@ mod tests {
         let cfg = AlgoConfig::default();
         for seed in 0..4 {
             let g = generators::random_connected(40, 60, seed);
-            let run = bfs(&g, &[NodeId(0)], &cfg).unwrap();
+            let run = unthresholded(&g, &[NodeId(0)], &cfg);
             let expected = sequential::bfs(&g, &[NodeId(0)]);
-            for v in g.nodes() {
-                assert_eq!(run.distance(v), expected.distance(v), "seed {seed} node {v}");
-            }
+            assert_eq!(run.output.distances, expected.distances, "seed {seed}");
         }
     }
 
@@ -229,7 +215,7 @@ mod tests {
         let cfg = AlgoConfig::default();
         let g = generators::grid(6, 7, 1);
         let sources = [NodeId(0), NodeId(41), NodeId(20)];
-        let run = bfs(&g, &sources, &cfg).unwrap();
+        let run = unthresholded(&g, &sources, &cfg);
         let expected = sequential::bfs(&g, &sources);
         assert_eq!(run.output.distances, expected.distances);
     }
@@ -241,9 +227,9 @@ mod tests {
         let run = thresholded_bfs(&g, &[NodeId(0)], 5, &cfg).unwrap();
         for v in g.nodes() {
             if v.0 <= 5 {
-                assert_eq!(run.distance(v).finite(), Some(v.0 as u64));
+                assert_eq!(run.output.distance(v).finite(), Some(v.0 as u64));
             } else {
-                assert!(run.distance(v).is_infinite(), "node {v} is beyond the threshold");
+                assert!(run.output.distance(v).is_infinite(), "node {v} is beyond the threshold");
             }
         }
         // Time is proportional to the threshold, not the diameter.
@@ -254,7 +240,7 @@ mod tests {
     fn congestion_is_at_most_two_per_edge() {
         let cfg = AlgoConfig::default();
         let g = generators::random_connected(50, 120, 3);
-        let run = bfs(&g, &[NodeId(0)], &cfg).unwrap();
+        let run = unthresholded(&g, &[NodeId(0)], &cfg);
         // One announcement per endpoint per edge.
         assert!(run.metrics.max_congestion() <= 2);
         assert!(run.metrics.messages <= 2 * g.edge_count() as u64);
@@ -264,20 +250,9 @@ mod tests {
     fn unreachable_nodes_stay_infinite() {
         let cfg = AlgoConfig::default();
         let g = generators::disjoint_copies(&generators::path(5, 1), 2);
-        let run = bfs(&g, &[NodeId(0)], &cfg).unwrap();
-        assert!(run.distance(NodeId(7)).is_infinite());
+        let run = unthresholded(&g, &[NodeId(0)], &cfg);
+        assert!(run.output.distance(NodeId(7)).is_infinite());
         assert_eq!(run.output.reached_count(), 5);
-    }
-
-    #[test]
-    fn empty_sources_are_rejected() {
-        let cfg = AlgoConfig::default();
-        let g = generators::path(4, 1);
-        assert!(matches!(bfs(&g, &[], &cfg), Err(AlgoError::EmptySourceSet)));
-        assert!(matches!(
-            bfs(&g, &[NodeId(9)], &cfg),
-            Err(AlgoError::SourceOutOfRange { node: NodeId(9) })
-        ));
     }
 
     #[test]

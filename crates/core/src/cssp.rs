@@ -1,28 +1,30 @@
-//! The public entry points for low-congestion exact CSSP and SSSP
-//! (Theorems 2.6 and 2.7 of the paper).
+//! Low-congestion exact CSSP and SSSP (Theorems 2.6 and 2.7 of the paper).
 //!
 //! [`cssp`] computes `dist(S, v)` for every node `v` in `Õ(n)` rounds with
-//! `poly(log n)` congestion per edge; [`sssp`] is the single-source special
-//! case. Zero-weight edges are handled by contracting their connected
-//! components before running the recursion (the standard device behind
-//! Theorem 2.7).
+//! `poly(log n)` congestion per edge; SSSP is the one-source case. Zero-weight
+//! edges are handled by contracting their connected components before running
+//! the recursion (the standard device behind Theorem 2.7).
 
 use std::collections::BTreeMap;
 
 use congest_graph::{Distance, EdgeId, Graph, NodeId};
 use congest_sim::Metrics;
 
-use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
-use crate::thresholded::{thresholded_cssp_validated, RecursionStats, ThresholdedRun};
+use crate::error::check_sources;
+use crate::result::{DistanceOutput, SourceOffset};
+use crate::thresholded::{thresholded_cssp_validated, RecursionStats};
 use crate::{AlgoConfig, AlgoError};
 
-/// The result of a full CSSP/SSSP run: distances, metrics, and the recursion
-/// instrumentation of the underlying thresholded computation.
+/// The result of a run of the recursion family — [`cssp`] and
+/// [`crate::thresholded::thresholded_cssp`]: distances, metrics, and the
+/// recursion instrumentation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsspRun {
-    /// Exact distances from the source set (infinite for unreachable nodes).
+    /// Distances from the source set (infinite for unreachable nodes and, in
+    /// a thresholded run, for nodes beyond the threshold).
     pub output: DistanceOutput,
-    /// Complexity measurements.
+    /// Complexity measurements, attributed to the input graph's nodes and
+    /// edges.
     pub metrics: Metrics,
     /// Recursion-tree instrumentation (Lemma 2.4 / Corollary 2.5).
     pub stats: RecursionStats,
@@ -32,11 +34,6 @@ impl CsspRun {
     /// The distance of node `v`.
     pub fn distance(&self, v: NodeId) -> Distance {
         self.output.distance(v)
-    }
-
-    /// Converts into the generic [`AlgoRun`].
-    pub fn into_algo_run(self) -> AlgoRun {
-        AlgoRun { output: self.output, metrics: self.metrics, trace: None }
     }
 }
 
@@ -48,21 +45,13 @@ impl CsspRun {
 /// Returns an error if `sources` is empty, a source is out of range, or the
 /// underlying simulation fails.
 pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
+    check_sources(g, sources.iter().copied())?;
     // The sources are checked above and the weights here, once: the recursion
     // is entered past its own validation on both paths.
     if g.edges().iter().all(|e| e.w > 0) {
         let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
         let threshold = g.distance_upper_bound().max(1);
-        let run = thresholded_cssp_validated(g, &offsets, threshold, config)?;
-        return Ok(finish(run));
+        return thresholded_cssp_validated(g, &offsets, threshold, config);
     }
 
     // Zero-weight edges: contract each connected component of the zero-weight
@@ -106,20 +95,6 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
         levels: run.stats.levels,
     };
     Ok(CsspRun { output: DistanceOutput { distances }, metrics, stats })
-}
-
-/// Computes exact single-source shortest paths from `source` (the SSSP of
-/// Theorem 1.1's congestion part).
-///
-/// # Errors
-///
-/// Same conditions as [`cssp`].
-pub fn sssp(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<CsspRun, AlgoError> {
-    cssp(g, &[source], config)
-}
-
-fn finish(run: ThresholdedRun) -> CsspRun {
-    CsspRun { output: run.output, metrics: run.metrics, stats: run.stats }
 }
 
 /// The result of contracting zero-weight components.
@@ -291,12 +266,25 @@ mod tests {
     }
 
     #[test]
-    fn invalid_inputs_are_rejected() {
-        let g = generators::path(4, 1);
-        assert!(matches!(cssp(&g, &[], &AlgoConfig::default()), Err(AlgoError::EmptySourceSet)));
-        assert!(matches!(
-            sssp(&g, NodeId(9), &AlgoConfig::default()),
-            Err(AlgoError::SourceOutOfRange { .. })
-        ));
+    fn round_sums_saturate_at_a_huge_epsilon_inverse() {
+        // Each cutter run takes ≈ 3 · 2 · epsilon_inverse rounds here, so from
+        // 2^55 on the recursion's sum of them passes `u64::MAX`: it panicked
+        // in debug builds and wrapped in release.
+        use crate::{Algorithm, Solver};
+        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, Graph::MAX_WEIGHT)]).unwrap();
+        let exact = [Distance::ZERO, Distance::Finite(1), Distance::Finite(Graph::MAX_WEIGHT + 1)];
+        let mut previous = 0;
+        for inv in [1 << 54, 1 << 55, 1 << 59] {
+            let run = Solver::on(&g)
+                .algorithm(Algorithm::Cssp)
+                .source(NodeId(0))
+                .config(AlgoConfig::default().with_epsilon_inverse(inv))
+                .run()
+                .unwrap();
+            assert_eq!(run.output.distances, exact, "inv = {inv}");
+            assert!(run.report.rounds >= previous, "inv = {inv}");
+            previous = run.report.rounds;
+        }
+        assert_eq!(previous, u64::MAX);
     }
 }

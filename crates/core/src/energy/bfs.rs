@@ -32,7 +32,7 @@ use crate::{AlgoConfig, AlgoError};
 
 /// The outcome of a low-energy BFS run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyBfsRun {
+pub(crate) struct EnergyBfsRun {
     /// Hop distances from the source set (infinite beyond `limit`).
     pub output: DistanceOutput,
     /// Complexity measurements in the sleeping model.
@@ -47,63 +47,24 @@ pub struct EnergyBfsRun {
     pub cover_build_rounds: u64,
 }
 
-impl EnergyBfsRun {
-    /// The distance of node `v`.
-    pub fn distance(&self, v: NodeId) -> Distance {
-        self.output.distance(v)
-    }
-}
-
 /// Runs low-energy `limit`-thresholded BFS from scratch: constructs the
 /// layered cover (charging its cost per Theorem 3.12/3.13) and then runs the
-/// covered BFS (Theorem 3.8). A limit above `n` behaves like `n` (no hop
-/// distance exceeds `n - 1`).
+/// covered BFS (Theorem 3.8) from `sources` (checked by the facade). A limit
+/// above `n` behaves like `n` (no hop distance exceeds `n - 1`).
 ///
 /// # Errors
 ///
-/// Returns an error for an empty or out-of-range source set, or if the wake
-/// schedule invariant (Lemma 3.7) is violated by the configured constants.
-pub fn low_energy_bfs(
+/// Returns an error if the wake schedule invariant (Lemma 3.7) is violated by
+/// the configured constants.
+pub(crate) fn low_energy_bfs(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
-    check_sources(g, sources)?;
     let limit = limit.min(g.node_count() as u64);
     let cover = LayeredCover::construct_default(g, limit.max(1));
     covered_bfs(g, sources, limit, &cover, true, config)
-}
-
-/// Runs low-energy `limit`-thresholded BFS with a pre-built layered cover.
-/// Set `charge_cover_build` to also charge the cover-construction cost
-/// (Theorem 3.13); pass `false` when the cover is reused across many BFS
-/// calls (as the CSSP recursion does).
-///
-/// # Errors
-///
-/// Same conditions as [`low_energy_bfs`].
-pub fn low_energy_bfs_with_cover(
-    g: &Graph,
-    sources: &[NodeId],
-    limit: u64,
-    cover: &LayeredCover,
-    charge_cover_build: bool,
-    config: &AlgoConfig,
-) -> Result<EnergyBfsRun, AlgoError> {
-    check_sources(g, sources)?;
-    covered_bfs(g, sources, limit, cover, charge_cover_build, config)
-}
-
-/// Rejects an empty or out-of-range source set — before any cover is built.
-fn check_sources(g: &Graph, sources: &[NodeId]) -> Result<(), AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    match sources.iter().find(|&&s| !g.contains_node(s)) {
-        Some(&node) => Err(AlgoError::SourceOutOfRange { node }),
-        None => Ok(()),
-    }
 }
 
 /// What the accounting knows of one cluster once the wavefront is computed.
@@ -121,8 +82,10 @@ struct ClusterState {
     active_from: u64,
 }
 
-/// The covered BFS of Theorem 3.8 on checked sources. Every sum and product
-/// saturates: an absurd constant yields `u64::MAX` rounds, never a wrapped
+/// The covered BFS of Theorem 3.8 on checked sources, over a pre-built
+/// layered cover. Set `charge_cover_build` to also charge the
+/// cover-construction cost (Theorem 3.13). Every sum and product saturates:
+/// an absurd constant yields `u64::MAX` rounds, never a wrapped
 /// underestimate.
 fn covered_bfs(
     g: &Graph,
@@ -397,7 +360,8 @@ fn cover_entries_read(entries: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::reference::low_energy_bfs_with_cover_reference;
+    use crate::bfs::thresholded_bfs;
+    use crate::energy::reference::covered_bfs_reference;
     use congest_graph::{generators, sequential};
 
     fn check(g: &Graph, sources: &[NodeId], limit: u64) -> EnergyBfsRun {
@@ -407,9 +371,9 @@ mod tests {
         for v in g.nodes() {
             let t = truth.distance(v);
             if t <= Distance::Finite(limit) {
-                assert_eq!(run.distance(v), t, "node {v}");
+                assert_eq!(run.output.distance(v), t, "node {v}");
             } else {
-                assert!(run.distance(v).is_infinite(), "node {v}");
+                assert!(run.output.distance(v).is_infinite(), "node {v}");
             }
         }
         run
@@ -443,8 +407,8 @@ mod tests {
         let large = generators::path(1024, 1);
         let low_small = low_energy_bfs(&small, &[NodeId(0)], 128, &cfg).unwrap();
         let low_large = low_energy_bfs(&large, &[NodeId(0)], 1024, &cfg).unwrap();
-        let naive_small = crate::bfs::bfs(&small, &[NodeId(0)], &cfg).unwrap();
-        let naive_large = crate::bfs::bfs(&large, &[NodeId(0)], &cfg).unwrap();
+        let naive_small = thresholded_bfs(&small, &[NodeId(0)], 128, &cfg).unwrap();
+        let naive_large = thresholded_bfs(&large, &[NodeId(0)], 1024, &cfg).unwrap();
         let low_ratio =
             low_large.metrics.max_energy() as f64 / low_small.metrics.max_energy() as f64;
         let naive_ratio =
@@ -480,7 +444,7 @@ mod tests {
         // Build a cover whose top level is tiny so that latencies are huge
         // relative to the buffer: base 2 gives shallow buffers.
         let cover = LayeredCover::construct(&g, 119, 2);
-        let r = low_energy_bfs_with_cover(&g, &[NodeId(0)], 119, &cover, false, &cfg);
+        let r = covered_bfs(&g, &[NodeId(0)], 119, &cover, false, &cfg);
         // Either the invariant is violated (expected) or, if the tiny base
         // happens to still satisfy it, the run succeeds; both are acceptable,
         // but a violation must be reported as the dedicated error.
@@ -494,23 +458,10 @@ mod tests {
         let g = generators::grid(5, 5, 1);
         let cfg = AlgoConfig::default();
         let cover = LayeredCover::construct_default(&g, 8);
-        let with_build =
-            low_energy_bfs_with_cover(&g, &[NodeId(0)], 8, &cover, true, &cfg).unwrap();
-        let without_build =
-            low_energy_bfs_with_cover(&g, &[NodeId(0)], 8, &cover, false, &cfg).unwrap();
+        let with_build = covered_bfs(&g, &[NodeId(0)], 8, &cover, true, &cfg).unwrap();
+        let without_build = covered_bfs(&g, &[NodeId(0)], 8, &cover, false, &cfg).unwrap();
         assert!(with_build.metrics.rounds > without_build.metrics.rounds);
         assert_eq!(without_build.cover_build_rounds, 0);
-    }
-
-    #[test]
-    fn rejects_bad_sources() {
-        let g = generators::path(4, 1);
-        let cfg = AlgoConfig::default();
-        assert!(matches!(low_energy_bfs(&g, &[], 3, &cfg), Err(AlgoError::EmptySourceSet)));
-        assert!(matches!(
-            low_energy_bfs(&g, &[NodeId(9)], 3, &cfg),
-            Err(AlgoError::SourceOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -568,11 +519,9 @@ mod tests {
                     covers.iter().flat_map(|c| source_sets.iter().map(move |s| (c, s)))
                 {
                     for charge in [true, false] {
-                        let run =
-                            low_energy_bfs_with_cover(&g, sources, limit, cover, charge, &cfg);
-                        let expected = low_energy_bfs_with_cover_reference(
-                            &g, sources, limit, cover, charge, &cfg,
-                        );
+                        let run = covered_bfs(&g, sources, limit, cover, charge, &cfg);
+                        let expected =
+                            covered_bfs_reference(&g, sources, limit, cover, charge, &cfg);
                         violations += usize::from(run.is_err());
                         assert_eq!(
                             run, expected,
@@ -599,8 +548,8 @@ mod tests {
             c.tree.edges().any(|(child, parent)| edge_between(&g, child, parent).is_none())
         }));
         assert_eq!(
-            low_energy_bfs_with_cover(&g, &[NodeId(3)], 12, &cover, true, &cfg),
-            low_energy_bfs_with_cover_reference(&g, &[NodeId(3)], 12, &cover, true, &cfg),
+            covered_bfs(&g, &[NodeId(3)], 12, &cover, true, &cfg),
+            covered_bfs_reference(&g, &[NodeId(3)], 12, &cover, true, &cfg),
         );
     }
 
@@ -614,8 +563,7 @@ mod tests {
         let clusters = || cover.levels.iter().flat_map(|l| &l.clusters);
         let cover_size = clusters().map(|c| c.len() + c.tree.node_count()).sum::<usize>();
         let before = COVER_ENTRIES_READ.with(|read| read.get());
-        low_energy_bfs_with_cover(&g, &[NodeId(0)], n as u64, &cover, true, &AlgoConfig::default())
-            .unwrap();
+        covered_bfs(&g, &[NodeId(0)], n as u64, &cover, true, &AlgoConfig::default()).unwrap();
         let read = COVER_ENTRIES_READ.with(|read| read.get()) - before;
         assert!(read >= clusters().map(|c| c.len()).sum::<usize>());
         assert!(read <= 4 * cover_size + n + m, "read {read} entries of {cover_size}");

@@ -22,7 +22,7 @@
 //! See `docs/COVERS.md` ("Energy accounting").
 
 use congest_cover::{ClusterSchedule, CoverStats, LayeredCover, SparseCover};
-use congest_graph::{Distance, Graph, NodeId};
+use congest_graph::{Graph, NodeId};
 use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +33,7 @@ use crate::{AlgoConfig, AlgoError};
 
 /// The outcome of a low-energy CSSP run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyCsspRun {
+pub(crate) struct EnergyCsspRun {
     /// Exact distances from the source set.
     pub output: DistanceOutput,
     /// Sleeping-model complexity measurements.
@@ -49,28 +49,18 @@ pub struct EnergyCsspRun {
     pub cover_levels: usize,
 }
 
-impl EnergyCsspRun {
-    /// The distance of node `v`.
-    pub fn distance(&self, v: NodeId) -> Distance {
-        self.output.distance(v)
-    }
-}
-
 /// Runs low-energy exact CSSP from `sources` (Theorem 3.15). Edge weights
 /// must be positive.
 ///
 /// # Errors
 ///
-/// Returns an error for an empty/out-of-range source set, zero edge weights,
-/// or a failure of the underlying recursion.
-pub fn low_energy_cssp(
+/// Returns an error for zero edge weights or a failure of the underlying
+/// recursion.
+pub(crate) fn low_energy_cssp(
     g: &Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
 ) -> Result<EnergyCsspRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
     let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
     let threshold = g.distance_upper_bound().max(1);
     // The recursion: correctness, per-edge congestion, message counts, and
@@ -191,7 +181,7 @@ mod tests {
         let run = low_energy_cssp(g, sources, &AlgoConfig::default()).unwrap();
         let truth = sequential::dijkstra(g, sources);
         for v in g.nodes() {
-            assert_eq!(run.distance(v), truth.distance(v), "node {v}");
+            assert_eq!(run.output.distance(v), truth.distance(v), "node {v}");
         }
         run
     }
@@ -247,14 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_weights_and_empty_sources() {
+    fn rejects_zero_weights() {
         let cfg = AlgoConfig::default();
         let g = Graph::from_edges(3, [(0, 1, 0), (1, 2, 1)]).unwrap();
         assert!(matches!(
             low_energy_cssp(&g, &[NodeId(0)], &cfg),
             Err(AlgoError::ZeroWeightNotSupported { .. })
         ));
-        let g = generators::path(3, 1);
-        assert!(matches!(low_energy_cssp(&g, &[], &cfg), Err(AlgoError::EmptySourceSet)));
     }
 }

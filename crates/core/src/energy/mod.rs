@@ -7,13 +7,13 @@
 //!   `poly(log n)` energy (Theorem 3.15), obtained by plugging the low-energy
 //!   BFS and the low-energy spanning forest into the Section-2 recursion.
 
-pub mod bfs;
-pub mod cssp;
+mod bfs;
+mod cssp;
 #[cfg(test)]
 mod reference;
 
-pub use bfs::{low_energy_bfs, low_energy_bfs_with_cover, EnergyBfsRun};
-pub use cssp::{low_energy_cssp, EnergyCsspRun};
+pub(crate) use bfs::low_energy_bfs;
+pub(crate) use cssp::low_energy_cssp;
 
 /// The `u64` constants of [`AlgoConfig`](crate::AlgoConfig)'s sleeping-model
 /// block, for the tests that drive each of them to its extremes.

@@ -12,7 +12,7 @@ use super::bfs::EnergyBfsRun;
 use crate::result::DistanceOutput;
 use crate::{AlgoConfig, AlgoError};
 
-pub(crate) fn low_energy_bfs_with_cover_reference(
+pub(crate) fn covered_bfs_reference(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
@@ -20,14 +20,6 @@ pub(crate) fn low_energy_bfs_with_cover_reference(
     charge_cover_build: bool,
     config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for &s in sources {
-        if !g.contains_node(s) {
-            return Err(AlgoError::SourceOutOfRange { node: s });
-        }
-    }
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let limit = limit.min(n as u64);

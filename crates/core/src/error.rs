@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::{EdgeId, Graph, NodeId};
 use congest_sim::SimError;
 
 /// Errors produced by the distributed algorithms.
@@ -94,6 +94,22 @@ impl Error for AlgoError {
 impl From<SimError> for AlgoError {
     fn from(e: SimError) -> Self {
         AlgoError::Simulation(e)
+    }
+}
+
+/// The one source check: [`AlgoError::EmptySourceSet`] for no sources, else
+/// [`AlgoError::SourceOutOfRange`] for the first source outside `g`.
+pub(crate) fn check_sources(
+    g: &Graph,
+    sources: impl IntoIterator<Item = NodeId>,
+) -> Result<(), AlgoError> {
+    let mut sources = sources.into_iter().peekable();
+    if sources.peek().is_none() {
+        return Err(AlgoError::EmptySourceSet);
+    }
+    match sources.find(|&s| !g.contains_node(s)) {
+        Some(node) => Err(AlgoError::SourceOutOfRange { node }),
+        None => Ok(()),
     }
 }
 

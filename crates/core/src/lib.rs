@@ -5,25 +5,28 @@
 //!
 //! # What is in here
 //!
-//! * **Low-congestion exact SSSP/CSSP** ([`cssp`], [`thresholded`],
-//!   [`approx`], [`spanning_forest`]): the recursive "distributified
+//! * **Low-congestion exact SSSP/CSSP** ([`Algorithm::Cssp`],
+//!   [`Algorithm::ApproximateCssp`]): the recursive "distributified
 //!   Dijkstra" of Section 2 — `Õ(n)` rounds, `Õ(m)` messages, and only
 //!   `poly(log n)` messages over any single edge (Theorems 2.6, 2.7).
-//! * **APSP in `Õ(n)` rounds** ([`apsp`]): `n` independent SSSP instances
-//!   composed with random-delay scheduling.
-//! * **Low-energy BFS and CSSP** ([`energy`]): the sleeping-model algorithms
-//!   of Section 3, coordinated through the deterministic sparse covers of
+//! * **APSP in `Õ(n)` rounds** ([`Algorithm::Apsp`]): `n` independent SSSP
+//!   instances composed with random-delay scheduling.
+//! * **Low-energy BFS and CSSP** ([`Algorithm::LowEnergyBfs`],
+//!   [`Algorithm::LowEnergyCssp`]): the sleeping-model algorithms of
+//!   Section 3, coordinated through the deterministic sparse covers of
 //!   [`congest_cover`] — `poly(log n)` awake rounds per node
 //!   (Theorems 3.8, 3.13, 3.14, 3.15).
-//! * **Baselines** ([`baseline`], [`bfs`]): distributed Bellman–Ford,
-//!   distributed Dijkstra, and the always-awake BFS, for the experiments in
-//!   `EXPERIMENTS.md`.
+//! * **Baselines** ([`Algorithm::BellmanFord`], [`Algorithm::Dijkstra`],
+//!   [`Algorithm::Bfs`]): distributed Bellman–Ford, distributed Dijkstra,
+//!   and the always-awake BFS, for the experiments in `EXPERIMENTS.md`.
 //!
-//! All of the above are reachable uniformly through the [`solver`] facade:
-//! [`Solver::on`] builds a request, [`registry`] enumerates every algorithm
-//! with its capability flags, and every run returns the same
-//! [`SolverRun`]/[`RunReport`] pair. The per-algorithm free functions remain
-//! as stable thin entry points the facade delegates to.
+//! The [`solver`] facade is the one way to run them: [`Solver::on`] builds a
+//! request, [`registry`] enumerates every algorithm with its capability
+//! flags, and every run returns the same [`SolverRun`]/[`RunReport`] pair.
+//! Four layers of the recursion stay public beside it, because the perf
+//! ledger times each on its own: [`cssp::cssp`],
+//! [`thresholded::thresholded_cssp`], [`approx::approximate_cssp`] and
+//! [`spanning_forest::spanning_forest`].
 //!
 //! # Quick start
 //!
@@ -65,11 +68,11 @@
 
 pub mod approx;
 pub mod apsp;
-pub mod baseline;
-pub mod bfs;
+mod baseline;
+mod bfs;
 mod config;
 pub mod cssp;
-pub mod energy;
+mod energy;
 mod error;
 pub mod oracle;
 mod result;
@@ -78,14 +81,14 @@ pub mod spanning_forest;
 #[cfg(test)]
 mod test_graphs;
 pub mod thresholded;
-pub mod weighted_bfs;
+mod weighted_bfs;
 
 pub use config::AlgoConfig;
 pub use error::AlgoError;
 pub use oracle::{build_oracle, DistanceOracle, OracleBuild, OracleConfig, OracleStats};
 pub use result::{
-    AlgoRun, DistanceOutput, OracleReport, RecursionReport, RunReport, ScheduleReport,
-    SleepingReport, SourceOffset,
+    DistanceOutput, OracleReport, RecursionReport, RunReport, ScheduleReport, SleepingReport,
+    SourceOffset,
 };
 pub use solver::{registry, Algorithm, AlgorithmInfo, Solver, SolverRequest, SolverRun};
 

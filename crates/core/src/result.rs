@@ -39,26 +39,14 @@ impl DistanceOutput {
     }
 }
 
-/// A completed algorithm run: the distance output plus the complexity
-/// measurements of the execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AlgoRun {
-    /// The computed distances.
+/// A completed run of one of the simulated protocols (the BFSs and the
+/// baselines): the distance output plus the complexity measurements.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AlgoRun {
     pub output: DistanceOutput,
-    /// Rounds, messages, per-edge congestion, per-node energy.
     pub metrics: Metrics,
-    /// Optional per-round edge usage trace (for the APSP scheduler), present
-    /// when the algorithm records one and
-    /// [`congest_sim::SimConfig::record_edge_trace`] was set in
-    /// [`crate::AlgoConfig::sim`].
+    /// Present when [`congest_sim::SimConfig::record_edge_trace`] was set.
     pub trace: Option<EdgeUsageTrace>,
-}
-
-impl AlgoRun {
-    /// Convenience accessor: the distance of node `v`.
-    pub fn distance(&self, v: NodeId) -> Distance {
-        self.output.distance(v)
-    }
 }
 
 /// The unified complexity report of a [`crate::solver::Solver`] run: the
@@ -145,6 +133,22 @@ impl RunReport {
             schedule: None,
             oracle: None,
         }
+    }
+
+    /// The report of a composition of many runs (APSP, the oracle build),
+    /// from its totals. Per-node energy and sleeping-model loss are not
+    /// tracked across the composed runs, so those fields are 0 (unmeasured,
+    /// not "measured zero").
+    pub(crate) fn composed(
+        algorithm: Algorithm,
+        g: &Graph,
+        output: &DistanceOutput,
+        rounds: u64,
+        messages: u64,
+        max_congestion: u64,
+    ) -> RunReport {
+        let totals = Metrics { rounds, messages, ..Metrics::default() };
+        RunReport { max_congestion, ..RunReport::new(algorithm, g, &totals, output) }
     }
 }
 
@@ -282,16 +286,5 @@ mod tests {
         assert_eq!(s.offset, 0);
         let s: SourceOffset = NodeId(2).into();
         assert_eq!(s.node, NodeId(2));
-    }
-
-    #[test]
-    fn algo_run_accessor() {
-        let run = AlgoRun {
-            output: DistanceOutput { distances: vec![Distance::Finite(3), Distance::Infinite] },
-            metrics: Metrics::zero(2, 1),
-            trace: None,
-        };
-        assert_eq!(run.distance(NodeId(0)).finite(), Some(3));
-        assert_eq!(run.output.reached_count(), 1);
     }
 }

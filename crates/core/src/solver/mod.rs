@@ -14,10 +14,11 @@
 //!   the distances, a unified [`RunReport`] (including energy/awake-round and
 //!   recursion/scheduling sections where applicable), and an optional trace.
 //!
-//! The per-algorithm free functions ([`crate::cssp::cssp`],
-//! [`crate::energy::low_energy_bfs`], …) remain available as the stable
-//! under-the-hood entry points the facade delegates to; new consumers should
-//! prefer the facade.
+//! The facade is the one way to run an algorithm. Beside it, only the four
+//! layers the perf ledger times on their own stay public:
+//! [`crate::cssp::cssp`], [`crate::thresholded::thresholded_cssp`],
+//! [`crate::approx::approximate_cssp`] and
+//! [`crate::spanning_forest::spanning_forest`].
 //!
 //! ```
 //! use congest_graph::{generators, NodeId};
@@ -42,7 +43,7 @@ mod registry;
 pub use registry::{registry, Algorithm, AlgorithmInfo};
 
 use congest_graph::{Distance, Graph, NodeId};
-use congest_sim::EdgeUsageTrace;
+use congest_sim::{EdgeUsageTrace, Metrics};
 
 use crate::approx::approximate_cssp;
 use crate::apsp::{apsp, ApspConfig};
@@ -50,9 +51,11 @@ use crate::baseline::{distributed_bellman_ford, distributed_dijkstra};
 use crate::bfs::thresholded_bfs;
 use crate::cssp::cssp;
 use crate::energy::{low_energy_bfs, low_energy_cssp};
+use crate::error::check_sources;
 use crate::oracle::{build_oracle, OracleConfig};
 use crate::result::{
-    DistanceOutput, RecursionReport, RunReport, ScheduleReport, SleepingReport, SourceOffset,
+    AlgoRun, DistanceOutput, RecursionReport, RunReport, ScheduleReport, SleepingReport,
+    SourceOffset,
 };
 use crate::thresholded::thresholded_cssp;
 use crate::{AlgoConfig, AlgoError};
@@ -147,20 +150,26 @@ impl SolverRequest<'_> {
         self
     }
 
-    /// Validates the request against the algorithm's capability flags and
-    /// runs it.
+    /// Validates the request — its sources first, then the algorithm's
+    /// capability flags — and runs it.
     ///
     /// # Errors
     ///
+    /// [`AlgoError::EmptySourceSet`] for no sources (an all-pairs algorithm
+    /// reports node 0's row instead) and [`AlgoError::SourceOutOfRange`] for
+    /// the first source outside the graph, for every algorithm;
     /// [`AlgoError::UnsupportedRequest`] if an option the algorithm does not
     /// support was set (see [`registry`]); otherwise whatever the underlying
-    /// algorithm reports (empty/out-of-range sources, zero weights where
-    /// unsupported, simulation failures).
+    /// algorithm reports (zero weights where unsupported, simulation
+    /// failures).
     pub fn run(self) -> Result<SolverRun, AlgoError> {
         let info = self.algorithm.info();
-        if !info.all_pairs && self.sources.is_empty() {
-            return Err(AlgoError::EmptySourceSet);
-        }
+        let g = self.graph;
+        let nodes: Vec<NodeId> = self.sources.iter().map(|s| s.node).collect();
+        // An all-pairs run reports node 0's row unless asked for another.
+        let checked = if info.all_pairs && nodes.is_empty() { &[NodeId(0)][..] } else { &nodes };
+        check_sources(g, checked.iter().copied())?;
+        let row = checked[0];
         if self.sources.len() > 1 && !info.multi_source {
             return Err(AlgoError::UnsupportedRequest {
                 algorithm: info.name,
@@ -181,23 +190,28 @@ impl SolverRequest<'_> {
             });
         }
 
-        let g = self.graph;
-        let nodes: Vec<NodeId> = self.sources.iter().map(|s| s.node).collect();
         let full_distance = g.distance_upper_bound().max(1);
+        let hop_limit = self.threshold.unwrap_or(g.node_count() as u64);
+        let new_report = |metrics: &Metrics, output: &DistanceOutput| {
+            RunReport::new(self.algorithm, g, metrics, output)
+        };
+        let simulated = |run: AlgoRun| SolverRun {
+            report: new_report(&run.metrics, &run.output),
+            output: run.output,
+            all_pairs: None,
+            trace: run.trace,
+        };
         match self.algorithm {
             Algorithm::Cssp => {
-                if self.threshold.is_none() && !has_offsets {
-                    let run = cssp(g, &nodes, &self.config)?;
-                    let mut report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                    report.recursion = Some(RecursionReport::from(&run.stats));
-                    Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
+                let run = if self.threshold.is_none() && !has_offsets {
+                    cssp(g, &nodes, &self.config)?
                 } else {
                     let d = self.threshold.unwrap_or(full_distance);
-                    let run = thresholded_cssp(g, &self.sources, d, &self.config)?;
-                    let mut report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                    report.recursion = Some(RecursionReport::from(&run.stats));
-                    Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
-                }
+                    thresholded_cssp(g, &self.sources, d, &self.config)?
+                };
+                let mut report = new_report(&run.metrics, &run.output);
+                report.recursion = Some(RecursionReport::from(&run.stats));
+                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
             }
             Algorithm::ApproximateCssp => {
                 let w = self.threshold.unwrap_or(full_distance);
@@ -209,20 +223,14 @@ impl SolverRequest<'_> {
                 }
                 let out = approximate_cssp(g, &self.sources, w, &self.config)?;
                 let output = DistanceOutput { distances: out.estimates };
-                let mut report = RunReport::new(self.algorithm, g, &out.metrics, &output);
+                let mut report = new_report(&out.metrics, &output);
                 report.error_bound = Some(out.error_bound);
                 Ok(SolverRun { output, all_pairs: None, report, trace: out.trace })
             }
-            Algorithm::Bfs => {
-                let limit = self.threshold.unwrap_or(g.node_count() as u64);
-                let run = thresholded_bfs(g, &nodes, limit, &self.config)?;
-                let report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: run.trace })
-            }
+            Algorithm::Bfs => Ok(simulated(thresholded_bfs(g, &nodes, hop_limit, &self.config)?)),
             Algorithm::LowEnergyBfs => {
-                let limit = self.threshold.unwrap_or(g.node_count() as u64);
-                let run = low_energy_bfs(g, &nodes, limit, &self.config)?;
-                let mut report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
+                let run = low_energy_bfs(g, &nodes, hop_limit, &self.config)?;
+                let mut report = new_report(&run.metrics, &run.output);
                 report.sleeping = Some(SleepingReport {
                     slowdown: run.slowdown,
                     megaround: run.megaround,
@@ -232,7 +240,7 @@ impl SolverRequest<'_> {
             }
             Algorithm::LowEnergyCssp => {
                 let run = low_energy_cssp(g, &nodes, &self.config)?;
-                let mut report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
+                let mut report = new_report(&run.metrics, &run.output);
                 report.sleeping = Some(SleepingReport {
                     slowdown: 0,
                     megaround: run.megaround,
@@ -241,69 +249,39 @@ impl SolverRequest<'_> {
                 report.recursion = Some(RecursionReport::from(&run.stats));
                 Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
             }
-            Algorithm::Dijkstra => {
-                let run = distributed_dijkstra(g, &nodes, &self.config)?;
-                let report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: run.trace })
-            }
+            Algorithm::Dijkstra => Ok(simulated(distributed_dijkstra(g, &nodes))),
             Algorithm::BellmanFord => {
-                let run = distributed_bellman_ford(g, &nodes, &self.config)?;
-                let report = RunReport::new(self.algorithm, g, &run.metrics, &run.output);
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: run.trace })
+                Ok(simulated(distributed_bellman_ford(g, &nodes, &self.config)?))
             }
             Algorithm::Apsp => {
-                let row = nodes.first().copied().unwrap_or(NodeId(0));
-                if !g.contains_node(row) {
-                    return Err(AlgoError::SourceOutOfRange { node: row });
-                }
                 let run = apsp(g, &self.config, &self.apsp_config)?;
                 let output = DistanceOutput { distances: run.distances[row.index()].clone() };
-                let schedule = ScheduleReport {
-                    makespan: run.schedule.makespan,
-                    model_rounds: run.schedule.model_rounds,
+                let schedule = &run.schedule;
+                let mut report = RunReport::composed(
+                    self.algorithm,
+                    g,
+                    &output,
+                    schedule.model_rounds,
+                    run.total_messages,
+                    schedule.congestion,
+                );
+                report.schedule = Some(ScheduleReport {
+                    makespan: schedule.makespan,
+                    model_rounds: schedule.model_rounds,
                     // The schedule's realized per-round capacity; a schedule
                     // with no messages still ran under a budget >= 1.
-                    edge_budget: (run.schedule.model_rounds / run.schedule.makespan.max(1)).max(1),
+                    edge_budget: (schedule.model_rounds / schedule.makespan.max(1)).max(1),
                     sequential_rounds: run.sequential_rounds,
                     max_instance_congestion: run.max_instance_congestion,
-                };
-                // The composition measures schedule-level quantities only:
-                // per-node energy and sleeping-model loss are not tracked
-                // across the superimposed instances, so those fields are 0
-                // (unmeasured, not "measured zero") — see `RunReport` docs.
-                let report = RunReport {
-                    algorithm: self.algorithm,
-                    n: g.node_count(),
-                    m: g.edge_count(),
-                    rounds: run.schedule.model_rounds,
-                    messages: run.total_messages,
-                    messages_lost: 0,
-                    fault_drops: 0,
-                    fault_delays: 0,
-                    crashes: 0,
-                    restarts: 0,
-                    max_congestion: run.schedule.congestion,
-                    max_energy: 0,
-                    mean_energy: 0.0,
-                    reached: output.reached_count() as u64,
-                    error_bound: None,
-                    sleeping: None,
-                    recursion: None,
-                    schedule: Some(schedule),
-                    oracle: None,
-                };
+                });
                 Ok(SolverRun { output, all_pairs: Some(run.distances), report, trace: None })
             }
             Algorithm::DistanceOracle => {
-                let source = nodes.first().copied().unwrap_or(NodeId(0));
-                if !g.contains_node(source) {
-                    return Err(AlgoError::SourceOutOfRange { node: source });
-                }
                 let build = build_oracle(g, &self.config, &self.oracle_config, &self.apsp_config)?;
-                // The reported row: one query per node from `source`. The
+                // The reported row: one query per node from `row`. The
                 // oracle itself stays queryable for every other pair.
                 let distances: Vec<Distance> =
-                    g.nodes().map(|v| build.oracle.query(source, v)).collect();
+                    g.nodes().map(|v| build.oracle.query(row, v)).collect();
                 let output = DistanceOutput { distances };
                 // Multiplicative stretch `est <= s·t` restated additively for
                 // the unified report: `t >= est/s`, so the additive error of
@@ -317,30 +295,16 @@ impl SolverRequest<'_> {
                     .map(|est| ((est as u128 * (s - 1)).div_ceil(s)) as u64)
                     .max()
                     .unwrap_or(0);
-                // Like APSP, preprocessing composes many runs: per-node
-                // energy and sleeping-model loss are not tracked across them
-                // and report 0 (unmeasured).
-                let report = RunReport {
-                    algorithm: self.algorithm,
-                    n: g.node_count(),
-                    m: g.edge_count(),
-                    rounds: build.rounds,
-                    messages: build.messages,
-                    messages_lost: 0,
-                    fault_drops: 0,
-                    fault_delays: 0,
-                    crashes: 0,
-                    restarts: 0,
-                    max_congestion: build.max_congestion,
-                    max_energy: 0,
-                    mean_energy: 0.0,
-                    reached: output.reached_count() as u64,
-                    error_bound: Some(error_bound),
-                    sleeping: None,
-                    recursion: None,
-                    schedule: None,
-                    oracle: Some(build.report),
-                };
+                let mut report = RunReport::composed(
+                    self.algorithm,
+                    g,
+                    &output,
+                    build.rounds,
+                    build.messages,
+                    build.max_congestion,
+                );
+                report.error_bound = Some(error_bound);
+                report.oracle = Some(build.report);
                 Ok(SolverRun { output, all_pairs: None, report, trace: None })
             }
         }
@@ -383,24 +347,131 @@ mod tests {
         )
     }
 
-    #[test]
-    fn facade_matches_the_free_functions() {
-        let g = weighted(24, 3);
+    /// What the facade must report for `algorithm` from `source`: the
+    /// crate-private call it dispatches to, with every report field derived
+    /// from that call's metrics, and its own sections where it has them. The
+    /// composed rows (APSP, the oracle) take their sections from `facade`,
+    /// whose totals they are checked against.
+    fn direct(g: &Graph, algorithm: Algorithm, source: NodeId, facade: &SolverRun) -> SolverRun {
         let cfg = AlgoConfig::default();
-        let via_facade = Solver::on(&g)
-            .algorithm(Algorithm::Cssp)
-            .source(NodeId(0))
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        let direct = cssp(&g, &[NodeId(0)], &cfg).unwrap();
-        assert_eq!(via_facade.output, direct.output);
-        assert_eq!(via_facade.report.rounds, direct.metrics.rounds);
-        assert_eq!(via_facade.report.messages, direct.metrics.messages);
-        assert_eq!(via_facade.report.max_congestion, direct.metrics.max_congestion());
-        let rec = via_facade.report.recursion.expect("recursion section present");
-        assert_eq!(rec.subproblems, direct.stats.subproblems);
-        assert_eq!(rec.max_participation, direct.stats.max_participation());
+        let (s, n) = ([source], g.node_count() as u64);
+        let simulated = |run: AlgoRun| SolverRun {
+            report: RunReport::new(algorithm, g, &run.metrics, &run.output),
+            output: run.output,
+            all_pairs: None,
+            trace: run.trace,
+        };
+        match algorithm {
+            Algorithm::Cssp => {
+                let run = cssp(g, &s, &cfg).unwrap();
+                let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
+                report.recursion = Some(RecursionReport::from(&run.stats));
+                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+            }
+            Algorithm::ApproximateCssp => {
+                let w = g.distance_upper_bound().max(1);
+                let out = approximate_cssp(g, &[SourceOffset::plain(source)], w, &cfg).unwrap();
+                let output = DistanceOutput { distances: out.estimates };
+                let mut report = RunReport::new(algorithm, g, &out.metrics, &output);
+                report.error_bound = Some(out.error_bound);
+                SolverRun { output, all_pairs: None, report, trace: out.trace }
+            }
+            Algorithm::Bfs => simulated(thresholded_bfs(g, &s, n, &cfg).unwrap()),
+            Algorithm::LowEnergyBfs => {
+                let run = low_energy_bfs(g, &s, n, &cfg).unwrap();
+                let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
+                let (slowdown, megaround) = (run.slowdown, run.megaround);
+                let cover_levels = run.cover_levels as u64;
+                report.sleeping = Some(SleepingReport { slowdown, megaround, cover_levels });
+                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+            }
+            Algorithm::LowEnergyCssp => {
+                let run = low_energy_cssp(g, &s, &cfg).unwrap();
+                let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
+                let (megaround, cover_levels) = (run.megaround, run.cover_levels as u64);
+                report.sleeping = Some(SleepingReport { slowdown: 0, megaround, cover_levels });
+                report.recursion = Some(RecursionReport::from(&run.stats));
+                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+            }
+            Algorithm::Dijkstra => simulated(distributed_dijkstra(g, &s)),
+            Algorithm::BellmanFord => simulated(distributed_bellman_ford(g, &s, &cfg).unwrap()),
+            Algorithm::Apsp => {
+                let run = apsp(g, &cfg, &ApspConfig::default()).unwrap();
+                let output = DistanceOutput { distances: run.distances[source.index()].clone() };
+                let (rounds, congestion) = (run.schedule.model_rounds, run.schedule.congestion);
+                let report = RunReport {
+                    schedule: facade.report.schedule,
+                    ..RunReport::composed(
+                        algorithm,
+                        g,
+                        &output,
+                        rounds,
+                        run.total_messages,
+                        congestion,
+                    )
+                };
+                SolverRun { output, all_pairs: Some(run.distances), report, trace: None }
+            }
+            Algorithm::DistanceOracle => {
+                let (oracle_config, apsp_config) = (OracleConfig::default(), ApspConfig::default());
+                let build = build_oracle(g, &cfg, &oracle_config, &apsp_config).unwrap();
+                let distances = g.nodes().map(|v| build.oracle.query(source, v)).collect();
+                let output = DistanceOutput { distances };
+                let (rounds, messages) = (build.rounds, build.messages);
+                let report = RunReport {
+                    error_bound: facade.report.error_bound,
+                    oracle: Some(build.report),
+                    ..RunReport::composed(
+                        algorithm,
+                        g,
+                        &output,
+                        rounds,
+                        messages,
+                        build.max_congestion,
+                    )
+                };
+                SolverRun { output, all_pairs: None, report, trace: None }
+            }
+        }
+    }
+
+    #[test]
+    fn facade_matches_the_crate_private_calls() {
+        let g = weighted(24, 3);
+        for info in registry() {
+            let facade = Solver::on(&g).algorithm(info.algorithm).source(NodeId(2)).run().unwrap();
+            assert_eq!(facade, direct(&g, info.algorithm, NodeId(2), &facade), "{}", info.name);
+        }
+    }
+
+    #[test]
+    fn every_algorithm_rejects_bad_sources_with_the_one_check() {
+        let g = weighted(8, 4);
+        for info in registry() {
+            let request = Solver::on(&g).algorithm(info.algorithm);
+            let empty = request.clone().run();
+            if info.all_pairs {
+                assert!(empty.is_ok(), "{}: the default row", info.name);
+            } else {
+                assert_eq!(empty.unwrap_err(), AlgoError::EmptySourceSet, "{}", info.name);
+            }
+            let far = NodeId(g.node_count() + 1);
+            let out_of_range = request.clone().source(far).run();
+            assert_eq!(
+                out_of_range,
+                Err(AlgoError::SourceOutOfRange { node: far }),
+                "{}",
+                info.name
+            );
+            if info.multi_source {
+                let second = request.sources(&[NodeId(0), far]).run();
+                assert_eq!(second, Err(AlgoError::SourceOutOfRange { node: far }), "{}", info.name);
+            }
+        }
+        // The empty graph has no default row either.
+        let empty_graph = Graph::empty(0);
+        let apsp = Solver::on(&empty_graph).algorithm(Algorithm::Apsp).run();
+        assert_eq!(apsp.unwrap_err(), AlgoError::SourceOutOfRange { node: NodeId(0) });
     }
 
     #[test]
@@ -548,14 +619,6 @@ mod tests {
         for case in cases {
             assert!(matches!(case, Err(AlgoError::UnsupportedRequest { .. })), "{case:?}");
         }
-        assert!(matches!(
-            Solver::on(&g).algorithm(Algorithm::Cssp).run(),
-            Err(AlgoError::EmptySourceSet)
-        ));
-        assert!(matches!(
-            Solver::on(&g).algorithm(Algorithm::Apsp).source(NodeId(9)).run(),
-            Err(AlgoError::SourceOutOfRange { .. })
-        ));
     }
 
     #[test]

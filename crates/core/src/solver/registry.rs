@@ -231,11 +231,6 @@ impl Algorithm {
     pub fn label(self) -> &'static str {
         self.info().label
     }
-
-    /// Looks an algorithm up by its registry [`AlgorithmInfo::name`].
-    pub fn from_name(name: &str) -> Option<Algorithm> {
-        REGISTRY.iter().find(|i| i.name == name).map(|i| i.algorithm)
-    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -261,12 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
+    fn display_is_the_name() {
         for &algo in &Algorithm::ALL {
-            assert_eq!(Algorithm::from_name(algo.name()), Some(algo));
             assert_eq!(algo.to_string(), algo.name());
         }
-        assert_eq!(Algorithm::from_name("no-such-solver"), None);
     }
 
     #[test]

@@ -50,7 +50,9 @@ use congest_sim::{Metrics, RunScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::approx::approximate_cssp_in;
-use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
+use crate::cssp::CsspRun;
+use crate::error::check_sources;
+use crate::result::{DistanceOutput, SourceOffset};
 use crate::spanning_forest::ForestScratch;
 use crate::{AlgoConfig, AlgoError};
 
@@ -77,25 +79,6 @@ impl RecursionStats {
     }
 }
 
-/// The result of a thresholded CSSP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThresholdedRun {
-    /// Distances of nodes within the threshold (infinite beyond it).
-    pub output: DistanceOutput,
-    /// Complexity measurements, attributed to the original graph's nodes and
-    /// edges.
-    pub metrics: Metrics,
-    /// Recursion instrumentation.
-    pub stats: RecursionStats,
-}
-
-impl ThresholdedRun {
-    /// Converts into the generic [`AlgoRun`] (dropping the recursion stats).
-    pub fn into_algo_run(self) -> AlgoRun {
-        AlgoRun { output: self.output, metrics: self.metrics, trace: None }
-    }
-}
-
 /// Runs the `threshold`-thresholded CSSP from `sources` (with offsets): every
 /// node at (offset) distance at most `threshold` learns its exact distance,
 /// every other node outputs [`Distance::Infinite`].
@@ -112,15 +95,8 @@ pub fn thresholded_cssp(
     sources: &[SourceOffset],
     threshold: u64,
     config: &AlgoConfig,
-) -> Result<ThresholdedRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for s in sources {
-        if !g.contains_node(s.node) {
-            return Err(AlgoError::SourceOutOfRange { node: s.node });
-        }
-    }
+) -> Result<CsspRun, AlgoError> {
+    check_sources(g, sources.iter().map(|s| s.node))?;
     if let Some(e) = g.edges().iter().position(|e| e.w == 0) {
         return Err(AlgoError::ZeroWeightNotSupported { edge: EdgeId(e as u32) });
     }
@@ -135,7 +111,7 @@ pub(crate) fn thresholded_cssp_validated(
     sources: &[SourceOffset],
     threshold: u64,
     config: &AlgoConfig,
-) -> Result<ThresholdedRun, AlgoError> {
+) -> Result<CsspRun, AlgoError> {
     // Round the threshold up to a power of two so that halving stays exact
     // down to the base case D = 1 (the paper picks D = 2^L similarly).
     let threshold = threshold.max(1).next_power_of_two();
@@ -155,7 +131,7 @@ pub(crate) fn thresholded_cssp_validated(
         total_subproblem_size: recursion.total_size,
         levels: threshold.trailing_zeros() + 1,
     };
-    Ok(ThresholdedRun { output: DistanceOutput { distances }, metrics: recursion.metrics, stats })
+    Ok(CsspRun { output: DistanceOutput { distances }, metrics: recursion.metrics, stats })
 }
 
 /// The threshold at or below which a subproblem is solved by the one-round
@@ -253,10 +229,13 @@ impl<'a> Recursion<'a> {
 
         // Step 5: per-component convergecast to agree on the start of the second
         // half (charged as Θ(|V'|) rounds with the subproblem's nodes awake).
+        // Time and energy saturate, as in the merged phases: a cutter run can
+        // take close to `u64::MAX / 4` rounds.
         let coordination = 2 * nodes.len() as u64 + 2;
-        self.metrics.rounds += coordination;
+        self.metrics.rounds = self.metrics.rounds.saturating_add(coordination);
         for &v in nodes {
-            self.metrics.node_energy[v.index()] += coordination;
+            let energy = &mut self.metrics.node_energy[v.index()];
+            *energy = energy.saturating_add(coordination);
         }
 
         // Step 6: second half — the cut sources, on V1 minus the settled V2.
@@ -372,9 +351,10 @@ impl<'a> Recursion<'a> {
         // Charge one round of local exchange: every node in the subproblem is
         // awake for it and each internal edge — seen from its lower endpoint —
         // carries one message per direction.
-        self.metrics.rounds += 1;
+        self.metrics.rounds = self.metrics.rounds.saturating_add(1);
         for &v in nodes {
-            self.metrics.node_energy[v.index()] += 1;
+            let energy = &mut self.metrics.node_energy[v.index()];
+            *energy = energy.saturating_add(1);
             for adj in g.neighbors(v) {
                 if adj.neighbor > v && self.marks.contains(adj.neighbor) {
                     self.metrics.edge_congestion[adj.edge.index()] += 2;
@@ -542,7 +522,7 @@ mod tests {
         );
     }
 
-    fn check_thresholded(g: &Graph, sources: &[NodeId], threshold: u64) -> ThresholdedRun {
+    fn check_thresholded(g: &Graph, sources: &[NodeId], threshold: u64) -> CsspRun {
         let cfg = AlgoConfig::default();
         let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
         let run = thresholded_cssp(g, &offsets, threshold, &cfg).unwrap();
@@ -659,12 +639,5 @@ mod tests {
         let cfg = AlgoConfig::default();
         let r = thresholded_cssp(&g, &[SourceOffset::plain(NodeId(0))], 10, &cfg);
         assert!(matches!(r, Err(AlgoError::ZeroWeightNotSupported { .. })));
-    }
-
-    #[test]
-    fn empty_sources_rejected() {
-        let g = generators::path(3, 1);
-        let cfg = AlgoConfig::default();
-        assert!(matches!(thresholded_cssp(&g, &[], 10, &cfg), Err(AlgoError::EmptySourceSet)));
     }
 }

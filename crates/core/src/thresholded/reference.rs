@@ -12,8 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use congest_graph::{Distance, EdgeId, Graph, NodeId, Weight};
 use congest_sim::Metrics;
 
-use super::{RecursionStats, ThresholdedRun, BASE_CASE_THRESHOLD};
+use super::{RecursionStats, BASE_CASE_THRESHOLD};
 use crate::approx::approximate_cssp;
+use crate::cssp::CsspRun;
+use crate::error::check_sources;
 use crate::result::{DistanceOutput, SourceOffset};
 use crate::spanning_forest::spanning_forest;
 use crate::{AlgoConfig, AlgoError};
@@ -90,15 +92,8 @@ pub(crate) fn thresholded_cssp_reference(
     sources: &[SourceOffset],
     threshold: u64,
     config: &AlgoConfig,
-) -> Result<ThresholdedRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
-    for s in sources {
-        if !g.contains_node(s.node) {
-            return Err(AlgoError::SourceOutOfRange { node: s.node });
-        }
-    }
+) -> Result<CsspRun, AlgoError> {
+    check_sources(g, sources.iter().map(|s| s.node))?;
     if let Some(e) = g.edges().iter().position(|e| e.w == 0) {
         return Err(AlgoError::ZeroWeightNotSupported { edge: EdgeId(e as u32) });
     }
@@ -121,7 +116,7 @@ pub(crate) fn thresholded_cssp_reference(
         total_subproblem_size: acc.total_size,
         levels: threshold.trailing_zeros() + 1,
     };
-    Ok(ThresholdedRun { output: DistanceOutput { distances }, metrics: acc.metrics, stats })
+    Ok(CsspRun { output: DistanceOutput { distances }, metrics: acc.metrics, stats })
 }
 
 /// Solves one subproblem: distances (at most `d`) from `sources` within the

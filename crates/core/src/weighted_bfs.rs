@@ -83,30 +83,20 @@ impl Protocol for WaitingBfsNode<'_> {
     }
 }
 
-/// Runs waiting BFS from `sources` (with initial offsets) using the given
-/// per-edge weights, for `limit` rounds. Nodes whose weighted distance under
-/// `weights` exceeds `limit` output [`Distance::Infinite`].
+/// Runs waiting BFS from `sources` (with initial offsets, all inside `g`)
+/// using the given per-edge weights, for `limit` rounds, in engine buffers
+/// the caller keeps: the recursion makes thousands of these runs on a few
+/// dozen nodes each, and owns one scratch for all of them. Nodes whose
+/// weighted distance under `weights` exceeds `limit` output
+/// [`Distance::Infinite`].
 ///
 /// The `weights` slice overrides the graph's own weights (the cutter passes
 /// rounded weights); every entry must be at least 1.
 ///
 /// # Errors
 ///
-/// Returns an error if the source set is empty, a source is out of range, a
-/// weight is zero, or the simulation exceeds its round limit.
-pub fn waiting_bfs(
-    g: &Graph,
-    sources: &[SourceOffset],
-    weights: &[Weight],
-    limit: u64,
-    config: &AlgoConfig,
-) -> Result<AlgoRun, AlgoError> {
-    waiting_bfs_in(g, sources, weights, limit, config, &mut RunScratch::default())
-}
-
-/// [`waiting_bfs`] in engine buffers the caller keeps: the recursion makes
-/// thousands of these runs on a few dozen nodes each, and owns one scratch
-/// for all of them.
+/// Returns an error if the weight map does not fit `g` or has a zero, or if
+/// the simulation exceeds its round limit.
 pub(crate) fn waiting_bfs_in(
     g: &Graph,
     sources: &[SourceOffset],
@@ -118,8 +108,9 @@ pub(crate) fn waiting_bfs_in(
     run_waiting_bfs(g, sources, weights, limit, config, scratch, |node| node, |node| node.dist)
 }
 
-/// [`waiting_bfs`] over any protocol built from a [`WaitingBfsNode`], so that
-/// the tests can put the always-stepped reference through the same set-up.
+/// [`waiting_bfs_in`] over any protocol built from a [`WaitingBfsNode`], so
+/// that the tests can put the always-stepped reference through the same
+/// set-up.
 #[allow(clippy::too_many_arguments)]
 fn run_waiting_bfs<'w, P: Protocol>(
     g: &Graph,
@@ -131,9 +122,6 @@ fn run_waiting_bfs<'w, P: Protocol>(
     protocol: impl Fn(WaitingBfsNode<'w>) -> P,
     dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
-    if sources.is_empty() {
-        return Err(AlgoError::EmptySourceSet);
-    }
     if weights.len() != g.edge_count() as usize {
         return Err(AlgoError::WeightMapMismatch {
             expected: g.edge_count() as usize,
@@ -145,9 +133,6 @@ fn run_waiting_bfs<'w, P: Protocol>(
     }
     let mut offsets = vec![Distance::Infinite; g.node_count() as usize];
     for s in sources {
-        if !g.contains_node(s.node) {
-            return Err(AlgoError::SourceOutOfRange { node: s.node });
-        }
         let d = Distance::Finite(s.offset);
         if d < offsets[s.node.index()] {
             offsets[s.node.index()] = d;
@@ -176,6 +161,16 @@ mod tests {
 
     fn graph_weights(g: &Graph) -> Vec<Weight> {
         g.edges().iter().map(|e| e.w).collect()
+    }
+
+    fn in_fresh_scratch(
+        g: &Graph,
+        sources: &[SourceOffset],
+        weights: &[Weight],
+        limit: u64,
+        config: &AlgoConfig,
+    ) -> Result<AlgoRun, AlgoError> {
+        waiting_bfs_in(g, sources, weights, limit, config, &mut RunScratch::default())
     }
 
     /// The protocol as it was before [`NodeCtx::listen_until`]: stepped in
@@ -294,7 +289,7 @@ mod tests {
             }
             for cfg in test_graphs::configs() {
                 for (sources, weights, limit) in &instances {
-                    let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
+                    let fast = in_fresh_scratch(g, sources, weights, *limit, &cfg).unwrap();
                     let fresh = &mut RunScratch::default();
                     let stepped = |s: &AlwaysStepped| s.0.dist;
                     let slow = run_waiting_bfs(
@@ -326,12 +321,17 @@ mod tests {
                 seed,
             );
             let limit = g.distance_upper_bound() + 1;
-            let run =
-                waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), limit, &cfg)
-                    .unwrap();
+            let run = in_fresh_scratch(
+                &g,
+                &[SourceOffset::plain(NodeId(0))],
+                &graph_weights(&g),
+                limit,
+                &cfg,
+            )
+            .unwrap();
             let expected = sequential::dijkstra(&g, &[NodeId(0)]);
             for v in g.nodes() {
-                assert_eq!(run.distance(v), expected.distance(v), "seed {seed} node {v}");
+                assert_eq!(run.output.distance(v), expected.distance(v), "seed {seed} node {v}");
             }
         }
     }
@@ -344,20 +344,21 @@ mod tests {
             SourceOffset { node: NodeId(0), offset: 5 },
             SourceOffset { node: NodeId(5), offset: 0 },
         ];
-        let run = waiting_bfs(&g, &sources, &graph_weights(&g), 100, &cfg).unwrap();
+        let run = in_fresh_scratch(&g, &sources, &graph_weights(&g), 100, &cfg).unwrap();
         // Node 0: min(5, 0 + 5 edges * 2) = 5. Node 2: min(5 + 4, 0 + 6) = 6.
-        assert_eq!(run.distance(NodeId(0)).finite(), Some(5));
-        assert_eq!(run.distance(NodeId(2)).finite(), Some(6));
+        assert_eq!(run.output.distance(NodeId(0)).finite(), Some(5));
+        assert_eq!(run.output.distance(NodeId(2)).finite(), Some(6));
     }
 
     #[test]
     fn limit_truncates_far_nodes() {
         let cfg = AlgoConfig::default();
         let g = generators::path(10, 3);
-        let run = waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), 9, &cfg)
-            .unwrap();
-        assert_eq!(run.distance(NodeId(3)).finite(), Some(9));
-        assert!(run.distance(NodeId(4)).is_infinite());
+        let run =
+            in_fresh_scratch(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), 9, &cfg)
+                .unwrap();
+        assert_eq!(run.output.distance(NodeId(3)).finite(), Some(9));
+        assert!(run.output.distance(NodeId(4)).is_infinite());
         assert!(run.metrics.rounds <= 12);
     }
 
@@ -365,7 +366,7 @@ mod tests {
     fn congestion_is_constant_per_edge() {
         let cfg = AlgoConfig::default();
         let g = generators::with_random_weights(&generators::random_connected(40, 100, 7), 4, 7);
-        let run = waiting_bfs(
+        let run = in_fresh_scratch(
             &g,
             &[SourceOffset::plain(NodeId(0))],
             &graph_weights(&g),
@@ -381,29 +382,23 @@ mod tests {
         let cfg = AlgoConfig::default();
         let g = generators::path(4, 100);
         // Override all weights to 1: distances become hop counts.
-        let run = waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &[1, 1, 1], 10, &cfg).unwrap();
-        assert_eq!(run.distance(NodeId(3)).finite(), Some(3));
+        let run =
+            in_fresh_scratch(&g, &[SourceOffset::plain(NodeId(0))], &[1, 1, 1], 10, &cfg).unwrap();
+        assert_eq!(run.output.distance(NodeId(3)).finite(), Some(3));
     }
 
     #[test]
-    fn bad_inputs_are_rejected() {
+    fn bad_weight_maps_are_rejected() {
         let cfg = AlgoConfig::default();
         let g = generators::path(4, 1);
+        let source = [SourceOffset::plain(NodeId(0))];
         assert!(matches!(
-            waiting_bfs(&g, &[], &[1, 1, 1], 10, &cfg),
-            Err(AlgoError::EmptySourceSet)
-        ));
-        assert!(matches!(
-            waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &[1, 1], 10, &cfg),
+            in_fresh_scratch(&g, &source, &[1, 1], 10, &cfg),
             Err(AlgoError::WeightMapMismatch { expected: 3, found: 2 })
         ));
         assert!(matches!(
-            waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &[1, 0, 1], 10, &cfg),
+            in_fresh_scratch(&g, &source, &[1, 0, 1], 10, &cfg),
             Err(AlgoError::ZeroWeightNotSupported { .. })
-        ));
-        assert!(matches!(
-            waiting_bfs(&g, &[SourceOffset::plain(NodeId(7))], &[1, 1, 1], 10, &cfg),
-            Err(AlgoError::SourceOutOfRange { .. })
         ));
     }
 }

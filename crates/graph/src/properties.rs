@@ -1,9 +1,10 @@
-//! Structural graph properties: diameters, eccentricities, degree statistics.
+//! Structural graph properties: hop diameters, eccentricities, degree
+//! statistics.
 //!
 //! These are used by the experiment harness (e.g. to report `D`, the hop
 //! diameter that appears in the paper's `Õ(D)` BFS bounds) and by tests.
 
-use crate::{sequential, Distance, Graph, NodeId, Weight};
+use crate::{sequential, Distance, Graph, NodeId};
 
 /// Returns `true` if the graph is connected (or has at most one node).
 pub fn is_connected(g: &Graph) -> bool {
@@ -22,16 +23,6 @@ pub fn hop_eccentricity(g: &Graph, v: NodeId) -> u64 {
 /// This is the `D` of the paper's `Õ(D)`-time BFS bounds.
 pub fn hop_diameter(g: &Graph) -> u64 {
     g.nodes().map(|v| hop_eccentricity(g, v)).max().unwrap_or(0)
-}
-
-/// The weighted eccentricity of `v` (maximum finite weighted distance).
-pub fn weighted_eccentricity(g: &Graph, v: NodeId) -> Weight {
-    sequential::dijkstra(g, &[v]).distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0)
-}
-
-/// The weighted diameter (maximum weighted eccentricity over all nodes).
-pub fn weighted_diameter(g: &Graph) -> Weight {
-    g.nodes().map(|v| weighted_eccentricity(g, v)).max().unwrap_or(0)
 }
 
 /// The maximum finite weighted distance from any node in `sources` (the
@@ -77,7 +68,6 @@ mod tests {
         let g = generators::path(10, 3);
         assert!(is_connected(&g));
         assert_eq!(hop_diameter(&g), 9);
-        assert_eq!(weighted_diameter(&g), 27);
         assert_eq!(hop_eccentricity(&g, NodeId(5)), 5);
     }
 
@@ -91,7 +81,6 @@ mod tests {
     fn star_diameter_is_two() {
         let g = generators::star(20, 4);
         assert_eq!(hop_diameter(&g), 2);
-        assert_eq!(weighted_diameter(&g), 8);
     }
 
     #[test]
@@ -124,7 +113,6 @@ mod tests {
         let g = Graph::empty(1);
         assert!(is_connected(&g));
         assert_eq!(hop_diameter(&g), 0);
-        assert_eq!(weighted_diameter(&g), 0);
         let s = degree_stats(&g);
         assert_eq!((s.min, s.max, s.total), (0, 0, 0));
     }

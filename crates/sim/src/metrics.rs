@@ -12,10 +12,8 @@ use serde::{Deserialize, Serialize};
 /// * `node_energy[v]` — rounds in which node `v` was awake.
 ///
 /// Metrics compose: [`Metrics::merge_sequential`] models running one phase
-/// after another (rounds add), [`Metrics::merge_concurrent`] models phases on
-/// disjoint parts of the network running side by side (rounds take the max);
-/// in both cases per-edge congestion and per-node energy add, because every
-/// message and awake round still happens.
+/// after another — rounds add, and so do per-edge congestion and per-node
+/// energy, because every message and awake round still happens.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Number of rounds (time complexity).
@@ -87,21 +85,14 @@ impl Metrics {
         if self.node_energy.is_empty() {
             0.0
         } else {
-            self.node_energy.iter().sum::<u64>() as f64 / self.node_energy.len() as f64
-        }
-    }
-
-    /// The mean congestion over all edges.
-    pub fn mean_congestion(&self) -> f64 {
-        if self.edge_congestion.is_empty() {
-            0.0
-        } else {
-            self.edge_congestion.iter().sum::<u64>() as f64 / self.edge_congestion.len() as f64
+            // Summed wide: saturated energies must not wrap the total.
+            let total: u128 = self.node_energy.iter().map(|&e| u128::from(e)).sum();
+            total as f64 / self.node_energy.len() as f64
         }
     }
 
     /// Adds `other`'s event counters — everything but the rounds and the two
-    /// per-id vectors, which each merge treats its own way.
+    /// per-id vectors.
     fn add_counters(&mut self, other: &Metrics) {
         self.messages += other.messages;
         self.capacity_violations += other.capacity_violations;
@@ -114,6 +105,9 @@ impl Metrics {
 
     /// Accumulates `other` as a phase that runs *after* `self` (sequential
     /// composition): rounds add, congestion and energy add componentwise.
+    /// Time and energy saturate at `u64::MAX`: one phase can take close to
+    /// `u64::MAX / 4` rounds (an approximate cutter at a huge
+    /// `epsilon_inverse`), and a sum of such phases must not wrap.
     ///
     /// # Panics
     ///
@@ -121,34 +115,13 @@ impl Metrics {
     pub fn merge_sequential(&mut self, other: &Metrics) {
         assert_eq!(self.edge_congestion.len(), other.edge_congestion.len());
         assert_eq!(self.node_energy.len(), other.node_energy.len());
-        self.rounds += other.rounds;
+        self.rounds = self.rounds.saturating_add(other.rounds);
         self.add_counters(other);
         for (a, b) in self.edge_congestion.iter_mut().zip(&other.edge_congestion) {
             *a += b;
         }
         for (a, b) in self.node_energy.iter_mut().zip(&other.node_energy) {
-            *a += b;
-        }
-    }
-
-    /// Accumulates `other` as a phase that runs *concurrently* with `self` on
-    /// a disjoint part of the network: rounds take the maximum, congestion and
-    /// energy add componentwise (they touch disjoint edges/nodes, so this is
-    /// exact for genuinely disjoint phases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two metrics are for different graph sizes.
-    pub fn merge_concurrent(&mut self, other: &Metrics) {
-        assert_eq!(self.edge_congestion.len(), other.edge_congestion.len());
-        assert_eq!(self.node_energy.len(), other.node_energy.len());
-        self.rounds = self.rounds.max(other.rounds);
-        self.add_counters(other);
-        for (a, b) in self.edge_congestion.iter_mut().zip(&other.edge_congestion) {
-            *a += b;
-        }
-        for (a, b) in self.node_energy.iter_mut().zip(&other.node_energy) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
     }
 
@@ -183,8 +156,8 @@ impl Metrics {
     /// Accumulates `phase` — measured on a subgraph — as a phase that runs
     /// after `self`, scattering its per-node and per-edge entries through the
     /// maps: exactly `self.merge_sequential(&phase.remap(node_map, edge_map,
-    /// n, m))`, without building the `n + m` intermediate. Costs the
-    /// subgraph's size, not the graph's.
+    /// n, m))`, saturating alike, without building the `n + m` intermediate.
+    /// Costs the subgraph's size, not the graph's.
     ///
     /// # Panics
     ///
@@ -198,10 +171,11 @@ impl Metrics {
     ) {
         assert_eq!(node_map.len(), phase.node_energy.len(), "node map length mismatch");
         assert_eq!(edge_map.len(), phase.edge_congestion.len(), "edge map length mismatch");
-        self.rounds += phase.rounds;
+        self.rounds = self.rounds.saturating_add(phase.rounds);
         self.add_counters(phase);
-        for (&orig, energy) in node_map.iter().zip(&phase.node_energy) {
-            self.node_energy[orig.index()] += energy;
+        for (&orig, &energy) in node_map.iter().zip(&phase.node_energy) {
+            let total = &mut self.node_energy[orig.index()];
+            *total = total.saturating_add(energy);
         }
         for (&orig, load) in edge_map.iter().zip(&phase.edge_congestion) {
             self.edge_congestion[orig.index()] += load;
@@ -288,7 +262,6 @@ mod tests {
         assert_eq!(z.max_congestion(), 0);
         assert_eq!(z.max_energy(), 0);
         assert_eq!(z.mean_energy(), 0.0);
-        assert_eq!(z.mean_congestion(), 0.0);
     }
 
     #[test]
@@ -312,16 +285,6 @@ mod tests {
         assert_eq!(a.fault_delays, 6);
         assert_eq!(a.crashes, 1);
         assert_eq!(a.restarts, 2);
-    }
-
-    #[test]
-    fn concurrent_merge_takes_max_rounds() {
-        let mut a = sample(2, 3, 5);
-        let b = sample(2, 3, 7);
-        a.merge_concurrent(&b);
-        assert_eq!(a.rounds, 7);
-        assert_eq!(a.messages, 20);
-        assert_eq!(a.max_energy(), 6);
     }
 
     #[test]
@@ -365,6 +328,21 @@ mod tests {
         via_remap.merge_sequential(&sub.remap(&node_map, &edge_map, 5, 4));
         assert_eq!(direct, via_remap);
         assert_eq!(direct.node_energy, vec![3, 10, 3, 9, 3]);
+    }
+
+    #[test]
+    fn sequential_merges_saturate_time_and_energy() {
+        let huge = sample(2, 1, u64::MAX / 4 * 3);
+        let mut direct = huge.clone();
+        direct.node_energy = vec![u64::MAX - 1, 0];
+        let mut mapped = direct.clone();
+        direct.merge_sequential(&huge);
+        mapped.merge_sequential_mapped(&huge, &[NodeId(0), NodeId(1)], &[EdgeId(0)]);
+        for merged in [direct, mapped] {
+            assert_eq!(merged.rounds, u64::MAX);
+            assert_eq!(merged.node_energy, vec![u64::MAX, 3]);
+            assert_eq!(merged.mean_energy(), (u64::MAX as f64 + 3.0) / 2.0);
+        }
     }
 
     #[test]

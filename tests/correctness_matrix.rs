@@ -85,8 +85,8 @@ fn every_bfs_solver_matches_sequential_bfs() {
 
 #[test]
 fn free_function_wrappers_agree_with_the_facade() {
-    // The per-algorithm free functions remain as thin entry points under the
-    // facade; both paths must produce identical outputs and metrics.
+    // `cssp::cssp` stays public beside the facade (the perf ledger times it
+    // on its own); both paths must produce identical outputs and metrics.
     let cfg = AlgoConfig::default();
     for (name, g) in workloads().into_iter().take(4) {
         let sources = [NodeId(1)];

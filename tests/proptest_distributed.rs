@@ -29,7 +29,7 @@ proptest! {
     /// Congestion accounting: the sum of per-edge congestion equals the total
     /// message count, and the unified report agrees with the raw metrics.
     /// (The per-edge vector is not part of the facade's `RunReport`, so this
-    /// property reaches below it through the free function.)
+    /// property reaches below it through the public `cssp::cssp` layer.)
     #[test]
     fn congestion_accounting_is_consistent((g, src) in arbitrary_weighted_graph()) {
         let raw = congest_sssp_suite::sssp::cssp::cssp(&g, &[src], &Default::default()).unwrap();
