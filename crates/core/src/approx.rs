@@ -14,11 +14,11 @@
 //! The run takes `O(ε⁻¹ · n)` rounds and sends `O(1)` messages per edge.
 
 use congest_graph::{Distance, Graph, Weight};
-use congest_sim::{Metrics, RunScratch};
+use congest_sim::Metrics;
 
 use crate::error::check_sources;
 use crate::result::SourceOffset;
-use crate::weighted_bfs::waiting_bfs_in;
+use crate::weighted_bfs::waiting_bfs;
 use crate::{AlgoConfig, AlgoError};
 
 /// The result of one cutter invocation.
@@ -48,13 +48,9 @@ impl CutterOutcome {
 ///
 /// # Errors
 ///
-/// Returns an error for an empty or out-of-range source set, an
-/// `epsilon_inverse` whose round limit does not fit, a zero weight, or a
+/// Returns an error for an empty or out-of-range source set, a zero `w_max`,
+/// an `epsilon_inverse` whose round limit does not fit, a zero weight, or a
 /// simulation failure.
-///
-/// # Panics
-///
-/// Panics if `w_max == 0`.
 pub fn approximate_cssp(
     g: &Graph,
     sources: &[SourceOffset],
@@ -62,20 +58,23 @@ pub fn approximate_cssp(
     config: &AlgoConfig,
 ) -> Result<CutterOutcome, AlgoError> {
     check_sources(g, sources.iter().map(|s| s.node))?;
-    approximate_cssp_in(g, sources.to_vec(), w_max, config, &mut RunScratch::default())
+    approximate_cssp_validated(g, sources.to_vec(), w_max, config)
 }
 
-/// [`approximate_cssp`] with its waiting BFS run in engine buffers the caller
-/// keeps (the recursion's, see `docs/APSP.md`), on a checked source list the
-/// caller built for this call and hands over to be rescaled in place.
-pub(crate) fn approximate_cssp_in(
+/// [`approximate_cssp`] on a checked source list the caller built for this
+/// call and hands over to be rescaled in place.
+pub(crate) fn approximate_cssp_validated(
     g: &Graph,
     mut sources: Vec<SourceOffset>,
     w_max: u64,
     config: &AlgoConfig,
-    scratch: &mut RunScratch,
 ) -> Result<CutterOutcome, AlgoError> {
-    assert!(w_max > 0, "the cutter threshold W must be positive");
+    if w_max == 0 {
+        return Err(AlgoError::UnsupportedRequest {
+            algorithm: "approx-cutter",
+            reason: "a zero threshold",
+        });
+    }
     let n = g.node_count().max(2) as u128;
     let inv = config.epsilon_inverse.max(1) as u128;
     // Nodes with true (offset) distance <= 2W have scaled distance at most
@@ -106,7 +105,7 @@ pub(crate) fn approximate_cssp_in(
     for source in &mut sources {
         source.offset = scale(source.offset);
     }
-    let run = waiting_bfs_in(g, &sources, &weights, limit, config, scratch)?;
+    let run = waiting_bfs(g, &sources, &weights, limit, config)?;
     let mut estimates = run.output.distances;
     for estimate in &mut estimates {
         if let Distance::Finite(scaled) = estimate {
@@ -277,6 +276,10 @@ mod tests {
         let out = approximate_cssp(&generators::path(3, 1), &far, u64::MAX, &cfg).unwrap();
         assert_eq!(out.estimates, [Distance::Finite(u64::MAX); 3]);
         assert_eq!(out.error_bound, u64::MAX);
+        // At `W = 0` the rescaling divided by zero (an assertion stopped it).
+        let plain = [SourceOffset::plain(NodeId(0))];
+        let zero = approximate_cssp(&generators::path(4, 3), &plain, 0, &cfg);
+        assert!(matches!(zero, Err(AlgoError::UnsupportedRequest { .. })), "{zero:?}");
     }
 
     #[test]

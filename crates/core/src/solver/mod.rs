@@ -215,12 +215,6 @@ impl SolverRequest<'_> {
             }
             Algorithm::ApproximateCssp => {
                 let w = self.threshold.unwrap_or(full_distance);
-                if w == 0 {
-                    return Err(AlgoError::UnsupportedRequest {
-                        algorithm: info.name,
-                        reason: "a zero threshold",
-                    });
-                }
                 let out = approximate_cssp(g, &self.sources, w, &self.config)?;
                 let output = DistanceOutput { distances: out.estimates };
                 let mut report = new_report(&out.metrics, &output);

@@ -35,21 +35,21 @@
 //! the induced subgraph is built from the members' adjacency straight into
 //! CSR ([`Graph::induced_on`]), phases are scatter-added into the accumulated
 //! metrics ([`Metrics::merge_sequential_mapped`]), and the spanning forest
-//! and the cutter's simulated run work in buffers the workspace owns
-//! (`ForestScratch`, [`RunScratch`]). The per-subproblem allocations that
-//! remain are outputs: the subgraph, its edge map, the filtered source list,
-//! `V₁`, the second half's node set and the result runs — plus the cutter's
-//! rounded weights and what its run returns. The B-tree recursion this replaced
-//! lives on in `thresholded/reference.rs` (test-only) as the differential
-//! oracle.
+//! and the cutter's simulated run work in buffers that outlive a subproblem
+//! (the workspace's `ForestScratch`, and the engine's, which belong to the
+//! calling thread). The per-subproblem allocations that remain are outputs:
+//! the subgraph, its edge map, the filtered source list, `V₁`, the second
+//! half's node set and the result runs — plus the cutter's rounded weights
+//! and what its run returns. The B-tree recursion this replaced lives on in
+//! `thresholded/reference.rs` (test-only) as the differential oracle.
 //!
 //! simlint: hot-path
 
 use congest_graph::{Distance, EdgeId, Graph, NodeId, SubsetMarks, Weight};
-use congest_sim::{Metrics, RunScratch};
+use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
-use crate::approx::approximate_cssp_in;
+use crate::approx::approximate_cssp_validated;
 use crate::cssp::CsspRun;
 use crate::error::check_sources;
 use crate::result::{DistanceOutput, SourceOffset};
@@ -163,9 +163,6 @@ struct Recursion<'a> {
     /// Each use re-marks; nothing is assumed to survive a recursive call.
     marks: SubsetMarks,
     forest: ForestScratch,
-    /// The simulator's buffers for the cutter's waiting BFS, one run per
-    /// subproblem: each run re-arms them for its own subgraph.
-    engine: RunScratch,
     /// The best offset found so far for each node of `V₁ \ V₂` (by local
     /// index) while the second half's sources are collected.
     cut_offsets: Vec<Weight>,
@@ -187,7 +184,6 @@ impl<'a> Recursion<'a> {
             total_size: 0,
             marks: SubsetMarks::new(n),
             forest: ForestScratch::default(),
-            engine: RunScratch::default(),
             cut_offsets: Vec::new(), // simlint::allow(hot-path-alloc: workspace column, as above)
             #[cfg(test)]
             base_case_scanned: 0,
@@ -280,7 +276,7 @@ impl<'a> Recursion<'a> {
         let forest_metrics = self.forest.run(&sub, false);
         self.metrics.merge_sequential_mapped(forest_metrics, nodes, &edge_map);
 
-        let cut = approximate_cssp_in(&sub, sub_sources, d, self.config, &mut self.engine)?;
+        let cut = approximate_cssp_validated(&sub, sub_sources, d, self.config)?;
         self.metrics.merge_sequential_mapped(&cut.metrics, nodes, &edge_map);
 
         let include = cut.inclusion_threshold(d);

@@ -14,7 +14,7 @@
 //! simulation pays per event instead of per node-round.
 
 use congest_graph::{Distance, Graph, NodeId, Weight};
-use congest_sim::{Engine, Message, NodeCtx, Protocol, RunScratch};
+use congest_sim::{Engine, Message, NodeCtx, Protocol, RunOutcome};
 
 use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
 use crate::{AlgoConfig, AlgoError};
@@ -84,9 +84,7 @@ impl Protocol for WaitingBfsNode<'_> {
 }
 
 /// Runs waiting BFS from `sources` (with initial offsets, all inside `g`)
-/// using the given per-edge weights, for `limit` rounds, in engine buffers
-/// the caller keeps: the recursion makes thousands of these runs on a few
-/// dozen nodes each, and owns one scratch for all of them. Nodes whose
+/// using the given per-edge weights, for `limit` rounds. Nodes whose
 /// weighted distance under `weights` exceeds `limit` output
 /// [`Distance::Infinite`].
 ///
@@ -97,31 +95,28 @@ impl Protocol for WaitingBfsNode<'_> {
 ///
 /// Returns an error if the weight map does not fit `g` or has a zero, or if
 /// the simulation exceeds its round limit.
-pub(crate) fn waiting_bfs_in(
+pub(crate) fn waiting_bfs(
     g: &Graph,
     sources: &[SourceOffset],
     weights: &[Weight],
     limit: u64,
     config: &AlgoConfig,
-    scratch: &mut RunScratch,
 ) -> Result<AlgoRun, AlgoError> {
-    run_waiting_bfs(g, sources, weights, limit, config, scratch, |node| node, |node| node.dist)
+    let run = run_waiting_bfs(g, sources, weights, limit, config, |node| node)?;
+    Ok(distances_of(run, |node| node.dist))
 }
 
-/// [`waiting_bfs_in`] over any protocol built from a [`WaitingBfsNode`], so
-/// that the tests can put the always-stepped reference through the same
-/// set-up.
-#[allow(clippy::too_many_arguments)]
+/// [`waiting_bfs`]'s engine run, over any protocol built from a
+/// [`WaitingBfsNode`], so that the tests can put the always-stepped
+/// reference through the same set-up and read the whole outcome.
 fn run_waiting_bfs<'w, P: Protocol>(
     g: &Graph,
     sources: &[SourceOffset],
     weights: &'w [Weight],
     limit: u64,
     config: &AlgoConfig,
-    scratch: &mut RunScratch,
     protocol: impl Fn(WaitingBfsNode<'w>) -> P,
-    dist: impl Fn(&P) -> Distance,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<RunOutcome<P>, AlgoError> {
     if weights.len() != g.edge_count() as usize {
         return Err(AlgoError::WeightMapMismatch {
             expected: g.edge_count() as usize,
@@ -140,7 +135,7 @@ fn run_waiting_bfs<'w, P: Protocol>(
     }
     let mut sim = config.sim.clone();
     sim.max_rounds = sim.max_rounds.max(limit.saturating_add(10));
-    let run = Engine::new(g, sim).run_in(scratch, |id: NodeId| {
+    let node = |id: NodeId| {
         protocol(WaitingBfsNode {
             dist: Distance::Infinite,
             best: offsets[id.index()],
@@ -148,9 +143,15 @@ fn run_waiting_bfs<'w, P: Protocol>(
             limit,
             weights,
         })
-    })?;
+    };
+    Ok(Engine::new(g, sim).run(node)?)
+}
+
+/// The distances `dist` reads off the final states of `run`, with its
+/// metrics and trace.
+fn distances_of<P>(run: RunOutcome<P>, dist: impl Fn(&P) -> Distance) -> AlgoRun {
     let distances = run.states.iter().map(dist).collect();
-    Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
+    AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace }
 }
 
 #[cfg(test)]
@@ -158,19 +159,10 @@ mod tests {
     use super::*;
     use crate::test_graphs;
     use congest_graph::{generators, sequential};
+    use std::collections::BTreeSet;
 
     fn graph_weights(g: &Graph) -> Vec<Weight> {
         g.edges().iter().map(|e| e.w).collect()
-    }
-
-    fn in_fresh_scratch(
-        g: &Graph,
-        sources: &[SourceOffset],
-        weights: &[Weight],
-        limit: u64,
-        config: &AlgoConfig,
-    ) -> Result<AlgoRun, AlgoError> {
-        waiting_bfs_in(g, sources, weights, limit, config, &mut RunScratch::default())
     }
 
     /// The protocol as it was before [`NodeCtx::listen_until`]: stepped in
@@ -246,22 +238,17 @@ mod tests {
         // and not at a deadline its listener was woken ahead of.
         let plain = [SourceOffset::plain(NodeId(0))];
         let cfg = AlgoConfig::default();
-        let scratch = &mut RunScratch::default();
         for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
             let full = g.distance_upper_bound();
             for w_max in [full, (full / 8).max(1)] {
                 let (sources, weights, limit) = rounded(g, &plain, w_max, 2);
-                let calls = std::cell::RefCell::new(std::collections::BTreeSet::new());
-                let before = scratch.rounds_visited();
                 let wrap = |node| Recorded(node, Vec::new());
-                let read = |s: &Recorded| {
-                    calls.borrow_mut().extend(s.1.iter().copied());
-                    s.0.dist
-                };
-                run_waiting_bfs(g, &sources, &weights, limit, &cfg, scratch, wrap, read).unwrap();
-                let visited = scratch.rounds_visited() - before;
-                let eventful = calls.borrow().len() as u64;
+                let run = run_waiting_bfs(g, &sources, &weights, limit, &cfg, wrap).unwrap();
+                let calls: BTreeSet<u64> =
+                    run.states.iter().flat_map(|s| s.1.iter().copied()).collect();
+                let eventful = calls.len() as u64;
                 assert!(eventful > 2 && eventful < limit, "workload {i}: {eventful} of {limit}");
+                let visited = run.rounds_visited;
                 assert_eq!(visited, eventful, "workload {i}, W = {w_max}, {limit} rounds");
             }
         }
@@ -289,20 +276,9 @@ mod tests {
             }
             for cfg in test_graphs::configs() {
                 for (sources, weights, limit) in &instances {
-                    let fast = in_fresh_scratch(g, sources, weights, *limit, &cfg).unwrap();
-                    let fresh = &mut RunScratch::default();
-                    let stepped = |s: &AlwaysStepped| s.0.dist;
-                    let slow = run_waiting_bfs(
-                        g,
-                        sources,
-                        weights,
-                        *limit,
-                        &cfg,
-                        fresh,
-                        AlwaysStepped,
-                        stepped,
-                    )
-                    .unwrap();
+                    let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
+                    let slow = run_waiting_bfs(g, sources, weights, *limit, &cfg, AlwaysStepped);
+                    let slow = distances_of(slow.unwrap(), |s: &AlwaysStepped| s.0.dist);
                     // Full AlgoRun equality: distances, every metrics field
                     // (per-node energy included), and the trace.
                     assert_eq!(fast, slow, "workload {i}, limit {limit}");
@@ -321,14 +297,9 @@ mod tests {
                 seed,
             );
             let limit = g.distance_upper_bound() + 1;
-            let run = in_fresh_scratch(
-                &g,
-                &[SourceOffset::plain(NodeId(0))],
-                &graph_weights(&g),
-                limit,
-                &cfg,
-            )
-            .unwrap();
+            let run =
+                waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), limit, &cfg)
+                    .unwrap();
             let expected = sequential::dijkstra(&g, &[NodeId(0)]);
             for v in g.nodes() {
                 assert_eq!(run.output.distance(v), expected.distance(v), "seed {seed} node {v}");
@@ -344,7 +315,7 @@ mod tests {
             SourceOffset { node: NodeId(0), offset: 5 },
             SourceOffset { node: NodeId(5), offset: 0 },
         ];
-        let run = in_fresh_scratch(&g, &sources, &graph_weights(&g), 100, &cfg).unwrap();
+        let run = waiting_bfs(&g, &sources, &graph_weights(&g), 100, &cfg).unwrap();
         // Node 0: min(5, 0 + 5 edges * 2) = 5. Node 2: min(5 + 4, 0 + 6) = 6.
         assert_eq!(run.output.distance(NodeId(0)).finite(), Some(5));
         assert_eq!(run.output.distance(NodeId(2)).finite(), Some(6));
@@ -354,9 +325,8 @@ mod tests {
     fn limit_truncates_far_nodes() {
         let cfg = AlgoConfig::default();
         let g = generators::path(10, 3);
-        let run =
-            in_fresh_scratch(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), 9, &cfg)
-                .unwrap();
+        let run = waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &graph_weights(&g), 9, &cfg)
+            .unwrap();
         assert_eq!(run.output.distance(NodeId(3)).finite(), Some(9));
         assert!(run.output.distance(NodeId(4)).is_infinite());
         assert!(run.metrics.rounds <= 12);
@@ -366,7 +336,7 @@ mod tests {
     fn congestion_is_constant_per_edge() {
         let cfg = AlgoConfig::default();
         let g = generators::with_random_weights(&generators::random_connected(40, 100, 7), 4, 7);
-        let run = in_fresh_scratch(
+        let run = waiting_bfs(
             &g,
             &[SourceOffset::plain(NodeId(0))],
             &graph_weights(&g),
@@ -382,8 +352,7 @@ mod tests {
         let cfg = AlgoConfig::default();
         let g = generators::path(4, 100);
         // Override all weights to 1: distances become hop counts.
-        let run =
-            in_fresh_scratch(&g, &[SourceOffset::plain(NodeId(0))], &[1, 1, 1], 10, &cfg).unwrap();
+        let run = waiting_bfs(&g, &[SourceOffset::plain(NodeId(0))], &[1, 1, 1], 10, &cfg).unwrap();
         assert_eq!(run.output.distance(NodeId(3)).finite(), Some(3));
     }
 
@@ -393,11 +362,11 @@ mod tests {
         let g = generators::path(4, 1);
         let source = [SourceOffset::plain(NodeId(0))];
         assert!(matches!(
-            in_fresh_scratch(&g, &source, &[1, 1], 10, &cfg),
+            waiting_bfs(&g, &source, &[1, 1], 10, &cfg),
             Err(AlgoError::WeightMapMismatch { expected: 3, found: 2 })
         ));
         assert!(matches!(
-            in_fresh_scratch(&g, &source, &[1, 0, 1], 10, &cfg),
+            waiting_bfs(&g, &source, &[1, 0, 1], 10, &cfg),
             Err(AlgoError::ZeroWeightNotSupported { .. })
         ));
     }

@@ -17,8 +17,8 @@ use congest_graph::{EdgeId, NodeId};
 
 use super::zeroed;
 
-/// Dense per-edge-direction send counters for one round. Part of a
-/// [`crate::RunScratch`]: [`CapacityTracker::rearm`] sizes it for a run.
+/// Dense per-edge-direction send counters for one round. Part of the
+/// thread's `RunScratch`: [`CapacityTracker::rearm`] sizes it for a run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CapacityTracker {
     /// The current round's stamp.

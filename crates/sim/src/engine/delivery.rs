@@ -28,7 +28,7 @@ use crate::Message;
 const PLACEHOLDER: Message = Message { from: NodeId(0), edge: EdgeId(0), words: Words::EMPTY };
 
 /// Flat inbox storage for one round of deliveries over all `n` nodes; part
-/// of a [`crate::RunScratch`], [`DeliveryArena::rearm`]ed for each run.
+/// of the thread's `RunScratch`, [`DeliveryArena::rearm`]ed for each run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryArena {
     /// This round's delivered messages, grouped by recipient, at the front;

@@ -13,8 +13,8 @@
 //!   with the round's epoch: a round's reset is one increment, and a send
 //!   finds its direction from its two endpoints without an edge load.
 //! * `round` — `RoundCore`: the state of a run and every rule of a round,
-//!   each written once (next section), over the buffers of a [`RunScratch`]
-//!   ("Per-run scratch" below).
+//!   each written once (next section), over the buffers of a `RunScratch`
+//!   ("Per-thread buffers" below).
 //! * `reference` — the retained naive `O(n)`-per-round loop
 //!   ([`Engine::run_reference`]), the semantic oracle for differential
 //!   tests. It shares no code with `round`.
@@ -25,7 +25,7 @@
 //! in-flight, delivery — is allocation-free in steady state;
 //! `tests/alloc_regression.rs` pins that with a counting global allocator,
 //! and pins the per-run set-up (allocations and bytes) beside it: what a
-//! fresh scratch asks for, and that a warm one asks for nothing.
+//! thread's first run asks for, and that its next ones ask for nothing.
 //!
 //! # A round is these calls on `RoundCore`, in this order
 //!
@@ -90,16 +90,18 @@
 //! entry — the wake queue walks its ring in round order past entries whose
 //! node has moved on, and drops such entries off the top of its far tier —
 //! so a run of listeners opens exactly the rounds in which somebody is
-//! called back, and [`RunScratch::rounds_visited`] says so without a clock.
+//! called back, and [`RunOutcome::rounds_visited`] says so without a clock.
 //!
-//! # Per-run scratch
+//! # Per-thread buffers
 //!
 //! What a run needs besides its protocol states is `O(n + m)` of scheduler
 //! columns, counters and message buffers. Built per run, that set-up is the
 //! larger part of a *small* run — the recursion of Section 2.3 makes
-//! thousands on a few dozen nodes each — so the buffers live in a
-//! [`RunScratch`] the caller may keep: [`Engine::run_in`] is the one driver,
-//! and [`Engine::run`] is `run_in` on a scratch it drops afterwards.
+//! thousands on a few dozen nodes each, and APSP makes `n` such recursions —
+//! so the buffers live in a `RunScratch` that each thread keeps for its runs:
+//! [`Engine::run`] borrows the calling thread's. A run nested in another on
+//! the same thread (a protocol that runs an engine inside its callback) finds
+//! that scratch in use and works in a fresh one.
 //!
 //! The rule that makes reuse safe is **re-arm at entry**: a run never
 //! trusts what it finds. `RoundCore::new` clears every buffer and sizes it
@@ -110,12 +112,17 @@
 //! up at exit, so nothing depends on an exit having happened. The states,
 //! the two [`Metrics`] columns and the trace are the run's results and are
 //! allocated fresh; the fault layer belongs to the run's plan.
+//!
+//! Nothing is given back either: a thread keeps the capacity of the largest
+//! run it has made until it exits, as a scratch held by the caller would.
 
 mod active_set;
 mod capacity;
 mod delivery;
 mod reference;
 mod round;
+
+use std::cell::RefCell;
 
 use congest_graph::{Graph, NodeId};
 
@@ -151,6 +158,11 @@ pub struct RunOutcome<P> {
     /// The per-round edge usage trace, if [`SimConfig::record_edge_trace`]
     /// was enabled.
     pub trace: Option<EdgeUsageTrace>,
+    /// The rounds the run opened — looked at, whether or not anything
+    /// happened in them: a deterministic work counter (host cost without a
+    /// clock). Rounds a run fast-forwards over are not counted. Counted by
+    /// [`Engine::run`] only; [`Engine::run_reference`] reports 0.
+    pub rounds_visited: u64,
 }
 
 /// The simulation engine: drives per-node [`Protocol`] state machines through
@@ -162,17 +174,18 @@ pub struct Engine<'g> {
     config: SimConfig,
 }
 
-/// The buffers [`Engine::run_in`] works in, kept from one run to the next so
-/// that a small run costs its events and not its set-up: the wake queue, the
-/// delivery arena, the capacity counters, the in-flight double buffer and
-/// the awake list (see "Per-run scratch" in the engine module docs).
+/// The buffers [`Engine::run`] works in, kept by each thread from one run to
+/// the next so that a small run costs its events and not its set-up: the
+/// wake queue, the delivery arena, the capacity counters, the in-flight
+/// double buffer and the awake list (see "Per-thread buffers" in the module
+/// docs).
 ///
 /// A scratch carries nothing from run to run but capacity. Each run re-arms
 /// it on entry — for its own graph and configuration, which may both differ
 /// from the last run's — so neither a finished run nor one that ended in an
 /// error or a panic can be observed by the next.
 #[derive(Debug, Default)]
-pub struct RunScratch {
+struct RunScratch {
     /// The buffers of `RoundCore`.
     round: RoundScratch,
     /// The round's inboxes.
@@ -182,14 +195,11 @@ pub struct RunScratch {
     outgoing: Vec<InFlight>,
 }
 
-impl RunScratch {
-    /// The rounds opened — looked at, whether or not anything happened in
-    /// them — by every run that used this scratch: a deterministic work
-    /// counter (host cost without a clock). Rounds a run fast-forwards over
-    /// are not counted.
-    pub fn rounds_visited(&self) -> u64 {
-        self.round.rounds_visited()
-    }
+thread_local! {
+    /// The calling thread's [`RunScratch`]. Safe to reuse by re-arm at
+    /// entry; a run that finds it borrowed — one nested in another run's
+    /// callback — works in a fresh scratch instead.
+    static SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::default());
 }
 
 impl<'g> Engine<'g> {
@@ -223,8 +233,12 @@ impl<'g> Engine<'g> {
     /// the naive sweep ([`Engine::run_reference`]), bit for bit. Every round
     /// runs on the calling thread.
     ///
-    /// This is [`Engine::run_in`] on a fresh [`RunScratch`]; a caller with
-    /// many runs to make keeps one and calls that.
+    /// The run works in the calling thread's buffers ("Per-thread buffers" in
+    /// the module docs): it re-arms them on entry (`O(n + m)` clears, no
+    /// allocation once the thread has made a run this large) and allocates
+    /// only what it returns — the states and the two [`Metrics`] columns. The
+    /// outcome does not depend on what the thread ran before, on which
+    /// engine, or how that run ended.
     ///
     /// # Errors
     ///
@@ -238,19 +252,14 @@ impl<'g> Engine<'g> {
         P: Protocol,
         F: FnMut(NodeId) -> P,
     {
-        self.run_in(&mut RunScratch::default(), factory)
+        SCRATCH.with(|slot| match slot.try_borrow_mut() {
+            Ok(mut scratch) => self.run_in(&mut scratch, factory),
+            Err(_) => self.run_in(&mut RunScratch::default(), factory),
+        })
     }
 
-    /// [`Engine::run`] in buffers the caller keeps: the run re-arms `scratch`
-    /// on entry (`O(n + m)` clears, no allocation once the buffers have seen
-    /// a run this large) and allocates only what it returns — the states and
-    /// the two [`Metrics`] columns. The outcome does not depend on what
-    /// `scratch` was used for before, by which engine, or how that run ended.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run`].
-    pub fn run_in<P, F>(
+    /// [`Engine::run`] in `scratch`.
+    fn run_in<P, F>(
         &self,
         scratch: &mut RunScratch,
         mut factory: F,
@@ -635,8 +644,7 @@ mod tests {
             dist: Distance::Infinite,
             callbacks: 0,
         };
-        let mut scratch = RunScratch::default();
-        let run = Engine::new(&g, SimConfig::default()).run_in(&mut scratch, factory).unwrap();
+        let run = Engine::new(&g, SimConfig::default()).run(factory).unwrap();
         let callbacks: u64 = run.states.iter().map(|s| s.callbacks).sum();
         assert!(callbacks <= 3 * n as u64, "{callbacks} callbacks for {n} nodes");
         // Nor does the engine look at a round in which nobody is called:
@@ -644,7 +652,7 @@ mod tests {
         // and the deadline — not the round after the last echo, to which
         // nothing was sent, and none of the `n − 1` idle ones before the
         // deadline.
-        assert_eq!(scratch.rounds_visited(), n as u64 + 2);
+        assert_eq!(run.rounds_visited, n as u64 + 2);
         assert_eq!(run.metrics.rounds, until + 1);
         assert_eq!(run.metrics.node_energy.iter().sum::<u64>(), n as u64 * run.metrics.rounds);
         assert_eq!(run.metrics.messages_lost, 0, "a listener is never deaf");

@@ -236,7 +236,7 @@ impl Engine<'_> {
                     metrics.messages_lost += rt.pending_count();
                 }
                 metrics.rounds = round + 1;
-                return Ok(RunOutcome { states, metrics, trace });
+                return Ok(RunOutcome { states, metrics, trace, rounds_visited: 0 });
             }
 
             // Deadlock / quiescence guard: nobody is awake now or in the

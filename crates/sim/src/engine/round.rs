@@ -2,8 +2,8 @@
 //!
 //! [`RoundCore`] holds everything about a run that is not a protocol state:
 //! the round counter, the fault layer, the [`Metrics`] and the optional
-//! trace, which are the run's own, and — borrowed from the caller's
-//! [`crate::RunScratch`] as a [`RoundScratch`], re-armed by
+//! trace, which are the run's own, and — borrowed from the thread's
+//! `RunScratch` as a [`RoundScratch`], re-armed by
 //! [`RoundCore::new`] — the in-flight stream being delivered, the awake
 //! list, the scheduler and the capacity counters. Each rule of the model is
 //! one method, called by the driver in [`super`] in the order its module
@@ -33,7 +33,7 @@ use super::capacity::CapacityTracker;
 use super::delivery::DeliveryArena;
 
 /// The buffers of [`RoundCore`] that outlive a run, kept in a
-/// [`crate::RunScratch`]. Nothing in here is read before
+/// `RunScratch`. Nothing in here is read before
 /// [`RoundCore::new`] has re-armed it, so what the previous run left behind —
 /// however it ended — cannot be observed.
 #[derive(Debug, Default)]
@@ -48,15 +48,6 @@ pub(super) struct RoundScratch {
     capacity: CapacityTracker,
     /// This round's `(edge, 1)` per send, coalesced by `end_round`.
     round_trace: Vec<(EdgeId, u32)>,
-    /// Rounds opened by every run on these buffers; see
-    /// [`crate::RunScratch::rounds_visited`].
-    rounds_visited: u64,
-}
-
-impl RoundScratch {
-    pub(super) fn rounds_visited(&self) -> u64 {
-        self.rounds_visited
-    }
 }
 
 /// The state and rules of a run's rounds; see the module docs.
@@ -77,6 +68,8 @@ pub(super) struct RoundCore<'e> {
     faults: Option<FaultRuntime>,
     metrics: Metrics,
     trace: Option<EdgeUsageTrace>,
+    /// See [`RunOutcome::rounds_visited`].
+    rounds_visited: u64,
 }
 
 impl<'e> RoundCore<'e> {
@@ -105,6 +98,7 @@ impl<'e> RoundCore<'e> {
             faults,
             metrics: Metrics::zero(n, m),
             trace: config.record_edge_trace.then(EdgeUsageTrace::default),
+            rounds_visited: 0,
         }
     }
 
@@ -121,7 +115,7 @@ impl<'e> RoundCore<'e> {
     /// needs neither pass.
     pub(super) fn begin_round(&mut self, mut reset: impl FnMut(NodeId)) -> Result<bool, SimError> {
         let round = self.round;
-        self.buf.rounds_visited += 1;
+        self.rounds_visited += 1;
         if round > self.engine.config().max_rounds {
             return Err(SimError::RoundLimitExceeded {
                 limit: self.engine.config().max_rounds,
@@ -335,6 +329,7 @@ impl<'e> RoundCore<'e> {
 
     /// The outcome of a run [`RoundCore::end_round`] declared over.
     pub(super) fn into_outcome<P>(self, states: Vec<P>) -> RunOutcome<P> {
-        RunOutcome { states, metrics: self.metrics, trace: self.trace }
+        let (metrics, trace, rounds_visited) = (self.metrics, self.trace, self.rounds_visited);
+        RunOutcome { states, metrics, trace, rounds_visited }
     }
 }

@@ -125,7 +125,7 @@ mod node;
 pub mod scheduler;
 pub mod workloads;
 
-pub use engine::{Engine, RunOutcome, RunScratch};
+pub use engine::{Engine, RunOutcome};
 pub use error::SimError;
 pub use fault::{CrashEvent, FaultPlan};
 pub use message::{Message, Words};

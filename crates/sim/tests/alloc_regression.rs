@@ -19,12 +19,12 @@
 //! its idle rounds all work in place on per-run buffers.
 //!
 //! One `Engine::run` also has a pinned *set-up*: the number of
-//! allocations and of bytes a run asks for before its first round is stepped
-//! is what the parent of the round-core refactor asked for — a second energy
-//! column, a per-step decision list or a copy of the state vector would show
-//! here without a clock. And a run in a warm [`RunScratch`] has none: its
-//! second `run_in` allocates what it returns, whatever the size of the graph
-//! or the length of the run.
+//! allocations and of bytes a thread's first run asks for before its first
+//! round is stepped is what the parent of the round-core refactor asked for —
+//! a second energy column, a per-step decision list or a copy of the state
+//! vector would show here without a clock. And the next run on that thread
+//! has none: it finds the buffers the first one grew and allocates what it
+//! returns, whatever the size of the graph or the length of the run.
 //!
 //! The random-delay scheduler's spread front end
 //! ([`congest_sim::scheduler::schedule_spread`]) holds a per-*message*
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use congest_graph::{generators, NodeId};
 use congest_sim::scheduler::{schedule_spread, SpreadInstance};
 use congest_sim::workloads::{ChaosListener, WaveBfs};
-use congest_sim::{Engine, Message, NodeCtx, Protocol, RunScratch, SimConfig};
+use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc); frees are not
 /// interesting here — a free implies a matching earlier allocation.
@@ -152,23 +152,45 @@ const REPEATS: usize = 3;
 fn allocations_of<T>(mut run: impl FnMut() -> T) -> (u64, u64) {
     let mut least = (u64::MAX, u64::MAX);
     for _ in 0..REPEATS {
-        // simlint::allow(relaxed-ordering: monotone test-only counters read on the thread that allocates)
-        let before = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
-        let out = run();
-        // simlint::allow(relaxed-ordering: as above)
-        let after = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
-        drop(out);
-        least = (least.0.min(after.0 - before.0), least.1.min(after.1 - before.1));
+        least = min_pair(least, allocations_of_one(&mut run));
     }
     least
 }
 
+/// [`allocations_of`] a thread's first call of `run`: each repeat is made on
+/// a freshly spawned thread, whose engine buffers have seen no run yet.
+fn setup_allocations_of<T>(run: impl Fn() -> T + Sync) -> (u64, u64) {
+    let mut least = (u64::MAX, u64::MAX);
+    for _ in 0..REPEATS {
+        let first = std::thread::scope(|s| s.spawn(|| allocations_of_one(&run)).join());
+        least = min_pair(least, first.expect("no panic"));
+    }
+    least
+}
+
+fn allocations_of_one<T>(run: impl FnOnce() -> T) -> (u64, u64) {
+    // simlint::allow(relaxed-ordering: monotone test-only counters read on the thread that allocates)
+    let before = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let out = run();
+    // simlint::allow(relaxed-ordering: as above)
+    let after = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    drop(out);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+fn min_pair(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
+    (a.0.min(b.0), a.1.min(b.1))
+}
+
 /// `(round, allocations during it)` for every round between two consecutive
 /// `(round, allocations so far)` snapshots of a probe that is stepped every
-/// round, over [`REPEATS`] runs of the same deterministic execution.
-fn round_deltas(mut snapshots_of_run: impl FnMut() -> Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    let mut deltas_of_run = || -> Vec<(u64, u64)> {
-        let snapshots = snapshots_of_run();
+/// round, over [`REPEATS`] runs of the same deterministic execution. Each
+/// run is made on a freshly spawned thread, so every repeat starts on empty
+/// engine buffers and a buffer that grows late shows in all of them.
+fn round_deltas(snapshots_of_run: impl Fn() -> Vec<(u64, u64)> + Sync) -> Vec<(u64, u64)> {
+    let deltas_of_run = || -> Vec<(u64, u64)> {
+        let snapshots =
+            std::thread::scope(|s| s.spawn(&snapshots_of_run).join()).expect("no panic");
         let delta = |pair: &[(u64, u64)]| {
             assert_eq!(pair[1].0, pair[0].0 + 1, "the probe is stepped every round");
             (pair[0].0, pair[1].1 - pair[0].1)
@@ -209,11 +231,12 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // hold for the two together.
     let grid = generators::grid(128, 128, 1);
     let engine = |g| Engine::new(g, SimConfig::default());
-    let halt_at_once = allocations_of(|| engine(&grid).run(|_| WaveBfs::new(None)).expect("halts"));
+    let halt_at_once =
+        setup_allocations_of(|| engine(&grid).run(|_| WaveBfs::new(None)).expect("halts"));
     // One run at the size of the cutter's instances inside `apsp-random`.
     let small = generators::random_connected(32, 40, 3);
     let schedule = WaveBfs::schedule(&small, &[NodeId(0)]);
-    let wave = allocations_of(|| {
+    let wave = setup_allocations_of(|| {
         engine(&small).run(|id| WaveBfs::new(schedule[id.index()])).expect("halts")
     });
     assert!(halt_at_once.0 <= 13 && halt_at_once.1 <= 1_928_704, "16384 nodes: {halt_at_once:?}");
@@ -223,7 +246,7 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // buffers, with one entry per listener however often it is woken (51
     // allocations and 29 880 bytes while it was a B-tree of buckets with a
     // spare pool and the engine came with its index).
-    let far = allocations_of(|| {
+    let far = setup_allocations_of(|| {
         engine(&small).run(|id| ListeningWave::new(id, 10_000)).expect("halts at the deadline")
     });
     assert!(far.0 <= 43 && far.1 <= 26_864, "32 listeners: {far:?}");
@@ -265,28 +288,30 @@ impl Protocol for ListeningWave {
     }
 }
 
-/// The second run on a scratch finds every buffer the first one grew: what
+/// The second run on a thread finds every buffer the first one grew: what
 /// is left to allocate is what the run hands back — the states and the two
 /// `Metrics` columns — on 32 nodes as on 16 384, over 10 rounds as over
 /// 10 000, with the far tier of the wake queue in use or not.
 fn a_warm_scratch_run_allocates_its_outputs_only() {
     let small = generators::random_connected(32, 40, 3);
     let grid = generators::grid(128, 128, 1);
-    let second_run = |run: &mut dyn FnMut(&mut RunScratch)| {
-        let scratch = &mut RunScratch::default();
-        run(scratch);
-        allocations_of(|| run(scratch)).0
+    let second_run = |run: &(dyn Fn() + Sync)| {
+        let on_a_fresh_thread = || {
+            run();
+            allocations_of(run).0
+        };
+        std::thread::scope(|s| s.spawn(on_a_fresh_thread).join()).expect("no panic")
     };
     let mut counts = Vec::new();
     for g in [&small, &grid] {
         let engine = Engine::new(g, SimConfig::default());
         let schedule = WaveBfs::schedule(g, &[NodeId(0)]);
-        counts.push(second_run(&mut |scratch| {
-            engine.run_in(scratch, |id| WaveBfs::new(schedule[id.index()])).expect("halts");
+        counts.push(second_run(&|| {
+            engine.run(|id| WaveBfs::new(schedule[id.index()])).expect("halts");
         }));
         for until in [10, 10_000] {
-            counts.push(second_run(&mut |scratch| {
-                engine.run_in(scratch, |id| ListeningWave::new(id, until)).expect("halts");
+            counts.push(second_run(&|| {
+                engine.run(|id| ListeningWave::new(id, until)).expect("halts");
             }));
         }
     }
@@ -334,6 +359,7 @@ fn steady_state_rounds_allocate_nothing() {
     // message path. 192 nodes keep the test fast; the buffers involved are
     // the same at any size.
     let until: u64 = 160;
+    // Each repeat runs on a fresh thread, whose engine buffers start empty.
     // The wake ring has 64 slots, each of which must grow to capacity n
     // once; everything else warms within a couple of rounds. 96 rounds of
     // warm-up covers the ring with margin.
@@ -416,11 +442,12 @@ impl Protocol for ProbedListener {
 fn listening_rounds_allocate_nothing() {
     // Waits of at most 60 rounds keep every deadline inside the wake queue's
     // 64-slot ring (the far tier's buffers grow with the entries queued, and
-    // that is the far-sleeper path, not this one). The load is random, so a
-    // buffer's high-water mark is never final; to make the measured window
-    // allocation-free by construction rather than by luck, the odd half of
-    // the nodes halts by round 200 and the window opens at 300, at half the
-    // load every buffer was sized under.
+    // that is the far-sleeper path, not this one). Each repeat runs on a
+    // fresh thread, whose engine buffers start empty, and the load is
+    // random, so a buffer's high-water mark is never final; to make the
+    // measured window allocation-free by construction rather than by luck,
+    // the odd half of the nodes halts by round 200 and the window opens at
+    // 300, at half the load every buffer was sized under.
     let (warmup, until) = (300u64, 700u64);
     let g = generators::random_connected(192, 400, 47);
     let deltas = round_deltas(|| {

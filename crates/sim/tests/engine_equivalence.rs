@@ -25,18 +25,20 @@
 //! lenient accounting — and the order in which a round fails: the first
 //! strict violation and the first protocol panic in node-id order.
 //!
-//! The dirty-scratch property is about [`RunScratch`]: a sequence of unlike
-//! runs — other graphs, protocols, fault plans, some of them cut short by an
-//! error or a panic — shares one scratch, and each run must come out exactly
-//! as it does on a fresh scratch and on the reference loop.
+//! The dirty-scratch property is about the buffers [`Engine::run`] keeps per
+//! thread: a sequence of unlike runs — other graphs, protocols, fault plans,
+//! some of them cut short by an error or a panic — is made on one thread, and
+//! each run must come out exactly as it does on a freshly spawned thread and
+//! on the reference loop. A run nested in another's callback, which finds
+//! its thread's buffers in use, must come out as the reference too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::workloads::{ChaosListener, HubPingPong, WaveBfs};
 use congest_sim::{
-    EdgeUsageTrace, Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, RunScratch,
-    SimConfig, SimError,
+    EdgeUsageTrace, Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig,
+    SimError,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -313,7 +315,6 @@ proptest! {
         script in 0u64..1_000_000,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(script);
-        let mut dirty = RunScratch::default();
         for i in 0..runs {
             let (g, cfg, seed, ending) = draw_run(&mut rng);
             let last = NodeId(g.node_count().saturating_sub(1));
@@ -333,8 +334,12 @@ proptest! {
                 }
             };
             let engine = Engine::new(&g, cfg.clone());
-            let reused = ended(|| engine.run_in(&mut dirty, node));
-            let fresh = ended(|| engine.run_in(&mut RunScratch::default(), node));
+            // This thread's buffers carry whatever its earlier runs, and the
+            // earlier cases of the property, left in them.
+            let reused = ended(|| engine.run(node));
+            let fresh = std::thread::scope(|scope| {
+                scope.spawn(|| ended(|| engine.run(node))).join().expect("caught in the thread")
+            });
             let reference = ended(|| engine.run_reference(node));
             let what = format!("run {i} of script {script}: {ending:?} on {} nodes", g.node_count());
             prop_assert_eq!(&reused, &fresh, "{}", what);
@@ -426,6 +431,60 @@ fn engines_are_equivalent_on_structured_graphs() {
             assert_engines_equivalent(&g, cfg.clone(), seed * 1000 + i as u64);
             assert_listeners_equivalent(&g, cfg, seed * 1000 + i as u64);
         }
+    }
+}
+
+/// Runs a whole simulation of its own inside its first callback: node 0
+/// runs the listening chaos workload on `inner` (while the outer run holds
+/// the thread's buffers) and keeps what it saw; every node is chaos otherwise.
+#[derive(Debug)]
+struct Nesting<'g> {
+    chaos: ChaosNode,
+    inner: Option<&'g Graph>,
+    seen: Option<(Metrics, Vec<(u64, u64)>)>,
+}
+
+impl Protocol for Nesting<'_> {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.chaos.init(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        if let Some(inner) = self.inner.take() {
+            self.seen = Some(inner_run(inner, self.chaos.digest, false));
+        }
+        self.chaos.on_round(ctx, inbox);
+    }
+}
+
+/// The listening chaos workload on `g` from `seed`, through [`Engine::run`]
+/// or the reference loop: its metrics and final `(digest, calls)`.
+fn inner_run(g: &Graph, seed: u64, reference: bool) -> (Metrics, Vec<(u64, u64)>) {
+    let engine =
+        Engine::new(g, SimConfig::default().with_faults(FaultPlan::none().with_max_skew(2)));
+    let node = |id| ChaosListener::new(seed, id, 60, 90);
+    let run = if reference { engine.run_reference(node) } else { engine.run(node) };
+    let run = run.expect("the listeners halt");
+    (run.metrics, run.states.iter().map(|s| (s.digest, s.calls)).collect())
+}
+
+#[test]
+fn a_run_nested_in_a_callback_gets_the_reference_result_for_both_runs() {
+    let outer = generators::random_connected(20, 30, 5);
+    let inner = generators::random_connected(12, 18, 6);
+    for seed in 0..6 {
+        let node = |id: NodeId| Nesting {
+            chaos: ChaosNode { sleeps: false, ..ChaosNode::new(seed, id) },
+            inner: (id == NodeId(0)).then_some(&inner),
+            seen: None,
+        };
+        let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
+        let key = |s: &Nesting| (s.chaos.digest, s.seen.clone());
+        let run = assert_equivalent_runs(&outer, cfg, seed, node, key).expect("halts");
+        let seen = run.states[0].seen.clone().expect("node 0 ran the inner simulation");
+        // Node 0 never sleeps, so its first callback is in round 1, before
+        // any mail has moved its digest off the seed.
+        assert_eq!(seen, inner_run(&inner, seed, true), "seed {seed}");
     }
 }
 
