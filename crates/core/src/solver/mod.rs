@@ -6,7 +6,7 @@
 //! variants, the baselines, and the APSP composition. This module exposes them
 //! uniformly:
 //!
-//! * [`Algorithm`] enumerates the solvers; [`registry`] describes each one's
+//! * [`Algorithm`] enumerates the solvers; [`registry()`] describes each one's
 //!   capabilities (weighted? multi-source? sleeping-model? approximate?
 //!   all-pairs? thresholded?), so callers can iterate solvers generically.
 //! * [`Solver::on`] starts a [`SolverRequest`] builder;
@@ -159,7 +159,7 @@ impl SolverRequest<'_> {
     /// reports node 0's row instead) and [`AlgoError::SourceOutOfRange`] for
     /// the first source outside the graph, for every algorithm;
     /// [`AlgoError::UnsupportedRequest`] if an option the algorithm does not
-    /// support was set (see [`registry`]); otherwise whatever the underlying
+    /// support was set (see [`registry()`]); otherwise whatever the underlying
     /// algorithm reports (zero weights where unsupported, simulation
     /// failures).
     pub fn run(self) -> Result<SolverRun, AlgoError> {
@@ -619,10 +619,12 @@ mod tests {
     fn a_hop_limit_of_u64_max_is_the_unthresholded_bfs() {
         // `limit + 10` used to overflow in the BFS (a panic in debug builds, a
         // wrapped round limit of 9, then `RoundLimitExceeded`, in release),
-        // and `2 * target` in the low-energy BFS's layered cover (a panic in
-        // debug builds, wrapped — too few — rounds in release).
+        // `2 * target` in the low-energy BFS's layered cover (a panic in
+        // debug builds, wrapped — too few — rounds in release), and rounding
+        // the threshold up to a power of two in `Cssp` (a panic in debug
+        // builds, a threshold of 0 in release).
         let g = weighted(30, 3);
-        for algorithm in [Algorithm::Bfs, Algorithm::LowEnergyBfs] {
+        for algorithm in [Algorithm::Bfs, Algorithm::LowEnergyBfs, Algorithm::Cssp] {
             let request = Solver::on(&g)
                 .algorithm(algorithm)
                 .source(NodeId(0))

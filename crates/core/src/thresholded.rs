@@ -113,8 +113,25 @@ pub(crate) fn thresholded_cssp_validated(
     config: &AlgoConfig,
 ) -> Result<CsspRun, AlgoError> {
     // Round the threshold up to a power of two so that halving stays exact
-    // down to the base case D = 1 (the paper picks D = 2^L similarly).
-    let threshold = threshold.max(1).next_power_of_two();
+    // down to the base case D = 1 (the paper picks D = 2^L similarly). Past
+    // 2^63 there is no such power; but no finite distance exceeds the largest
+    // offset plus `n · max w_e`, so rounding that bound gives the same
+    // distances.
+    let threshold = match threshold.max(1).checked_next_power_of_two() {
+        Some(rounded) => rounded,
+        None => sources
+            .iter()
+            .map(|s| s.offset)
+            .max()
+            .unwrap_or(0)
+            .saturating_add(g.distance_upper_bound())
+            .max(1)
+            .checked_next_power_of_two()
+            .ok_or(AlgoError::UnsupportedRequest {
+                algorithm: "recursive-cssp",
+                reason: "a threshold and source offsets past 2^63",
+            })?,
+    };
     let mut recursion = Recursion::new(g, config);
     // simlint::allow(hot-path-alloc: per-run, the root subproblem's node set)
     let all_nodes: Vec<NodeId> = g.nodes().collect();
@@ -592,6 +609,29 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(run.output.distance(v).finite(), Some(3 + 2 * v.0 as u64));
         }
+    }
+
+    #[test]
+    fn a_threshold_past_2_pow_63_is_the_largest_finite_distance() {
+        // `next_power_of_two` used to overflow here: a panic in debug builds,
+        // a threshold of 0 in release (the source at 0, everyone else
+        // `Infinite`).
+        let g = generators::with_random_weights(&generators::grid(4, 4, 1), 9, 4);
+        let cfg = AlgoConfig::default();
+        let sources = [
+            SourceOffset { node: NodeId(5), offset: 0 },
+            SourceOffset { node: NodeId(0), offset: 70 },
+        ];
+        let bound = 70 + g.distance_upper_bound();
+        for threshold in [(1 << 63) + 1, u64::MAX] {
+            let run = thresholded_cssp(&g, &sources, threshold, &cfg).unwrap();
+            assert_eq!(run, thresholded_cssp(&g, &sources, bound, &cfg).unwrap(), "{threshold}");
+            assert_eq!(run.output.reached_count(), 16);
+        }
+        // An offset past 2^63 leaves no power of two to round to.
+        let far = [SourceOffset { node: NodeId(0), offset: 1 << 63 }];
+        let err = thresholded_cssp(&g, &far, u64::MAX, &cfg).unwrap_err();
+        assert!(matches!(err, AlgoError::UnsupportedRequest { .. }), "{err:?}");
     }
 
     #[test]

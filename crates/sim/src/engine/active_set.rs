@@ -36,7 +36,7 @@
 //! rounds it idled through are never visited: [`ActiveSet::awake_rounds`]
 //! settles their energy in one subtraction when the node next runs.
 //!
-//! The scheduler is part of a [`crate::RunScratch`]: a run starts by
+//! The scheduler is part of a [`super::RunScratch`]: a run starts by
 //! [`ActiveSet::rearm`]ing it, which forgets the last run and keeps every
 //! buffer's capacity.
 //!

@@ -128,7 +128,7 @@ use congest_graph::{Graph, NodeId};
 
 use crate::message::InFlight;
 use crate::metrics::{EdgeUsageTrace, Metrics};
-use crate::{Network, Protocol, SimConfig, SimError};
+use crate::{Protocol, SimConfig, SimError};
 
 use delivery::DeliveryArena;
 use round::{RoundCore, RoundScratch};
@@ -166,11 +166,11 @@ pub struct RunOutcome<P> {
 }
 
 /// The simulation engine: drives per-node [`Protocol`] state machines through
-/// synchronous rounds over a [`Network`], enforcing the CONGEST and sleeping
+/// synchronous rounds over a [`Graph`], enforcing the CONGEST and sleeping
 /// model rules and recording [`Metrics`].
 #[derive(Debug, Clone)]
 pub struct Engine<'g> {
-    network: Network<'g>,
+    graph: &'g Graph,
     config: SimConfig,
 }
 
@@ -206,12 +206,12 @@ impl<'g> Engine<'g> {
     /// Creates an engine over the given graph with the given model
     /// configuration. Allocates nothing.
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        Engine { network: Network::new(graph), config }
+        Engine { graph, config }
     }
 
-    /// The network this engine simulates.
-    pub fn network(&self) -> &Network<'g> {
-        &self.network
+    /// The graph this engine simulates.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
     }
 
     /// The model configuration.
@@ -268,7 +268,7 @@ impl<'g> Engine<'g> {
         P: Protocol,
         F: FnMut(NodeId) -> P,
     {
-        let graph = self.network.graph();
+        let graph = self.graph;
         // Each node's sends are accounted in place and its request applied
         // at once, so nothing is buffered per step.
         let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();

@@ -58,14 +58,14 @@ impl Engine<'_> {
         P: Protocol,
         F: FnMut(NodeId) -> P,
     {
-        let graph = self.network().graph();
+        let graph = self.graph();
         let config = self.config();
         let n = graph.node_count() as usize;
         let m = graph.edge_count() as usize;
         let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
         let mut status =
             vec![NodeStatus { wake_at: 0, listening: false, halted: false, down: false }; n];
-        let mut faults = FaultRuntime::new(&config.faults, n, m);
+        let mut faults = FaultRuntime::new(&config.faults, n);
         let mut metrics = Metrics::zero(n, m);
         let mut trace =
             if config.record_edge_trace { Some(EdgeUsageTrace::default()) } else { None };
@@ -152,7 +152,7 @@ impl Engine<'_> {
                 // engine did — this loop deliberately keeps the naive
                 // allocation profile: it is the definition, not a fast path.
                 let mut outbox: Vec<InFlight> = Vec::new();
-                let mut ctx = NodeCtx::new(v, round, self.network(), &mut outbox);
+                let mut ctx = NodeCtx::new(v, round, self.graph(), &mut outbox);
                 let run_init = round == 0
                     || faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
                 if run_init {

@@ -77,7 +77,7 @@ impl<'e> RoundCore<'e> {
     /// `scratch` re-armed for it: `O(n + m)` clears that keep every
     /// buffer's capacity.
     pub(super) fn new(engine: &'e Engine<'e>, scratch: &'e mut RoundScratch) -> Self {
-        let graph = engine.network().graph();
+        let graph = engine.graph();
         let (n, m) = (graph.node_count() as usize, graph.edge_count() as usize);
         let config = engine.config();
         scratch.incoming.clear();
@@ -85,7 +85,7 @@ impl<'e> RoundCore<'e> {
         scratch.active.rearm(n);
         scratch.capacity.rearm(m);
         scratch.round_trace.clear();
-        let faults = FaultRuntime::new(&config.faults, n, m);
+        let faults = FaultRuntime::new(&config.faults, n);
         if faults.is_some() {
             scratch.active.enable_fault_filtering();
         }
@@ -203,7 +203,7 @@ impl<'e> RoundCore<'e> {
         let charge = if self.listeners { self.buf.active.awake_rounds(v, round) } else { 1 };
         let reinit =
             self.faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
-        let mut ctx = NodeCtx::new(v, round, self.engine.network(), sent);
+        let mut ctx = NodeCtx::new(v, round, self.engine.graph(), sent);
         if round == 0 || reinit {
             state.init(&mut ctx);
         } else {

@@ -3,13 +3,12 @@
 //!
 //! # Design: a fault plan, not a fault stream
 //!
-//! A [`FaultPlan`] is a *value* in [`crate::SimConfig`]: a seed, per-edge
-//! drop probabilities, per-edge delivery-latency bounds, and a list of
-//! [`CrashEvent`]s. Everything the fabric does under a plan is a pure
-//! function of that value and the execution itself — there is no hidden RNG
-//! state threaded through the engine. Concretely, the fate of a message is
-//! decided by a ChaCha8 stream keyed by
-//! `seed ⊕ mix(edge, sender, send round)`, so
+//! A [`FaultPlan`] is a *value* in [`crate::SimConfig`]: a seed, one drop
+//! probability, one delivery-latency bound, and a list of [`CrashEvent`]s.
+//! Everything the fabric does under a plan is a pure function of that value
+//! and the execution itself — there is no hidden RNG state threaded through
+//! the engine. Concretely, the fate of a message is decided by a ChaCha8
+//! stream keyed by `seed ⊕ mix(edge, sender, send round)`, so
 //!
 //! * the same plan on the same protocol produces the *identical* fault
 //!   schedule on every run, and
@@ -83,18 +82,12 @@ pub struct FaultPlan {
     /// the seed produce different drop/jitter schedules; the seed has no
     /// effect when no message faults are configured.
     pub seed: u64,
-    /// Default per-message drop probability in parts per million
-    /// (`0..=`[`PPM`]), applied to every edge without an override.
+    /// Per-message drop probability in parts per million (`0..=`[`PPM`]),
+    /// the same on every edge.
     pub drop_ppm: u32,
-    /// Per-edge drop-probability overrides. Edges not listed use
-    /// [`FaultPlan::drop_ppm`]; entries for out-of-range edges are ignored.
-    pub edge_drop_ppm: Vec<(EdgeId, u32)>,
-    /// Default delivery-latency jitter bound: each message is delayed by a
+    /// Delivery-latency jitter bound: each message is delayed by a
     /// fate-drawn `0..=max_skew` extra rounds.
     pub max_skew: u64,
-    /// Per-edge jitter-bound overrides (same convention as
-    /// [`FaultPlan::edge_drop_ppm`]).
-    pub edge_skew: Vec<(EdgeId, u64)>,
     /// Scheduled node crashes and restarts; entries for out-of-range nodes
     /// are ignored.
     pub crashes: Vec<CrashEvent>,
@@ -110,11 +103,7 @@ impl FaultPlan {
     /// `true` iff the plan injects no fault of any kind (the seed alone does
     /// not count: it is inert without faults to apply it to).
     pub fn is_none(&self) -> bool {
-        self.drop_ppm == 0
-            && self.max_skew == 0
-            && self.edge_drop_ppm.is_empty()
-            && self.edge_skew.is_empty()
-            && self.crashes.is_empty()
+        self.drop_ppm == 0 && self.max_skew == 0 && self.crashes.is_empty()
     }
 
     /// Sets the fate seed.
@@ -123,27 +112,15 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the default drop probability (clamped to [`PPM`]).
+    /// Sets the drop probability (clamped to [`PPM`]).
     pub fn with_drop_ppm(mut self, ppm: u32) -> Self {
         self.drop_ppm = ppm.min(PPM);
         self
     }
 
-    /// Adds a per-edge drop-probability override (clamped to [`PPM`]).
-    pub fn with_edge_drop_ppm(mut self, edge: EdgeId, ppm: u32) -> Self {
-        self.edge_drop_ppm.push((edge, ppm.min(PPM)));
-        self
-    }
-
-    /// Sets the default jitter bound.
+    /// Sets the jitter bound.
     pub fn with_max_skew(mut self, max_skew: u64) -> Self {
         self.max_skew = max_skew;
-        self
-    }
-
-    /// Adds a per-edge jitter-bound override.
-    pub fn with_edge_skew(mut self, edge: EdgeId, max_skew: u64) -> Self {
-        self.edge_skew.push((edge, max_skew));
         self
     }
 
@@ -209,23 +186,15 @@ fn fate_key(edge: EdgeId, from: NodeId, send_round: u64) -> u64 {
 }
 
 /// The per-run runtime of a non-empty plan: the plan compiled against one
-/// graph (dense per-edge rates, a sorted churn-event queue) plus the mutable
-/// delivery state (crashed flags, pending re-init flags, and the jitter
-/// buffer). Both engines drive one of these through the identical sequence
-/// of calls, which is the determinism argument in one sentence.
+/// graph (a sorted churn-event queue) plus the mutable delivery state
+/// (crashed flags, pending re-init flags, and the jitter buffer). Both
+/// engines drive one of these through the identical sequence of calls,
+/// which is the determinism argument in one sentence.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     seed: u64,
     drop_ppm: u32,
     max_skew: u64,
-    /// Dense per-edge drop rates; empty when no per-edge overrides exist
-    /// (the uniform `drop_ppm` then applies everywhere).
-    edge_drop: Vec<u32>,
-    /// Dense per-edge jitter bounds; empty when no overrides exist.
-    edge_skew: Vec<u64>,
-    /// Any drop or jitter configured at all (false for churn-only plans, in
-    /// which case the per-send fate pass is skipped entirely).
-    message_faults: bool,
     /// Compiled churn events, sorted by `(round, action, node)`.
     events: Vec<FaultEvent>,
     /// Cursor into `events`: everything before it has been applied.
@@ -244,38 +213,12 @@ pub(crate) struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    /// Compiles `plan` for a graph with `n` nodes and `m` edges; `None` for
-    /// the empty plan, which keeps the engines on their fault-free paths.
-    pub(crate) fn new(plan: &FaultPlan, n: usize, m: usize) -> Option<FaultRuntime> {
+    /// Compiles `plan` for a graph with `n` nodes; `None` for the empty plan,
+    /// which keeps the engines on their fault-free paths.
+    pub(crate) fn new(plan: &FaultPlan, n: usize) -> Option<FaultRuntime> {
         if plan.is_none() {
             return None;
         }
-        let edge_drop = if plan.edge_drop_ppm.is_empty() {
-            Vec::new()
-        } else {
-            let mut dense = vec![plan.drop_ppm.min(PPM); m];
-            for &(e, ppm) in &plan.edge_drop_ppm {
-                if e.index() < m {
-                    dense[e.index()] = ppm.min(PPM);
-                }
-            }
-            dense
-        };
-        let edge_skew = if plan.edge_skew.is_empty() {
-            Vec::new()
-        } else {
-            let mut dense = vec![plan.max_skew; m];
-            for &(e, skew) in &plan.edge_skew {
-                if e.index() < m {
-                    dense[e.index()] = skew;
-                }
-            }
-            dense
-        };
-        let message_faults = plan.drop_ppm > 0
-            || plan.max_skew > 0
-            || edge_drop.iter().any(|&p| p > 0)
-            || edge_skew.iter().any(|&s| s > 0);
         let mut events = Vec::new();
         for c in &plan.crashes {
             if c.node.index() >= n {
@@ -298,9 +241,6 @@ impl FaultRuntime {
             seed: plan.seed,
             drop_ppm: plan.drop_ppm.min(PPM),
             max_skew: plan.max_skew,
-            edge_drop,
-            edge_skew,
-            message_faults,
             events,
             cursor: 0,
             crashed: vec![false; n],
@@ -312,7 +252,7 @@ impl FaultRuntime {
     /// `true` when any drop or jitter is configured (churn-only plans skip
     /// the per-send fate pass).
     pub(crate) fn has_message_faults(&self) -> bool {
-        self.message_faults
+        self.drop_ppm > 0 || self.max_skew > 0
     }
 
     /// Pops the next churn event due at (or before) `round`, advancing the
@@ -333,20 +273,14 @@ impl FaultRuntime {
     }
 
     /// The fate of a message sent over `edge` by `from` in `send_round`: a
-    /// pure function of the plan and the message's identity.
+    /// pure function of the plan and the message's identity. Called only
+    /// when [`FaultRuntime::has_message_faults`].
     pub(crate) fn fate(&self, edge: EdgeId, from: NodeId, send_round: u64) -> MessageFate {
-        let drop_ppm =
-            if self.edge_drop.is_empty() { self.drop_ppm } else { self.edge_drop[edge.index()] };
-        let skew =
-            if self.edge_skew.is_empty() { self.max_skew } else { self.edge_skew[edge.index()] };
-        if drop_ppm == 0 && skew == 0 {
-            return MessageFate::Deliver { delay: 0 };
-        }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ fate_key(edge, from, send_round));
-        if drop_ppm > 0 && rng.gen_range(0u32..PPM) < drop_ppm {
+        if self.drop_ppm > 0 && rng.gen_range(0u32..PPM) < self.drop_ppm {
             return MessageFate::Drop;
         }
-        let delay = if skew > 0 { rng.gen_range(0u64..=skew) } else { 0 };
+        let delay = if self.max_skew > 0 { rng.gen_range(0u64..=self.max_skew) } else { 0 };
         MessageFate::Deliver { delay }
     }
 
@@ -418,7 +352,7 @@ mod tests {
     fn empty_plan_compiles_to_nothing() {
         assert!(FaultPlan::none().is_none());
         assert!(FaultPlan::none().with_seed(7).is_none(), "a seed alone is inert");
-        assert!(FaultRuntime::new(&FaultPlan::none(), 4, 3).is_none());
+        assert!(FaultRuntime::new(&FaultPlan::none(), 4).is_none());
         assert!(!FaultPlan::none().with_drop_ppm(1).is_none());
         assert!(!FaultPlan::none().with_max_skew(1).is_none());
         assert!(!FaultPlan::none().with_crash(NodeId(0), 3, None).is_none());
@@ -427,7 +361,7 @@ mod tests {
     #[test]
     fn fates_are_deterministic_and_seed_dependent() {
         let plan = FaultPlan::none().with_seed(11).with_drop_ppm(500_000).with_max_skew(3);
-        let rt = FaultRuntime::new(&plan, 4, 6).expect("non-empty plan");
+        let rt = FaultRuntime::new(&plan, 4).expect("non-empty plan");
         let fates: Vec<MessageFate> =
             (0..64).map(|r| rt.fate(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
         let again: Vec<MessageFate> =
@@ -439,7 +373,7 @@ mod tests {
             "skew 3 delays something in 64 draws"
         );
 
-        let other = FaultRuntime::new(&plan.clone().with_seed(12), 4, 6).expect("non-empty plan");
+        let other = FaultRuntime::new(&plan.clone().with_seed(12), 4).expect("non-empty plan");
         let reseeded: Vec<MessageFate> =
             (0..64).map(|r| other.fate(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
         assert_ne!(fates, reseeded, "the seed selects the schedule");
@@ -449,21 +383,10 @@ mod tests {
     fn ppm_is_clamped_and_certain_drop_always_drops() {
         let plan = FaultPlan::none().with_drop_ppm(u32::MAX);
         assert_eq!(plan.drop_ppm, PPM);
-        let rt = FaultRuntime::new(&plan, 2, 2).expect("non-empty plan");
+        let rt = FaultRuntime::new(&plan, 2).expect("non-empty plan");
         for r in 0..32 {
             assert_eq!(rt.fate(EdgeId(r % 2), NodeId(0), r as u64), MessageFate::Drop);
         }
-    }
-
-    #[test]
-    fn per_edge_overrides_take_precedence() {
-        let plan = FaultPlan::none()
-            .with_drop_ppm(PPM)
-            .with_edge_drop_ppm(EdgeId(1), 0)
-            .with_edge_skew(EdgeId(99), 5); // out of range: ignored
-        let rt = FaultRuntime::new(&plan, 3, 3).expect("non-empty plan");
-        assert_eq!(rt.fate(EdgeId(0), NodeId(0), 0), MessageFate::Drop);
-        assert_eq!(rt.fate(EdgeId(1), NodeId(0), 0), MessageFate::Deliver { delay: 0 });
     }
 
     #[test]
@@ -472,7 +395,7 @@ mod tests {
             .with_crash(NodeId(1), 5, Some(10))
             .with_crash(NodeId(0), 10, Some(3)) // restart_at <= at_round: normalized to 11
             .with_crash(NodeId(7), 1, None); // out of range for n = 4: dropped
-        let mut rt = FaultRuntime::new(&plan, 4, 2).expect("non-empty plan");
+        let mut rt = FaultRuntime::new(&plan, 4).expect("non-empty plan");
         assert!(!rt.has_message_faults(), "churn-only plans skip the fate pass");
         assert_eq!(rt.next_event_round(), Some(5));
         assert!(rt.next_event(4).is_none(), "events wait for their round");
@@ -490,28 +413,38 @@ mod tests {
 
     #[test]
     fn message_fault_pass_partitions_sends() {
-        // Edge 0 always drops, edge 1 always delivers on time, edge 2 always
-        // jitters by exactly 2 (skew bounds the delay; a 1-value range would
-        // need skew 0, so force it with identical bounds via a dense check).
-        let plan = FaultPlan::none()
-            .with_edge_drop_ppm(EdgeId(0), PPM)
-            .with_edge_skew(EdgeId(2), 3)
-            .with_seed(5);
-        let mut rt = FaultRuntime::new(&plan, 3, 3).expect("non-empty plan");
+        // Flights with distinct fate keys, under a uniform plan that drops
+        // and jitters: every send is dropped, kept or delayed, exactly once.
+        let plan = FaultPlan::none().with_seed(5).with_drop_ppm(300_000).with_max_skew(3);
+        let mut rt = FaultRuntime::new(&plan, 4).expect("non-empty plan");
         assert!(rt.has_message_faults());
-        let mut metrics = Metrics::zero(3, 3);
-        let mut outgoing = vec![flight(0, 0, 1), flight(1, 0, 1), flight(2, 1, 2), flight(1, 2, 0)];
-        rt.apply_message_faults(&mut metrics, 4, &mut outgoing, 0);
-        assert_eq!(metrics.fault_drops, 1);
-        let kept = outgoing.len() as u64;
-        assert_eq!(kept + metrics.fault_delays, 3, "survivors are on time or pending");
+        let mut metrics = Metrics::zero(4, 48);
+        let sent: Vec<InFlight> = (0..48).map(|i| flight(i, i % 4, (i + 1) % 4)).collect();
+        let keys =
+            |flights: &[InFlight]| -> Vec<EdgeId> { flights.iter().map(|f| f.msg.edge).collect() };
+        let mut outgoing = sent.clone();
+        let (round, start) = (4, 5);
+        rt.apply_message_faults(&mut metrics, round, &mut outgoing, start);
+        assert_eq!(keys(&outgoing[..start]), keys(&sent[..start]), "sends before `start` stay");
+        let kept = (outgoing.len() - start) as u64;
+        assert!(metrics.fault_drops > 0 && kept > 0 && metrics.fault_delays > 0, "all three fates");
+        assert_eq!(metrics.fault_drops + kept + metrics.fault_delays, (sent.len() - start) as u64);
         assert_eq!(rt.pending_count(), metrics.fault_delays);
-        assert!(outgoing.iter().all(|f| f.msg.edge != EdgeId(0)), "edge 0 always drops");
-        if let Some(at) = rt.next_pending_round() {
-            assert!(at > 5, "a delayed message arrives strictly later than on time");
-            let mut incoming = Vec::new();
-            rt.merge_due(at, &mut incoming);
-            assert_eq!(incoming.len() as u64 + rt.pending_count(), metrics.fault_delays);
-        }
+        let on_time: Vec<InFlight> = sent[start..]
+            .iter()
+            .copied()
+            .filter(|f| rt.fate(f.msg.edge, f.msg.from, round) == MessageFate::Deliver { delay: 0 })
+            .collect();
+        assert_eq!(keys(&outgoing[start..]), keys(&on_time), "on-time sends keep their order");
+
+        let at = rt.next_pending_round().expect("something is delayed");
+        assert!(at > round + 1, "a delayed message arrives strictly later than on time");
+        let mut incoming = vec![flight(99, 0, 1)];
+        rt.merge_due(at, &mut incoming);
+        let due = incoming.len() as u64 - 1;
+        assert!(due > 0, "the earliest pending round has a bucket");
+        assert_eq!(incoming[0].msg.edge, EdgeId(99), "due messages go after the on-time ones");
+        assert_eq!(due + rt.pending_count(), metrics.fault_delays);
+        assert!(rt.next_pending_round().map_or(true, |next| next > at), "the bucket is gone");
     }
 }

@@ -28,9 +28,9 @@
 //! # Fault injection
 //!
 //! On top of the well-behaved model, [`SimConfig::faults`] can carry a
-//! seeded, deterministic [`FaultPlan`]: random message drops (uniform or
-//! per-edge probabilities), node crash/restart churn at chosen rounds with a
-//! full state reset, and bounded per-edge delivery-latency jitter. Both
+//! seeded, deterministic [`FaultPlan`]: random message drops at one uniform
+//! probability, node crash/restart churn at chosen rounds with a full state
+//! reset, and bounded delivery-latency jitter, drawn per message. Both
 //! engines apply the identical fault schedule — the differential harnesses
 //! extend to faulty runs unchanged — and fault losses are counted separately
 //! ([`Metrics::fault_drops`]) from sleeping-model losses. The empty plan
@@ -120,7 +120,6 @@ mod error;
 pub mod fault;
 mod message;
 mod metrics;
-mod network;
 mod node;
 pub mod scheduler;
 pub mod workloads;
@@ -130,7 +129,6 @@ pub use error::SimError;
 pub use fault::{CrashEvent, FaultPlan};
 pub use message::{Message, Words};
 pub use metrics::{EdgeUsageTrace, Metrics};
-pub use network::Network;
 pub use node::{NodeCtx, Protocol};
 
 use serde::{Deserialize, Serialize};

@@ -3,7 +3,6 @@
 use congest_graph::{Adjacency, EdgeId, Graph, NodeId};
 
 use crate::message::{InFlight, Words};
-use crate::network::Network;
 use crate::Message;
 
 /// A distributed protocol, written as a per-node state machine.
@@ -15,9 +14,9 @@ use crate::Message;
 /// * the number of nodes `n` (standard CONGEST assumption),
 /// * the messages its neighbours sent it in the previous round.
 ///
-/// Nodes control their own sleep schedule through [`NodeCtx::sleep_for`] /
-/// [`NodeCtx::sleep_until`], wait for mail with [`NodeCtx::listen_until`], and
-/// stop participating with [`NodeCtx::halt`].
+/// Nodes control their own sleep schedule through [`NodeCtx::sleep_until`],
+/// wait for mail with [`NodeCtx::listen_until`], and stop participating with
+/// [`NodeCtx::halt`].
 ///
 /// # Sleeping or listening
 ///
@@ -60,9 +59,6 @@ pub struct NodeCtx<'a> {
     round: u64,
     graph: &'a Graph,
     neighbors: &'a [Adjacency],
-    /// For the send-by-neighbour index, which only [`NodeCtx::send`] reads
-    /// (and the first such read builds).
-    network: &'a Network<'a>,
     /// The engine's round outbox; this node's sends start at the position the
     /// engine recorded before handing out the context.
     outbox: &'a mut Vec<InFlight>,
@@ -105,16 +101,15 @@ impl<'a> NodeCtx<'a> {
     pub(crate) fn new(
         node: NodeId,
         round: u64,
-        network: &'a Network<'a>,
+        graph: &'a Graph,
         outbox: &'a mut Vec<InFlight>,
     ) -> Self {
         NodeCtx {
             node,
-            node_count: network.node_count(),
+            node_count: graph.node_count(),
             round,
-            graph: network.graph(),
-            neighbors: network.neighbors(node),
-            network,
+            graph,
+            neighbors: graph.neighbors(node),
             outbox,
             wake_at: None,
             listen: false,
@@ -138,14 +133,11 @@ impl<'a> NodeCtx<'a> {
         self.round
     }
 
-    /// The incident edges of this node.
+    /// The incident edges of this node: its ports. A protocol that talks to
+    /// one neighbour (a tree parent, say) finds the edge to it here once and
+    /// sends on it with [`NodeCtx::send_on_edge`].
     pub fn neighbors(&self) -> &'a [Adjacency] {
         self.neighbors
-    }
-
-    /// The degree of this node.
-    pub fn degree(&self) -> usize {
-        self.neighbors.len()
     }
 
     /// Appends one send to the engine's outbox: an inline copy of the
@@ -189,39 +181,11 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    /// Sends a message to the given neighbour (over the lightest edge to it,
-    /// if there are parallel edges).
-    ///
-    /// `O(log degree)`: the edge comes from the network's
-    /// neighbour→adjacency index rather than an adjacency-list scan. The
-    /// first call on a network builds that index (`O(m log Δ)`, once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neighbor` is not adjacent to this node.
-    pub fn send(&mut self, neighbor: NodeId, words: &[u64]) {
-        let adj = self
-            .network
-            .index()
-            .best_edge_to(self.node, neighbor)
-            .unwrap_or_else(|| panic!("node {neighbor} is not a neighbour of {}", self.node));
-        self.push(adj.edge, neighbor, words);
-    }
-
     /// Sends the same message over every incident edge.
     pub fn broadcast(&mut self, words: &[u64]) {
         let neighbors = self.neighbors;
         for adj in neighbors {
             self.push(adj.edge, adj.neighbor, words);
-        }
-    }
-
-    /// Puts the node to sleep for the next `rounds` rounds; it wakes again at
-    /// round `current + rounds + 1`. `sleep_for(0)` is a no-op (awake next
-    /// round as usual).
-    pub fn sleep_for(&mut self, rounds: u64) {
-        if rounds > 0 {
-            self.sleep_until(self.round.saturating_add(rounds).saturating_add(1));
         }
     }
 
@@ -275,18 +239,16 @@ mod tests {
     #[test]
     fn context_send_and_broadcast_fill_outbox() {
         let g = generators::star(4, 1);
-        let net = Network::new(&g);
         let center = NodeId(0);
         let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(center, 3, &net, &mut outbox);
+        let mut ctx = NodeCtx::new(center, 3, &g, &mut outbox);
         assert_eq!(ctx.node_id(), center);
         assert_eq!(ctx.node_count(), 4);
         assert_eq!(ctx.round(), 3);
-        assert_eq!(ctx.degree(), 3);
-        ctx.send(NodeId(2), &[42]);
+        ctx.send_on_edge(EdgeId(1), &[42]); // the star's edge 0-2
         ctx.broadcast(&[7]);
         assert_eq!(outbox.len(), 4);
-        assert_eq!(outbox[0].to, NodeId(2));
+        assert_eq!((outbox[0].to, outbox[0].msg.edge), (NodeId(2), EdgeId(1)));
         assert_eq!(&outbox[0].msg.words[..], &[42]);
         assert_eq!(outbox[0].msg.from, center);
         assert_eq!(outbox[0].sent_words, 1);
@@ -296,12 +258,11 @@ mod tests {
     #[test]
     fn sleep_requests() {
         let g = generators::path(3, 1);
-        let net = Network::new(&g);
         let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(1), 10, &net, &mut outbox);
-        ctx.sleep_for(0);
-        assert_eq!(ctx.wake_at, None);
-        ctx.sleep_for(5);
+        let mut ctx = NodeCtx::new(NodeId(1), 10, &g, &mut outbox);
+        ctx.sleep_until(11);
+        assert_eq!(ctx.wake_at, None, "the next round is no sleep");
+        ctx.sleep_until(16);
         assert_eq!(ctx.wake_at, Some(16));
         ctx.sleep_until(12);
         assert_eq!(ctx.wake_at, Some(12));
@@ -312,7 +273,7 @@ mod tests {
         assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true));
         ctx.listen_until(11);
         assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true), "next-round targets are ignored");
-        ctx.sleep_for(1);
+        ctx.sleep_until(12);
         assert_eq!((ctx.wake_at, ctx.listen), (Some(12), false), "the last call wins");
         assert!(!ctx.halt);
         ctx.halt();
@@ -320,22 +281,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is not a neighbour")]
-    fn sending_to_non_neighbor_panics() {
-        let g = generators::path(3, 1);
-        let net = Network::new(&g);
-        let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(0), 0, &net, &mut outbox);
-        ctx.send(NodeId(2), &[1]);
-    }
-
-    #[test]
     #[should_panic(expected = "is not incident")]
     fn sending_on_a_foreign_edge_panics() {
         let g = generators::path(3, 1); // edges: 0-1 (e0), 1-2 (e1)
-        let net = Network::new(&g);
         let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(0), 0, &net, &mut outbox);
+        let mut ctx = NodeCtx::new(NodeId(0), 0, &g, &mut outbox);
         ctx.send_on_edge(EdgeId(1), &[1]);
     }
 
@@ -343,29 +293,16 @@ mod tests {
     #[should_panic(expected = "is not incident")]
     fn sending_on_an_out_of_range_edge_panics() {
         let g = generators::path(3, 1);
-        let net = Network::new(&g);
         let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(0), 0, &net, &mut outbox);
+        let mut ctx = NodeCtx::new(NodeId(0), 0, &g, &mut outbox);
         ctx.send_on_edge(EdgeId(99), &[1]);
-    }
-
-    #[test]
-    fn send_prefers_lightest_parallel_edge() {
-        let g = congest_graph::Graph::from_edges(2, [(0, 1, 9), (0, 1, 2)]).unwrap();
-        let net = Network::new(&g);
-        let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(0), 0, &net, &mut outbox);
-        ctx.send(NodeId(1), &[1]);
-        let edge = outbox[0].msg.edge;
-        assert_eq!(g.edge(edge).w, 2);
     }
 
     #[test]
     fn oversized_sends_record_the_attempted_length() {
         let g = generators::path(2, 1);
-        let net = Network::new(&g);
         let mut outbox = Vec::new();
-        let mut ctx = NodeCtx::new(NodeId(0), 0, &net, &mut outbox);
+        let mut ctx = NodeCtx::new(NodeId(0), 0, &g, &mut outbox);
         ctx.broadcast(&[1, 2, 3, 4, 5, 6]);
         assert_eq!(outbox[0].sent_words, 6, "the engine polices the attempted length");
         assert_eq!(&outbox[0].msg.words[..], &[1, 2, 3, 4], "the payload is the inline prefix");

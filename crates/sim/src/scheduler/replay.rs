@@ -164,9 +164,12 @@ impl Replay {
     }
 
     /// Adds `count > 0` arrivals of the current edge at column slot `slot`.
+    /// This sum and those of `close_edge` saturate: no executable schedule
+    /// comes near `u64::MAX` messages, but a public caller can ask for one,
+    /// and it then reads `u64::MAX`, never a wrapped count.
     #[inline]
     fn pour(&mut self, slot: usize, count: u64) {
-        self.counts[slot] += count;
+        self.counts[slot] = self.counts[slot].saturating_add(count);
         let word = slot / 64;
         self.occupied[word] |= 1 << (slot % 64);
         self.lo_word = self.lo_word.min(word);
@@ -228,7 +231,7 @@ impl Replay {
                 let seg = segments[segment];
                 let round = seg.start + (slot - seg.base) as u64;
 
-                total += count;
+                total = total.saturating_add(count);
                 if backlog > 0 {
                     // Lazily apply the service of rounds last_arrival..round.
                     let needed = backlog.div_ceil(capacity);
@@ -244,7 +247,7 @@ impl Replay {
                     }
                 }
                 last_arrival = round;
-                backlog += count;
+                backlog = backlog.saturating_add(count);
                 self.max_backlog = self.max_backlog.max(backlog);
             }
         }
@@ -256,7 +259,7 @@ impl Replay {
             self.last_service_round = self.last_service_round.max(drained);
         }
         self.congestion = self.congestion.max(total);
-        self.total_messages += total;
+        self.total_messages = self.total_messages.saturating_add(total);
         self.lo_word = usize::MAX;
         self.hi_word = 0;
     }
@@ -456,6 +459,26 @@ mod tests {
         // representable round but one.
         let instance = SpreadInstance { delay: u64::MAX - 3, ..instance };
         assert_eq!(schedule_spread(&[instance], 1).unwrap().makespan, u64::MAX);
+    }
+
+    #[test]
+    fn message_counts_past_u64_saturate() {
+        // Two instances of `u64::MAX` messages on one edge used to wrap the
+        // slot count, the edge total and the schedule total to 2^64 − 2 (a
+        // panic in debug builds).
+        let totals = [u64::MAX];
+        let at = |delay| SpreadInstance { delay, rounds: 1, edge_totals: &totals };
+        let out = schedule_spread(&[at(0), at(0)], 1).unwrap();
+        assert_eq!(out.congestion, u64::MAX);
+        assert_eq!(out.total_messages, u64::MAX);
+        assert_eq!(out.max_edge_backlog, u64::MAX);
+        assert_eq!(out.makespan, u64::MAX);
+        // A round later the saturated backlog drains past `u64::MAX`: the
+        // makespan check's typed error, not a wrapped count.
+        assert_eq!(
+            schedule_spread(&[at(0), at(1)], 1),
+            Err(SimError::ScheduleHorizonOverflow { delay: u64::MAX, rounds: 1 })
+        );
     }
 
     #[test]

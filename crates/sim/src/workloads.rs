@@ -10,16 +10,12 @@
 //! cluster-activation schedules (Section 3): `O(1)` energy per node, `D`
 //! rounds, and per-round awake work equal to one BFS level.
 //!
-//! Two further workloads stress the *message fabric* rather than the sleep
-//! scheduler (`benchmark/`, workload `engine-flood`): in both, every node is awake every
-//! round, so an engine can only win by moving messages cheaply:
-//!
-//! * [`Flood`] — every node broadcasts one word per round and folds its whole
-//!   inbox, saturating every edge in both directions every round. The maximal
-//!   per-round message volume the CONGEST model permits at capacity 1.
-//! * [`HubPingPong`] — a hub exchanges one message with every spoke every
-//!   round through targeted [`crate::NodeCtx::send`] calls, stressing the
-//!   per-call neighbour lookup on the highest-degree node a graph can have.
+//! [`Flood`] stresses the *message fabric* rather than the sleep scheduler
+//! (`benchmark/`, workload `engine-flood`): every node is awake every round,
+//! broadcasts one word and folds its whole inbox, saturating every edge in
+//! both directions every round — the maximal per-round message volume the
+//! CONGEST model permits at capacity 1 — so an engine can only win by moving
+//! messages cheaply.
 //!
 //! A third family hardens BFS and flooding against the fault fabric
 //! ([`crate::FaultPlan`], see `docs/FAULT_MODEL.md`): [`ChaosWaveBfs`]
@@ -138,60 +134,6 @@ impl Protocol for Flood {
             ctx.halt();
         } else {
             ctx.broadcast(&[self.acc]);
-        }
-    }
-}
-
-/// Always-awake hub/spoke ping-pong over targeted sends.
-///
-/// The hub sends one message to each of its neighbours every round through
-/// [`crate::NodeCtx::send`] (the by-neighbour entry point), and every spoke
-/// replies to the hub the same way; everyone halts after round `until`. On a
-/// star graph the hub issues `n − 1` targeted sends per round, which makes
-/// the per-call neighbour lookup the dominant cost: a linear adjacency scan
-/// is `Θ(degree²)` per round, the indexed lookup `Θ(degree)`.
-#[derive(Debug, Clone)]
-pub struct HubPingPong {
-    is_hub: bool,
-    until: u64,
-    /// Running fold of everything received (the protocol's output).
-    pub acc: u64,
-}
-
-impl HubPingPong {
-    /// A node of the ping-pong: `is_hub` for the high-degree centre (node 0
-    /// of [`congest_graph::generators::star`]), spokes otherwise.
-    pub fn new(is_hub: bool, until: u64) -> HubPingPong {
-        HubPingPong { is_hub, until, acc: 0 }
-    }
-
-    fn ping(&self, ctx: &mut NodeCtx<'_>) {
-        if self.is_hub {
-            for i in 0..ctx.degree() {
-                let to = ctx.neighbors()[i].neighbor;
-                ctx.send(to, &[self.acc]);
-            }
-        } else {
-            let hub = ctx.neighbors()[0].neighbor;
-            ctx.send(hub, &[self.acc]);
-        }
-    }
-}
-
-impl Protocol for HubPingPong {
-    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.acc = ctx.node_id().0 as u64;
-        self.ping(ctx);
-    }
-
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
-        for msg in inbox {
-            self.acc = self.acc.rotate_left(9) ^ msg.word(0);
-        }
-        if ctx.round() >= self.until {
-            ctx.halt();
-        } else {
-            self.ping(ctx);
         }
     }
 }
@@ -582,21 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn hub_ping_pong_counts_match_on_a_star() {
-        let g = generators::star(16, 1);
-        let until = 6u64;
-        let run = Engine::new(&g, SimConfig::default())
-            .run(|id| HubPingPong::new(id == NodeId(0), until))
-            .unwrap();
-        // Rounds 0..until each move `degree` hub sends plus one reply per
-        // spoke; round `until` only folds and halts.
-        assert_eq!(run.metrics.rounds, until + 1);
-        assert_eq!(run.metrics.messages, 2 * 15 * until);
-        assert_eq!(run.metrics.messages_lost, 0);
-        assert_eq!(run.metrics.capacity_violations, 0);
-    }
-
-    #[test]
     fn message_fabric_workloads_agree_across_engines() {
         let cfg = SimConfig::default();
         let g = generators::random_connected(20, 35, 9);
@@ -607,15 +534,14 @@ mod tests {
         let sa: Vec<u64> = slow.states.iter().map(|s| s.acc).collect();
         assert_eq!(fa, sa, "flood folds must be bit-identical");
 
+        // A hub of degree n − 1: its inbox is the whole graph's traffic.
         let g = generators::star(12, 1);
-        let fast =
-            Engine::new(&g, cfg.clone()).run(|id| HubPingPong::new(id == NodeId(0), 8)).unwrap();
-        let slow =
-            Engine::new(&g, cfg).run_reference(|id| HubPingPong::new(id == NodeId(0), 8)).unwrap();
+        let fast = Engine::new(&g, cfg.clone()).run(|id| Flood::new(id, 8)).unwrap();
+        let slow = Engine::new(&g, cfg).run_reference(|id| Flood::new(id, 8)).unwrap();
         assert_eq!(fast.metrics, slow.metrics);
         let fa: Vec<u64> = fast.states.iter().map(|s| s.acc).collect();
         let sa: Vec<u64> = slow.states.iter().map(|s| s.acc).collect();
-        assert_eq!(fa, sa, "ping-pong folds must be bit-identical");
+        assert_eq!(fa, sa, "star flood folds must be bit-identical");
     }
 
     #[test]

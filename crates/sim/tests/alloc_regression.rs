@@ -225,10 +225,7 @@ fn round_deltas(snapshots_of_run: impl Fn() -> Vec<(u64, u64)> + Sync) -> Vec<(u
 fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // What the ledger's `sim.wave_run_setup_us` times: every node of the
     // `engine-wave` grid halts in round 0. The engine is built inside the
-    // measurement: it used to come with a neighbour index (16 allocations
-    // and 2 774 596 bytes for this run, 48 and 26 532 for the next) that is
-    // now left to the first `NodeCtx::send`, so the ceilings of the run alone
-    // hold for the two together.
+    // measurement.
     let grid = generators::grid(128, 128, 1);
     let engine = |g| Engine::new(g, SimConfig::default());
     let halt_at_once =
@@ -243,9 +240,7 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     assert!(wave.0 <= 43 && wave.1 <= 23_680, "32 nodes: {wave:?}");
     assert_eq!(allocations_of(|| engine(&grid)), (0, 0), "building an engine is free");
     // Deadlines beyond the wake queue's ring: the far tier is two flat
-    // buffers, with one entry per listener however often it is woken (51
-    // allocations and 29 880 bytes while it was a B-tree of buckets with a
-    // spare pool and the engine came with its index).
+    // buffers, with one entry per listener however often it is woken.
     let far = setup_allocations_of(|| {
         engine(&small).run(|id| ListeningWave::new(id, 10_000)).expect("halts at the deadline")
     });

@@ -8,7 +8,7 @@
 //! with `strict_capacity` on and off, and assert both engines produce
 //! identical `SimError`s, metrics, and delivered payloads.
 
-use congest_graph::{generators, NodeId};
+use congest_graph::{generators, EdgeId, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig, SimError, Words};
 
 /// Node 0 sends one `payload_len`-word message to node 1 in round 0 and both
@@ -29,7 +29,7 @@ impl Protocol for OneShot {
     fn init(&mut self, ctx: &mut NodeCtx<'_>) {
         if ctx.node_id() == NodeId(0) {
             let words: Vec<u64> = (1..=self.payload_len as u64).collect();
-            ctx.send(NodeId(1), &words);
+            ctx.send_on_edge(EdgeId(0), &words);
             ctx.halt();
         }
     }

@@ -53,7 +53,7 @@ impl ChaosNode {
         if ctx.round() >= self.lifetime {
             ctx.halt();
         } else if self.rng.gen_range(0u32..100) < 35 {
-            ctx.sleep_for(self.rng.gen_range(1u64..7));
+            ctx.sleep_until(ctx.round() + self.rng.gen_range(1u64..7) + 1);
         }
     }
 }

@@ -312,21 +312,6 @@ fn undeliverable_messages_at_termination_count_as_lost_even_from_the_jitter_buff
 }
 
 #[test]
-fn per_edge_overrides_target_single_edges() {
-    // A 3-path with a certain drop on edge 0 only: traffic over edge 1 is
-    // untouched, traffic over edge 0 vanishes.
-    let g = generators::path(3, 1);
-    let e0 = congest_graph::EdgeId(0); // generators::path lays out edge i as {i, i+1}
-    let cfg = SimConfig::default()
-        .with_faults(FaultPlan::none().with_seed(2).with_edge_drop_ppm(e0, 1_000_000));
-    let (states, metrics) =
-        run_both(&g, cfg, |id| Broadcaster { is_sender: id == NodeId(1), until: 4, got: 0 });
-    assert_eq!(states[0].got, 0, "everything over the dropped edge is gone");
-    assert_eq!(states[2].got, 4, "the clean edge delivers everything");
-    assert_eq!(metrics.fault_drops, 4);
-}
-
-#[test]
 fn fault_free_plan_with_seed_changes_nothing() {
     // A plan that sets only the seed takes the fault-free fast path: the
     // metrics (including zeroed fault counters) match a run with no plan.
