@@ -21,6 +21,15 @@
 //! * **energy**: in the always-awake variant every node is awake for the whole
 //!   phase; in the low-energy variant (Theorem 3.1) nodes follow a periodic
 //!   convergecast schedule and are awake `O(1)` rounds per phase.
+//!
+//! What a run derives, and nothing more: per phase, one scan of the edges in
+//! id order (an edge still crossing fragments is probed, and is its
+//! fragments' choice if it is the first they see), the merges along the
+//! marked choices in id order, and one orientation of the grown forest — the
+//! post-merge depth the phase is charged, and the pre-merge depth of the
+//! next. The edgeless start has depth 0 and is oriented only when no phase
+//! runs, so the result is a rooted forest either way; node energy, the same
+//! for every node, is written once after the last phase.
 
 use congest_graph::{EdgeId, Graph, NodeId};
 use congest_sim::Metrics;
@@ -96,12 +105,17 @@ pub(crate) struct ForestScratch {
     merged_into: Vec<u32>,
     /// The smallest-id outgoing edge of each fragment label this phase.
     choice: Vec<EdgeId>,
+    /// `chosen[e]`: edge `e` is some fragment's choice this phase (all
+    /// `false` between phases).
+    chosen: Vec<bool>,
     tree_edges: Vec<EdgeId>,
+    /// The edges still crossing fragments at the start of this phase, in id
+    /// order.
     probed_edges: Vec<EdgeId>,
-    newly_chosen: Vec<EdgeId>,
     /// The rooted forest over the tree edges chosen so far, re-derived once
     /// per phase. Its depth after one phase's merges is the depth the next
-    /// phase starts from.
+    /// phase starts from. The edgeless start is not oriented unless no phase
+    /// runs: until the first phase, this holds the previous run's forest.
     rooted: RootedForest,
     metrics: Metrics,
     phases: u64,
@@ -117,9 +131,9 @@ impl ForestScratch {
             fragment,
             merged_into,
             choice,
+            chosen,
             tree_edges,
             probed_edges,
-            newly_chosen,
             rooted,
             metrics,
             phases,
@@ -131,10 +145,13 @@ impl ForestScratch {
         merged_into.extend(0..n as u32);
         choice.clear();
         choice.resize(n, NO_EDGE);
+        chosen.clear();
+        chosen.resize(m, false);
         tree_edges.clear();
         *phases = 0;
         rooted.resize(n);
-        let mut depth_now = rooted.orient(g, tree_edges);
+        // The edgeless start forest: every node a root, depth 0.
+        let mut depth_now = 0;
 
         loop {
             // Each fragment picks its smallest-id outgoing edge. Only edges that
@@ -160,15 +177,17 @@ impl ForestScratch {
             }
             *phases += 1;
 
-            // Merge fragments along chosen edges (and add the chosen edges to the
-            // forest, skipping duplicates chosen by both endpoints' fragments).
-            newly_chosen.clear();
+            // Merge fragments along chosen edges, in id order (and add the
+            // chosen edges to the forest, once each: an edge chosen by both
+            // endpoints' fragments is marked once). Every choice is a probed
+            // edge, so walking the probed edges finds the marks in order.
             for c in choice.iter_mut().filter(|c| **c != NO_EDGE) {
-                newly_chosen.push(std::mem::replace(c, NO_EDGE));
+                chosen[std::mem::replace(c, NO_EDGE).index()] = true;
             }
-            newly_chosen.sort_unstable();
-            newly_chosen.dedup();
-            for &e in newly_chosen.iter() {
+            for &e in probed_edges.iter() {
+                if !std::mem::take(&mut chosen[e.index()]) {
+                    continue;
+                }
                 let edge = g.edge(e);
                 let fu = current_label(merged_into, fragment[edge.u.index()]);
                 let fv = current_label(merged_into, fragment[edge.v.index()]);
@@ -203,11 +222,16 @@ impl ForestScratch {
                 metrics.edge_congestion[e.index()] += 3;
                 metrics.messages += 3;
             }
-            for energy in metrics.node_energy.iter_mut() {
-                *energy += if low_energy { 4 } else { phase_rounds };
-            }
             depth_now = depth_after;
         }
+        if *phases == 0 {
+            // The last phase oriented the result; without one, orient the
+            // edgeless forest, so no previous run's forest is left behind.
+            rooted.orient(g, tree_edges);
+        }
+        // Every node is awake for every round of a phase (Theorem 2.2), or
+        // for 4 rounds of it (Theorem 3.1).
+        metrics.node_energy.fill(if low_energy { 4 * *phases } else { metrics.rounds });
         metrics
     }
 }
@@ -536,6 +560,36 @@ mod tests {
                     reference,
                     "reused scratch, graph {i}, low_energy {low_energy}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_cannot_leak_a_previous_forest() {
+        // Unlike graphs in turn; an edgeless one runs no phase, so its
+        // forest is oriented after the loop or not at all, over buffers that
+        // hold the previous run's.
+        let graphs = [
+            generators::random_connected(512, 1024, 3),
+            Graph::empty(5),
+            generators::disjoint_copies(&generators::random_connected(15, 20, 1), 4),
+            generators::path(40, 1),
+            Graph::empty(5),
+        ];
+        let mut scratch = ForestScratch::default();
+        for (i, g) in graphs.iter().enumerate() {
+            for low_energy in [false, true] {
+                let (fresh, fresh_metrics) = spanning_forest(g, low_energy);
+                assert_eq!(scratch.run(g, low_energy), &fresh_metrics, "graph {i}");
+                assert_eq!(scratch.phases, fresh.phases, "graph {i}");
+                if g.edge_count() == 0 {
+                    let rooted = &scratch.rooted;
+                    assert_eq!(rooted.parents, fresh.parents, "graph {i}");
+                    assert_eq!(rooted.roots, fresh.roots, "graph {i}");
+                    assert_eq!(rooted.depths, fresh.depths, "graph {i}");
+                    assert_eq!(rooted.component_of, fresh.component_of, "graph {i}");
+                    assert_eq!(rooted.component_count, fresh.component_count, "graph {i}");
+                }
             }
         }
     }

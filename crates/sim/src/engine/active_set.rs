@@ -4,10 +4,10 @@
 //! node) means that in a typical low-energy execution almost every node is
 //! asleep in almost every round. The engine therefore must never iterate over
 //! all `n` nodes per round; instead this module maintains an explicit *wake
-//! queue* — buckets keyed by the absolute wake round — so that a round
+//! queue* — entries keyed by the absolute wake round — so that a round
 //! touches exactly the nodes scheduled to run in it.
 //!
-//! The queue is split in two so the common case is allocation-free:
+//! The queue is split in two tiers so the common case is allocation-free:
 //!
 //! * a **ring** of [`WINDOW`] buckets for wake-ups within the next `WINDOW`
 //!   rounds. Always-awake nodes cycle through the ring's recycled `Vec`s, so
@@ -19,6 +19,17 @@
 //!   [`ActiveSet::rearm`], so a warm scheduler allocates nothing on this
 //!   path either.
 //!
+//! Opening a round collects its awake set in an id-ordered bitmap
+//! (`AwakeBits`): every due queue entry, and every listener woken by mail
+//! ([`ActiveSet::wake_listeners`]), sets one bit, and one scan of the set
+//! words writes the id-sorted awake list the engine steps
+//! ([`ActiveSet::take_awake`]). A node entered twice is one bit, so neither
+//! duplicates nor the order entries arrive in cost a sort. Round 0 — every
+//! node awake — is the bitmap with all `n` bits set by
+//! [`ActiveSet::rearm`]; no queue entry is made for it. One shortcut: a ring
+//! slot that is the whole set and already in id order (always-awake nodes
+//! are rescheduled in the order they were stepped) is the list as it is.
+//!
 //! Invariant: a non-halted node `v` runs in round `r` iff
 //! `wake_at[v] == r`. (`wake_at` only ever moves forward, and it is only
 //! rewritten when `v` runs, at which point its old queue entry has already
@@ -26,15 +37,24 @@
 //! in one ring slot share one absolute round.)
 //!
 //! Two things break the parenthesis, and both switch the queue into
-//! *filtering* mode, where entries are a superset of the truth and `wake_at`
-//! is authoritative: fault-injected churn (a crashed node's entry goes
-//! stale, a revived node is enqueued twice) and **listening**. A node that
-//! asked to [`crate::NodeCtx::listen_until`] a deadline sits in the queue at
-//! that deadline like a sleeper, but stays awake in the model; when mail
-//! arrives first, [`ActiveSet::wake_listeners`] pulls `wake_at` forward to
-//! the delivery round and the deadline entry is left behind, stale. The
-//! rounds it idled through are never visited: [`ActiveSet::awake_rounds`]
-//! settles their energy in one subtraction when the node next runs.
+//! *filtering* mode, where entries are a superset of the truth, `wake_at` is
+//! authoritative and a due entry sets its bit only if it is live:
+//! fault-injected churn (a crashed node's entry goes stale, a revived node is
+//! enqueued twice) and **listening**. A node that asked to
+//! [`crate::NodeCtx::listen_until`] a deadline sits in the queue at that
+//! deadline like a sleeper, but stays awake in the model; when mail arrives
+//! first, [`ActiveSet::wake_listeners`] pulls `wake_at` forward to the
+//! delivery round and the deadline entry is left behind. The rounds it idled
+//! through are never visited: [`ActiveSet::awake_rounds`] settles their
+//! energy in one subtraction when the node next runs.
+//!
+//! One entry per node and deadline: in a run with listeners the scheduler
+//! remembers, per node, the rounds of its two latest entries known to be
+//! queued still (`queued_at`). A node sent back to one of them pushes
+//! nothing, in the ring as in the far tier — the waiting BFS returns its
+//! listeners to their round limit after every message, and from the round
+//! its pending distance came due — so a deadline's round opens by draining
+//! one entry per waiting node however often each was woken before it.
 //!
 //! The scheduler is part of a [`super::RunScratch`]: a run starts by
 //! [`ActiveSet::rearm`]ing it, which forgets the last run and keeps every
@@ -54,8 +74,9 @@ use crate::node::Request;
 /// low-duty-cycle executions.
 const WINDOW: u64 = 64;
 
-/// Per-node status plus the two-tier wake queue. The `Default` value is the
-/// scheduler of no run; [`ActiveSet::rearm`] makes it the scheduler of one.
+/// Per-node status, the two-tier wake queue and the awake set of the round
+/// being opened. The `Default` value is the scheduler of no run;
+/// [`ActiveSet::rearm`] makes it the scheduler of one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ActiveSet {
     /// The round in which each node next runs (meaningless once halted).
@@ -70,29 +91,31 @@ pub(crate) struct ActiveSet {
     /// Far-future entries (wake more than `WINDOW` rounds ahead of the round
     /// they were scheduled in), earliest round on top.
     far: FarTier,
+    /// The nodes awake in the round being opened.
+    awake: AwakeBits,
     /// Nodes currently down due to a fault-injected crash (awaiting restart).
     /// Empty (all-false) outside fault mode.
     down: Vec<bool>,
     /// Nodes currently waiting in [`crate::NodeCtx::listen_until`]. Empty
     /// until the first listen request of the run sizes it (and
-    /// `listen_from`), so protocols that never listen run the path — and pay
-    /// the per-run set-up — they always did.
+    /// `listen_from`, `queued_at`), so protocols that never listen run the
+    /// path — and pay the per-run set-up — they always did.
     listening: Vec<bool>,
     /// For a listening node, the round in which it last ran (it has been
     /// awake, unvisited, in every round since); meaningless otherwise.
     listen_from: Vec<u64>,
-    /// For a node of a run with listeners: the round of a far-tier entry of
-    /// its that is known to be in the far tier still, or 0. A listener woken
-    /// early mostly goes back to the deadline it came from (the waiting BFS
-    /// returns to its round limit after every message), and without this its
-    /// deadline's round would open by popping one stale entry per callback of
-    /// the whole run. Sized with `listening`.
-    far_deadline: Vec<u64>,
+    /// For a node of a run with listeners: the rounds of its two latest
+    /// queue entries (ring or far tier) that are known to be queued still,
+    /// latest first, or 0. A listener woken early mostly goes back to a
+    /// deadline it came from, and without this its deadline's round would
+    /// drain one entry per callback of the whole run. A round below the
+    /// current one is harmless: every new wake-up is later than it.
+    queued_at: Vec<[u64; 2]>,
     /// Queue entries may be stale (a revived node is re-enqueued without its
     /// old entry being removable; an early-woken listener leaves its deadline
-    /// entry behind), so [`ActiveSet::take_awake`] must filter and dedup
-    /// instead of trusting the buckets. Set by a crash/restart plan and by
-    /// the first listen request.
+    /// entry behind), so [`ActiveSet::collect_due`] must check each entry's
+    /// liveness instead of trusting the buckets. Set by a crash/restart plan
+    /// and by the first listen request.
     filtering: bool,
 }
 
@@ -103,10 +126,11 @@ pub(crate) struct ActiveSet {
 /// already in order (or nothing is): a schedule handed over in one round
 /// (every node of a wave sleeping to its own round) costs one sort, and
 /// sleepers that each go back to sleep for a period, one after the other,
-/// cost one sort per period. The sort also takes whatever is in order and no
-/// later than the latest staged entry, so the case to know about is a staged
-/// buffer holding an entry earlier than the whole run *and* one later than
-/// most of it: that sorts most of the run again.
+/// cost one sort per period. Sorting in sorts the staged entries alone and
+/// merges them into the run from its earliest end, so the entries of the run
+/// earlier than the latest staged one are moved, not compared again: a
+/// staged buffer holding an entry earlier than the whole run *and* one later
+/// than most of it moves most of the run.
 #[derive(Debug, Clone, Default)]
 struct FarTier {
     /// Sorted by round, latest first: the earliest entry is the last one.
@@ -139,13 +163,34 @@ impl FarTier {
     fn first(&mut self) -> Option<(u64, NodeId)> {
         let in_order = self.sorted.last().map(|e| e.0);
         if !self.staged.is_empty() && in_order.map_or(true, |r| self.staged_min < r) {
-            let latest = self.staged.iter().map(|e| e.0).max().expect("non-empty");
-            let keep = self.sorted.partition_point(|e| e.0 > latest);
-            self.sorted.append(&mut self.staged);
-            // By round alone: the order within a round is `take_awake`'s.
-            self.sorted[keep..].sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+            self.merge_staged();
         }
         self.sorted.last().copied()
+    }
+
+    /// Sorts the staged entries into the run: by round alone (the awake
+    /// bitmap puts a round's nodes in order), latest first, then merged from
+    /// the back, where each place takes the earlier of the two entries left.
+    fn merge_staged(&mut self) {
+        self.staged.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        if self.sorted.last().map_or(true, |last| last.0 >= self.staged[0].0) {
+            // Nothing in the run is earlier than a staged entry: the staged
+            // entries go behind it as they are.
+            self.sorted.append(&mut self.staged);
+            return;
+        }
+        let (mut i, mut j) = (self.sorted.len(), self.staged.len());
+        self.sorted.resize(i + j, (0, NodeId(0)));
+        while j > 0 {
+            if i > 0 && self.sorted[i - 1].0 < self.staged[j - 1].0 {
+                self.sorted[i + j - 1] = self.sorted[i - 1];
+                i -= 1;
+            } else {
+                self.sorted[i + j - 1] = self.staged[j - 1];
+                j -= 1;
+            }
+        }
+        self.staged.clear();
     }
 
     /// Removes the entry [`FarTier::first`] just returned.
@@ -161,6 +206,116 @@ impl FarTier {
         let first = self.first();
         self.pop();
         first
+    }
+}
+
+/// A set of node ids as a bitmap, read out in id order: bit `v % 64` of word
+/// `v / 64` is node `v`, and one summary bit per word — bit `w % 64` of
+/// summary word `w / 64` — is set whenever word `w` may be non-zero, so a
+/// read-out visits the set words only.
+#[derive(Debug, Clone, Default)]
+struct AwakeBits {
+    /// The node words, then the summary words, in one allocation.
+    bits: Vec<u64>,
+    /// The number of node words: `⌈n / 64⌉`.
+    words: usize,
+}
+
+/// Sets the first `count` bits of `words`, which are all clear.
+fn set_first(words: &mut [u64], count: usize) {
+    let (full, rest) = (count / 64, count % 64);
+    words[..full].fill(!0);
+    if rest != 0 {
+        words[full] = (1 << rest) - 1;
+    }
+}
+
+/// The indices of the set bits of `word`, lowest first.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let one = (word != 0).then(|| word.trailing_zeros() as usize);
+        word &= word.wrapping_sub(1);
+        one
+    })
+}
+
+/// The node words `summary` marks, in order.
+fn set_words(summary: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    summary.iter().enumerate().flat_map(|(s, &word)| ones(word).map(move |i| s * 64 + i))
+}
+
+impl AwakeBits {
+    /// Makes this the set of all `n` nodes.
+    fn fill(&mut self, n: usize) {
+        self.words = n.div_ceil(64);
+        zeroed(&mut self.bits, self.words + self.words.div_ceil(64));
+        let (nodes, summary) = self.bits.split_at_mut(self.words);
+        set_first(nodes, n);
+        set_first(summary, self.words);
+    }
+
+    /// Adds `nodes` to the set. Nodes that follow each other in one word —
+    /// a bucket filled in id order, or any bucket of a run on at most 64
+    /// nodes — are gathered in a register and stored at once.
+    #[inline(always)]
+    fn extend(&mut self, nodes: impl Iterator<Item = NodeId>) {
+        let (mut word, mut gathered) = (0, 0);
+        for v in nodes {
+            let w = v.index() / 64;
+            if w != word && gathered != 0 {
+                self.store(word, gathered);
+                gathered = 0;
+            }
+            word = w;
+            gathered |= 1 << (v.index() % 64);
+        }
+        if gathered != 0 {
+            self.store(word, gathered);
+        }
+    }
+
+    /// Adds the nodes of `bits` to node word `w`.
+    #[inline(always)]
+    fn store(&mut self, w: usize, bits: u64) {
+        let old = self.bits[w];
+        if old == 0 {
+            self.bits[self.words + w / 64] |= 1 << (w % 64);
+        }
+        self.bits[w] = old | bits;
+    }
+
+    /// `false` once a node has been added since the last read-out (or a node
+    /// added and removed).
+    fn is_empty(&self) -> bool {
+        self.bits[self.words..].iter().all(|&summary| summary == 0)
+    }
+
+    /// Takes `v` out of the set. Its summary bit stays: it may be set over a
+    /// clear word.
+    fn remove(&mut self, v: NodeId) {
+        self.bits[v.index() / 64] &= !(1 << (v.index() % 64));
+    }
+
+    /// Replaces `out` with the set's nodes in id order and empties the set.
+    /// The set words are counted first, so `out` is sized once, before it
+    /// is written.
+    fn drain_into(&mut self, out: &mut Vec<NodeId>) {
+        out.clear();
+        let (nodes, summary) = self.bits.split_at_mut(self.words);
+        out.reserve(set_words(summary).map(|w| nodes[w].count_ones() as usize).sum());
+        for w in set_words(summary) {
+            let (mut word, base) = (std::mem::take(&mut nodes[w]), (w * 64) as u32);
+            if word == !0 {
+                // A full word — every node awake — is a range.
+                out.extend((base..base + 64).map(NodeId));
+                continue;
+            }
+            while word != 0 {
+                out.push(NodeId(base + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+        summary.fill(0);
     }
 }
 
@@ -184,52 +339,74 @@ impl ActiveSet {
         // simlint::allow(hot-path-alloc: the ring's buckets, created by a scratch's first run and recycled by every later one)
         self.ring.resize_with(WINDOW as usize, Vec::new);
         self.ring.iter_mut().for_each(Vec::clear);
-        self.ring[0].extend((0..n as u32).map(NodeId));
         self.far.clear();
+        self.awake.fill(n);
         zeroed(&mut self.down, n);
         self.listening.clear();
         self.listen_from.clear();
-        self.far_deadline.clear();
+        self.queued_at.clear();
         self.filtering = false;
     }
 
     /// Switches the scheduler into fault (churn) mode: queue entries are no
-    /// longer trusted to be live, and [`ActiveSet::take_awake`] filters and
-    /// dedups them. Called once, before round 0, when the engine runs with a
+    /// longer trusted to be live, and [`ActiveSet::collect_due`] checks them.
+    /// Called once, before round 0, when the engine runs with a
     /// crash/restart plan — the fault-free path never pays for this.
     pub(crate) fn enable_fault_filtering(&mut self) {
         self.filtering = true;
     }
 
-    /// Removes and returns (into `out`) the nodes awake in `round`, sorted by
-    /// id so the execution order matches the reference engine's `0..n` sweep.
-    pub(crate) fn take_awake(&mut self, round: u64, out: &mut Vec<NodeId>) {
+    /// Takes the queue entries due in `round` — its ring slot and the far
+    /// tier's entries up to it — out of the queue and puts their nodes into
+    /// the round's awake set (in filtering mode, the live ones only). `out`
+    /// is cleared, and receives the slot as it is when the slot is the whole
+    /// set and in id order: the round of always-awake nodes, which were
+    /// rescheduled in the order they were stepped.
+    pub(crate) fn collect_due(&mut self, round: u64, out: &mut Vec<NodeId>) {
         out.clear();
-        out.append(&mut self.ring[(round % WINDOW) as usize]);
+        let slot = &mut self.ring[(round % WINDOW) as usize];
+        if self.filtering {
+            let (wake_at, halted, down) = (&self.wake_at, &self.halted, &self.down);
+            let queued_at = &mut self.queued_at;
+            self.awake.extend(
+                slot.iter()
+                    .inspect(|&&v| forget_queued(queued_at, round, v))
+                    .filter(|&&v| is_live(wake_at, halted, down, v, round))
+                    .copied(),
+            );
+        } else {
+            debug_assert!(
+                slot.iter().all(|&v| is_live(&self.wake_at, &self.halted, &self.down, v, round)),
+                "a bucket only holds live entries for its own round"
+            );
+            let alone = self.awake.is_empty() && self.far.earliest().map_or(true, |e| e > round);
+            if alone && slot.windows(2).all(|pair| pair[0] < pair[1]) {
+                out.append(slot);
+                return;
+            }
+            self.awake.extend(slot.iter().copied());
+        }
+        slot.clear();
         // Every live entry's round is visited, so an entry the far tier still
         // holds for an earlier round went stale before its round came.
         while let Some((due, v)) = self.far.due(round) {
-            self.forget_far(due, v);
-            if due == round {
-                out.push(v);
+            forget_queued(&mut self.queued_at, due, v);
+            if due == round && (!self.filtering || self.is_live(v, round)) {
+                self.awake.extend(std::iter::once(v));
             }
         }
-        if self.filtering {
-            // Churn and early-woken listeners leave stale entries behind (a
-            // crashed node's pending wake-up, a revived node's duplicate, a
-            // deadline its listener did not wait for), so the buckets are a
-            // superset: keep only genuinely runnable nodes and dedup after
-            // sorting.
-            out.retain(|&v| self.is_live(v, round));
-            out.sort_unstable();
-            out.dedup();
-            return;
+    }
+
+    /// Completes the awake list of the round being opened: unless the set is
+    /// empty — `out` then holds what [`ActiveSet::collect_due`] left in it —
+    /// writes its nodes (the entries `collect_due` took, the listeners
+    /// [`ActiveSet::wake_listeners`] woke, or in round 0 every node) into
+    /// `out`, sorted by id so the execution order matches the reference
+    /// engine's `0..n` sweep, and starts the next round's set empty.
+    pub(crate) fn take_awake(&mut self, out: &mut Vec<NodeId>) {
+        if !self.awake.is_empty() {
+            self.awake.drain_into(out);
         }
-        debug_assert!(
-            out.iter().all(|v| self.wake_at[v.index()] == round && !self.halted[v.index()]),
-            "a bucket only holds live entries for its own round"
-        );
-        out.sort_unstable();
     }
 
     /// `true` iff `v` receives messages delivered in `round` (awake and not
@@ -258,28 +435,16 @@ impl ActiveSet {
         self.listening.get_mut(v.index()).is_some_and(std::mem::take)
     }
 
-    /// Pulls every listening recipient of `recipients` (this round's delivery
-    /// stream) into `awake`, the id-sorted list [`ActiveSet::take_awake`]
-    /// just produced: mail ends the wait, so the node runs in `round` instead
-    /// of at its deadline, whose queue entry stays behind for the filter.
+    /// Puts every listening recipient of `recipients` (this round's delivery
+    /// stream) into the round's awake set: mail ends the wait, so the node
+    /// runs in `round` instead of at its deadline, whose queue entry stays
+    /// behind for the filter. A recipient named many times is one bit.
     /// Crashed and halted nodes are never listening, so exactly the
     /// recipients whose inbox will be non-empty are woken.
-    pub(crate) fn wake_listeners(
-        &mut self,
-        round: u64,
-        recipients: impl Iterator<Item = NodeId>,
-        awake: &mut Vec<NodeId>,
-    ) {
-        let before = awake.len();
-        for v in recipients {
-            if self.is_listening(v) && self.wake_at[v.index()] != round {
-                self.wake_at[v.index()] = round;
-                awake.push(v);
-            }
-        }
-        if awake.len() > before {
-            awake.sort_unstable();
-        }
+    pub(crate) fn wake_listeners(&mut self, round: u64, recipients: impl Iterator<Item = NodeId>) {
+        let (listening, wake_at) = (&self.listening, &mut self.wake_at);
+        let woken = recipients.filter(|v| listening.get(v.index()).is_some_and(|&l| l));
+        self.awake.extend(woken.inspect(|v| wake_at[v.index()] = round));
     }
 
     /// The energy `v` is charged when it is stepped in `round`: one unit for
@@ -332,7 +497,7 @@ impl ActiveSet {
             let n = self.wake_at.len();
             self.listening.resize(n, false);
             self.listen_from.resize(n, 0);
-            self.far_deadline.resize(n, 0);
+            self.queued_at.resize(n, [0; 2]);
             self.filtering = true;
         }
         self.listening[v.index()] = true;
@@ -344,22 +509,18 @@ impl ActiveSet {
         debug_assert!(wake_at > round, "wake-ups must move forward");
         let w = wake_at.max(round + 1);
         self.wake_at[v.index()] = w;
+        if let Some(queued) = self.queued_at.get_mut(v.index()) {
+            if queued.contains(&w) {
+                return;
+            }
+            *queued = [w, queued[0]];
+        }
         if w - round <= WINDOW {
             // Slots (round, round + WINDOW] are distinct mod WINDOW, and the
-            // slot shared with `round` itself was drained by `take_awake`.
+            // slot shared with `round` itself was drained by `collect_due`.
             self.ring[(w % WINDOW) as usize].push(v);
-        } else if self.far_deadline.get(v.index()) != Some(&w) {
+        } else {
             self.far.push(w, v);
-            if let Some(known) = self.far_deadline.get_mut(v.index()) {
-                *known = w;
-            }
-        }
-    }
-
-    /// Notes that the far tier's entry `(due, v)` has been taken out of it.
-    fn forget_far(&mut self, due: u64, v: NodeId) {
-        if let Some(known) = self.far_deadline.get_mut(v.index()).filter(|k| **k == due) {
-            *known = 0;
         }
     }
 
@@ -380,6 +541,8 @@ impl ActiveSet {
     pub(crate) fn set_down(&mut self, v: NodeId, round: u64) -> u64 {
         debug_assert!(self.filtering, "churn requires fault filtering");
         self.down[v.index()] = true;
+        // Only round 0's set is filled before its churn is applied.
+        self.awake.remove(v);
         self.interrupt_listening(v, round)
     }
 
@@ -393,8 +556,8 @@ impl ActiveSet {
 
     /// Revives `v` at `round` after a fault-injected restart: clears its
     /// down (and, if set, halted) status and schedules it to run *this*
-    /// round. Must be called before `take_awake(round, ..)` drains the
-    /// round's bucket; requires fault mode, whose filtering also absorbs the
+    /// round. Must be called before [`ActiveSet::collect_due`] takes the
+    /// round's entries; requires fault mode, whose filtering also absorbs the
     /// duplicate or stale queue entries this can create. Returns the energy
     /// `v` still owes for rounds it listened through (overlapping crash
     /// windows can restart a node that is up and listening).
@@ -432,11 +595,12 @@ impl ActiveSet {
     /// wake-up, a halt or a crash leaves entries behind, stale. Stale entries
     /// at the front of the far tier are dropped on the way: `wake_at` is only
     /// ever set to a future round together with a fresh entry for it, or
-    /// with the knowledge (`far_deadline`) that one is still queued, and a
+    /// with the knowledge (`queued_at`) that one is still queued, and a
     /// crashed node comes back through [`ActiveSet::revive`], which queues it
     /// afresh — so a stale entry is never needed again.
     pub(crate) fn next_wake(&mut self, round: u64) -> Option<u64> {
-        let near = (round + 1..=round + WINDOW)
+        // Saturating: the ring ends at the last round there is.
+        let near = (round + 1..=round.saturating_add(WINDOW))
             .find(|&r| self.ring[(r % WINDOW) as usize].iter().any(|&v| self.is_live(v, r)));
         // Most jumps end in the ring; the far tier is put in order only when
         // it may hold something earlier.
@@ -449,7 +613,7 @@ impl ActiveSet {
                 return Some(near.map_or(due, |near| near.min(due)));
             }
             self.far.pop();
-            self.forget_far(due, v);
+            forget_queued(&mut self.queued_at, due, v);
         }
         near
     }
@@ -457,8 +621,24 @@ impl ActiveSet {
     /// `true` iff a queue entry `(round, v)` is a wake-up: `v` is neither
     /// halted nor down, and due in `round`.
     fn is_live(&self, v: NodeId, round: u64) -> bool {
-        let i = v.index();
-        self.wake_at[i] == round && !self.halted[i] && !self.down[i]
+        is_live(&self.wake_at, &self.halted, &self.down, v, round)
+    }
+}
+
+/// [`ActiveSet::is_live`] on the columns it reads, for loops that hold
+/// another field of the scheduler borrowed.
+#[inline(always)]
+fn is_live(wake_at: &[u64], halted: &[bool], down: &[bool], v: NodeId, round: u64) -> bool {
+    let i = v.index();
+    wake_at[i] == round && !halted[i] && !down[i]
+}
+
+/// Notes that `v`'s queue entry for `due` has been taken out of the queue.
+fn forget_queued(queued_at: &mut [[u64; 2]], due: u64, v: NodeId) {
+    for known in queued_at.get_mut(v.index()).into_iter().flatten() {
+        if *known == due {
+            *known = 0;
+        }
     }
 }
 
@@ -466,28 +646,36 @@ impl ActiveSet {
 mod tests {
     use super::*;
 
+    /// Opens `round` as the engine does — its due entries, then the
+    /// listening recipients of `mail` — and returns its awake list.
+    fn open(a: &mut ActiveSet, round: u64, mail: &[NodeId]) -> Vec<NodeId> {
+        let mut awake = Vec::new();
+        a.collect_due(round, &mut awake);
+        a.wake_listeners(round, mail.iter().copied());
+        a.take_awake(&mut awake);
+        awake
+    }
+
     #[test]
     fn all_nodes_start_awake_in_round_zero() {
         let mut a = ActiveSet::new(3);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        let awake = open(&mut a, 0, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        a.take_awake(0, &mut awake);
-        assert!(awake.is_empty(), "a bucket is consumed exactly once");
+        let awake = open(&mut a, 0, &[]);
+        assert!(awake.is_empty(), "a round's set is taken exactly once");
     }
 
     #[test]
     fn reschedule_orders_nodes_by_id_within_a_bucket() {
         let mut a = ActiveSet::new(4);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
-        // Insert out of id order; the bucket must come back sorted.
+        open(&mut a, 0, &[]);
+        // Insert out of id order; the awake list must come back sorted.
         a.reschedule(NodeId(3), 0, 5);
         a.reschedule(NodeId(1), 0, 5);
         a.reschedule(NodeId(2), 0, 7);
         a.halt(NodeId(0));
         assert_eq!(a.next_wake(0), Some(5));
-        a.take_awake(5, &mut awake);
+        let awake = open(&mut a, 5, &[]);
         assert_eq!(awake, vec![NodeId(1), NodeId(3)]);
         assert_eq!(a.next_wake(5), Some(7));
     }
@@ -495,8 +683,7 @@ mod tests {
     #[test]
     fn receptivity_tracks_wake_round_exactly() {
         let mut a = ActiveSet::new(2);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         a.reschedule(NodeId(0), 0, 3);
         a.halt(NodeId(1));
         assert!(!a.is_receptive(NodeId(0), 1));
@@ -526,22 +713,21 @@ mod tests {
     #[test]
     fn far_wakeups_go_through_the_far_tier_and_come_back() {
         let mut a = ActiveSet::new(3);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         // One near, one just past the ring horizon, one far out.
         a.reschedule(NodeId(0), 0, WINDOW); // last ring slot
         a.reschedule(NodeId(1), 0, WINDOW + 1); // first far-tier round
         a.reschedule(NodeId(2), 0, 10 * WINDOW);
         assert_eq!(a.next_wake(0), Some(WINDOW));
-        a.take_awake(WINDOW, &mut awake);
+        let awake = open(&mut a, WINDOW, &[]);
         assert_eq!(awake, vec![NodeId(0)]);
         a.halt(NodeId(0));
         assert_eq!(a.next_wake(WINDOW), Some(WINDOW + 1));
-        a.take_awake(WINDOW + 1, &mut awake);
+        let awake = open(&mut a, WINDOW + 1, &[]);
         assert_eq!(awake, vec![NodeId(1)]);
         a.halt(NodeId(1));
         assert_eq!(a.next_wake(WINDOW + 1), Some(10 * WINDOW));
-        a.take_awake(10 * WINDOW, &mut awake);
+        let awake = open(&mut a, 10 * WINDOW, &[]);
         assert_eq!(awake, vec![NodeId(2)]);
     }
 
@@ -549,8 +735,7 @@ mod tests {
     fn fault_mode_filters_stale_entries_and_revives_nodes() {
         let mut a = ActiveSet::new(3);
         a.enable_fault_filtering();
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        let awake = open(&mut a, 0, &[]);
         assert_eq!(awake.len(), 3);
         a.reschedule(NodeId(0), 0, 2);
         a.reschedule(NodeId(1), 0, 2);
@@ -558,7 +743,7 @@ mod tests {
         // Node 0 crashes before its wake round: its queue entry goes stale.
         assert_eq!(a.set_down(NodeId(0), 1), 0, "a sleeper owes nothing");
         assert!(a.is_down(NodeId(0)));
-        a.take_awake(2, &mut awake);
+        let awake = open(&mut a, 2, &[]);
         assert_eq!(awake, vec![NodeId(1)], "down nodes are filtered out");
         a.reschedule(NodeId(1), 2, 100);
         assert_eq!(a.next_wake(2), Some(100));
@@ -569,7 +754,7 @@ mod tests {
         a.revive(NodeId(2), 7);
         assert!(!a.is_down(NodeId(0)));
         assert!(!a.all_halted() && a.unhalted() == 3);
-        a.take_awake(7, &mut awake);
+        let awake = open(&mut a, 7, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(2)]);
         // A crashed node's entry, in the ring or in the far tier, is no
         // wake-up to jump to.
@@ -586,8 +771,7 @@ mod tests {
     #[test]
     fn listeners_wake_on_mail_and_settle_the_rounds_they_idled_through() {
         let mut a = ActiveSet::new(4);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         assert!(!a.has_listeners());
         assert_eq!(a.awake_rounds(NodeId(0), 0), 1);
         // 0 and 1 listen to a far deadline (the far tier), 2 to a near one
@@ -601,9 +785,8 @@ mod tests {
 
         // Mail for 1 (twice), 2 and the sleeper in round 5: the listeners
         // join the awake list once each, in id order; the sleeper stays deaf.
-        a.take_awake(5, &mut awake);
         let mail = [NodeId(2), NodeId(1), NodeId(3), NodeId(1)];
-        a.wake_listeners(5, mail.into_iter(), &mut awake);
+        let awake = open(&mut a, 5, &mail);
         assert_eq!(awake, vec![NodeId(1), NodeId(2)]);
         assert!(a.is_receptive(NodeId(1), 5) && a.is_receptive(NodeId(2), 5));
         assert!(!a.is_receptive(NodeId(3), 5));
@@ -614,8 +797,9 @@ mod tests {
         a.halt(NodeId(2));
         assert_eq!(a.next_wake(5), Some(200), "a stale first entry does not stop the jump");
 
-        // The deadline bucket holds 0, 1 twice, and 3: filtered and deduped.
-        a.take_awake(200, &mut awake);
+        // The deadline's entries are 0, 1 (once: it went back to the round it
+        // was queued at) and 3.
+        let awake = open(&mut a, 200, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(1), NodeId(3)]);
         assert_eq!(a.awake_rounds(NodeId(0), 200), 200);
         assert_eq!(a.awake_rounds(NodeId(1), 200), 195);
@@ -628,19 +812,17 @@ mod tests {
     fn a_crashed_listener_is_charged_through_the_round_before() {
         let mut a = ActiveSet::new(2);
         a.enable_fault_filtering();
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         a.listen(NodeId(0), 0, 50);
         a.listen(NodeId(1), 0, 50);
         assert_eq!(a.set_down(NodeId(0), 7), 6, "rounds 1..=6");
-        a.take_awake(7, &mut awake);
-        a.wake_listeners(7, [NodeId(0)].into_iter(), &mut awake);
+        let awake = open(&mut a, 7, &[NodeId(0)]);
         assert!(awake.is_empty(), "a crashed node is no longer listening");
         // A restart that finds the node up (overlapping crash windows) also
         // settles the wait it cuts short.
         assert_eq!(a.revive(NodeId(1), 10), 9);
         assert_eq!(a.revive(NodeId(0), 10), 0);
-        a.take_awake(10, &mut awake);
+        let awake = open(&mut a, 10, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(1)]);
         assert_eq!(a.awake_rounds(NodeId(1), 10), 1);
     }
@@ -648,8 +830,7 @@ mod tests {
     #[test]
     fn ring_and_far_entries_for_one_round_are_merged_and_sorted() {
         let mut a = ActiveSet::new(4);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         let target = WINDOW + 5;
         // Scheduled far ahead of round 0: the far tier.
         a.reschedule(NodeId(3), 0, target);
@@ -658,11 +839,11 @@ mod tests {
         // same round through the ring.
         a.reschedule(NodeId(2), 0, 10);
         a.reschedule(NodeId(0), 0, 10);
-        a.take_awake(10, &mut awake);
+        let awake = open(&mut a, 10, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(2)]);
         a.reschedule(NodeId(0), 10, target);
         a.reschedule(NodeId(2), 10, target);
-        a.take_awake(target, &mut awake);
+        let awake = open(&mut a, target, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(a.next_wake(target), None);
     }
@@ -708,8 +889,8 @@ mod tests {
         // queued. Work is counted in entries handed to a sort, not in time.
         let (n, period, periods) = (500u64, 1000u64, 4u64);
         let mut a = ActiveSet::new(n as usize);
+        open(&mut a, 0, &[]);
         let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
         for i in 0..n {
             a.reschedule(NodeId(i as u32), 0, period + i);
         }
@@ -727,7 +908,7 @@ mod tests {
             let mut next = None;
             counting(&mut a, &mut |a| next = a.next_wake(round));
             round = next.expect("somebody always wakes");
-            counting(&mut a, &mut |a| a.take_awake(round, &mut awake));
+            counting(&mut a, &mut |a| awake = open(a, round, &[]));
             assert_eq!(awake, vec![NodeId(((round - period) % period) as u32)]);
             a.reschedule(awake[0], round, round + period);
         }
@@ -738,28 +919,26 @@ mod tests {
     #[test]
     fn the_next_wake_is_the_first_live_entry_in_round_order() {
         let mut a = ActiveSet::new(4);
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         // Slot order is not round order: from round 60, round 70 sits in
         // slot 6 and round 62 in slot 62.
         a.reschedule(NodeId(0), 0, 60);
         a.listen(NodeId(1), 0, 300);
         a.listen(NodeId(2), 0, 500);
         a.halt(NodeId(3));
-        a.take_awake(60, &mut awake);
+        open(&mut a, 60, &[]);
         a.listen(NodeId(0), 60, 70);
         assert_eq!(a.next_wake(60), Some(70));
         // Mail wakes 0 and 1 early; both move on and leave their deadlines
         // behind — 0's in the ring, 1's on top of the far tier.
-        a.take_awake(61, &mut awake);
-        a.wake_listeners(61, [NodeId(0), NodeId(1)].into_iter(), &mut awake);
+        open(&mut a, 61, &[NodeId(0), NodeId(1)]);
         a.listen(NodeId(0), 61, 64);
         a.listen(NodeId(1), 61, 400);
         assert_eq!(a.next_wake(61), Some(64));
-        a.take_awake(64, &mut awake);
+        open(&mut a, 64, &[]);
         a.halt(NodeId(0));
         assert_eq!(a.next_wake(64), Some(400), "neither stale entry is a wake-up");
-        a.take_awake(400, &mut awake);
+        let awake = open(&mut a, 400, &[]);
         assert_eq!(awake, vec![NodeId(1)]);
     }
 
@@ -767,8 +946,7 @@ mod tests {
     fn rearming_forgets_whatever_the_last_run_left() {
         let mut a = ActiveSet::new(5);
         a.enable_fault_filtering();
-        let mut awake = Vec::new();
-        a.take_awake(0, &mut awake);
+        open(&mut a, 0, &[]);
         // Abandoned mid-run: ring and far entries, a listener, a crashed and
         // a halted node.
         a.reschedule(NodeId(0), 0, 3);
@@ -780,10 +958,184 @@ mod tests {
             a.rearm(n);
             assert_eq!(a.unhalted() as usize, n);
             assert!(!a.has_listeners());
-            a.take_awake(0, &mut awake);
+            let awake = open(&mut a, 0, &[]);
             assert_eq!(awake, (0..n as u32).map(NodeId).collect::<Vec<_>>());
             assert_eq!(a.next_wake(0), None);
             assert!((0..n as u32).all(|v| !a.is_down(NodeId(v)) && a.is_receptive(NodeId(v), 0)));
+        }
+    }
+
+    #[test]
+    fn a_listener_sent_back_to_its_ring_deadline_leaves_one_queue_entry() {
+        let mut a = ActiveSet::new(2);
+        open(&mut a, 0, &[]);
+        let deadline = 50;
+        a.listen(NodeId(0), 0, deadline);
+        a.reschedule(NodeId(1), 0, 1);
+        for round in 1..=10 {
+            // Mail every round: 0 runs with 1, and goes back to its deadline.
+            assert_eq!(open(&mut a, round, &[NodeId(0)]), vec![NodeId(0), NodeId(1)]);
+            a.listen(NodeId(0), round, deadline);
+            a.reschedule(NodeId(1), round, round + 1);
+        }
+        let slot = &a.ring[(deadline % WINDOW) as usize];
+        assert_eq!(slot, &vec![NodeId(0)], "woken ten times, queued once");
+        a.halt(NodeId(1));
+        assert_eq!(a.next_wake(10), Some(deadline));
+        assert_eq!(open(&mut a, deadline, &[]), vec![NodeId(0)]);
+        assert_eq!(a.awake_rounds(NodeId(0), deadline), deadline - 10);
+    }
+
+    #[test]
+    fn a_listener_back_from_a_detour_leaves_one_far_entry_per_deadline() {
+        let mut a = ActiveSet::new(2);
+        open(&mut a, 0, &[]);
+        let (limit, due) = (10 * WINDOW, 5 * WINDOW);
+        a.listen(NodeId(0), 0, limit);
+        a.reschedule(NodeId(1), 0, 1);
+        // Mail moves 0's pending round to `due`, and then, at `due`, it
+        // goes back to the limit it is still queued at.
+        assert_eq!(open(&mut a, 1, &[NodeId(0)]), vec![NodeId(0), NodeId(1)]);
+        a.listen(NodeId(0), 1, due);
+        a.halt(NodeId(1));
+        assert_eq!(a.next_wake(1), Some(due));
+        assert_eq!(open(&mut a, due, &[]), vec![NodeId(0)]);
+        a.listen(NodeId(0), due, limit);
+        let far = |a: &ActiveSet| a.far.sorted.len() + a.far.staged.len();
+        assert_eq!(far(&a), 1, "the limit's entry is queued once");
+        assert_eq!(a.next_wake(due), Some(limit));
+        assert_eq!(open(&mut a, limit, &[]), vec![NodeId(0)]);
+        assert_eq!(far(&a), 0);
+    }
+
+    #[test]
+    fn a_node_crashed_in_round_zero_does_not_run_in_it() {
+        let mut a = ActiveSet::new(130);
+        a.enable_fault_filtering();
+        a.set_down(NodeId(64), 0);
+        a.set_down(NodeId(129), 0);
+        let awake = open(&mut a, 0, &[]);
+        let expected: Vec<_> = (0..130).filter(|&v| v != 64 && v != 129).map(NodeId).collect();
+        assert_eq!(awake, expected);
+    }
+
+    /// A node of the model [`ActiveSet`] is checked against.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Modelled {
+        wake_at: u64,
+        /// `Some(round it last ran)` while it listens.
+        listen_from: Option<u64>,
+        /// The last deadline it listened to.
+        deadline: u64,
+        halted: bool,
+        down: bool,
+    }
+
+    impl Modelled {
+        fn live(&self) -> bool {
+            !self.halted && !self.down
+        }
+
+        /// The energy a fault-plan event in `round` settles, ending the wait.
+        fn interrupt(&mut self, round: u64) -> u64 {
+            self.listen_from.take().map_or(0, |from| round - 1 - from)
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of every operation of the queue, at sizes on
+        /// both sides of every word boundary of the awake bitmap (and of its
+        /// first summary word), with wake-ups inside and beyond the ring:
+        /// every opened round must agree with a naive model of the nodes.
+        #[test]
+        fn every_opened_round_agrees_with_a_naive_model(
+            size in 0usize..5,
+            faults in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            use std::collections::BTreeMap;
+            let (n, faults) = ([1, 63, 64, 65, 130][size], faults == 1);
+            let mut rng = seed;
+            let mut draw = |bound: u64| rand::splitmix64(&mut rng) % bound;
+            let mut a = ActiveSet::new(n);
+            if faults {
+                a.enable_fault_filtering();
+            }
+            let mut model: BTreeMap<u32, Modelled> =
+                (0..n as u32).map(|v| (v, Modelled::default())).collect();
+            let mut round = 0;
+            for _ in 0..80 {
+                for _ in 0..if faults { draw(3) } else { 0 } {
+                    let v = draw(n as u64) as u32;
+                    let node = model.get_mut(&v).expect("modelled");
+                    let owed = node.interrupt(round);
+                    if draw(2) == 0 {
+                        proptest::prop_assert_eq!(a.set_down(NodeId(v), round), owed);
+                        node.down = true;
+                        if draw(4) == 0 {
+                            a.halt(NodeId(v));
+                            node.halted = true;
+                        }
+                    } else {
+                        proptest::prop_assert_eq!(a.revive(NodeId(v), round), owed);
+                        *node = Modelled { wake_at: round, ..Modelled::default() };
+                    }
+                }
+                let mut awake = Vec::new();
+                a.collect_due(round, &mut awake);
+                let mail: Vec<NodeId> = (0..draw(6)).map(|_| NodeId(draw(n as u64) as u32)).collect();
+                a.wake_listeners(round, mail.iter().copied());
+                for v in &mail {
+                    let node = model.get_mut(&v.0).expect("modelled");
+                    if node.listen_from.is_some() {
+                        node.wake_at = round;
+                    }
+                }
+                a.take_awake(&mut awake);
+                let live = model.iter().filter(|(_, m)| m.live() && m.wake_at == round);
+                let expected: Vec<NodeId> = live.map(|(&v, _)| NodeId(v)).collect();
+                proptest::prop_assert_eq!(&awake, &expected, "round {}", round);
+
+                for &v in &awake {
+                    let node = model.get_mut(&v.0).expect("modelled");
+                    let charge = node.listen_from.map_or(1, |from| round - from);
+                    proptest::prop_assert_eq!(a.awake_rounds(v, round), charge);
+                    let later = round + 1 + draw(3 * WINDOW);
+                    match draw(8) {
+                        0 => {
+                            a.halt(v);
+                            (node.halted, node.listen_from) = (true, None);
+                        }
+                        1..=4 => {
+                            // Half of the early-woken listeners go back to
+                            // the deadline they were woken before.
+                            let back = node.deadline > round && draw(2) == 0;
+                            let deadline = if back { node.deadline } else { later };
+                            a.listen(v, round, deadline);
+                            node.listen_from = Some(round);
+                            (node.wake_at, node.deadline) = (deadline, deadline);
+                        }
+                        _ => {
+                            a.reschedule(v, round, later);
+                            (node.wake_at, node.listen_from) = (later, None);
+                        }
+                    }
+                }
+                let unhalted = model.values().filter(|m| !m.halted).count();
+                proptest::prop_assert_eq!(a.unhalted() as usize, unhalted);
+                let wakes = model.values().filter(|m| m.live()).map(|m| m.wake_at);
+                let next = wakes.min();
+                proptest::prop_assert!(next.map_or(true, |next| next > round));
+                proptest::prop_assert_eq!(a.next_wake(round), next, "after round {}", round);
+                // The engine opens a round at or before the next wake-up:
+                // that one, or an earlier one with mail or churn in it.
+                round = match next {
+                    Some(next) if draw(2) == 0 => next,
+                    Some(next) => round + 1 + draw(next - round),
+                    None if unhalted == 0 => break,
+                    None => round + 1 + draw(2 * WINDOW),
+                };
+            }
         }
     }
 }

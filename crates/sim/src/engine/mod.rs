@@ -5,7 +5,9 @@
 //!
 //! * `active_set` — a wake bucket queue; each round touches only the nodes
 //!   scheduled to run in it, and sleeping nodes — and awake-but-idle
-//!   *listening* ones, see below — cost nothing.
+//!   *listening* ones, see below — cost nothing. A round's awake set is
+//!   collected in an id-ordered bitmap and read out once, so the awake list
+//!   costs no sort.
 //! * `delivery` — a flat, reusable message arena replacing per-round per-node
 //!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`, with
 //!   one receptivity check per recipient and a buffer that only grows.
@@ -30,9 +32,10 @@
 //! # A round is these calls on `RoundCore`, in this order
 //!
 //! 1. `begin_round` — the round limit; this round's churn (a crash takes its
-//!    node down, a restart resets its state and re-queues it); the id-sorted
-//!    awake list; jitter arrivals merged into the delivery stream; listening
-//!    recipients of that stream pulled into the awake list.
+//!    node down, a restart resets its state and re-queues it); the round's
+//!    due queue entries collected into the awake set; jitter arrivals merged
+//!    into the delivery stream; listening recipients of that stream added to
+//!    the awake set; the set written out as the id-sorted awake list.
 //! 2. `deliver` into an arena — inboxes in stream order; messages to
 //!    sleeping or halted nodes lost, to crashed ones dropped, both counted.
 //! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
@@ -73,17 +76,22 @@
 //! * The deadline sits in the wake queue like a sleeper's wake-up, and
 //!   `ActiveSet` remembers the round the node last ran in.
 //! * Before delivery, every *listening* recipient of this round's in-flight
-//!   stream is pulled into the round's id-sorted awake list (and its
-//!   scheduled round pulled forward to now, which is what makes it
-//!   receptive). A listener without mail is not touched.
+//!   stream sets its bit in the round's awake bitmap (and has its scheduled
+//!   round pulled forward to now, which is what makes it receptive), beside
+//!   the bits of the queue entries due now. A recipient with many messages,
+//!   or whose deadline is now, is one bit, and the bitmap is read out in id
+//!   order — so joining the awake list costs neither a dedup nor a sort. A
+//!   listener without mail is not touched.
 //! * Energy is settled when the node is next stepped: `round − last_ran`
 //!   units instead of one. A fault plan that crashes (or restarts) a
 //!   listener at round `c` settles `c − 1 − last_ran` on the spot — the node
 //!   was up through round `c − 1`.
 //! * The early wake-up leaves the deadline's queue entry behind, stale. The
 //!   queue therefore switches to the filtering mode fault plans already use
-//!   (entries are a superset, `wake_at` is authoritative) at the first listen
-//!   request of a run — a protocol that never listens never pays for it.
+//!   (entries are a superset, `wake_at` is authoritative, and a due entry
+//!   sets its bit only if it is live) at the first listen request of a run —
+//!   a protocol that never listens never pays for it. A listener that goes
+//!   back to the deadline it is still queued at pushes no second entry.
 //!
 //! Quiet stretches between deadlines are never visited: after a round in
 //! which nothing was sent, `end_round` jumps to the earliest *live* queue

@@ -75,7 +75,7 @@ impl Engine<'_> {
         let mut round: u64 = 0;
 
         loop {
-            if round > config.max_rounds {
+            if round > config.last_round() {
                 let unhalted = status.iter().filter(|s| !s.halted).count() as u32;
                 return Err(SimError::RoundLimitExceeded {
                     limit: config.max_rounds,
@@ -263,7 +263,7 @@ impl Engine<'_> {
                     // round limit: the check at the top of the loop refuses
                     // it, and padding first would ask for a vector header per
                     // round of a sleep to, say, 2^36.
-                    if let Some(t) = trace.as_mut().filter(|_| w <= config.max_rounds) {
+                    if let Some(t) = trace.as_mut().filter(|_| w <= config.last_round()) {
                         for _ in round + 1..w {
                             t.rounds.push(Vec::new());
                         }

@@ -108,15 +108,16 @@ impl<'e> RoundCore<'e> {
         &self.buf.awake
     }
 
-    /// Opens the round: enforces the round limit, applies the round's churn
-    /// (`reset` must replace the named node's protocol state with a fresh
-    /// one), fixes the awake list and completes the delivery stream. Returns
-    /// whether there is anything to deliver or step; an entirely empty round
-    /// needs neither pass.
+    /// Opens the round: enforces the round limit (the last round a run may
+    /// open is [`crate::SimConfig::max_rounds`], and never `u64::MAX`),
+    /// applies the round's churn (`reset` must replace the named node's
+    /// protocol state with a fresh one), fixes the awake list and completes
+    /// the delivery stream. Returns whether there is anything to deliver or
+    /// step; an entirely empty round needs neither pass.
     pub(super) fn begin_round(&mut self, mut reset: impl FnMut(NodeId)) -> Result<bool, SimError> {
         let round = self.round;
         self.rounds_visited += 1;
-        if round > self.engine.config().max_rounds {
+        if round > self.engine.config().last_round() {
             return Err(SimError::RoundLimitExceeded {
                 limit: self.engine.config().max_rounds,
                 unhalted_nodes: self.buf.active.unhalted(),
@@ -127,16 +128,18 @@ impl<'e> RoundCore<'e> {
         // — with a fresh state — into this round's wake bucket. A listener
         // either one interrupts was up through `round − 1` and is charged
         // for that here.
+        let active = &mut self.buf.active;
         if let Some(rt) = self.faults.as_mut() {
             while let Some(ev) = rt.next_event(round) {
                 let i = ev.node.index();
+                let energy = &mut self.metrics.node_energy[i];
                 match ev.action {
                     FaultAction::Crash { permanent } => {
                         self.metrics.crashes += 1;
                         rt.crashed[i] = true;
-                        self.metrics.node_energy[i] += self.buf.active.set_down(ev.node, round);
+                        *energy = energy.saturating_add(active.set_down(ev.node, round));
                         if permanent {
-                            self.buf.active.halt(ev.node);
+                            active.halt(ev.node);
                         }
                     }
                     FaultAction::Restart => {
@@ -144,24 +147,26 @@ impl<'e> RoundCore<'e> {
                         rt.crashed[i] = false;
                         rt.reinit[i] = true;
                         reset(ev.node);
-                        self.metrics.node_energy[i] += self.buf.active.revive(ev.node, round);
+                        *energy = energy.saturating_add(active.revive(ev.node, round));
                     }
                 }
             }
         }
-        // The awake list is taken before delivery, which reads start-of-round
-        // receptivity. Jitter-delayed messages due now join the stream after
-        // the on-time ones; then every listening recipient of the complete
-        // stream joins the awake list — its wait ends with its first mail.
-        self.buf.active.take_awake(round, &mut self.buf.awake);
+        // The awake set is collected before delivery, which reads
+        // start-of-round receptivity: the round's due queue entries; then,
+        // once jitter-delayed messages due now have joined the stream after
+        // the on-time ones, every listening recipient of the complete stream
+        // — its wait ends with its first mail. Then the set is written out as
+        // the id-sorted awake list.
+        active.collect_due(round, &mut self.buf.awake);
         if let Some(rt) = self.faults.as_mut() {
             rt.merge_due(round, &mut self.buf.incoming);
         }
-        self.listeners = self.buf.active.has_listeners();
+        self.listeners = active.has_listeners();
         if self.listeners {
-            let recipients = self.buf.incoming.iter().map(|f| f.to);
-            self.buf.active.wake_listeners(round, recipients, &mut self.buf.awake);
+            active.wake_listeners(round, self.buf.incoming.iter().map(|f| f.to));
         }
+        active.take_awake(&mut self.buf.awake);
         self.buf.capacity.reset();
         self.buf.round_trace.clear();
         Ok(!(self.buf.incoming.is_empty() && self.buf.awake.is_empty()))
@@ -210,7 +215,8 @@ impl<'e> RoundCore<'e> {
             state.on_round(&mut ctx, arena.inbox(v));
         }
         let request = ctx.request();
-        self.metrics.node_energy[v.index()] += charge;
+        let energy = &mut self.metrics.node_energy[v.index()];
+        *energy = energy.saturating_add(charge);
         self.account_sends(sent, from)?;
         self.buf.active.apply(v, round, request);
         Ok(())
@@ -311,7 +317,7 @@ impl<'e> RoundCore<'e> {
                 // the jump passes the round limit, which `begin_round` is
                 // about to refuse: padding first would allocate a vector
                 // header per round of a sleep to, say, 2^36 and abort.
-                if let Some(t) = self.trace.as_mut().filter(|_| w <= config.max_rounds) {
+                if let Some(t) = self.trace.as_mut().filter(|_| w <= config.last_round()) {
                     // simlint::allow(hot-path-alloc: trace mode only, and an empty Vec::new never touches the heap)
                     t.rounds.resize_with(t.rounds.len() + (w - round - 1) as usize, Vec::new);
                 }

@@ -154,7 +154,10 @@ pub struct SimConfig {
     /// engines.
     pub max_message_words: usize,
     /// Hard limit on the number of simulated rounds; exceeded limits produce
-    /// [`SimError::RoundLimitExceeded`] rather than looping forever.
+    /// [`SimError::RoundLimitExceeded`] rather than looping forever. The last
+    /// round a run may open is `max_rounds`, or `u64::MAX − 1` if that is
+    /// smaller: a run that reaches round `u64::MAX` fails with this error at
+    /// any limit, since it could not report its length.
     pub max_rounds: u64,
     /// If `true`, exceeding `edge_capacity` or `max_message_words` is a hard
     /// error; if `false`, violations are only counted in
@@ -213,6 +216,12 @@ impl SimConfig {
     #[deprecated(note = "ignored: the engine has one driver, on the calling thread")]
     pub fn with_threads(self, _threads: usize) -> Self {
         self
+    }
+
+    /// The last round a run may open: [`SimConfig::max_rounds`], capped one
+    /// below `u64::MAX` so that a run's length, `round + 1`, fits in a `u64`.
+    pub(crate) fn last_round(&self) -> u64 {
+        self.max_rounds.min(u64::MAX - 1)
     }
 
     /// The per-message word bound the engines actually enforce:

@@ -747,6 +747,70 @@ fn a_jump_past_the_round_limit_is_the_round_limit_error() {
     assert_eq!(run.trace.expect("traced").len() as u64, run.metrics.rounds);
 }
 
+/// Waits for round `until` — asleep, or listening — and then halts, or, with
+/// `halt` unset, keeps asking for the same round.
+#[derive(Debug, Clone)]
+struct EndOfTime {
+    until: u64,
+    listen: bool,
+    halt: bool,
+}
+
+impl EndOfTime {
+    fn wait(&self, ctx: &mut NodeCtx<'_>) {
+        if self.listen {
+            ctx.listen_until(self.until);
+        } else {
+            ctx.sleep_until(self.until);
+        }
+    }
+}
+
+impl Protocol for EndOfTime {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.wait(ctx);
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {
+        if self.halt {
+            ctx.halt();
+        } else {
+            // A round already here: the node stays awake, round after round.
+            self.wait(ctx);
+        }
+    }
+}
+
+/// The last rounds there are. A run may open round `u64::MAX − 1` at most,
+/// whatever its limit, so its length `round + 1` fits: one that needs round
+/// `u64::MAX` is the round limit error — not an overflow, and not, with
+/// overflow checks off, a wrap to round 0 that never ends. The sleepers are
+/// compared with the reference; the listeners with `Engine::run` alone,
+/// because the reference visits every round a listener waits through.
+#[test]
+fn a_run_ends_by_round_u64_max_minus_one_at_any_limit() {
+    let g = generators::path(3, 1);
+    let cfg = SimConfig::default().with_max_rounds(u64::MAX);
+    let past_the_end = SimError::RoundLimitExceeded { limit: u64::MAX, unhalted_nodes: 3 };
+    let node = |until, listen, halt| move |_| EndOfTime { until, listen, halt };
+    let sleepers =
+        |until, halt| assert_equivalent_runs(&g, cfg.clone(), 0, node(until, false, halt), |_| ());
+    // Awake from `u64::MAX − 2` on: the round after the last is refused.
+    assert_eq!(sleepers(u64::MAX - 2, false).expect_err("never halts"), past_the_end);
+    // A jump to `u64::MAX` is refused before the round is opened.
+    assert_eq!(sleepers(u64::MAX, true).expect_err("wakes too late"), past_the_end);
+    // The last round there is: a run `u64::MAX` rounds long.
+    let run = sleepers(u64::MAX - 1, true).expect("halts in the last round");
+    assert_eq!((run.metrics.rounds, run.metrics.max_energy()), (u64::MAX, 2));
+
+    let listeners = |until| Engine::new(&g, cfg.clone()).run(node(until, true, true));
+    assert_eq!(listeners(u64::MAX).expect_err("listens too long"), past_the_end);
+    // Awake in every round from 0 to `u64::MAX − 1`: charged for each.
+    let run = listeners(u64::MAX - 1).expect("halts in the last round");
+    assert_eq!(run.metrics.rounds, u64::MAX);
+    assert_eq!(run.metrics.node_energy, vec![u64::MAX; 3]);
+    assert_eq!(run.rounds_visited, 2);
+}
+
 /// Breaks both CONGEST bounds on one edge in one step.
 #[derive(Debug, Clone)]
 struct Loudmouth;
