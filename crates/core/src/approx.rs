@@ -30,8 +30,6 @@ pub struct CutterOutcome {
     pub error_bound: u64,
     /// Complexity measurements of the underlying waiting BFS.
     pub metrics: Metrics,
-    /// Optional edge-usage trace of the underlying waiting BFS.
-    pub trace: Option<congest_sim::EdgeUsageTrace>,
 }
 
 impl CutterOutcome {
@@ -113,7 +111,7 @@ pub(crate) fn approximate_cssp_validated(
         }
     }
     let error_bound = w_max.div_ceil(inv as u64).saturating_add(2);
-    Ok(CutterOutcome { estimates, error_bound, metrics: run.metrics, trace: run.trace })
+    Ok(CutterOutcome { estimates, error_bound, metrics: run.metrics })
 }
 
 #[cfg(test)]
@@ -284,12 +282,8 @@ mod tests {
 
     #[test]
     fn inclusion_threshold_adds_error_bound() {
-        let out = CutterOutcome {
-            estimates: vec![],
-            error_bound: 13,
-            metrics: Metrics::zero(0, 0),
-            trace: None,
-        };
+        let out =
+            CutterOutcome { estimates: vec![], error_bound: 13, metrics: Metrics::zero(0, 0) };
         assert_eq!(out.inclusion_threshold(100), Distance::Finite(113));
     }
 }

@@ -11,7 +11,7 @@
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol};
 
-use crate::result::{AlgoRun, DistanceOutput};
+use crate::result::{distances_of, AlgoRun};
 use crate::{AlgoConfig, AlgoError};
 
 /// Per-node state of the Bellman–Ford protocol.
@@ -107,8 +107,7 @@ fn run_bellman_ford<P: Protocol>(
             rounds_total,
         })
     })?;
-    let distances = run.states.iter().map(dist).collect();
-    Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
+    Ok(distances_of(run, dist))
 }
 
 #[cfg(test)]
@@ -166,8 +165,8 @@ mod tests {
                     let fast = distributed_bellman_ford(g, sources, &cfg).unwrap();
                     let slow =
                         run_bellman_ford(g, sources, &cfg, AlwaysStepped, |s| s.0.dist).unwrap();
-                    // Full AlgoRun equality: distances, every metrics field
-                    // (per-node energy included), and the trace.
+                    // Full AlgoRun equality: distances and every metrics
+                    // field (per-node energy included).
                     assert_eq!(fast, slow, "workload {i}");
                 }
             }

@@ -87,7 +87,7 @@ pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
         }
     }
 
-    AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None }
+    AlgoRun { output: DistanceOutput { distances: dist }, metrics }
 }
 
 /// The pre-queue reference implementation: identical charging, but the next
@@ -143,7 +143,7 @@ fn distributed_dijkstra_scan_reference(g: &Graph, sources: &[NodeId]) -> AlgoRun
         }
     }
 
-    AlgoRun { output: DistanceOutput { distances: dist }, metrics, trace: None }
+    AlgoRun { output: DistanceOutput { distances: dist }, metrics }
 }
 
 #[cfg(test)]

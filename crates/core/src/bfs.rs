@@ -14,7 +14,7 @@
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol};
 
-use crate::result::{AlgoRun, DistanceOutput};
+use crate::result::{distances_of, AlgoRun};
 use crate::{AlgoConfig, AlgoError};
 
 /// Per-node state of the BFS protocol.
@@ -114,8 +114,7 @@ fn run_bfs<P: Protocol>(
             limit,
         })
     })?;
-    let distances = run.states.iter().map(dist).collect();
-    Ok(AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace })
+    Ok(distances_of(run, dist))
 }
 
 #[cfg(test)]
@@ -175,8 +174,8 @@ mod tests {
                         let fast = thresholded_bfs(g, sources, limit, &cfg).unwrap();
                         let slow =
                             run_bfs(g, sources, limit, &cfg, AlwaysStepped, |s| s.0.dist).unwrap();
-                        // Full AlgoRun equality: distances, every metrics
-                        // field (per-node energy included), and the trace.
+                        // Full AlgoRun equality: distances and every
+                        // metrics field (per-node energy included).
                         assert_eq!(fast, slow, "workload {i}, limit {limit}");
                     }
                 }
@@ -191,7 +190,7 @@ mod tests {
 
     #[test]
     fn a_limit_beyond_n_is_the_unthresholded_run() {
-        let cfg = AlgoConfig::default().with_traces();
+        let cfg = AlgoConfig::default();
         let g = generators::random_connected(30, 40, 2);
         let unthresholded = unthresholded(&g, &[NodeId(0)], &cfg);
         for limit in [31, 1 << 40, u64::MAX - 9, u64::MAX] {

@@ -15,9 +15,7 @@ pub struct AlgoConfig {
     /// The approximation parameter `ε ∈ (0, 1)` of the cutter (Lemma 2.1).
     /// The paper fixes `ε = 0.5` in the recursion (Section 2.3, step 3).
     pub epsilon_inverse: u64,
-    /// Simulator model configuration used for the protocol phases. Its
-    /// [`SimConfig::record_edge_trace`] decides whether a run returns a
-    /// per-round edge-usage trace (see [`AlgoConfig::with_traces`]).
+    /// Simulator model configuration used for the protocol phases.
     pub sim: SimConfig,
 
     // --- Sleeping-model (Section 3) constants -------------------------------
@@ -59,13 +57,6 @@ impl AlgoConfig {
         1.0 / self.epsilon_inverse as f64
     }
 
-    /// Enables per-round edge-usage trace recording on the underlying
-    /// simulator ([`SimConfig::record_edge_trace`]).
-    pub fn with_traces(mut self) -> Self {
-        self.sim.record_edge_trace = true;
-        self
-    }
-
     /// Installs a fault plan on the underlying simulator (see
     /// [`congest_sim::FaultPlan`] and `docs/FAULT_MODEL.md`). The default is
     /// [`congest_sim::FaultPlan::none`], which leaves every run bit-identical
@@ -102,12 +93,6 @@ mod tests {
     fn default_epsilon_is_half() {
         let c = AlgoConfig::default();
         assert_eq!(c.epsilon(), 0.5);
-    }
-
-    #[test]
-    fn with_traces_enables_sim_traces() {
-        assert!(!AlgoConfig::default().sim.record_edge_trace);
-        assert!(AlgoConfig::default().with_traces().sim.record_edge_trace);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use congest_cover::CoverStats;
 use congest_graph::{Distance, Graph, NodeId};
-use congest_sim::{EdgeUsageTrace, Metrics};
+use congest_sim::{Metrics, RunOutcome};
 use serde::{Deserialize, Serialize};
 
 use crate::solver::Algorithm;
@@ -45,8 +45,13 @@ impl DistanceOutput {
 pub(crate) struct AlgoRun {
     pub output: DistanceOutput,
     pub metrics: Metrics,
-    /// Present when [`congest_sim::SimConfig::record_edge_trace`] was set.
-    pub trace: Option<EdgeUsageTrace>,
+}
+
+/// The [`AlgoRun`] of an engine run: the distances `dist` reads off its final
+/// states, with its metrics.
+pub(crate) fn distances_of<P>(run: RunOutcome<P>, dist: impl Fn(&P) -> Distance) -> AlgoRun {
+    let distances = run.states.iter().map(dist).collect();
+    AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics }
 }
 
 /// The unified complexity report of a [`crate::solver::Solver`] run: the

@@ -12,7 +12,7 @@
 //! * [`Solver::on`] starts a [`SolverRequest`] builder;
 //!   [`SolverRequest::run`] executes it and returns one [`SolverRun`] with
 //!   the distances, a unified [`RunReport`] (including energy/awake-round and
-//!   recursion/scheduling sections where applicable), and an optional trace.
+//!   recursion/scheduling sections where applicable).
 //!
 //! The facade is the one way to run an algorithm. Beside it, only the four
 //! layers the perf ledger times on their own stay public:
@@ -43,7 +43,7 @@ mod registry;
 pub use registry::{registry, Algorithm, AlgorithmInfo};
 
 use congest_graph::{Distance, Graph, NodeId};
-use congest_sim::{EdgeUsageTrace, Metrics};
+use congest_sim::Metrics;
 
 use crate::approx::approximate_cssp;
 use crate::apsp::{apsp, ApspConfig};
@@ -199,7 +199,6 @@ impl SolverRequest<'_> {
             report: new_report(&run.metrics, &run.output),
             output: run.output,
             all_pairs: None,
-            trace: run.trace,
         };
         match self.algorithm {
             Algorithm::Cssp => {
@@ -211,7 +210,7 @@ impl SolverRequest<'_> {
                 };
                 let mut report = new_report(&run.metrics, &run.output);
                 report.recursion = Some(RecursionReport::from(&run.stats));
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
+                Ok(SolverRun { output: run.output, all_pairs: None, report })
             }
             Algorithm::ApproximateCssp => {
                 let w = self.threshold.unwrap_or(full_distance);
@@ -219,7 +218,7 @@ impl SolverRequest<'_> {
                 let output = DistanceOutput { distances: out.estimates };
                 let mut report = new_report(&out.metrics, &output);
                 report.error_bound = Some(out.error_bound);
-                Ok(SolverRun { output, all_pairs: None, report, trace: out.trace })
+                Ok(SolverRun { output, all_pairs: None, report })
             }
             Algorithm::Bfs => Ok(simulated(thresholded_bfs(g, &nodes, hop_limit, &self.config)?)),
             Algorithm::LowEnergyBfs => {
@@ -230,7 +229,7 @@ impl SolverRequest<'_> {
                     megaround: run.megaround,
                     cover_levels: run.cover_levels as u64,
                 });
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
+                Ok(SolverRun { output: run.output, all_pairs: None, report })
             }
             Algorithm::LowEnergyCssp => {
                 let run = low_energy_cssp(g, &nodes, &self.config)?;
@@ -241,7 +240,7 @@ impl SolverRequest<'_> {
                     cover_levels: run.cover_levels as u64,
                 });
                 report.recursion = Some(RecursionReport::from(&run.stats));
-                Ok(SolverRun { output: run.output, all_pairs: None, report, trace: None })
+                Ok(SolverRun { output: run.output, all_pairs: None, report })
             }
             Algorithm::Dijkstra => Ok(simulated(distributed_dijkstra(g, &nodes))),
             Algorithm::BellmanFord => {
@@ -268,7 +267,7 @@ impl SolverRequest<'_> {
                     sequential_rounds: run.sequential_rounds,
                     max_instance_congestion: run.max_instance_congestion,
                 });
-                Ok(SolverRun { output, all_pairs: Some(run.distances), report, trace: None })
+                Ok(SolverRun { output, all_pairs: Some(run.distances), report })
             }
             Algorithm::DistanceOracle => {
                 let build = build_oracle(g, &self.config, &self.oracle_config, &self.apsp_config)?;
@@ -299,7 +298,7 @@ impl SolverRequest<'_> {
                 );
                 report.error_bound = Some(error_bound);
                 report.oracle = Some(build.report);
-                Ok(SolverRun { output, all_pairs: None, report, trace: None })
+                Ok(SolverRun { output, all_pairs: None, report })
             }
         }
     }
@@ -315,10 +314,6 @@ pub struct SolverRun {
     pub all_pairs: Option<Vec<Vec<Distance>>>,
     /// The unified complexity report.
     pub report: RunReport,
-    /// Per-round edge usage trace, where the algorithm records one and
-    /// [`congest_sim::SimConfig::record_edge_trace`] was set in
-    /// [`AlgoConfig::sim`].
-    pub trace: Option<EdgeUsageTrace>,
 }
 
 impl SolverRun {
@@ -353,14 +348,13 @@ mod tests {
             report: RunReport::new(algorithm, g, &run.metrics, &run.output),
             output: run.output,
             all_pairs: None,
-            trace: run.trace,
         };
         match algorithm {
             Algorithm::Cssp => {
                 let run = cssp(g, &s, &cfg).unwrap();
                 let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
                 report.recursion = Some(RecursionReport::from(&run.stats));
-                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+                SolverRun { output: run.output, all_pairs: None, report }
             }
             Algorithm::ApproximateCssp => {
                 let w = g.distance_upper_bound().max(1);
@@ -368,7 +362,7 @@ mod tests {
                 let output = DistanceOutput { distances: out.estimates };
                 let mut report = RunReport::new(algorithm, g, &out.metrics, &output);
                 report.error_bound = Some(out.error_bound);
-                SolverRun { output, all_pairs: None, report, trace: out.trace }
+                SolverRun { output, all_pairs: None, report }
             }
             Algorithm::Bfs => simulated(thresholded_bfs(g, &s, n, &cfg).unwrap()),
             Algorithm::LowEnergyBfs => {
@@ -377,7 +371,7 @@ mod tests {
                 let (slowdown, megaround) = (run.slowdown, run.megaround);
                 let cover_levels = run.cover_levels as u64;
                 report.sleeping = Some(SleepingReport { slowdown, megaround, cover_levels });
-                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+                SolverRun { output: run.output, all_pairs: None, report }
             }
             Algorithm::LowEnergyCssp => {
                 let run = low_energy_cssp(g, &s, &cfg).unwrap();
@@ -385,7 +379,7 @@ mod tests {
                 let (megaround, cover_levels) = (run.megaround, run.cover_levels as u64);
                 report.sleeping = Some(SleepingReport { slowdown: 0, megaround, cover_levels });
                 report.recursion = Some(RecursionReport::from(&run.stats));
-                SolverRun { output: run.output, all_pairs: None, report, trace: None }
+                SolverRun { output: run.output, all_pairs: None, report }
             }
             Algorithm::Dijkstra => simulated(distributed_dijkstra(g, &s)),
             Algorithm::BellmanFord => simulated(distributed_bellman_ford(g, &s, &cfg).unwrap()),
@@ -404,7 +398,7 @@ mod tests {
                         congestion,
                     )
                 };
-                SolverRun { output, all_pairs: Some(run.distances), report, trace: None }
+                SolverRun { output, all_pairs: Some(run.distances), report }
             }
             Algorithm::DistanceOracle => {
                 let (oracle_config, apsp_config) = (OracleConfig::default(), ApspConfig::default());
@@ -424,7 +418,7 @@ mod tests {
                         build.max_congestion,
                     )
                 };
-                SolverRun { output, all_pairs: None, report, trace: None }
+                SolverRun { output, all_pairs: None, report }
             }
         }
     }
@@ -625,23 +619,10 @@ mod tests {
         // builds, a threshold of 0 in release).
         let g = weighted(30, 3);
         for algorithm in [Algorithm::Bfs, Algorithm::LowEnergyBfs, Algorithm::Cssp] {
-            let request = Solver::on(&g)
-                .algorithm(algorithm)
-                .source(NodeId(0))
-                .config(AlgoConfig::default().with_traces());
+            let request = Solver::on(&g).algorithm(algorithm).source(NodeId(0));
             let unthresholded = request.clone().run().unwrap();
             assert_eq!(request.threshold(u64::MAX).run().unwrap(), unthresholded, "{algorithm:?}");
         }
-    }
-
-    #[test]
-    fn the_simulator_flag_alone_gates_the_trace() {
-        let g = weighted(12, 2);
-        let bfs = Solver::on(&g).algorithm(Algorithm::Bfs).source(NodeId(0));
-        assert!(bfs.clone().run().unwrap().trace.is_none());
-        let mut config = AlgoConfig::default();
-        config.sim.record_edge_trace = true;
-        assert!(bfs.config(config).run().unwrap().trace.is_some());
     }
 
     #[test]

@@ -25,18 +25,14 @@ pub(crate) fn weighted_workloads() -> Vec<Graph> {
     ]
 }
 
-/// The configurations every comparison runs under: plain, with the edge
-/// trace, and under a fault plan that drops messages and crashes (and
-/// restarts) non-source nodes in the middle of their waits.
+/// The configurations every comparison runs under: plain, and under a fault
+/// plan that drops messages and crashes (and restarts) non-source nodes in
+/// the middle of their waits.
 pub(crate) fn configs() -> Vec<AlgoConfig> {
     let plan = FaultPlan::none()
         .with_seed(7)
         .with_drop_ppm(150_000)
         .with_crash(NodeId(3), 2, Some(9))
         .with_crash(NodeId(4), 5, None);
-    vec![
-        AlgoConfig::default(),
-        AlgoConfig::default().with_traces(),
-        AlgoConfig::default().with_traces().with_faults(plan),
-    ]
+    vec![AlgoConfig::default(), AlgoConfig::default().with_faults(plan)]
 }

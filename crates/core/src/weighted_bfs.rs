@@ -16,7 +16,7 @@
 use congest_graph::{Distance, Graph, NodeId, Weight};
 use congest_sim::{Engine, Message, NodeCtx, Protocol, RunOutcome};
 
-use crate::result::{AlgoRun, DistanceOutput, SourceOffset};
+use crate::result::{distances_of, AlgoRun, SourceOffset};
 use crate::{AlgoConfig, AlgoError};
 
 /// Per-node state of the waiting-BFS protocol, over the weight map `'w` of
@@ -147,13 +147,6 @@ fn run_waiting_bfs<'w, P: Protocol>(
     Ok(Engine::new(g, sim).run(node)?)
 }
 
-/// The distances `dist` reads off the final states of `run`, with its
-/// metrics and trace.
-fn distances_of<P>(run: RunOutcome<P>, dist: impl Fn(&P) -> Distance) -> AlgoRun {
-    let distances = run.states.iter().map(dist).collect();
-    AlgoRun { output: DistanceOutput { distances }, metrics: run.metrics, trace: run.trace }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,8 +272,8 @@ mod tests {
                     let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
                     let slow = run_waiting_bfs(g, sources, weights, *limit, &cfg, AlwaysStepped);
                     let slow = distances_of(slow.unwrap(), |s: &AlwaysStepped| s.0.dist);
-                    // Full AlgoRun equality: distances, every metrics field
-                    // (per-node energy included), and the trace.
+                    // Full AlgoRun equality: distances and every metrics
+                    // field (per-node energy included).
                     assert_eq!(fast, slow, "workload {i}, limit {limit}");
                 }
             }

@@ -200,9 +200,10 @@ pub fn random_connected(n: u32, extra_edges: u64, seed: u64) -> Graph {
         b.add_edge(key.0, key.1, 1).expect("tree edges are always valid");
     }
     let all_pairs = (n as u64) * (n as u64 - 1) / 2;
-    let target = (present.len() as u64 + extra_edges).min(all_pairs);
+    let target = (present.len() as u64).saturating_add(extra_edges).min(all_pairs);
     let mut guard = 0u64;
-    while (present.len() as u64) < target && guard < 100 * target + 1000 {
+    while (present.len() as u64) < target && guard < target.saturating_mul(100).saturating_add(1000)
+    {
         guard += 1;
         let u = r.gen_range(0..n);
         let v = r.gen_range(0..n);
@@ -588,6 +589,17 @@ mod tests {
             let g = random_connected(64, 100, seed);
             assert_eq!(sequential::connected_components(&g).component_count, 1);
             assert!(g.edge_count() >= 63);
+        }
+    }
+
+    #[test]
+    fn random_connected_caps_a_huge_edge_request_at_the_complete_graph() {
+        // `tree edges + extra_edges` used to overflow: a panic in debug
+        // builds, the bare spanning tree in release.
+        for seed in 0..4 {
+            let g = random_connected(8, u64::MAX, seed);
+            assert_eq!(g.edge_count(), 28);
+            assert_eq!(g, random_connected(8, 28, seed), "seed {seed}");
         }
     }
 

@@ -41,10 +41,9 @@
 //! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
 //!    the awake rounds to charge; what it sent accounted (bandwidth,
 //!    per-edge-direction capacity — the first violation is the strict-mode
-//!    error —, message and congestion counts, trace, then fault fates); its
+//!    error —, message and congestion counts, then fault fates); its
 //!    scheduling request applied.
-//! 4. `end_round` — trace entry coalesced; termination (what is still in
-//!    flight is lost); else, if this round's sends are in flight, the next
+//! 4. `end_round` — termination (what is still in flight is lost); else, if this round's sends are in flight, the next
 //!    round with them as its delivery stream; else — nothing was sent, so
 //!    nothing can happen before somebody's wake-up — straight to the
 //!    earliest wake-up (under a fault plan: or jittered arrival, or churn
@@ -117,9 +116,9 @@
 //! allocates nothing), whatever the previous run was — another graph, a
 //! fault plan — and however it ended: finished, failed mid-round with its
 //! counters half-written, or unwound by a protocol panic. Nothing is cleaned
-//! up at exit, so nothing depends on an exit having happened. The states,
-//! the two [`Metrics`] columns and the trace are the run's results and are
-//! allocated fresh; the fault layer belongs to the run's plan.
+//! up at exit, so nothing depends on an exit having happened. The states and
+//! the two [`Metrics`] columns are the run's results and are allocated fresh;
+//! the fault layer belongs to the run's plan.
 //!
 //! Nothing is given back either: a thread keeps the capacity of the largest
 //! run it has made until it exits, as a scratch held by the caller would.
@@ -135,7 +134,7 @@ use std::cell::RefCell;
 use congest_graph::{Graph, NodeId};
 
 use crate::message::InFlight;
-use crate::metrics::{EdgeUsageTrace, Metrics};
+use crate::metrics::Metrics;
 use crate::{Protocol, SimConfig, SimError};
 
 use delivery::DeliveryArena;
@@ -163,9 +162,6 @@ pub struct RunOutcome<P> {
     pub states: Vec<P>,
     /// The complexity measurements of the execution.
     pub metrics: Metrics,
-    /// The per-round edge usage trace, if [`SimConfig::record_edge_trace`]
-    /// was enabled.
-    pub trace: Option<EdgeUsageTrace>,
     /// The rounds the run opened — looked at, whether or not anything
     /// happened in them: a deterministic work counter (host cost without a
     /// clock). Rounds a run fast-forwards over are not counted. Counted by
@@ -531,20 +527,6 @@ mod tests {
         assert!(matches!(err, SimError::MessageTooLarge { words: 16, .. }));
     }
 
-    #[test]
-    fn edge_trace_is_recorded_when_enabled() {
-        let g = generators::path(4, 1);
-        let cfg = SimConfig::default().with_edge_trace(true);
-        let source = NodeId(0);
-        let run = Engine::new(&g, cfg)
-            .run(|id| SimpleBfs { is_source: id == source, dist: Distance::Infinite, quiet: 0 })
-            .unwrap();
-        let trace = run.trace.expect("trace requested");
-        assert_eq!(trace.total_messages(), run.metrics.messages);
-        assert_eq!(trace.max_edge_total(), run.metrics.max_congestion());
-        assert_eq!(trace.len() as u64, run.metrics.rounds);
-    }
-
     // --- Active-set vs reference engine: fixed correctness matrix ----------
     //
     // The proptest harness in `tests/engine_equivalence.rs` covers randomized
@@ -558,7 +540,6 @@ mod tests {
         let fast = Engine::new(g, cfg.clone()).run(factory).expect("active-set run");
         let slow = Engine::new(g, cfg).run_reference(factory).expect("reference run");
         assert_eq!(fast.metrics, slow.metrics, "metrics must be identical");
-        assert_eq!(fast.trace, slow.trace, "traces must be identical");
         for (a, b) in fast.states.iter().zip(&slow.states) {
             check(a, b);
         }
@@ -567,10 +548,9 @@ mod tests {
     #[test]
     fn engines_agree_on_simple_bfs() {
         let g = generators::random_connected(30, 50, 3);
-        let cfg = SimConfig::default().with_edge_trace(true);
         assert_equivalent(
             &g,
-            cfg,
+            SimConfig::default(),
             |id| SimpleBfs { is_source: id == NodeId(4), dist: Distance::Infinite, quiet: 0 },
             |a: &SimpleBfs, b: &SimpleBfs| assert_eq!(a.dist, b.dist),
         );
@@ -674,7 +654,7 @@ mod tests {
         let g = generators::grid(6, 5, 1);
         assert_equivalent(
             &g,
-            SimConfig::default().with_edge_trace(true),
+            SimConfig::default(),
             |id| ListeningBfs {
                 is_source: id == NodeId(7),
                 until: 100,

@@ -5,7 +5,7 @@
 //! Its per-round cost is `Θ(n)` regardless of how many nodes are awake, which
 //! is exactly what the active-set engine in [`super`] eliminates — but its
 //! simplicity makes it the semantic ground truth. [`Engine::run`] must
-//! produce bit-identical [`RunOutcome`]s (states, [`Metrics`], traces); the
+//! produce bit-identical [`RunOutcome`]s (states and [`Metrics`]); the
 //! proptest harness in `tests/engine_equivalence.rs` enforces this.
 //!
 //! It is also where [`crate::NodeCtx::listen_until`] is *defined*: a
@@ -18,13 +18,13 @@
 //! (`engine/round.rs`): an oracle that called them would agree with them by
 //! construction.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use congest_graph::{EdgeId, NodeId};
 
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
-use crate::metrics::{EdgeUsageTrace, Metrics};
+use crate::metrics::Metrics;
 use crate::node::{NodeCtx, Request};
 use crate::{Engine, Message, Protocol, RunOutcome, SimError};
 
@@ -45,8 +45,8 @@ struct NodeStatus {
 impl Engine<'_> {
     /// Runs the protocol through the naive `O(n)`-per-round reference loop.
     ///
-    /// Semantics are identical to [`Engine::run`] — same states, metrics, and
-    /// traces — only the execution cost differs. Use this as the baseline in
+    /// Semantics are identical to [`Engine::run`] — same states and metrics —
+    /// only the execution cost differs. Use this as the baseline in
     /// engine benchmarks and as the oracle in differential tests; use
     /// [`Engine::run`] everywhere else.
     ///
@@ -67,8 +67,6 @@ impl Engine<'_> {
             vec![NodeStatus { wake_at: 0, listening: false, halted: false, down: false }; n];
         let mut faults = FaultRuntime::new(&config.faults, n);
         let mut metrics = Metrics::zero(n, m);
-        let mut trace =
-            if config.record_edge_trace { Some(EdgeUsageTrace::default()) } else { None };
 
         // Messages sent in the previous round, awaiting delivery this round.
         let mut in_flight: Vec<InFlight> = Vec::new();
@@ -132,7 +130,6 @@ impl Engine<'_> {
             }
 
             // Run awake nodes.
-            let mut this_round_trace: Vec<(EdgeId, u32)> = Vec::new();
             // simlint::allow(nondeterministic-iteration: per-round capacity counter probed through entry() only and dropped at round end; nothing ever iterates it)
             let mut edge_round_count: HashMap<(EdgeId, NodeId), u32> = HashMap::new();
             let mut any_awake = false;
@@ -190,9 +187,6 @@ impl Engine<'_> {
                     }
                     metrics.messages += 1;
                     metrics.edge_congestion[edge.index()] += 1;
-                    if trace.is_some() {
-                        this_round_trace.push((edge, 1));
-                    }
                 }
                 // Roll the fate of this node's sends after accounting (a
                 // dropped message was still sent), before they join the
@@ -217,16 +211,6 @@ impl Engine<'_> {
                 }
             }
 
-            if let Some(t) = trace.as_mut() {
-                // Coalesce duplicate edges in this round's trace entry; the
-                // BTreeMap iterates in edge order, matching the active engine.
-                let mut merged: BTreeMap<EdgeId, u32> = BTreeMap::new();
-                for (e, c) in this_round_trace {
-                    *merged.entry(e).or_insert(0) += c;
-                }
-                t.rounds.push(merged.into_iter().collect());
-            }
-
             // Termination check: all halted and nothing in flight. Whatever
             // was sent this round can never be delivered — count it as lost.
             let all_halted = status.iter().all(|s| s.halted);
@@ -236,7 +220,7 @@ impl Engine<'_> {
                     metrics.messages_lost += rt.pending_count();
                 }
                 metrics.rounds = round + 1;
-                return Ok(RunOutcome { states, metrics, trace, rounds_visited: 0 });
+                return Ok(RunOutcome { states, metrics, rounds_visited: 0 });
             }
 
             // Deadlock / quiescence guard: nobody is awake now or in the
@@ -258,16 +242,7 @@ impl Engine<'_> {
             if in_flight.is_empty() && !any_awake {
                 if let Some(w) = next_wake.filter(|&w| w > round) {
                     // Jump to the next scheduled wake-up. The skipped rounds
-                    // still exist in the model but cost nothing — and get an
-                    // empty trace entry each, unless the jump lands past the
-                    // round limit: the check at the top of the loop refuses
-                    // it, and padding first would ask for a vector header per
-                    // round of a sleep to, say, 2^36.
-                    if let Some(t) = trace.as_mut().filter(|_| w <= config.last_round()) {
-                        for _ in round + 1..w {
-                            t.rounds.push(Vec::new());
-                        }
-                    }
+                    // still exist in the model but cost nothing.
                     round = w;
                     continue;
                 }

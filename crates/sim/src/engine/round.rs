@@ -1,8 +1,8 @@
 //! One simulated round, as the rules the driver of [`Engine::run`] calls.
 //!
 //! [`RoundCore`] holds everything about a run that is not a protocol state:
-//! the round counter, the fault layer, the [`Metrics`] and the optional
-//! trace, which are the run's own, and — borrowed from the thread's
+//! the round counter, the fault layer and the [`Metrics`], which are the
+//! run's own, and — borrowed from the thread's
 //! `RunScratch` as a [`RoundScratch`], re-armed by
 //! [`RoundCore::new`] — the in-flight stream being delivered, the awake
 //! list, the scheduler and the capacity counters. Each rule of the model is
@@ -18,13 +18,11 @@
 //!
 //! simlint: hot-path
 
-use std::collections::BTreeMap;
-
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::NodeId;
 
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
-use crate::metrics::{EdgeUsageTrace, Metrics};
+use crate::metrics::Metrics;
 use crate::node::NodeCtx;
 use crate::{Engine, Protocol, RunOutcome, SimError};
 
@@ -46,8 +44,6 @@ pub(super) struct RoundScratch {
     awake: Vec<NodeId>,
     active: ActiveSet,
     capacity: CapacityTracker,
-    /// This round's `(edge, 1)` per send, coalesced by `end_round`.
-    round_trace: Vec<(EdgeId, u32)>,
 }
 
 /// The state and rules of a run's rounds; see the module docs.
@@ -67,7 +63,6 @@ pub(super) struct RoundCore<'e> {
     /// its original (allocation-free) fault-free branch.
     faults: Option<FaultRuntime>,
     metrics: Metrics,
-    trace: Option<EdgeUsageTrace>,
     /// See [`RunOutcome::rounds_visited`].
     rounds_visited: u64,
 }
@@ -84,7 +79,6 @@ impl<'e> RoundCore<'e> {
         scratch.awake.clear();
         scratch.active.rearm(n);
         scratch.capacity.rearm(m);
-        scratch.round_trace.clear();
         let faults = FaultRuntime::new(&config.faults, n);
         if faults.is_some() {
             scratch.active.enable_fault_filtering();
@@ -97,7 +91,6 @@ impl<'e> RoundCore<'e> {
             buf: scratch,
             faults,
             metrics: Metrics::zero(n, m),
-            trace: config.record_edge_trace.then(EdgeUsageTrace::default),
             rounds_visited: 0,
         }
     }
@@ -168,7 +161,6 @@ impl<'e> RoundCore<'e> {
         }
         active.take_awake(&mut self.buf.awake);
         self.buf.capacity.reset();
-        self.buf.round_trace.clear();
         Ok(!(self.buf.incoming.is_empty() && self.buf.awake.is_empty()))
     }
 
@@ -232,7 +224,7 @@ impl<'e> RoundCore<'e> {
         // The loop's invariants, read once.
         let config = self.engine.config();
         let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
-        let (max_words, tracing) = (self.max_words, self.trace.is_some());
+        let max_words = self.max_words;
         for flight in &sent[from..] {
             let (edge, node) = (flight.msg.edge, flight.msg.from);
             let words = flight.sent_words as usize;
@@ -251,9 +243,6 @@ impl<'e> RoundCore<'e> {
             }
             self.metrics.messages += 1;
             self.metrics.edge_congestion[edge.index()] += 1;
-            if tracing {
-                self.buf.round_trace.push((edge, 1));
-            }
         }
         if let Some(rt) = self.faults.as_mut() {
             if rt.has_message_faults() {
@@ -271,17 +260,6 @@ impl<'e> RoundCore<'e> {
         // Delivered or counted as lost, all of it (the arena build does not
         // drain) — and jitter arrivals merge into this buffer next round.
         self.buf.incoming.clear();
-        if let Some(t) = self.trace.as_mut() {
-            // Coalesce duplicate edges in this round's trace entry; the
-            // BTreeMap iterates in edge order, so the entry comes out
-            // sorted with no hasher order anywhere near the trace.
-            let mut merged: BTreeMap<EdgeId, u32> = BTreeMap::new();
-            for &(e, c) in &self.buf.round_trace {
-                *merged.entry(e).or_insert(0) += c;
-            }
-            // simlint::allow(hot-path-alloc: trace recording is a diagnostic mode; the alloc gate runs untraced)
-            t.rounds.push(merged.into_iter().collect());
-        }
 
         // Termination: all halted and nothing in flight. Whatever was sent
         // this round — including jittered messages still held in the fault
@@ -302,7 +280,6 @@ impl<'e> RoundCore<'e> {
         // model but cost nothing. Under a fault plan the next event is the
         // earliest of a wake-up, a pending jittered delivery, and a churn
         // event.
-        let config = self.engine.config();
         if sent.is_empty() {
             let wake = self.buf.active.next_wake(round);
             let target = match self.faults.as_ref() {
@@ -313,14 +290,6 @@ impl<'e> RoundCore<'e> {
                 None => wake,
             };
             if let Some(w) = target.filter(|&w| w > round) {
-                // The trace gets one empty entry per skipped round — unless
-                // the jump passes the round limit, which `begin_round` is
-                // about to refuse: padding first would allocate a vector
-                // header per round of a sleep to, say, 2^36 and abort.
-                if let Some(t) = self.trace.as_mut().filter(|_| w <= config.last_round()) {
-                    // simlint::allow(hot-path-alloc: trace mode only, and an empty Vec::new never touches the heap)
-                    t.rounds.resize_with(t.rounds.len() + (w - round - 1) as usize, Vec::new);
-                }
                 self.round = w;
                 return false;
             }
@@ -335,7 +304,6 @@ impl<'e> RoundCore<'e> {
 
     /// The outcome of a run [`RoundCore::end_round`] declared over.
     pub(super) fn into_outcome<P>(self, states: Vec<P>) -> RunOutcome<P> {
-        let (metrics, trace, rounds_visited) = (self.metrics, self.trace, self.rounds_visited);
-        RunOutcome { states, metrics, trace, rounds_visited }
+        RunOutcome { states, metrics: self.metrics, rounds_visited: self.rounds_visited }
     }
 }

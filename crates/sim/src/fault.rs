@@ -25,7 +25,7 @@
 //! # Fault taxonomy
 //!
 //! * **Drop** — a sent message vanishes in transit. It still counts as sent
-//!   (message complexity, congestion, capacity, traces record the send); the
+//!   (message complexity, congestion and capacity record the send); the
 //!   loss is tallied in [`crate::Metrics::fault_drops`], separately from the
 //!   sleeping-model's [`crate::Metrics::messages_lost`].
 //! * **Crash / restart** — a node goes down at the *start* of

@@ -128,8 +128,9 @@ pub use engine::{Engine, RunOutcome};
 pub use error::SimError;
 pub use fault::{CrashEvent, FaultPlan};
 pub use message::{Message, Words};
-pub use metrics::{EdgeUsageTrace, Metrics};
+pub use metrics::Metrics;
 pub use node::{NodeCtx, Protocol};
+pub use scheduler::EdgeUsageTrace;
 
 use serde::{Deserialize, Serialize};
 
@@ -163,9 +164,6 @@ pub struct SimConfig {
     /// error; if `false`, violations are only counted in
     /// [`Metrics::capacity_violations`].
     pub strict_capacity: bool,
-    /// Record the per-edge, per-round usage trace needed by the random-delay
-    /// scheduler (costs memory proportional to rounds × edges used).
-    pub record_edge_trace: bool,
     /// The fault-injection plan (message loss, node churn, delivery jitter).
     /// Defaults to [`FaultPlan::none`], which keeps both engines on their
     /// unmodified fault-free paths. See the [`fault`] module docs.
@@ -179,7 +177,6 @@ impl Default for SimConfig {
             max_message_words: 4,
             max_rounds: 10_000_000,
             strict_capacity: true,
-            record_edge_trace: false,
             faults: FaultPlan::none(),
         }
     }
@@ -190,12 +187,6 @@ impl SimConfig {
     /// given width, Section 3.1.3 of the paper).
     pub fn with_edge_capacity(mut self, capacity: u32) -> Self {
         self.edge_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables recording of the per-edge usage trace.
-    pub fn with_edge_trace(mut self, record: bool) -> Self {
-        self.record_edge_trace = record;
         self
     }
 

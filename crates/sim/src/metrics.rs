@@ -194,51 +194,6 @@ impl Metrics {
     }
 }
 
-/// A per-round, per-edge usage trace of one protocol execution, used by the
-/// random-delay scheduler to compute the makespan of running many instances
-/// concurrently (the paper's APSP construction).
-///
-/// `rounds[r]` lists `(edge, messages_sent_over_edge_in_round_r)` pairs,
-/// sparsely (edges with zero usage are omitted). The round axis itself is
-/// dense: a fast-forwarded idle span still gets one (empty, heap-free) entry
-/// per skipped round, so a traced run costs `O(rounds)` memory however little
-/// happens in it — bounded by [`crate::SimConfig::max_rounds`], since a jump
-/// past the limit is refused before it is padded.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EdgeUsageTrace {
-    /// Sparse per-round edge usage.
-    pub rounds: Vec<Vec<(EdgeId, u32)>>,
-}
-
-impl EdgeUsageTrace {
-    /// Number of rounds covered by the trace.
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Returns `true` if the trace covers no rounds.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// Total messages in the trace.
-    pub fn total_messages(&self) -> u64 {
-        self.rounds.iter().flatten().map(|&(_, c)| c as u64).sum()
-    }
-
-    /// The maximum number of messages any single edge carries over the whole
-    /// trace (the instance's congestion).
-    pub fn max_edge_total(&self) -> u64 {
-        let mut totals = std::collections::BTreeMap::new();
-        for round in &self.rounds {
-            for &(e, c) in round {
-                *totals.entry(e).or_insert(0u64) += c as u64;
-            }
-        }
-        totals.values().copied().max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,17 +308,5 @@ mod tests {
         assert_eq!(a.max_energy(), 9);
         assert_eq!(a.messages, 10);
         assert_eq!(a.max_congestion(), 2);
-    }
-
-    #[test]
-    fn trace_statistics() {
-        let t = EdgeUsageTrace {
-            rounds: vec![vec![(EdgeId(0), 1), (EdgeId(1), 2)], vec![], vec![(EdgeId(0), 3)]],
-        };
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert_eq!(t.total_messages(), 6);
-        assert_eq!(t.max_edge_total(), 4);
-        assert!(EdgeUsageTrace::default().is_empty());
     }
 }

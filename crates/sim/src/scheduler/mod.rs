@@ -10,11 +10,10 @@
 //! `instances × dilation`.
 //!
 //! This module implements the *scheduling* part as a queueing simulation over
-//! recorded per-instance edge-usage traces ([`crate::EdgeUsageTrace`]): each
-//! instance is first executed alone (which preserves its correctness and
-//! records when it uses which edge), then the traces are superimposed with
-//! random delays and a per-round per-edge capacity, and messages that exceed
-//! the capacity queue up. The resulting makespan is what the experiments
+//! per-instance edge usage: each instance is first executed alone (which
+//! preserves its correctness), then its usage is superimposed on the others'
+//! with random delays and a per-round per-edge capacity, and messages that
+//! exceed the capacity queue up. The resulting makespan is what the experiments
 //! report. This mirrors the paper's own use of scheduling as a black box on
 //! top of independently-correct low-congestion instances.
 //!
@@ -34,9 +33,9 @@
 //!   instances through it in `O(messages)` time and `O(n · m + occupied
 //!   rounds)` memory (the `n` per-edge total vectors plus the column).
 //! * [`schedule_with_delays`] / [`random_delay_schedule`] take explicit
-//!   [`crate::EdgeUsageTrace`]s; their entries are grouped by edge with one
-//!   counting sort, `O(trace entries + edges + occupied rounds)` time and
-//!   memory.
+//!   [`EdgeUsageTrace`]s, built by the caller (the simulator records none);
+//!   their entries are grouped by edge with one counting sort, `O(trace
+//!   entries + edges + occupied rounds)` time and memory.
 //!
 //! Neither costs anything per *scheduler round*: the column indexes only the
 //! union of the instances' `[delay, delay + len)` windows, so instances
@@ -61,18 +60,59 @@
 //! `makespan × capacity` — including for schedules with zero messages, whose
 //! makespan is still the horizon.
 
+use congest_graph::EdgeId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::EdgeUsageTrace;
 
 mod reference;
 mod replay;
 
 pub use reference::schedule_reference;
 pub use replay::{schedule_spread, SpreadInstance};
+
+/// The per-round, per-edge usage of one protocol instance: the input format
+/// of [`schedule_with_delays`], [`random_delay_schedule`] and
+/// [`schedule_reference`]. The simulator does not record it; a caller builds
+/// it, e.g. by spreading an instance's per-edge totals over its rounds.
+///
+/// `rounds[r]` lists `(edge, messages_sent_over_edge_in_round_r)` pairs,
+/// sparsely (edges with zero usage are omitted); the round axis is dense.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EdgeUsageTrace {
+    /// Sparse per-round edge usage.
+    pub rounds: Vec<Vec<(EdgeId, u32)>>,
+}
+
+impl EdgeUsageTrace {
+    /// Number of rounds covered by the trace.
+    pub fn len(&self) -> usize {
+        self.rounds.len()
+    }
+
+    /// Returns `true` if the trace covers no rounds.
+    pub fn is_empty(&self) -> bool {
+        self.rounds.is_empty()
+    }
+
+    /// Total messages in the trace.
+    pub fn total_messages(&self) -> u64 {
+        self.rounds.iter().flatten().map(|&(_, c)| c as u64).sum()
+    }
+
+    /// The maximum number of messages any single edge carries over the whole
+    /// trace (the instance's congestion).
+    pub fn max_edge_total(&self) -> u64 {
+        let mut totals = std::collections::BTreeMap::new();
+        for round in &self.rounds {
+            for &(e, c) in round {
+                *totals.entry(e).or_insert(0u64) += c as u64;
+            }
+        }
+        totals.values().copied().max().unwrap_or(0)
+    }
+}
 
 /// Configuration of the random-delay scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -178,11 +218,22 @@ pub fn schedule_with_delays(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::EdgeId;
 
     /// A trace that uses edge `e` once per round for `len` rounds.
     fn uniform_trace(e: u32, len: usize) -> EdgeUsageTrace {
         EdgeUsageTrace { rounds: vec![vec![(EdgeId(e), 1)]; len] }
+    }
+
+    #[test]
+    fn trace_statistics() {
+        let t = EdgeUsageTrace {
+            rounds: vec![vec![(EdgeId(0), 1), (EdgeId(1), 2)], vec![], vec![(EdgeId(0), 3)]],
+        };
+        assert_eq!(t.len(), 3);
+        assert!(!t.is_empty());
+        assert_eq!(t.total_messages(), 6);
+        assert_eq!(t.max_edge_total(), 4);
+        assert!(EdgeUsageTrace::default().is_empty());
     }
 
     #[test]

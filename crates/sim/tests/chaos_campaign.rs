@@ -4,7 +4,7 @@
 //! Random graphs × random protocols × random `FaultPlan`s (drop rates up to
 //! 40%, jitter up to 4 rounds, random crash/restart churn) run through both
 //! engines, which must stay indistinguishable — identical metrics (including
-//! the fault counters), traces, and state digests, and identical *errors*
+//! the fault counters) and state digests, and identical *errors*
 //! when the round limit trips. A second property pins the termination safety
 //! net of the round limit: no fault plan, however hostile, may wedge the
 //! simulator — a protocol that never halts still comes back as
@@ -136,7 +136,6 @@ fn assert_equivalent_under_faults<P, K>(
     match (fast, slow) {
         (Ok(fast), Ok(slow)) => {
             assert_eq!(fast.metrics, slow.metrics, "metrics diverged (seed {seed})");
-            assert_eq!(fast.trace, slow.trace, "edge traces diverged (seed {seed})");
             let fd: Vec<K> = fast.states.iter().map(&key).collect();
             let sd: Vec<K> = slow.states.iter().map(&key).collect();
             assert_eq!(fd, sd, "final states diverged (seed {seed})");
@@ -167,12 +166,7 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig {
-            strict_capacity: false,
-            record_edge_trace: true,
-            faults: plan,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
         assert_engines_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
@@ -192,12 +186,7 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig {
-            strict_capacity: false,
-            record_edge_trace: true,
-            faults: plan,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
         assert_listeners_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
@@ -225,12 +214,7 @@ proptest! {
         };
         let plan =
             build_plan(g.node_count(), plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig {
-            strict_capacity: false,
-            record_edge_trace: true,
-            faults: plan,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
         assert_engines_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 

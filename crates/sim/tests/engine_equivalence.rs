@@ -7,8 +7,8 @@
 //! configurations and random fault plans, through both [`Engine::run`] and
 //! [`Engine::run_reference`]. The two executions must be indistinguishable:
 //! identical [`congest_sim::Metrics`] (rounds, messages, congestion, energy,
-//! capacity violations, lost messages, fault counters), identical edge
-//! traces, and identical final states — or the *same* error. The digest
+//! capacity violations, lost messages, fault counters) and identical final
+//! states — or the *same* error. The digest
 //! depends on message *content, order, and arrival round*, so any divergence
 //! in scheduling or delivery shows up as a state mismatch, not just a metric
 //! mismatch.
@@ -37,8 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::workloads::{ChaosListener, Flood, WaveBfs};
 use congest_sim::{
-    EdgeUsageTrace, Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig,
-    SimError,
+    Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig, SimError,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -135,7 +134,6 @@ fn assert_equivalent_runs<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt
     match (&fast, &slow) {
         (Ok(fast), Ok(slow)) => {
             assert_eq!(fast.metrics, slow.metrics, "metrics diverged (seed {seed})");
-            assert_eq!(fast.trace, slow.trace, "edge traces diverged (seed {seed})");
             let fd: Vec<K> = fast.states.iter().map(&key).collect();
             let sd: Vec<K> = slow.states.iter().map(&key).collect();
             assert_eq!(fd, sd, "final states diverged (seed {seed})");
@@ -159,11 +157,10 @@ fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
 }
 
 fn chaos_config() -> impl Strategy<Value = SimConfig> {
-    (1u32..3, 0u8..2).prop_map(|(capacity, trace)| SimConfig {
+    (1u32..3).prop_map(|capacity| SimConfig {
         edge_capacity: capacity,
         // Lenient mode: violations are counted (and must match), not fatal.
         strict_capacity: false,
-        record_edge_trace: trace == 1,
         ..SimConfig::default()
     })
 }
@@ -248,7 +245,7 @@ impl Protocol for Mixed {
 /// Everything one run can be told apart by.
 #[derive(Debug, PartialEq)]
 enum Ended {
-    Halted { metrics: Metrics, trace: Option<EdgeUsageTrace>, states: Vec<(u64, u64)> },
+    Halted { metrics: Metrics, states: Vec<(u64, u64)> },
     Failed(SimError),
     Panicked(String),
 }
@@ -257,7 +254,6 @@ fn ended(run: impl FnOnce() -> Result<RunOutcome<Mixed>, SimError>) -> Ended {
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(out)) => Ended::Halted {
             metrics: out.metrics,
-            trace: out.trace,
             states: out.states.iter().map(Mixed::key).collect(),
         },
         Ok(Err(error)) => Ended::Failed(error),
@@ -298,7 +294,6 @@ fn draw_run(rng: &mut ChaCha8Rng) -> (Graph, SimConfig, u64, Ending) {
     };
     let cfg = SimConfig {
         strict_capacity: ending == Ending::Oversend,
-        record_edge_trace: rng.gen_range(0u32..2) == 0,
         max_rounds: if ending == Ending::RoundLimit { 7 } else { 10_000 },
         faults,
         ..SimConfig::default()
@@ -380,7 +375,6 @@ proptest! {
         protocol_seed in 0u64..1_000_000,
         cfg in chaos_config(),
     ) {
-        // `chaos_config` covers both settings of the edge trace.
         let g = generators::random_connected(n, extra, graph_seed);
         assert_listeners_equivalent(&g, cfg, protocol_seed);
     }
@@ -423,11 +417,7 @@ fn engines_are_equivalent_on_structured_graphs() {
     .enumerate()
     {
         for seed in 0..4 {
-            let cfg = SimConfig {
-                strict_capacity: false,
-                record_edge_trace: true,
-                ..SimConfig::default()
-            };
+            let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
             assert_engines_equivalent(&g, cfg.clone(), seed * 1000 + i as u64);
             assert_listeners_equivalent(&g, cfg, seed * 1000 + i as u64);
         }
@@ -623,7 +613,7 @@ impl Protocol for Chatter {
 fn a_restarted_node_reinitialises_in_its_restart_round_and_only_then() {
     let g = generators::cycle(6, 1);
     let plan = FaultPlan::none().with_crash(NodeId(4), 2, Some(4));
-    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let cfg = SimConfig::default().with_faults(plan);
     let node = |_| Chatter { until: 8, inits: 0, steps: 0 };
     let run = assert_equivalent_runs(&g, cfg, 0, node, |s| (s.inits, s.steps)).expect("halts");
     assert_eq!((run.metrics.crashes, run.metrics.restarts), (1, 1));
@@ -672,7 +662,7 @@ impl Protocol for Patient {
 fn a_jittered_arrival_wakes_a_listener_and_its_deadline_entry_goes_stale() {
     let g = generators::path(2, 1);
     let plan = FaultPlan::none().with_seed(5).with_max_skew(6);
-    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let cfg = SimConfig::default().with_faults(plan);
     let node = |_| Patient { deadline: 40, calls: Vec::new() };
     let run = assert_equivalent_runs(&g, cfg, 5, node, |s| s.calls.clone()).expect("halts");
     assert!(run.metrics.fault_delays > 0, "the case needs a delayed message");
@@ -702,7 +692,7 @@ impl Protocol for LastWords {
 fn termination_counts_pending_jitter_as_lost() {
     let g = generators::star(8, 1);
     let plan = FaultPlan::none().with_seed(9).with_max_skew(4);
-    let cfg = SimConfig::default().with_edge_trace(true).with_faults(plan);
+    let cfg = SimConfig::default().with_faults(plan);
     let run = assert_equivalent_runs(&g, cfg, 9, |_| LastWords, |_| ()).expect("halts");
     assert_eq!((run.metrics.rounds, run.metrics.messages), (1, 14));
     assert!(run.metrics.fault_delays > 0, "the case needs a message held back");
@@ -724,27 +714,23 @@ impl Protocol for FarSleeper {
 }
 
 /// The round limit, met by a fast-forward jump: the jump is refused with the
-/// error a round-by-round run would end in — decided *before* the trace is
-/// padded with one entry per skipped round, which for this sleeper used to
-/// be a 1.6 TB allocation. With a fault plan the jump target is the earliest
-/// of the wake buckets' and the fault layer's next events.
+/// error a round-by-round run would end in. With a fault plan the jump
+/// target is the earliest of the wake buckets' and the fault layer's next
+/// events.
 #[test]
 fn a_jump_past_the_round_limit_is_the_round_limit_error() {
     let g = generators::path(2, 1);
     let churn = FaultPlan::none().with_crash(NodeId(0), 5, Some(7));
     for plan in [FaultPlan::none(), churn] {
-        for traced in [false, true] {
-            let cfg = SimConfig::default().with_edge_trace(traced).with_faults(plan.clone());
-            let err = assert_equivalent_runs(&g, cfg, 0, |_| FarSleeper(1 << 36), |_| ())
-                .expect_err("2^36 is past the default limit");
-            assert_eq!(err, SimError::RoundLimitExceeded { limit: 10_000_000, unhalted_nodes: 2 });
-        }
+        let cfg = SimConfig::default().with_faults(plan);
+        let err = assert_equivalent_runs(&g, cfg, 0, |_| FarSleeper(1 << 36), |_| ())
+            .expect_err("2^36 is past the default limit");
+        assert_eq!(err, SimError::RoundLimitExceeded { limit: 10_000_000, unhalted_nodes: 2 });
     }
-    // Below the limit the padding is still there: one entry per round.
-    let cfg = SimConfig::default().with_edge_trace(true);
-    let run = assert_equivalent_runs(&g, cfg, 0, |_| FarSleeper(1000), |_| ()).expect("halts");
+    // Below the limit the jump is taken: the run ends in the sleeper's round.
+    let run = assert_equivalent_runs(&g, SimConfig::default(), 0, |_| FarSleeper(1000), |_| ())
+        .expect("halts");
     assert_eq!(run.metrics.rounds, 1001);
-    assert_eq!(run.trace.expect("traced").len() as u64, run.metrics.rounds);
 }
 
 /// Waits for round `until` — asleep, or listening — and then halts, or, with
@@ -830,7 +816,7 @@ impl Protocol for Loudmouth {
 #[test]
 fn lenient_mode_counts_an_oversized_and_an_over_capacity_send_separately() {
     let g = generators::path(3, 1);
-    let cfg = SimConfig { strict_capacity: false, ..SimConfig::default().with_edge_trace(true) };
+    let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
     let run = assert_equivalent_runs(&g, cfg, 0, |_| Loudmouth, |_| ()).expect("lenient");
     assert_eq!((run.metrics.messages, run.metrics.capacity_violations), (6, 6));
     // In strict mode the oversized one is met first, at node 0.

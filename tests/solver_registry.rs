@@ -5,8 +5,11 @@
 //! sleeping, or the all-pairs composition). A solver added to the registry
 //! is picked up here automatically.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use congest_sssp_suite::graph::{generators, sequential, Graph, NodeId};
-use congest_sssp_suite::sssp::{registry, Solver};
+use congest_sssp_suite::sssp::apsp::ApspConfig;
+use congest_sssp_suite::sssp::{registry, AlgoConfig, OracleConfig, Solver};
 use proptest::prelude::*;
 
 /// Small graphs: the all-pairs entry runs one SSSP instance per node. The
@@ -86,6 +89,75 @@ proptest! {
                         info.name, v, est, t, bound
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The configurations a request can carry, one field of which a case sets.
+type Knobs = (AlgoConfig, ApspConfig, OracleConfig);
+
+/// Sets one field of the configurations to a `u64`, which a narrower field
+/// saturates to its maximum.
+type Setter = fn(&mut Knobs, u64);
+
+/// Every integer field of the configurations, by name.
+fn config_fields() -> Vec<(&'static str, Setter)> {
+    fn u32_of(x: u64) -> u32 {
+        u32::try_from(x).unwrap_or(u32::MAX)
+    }
+    fn usize_of(x: u64) -> usize {
+        usize::try_from(x).unwrap_or(usize::MAX)
+    }
+    vec![
+        ("epsilon_inverse", |k, x| k.0.epsilon_inverse = x),
+        ("min_bfs_slowdown", |k, x| k.0.min_bfs_slowdown = x),
+        ("slowdown_safety_factor", |k, x| k.0.slowdown_safety_factor = x),
+        ("cover_build_round_factor", |k, x| k.0.cover_build_round_factor = x),
+        ("cover_build_energy_factor", |k, x| k.0.cover_build_energy_factor = x),
+        ("sim.edge_capacity", |k, x| k.0.sim.edge_capacity = u32_of(x)),
+        ("sim.max_message_words", |k, x| k.0.sim.max_message_words = usize_of(x)),
+        ("sim.max_rounds", |k, x| k.0.sim.max_rounds = x),
+        ("apsp.edge_budget_per_round", |k, x| k.1.edge_budget_per_round = u32_of(x)),
+        ("apsp.max_delay", |k, x| k.1.max_delay = Some(x)),
+        ("apsp.threads", |k, x| k.1.threads = usize_of(x)),
+        ("oracle.fallback_threshold", |k, x| k.2.fallback_threshold = u32_of(x)),
+    ]
+}
+
+/// Every registry algorithm, with one configuration field at a time at 0, 1
+/// or its maximum — or, where it takes one, a threshold at those values —
+/// comes back with a run or a typed error, never a panic.
+#[test]
+fn every_algorithm_at_every_config_extreme_returns_ok_or_a_typed_error() {
+    let weighted = generators::with_random_weights(&generators::random_connected(12, 8, 5), 9, 5);
+    let extremes = [0, 1, u64::MAX];
+    for g in [generators::path(4, 1), weighted] {
+        for info in registry() {
+            let request = Solver::on(&g).algorithm(info.algorithm).source(NodeId(0));
+            let mut cases = Vec::new();
+            for (field, set) in config_fields() {
+                for x in extremes {
+                    let mut knobs = Knobs::default();
+                    set(&mut knobs, x);
+                    let (config, apsp, oracle) = knobs;
+                    let case = request.clone().config(config).apsp_config(apsp);
+                    cases.push((format!("{field} = {x}"), case.oracle_config(oracle)));
+                }
+            }
+            if info.thresholded {
+                for x in extremes {
+                    cases.push((format!("threshold {x}"), request.clone().threshold(x)));
+                }
+            }
+            for (case, request) in cases {
+                let outcome = catch_unwind(AssertUnwindSafe(|| request.run()));
+                assert!(
+                    outcome.is_ok(),
+                    "{} panicked at {case} on n = {}",
+                    info.name,
+                    g.node_count()
+                );
             }
         }
     }
