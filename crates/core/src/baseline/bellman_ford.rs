@@ -14,16 +14,19 @@ use congest_sim::{Engine, Message, NodeCtx, Protocol};
 use crate::result::{distances_of, AlgoRun};
 use crate::{AlgoConfig, AlgoError};
 
-/// Per-node state of the Bellman–Ford protocol.
+/// Per-node state of the Bellman–Ford protocol, over the graph `'g` of its
+/// run.
 #[derive(Debug, Clone)]
-pub struct BellmanFordNode {
+pub struct BellmanFordNode<'g> {
     /// The current (eventually exact) distance estimate.
     pub dist: Distance,
     is_source: bool,
     rounds_total: u64,
+    /// The graph, read for the weight of the edge a message arrived on.
+    graph: &'g Graph,
 }
 
-impl Protocol for BellmanFordNode {
+impl Protocol for BellmanFordNode<'_> {
     fn init(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.is_source {
             self.dist = Distance::ZERO;
@@ -37,13 +40,7 @@ impl Protocol for BellmanFordNode {
         for msg in inbox {
             // The candidate is the sender's estimate plus the weight of the
             // edge the message arrived on.
-            let w = ctx
-                .neighbors()
-                .iter()
-                .find(|a| a.edge == msg.edge)
-                .map(|a| a.weight)
-                .expect("messages arrive on incident edges");
-            let cand = Distance::Finite(msg.word(0) + w);
+            let cand = Distance::Finite(msg.word(0) + self.graph.edge(msg.edge).w);
             if cand < self.dist {
                 self.dist = cand;
                 improved = true;
@@ -83,11 +80,11 @@ pub(crate) fn distributed_bellman_ford(
 /// [`distributed_bellman_ford`] over any protocol built from a
 /// [`BellmanFordNode`], so that the tests can put the always-stepped
 /// reference through the same set-up.
-fn run_bellman_ford<P: Protocol>(
-    g: &Graph,
+fn run_bellman_ford<'g, P: Protocol>(
+    g: &'g Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
-    protocol: impl Fn(BellmanFordNode) -> P,
+    protocol: impl Fn(BellmanFordNode<'g>) -> P,
     dist: impl Fn(&P) -> Distance,
 ) -> Result<AlgoRun, AlgoError> {
     let is_source: Vec<bool> = {
@@ -105,6 +102,7 @@ fn run_bellman_ford<P: Protocol>(
             dist: Distance::Infinite,
             is_source: is_source[id.index()],
             rounds_total,
+            graph: g,
         })
     })?;
     Ok(distances_of(run, dist))
@@ -120,9 +118,9 @@ mod tests {
     /// every round, idling through the ones in which nothing arrives. Kept as
     /// the reference the listening protocol must be indistinguishable from.
     #[derive(Debug, Clone)]
-    struct AlwaysStepped(BellmanFordNode);
+    struct AlwaysStepped<'g>(BellmanFordNode<'g>);
 
-    impl Protocol for AlwaysStepped {
+    impl Protocol for AlwaysStepped<'_> {
         fn init(&mut self, ctx: &mut NodeCtx<'_>) {
             if self.0.is_source {
                 self.0.dist = Distance::ZERO;
@@ -134,13 +132,7 @@ mod tests {
             let node = &mut self.0;
             let mut improved = false;
             for msg in inbox {
-                let w = ctx
-                    .neighbors()
-                    .iter()
-                    .find(|a| a.edge == msg.edge)
-                    .map(|a| a.weight)
-                    .expect("messages arrive on incident edges");
-                let cand = Distance::Finite(msg.word(0) + w);
+                let cand = Distance::Finite(msg.word(0) + node.graph.edge(msg.edge).w);
                 if cand < node.dist {
                     node.dist = cand;
                     improved = true;

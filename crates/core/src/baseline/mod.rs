@@ -6,8 +6,9 @@
 //!   algorithm: `O(n · D)` time and `O(n² + m)` messages because every
 //!   iteration must locate the global minimum-estimate unvisited node.
 //!
-//! The always-awake BFS of [`crate::bfs`] doubles as the *energy* baseline
-//! (every node is awake for the whole run).
+//! The always-awake BFS — the waiting BFS of [`crate::weighted_bfs`] at unit
+//! weight — doubles as the *energy* baseline (every node is awake for the
+//! whole run).
 
 mod bellman_ford;
 mod dijkstra;

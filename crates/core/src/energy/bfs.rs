@@ -360,8 +360,8 @@ fn cover_entries_read(entries: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::thresholded_bfs;
     use crate::energy::reference::covered_bfs_reference;
+    use crate::weighted_bfs::thresholded_bfs;
     use congest_graph::{generators, sequential};
 
     fn check(g: &Graph, sources: &[NodeId], limit: u64) -> EnergyBfsRun {

@@ -69,7 +69,6 @@
 pub mod approx;
 pub mod apsp;
 mod baseline;
-mod bfs;
 mod config;
 pub mod cssp;
 mod energy;

@@ -48,7 +48,6 @@ use congest_sim::Metrics;
 use crate::approx::approximate_cssp;
 use crate::apsp::{apsp, ApspConfig};
 use crate::baseline::{distributed_bellman_ford, distributed_dijkstra};
-use crate::bfs::thresholded_bfs;
 use crate::cssp::cssp;
 use crate::energy::{low_energy_bfs, low_energy_cssp};
 use crate::error::check_sources;
@@ -58,6 +57,7 @@ use crate::result::{
     SourceOffset,
 };
 use crate::thresholded::thresholded_cssp;
+use crate::weighted_bfs::thresholded_bfs;
 use crate::{AlgoConfig, AlgoError};
 
 /// Entry point of the facade: [`Solver::on`] starts a request on a graph.
@@ -326,6 +326,7 @@ impl SolverRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
     use congest_graph::{generators, sequential};
 
     fn weighted(n: u32, seed: u64) -> Graph {
@@ -532,6 +533,21 @@ mod tests {
             if let (Some(est), Some(t)) = (run.distance(v).finite(), truth.distance(v).finite()) {
                 assert!(t <= est && est <= t + bound, "node {v}: {est} vs {t} (+{bound})");
             }
+        }
+    }
+
+    #[test]
+    fn a_crash_restarted_source_keeps_its_distance() {
+        // A restart is amnesiac: the source's `init` runs again, in round 3,
+        // long after its offset round 0. The wavefront it started then has
+        // already left, so it must finalize at 0 without announcing again.
+        let g = generators::path(8, 1);
+        let crash = FaultPlan::none().with_crash(NodeId(0), 1, Some(3));
+        for algorithm in [Algorithm::Bfs, Algorithm::ApproximateCssp] {
+            let request = Solver::on(&g).algorithm(algorithm).source(NodeId(0));
+            let fault_free = request.clone().run().unwrap();
+            let crashed = request.config(AlgoConfig::default().with_faults(crash.clone()));
+            assert_eq!(crashed.run().unwrap().output, fault_free.output, "{algorithm:?}");
         }
     }
 

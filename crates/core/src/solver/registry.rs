@@ -19,7 +19,8 @@ pub enum Algorithm {
     /// The approximate cutter (Lemma 2.1): additive-error estimates within a
     /// distance threshold `W`.
     ApproximateCssp,
-    /// Always-awake multi-source BFS (hop distances), optionally thresholded.
+    /// Always-awake multi-source BFS (hop distances), optionally thresholded:
+    /// the cutter's waiting BFS with every weight 1.
     Bfs,
     /// The sleeping-model low-energy BFS (Theorems 3.8, 3.13, 3.14).
     LowEnergyBfs,

@@ -1,7 +1,8 @@
-//! The graph families the always-awake protocols (`bfs`, `weighted_bfs`,
-//! `baseline::bellman_ford`) are compared on against their always-stepped
-//! references: every one must produce the same [`crate::AlgoRun`] whether its
-//! nodes idle through `on_round` or wait in `NodeCtx::listen_until`.
+//! The graph families the always-awake protocols (`weighted_bfs`, at rounded
+//! and at unit weight, and `baseline::bellman_ford`) are compared on against
+//! their always-stepped references: every one must produce the same
+//! [`crate::AlgoRun`] whether its nodes idle through `on_round` or wait in
+//! `NodeCtx::listen_until`.
 
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::FaultPlan;

@@ -5,7 +5,9 @@
 //! cutter of Lemma 2.1 — after rounding, the weighted distance range becomes
 //! `O(n/ε)`, so waiting BFS finishes in `O(n/ε)` rounds — and each node
 //! announces its final distance exactly once, so the congestion is `O(1)`
-//! per edge.
+//! per edge. At unit weight it is also the always-awake multi-source BFS
+//! behind `Algorithm::Bfs` ([`thresholded_bfs`]), the energy baseline every
+//! node of which is awake for the whole run.
 //!
 //! Every node is awake for all `limit` rounds but acts only `O(deg)` times:
 //! when an announcement arrives, in the round equal to its pending distance,
@@ -23,26 +25,40 @@ use crate::{AlgoConfig, AlgoError};
 /// its run.
 #[derive(Debug, Clone)]
 pub struct WaitingBfsNode<'w> {
-    /// The weighted distance from the source set (under the protocol's weight
-    /// map), or infinity if beyond the round limit.
-    pub dist: Distance,
+    /// The best distance heard so far; the node's output once `finalized`.
     best: Distance,
     finalized: bool,
     limit: u64,
+    /// A finalized distance is announced only if it is below this.
+    announce_below: u64,
     /// Rounded weight per edge id (shared, read-only).
     weights: &'w [Weight],
 }
 
 impl WaitingBfsNode<'_> {
+    /// The weighted distance from the source set (under the protocol's
+    /// weight map), or infinity if beyond the round limit.
+    fn dist(&self) -> Distance {
+        if self.finalized {
+            self.best
+        } else {
+            Distance::Infinite
+        }
+    }
+
     fn maybe_finalize(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.finalized {
             return;
         }
         if let Some(b) = self.best.finite() {
-            if b == ctx.round() {
+            // Mail arrives the round after it is sent and every weight is at
+            // least 1, so `b < round` only for a source restarted after its
+            // offset round, or for mail held back by delay faults. The node
+            // keeps `b`, but the wavefront it would have joined has left, so
+            // it does not announce.
+            if b <= ctx.round() {
                 self.finalized = true;
-                self.dist = self.best;
-                if b < self.limit {
+                if b == ctx.round() && b < self.announce_below {
                     ctx.broadcast(&[b]);
                 }
             }
@@ -102,18 +118,45 @@ pub(crate) fn waiting_bfs(
     limit: u64,
     config: &AlgoConfig,
 ) -> Result<AlgoRun, AlgoError> {
-    let run = run_waiting_bfs(g, sources, weights, limit, config, |node| node)?;
-    Ok(distances_of(run, |node| node.dist))
+    let run = run_waiting_bfs(g, sources, weights, limit, limit, config, |node| node)?;
+    Ok(distances_of(run, WaitingBfsNode::dist))
 }
 
-/// [`waiting_bfs`]'s engine run, over any protocol built from a
-/// [`WaitingBfsNode`], so that the tests can put the always-stepped
-/// reference through the same set-up and read the whole outcome.
+/// Runs multi-source BFS from `sources` (checked by the facade) up to hop
+/// distance `limit` (a *`limit`-thresholded BFS* in the paper's
+/// terminology): nodes at hop distance greater than `limit` output
+/// [`Distance::Infinite`]. A limit above `n` is the same as `n` — no
+/// wavefront travels further — and runs as that.
+///
+/// This is the waiting BFS at unit weight. It runs one round past `limit`
+/// and announces only distances below it, as BFS always has.
+///
+/// # Errors
+///
+/// Returns an error if the simulation exceeds its round limit.
+pub(crate) fn thresholded_bfs(
+    g: &Graph,
+    sources: &[NodeId],
+    limit: u64,
+    config: &AlgoConfig,
+) -> Result<AlgoRun, AlgoError> {
+    let limit = limit.min(g.node_count() as u64);
+    let sources: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
+    let weights = vec![1; g.edge_count() as usize];
+    let run = run_waiting_bfs(g, &sources, &weights, limit + 1, limit, config, |node| node)?;
+    Ok(distances_of(run, WaitingBfsNode::dist))
+}
+
+/// The engine run behind [`waiting_bfs`] and [`thresholded_bfs`], over any
+/// protocol built from a [`WaitingBfsNode`], so that the tests can put the
+/// always-stepped reference through the same set-up and read the whole
+/// outcome.
 fn run_waiting_bfs<'w, P: Protocol>(
     g: &Graph,
     sources: &[SourceOffset],
     weights: &'w [Weight],
     limit: u64,
+    announce_below: u64,
     config: &AlgoConfig,
     protocol: impl Fn(WaitingBfsNode<'w>) -> P,
 ) -> Result<RunOutcome<P>, AlgoError> {
@@ -137,10 +180,10 @@ fn run_waiting_bfs<'w, P: Protocol>(
     sim.max_rounds = sim.max_rounds.max(limit.saturating_add(10));
     let node = |id: NodeId| {
         protocol(WaitingBfsNode {
-            dist: Distance::Infinite,
             best: offsets[id.index()],
             finalized: false,
             limit,
+            announce_below,
             weights,
         })
     };
@@ -236,7 +279,7 @@ mod tests {
             for w_max in [full, (full / 8).max(1)] {
                 let (sources, weights, limit) = rounded(g, &plain, w_max, 2);
                 let wrap = |node| Recorded(node, Vec::new());
-                let run = run_waiting_bfs(g, &sources, &weights, limit, &cfg, wrap).unwrap();
+                let run = run_waiting_bfs(g, &sources, &weights, limit, limit, &cfg, wrap).unwrap();
                 let calls: BTreeSet<u64> =
                     run.states.iter().flat_map(|s| s.1.iter().copied()).collect();
                 let eventful = calls.len() as u64;
@@ -254,27 +297,43 @@ mod tests {
             SourceOffset { node: NodeId(0), offset: 4 },
             SourceOffset { node: NodeId(5), offset: 0 },
         ];
+        let two = [SourceOffset::plain(NodeId(0)), SourceOffset::plain(NodeId(5))];
         for (i, g) in test_graphs::weighted_workloads().iter().enumerate() {
-            let full = g.distance_upper_bound();
-            // Everything in reach, a truncating threshold, and two degenerate
-            // limits on the unrounded weights.
+            let (n, full) = (g.node_count() as u64, g.distance_upper_bound());
+            // (sources, weights, round limit, announce below). Everything in
+            // reach, a truncating threshold, and two degenerate limits on the
+            // unrounded weights.
             let mut instances = vec![];
             for sources in [&plain[..], &offset] {
                 for inv in [1, 2, 10] {
-                    instances.push(rounded(g, sources, full, inv));
-                    instances.push(rounded(g, sources, (full / 8).max(1), inv));
+                    for w_max in [full, (full / 8).max(1)] {
+                        let (sources, weights, limit) = rounded(g, sources, w_max, inv);
+                        instances.push((sources, weights, limit, limit));
+                    }
                 }
-                instances.push((sources.to_vec(), graph_weights(g), 2));
-                instances.push((sources.to_vec(), graph_weights(g), 0));
+                for limit in [2, 0] {
+                    instances.push((sources.to_vec(), graph_weights(g), limit, limit));
+                }
+            }
+            // Unit-weight BFS as `thresholded_bfs` runs it: unthresholded,
+            // truncating, degenerate.
+            for sources in [&plain[..], &two] {
+                for hops in [n, 3, 1, 0] {
+                    let unit = vec![1; g.edge_count() as usize];
+                    instances.push((sources.to_vec(), unit, hops + 1, hops));
+                }
             }
             for cfg in test_graphs::configs() {
-                for (sources, weights, limit) in &instances {
-                    let fast = waiting_bfs(g, sources, weights, *limit, &cfg).unwrap();
-                    let slow = run_waiting_bfs(g, sources, weights, *limit, &cfg, AlwaysStepped);
-                    let slow = distances_of(slow.unwrap(), |s: &AlwaysStepped| s.0.dist);
+                for (sources, weights, limit, below) in &instances {
+                    let fast =
+                        run_waiting_bfs(g, sources, weights, *limit, *below, &cfg, |node| node);
+                    let fast = distances_of(fast.unwrap(), WaitingBfsNode::dist);
+                    let slow =
+                        run_waiting_bfs(g, sources, weights, *limit, *below, &cfg, AlwaysStepped);
+                    let slow = distances_of(slow.unwrap(), |s: &AlwaysStepped| s.0.dist());
                     // Full AlgoRun equality: distances and every metrics
                     // field (per-node energy included).
-                    assert_eq!(fast, slow, "workload {i}, limit {limit}");
+                    assert_eq!(fast, slow, "workload {i}, limit {limit}, announce below {below}");
                 }
             }
         }
@@ -362,5 +421,84 @@ mod tests {
             waiting_bfs(&g, &source, &[1, 0, 1], 10, &cfg),
             Err(AlgoError::ZeroWeightNotSupported { .. })
         ));
+    }
+
+    /// Limit `n`, which always suffices.
+    fn unthresholded(g: &Graph, sources: &[NodeId], cfg: &AlgoConfig) -> AlgoRun {
+        thresholded_bfs(g, sources, g.node_count() as u64, cfg).unwrap()
+    }
+
+    #[test]
+    fn a_bfs_limit_beyond_n_is_the_unthresholded_run() {
+        let cfg = AlgoConfig::default();
+        let g = generators::random_connected(30, 40, 2);
+        let unthresholded = unthresholded(&g, &[NodeId(0)], &cfg);
+        for limit in [31, 1 << 40, u64::MAX - 9, u64::MAX] {
+            assert_eq!(thresholded_bfs(&g, &[NodeId(0)], limit, &cfg).unwrap(), unthresholded);
+        }
+    }
+
+    #[test]
+    fn bfs_matches_sequential_on_random_graphs() {
+        let cfg = AlgoConfig::default();
+        for seed in 0..4 {
+            let g = generators::random_connected(40, 60, seed);
+            let run = unthresholded(&g, &[NodeId(0)], &cfg);
+            let expected = sequential::bfs(&g, &[NodeId(0)]);
+            assert_eq!(run.output.distances, expected.distances, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn multi_source_bfs_matches_sequential() {
+        let cfg = AlgoConfig::default();
+        let g = generators::grid(6, 7, 1);
+        let sources = [NodeId(0), NodeId(41), NodeId(20)];
+        let run = unthresholded(&g, &sources, &cfg);
+        let expected = sequential::bfs(&g, &sources);
+        assert_eq!(run.output.distances, expected.distances);
+    }
+
+    #[test]
+    fn thresholded_bfs_cuts_at_the_limit() {
+        let cfg = AlgoConfig::default();
+        let g = generators::path(20, 1);
+        let run = thresholded_bfs(&g, &[NodeId(0)], 5, &cfg).unwrap();
+        for v in g.nodes() {
+            if v.0 <= 5 {
+                assert_eq!(run.output.distance(v).finite(), Some(v.0 as u64));
+            } else {
+                assert!(run.output.distance(v).is_infinite(), "node {v} is beyond the threshold");
+            }
+        }
+        // Time is proportional to the threshold, not the diameter.
+        assert!(run.metrics.rounds <= 5 + 3);
+    }
+
+    #[test]
+    fn bfs_congestion_is_at_most_two_per_edge() {
+        let cfg = AlgoConfig::default();
+        let g = generators::random_connected(50, 120, 3);
+        let run = unthresholded(&g, &[NodeId(0)], &cfg);
+        // One announcement per endpoint per edge.
+        assert!(run.metrics.max_congestion() <= 2);
+        assert!(run.metrics.messages <= 2 * g.edge_count() as u64);
+    }
+
+    #[test]
+    fn bfs_leaves_unreachable_nodes_infinite() {
+        let cfg = AlgoConfig::default();
+        let g = generators::disjoint_copies(&generators::path(5, 1), 2);
+        let run = unthresholded(&g, &[NodeId(0)], &cfg);
+        assert!(run.output.distance(NodeId(7)).is_infinite());
+        assert_eq!(run.output.reached_count(), 5);
+    }
+
+    #[test]
+    fn a_zero_bfs_limit_reaches_only_sources() {
+        let cfg = AlgoConfig::default();
+        let g = generators::star(6, 1);
+        let run = thresholded_bfs(&g, &[NodeId(0)], 0, &cfg).unwrap();
+        assert_eq!(run.output.reached_count(), 1);
     }
 }
