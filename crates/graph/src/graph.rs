@@ -247,6 +247,14 @@ impl Graph {
         &self.adjacency[lo..hi]
     }
 
+    /// The CSR arrays themselves: the `n + 1` offsets and the `2m` flat
+    /// entries, node `v`'s run ([`Graph::neighbors`]) being
+    /// `entries[offsets[v] .. offsets[v + 1]]`. A run is named by its
+    /// position in `entries`, which a simulator can keep in place of a copy.
+    pub fn csr(&self) -> (&[u32], &[Adjacency]) {
+        (&self.adj_offsets, &self.adjacency)
+    }
+
     /// The degree (number of incident edges) of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         (self.adj_offsets[v.index() + 1] - self.adj_offsets[v.index()]) as usize
@@ -711,6 +719,13 @@ mod tests {
         assert_eq!(total, 2 * g.edge_count() as usize);
         let flat: Vec<Adjacency> = g.nodes().flat_map(|v| g.neighbors(v).iter().copied()).collect();
         assert_eq!(flat.len(), total);
+        // `csr` is that array, and each node's run sits at its offset.
+        let (offsets, entries) = g.csr();
+        assert_eq!((offsets.len(), entries), (4, &flat[..]));
+        for v in g.nodes() {
+            let run = offsets[v.index()] as usize..offsets[v.index() + 1] as usize;
+            assert_eq!(&entries[run], g.neighbors(v));
+        }
     }
 
     #[test]

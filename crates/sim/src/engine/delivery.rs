@@ -1,5 +1,11 @@
 //! The message delivery arena: flat, reusable per-round inbox storage.
 //!
+//! What arrives is a stream of send records (`InFlight`): a payload and a
+//! run of its sender's ports in the graph's flat adjacency array — a whole
+//! row for a broadcast. The arena fans each record out from that run, one
+//! [`Message`] per port, into the recipients' inboxes; nothing in between
+//! ever held a copy per recipient.
+//!
 //! The reference engine materializes `vec![Vec::new(); n]` inboxes every
 //! round — an `O(n)` allocation even in rounds where two messages move. This
 //! arena instead keeps one flat `Vec<Message>` grouped by recipient plus
@@ -11,12 +17,12 @@
 //! neither cleared nor pre-filled per round, and no inbox range reaches past
 //! what this round wrote. So the per-round cost is `O(deliveries)`, not
 //! `O(n)`, and since [`Message`] carries its payload inline and is `Copy`,
-//! the placement pass is a flat move with **zero per-message allocations**
+//! the placement pass is a flat store with **zero per-message allocations**
 //! once the arena's capacity has warmed up.
 //!
 //! simlint: hot-path
 
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::{Adjacency, EdgeId, NodeId};
 
 use super::zeroed;
 use crate::message::{InFlight, Words};
@@ -57,19 +63,21 @@ impl DeliveryArena {
         self.touched.clear();
     }
 
-    /// Rebuilds the arena from the messages sent last round, delivering to
+    /// Rebuilds the arena from the records sent last round, whose ports are
+    /// runs of `adjacency` (the graph's flat CSR array), delivering to
     /// recipients for which `receptive` holds and dropping the rest (the
     /// sleeping model loses messages to sleeping/halted nodes); `receptive`
     /// is asked once per recipient, not once per message. `incoming` is not
     /// drained.
     ///
     /// Returns the number of messages lost on non-receptive recipients.
-    /// Per-recipient message order is preserved from `incoming`, which
-    /// itself preserves send order, so inboxes are identical to the
-    /// reference engine's.
+    /// Per-recipient message order is preserved from `incoming`, read record
+    /// by record and port by port — which is send order — so inboxes are
+    /// identical to the reference engine's.
     pub(crate) fn build(
         &mut self,
         incoming: &[InFlight],
+        adjacency: &[Adjacency],
         receptive: impl Fn(NodeId) -> bool,
     ) -> u64 {
         // Two passes over every message of the round are the engine's
@@ -82,11 +90,13 @@ impl DeliveryArena {
 
         // Counting pass: the messages to each recipient.
         for flight in incoming {
-            let count = &mut len[flight.to.index()];
-            if *count == 0 {
-                touched.push(flight.to);
+            for port in flight.ports(adjacency) {
+                let count = &mut len[port.neighbor.index()];
+                if *count == 0 {
+                    touched.push(port.neighbor);
+                }
+                *count += 1;
             }
-            *count += 1;
         }
 
         // Receptivity, once per recipient: a non-receptive one loses its
@@ -112,18 +122,20 @@ impl DeliveryArena {
             offset += len[i];
         }
 
-        // Placement pass: copy every deliverable message into its slot — a
+        // Placement pass: write every deliverable message into its slot — a
         // recipient has a non-zero count iff it is receptive. The buffer
         // only grows; what lies past `offset` is never read.
         if msgs.len() < offset as usize {
             msgs.resize(offset as usize, PLACEHOLDER);
         }
         for flight in incoming {
-            let i = flight.to.index();
-            if len[i] != 0 {
-                let c = &mut cursor[i];
-                msgs[*c as usize] = flight.msg;
-                *c += 1;
+            for port in flight.ports(adjacency) {
+                let i = port.neighbor.index();
+                if len[i] != 0 {
+                    let c = &mut cursor[i];
+                    msgs[*c as usize] = flight.message(port);
+                    *c += 1;
+                }
             }
         }
         lost
@@ -147,12 +159,30 @@ impl DeliveryArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_graph::{generators, Graph};
 
-    fn flight(from: u32, to: u32, word: u64) -> InFlight {
+    /// The one-message record `from` sends to `to` (a `send_on_edge`).
+    fn flight(g: &Graph, from: u32, to: u32, word: u64) -> InFlight {
+        let (offsets, _) = g.csr();
+        let port = g.neighbors(NodeId(from)).iter().position(|a| a.neighbor == NodeId(to));
         InFlight {
-            to: NodeId(to),
+            from: NodeId(from),
+            start: offsets[from as usize] + port.expect("an edge") as u32,
+            len: 1,
             sent_words: 1,
-            msg: Message { from: NodeId(from), edge: EdgeId(0), words: Words::new(&[word]) },
+            words: Words::new(&[word]),
+        }
+    }
+
+    /// The record of a broadcast by `from`: its whole run.
+    fn broadcast(g: &Graph, from: u32, word: u64) -> InFlight {
+        let (offsets, _) = g.csr();
+        InFlight {
+            from: NodeId(from),
+            start: offsets[from as usize],
+            len: g.degree(NodeId(from)) as u32,
+            sent_words: 1,
+            words: Words::new(&[word]),
         }
     }
 
@@ -164,9 +194,15 @@ mod tests {
 
     #[test]
     fn groups_messages_by_recipient_preserving_order() {
+        let g = generators::complete(4, 1);
         let mut arena = arena(4);
-        let incoming = vec![flight(0, 2, 10), flight(1, 3, 20), flight(3, 2, 30), flight(2, 3, 40)];
-        let lost = arena.build(&incoming, |_| true);
+        let incoming = vec![
+            flight(&g, 0, 2, 10),
+            flight(&g, 1, 3, 20),
+            flight(&g, 3, 2, 30),
+            flight(&g, 2, 3, 40),
+        ];
+        let lost = arena.build(&incoming, g.csr().1, |_| true);
         assert_eq!(incoming.len(), 4, "the stream is not drained");
         assert_eq!(lost, 0);
         let at = |v: u32, i: usize| arena.inbox(NodeId(v))[i].words[0];
@@ -177,38 +213,65 @@ mod tests {
     }
 
     #[test]
+    fn a_broadcast_record_fans_out_over_its_run_in_stream_order() {
+        let g = generators::star(4, 1); // edges 0-1, 0-2, 0-3
+        let mut arena = arena(4);
+        let incoming = vec![flight(&g, 2, 0, 5), broadcast(&g, 0, 7), broadcast(&g, 3, 9)];
+        assert_eq!(arena.build(&incoming, g.csr().1, |_| true), 0);
+        for v in 1..4 {
+            let inbox = arena.inbox(NodeId(v));
+            assert_eq!(inbox.len(), 1);
+            let edge = g.neighbors(NodeId(0))[v as usize - 1].edge;
+            assert_eq!((inbox[0].from, inbox[0].edge, inbox[0].words[0]), (NodeId(0), edge, 7));
+        }
+        let words: Vec<u64> = arena.inbox(NodeId(0)).iter().map(|m| m.words[0]).collect();
+        assert_eq!(words, [5, 9], "a record's messages keep the stream's order");
+    }
+
+    #[test]
     fn non_receptive_recipients_lose_messages() {
+        let g = generators::complete(3, 1);
         let mut arena = arena(3);
-        let incoming = vec![flight(0, 1, 1), flight(0, 2, 2), flight(1, 2, 3)];
-        let lost = arena.build(&incoming, |v| v == NodeId(2));
+        let incoming = vec![flight(&g, 0, 1, 1), flight(&g, 0, 2, 2), flight(&g, 1, 2, 3)];
+        let lost = arena.build(&incoming, g.csr().1, |v| v == NodeId(2));
         assert_eq!(lost, 1);
         assert!(arena.inbox(NodeId(1)).is_empty());
         assert_eq!(arena.inbox(NodeId(2)).len(), 2);
+        // A broadcast loses exactly its messages to the deaf.
+        assert_eq!(arena.build(&[broadcast(&g, 0, 4)], g.csr().1, |v| v == NodeId(2)), 1);
+        assert_eq!(arena.inbox(NodeId(2))[0].words[0], 4);
     }
 
     #[test]
     fn rebuild_resets_previous_round() {
+        let g = generators::complete(3, 1);
         let mut arena = arena(3);
-        arena.build(&[flight(0, 1, 1)], |_| true);
+        arena.build(&[flight(&g, 0, 1, 1)], g.csr().1, |_| true);
         assert_eq!(arena.inbox(NodeId(1)).len(), 1);
-        arena.build(&[flight(1, 2, 2)], |_| true);
+        arena.build(&[flight(&g, 1, 2, 2)], g.csr().1, |_| true);
         assert!(arena.inbox(NodeId(1)).is_empty(), "stale ranges must be cleared");
         assert_eq!(arena.inbox(NodeId(2)).len(), 1);
-        arena.build(&[], |_| true);
+        arena.build(&[], g.csr().1, |_| true);
         assert!(arena.inbox(NodeId(2)).is_empty());
     }
 
     #[test]
     fn a_deaf_recipient_loses_its_whole_count_and_the_next_reset_is_exact() {
+        let g = generators::complete(3, 1);
         let mut arena = arena(3);
-        let incoming = vec![flight(0, 1, 1), flight(2, 1, 2), flight(0, 2, 3), flight(2, 1, 4)];
-        let lost = arena.build(&incoming, |v| v != NodeId(1));
+        let incoming = vec![
+            flight(&g, 0, 1, 1),
+            flight(&g, 2, 1, 2),
+            flight(&g, 0, 2, 3),
+            flight(&g, 2, 1, 4),
+        ];
+        let lost = arena.build(&incoming, g.csr().1, |v| v != NodeId(1));
         assert_eq!(lost, 3, "all three messages to node 1");
         assert!(arena.inbox(NodeId(1)).is_empty());
         assert_eq!(arena.inbox(NodeId(2))[0].words[0], 3);
         // Node 1 left the touched list with a zero length: awake next round,
         // it holds exactly what is sent to it then.
-        let lost = arena.build(&[flight(0, 1, 5)], |_| true);
+        let lost = arena.build(&[flight(&g, 0, 1, 5)], g.csr().1, |_| true);
         assert_eq!(lost, 0);
         assert_eq!(arena.inbox(NodeId(1)).len(), 1);
         assert_eq!(arena.inbox(NodeId(1))[0].words[0], 5);
@@ -217,11 +280,13 @@ mod tests {
 
     #[test]
     fn a_small_round_after_a_large_one_never_exposes_the_stale_tail() {
+        let g = generators::complete(4, 1);
         let mut arena = arena(4);
-        let six: Vec<InFlight> = (0..6).map(|i| flight(0, 1 + i % 3, 10 + u64::from(i))).collect();
-        arena.build(&six, |_| true);
+        let six: Vec<InFlight> =
+            (0..6).map(|i| flight(&g, 0, 1 + i % 3, 10 + u64::from(i))).collect();
+        arena.build(&six, g.csr().1, |_| true);
         assert_eq!(arena.inbox(NodeId(3)).len(), 2);
-        arena.build(&[flight(3, 2, 99)], |_| true);
+        arena.build(&[flight(&g, 3, 2, 99)], g.csr().1, |_| true);
         for v in [0, 1, 3] {
             assert!(arena.inbox(NodeId(v)).is_empty(), "node {v} reads last round's mail");
         }

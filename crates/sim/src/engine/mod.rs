@@ -9,11 +9,11 @@
 //!   collected in an id-ordered bitmap and read out once, so the awake list
 //!   costs no sort.
 //! * `delivery` — a flat, reusable message arena replacing per-round per-node
-//!   inbox allocation; rebuilt with a counting pass in `O(deliveries)`, with
-//!   one receptivity check per recipient and a buffer that only grows.
-//! * `capacity` — dense per-edge-direction CONGEST capacity counters, stamped
-//!   with the round's epoch: a round's reset is one increment, and a send
-//!   finds its direction from its two endpoints without an edge load.
+//!   inbox allocation. It fans each send record — a payload and a run of
+//!   its sender's ports in the graph's flat adjacency, a whole row for a
+//!   broadcast — out into one message per recipient, with a counting pass
+//!   in `O(deliveries)`, one receptivity check per recipient and a buffer
+//!   that only grows.
 //! * `round` — `RoundCore`: the state of a run and every rule of a round,
 //!   each written once (next section), over the buffers of a `RunScratch`
 //!   ("Per-thread buffers" below).
@@ -40,9 +40,11 @@
 //!    sleeping or halted nodes lost, to crashed ones dropped, both counted.
 //! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
 //!    the awake rounds to charge; what it sent accounted (bandwidth,
-//!    per-edge-direction capacity — the first violation is the strict-mode
-//!    error —, message and congestion counts, then fault fates); its
-//!    scheduling request applied.
+//!    per-edge-direction capacity — counted per step, since only the sender
+//!    writes its direction and it steps once a round; the first violation is
+//!    the strict-mode error —, message and congestion counts, then fault
+//!    fates, for which the step's records are split into one per message);
+//!    its scheduling request applied.
 //! 4. `end_round` — termination (what is still in flight is lost); else, if this round's sends are in flight, the next
 //!    round with them as its delivery stream; else — nothing was sent, so
 //!    nothing can happen before somebody's wake-up — straight to the
@@ -101,8 +103,8 @@
 //!
 //! # Per-thread buffers
 //!
-//! What a run needs besides its protocol states is `O(n + m)` of scheduler
-//! columns, counters and message buffers. Built per run, that set-up is the
+//! What a run needs besides its protocol states is `O(n)` of scheduler
+//! columns and message buffers. Built per run, that set-up is the
 //! larger part of a *small* run — the recursion of Section 2.3 makes
 //! thousands on a few dozen nodes each, and APSP makes `n` such recursions —
 //! so the buffers live in a `RunScratch` that each thread keeps for its runs:
@@ -112,7 +114,7 @@
 //!
 //! The rule that makes reuse safe is **re-arm at entry**: a run never
 //! trusts what it finds. `RoundCore::new` clears every buffer and sizes it
-//! for this run's graph (`O(n + m)`, keeping capacity, so a warm scratch
+//! for this run's graph (`O(n)`, keeping capacity, so a warm scratch
 //! allocates nothing), whatever the previous run was — another graph, a
 //! fault plan — and however it ended: finished, failed mid-round with its
 //! counters half-written, or unwound by a protocol panic. Nothing is cleaned
@@ -124,7 +126,6 @@
 //! run it has made until it exits, as a scratch held by the caller would.
 
 mod active_set;
-mod capacity;
 mod delivery;
 mod reference;
 mod round;
@@ -180,7 +181,7 @@ pub struct Engine<'g> {
 
 /// The buffers [`Engine::run`] works in, kept by each thread from one run to
 /// the next so that a small run costs its events and not its set-up: the
-/// wake queue, the delivery arena, the capacity counters, the in-flight
+/// wake queue, the delivery arena, a step's port counts, the in-flight
 /// double buffer and the awake list (see "Per-thread buffers" in the module
 /// docs).
 ///
@@ -238,7 +239,7 @@ impl<'g> Engine<'g> {
     /// runs on the calling thread.
     ///
     /// The run works in the calling thread's buffers ("Per-thread buffers" in
-    /// the module docs): it re-arms them on entry (`O(n + m)` clears, no
+    /// the module docs): it re-arms them on entry (`O(n)` clears, no
     /// allocation once the thread has made a run this large) and allocates
     /// only what it returns — the states and the two [`Metrics`] columns. The
     /// outcome does not depend on what the thread ran before, on which

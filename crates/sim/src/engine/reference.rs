@@ -1,7 +1,8 @@
 //! The retained naive execution loop, kept as a differential-testing oracle.
 //!
 //! This is the pre-refactor engine: every round it sweeps all `n` nodes,
-//! allocates fresh per-node inboxes, and tracks edge capacity in a `HashMap`.
+//! allocates fresh per-node inboxes, splits every send record into one
+//! record per message, and tracks edge capacity per round in a `HashMap`.
 //! Its per-round cost is `Θ(n)` regardless of how many nodes are awake, which
 //! is exactly what the active-set engine in [`super`] eliminates — but its
 //! simplicity makes it the semantic ground truth. [`Engine::run`] must
@@ -59,6 +60,7 @@ impl Engine<'_> {
         F: FnMut(NodeId) -> P,
     {
         let graph = self.graph();
+        let (_, adjacency) = graph.csr();
         let config = self.config();
         let n = graph.node_count() as usize;
         let m = graph.edge_count() as usize;
@@ -68,7 +70,8 @@ impl Engine<'_> {
         let mut faults = FaultRuntime::new(&config.faults, n);
         let mut metrics = Metrics::zero(n, m);
 
-        // Messages sent in the previous round, awaiting delivery this round.
+        // Messages sent in the previous round, awaiting delivery this round:
+        // one record each.
         let mut in_flight: Vec<InFlight> = Vec::new();
         let mut round: u64 = 0;
 
@@ -119,11 +122,13 @@ impl Engine<'_> {
             // messages to a crashed node are the fault layer's drops.
             let mut inboxes: Vec<Vec<Message>> = vec![Vec::new(); n];
             for flight in in_flight.drain(..) {
-                let st = &status[flight.to.index()];
-                if faults.as_ref().is_some_and(|rt| rt.crashed[flight.to.index()]) {
+                let port = &adjacency[flight.start as usize];
+                let to = port.neighbor.index();
+                let st = &status[to];
+                if faults.as_ref().is_some_and(|rt| rt.crashed[to]) {
                     metrics.fault_drops += 1;
                 } else if !st.halted && (st.wake_at <= round || st.listening) {
-                    inboxes[flight.to.index()].push(flight.msg);
+                    inboxes[to].push(flight.message(port));
                 } else {
                     metrics.messages_lost += 1;
                 }
@@ -158,9 +163,11 @@ impl Engine<'_> {
                     states[v.index()].on_round(&mut ctx, &inboxes[v.index()]);
                 }
                 let request = ctx.request();
-                // Process sends.
+                // Process sends, one message at a time.
+                let mut outbox: Vec<InFlight> =
+                    outbox.into_iter().flat_map(InFlight::split).collect();
                 for flight in &outbox {
-                    let edge = flight.msg.edge;
+                    let edge = adjacency[flight.start as usize].edge;
                     let words = flight.sent_words as usize;
                     if words > config.effective_max_words() {
                         if config.strict_capacity {
@@ -193,7 +200,7 @@ impl Engine<'_> {
                 // in-flight pool — same call sequence as the active engine.
                 if let Some(rt) = faults.as_mut() {
                     if rt.has_message_faults() {
-                        rt.apply_message_faults(&mut metrics, round, &mut outbox, 0);
+                        rt.apply_message_faults(&mut metrics, round, adjacency, &mut outbox, 0);
                     }
                 }
                 in_flight.append(&mut outbox);

@@ -5,9 +5,9 @@
 //! run's own, and — borrowed from the thread's
 //! `RunScratch` as a [`RoundScratch`], re-armed by
 //! [`RoundCore::new`] — the in-flight stream being delivered, the awake
-//! list, the scheduler and the capacity counters. Each rule of the model is
-//! one method, called by the driver in [`super`] in the order its module
-//! header lists. The reference loop shares nothing with this file — it is
+//! list, the scheduler and the per-port counts of a step. Each rule of the
+//! model is one method, called by the driver in [`super`] in the order its
+//! module header lists. The reference loop shares nothing with this file — it is
 //! the oracle these rules are tested against.
 //!
 //! The rules called once per stepped node are `#[inline(always)]`:
@@ -18,7 +18,7 @@
 //!
 //! simlint: hot-path
 
-use congest_graph::NodeId;
+use congest_graph::{Adjacency, NodeId};
 
 use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
@@ -27,7 +27,6 @@ use crate::node::NodeCtx;
 use crate::{Engine, Protocol, RunOutcome, SimError};
 
 use super::active_set::ActiveSet;
-use super::capacity::CapacityTracker;
 use super::delivery::DeliveryArena;
 
 /// The buffers of [`RoundCore`] that outlive a run, kept in a
@@ -36,19 +35,25 @@ use super::delivery::DeliveryArena;
 /// however it ended — cannot be observed.
 #[derive(Debug, Default)]
 pub(super) struct RoundScratch {
-    /// Messages delivered this round: sent last round, plus the jitter
-    /// arrivals [`RoundCore::begin_round`] merges in. Double-buffered with
-    /// the driver's outbox, so the steady-state message path never allocates.
+    /// The send records delivered this round: sent last round, plus the
+    /// jitter arrivals [`RoundCore::begin_round`] merges in. Double-buffered
+    /// with the driver's outbox, so the steady-state message path never
+    /// allocates.
     incoming: Vec<InFlight>,
     /// The nodes that run this round, sorted by id.
     awake: Vec<NodeId>,
     active: ActiveSet,
-    capacity: CapacityTracker,
+    /// Messages per port of the node being accounted, by position in its
+    /// run; used only by a step that needs counting by port
+    /// ([`RoundCore::account_sends`]), and zeroed by it.
+    port_counts: Vec<u32>,
 }
 
 /// The state and rules of a run's rounds; see the module docs.
 pub(super) struct RoundCore<'e> {
     engine: &'e Engine<'e>,
+    /// The graph's flat CSR adjacency, which the send records index.
+    adjacency: &'e [Adjacency],
     /// [`crate::SimConfig::effective_max_words`], worked out once per run.
     max_words: usize,
     round: u64,
@@ -69,8 +74,8 @@ pub(super) struct RoundCore<'e> {
 
 impl<'e> RoundCore<'e> {
     /// The state of a run about to enter round 0, every node awake, in
-    /// `scratch` re-armed for it: `O(n + m)` clears that keep every
-    /// buffer's capacity.
+    /// `scratch` re-armed for it: `O(n)` clears that keep every buffer's
+    /// capacity.
     pub(super) fn new(engine: &'e Engine<'e>, scratch: &'e mut RoundScratch) -> Self {
         let graph = engine.graph();
         let (n, m) = (graph.node_count() as usize, graph.edge_count() as usize);
@@ -78,13 +83,13 @@ impl<'e> RoundCore<'e> {
         scratch.incoming.clear();
         scratch.awake.clear();
         scratch.active.rearm(n);
-        scratch.capacity.rearm(m);
         let faults = FaultRuntime::new(&config.faults, n);
         if faults.is_some() {
             scratch.active.enable_fault_filtering();
         }
         RoundCore {
             engine,
+            adjacency: graph.csr().1,
             max_words: config.effective_max_words(),
             round: 0,
             listeners: false,
@@ -157,27 +162,31 @@ impl<'e> RoundCore<'e> {
         }
         self.listeners = active.has_listeners();
         if self.listeners {
-            active.wake_listeners(round, self.buf.incoming.iter().map(|f| f.to));
+            let adjacency = self.adjacency;
+            let recipients = self.buf.incoming.iter().flat_map(|f| f.ports(adjacency));
+            active.wake_listeners(round, recipients.map(|port| port.neighbor));
         }
         active.take_awake(&mut self.buf.awake);
-        self.buf.capacity.reset();
         Ok(!(self.buf.incoming.is_empty() && self.buf.awake.is_empty()))
     }
 
-    /// Builds the inboxes in `arena` from this round's stream, in stream
-    /// order. Messages to sleeping or halted nodes are lost (the defining
+    /// Builds the inboxes in `arena` from this round's stream, fanning each
+    /// record out over its ports, in stream order. Messages to sleeping or halted nodes are lost (the defining
     /// property of the sleeping model) — and counted, so protocol bugs
     /// cannot hide in silence; deliveries onto a crashed node are attributed
     /// to the fault layer instead.
     pub(super) fn deliver(&mut self, arena: &mut DeliveryArena) {
         let (round, active, incoming) = (self.round, &self.buf.active, &self.buf.incoming);
+        let adjacency = self.adjacency;
         let Some(rt) = self.faults.as_ref() else {
-            self.metrics.messages_lost += arena.build(incoming, |v| active.is_receptive(v, round));
+            let receptive = |v| active.is_receptive(v, round);
+            self.metrics.messages_lost += arena.build(incoming, adjacency, receptive);
             return;
         };
-        let crashed = incoming.iter().filter(|f| rt.crashed[f.to.index()]).count() as u64;
-        let lost =
-            arena.build(incoming, |v| active.is_receptive(v, round) && !rt.crashed[v.index()]);
+        let recipients = incoming.iter().flat_map(|f| f.ports(adjacency));
+        let crashed = recipients.filter(|port| rt.crashed[port.neighbor.index()]).count() as u64;
+        let receptive = |v: NodeId| active.is_receptive(v, round) && !rt.crashed[v.index()];
+        let lost = arena.build(incoming, adjacency, receptive);
         self.metrics.messages_lost += lost - crashed;
         self.metrics.fault_drops += crashed;
     }
@@ -209,44 +218,71 @@ impl<'e> RoundCore<'e> {
         let request = ctx.request();
         let energy = &mut self.metrics.node_energy[v.index()];
         *energy = energy.saturating_add(charge);
-        self.account_sends(sent, from)?;
+        self.account_sends(v, sent, from)?;
         self.buf.active.apply(v, round, request);
         Ok(())
     }
 
-    /// Validates and accounts the sends `sent[from..]` — one node's step —
-    /// then rolls their fault fates: drops vanish (counted), jittered
+    /// Validates and accounts the send records `sent[from..]` — node `v`'s
+    /// step — then rolls their fault fates: drops vanish (counted), jittered
     /// messages move to the pending buffer. Fates come after accounting — a
     /// dropped message was still *sent* — and are pure functions of
     /// `(edge, sender, send round)`.
+    ///
+    /// Edge capacity is counted per step: only `v` writes its directions of
+    /// its edges, and it steps at most once a round. One record never uses a
+    /// port twice, so a step of one record needs no counting unless the
+    /// capacity is 0; a step of several counts its messages by port, by
+    /// position in `v`'s run.
     #[inline(always)]
-    fn account_sends(&mut self, sent: &mut Vec<InFlight>, from: usize) -> Result<(), SimError> {
+    fn account_sends(
+        &mut self,
+        v: NodeId,
+        sent: &mut Vec<InFlight>,
+        from: usize,
+    ) -> Result<(), SimError> {
         // The loop's invariants, read once.
         let config = self.engine.config();
         let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
         let max_words = self.max_words;
-        for flight in &sent[from..] {
-            let (edge, node) = (flight.msg.edge, flight.msg.from);
+        let records = &sent[from..];
+        let by_port = records.len() > 1 || edge_capacity == 0;
+        let (offsets, _) = self.engine.graph().csr();
+        let run_start = offsets[v.index()];
+        if by_port {
+            let degree = (offsets[v.index() + 1] - run_start) as usize;
+            self.buf.port_counts.clear();
+            self.buf.port_counts.resize(degree, 0);
+        }
+        for flight in records {
+            let ports = flight.ports(self.adjacency);
             let words = flight.sent_words as usize;
             if words > max_words {
                 if strict_capacity {
-                    return Err(SimError::MessageTooLarge { node, words, max_words });
+                    return Err(SimError::MessageTooLarge { node: v, words, max_words });
                 }
-                self.metrics.capacity_violations += 1;
+                self.metrics.capacity_violations += ports.len() as u64;
             }
-            if self.buf.capacity.record(edge, node, flight.to) > edge_capacity {
-                if strict_capacity {
-                    let (round, capacity) = (self.round, edge_capacity);
-                    return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });
+            if by_port {
+                let counts = &mut self.buf.port_counts[(flight.start - run_start) as usize..];
+                for (count, port) in counts.iter_mut().zip(ports) {
+                    *count += 1;
+                    if *count > edge_capacity && strict_capacity {
+                        let (node, edge, round, capacity) =
+                            (v, port.edge, self.round, edge_capacity);
+                        return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });
+                    }
+                    self.metrics.capacity_violations += u64::from(*count > edge_capacity);
                 }
-                self.metrics.capacity_violations += 1;
             }
-            self.metrics.messages += 1;
-            self.metrics.edge_congestion[edge.index()] += 1;
+            self.metrics.messages += ports.len() as u64;
+            for port in ports {
+                self.metrics.edge_congestion[port.edge.index()] += 1;
+            }
         }
         if let Some(rt) = self.faults.as_mut() {
             if rt.has_message_faults() {
-                rt.apply_message_faults(&mut self.metrics, self.round, sent, from);
+                rt.apply_message_faults(&mut self.metrics, self.round, self.adjacency, sent, from);
             }
         }
         Ok(())
@@ -265,7 +301,7 @@ impl<'e> RoundCore<'e> {
         // this round — including jittered messages still held in the fault
         // layer — can never be delivered: count it as lost.
         if self.buf.active.all_halted() {
-            self.metrics.messages_lost += sent.len() as u64;
+            self.metrics.messages_lost += sent.iter().map(|f| u64::from(f.len)).sum::<u64>();
             if let Some(rt) = self.faults.as_ref() {
                 self.metrics.messages_lost += rt.pending_count();
             }

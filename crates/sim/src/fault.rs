@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::{Adjacency, EdgeId, NodeId};
 use rand::{splitmix64, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -206,9 +206,9 @@ pub(crate) struct FaultRuntime {
     /// Per-node "run `init` instead of `on_round` next time it runs" flag,
     /// set by a restart.
     pub(crate) reinit: Vec<bool>,
-    /// Jittered messages keyed by their arrival round. Buckets fill in
-    /// (send round, sender id, send order) order, so merged inboxes are
-    /// deterministic and engine-independent.
+    /// Jittered messages, as one-message records, keyed by their arrival
+    /// round. Buckets fill in (send round, sender id, send order) order, so
+    /// merged inboxes are deterministic and engine-independent.
     pending: BTreeMap<u64, Vec<InFlight>>,
 }
 
@@ -301,36 +301,41 @@ impl FaultRuntime {
     /// Number of jittered messages still awaiting delivery (counted as lost
     /// when the run terminates before they arrive).
     pub(crate) fn pending_count(&self) -> u64 {
-        self.pending.values().map(|b| b.len() as u64).sum()
+        self.pending.values().flatten().map(|f| u64::from(f.len)).sum()
     }
 
-    /// Applies per-message fates to the sends `outgoing[start..]` of one node
-    /// in `round`: drops are removed (and tallied), jittered messages move to
-    /// the pending buffer, on-time messages stay, order preserved. Both
-    /// engines call this with the exact same `(flight, round)` sequence.
+    /// Applies per-message fates to the send records `outgoing[start..]` of
+    /// one node in `round`, whose ports are runs of `adjacency`: each record
+    /// is first split into one-message records, then drops are removed (and
+    /// tallied), jittered messages move to the pending buffer and on-time
+    /// messages stay, in send order. A fate is keyed by the message's edge,
+    /// as it was before records existed. Both engines call this with the
+    /// exact same `(record, round)` sequence.
     pub(crate) fn apply_message_faults(
         &mut self,
         metrics: &mut Metrics,
         round: u64,
+        adjacency: &[Adjacency],
         outgoing: &mut Vec<InFlight>,
         start: usize,
     ) {
-        let mut write = start;
-        for read in start..outgoing.len() {
-            let flight = outgoing[read];
-            match self.fate(flight.msg.edge, flight.msg.from, round) {
-                MessageFate::Drop => metrics.fault_drops += 1,
-                MessageFate::Deliver { delay: 0 } => {
-                    outgoing[write] = flight;
-                    write += 1;
-                }
-                MessageFate::Deliver { delay } => {
-                    metrics.fault_delays += 1;
-                    self.pending.entry(round + 1 + delay).or_default().push(flight);
+        // The survivors are appended behind the step's records, which are
+        // then drained: in place, so a warm outbox allocates nothing.
+        let end = outgoing.len();
+        for read in start..end {
+            for one in outgoing[read].split() {
+                let edge = adjacency[one.start as usize].edge;
+                match self.fate(edge, one.from, round) {
+                    MessageFate::Drop => metrics.fault_drops += 1,
+                    MessageFate::Deliver { delay: 0 } => outgoing.push(one),
+                    MessageFate::Deliver { delay } => {
+                        metrics.fault_delays += 1;
+                        self.pending.entry(round + 1 + delay).or_default().push(one);
+                    }
                 }
             }
         }
-        outgoing.truncate(write);
+        outgoing.drain(start..end);
     }
 }
 
@@ -338,14 +343,17 @@ impl FaultRuntime {
 mod tests {
     use super::*;
     use crate::message::Words;
-    use crate::Message;
 
-    fn flight(edge: u32, from: u32, to: u32) -> InFlight {
-        InFlight {
-            to: NodeId(to),
-            sent_words: 1,
-            msg: Message { from: NodeId(from), edge: EdgeId(edge), words: Words::new(&[1]) },
-        }
+    /// A flat adjacency of `k` ports over the edges `0..k`, one port each:
+    /// the fate pass reads nothing of a port but its edge.
+    fn ports(k: u32) -> Vec<Adjacency> {
+        let port = |e: u32| Adjacency { neighbor: NodeId((e + 1) % 4), edge: EdgeId(e), weight: 1 };
+        (0..k).map(port).collect()
+    }
+
+    /// A send record by `from` over the ports `start..start + len`.
+    fn record(from: u32, start: u32, len: u32) -> InFlight {
+        InFlight { from: NodeId(from), start, len, sent_words: 1, words: Words::new(&[1]) }
     }
 
     #[test]
@@ -412,38 +420,52 @@ mod tests {
     }
 
     #[test]
-    fn message_fault_pass_partitions_sends() {
-        // Flights with distinct fate keys, under a uniform plan that drops
-        // and jitters: every send is dropped, kept or delayed, exactly once.
+    fn message_fault_pass_splits_records_and_partitions_their_messages() {
+        // Records of one to three messages over 48 distinct edges, under a
+        // uniform plan that drops and jitters: every message is dropped, kept
+        // or delayed, exactly once, as a one-message record.
         let plan = FaultPlan::none().with_seed(5).with_drop_ppm(300_000).with_max_skew(3);
         let mut rt = FaultRuntime::new(&plan, 4).expect("non-empty plan");
         assert!(rt.has_message_faults());
+        let adjacency = ports(48);
         let mut metrics = Metrics::zero(4, 48);
-        let sent: Vec<InFlight> = (0..48).map(|i| flight(i, i % 4, (i + 1) % 4)).collect();
-        let keys =
-            |flights: &[InFlight]| -> Vec<EdgeId> { flights.iter().map(|f| f.msg.edge).collect() };
+        let mut sent = Vec::new();
+        let mut next = 0;
+        while next < 48 {
+            let len = (1 + sent.len() as u32 % 3).min(48 - next);
+            sent.push(record(sent.len() as u32 % 4, next, len));
+            next += len;
+        }
+        let edges = |flights: &[InFlight]| -> Vec<EdgeId> {
+            flights.iter().flat_map(|f| f.ports(&adjacency)).map(|p| p.edge).collect()
+        };
         let mut outgoing = sent.clone();
         let (round, start) = (4, 5);
-        rt.apply_message_faults(&mut metrics, round, &mut outgoing, start);
-        assert_eq!(keys(&outgoing[..start]), keys(&sent[..start]), "sends before `start` stay");
+        rt.apply_message_faults(&mut metrics, round, &adjacency, &mut outgoing, start);
+        assert_eq!(edges(&outgoing[..start]), edges(&sent[..start]), "records before `start` stay");
+        assert!(outgoing[start..].iter().all(|f| f.len == 1), "survivors are one message each");
         let kept = (outgoing.len() - start) as u64;
+        let messages = sent[start..].iter().map(|f| u64::from(f.len)).sum::<u64>();
         assert!(metrics.fault_drops > 0 && kept > 0 && metrics.fault_delays > 0, "all three fates");
-        assert_eq!(metrics.fault_drops + kept + metrics.fault_delays, (sent.len() - start) as u64);
+        assert_eq!(metrics.fault_drops + kept + metrics.fault_delays, messages);
         assert_eq!(rt.pending_count(), metrics.fault_delays);
         let on_time: Vec<InFlight> = sent[start..]
             .iter()
-            .copied()
-            .filter(|f| rt.fate(f.msg.edge, f.msg.from, round) == MessageFate::Deliver { delay: 0 })
+            .flat_map(|f| f.split())
+            .filter(|f| {
+                let edge = adjacency[f.start as usize].edge;
+                rt.fate(edge, f.from, round) == MessageFate::Deliver { delay: 0 }
+            })
             .collect();
-        assert_eq!(keys(&outgoing[start..]), keys(&on_time), "on-time sends keep their order");
+        assert_eq!(edges(&outgoing[start..]), edges(&on_time), "on-time messages keep their order");
 
         let at = rt.next_pending_round().expect("something is delayed");
         assert!(at > round + 1, "a delayed message arrives strictly later than on time");
-        let mut incoming = vec![flight(99, 0, 1)];
+        let mut incoming = vec![record(0, 47, 1)];
         rt.merge_due(at, &mut incoming);
         let due = incoming.len() as u64 - 1;
         assert!(due > 0, "the earliest pending round has a bucket");
-        assert_eq!(incoming[0].msg.edge, EdgeId(99), "due messages go after the on-time ones");
+        assert_eq!(incoming[0].start, 47, "due messages go after the on-time ones");
         assert_eq!(due + rt.pending_count(), metrics.fault_delays);
         assert!(rt.next_pending_round().map_or(true, |next| next > at), "the bucket is gone");
     }

@@ -11,9 +11,15 @@
 //! The simulator exploits that correspondence structurally: a payload is a
 //! [`Words`] value — a fixed-capacity `[u64; CAPACITY]` buffer plus a length,
 //! stored *inline* in the [`Message`] — rather than a heap-allocated
-//! `Vec<u64>`. [`Message`] is therefore `Copy`, and the engine can move
-//! messages through its outbox, in-flight, and inbox stages as flat `memcpy`s
-//! of plain structs with **zero heap allocations per message**. The
+//! `Vec<u64>`. [`Message`] is therefore `Copy`, and so is what carries it
+//! between rounds. In the **outbox** a send call is one record — the payload
+//! plus a run of the sender's ports in the graph's flat adjacency, however
+//! many neighbours a broadcast reaches. The record stays one record **in
+//! flight** (the fault layer alone splits it, into one record per message,
+//! to roll their fates). Delivery fans it out from that run into the
+//! **inbox** arena, one inline [`Message`] per recipient. All three stages
+//! are flat buffers of plain structs that the engine reuses from round to
+//! round, with **zero heap allocations per message**. The
 //! allocation-regression test `tests/alloc_regression.rs` pins this property:
 //! after warm-up, a message-saturated round performs no allocation at all.
 //!
@@ -29,7 +35,7 @@
 use std::fmt;
 use std::ops::Deref;
 
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::{Adjacency, EdgeId, NodeId};
 
 /// The inline payload capacity, in `u64` words.
 const INLINE_WORDS: usize = 4;
@@ -162,22 +168,52 @@ impl Message {
     }
 }
 
-/// A message queued for delivery in the next round (internal to the engine).
+/// One send call on its way to the next round (internal to the engine): a
+/// [`crate::NodeCtx::broadcast`] or a [`crate::NodeCtx::send_on_edge`], as
+/// one record however many messages it makes.
 ///
-/// Plain `Copy` data: the engine appends these into a flat, round-reused
-/// outbox and the delivery arena moves them without cloning. 56 bytes on a
-/// 64-bit host: the 48-byte [`Message`], the recipient and the attempted
-/// length, which every send writes and both delivery passes read.
+/// The recipients are not copied into it. `start..start + len` is a run of
+/// the sender's ports in the graph's flat CSR adjacency
+/// ([`congest_graph::Graph::csr`]) — its whole row for a broadcast, one port
+/// for a send on an edge — and the record's `i`-th message travels over
+/// `adjacency[start + i]`. Plain `Copy` data, 56 bytes on a 64-bit host: a
+/// broadcast to `d` neighbours costs one record instead of `d` copies, and
+/// delivery fans it out from the row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
-    pub(crate) to: NodeId,
+    /// The sending node.
+    pub(crate) from: NodeId,
+    /// The record's first port: an index into the flat adjacency array.
+    pub(crate) start: u32,
+    /// The number of ports, and of messages: at least 1.
+    pub(crate) len: u32,
     /// The payload length the sender *attempted* (may exceed the inline
-    /// capacity, in which case `msg.words` holds the truncated prefix),
+    /// capacity, in which case `words` holds the truncated prefix),
     /// saturated at `u32::MAX`; the engine polices it against
     /// `max_message_words`, which is at most [`Words::CAPACITY`], so the
     /// saturation never turns a violation into a legal send.
     pub(crate) sent_words: u32,
-    pub(crate) msg: Message,
+    /// The payload every message of the record carries.
+    pub(crate) words: Words,
+}
+
+impl InFlight {
+    /// The ports the record's messages travel over, in send order.
+    #[inline(always)]
+    pub(crate) fn ports<'g>(&self, adjacency: &'g [Adjacency]) -> &'g [Adjacency] {
+        &adjacency[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    /// The message the record delivers over `port`.
+    #[inline(always)]
+    pub(crate) fn message(&self, port: &Adjacency) -> Message {
+        Message { from: self.from, edge: port.edge, words: self.words }
+    }
+
+    /// The record as one-message records, in port order.
+    pub(crate) fn split(self) -> impl Iterator<Item = InFlight> {
+        (self.start..self.start + self.len).map(move |start| InFlight { start, len: 1, ..self })
+    }
 }
 
 #[cfg(test)]

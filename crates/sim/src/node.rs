@@ -49,16 +49,19 @@ pub trait Protocol {
 /// The engine-provided view a node has of itself and the network during one
 /// round. All message sends and sleep requests go through this context.
 ///
-/// The context owns no buffers: sends are appended, as plain [`Copy`]
-/// structs with inline payloads, into a flat outbox the engine reuses from
-/// round to round, so a send performs no heap allocation.
+/// The context owns no buffers: each send call is appended, as one plain
+/// [`Copy`] record with an inline payload, into a flat outbox the engine
+/// reuses from round to round, so a send performs no heap allocation — and a
+/// broadcast writes one record, not one per neighbour.
 #[derive(Debug)]
 pub struct NodeCtx<'a> {
     node: NodeId,
     node_count: u32,
     round: u64,
-    graph: &'a Graph,
     neighbors: &'a [Adjacency],
+    /// Where `neighbors` starts in the graph's flat adjacency array: a send
+    /// names its ports by position there.
+    run_start: u32,
     /// The engine's round outbox; this node's sends start at the position the
     /// engine recorded before handing out the context.
     outbox: &'a mut Vec<InFlight>,
@@ -104,12 +107,14 @@ impl<'a> NodeCtx<'a> {
         graph: &'a Graph,
         outbox: &'a mut Vec<InFlight>,
     ) -> Self {
+        let (offsets, adjacency) = graph.csr();
+        let (lo, hi) = (offsets[node.index()], offsets[node.index() + 1]);
         NodeCtx {
             node,
             node_count: graph.node_count(),
             round,
-            graph,
-            neighbors: graph.neighbors(node),
+            neighbors: &adjacency[lo as usize..hi as usize],
+            run_start: lo,
             outbox,
             wake_at: None,
             listen: false,
@@ -140,52 +145,43 @@ impl<'a> NodeCtx<'a> {
         self.neighbors
     }
 
-    /// Appends one send to the engine's outbox: an inline copy of the
-    /// payload, plus the attempted length (saturated) for the engine's
-    /// bandwidth check.
-    fn push(&mut self, edge: EdgeId, to: NodeId, words: &[u64]) {
+    /// Appends one send call to the engine's outbox: the `len` ports from
+    /// `port` of this node's run, an inline copy of the payload, and the
+    /// attempted length (saturated) for the engine's bandwidth check.
+    fn push(&mut self, port: usize, len: usize, words: &[u64]) {
         self.outbox.push(InFlight {
-            to,
+            from: self.node,
+            start: self.run_start + port as u32,
+            len: len as u32,
             sent_words: u32::try_from(words.len()).unwrap_or(u32::MAX),
-            msg: Message { from: self.node, edge, words: Words::truncated(words) },
+            words: Words::truncated(words),
         });
     }
 
     /// Sends a message over the given incident edge. The message is delivered
     /// at the start of the next round, if the recipient is awake then.
     ///
-    /// `O(1)`: the recipient is read off the edge's endpoint record.
+    /// `O(deg)`: the edge's port is found by a scan of this node's ports.
+    /// A protocol that sends the same payload to every neighbour should
+    /// [`NodeCtx::broadcast`] it instead, in one record.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is not incident to this node.
     pub fn send_on_edge(&mut self, edge: EdgeId, words: &[u64]) {
-        let to = self
-            .endpoint_across(edge)
+        let port = self
+            .neighbors
+            .iter()
+            .position(|adj| adj.edge == edge)
             .unwrap_or_else(|| panic!("edge {edge} is not incident to node {}", self.node));
-        self.push(edge, to, words);
+        self.push(port, 1, words);
     }
 
-    /// The endpoint of `edge` opposite this node, if `edge` is incident.
-    fn endpoint_across(&self, edge: EdgeId) -> Option<NodeId> {
-        if edge.index() >= self.graph.edge_count() as usize {
-            return None;
-        }
-        let e = self.graph.edge(edge);
-        if e.u == self.node {
-            Some(e.v)
-        } else if e.v == self.node {
-            Some(e.u)
-        } else {
-            None
-        }
-    }
-
-    /// Sends the same message over every incident edge.
+    /// Sends the same message over every incident edge, as one outbox record
+    /// (none at all from a node without neighbours).
     pub fn broadcast(&mut self, words: &[u64]) {
-        let neighbors = self.neighbors;
-        for adj in neighbors {
-            self.push(adj.edge, adj.neighbor, words);
+        if !self.neighbors.is_empty() {
+            self.push(0, self.neighbors.len(), words);
         }
     }
 
@@ -238,21 +234,66 @@ mod tests {
 
     #[test]
     fn context_send_and_broadcast_fill_outbox() {
-        let g = generators::star(4, 1);
+        let g = generators::star(4, 1); // edges: 0-1 (e0), 0-2 (e1), 0-3 (e2)
         let center = NodeId(0);
         let mut outbox = Vec::new();
         let mut ctx = NodeCtx::new(center, 3, &g, &mut outbox);
         assert_eq!(ctx.node_id(), center);
         assert_eq!(ctx.node_count(), 4);
         assert_eq!(ctx.round(), 3);
-        ctx.send_on_edge(EdgeId(1), &[42]); // the star's edge 0-2
+        ctx.send_on_edge(EdgeId(1), &[42]);
         ctx.broadcast(&[7]);
-        assert_eq!(outbox.len(), 4);
-        assert_eq!((outbox[0].to, outbox[0].msg.edge), (NodeId(2), EdgeId(1)));
-        assert_eq!(&outbox[0].msg.words[..], &[42]);
-        assert_eq!(outbox[0].msg.from, center);
-        assert_eq!(outbox[0].sent_words, 1);
-        assert!(outbox[1..].iter().all(|f| f.msg.words[..] == [7]));
+        assert_eq!(outbox.len(), 2, "one record per call");
+        let (_, adjacency) = g.csr();
+        let ports = outbox[0].ports(adjacency);
+        assert_eq!(ports.len(), 1);
+        assert_eq!((ports[0].neighbor, ports[0].edge), (NodeId(2), EdgeId(1)));
+        assert_eq!(
+            (outbox[0].from, &outbox[0].words[..], outbox[0].sent_words),
+            (center, &[42][..], 1)
+        );
+        assert_eq!(outbox[1].ports(adjacency), g.neighbors(center), "a broadcast is its row");
+        assert_eq!(&outbox[1].words[..], &[7]);
+    }
+
+    #[test]
+    fn one_broadcast_pushes_exactly_one_record() {
+        let g = generators::complete(6, 1);
+        let mut outbox = Vec::new();
+        let mut ctx = NodeCtx::new(NodeId(4), 1, &g, &mut outbox);
+        ctx.broadcast(&[1, 2]);
+        assert_eq!(outbox.len(), 1);
+        assert_eq!(outbox[0].len, 5);
+        assert_eq!(outbox[0].ports(g.csr().1), g.neighbors(NodeId(4)));
+    }
+
+    #[test]
+    fn a_zero_degree_broadcast_pushes_none() {
+        let g = Graph::from_edges(3, [(0, 1, 1)]).unwrap(); // node 2 is isolated
+        let mut outbox = Vec::new();
+        NodeCtx::new(NodeId(2), 0, &g, &mut outbox).broadcast(&[9]);
+        assert!(outbox.is_empty());
+    }
+
+    #[test]
+    fn send_on_edge_picks_the_port_of_each_parallel_edge() {
+        let g = Graph::from_edges(3, [(1, 2, 1), (0, 1, 1), (1, 0, 4), (0, 1, 2)]).unwrap();
+        let mut outbox = Vec::new();
+        let mut ctx = NodeCtx::new(NodeId(0), 0, &g, &mut outbox);
+        for edge in [EdgeId(3), EdgeId(1), EdgeId(2)] {
+            ctx.send_on_edge(edge, &[u64::from(edge.0)]);
+        }
+        let adjacency = g.csr().1;
+        let sent: Vec<(u32, EdgeId, NodeId)> = outbox
+            .iter()
+            .map(|f| (f.start, f.ports(adjacency)[0].edge, f.ports(adjacency)[0].neighbor))
+            .collect();
+        assert_eq!(sent.iter().map(|s| s.1).collect::<Vec<_>>(), [EdgeId(3), EdgeId(1), EdgeId(2)]);
+        assert!(sent.iter().all(|s| s.2 == NodeId(1)));
+        let mut starts: Vec<u32> = sent.iter().map(|s| s.0).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        assert_eq!(starts.len(), 3, "three parallel edges, three ports");
     }
 
     #[test]
@@ -305,6 +346,6 @@ mod tests {
         let mut ctx = NodeCtx::new(NodeId(0), 0, &g, &mut outbox);
         ctx.broadcast(&[1, 2, 3, 4, 5, 6]);
         assert_eq!(outbox[0].sent_words, 6, "the engine polices the attempted length");
-        assert_eq!(&outbox[0].msg.words[..], &[1, 2, 3, 4], "the payload is the inline prefix");
+        assert_eq!(&outbox[0].words[..], &[1, 2, 3, 4], "the payload is the inline prefix");
     }
 }

@@ -16,11 +16,13 @@
 //!
 //! Listening ([`NodeCtx::listen_until`]) holds the same contract: waking a
 //! listener early, filtering the deadline entry it left behind, and settling
-//! its idle rounds all work in place on per-run buffers.
+//! its idle rounds all work in place on per-run buffers. So does a fault
+//! plan's drop pass, which splits each step's send records into one record
+//! per message in the outbox itself.
 //!
 //! One `Engine::run` also has a pinned *set-up*: the number of
 //! allocations and of bytes a thread's first run asks for before its first
-//! round is stepped is what the parent of the round-core refactor asked for —
+//! round is stepped is pinned at what it was last measured at —
 //! a second energy column, a per-step decision list or a copy of the state
 //! vector would show here without a clock. And the next run on that thread
 //! has none: it finds the buffers the first one grew and allocates what it
@@ -38,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use congest_graph::{generators, NodeId};
 use congest_sim::scheduler::{schedule_spread, SpreadInstance};
 use congest_sim::workloads::{ChaosListener, WaveBfs};
-use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig};
+use congest_sim::{Engine, FaultPlan, Message, NodeCtx, Protocol, SimConfig};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc); frees are not
 /// interesting here — a free implies a matching earlier allocation.
@@ -207,21 +209,21 @@ fn round_deltas(snapshots_of_run: impl Fn() -> Vec<(u64, u64)> + Sync) -> Vec<(u
     least
 }
 
-/// The ceilings are the numbers of `run_seq`, the hand-written loop the
-/// driver over `RoundCore` replaced, measured by this very function on the
-/// commit before (x86-64, where a `WaveBfs` is 32 bytes): the driver must not
-/// ask for one allocation or byte more. A second energy column alone would
-/// ask for 131 072 bytes more on the large run, and a per-step decision list
-/// or a copy of the states more again.
+/// The ceilings are what this very function measures on x86-64, where a
+/// `WaveBfs` is 32 bytes: a run must not ask for one allocation or byte
+/// more. They were first the numbers of `run_seq`, the hand-written loop the
+/// driver over `RoundCore` replaced; a second energy column alone would ask
+/// for 131 072 bytes more on the large run, and a per-step decision list or a
+/// copy of the states more again.
 ///
-/// One ceiling has moved since, on purpose: the capacity counters carry an
-/// epoch stamp beside each count, so a round's reset is one increment instead
-/// of a walk over a touched list. That column is `2m × 4` bytes — 260 096 on
-/// the 128 × 128 grid — in the same allocation as the counts; re-measured on
-/// the parent of that change, the large run asked for (13, 1 668 608), and
-/// asks for (13, 1 928 704) with it. The 32-node runs went down (43 → 39
-/// and 43 → 38 allocations: the touched list it replaced grew in steps), and
-/// their ceilings stay.
+/// They have since moved down, on purpose, when a send became one record and
+/// edge capacity came to be counted per step. The `2m` capacity counters
+/// (`2m × 8` = 520 192 bytes on the 128 × 128 grid, one allocation) are gone:
+/// measured before and after that change, the large run asked for
+/// (13, 1 865 248) and asks for (12, 1 345 056). The 32-node runs send fewer,
+/// larger-grained records, so their outbox and delivery stream grow in fewer
+/// steps: the wave went from (39, 21 784) to (34, 9 896), the listeners from
+/// (38, 25 096) to (33, 13 208).
 fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // What the ledger's `sim.wave_run_setup_us` times: every node of the
     // `engine-wave` grid halts in round 0. The engine is built inside the
@@ -236,15 +238,15 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     let wave = setup_allocations_of(|| {
         engine(&small).run(|id| WaveBfs::new(schedule[id.index()])).expect("halts")
     });
-    assert!(halt_at_once.0 <= 13 && halt_at_once.1 <= 1_928_704, "16384 nodes: {halt_at_once:?}");
-    assert!(wave.0 <= 43 && wave.1 <= 23_680, "32 nodes: {wave:?}");
+    assert!(halt_at_once.0 <= 12 && halt_at_once.1 <= 1_345_056, "16384 nodes: {halt_at_once:?}");
+    assert!(wave.0 <= 34 && wave.1 <= 9_896, "32 nodes: {wave:?}");
     assert_eq!(allocations_of(|| engine(&grid)), (0, 0), "building an engine is free");
     // Deadlines beyond the wake queue's ring: the far tier is two flat
     // buffers, with one entry per listener however often it is woken.
     let far = setup_allocations_of(|| {
         engine(&small).run(|id| ListeningWave::new(id, 10_000)).expect("halts at the deadline")
     });
-    assert!(far.0 <= 43 && far.1 <= 26_864, "32 listeners: {far:?}");
+    assert!(far.0 <= 33 && far.1 <= 13_208, "32 listeners: {far:?}");
 }
 
 /// One wave among listeners: node 0 announces in round 0, everybody else
@@ -352,7 +354,9 @@ fn steady_state_rounds_allocate_nothing() {
     // Always-awake flood: every round moves 2m messages, reschedules every
     // node, and rebuilds every inbox — the maximal per-round churn of the
     // message path. 192 nodes keep the test fast; the buffers involved are
-    // the same at any size.
+    // the same at any size. Under a plan that drops one message in ten, every
+    // step's records are split in the outbox before their fates are rolled;
+    // that must allocate nothing either.
     let until: u64 = 160;
     // Each repeat runs on a fresh thread, whose engine buffers start empty.
     // The wake ring has 64 slots, each of which must grow to capacity n
@@ -360,27 +364,31 @@ fn steady_state_rounds_allocate_nothing() {
     // warm-up covers the ring with margin.
     let warmup: u64 = 96;
     let g = generators::random_connected(192, 400, 41);
-    let deltas = round_deltas(|| {
-        let mut run = Engine::new(&g, SimConfig::default())
-            .run(|id| ProbedFlood::new(id, until))
-            .expect("flood runs clean");
-        let snapshots = std::mem::take(&mut run.states[0].snapshots);
-        assert_eq!(snapshots.len() as u64, until, "node 0 saw every round from 1 to until");
-        snapshots
-    });
+    let drops = FaultPlan::none().with_seed(7).with_drop_ppm(100_000);
+    for cfg in [SimConfig::default(), SimConfig::default().with_faults(drops)] {
+        let deltas = round_deltas(|| {
+            let mut run = Engine::new(&g, cfg.clone())
+                .run(|id| ProbedFlood::new(id, until))
+                .expect("flood runs clean");
+            assert_eq!(run.metrics.fault_drops > 0, !cfg.faults.is_none());
+            let snapshots = std::mem::take(&mut run.states[0].snapshots);
+            assert_eq!(snapshots.len() as u64, until, "node 0 saw every round from 1 to until");
+            snapshots
+        });
 
-    let mut steady_rounds = 0u64;
-    for (round, allocated) in deltas {
-        if round >= warmup {
-            steady_rounds += 1;
-            assert_eq!(
-                allocated, 0,
-                "round {round} performed {allocated} heap allocation(s); \
-                 the steady-state message path must perform none"
-            );
+        let mut steady_rounds = 0u64;
+        for (round, allocated) in deltas {
+            if round >= warmup {
+                steady_rounds += 1;
+                assert_eq!(
+                    allocated, 0,
+                    "round {round} performed {allocated} heap allocation(s); \
+                     the steady-state message path must perform none"
+                );
+            }
         }
+        assert!(steady_rounds >= 48, "the steady-state window must be observable");
     }
-    assert!(steady_rounds >= 48, "the steady-state window must be observable");
 }
 
 /// The probe protocol itself is honest: the same workload on the reference

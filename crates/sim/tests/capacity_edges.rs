@@ -1,14 +1,21 @@
-//! Payload-capacity edge cases, differentially on both engines.
+//! Payload- and edge-capacity edge cases, differentially on both engines.
 //!
 //! The inline-payload refactor makes the bandwidth bound structural: a
 //! [`congest_sim::Words`] payload holds at most `Words::CAPACITY` words, and
 //! the engine polices the *attempted* send length against
 //! `SimConfig::max_message_words` exactly as the `Vec`-payload engine did.
-//! These tests pin the boundary — sends exactly at, and one past, the limit —
-//! with `strict_capacity` on and off, and assert both engines produce
+//! The first tests pin that boundary — sends exactly at, and one past, the
+//! limit — with `strict_capacity` on and off, and assert both engines produce
 //! identical `SimError`s, metrics, and delivered payloads.
+//!
+//! The rest pin `SimConfig::edge_capacity`, which [`Engine::run`] counts per
+//! step — one record per send call, counted by port only when a step makes
+//! several or the capacity is 0 — and the reference per round, one message
+//! at a time: two sends on one edge, a broadcast beside a send on one of its
+//! edges, the two directions of an edge, parallel edges, a new round, and a
+//! capacity of 0.
 
-use congest_graph::{generators, EdgeId, NodeId};
+use congest_graph::{generators, EdgeId, Graph, NodeId};
 use congest_sim::{Engine, Message, NodeCtx, Protocol, SimConfig, SimError, Words};
 
 /// Node 0 sends one `payload_len`-word message to node 1 in round 0 and both
@@ -134,4 +141,163 @@ fn tighter_configured_limits_still_bind_below_the_inline_capacity() {
     // Below the inline capacity nothing is truncated — the payload fits.
     assert_eq!(received, vec![vec![1, 2, 3]]);
     assert_eq!(metrics.capacity_violations, 1);
+}
+
+/// One send call of a scripted step.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Broadcast,
+    Send(u32),
+}
+
+/// A node that makes the calls of its script in their rounds, in script
+/// order, and halts after round `last`.
+#[derive(Debug, Clone)]
+struct Scripted {
+    calls: Vec<(u64, Call)>,
+    last: u64,
+}
+
+impl Scripted {
+    fn step(&self, ctx: &mut NodeCtx<'_>) {
+        for &(round, call) in &self.calls {
+            if round == ctx.round() {
+                match call {
+                    Call::Broadcast => ctx.broadcast(&[round]),
+                    Call::Send(edge) => ctx.send_on_edge(EdgeId(edge), &[round]),
+                }
+            }
+        }
+        if ctx.round() >= self.last {
+            ctx.halt();
+        }
+    }
+}
+
+impl Protocol for Scripted {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.step(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {
+        self.step(ctx);
+    }
+}
+
+/// Runs `script` — `(node, round, call)` — on `g` through both engines,
+/// asserts they agree, and returns the metrics or the error.
+fn scripted(
+    g: &Graph,
+    cfg: SimConfig,
+    script: &[(u32, u64, Call)],
+) -> Result<congest_sim::Metrics, SimError> {
+    let last = script.iter().map(|s| s.1).max().unwrap_or(0);
+    let node = |id: NodeId| Scripted {
+        calls: script.iter().filter(|s| s.0 == id.0).map(|s| (s.1, s.2)).collect(),
+        last,
+    };
+    let fast = Engine::new(g, cfg.clone()).run(node).map(|run| run.metrics);
+    let slow = Engine::new(g, cfg).run_reference(node).map(|run| run.metrics);
+    assert_eq!(fast, slow, "the engines disagree on {script:?}");
+    fast
+}
+
+fn lenient() -> SimConfig {
+    SimConfig { strict_capacity: false, ..SimConfig::default() }
+}
+
+/// The strict error of `node` exceeding capacity 1 on `edge` in `round`.
+fn over(node: u32, edge: u32, round: u64) -> SimError {
+    SimError::EdgeCapacityExceeded { node: NodeId(node), edge: EdgeId(edge), round, capacity: 1 }
+}
+
+#[test]
+fn two_sends_on_one_edge_in_one_step_are_one_violation() {
+    let g = generators::path(3, 1); // edges: 0-1 (e0), 1-2 (e1)
+    let script = [(1, 2, Call::Send(0)), (1, 2, Call::Send(1)), (1, 2, Call::Send(0))];
+    let metrics = scripted(&g, lenient(), &script).expect("lenient mode only counts");
+    assert_eq!((metrics.capacity_violations, metrics.messages), (1, 3));
+    assert_eq!(metrics.edge_congestion, [2, 1]);
+    let strict = scripted(&g, SimConfig::default(), &script).expect_err("capacity 1");
+    assert_eq!(strict, over(1, 0, 2), "the edge and the round are named");
+    // Capacity 2 admits them.
+    let two = scripted(&g, SimConfig::default().with_edge_capacity(2), &script).expect("fits");
+    assert_eq!(two.capacity_violations, 0);
+}
+
+#[test]
+fn a_broadcast_and_a_send_on_one_of_its_edges_are_one_violation() {
+    let g = generators::star(4, 1); // edges: 0-1 (e0), 0-2 (e1), 0-3 (e2)
+                                    // The broadcast first, then the send on its second edge; and the other
+                                    // way round, on its last edge.
+    for (script, edge) in [
+        ([(0, 1, Call::Broadcast), (0, 1, Call::Send(1))], 1),
+        ([(0, 1, Call::Send(2)), (0, 1, Call::Broadcast)], 2),
+    ] {
+        let metrics = scripted(&g, lenient(), &script).expect("lenient mode only counts");
+        assert_eq!((metrics.capacity_violations, metrics.messages), (1, 4));
+        let strict = scripted(&g, SimConfig::default(), &script).expect_err("capacity 1");
+        assert_eq!(strict, over(0, edge, 1));
+    }
+    // Two broadcasts in one step are a violation on every port.
+    let twice = [(0, 0, Call::Broadcast), (0, 0, Call::Broadcast)];
+    assert_eq!(scripted(&g, lenient(), &twice).expect("lenient").capacity_violations, 3);
+}
+
+#[test]
+fn the_two_directions_of_an_edge_are_independent() {
+    // e1 is stored as (1, 0): the direction is the sender's, whatever the
+    // order of the edge's endpoints.
+    let g = Graph::from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)]).expect("valid");
+    let script = [
+        (0, 0, Call::Send(0)),
+        (0, 0, Call::Send(1)),
+        (1, 0, Call::Broadcast),
+        (2, 0, Call::Broadcast),
+    ];
+    let metrics = scripted(&g, SimConfig::default(), &script).expect("no direction is reused");
+    assert_eq!((metrics.messages, metrics.edge_congestion.as_slice()), (6, &[2, 2, 2][..]));
+    let reused = [(0, 0, Call::Send(0)), (1, 0, Call::Send(0)), (1, 0, Call::Send(0))];
+    assert_eq!(scripted(&g, SimConfig::default(), &reused), Err(over(1, 0, 0)));
+}
+
+#[test]
+fn parallel_edges_are_independent() {
+    let g = Graph::from_edges(2, [(0, 1, 1), (0, 1, 1), (1, 0, 1)]).expect("valid multigraph");
+    let script = [(0, 0, Call::Send(2)), (0, 0, Call::Send(0)), (0, 0, Call::Send(1))];
+    let metrics = scripted(&g, SimConfig::default(), &script).expect("three edges, three ports");
+    assert_eq!(metrics.edge_congestion, [1, 1, 1]);
+    let again = [(0, 0, Call::Send(2)), (0, 0, Call::Broadcast), (1, 0, Call::Broadcast)];
+    let metrics = scripted(&g, lenient(), &again).expect("lenient mode only counts");
+    assert_eq!((metrics.capacity_violations, metrics.messages), (1, 7), "e2, from node 0");
+    assert_eq!(scripted(&g, SimConfig::default(), &again), Err(over(0, 2, 0)));
+}
+
+#[test]
+fn a_new_round_starts_every_count_afresh() {
+    let g = generators::path(2, 1);
+    let script = [
+        (0, 0, Call::Send(0)),
+        (0, 1, Call::Broadcast),
+        (0, 2, Call::Send(0)),
+        (0, 4, Call::Send(0)),
+        (0, 4, Call::Send(0)),
+    ];
+    assert_eq!(scripted(&g, SimConfig::default(), &script[..4]).expect("one a round").messages, 4);
+    assert_eq!(scripted(&g, SimConfig::default(), &script), Err(over(0, 0, 4)));
+}
+
+#[test]
+fn at_capacity_zero_every_message_of_a_single_broadcast_is_a_violation() {
+    let g = generators::star(5, 1); // edges: 0-1 (e0) … 0-4 (e3)
+    let zero = |strict_capacity| {
+        SimConfig { strict_capacity, ..SimConfig::default() }.with_edge_capacity(0)
+    };
+    let script = [(0, 0, Call::Broadcast), (3, 1, Call::Send(2))];
+    let metrics = scripted(&g, zero(false), &script).expect("lenient mode only counts");
+    assert_eq!((metrics.capacity_violations, metrics.messages), (5, 5));
+    let strict = scripted(&g, zero(true), &script).expect_err("capacity 0");
+    let first =
+        SimError::EdgeCapacityExceeded { node: NodeId(0), edge: EdgeId(0), round: 0, capacity: 0 };
+    assert_eq!(strict, first, "the broadcast's first port");
 }

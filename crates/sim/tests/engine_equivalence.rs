@@ -81,20 +81,29 @@ impl ChaosNode {
         }
     }
 
+    /// A payload of 1 to 5 words: the lengths straddle the inline capacity
+    /// (4), so oversized sends must be counted and truncated identically by
+    /// both engines.
+    fn payload(&mut self) -> Vec<u64> {
+        let len = self.rng.gen_range(1..=5usize);
+        (0..len).map(|_| self.digest ^ self.rng.gen_range(0u64..1_000_000)).collect()
+    }
+
     fn act(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Random sends: at most one message per incident edge, so the
-        // capacity-1 CONGEST bound can only be violated through parallel
-        // edges — which the lenient configs below merely count. Payload
-        // lengths deliberately straddle the inline capacity (4): oversized
-        // sends must be counted and truncated identically by both engines.
+        // Random sends: in some steps a broadcast — one record over the
+        // node's whole run of ports —, and beside it at most one message per
+        // incident edge, each its own record. A step of several records is
+        // counted by port: the capacity-1 CONGEST bound is violated where a
+        // per-edge send meets the broadcast (parallel edges count apart),
+        // which the lenient configs below merely count.
+        if self.rng.gen_range(0u32..100) < 30 {
+            let words = self.payload();
+            ctx.broadcast(&words);
+        }
         let neighbors: Vec<_> = ctx.neighbors().to_vec();
         for adj in &neighbors {
             if self.rng.gen_range(0u32..100) < 40 {
-                let len = self.rng.gen_range(1..=5usize);
-                let mut words = vec![0u64; len];
-                for w in words.iter_mut() {
-                    *w = self.digest ^ self.rng.gen_range(0u64..1_000_000);
-                }
+                let words = self.payload();
                 ctx.send_on_edge(adj.edge, &words);
             }
         }
