@@ -6,6 +6,10 @@
 //! as opposed to the trivial sequential composition, which costs the sum of
 //! the instances' running times (`Θ(n²)`-ish).
 //!
+//! Both constants of the composition are fixed, not configured: the per-round
+//! per-edge message budget is `⌈log₂ n⌉ + 1` (the `O(log n)` factor of the
+//! scheduling theorem), and the start delays are drawn from `0..n`.
+//!
 //! ## Simulation methodology
 //!
 //! Each SSSP instance is executed on its own (which preserves its
@@ -77,12 +81,6 @@ pub(crate) struct ApspRun {
 /// Configuration of the APSP scheduling experiment.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ApspConfig {
-    /// Per-round per-edge message budget of the concurrent schedule (the
-    /// `O(log n)` factor of the scheduling theorem).
-    pub edge_budget_per_round: u32,
-    /// Random start delays are drawn from `0..max_delay`; `None` uses the
-    /// scheduling-theorem default of `n` rounds.
-    pub max_delay: Option<u64>,
     /// Seed for the random delays (the only randomness in the whole APSP
     /// algorithm, as the paper emphasizes).
     pub seed: u64,
@@ -120,6 +118,7 @@ fn run_instance(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<Instan
 /// commute. The delays are drawn up front, one PRNG draw per instance in
 /// index order — the stream the test-only reference driver draws.
 struct Assembly {
+    /// The per-round per-edge message budget, [`budget`] of `n`.
     budget: u32,
     delays: Vec<u64>,
     distances: Vec<Vec<Distance>>,
@@ -130,14 +129,17 @@ struct Assembly {
 }
 
 impl Assembly {
-    fn new(n: usize, budget: u32, max_delay: u64, seed: u64) -> Assembly {
+    /// An empty assembly of `n` instances, with start delays drawn from
+    /// `0..n`.
+    fn new(n: u32, seed: u64) -> Assembly {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let slots = n as usize;
         Assembly {
-            budget,
-            delays: (0..n).map(|_| draw_delay(&mut rng, max_delay)).collect(),
-            distances: vec![Vec::new(); n],
-            instance_rounds: vec![0; n],
-            edge_totals: vec![Vec::new(); n],
+            budget: budget(n),
+            delays: (0..n).map(|_| draw_delay(&mut rng, u64::from(n))).collect(),
+            distances: vec![Vec::new(); slots],
+            instance_rounds: vec![0; slots],
+            edge_totals: vec![Vec::new(); slots],
             max_instance_congestion: 0,
             total_messages: 0,
         }
@@ -183,37 +185,33 @@ fn resolve_threads(requested: usize, instances: usize) -> usize {
     threads.min(instances.max(1))
 }
 
-/// The effective per-round edge budget for a graph of `n` nodes.
-fn effective_budget(n: u32, configured: u32) -> u32 {
-    if configured == 0 {
-        ((n.max(2) as f64).log2().ceil() as u32) + 1
-    } else {
-        configured
-    }
+/// The per-round per-edge message budget for a graph of `n` nodes:
+/// `⌈log₂ n⌉ + 1`.
+fn budget(n: u32) -> u32 {
+    u32::BITS - (n.max(2) - 1).leading_zeros() + 1
 }
 
 /// Computes APSP: one SSSP per source plus random-delay scheduling.
 ///
-/// With `apsp_config.edge_budget_per_round == 0` the budget defaults to
-/// `⌈log₂ n⌉ + 1`. Instances run on `apsp_config.threads` OS threads (`0` =
-/// available parallelism); the result is bit-identical for every thread
-/// count, see the module docs.
+/// Instances run on `apsp_config.threads` OS threads (`0` = available
+/// parallelism); the result is bit-identical for every thread count, see the
+/// module docs.
 ///
 /// # Errors
 ///
 /// Propagates any SSSP failure (the first one in source order observed), and
-/// reports a schedule whose horizon — a start delay plus an instance's
-/// rounds — does not fit `u64` as [`AlgoError::Simulation`].
+/// reports as [`AlgoError::Simulation`] a schedule whose horizon — a start
+/// delay plus an instance's rounds — does not fit `u64`, or whose occupied
+/// rounds are too many to hold one count each in memory (at a huge
+/// `epsilon_inverse`, the instances run that long).
 pub(crate) fn apsp(
     g: &Graph,
     config: &AlgoConfig,
     apsp_config: &ApspConfig,
 ) -> Result<ApspRun, AlgoError> {
     let n = g.node_count();
-    let budget = effective_budget(n, apsp_config.edge_budget_per_round);
-    let max_delay = apsp_config.max_delay.unwrap_or(n as u64).max(1);
     let threads = resolve_threads(apsp_config.threads, n as usize);
-    let mut assembly = Assembly::new(n as usize, budget, max_delay, apsp_config.seed);
+    let mut assembly = Assembly::new(n, apsp_config.seed);
 
     assemble(n, threads, &mut assembly, |i| run_instance(g, NodeId(i), config))?;
     assembly.finish()
@@ -380,12 +378,12 @@ mod tests {
                 messages: 0,
             })
         };
-        let mut assembly = Assembly::new(64, 1, 1, 0);
+        let mut assembly = Assembly::new(64, 0);
         assert!(matches!(assemble(64, 3, &mut assembly, run), Err(AlgoError::EmptySourceSet)));
         // The abort flag keeps workers from grinding through all 64 indices.
         assert!(attempts.load(Ordering::Relaxed) < 64);
         // The sequential path surfaces the same error.
-        let mut assembly = Assembly::new(64, 1, 1, 0);
+        let mut assembly = Assembly::new(64, 0);
         assert!(assemble(64, 1, &mut assembly, run).is_err());
     }
 
@@ -406,7 +404,7 @@ mod tests {
                 messages: 0,
             })
         };
-        let mut assembly = Assembly::new(64, 1, 1, 0);
+        let mut assembly = Assembly::new(64, 0);
         let _ = assemble(64, 3, &mut assembly, run);
     }
 
@@ -433,13 +431,13 @@ mod tests {
                 messages: 1 + i as u64 % 3 + i as u64,
             })
         };
-        let mut sequential = Assembly::new(40, 2, 17, 9);
+        let mut sequential = Assembly::new(40, 9);
         assemble(40, 1, &mut sequential, run).unwrap();
         let sequential = sequential.finish().unwrap();
         assert_eq!(sequential.max_instance_congestion, 39);
         assert_eq!(sequential.schedule.total_messages, sequential.total_messages);
         for threads in [2usize, 4, 7] {
-            let mut parallel = Assembly::new(40, 2, 17, 9);
+            let mut parallel = Assembly::new(40, 9);
             assemble(40, threads, &mut parallel, run).unwrap();
             assert_eq!(parallel.finish().unwrap(), sequential, "{threads} threads");
         }
@@ -448,7 +446,7 @@ mod tests {
         let orders: [Vec<u32>; 2] =
             [(0..40).rev().collect(), (0..40).map(|i| (i * 7 + 3) % 40).collect()];
         for order in orders {
-            let mut shuffled = Assembly::new(40, 2, 17, 9);
+            let mut shuffled = Assembly::new(40, 9);
             for i in order {
                 shuffled.consume(i as usize, run(i).unwrap());
             }
@@ -457,44 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn huge_delay_ranges_cost_nothing_and_change_only_the_makespan() {
-        // Regression: the scheduler used to keep one `Vec` header per round
-        // up to the largest delay — `1 << 34` aborted on a 285 GB allocation
-        // and `1 << 63` panicked with a capacity overflow.
-        let g = generators::with_random_weights(&generators::random_connected(8, 12, 3), 5, 3);
-        let algo = AlgoConfig::default();
-        let with =
-            |max_delay| ApspConfig { max_delay: Some(max_delay), seed: 5, ..Default::default() };
-        let tight = apsp(&g, &algo, &with(1)).unwrap();
-        for max_delay in [1u64 << 34, 1 << 63] {
-            let run = apsp(&g, &algo, &with(max_delay)).unwrap();
-            let latest = run.schedule.delays.iter().copied().max().unwrap();
-            assert!(latest > 1 << 30, "the delays really are spread over the range");
-            assert!(run.schedule.makespan >= latest);
-            assert_eq!(run.total_messages, tight.total_messages);
-            assert_eq!(run.schedule.total_messages, tight.schedule.total_messages);
-            assert_eq!(run.schedule.congestion, tight.schedule.congestion);
-            assert_eq!(run.distances, tight.distances);
-            // The facade takes the same path.
-            let facade = crate::Solver::on(&g)
-                .algorithm(crate::Algorithm::Apsp)
-                .apsp_config(with(max_delay))
-                .run()
-                .unwrap();
-            assert_eq!(facade.all_pairs.as_ref(), Some(&run.distances));
-        }
-        // The reference driver (idle stretches skipped) agrees on all of it.
-        assert_eq!(
-            apsp_reference(&g, &algo, &with(1 << 34)).unwrap(),
-            apsp(&g, &algo, &with(1 << 34)).unwrap()
-        );
-    }
-
-    #[test]
     fn a_horizon_past_u64_is_an_error_not_a_panic() {
-        // Delays drawn from 0..u64::MAX land within an instance's length of
-        // the end of the axis for some seed; force the case directly.
-        let mut assembly = Assembly::new(2, 1, 1, 0);
+        // Delays are drawn from 0..n, so only an instance of nearly
+        // `u64::MAX` rounds reaches the end of the axis; force the case
+        // directly.
+        let mut assembly = Assembly::new(2, 0);
         assembly.delays = vec![0, u64::MAX - 1];
         for i in 0..2 {
             let run = InstanceRun {
@@ -513,26 +478,35 @@ mod tests {
     }
 
     #[test]
-    fn composition_matches_the_reference_across_budgets_and_delay_ranges() {
-        for (n, extra, seed) in [(16u32, 24u64, 1u64), (24, 40, 2)] {
+    fn composition_matches_the_reference() {
+        // Budgets and delays other than the composition's own are checked
+        // against the reference scheduler by the simulator's
+        // `scheduler_equivalence` tests.
+        for (n, extra, seed) in [(1u32, 0u64, 0u64), (2, 0, 3), (16, 24, 1), (24, 40, 2)] {
             let g = generators::with_random_weights(
                 &generators::random_connected(n, extra, seed),
                 9,
                 seed,
             );
             let algo = AlgoConfig::default();
-            for budget in [0u32, 1, 2, 50] {
-                for max_delay in [None, Some(0), Some(1000), Some(3000)] {
-                    let cfg =
-                        ApspConfig { edge_budget_per_round: budget, max_delay, seed, threads: 1 };
-                    assert_eq!(
-                        apsp(&g, &algo, &cfg).unwrap(),
-                        apsp_reference(&g, &algo, &cfg).unwrap(),
-                        "n {n}, budget {budget}, max_delay {max_delay:?}"
-                    );
-                }
+            for seed in [seed, seed + 17] {
+                let cfg = ApspConfig { seed, threads: 1 };
+                assert_eq!(
+                    apsp(&g, &algo, &cfg).unwrap(),
+                    apsp_reference(&g, &algo, &cfg).unwrap(),
+                    "n {n}, seed {seed}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn the_budget_is_one_more_than_the_ceiling_of_log2_n() {
+        let cases = [(0, 2), (1, 2), (2, 2), (3, 3), (4, 3), (5, 4), (64, 7), (65, 8)];
+        for (n, expected) in cases {
+            assert_eq!(budget(n), expected, "n {n}");
+        }
+        assert_eq!(budget(u32::MAX), 33);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The APSP driver as it was before the parallel, trace-free composition:
 //! one instance after the other on the calling thread, every instance's
 //! usage spread into a materialised [`EdgeUsageTrace`], the traces composed
-//! by the round-by-round [`schedule_reference`] loop. Kept, test-only, as the
-//! reference [`super::apsp`] must stay bit-identical to — distances, instance
-//! statistics and the whole [`congest_sim::scheduler::ScheduleOutcome`].
+//! by the round-by-round [`schedule_reference`] loop, the budget computed in
+//! floating point. Kept, test-only, as the reference [`super::apsp`] must
+//! stay bit-identical to — distances, instance statistics and the whole
+//! [`congest_sim::scheduler::ScheduleOutcome`].
 
 use congest_graph::{EdgeId, Graph};
 use congest_sim::scheduler::{draw_delay, schedule_reference};
@@ -11,7 +12,7 @@ use congest_sim::EdgeUsageTrace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use super::{effective_budget, run_instance, ApspConfig, ApspRun};
+use super::{run_instance, ApspConfig, ApspRun};
 use crate::{AlgoConfig, AlgoError};
 
 /// The pre-rework APSP driver: runs the instances sequentially on the calling
@@ -44,10 +45,9 @@ pub(super) fn apsp_reference(
         distances.push(run.distances);
     }
 
-    let budget = effective_budget(n, apsp_config.edge_budget_per_round);
-    let max_delay = apsp_config.max_delay.unwrap_or(n as u64).max(1);
+    let budget = ((n.max(2) as f64).log2().ceil() as u32) + 1;
     let mut rng = ChaCha8Rng::seed_from_u64(apsp_config.seed);
-    let delays: Vec<u64> = traces.iter().map(|_| draw_delay(&mut rng, max_delay)).collect();
+    let delays: Vec<u64> = traces.iter().map(|_| draw_delay(&mut rng, u64::from(n))).collect();
     let schedule = schedule_reference(&traces, &delays, budget);
     let sequential_rounds = instance_rounds.iter().sum();
 

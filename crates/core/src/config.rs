@@ -1,8 +1,11 @@
-//! Tunable constants of the algorithms.
+//! The configuration of the algorithms: the cutter's approximation
+//! parameter and the simulator model.
 //!
-//! Every polylogarithmic constant the paper leaves implicit is an explicit
-//! field here so that experiments can report exactly which constants were
-//! used (see `EXPERIMENTS.md`).
+//! The polylogarithmic constants the paper leaves implicit are not options:
+//! each is a private constant beside its use — the low-energy BFS slowdown
+//! and the cover-construction charge in `energy/mod.rs`, the APSP edge
+//! budget and delay range in `apsp.rs`. `EXPERIMENTS.md` lists them with
+//! their values.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,37 +20,11 @@ pub struct AlgoConfig {
     pub epsilon_inverse: u64,
     /// Simulator model configuration used for the protocol phases.
     pub sim: SimConfig,
-
-    // --- Sleeping-model (Section 3) constants -------------------------------
-    /// The BFS wavefront in the low-energy BFS advances one hop every
-    /// `bfs_slowdown` rounds, so that cluster activation (which travels
-    /// through cluster trees) stays ahead of it (Lemma 3.7). The paper uses
-    /// `Θ(log³ n)`; the default here is the measured cover stretch plus a
-    /// safety factor, applied per instance by the algorithm.
-    pub min_bfs_slowdown: u64,
-    /// Extra multiplicative safety factor on the slowdown.
-    pub slowdown_safety_factor: u64,
-    /// Rounds charged per level of layered-cover construction, as a multiple
-    /// of `B^j · log² n` (Theorem 3.12 charges `O(B^j log^15 n)`; we charge
-    /// the measured BFS work times this factor — see `docs/COVERS.md`,
-    /// "Energy accounting").
-    pub cover_build_round_factor: u64,
-    /// Awake rounds charged to every node per level of layered-cover
-    /// construction, as a multiple of `log² n` (Theorem 3.12 charges
-    /// `O(log^25 n)`; see `docs/COVERS.md`, "Energy accounting").
-    pub cover_build_energy_factor: u64,
 }
 
 impl Default for AlgoConfig {
     fn default() -> Self {
-        AlgoConfig {
-            epsilon_inverse: 2,
-            sim: SimConfig::default(),
-            min_bfs_slowdown: 2,
-            slowdown_safety_factor: 2,
-            cover_build_round_factor: 4,
-            cover_build_energy_factor: 4,
-        }
+        AlgoConfig { epsilon_inverse: 2, sim: SimConfig::default() }
     }
 }
 

@@ -9,8 +9,8 @@
 //! the activation signal always arrives before the wavefront does — this is
 //! the invariant of Lemma 3.7, and this implementation *checks it
 //! computationally on every run* (returning
-//! [`AlgoError::WakeScheduleViolation`] if the configured constants ever
-//! violate it).
+//! [`AlgoError::WakeScheduleViolation`] if the slowdown ever falls short of
+//! it).
 //!
 //! ## Simulation methodology
 //!
@@ -27,8 +27,9 @@ use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
+use super::{cover_build_charge, slowdown};
 use crate::result::DistanceOutput;
-use crate::{AlgoConfig, AlgoError};
+use crate::AlgoError;
 
 /// The outcome of a low-energy BFS run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,17 +55,15 @@ pub(crate) struct EnergyBfsRun {
 ///
 /// # Errors
 ///
-/// Returns an error if the wake schedule invariant (Lemma 3.7) is violated by
-/// the configured constants.
+/// Returns an error if the wake schedule invariant (Lemma 3.7) is violated.
 pub(crate) fn low_energy_bfs(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
-    config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
     let limit = limit.min(g.node_count() as u64);
     let cover = LayeredCover::construct_default(g, limit.max(1));
-    covered_bfs(g, sources, limit, &cover, true, config)
+    covered_bfs(g, sources, limit, &cover)
 }
 
 /// What the accounting knows of one cluster once the wavefront is computed.
@@ -82,18 +81,15 @@ struct ClusterState {
     active_from: u64,
 }
 
-/// The covered BFS of Theorem 3.8 on checked sources, over a pre-built
-/// layered cover. Set `charge_cover_build` to also charge the
-/// cover-construction cost (Theorem 3.13). Every sum and product saturates:
-/// an absurd constant yields `u64::MAX` rounds, never a wrapped
-/// underestimate.
+/// The covered BFS of Theorem 3.8 on checked sources, over a layered cover
+/// of `g`, charged with the cover's construction (Theorem 3.13). Every sum
+/// and product saturates: a huge cover yields `u64::MAX` rounds, never a
+/// wrapped underestimate.
 fn covered_bfs(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
     cover: &LayeredCover,
-    charge_cover_build: bool,
-    config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
@@ -109,19 +105,7 @@ fn covered_bfs(
         .collect();
 
     let levels = cover.level_count();
-
-    // Slowdown: the wavefront must advance slowly enough that an activation
-    // signal (latency of the parent cluster's schedule) always beats the
-    // wavefront across the B^{j+1}/2 buffer zone (Lemma 3.7).
-    let mut slowdown = config.min_bfs_slowdown.max(1);
-    for j in 1..levels {
-        let period = cover.radius(j);
-        let depth = cover.levels[j].max_tree_depth();
-        let latency = ClusterSchedule::new(period, depth).propagation_latency();
-        let buffer = (cover.radius(j) / 2).max(1);
-        slowdown = slowdown.max(latency.div_ceil(buffer));
-    }
-    slowdown = slowdown.saturating_mul(config.slowdown_safety_factor.max(1));
+    let slowdown = slowdown(cover);
 
     // Initialization: one convergecast/broadcast cycle over every cluster
     // (Section 3.3 "Initialization"): O(max tree depth + top period) rounds,
@@ -229,7 +213,7 @@ fn covered_bfs(
     for (j, (lvl, of_level)) in cover.levels.iter().zip(&states).enumerate() {
         let period = cover.radius(j);
         tree_load.fill(0);
-        let (mut width, mut all_resolved) = (0, true);
+        let mut width = 0;
         for (c, state) in lvl.clusters.iter().zip(of_level) {
             // The awake rounds of every tree node and the messages over every
             // tree edge, if the cluster is ever awake.
@@ -258,10 +242,7 @@ fn covered_bfs(
             }
             cover_entries_read(c.tree.node_count());
             for (child, parent) in c.tree.edges() {
-                let Some(eid) = edge_between(g, child, parent) else {
-                    all_resolved = false;
-                    continue;
-                };
+                let eid = edge_between(g, child, parent);
                 tree_load[eid.index()] += 1;
                 width = width.max(tree_load[eid.index()]);
                 if let Some((_, messages)) = charge {
@@ -271,10 +252,7 @@ fn covered_bfs(
                 }
             }
         }
-        // A tree edge that is no edge of `g` (a cover of some other graph)
-        // carries no traffic but still counts towards the width.
-        let width = if all_resolved { u64::from(width) } else { lvl.max_edge_tree_load() as u64 };
-        megaround = megaround.saturating_add(width);
+        megaround = megaround.saturating_add(u64::from(width));
     }
     let megaround = megaround.max(1);
     // Wavefront traffic: each reached node announces its distance once over
@@ -296,27 +274,12 @@ fn covered_bfs(
     metrics.rounds = t_end;
     metrics.charge_megaround(megaround);
 
-    // Cover construction cost (Theorems 3.12/3.13), charged analytically from
-    // the measured level radii: each level costs `factor · B^j · log² n`
-    // rounds and `factor · log² n` awake rounds per node.
-    let mut cover_build_rounds: u64 = 0;
-    if charge_cover_build {
-        let log2n = ((n.max(2)) as f64).log2().ceil() as u64;
-        let level_energy =
-            config.cover_build_energy_factor.saturating_mul(log2n).saturating_mul(log2n);
-        for j in 0..levels {
-            let level_rounds = config
-                .cover_build_round_factor
-                .saturating_mul(cover.radius(j))
-                .saturating_mul(log2n)
-                .saturating_mul(log2n);
-            cover_build_rounds = cover_build_rounds.saturating_add(level_rounds);
-            for e in metrics.node_energy.iter_mut() {
-                *e = e.saturating_add(level_energy);
-            }
-        }
-        metrics.rounds = metrics.rounds.saturating_add(cover_build_rounds);
+    // Cover construction cost (Theorems 3.12/3.13).
+    let (cover_build_rounds, cover_build_energy) = cover_build_charge(cover, n);
+    for e in metrics.node_energy.iter_mut() {
+        *e = e.saturating_add(cover_build_energy);
     }
+    metrics.rounds = metrics.rounds.saturating_add(cover_build_rounds);
 
     // The awake-round accounting uses closed-form upper bounds with additive
     // slack; physically a node can never be awake for more rounds than the
@@ -335,10 +298,16 @@ fn covered_bfs(
     })
 }
 
-/// Finds an edge of `g` between two adjacent nodes (cluster-tree edges are
-/// always graph edges because the trees are BFS trees).
-fn edge_between(g: &Graph, a: NodeId, b: NodeId) -> Option<congest_graph::EdgeId> {
-    g.neighbors(a).iter().find(|adj| adj.neighbor == b).map(|adj| adj.edge)
+/// The lowest-numbered edge of `g` between the two ends of a cluster-tree
+/// edge.
+///
+/// # Panics
+///
+/// Panics if they are not adjacent, which the cover rules out: it is built
+/// from `g`, and its cluster trees are BFS trees of `g`.
+fn edge_between(g: &Graph, a: NodeId, b: NodeId) -> congest_graph::EdgeId {
+    let adj = g.neighbors(a).iter().find(|adj| adj.neighbor == b);
+    adj.expect("a cluster-tree edge of a cover of g is an edge of g").edge
 }
 
 #[cfg(test)]
@@ -362,11 +331,11 @@ mod tests {
     use super::*;
     use crate::energy::reference::covered_bfs_reference;
     use crate::weighted_bfs::thresholded_bfs;
+    use crate::AlgoConfig;
     use congest_graph::{generators, sequential};
 
     fn check(g: &Graph, sources: &[NodeId], limit: u64) -> EnergyBfsRun {
-        let cfg = AlgoConfig::default();
-        let run = low_energy_bfs(g, sources, limit, &cfg).unwrap();
+        let run = low_energy_bfs(g, sources, limit).unwrap();
         let truth = sequential::bfs(g, sources);
         for v in g.nodes() {
             let t = truth.distance(v);
@@ -405,8 +374,8 @@ mod tests {
         let cfg = AlgoConfig::default();
         let small = generators::path(128, 1);
         let large = generators::path(1024, 1);
-        let low_small = low_energy_bfs(&small, &[NodeId(0)], 128, &cfg).unwrap();
-        let low_large = low_energy_bfs(&large, &[NodeId(0)], 1024, &cfg).unwrap();
+        let low_small = low_energy_bfs(&small, &[NodeId(0)], 128).unwrap();
+        let low_large = low_energy_bfs(&large, &[NodeId(0)], 1024).unwrap();
         let naive_small = thresholded_bfs(&small, &[NodeId(0)], 128, &cfg).unwrap();
         let naive_large = thresholded_bfs(&large, &[NodeId(0)], 1024, &cfg).unwrap();
         let low_ratio =
@@ -429,46 +398,14 @@ mod tests {
     fn wake_schedule_invariant_holds_with_default_constants() {
         for seed in 0..3 {
             let g = generators::random_connected(60, 100, seed);
-            let cfg = AlgoConfig::default();
-            assert!(low_energy_bfs(&g, &[NodeId(0)], 60, &cfg).is_ok());
+            assert!(low_energy_bfs(&g, &[NodeId(0)], 60).is_ok());
         }
-    }
-
-    #[test]
-    fn wake_schedule_violation_is_detected_with_absurd_constants() {
-        // Force a slowdown of effectively 1 with no safety factor on a long
-        // path: the activation signal cannot keep up on deep cluster trees.
-        let g = generators::path(120, 1);
-        let cfg =
-            AlgoConfig { min_bfs_slowdown: 1, slowdown_safety_factor: 1, ..AlgoConfig::default() };
-        // Build a cover whose top level is tiny so that latencies are huge
-        // relative to the buffer: base 2 gives shallow buffers.
-        let cover = LayeredCover::construct(&g, 119, 2);
-        let r = covered_bfs(&g, &[NodeId(0)], 119, &cover, false, &cfg);
-        // Either the invariant is violated (expected) or, if the tiny base
-        // happens to still satisfy it, the run succeeds; both are acceptable,
-        // but a violation must be reported as the dedicated error.
-        if let Err(e) = r {
-            assert!(matches!(e, AlgoError::WakeScheduleViolation { .. }));
-        }
-    }
-
-    #[test]
-    fn reusing_a_cover_skips_the_build_charge() {
-        let g = generators::grid(5, 5, 1);
-        let cfg = AlgoConfig::default();
-        let cover = LayeredCover::construct_default(&g, 8);
-        let with_build = covered_bfs(&g, &[NodeId(0)], 8, &cover, true, &cfg).unwrap();
-        let without_build = covered_bfs(&g, &[NodeId(0)], 8, &cover, false, &cfg).unwrap();
-        assert!(with_build.metrics.rounds > without_build.metrics.rounds);
-        assert_eq!(without_build.cover_build_rounds, 0);
     }
 
     #[test]
     fn disconnected_components_stay_asleep() {
         let g = generators::disjoint_copies(&generators::path(20, 1), 2);
-        let cfg = AlgoConfig::default();
-        let run = low_energy_bfs(&g, &[NodeId(0)], 40, &cfg).unwrap();
+        let run = low_energy_bfs(&g, &[NodeId(0)], 40).unwrap();
         assert_eq!(run.output.reached_count(), 20);
         // Nodes of the sourceless component belong only to irrelevant
         // clusters: their energy is the initialization cost only, strictly
@@ -505,7 +442,6 @@ mod tests {
 
     #[test]
     fn whole_runs_equal_the_reference_accounting() {
-        let cfg = AlgoConfig::default();
         let mut violations = 0;
         for (name, g) in families() {
             let n = g.node_count();
@@ -518,39 +454,20 @@ mod tests {
                 for (cover, sources) in
                     covers.iter().flat_map(|c| source_sets.iter().map(move |s| (c, s)))
                 {
-                    for charge in [true, false] {
-                        let run = covered_bfs(&g, sources, limit, cover, charge, &cfg);
-                        let expected =
-                            covered_bfs_reference(&g, sources, limit, cover, charge, &cfg);
-                        violations += usize::from(run.is_err());
-                        assert_eq!(
-                            run, expected,
-                            "{name}, limit {limit}, base {}, {sources:?}, charge {charge}",
-                            cover.base
-                        );
-                    }
+                    let run = covered_bfs(&g, sources, limit, cover);
+                    violations += usize::from(run.is_err());
+                    assert_eq!(
+                        run,
+                        covered_bfs_reference(&g, sources, limit, cover),
+                        "{name}, limit {limit}, base {}, {sources:?}",
+                        cover.base
+                    );
                 }
             }
         }
         // Base 4 is below the realized stretch: Lemma 3.7's check fires, and
         // names the same cluster level and rounds.
         assert!(violations > 0);
-    }
-
-    #[test]
-    fn a_cover_of_another_graph_is_accounted_like_the_reference() {
-        // The cycle's tree edge {0, 11} is no edge of the path: it carries no
-        // traffic but still counts towards the megaround width.
-        let (g, other) = (generators::path(12, 1), generators::cycle(12, 1));
-        let cfg = AlgoConfig::default();
-        let cover = LayeredCover::construct_default(&other, 12);
-        assert!(cover.levels.iter().flat_map(|l| &l.clusters).any(|c| {
-            c.tree.edges().any(|(child, parent)| edge_between(&g, child, parent).is_none())
-        }));
-        assert_eq!(
-            covered_bfs(&g, &[NodeId(3)], 12, &cover, true, &cfg),
-            covered_bfs_reference(&g, &[NodeId(3)], 12, &cover, true, &cfg),
-        );
     }
 
     #[test]
@@ -563,33 +480,10 @@ mod tests {
         let clusters = || cover.levels.iter().flat_map(|l| &l.clusters);
         let cover_size = clusters().map(|c| c.len() + c.tree.node_count()).sum::<usize>();
         let before = COVER_ENTRIES_READ.with(|read| read.get());
-        covered_bfs(&g, &[NodeId(0)], n as u64, &cover, true, &AlgoConfig::default()).unwrap();
+        covered_bfs(&g, &[NodeId(0)], n as u64, &cover).unwrap();
         let read = COVER_ENTRIES_READ.with(|read| read.get()) - before;
         assert!(read >= clusters().map(|c| c.len()).sum::<usize>());
         assert!(read <= 4 * cover_size + n + m, "read {read} entries of {cover_size}");
-    }
-
-    #[test]
-    fn absurd_constants_saturate_instead_of_wrapping() {
-        let g = generators::path(40, 1);
-        let default = low_energy_bfs(&g, &[NodeId(0)], 40, &AlgoConfig::default()).unwrap();
-        for field in crate::energy::SLEEPING_MODEL_FIELDS {
-            for value in [0, 1, u64::MAX] {
-                let mut cfg = AlgoConfig::default();
-                *field(&mut cfg) = value;
-                match low_energy_bfs(&g, &[NodeId(0)], 40, &cfg) {
-                    Ok(run) if value == u64::MAX => {
-                        assert!(run.metrics.rounds >= default.metrics.rounds);
-                        assert!(run.metrics.max_energy() >= default.metrics.max_energy());
-                    }
-                    Ok(_) => {}
-                    Err(e) => assert!(
-                        value != u64::MAX && matches!(e, AlgoError::WakeScheduleViolation { .. }),
-                        "{e} at {value}"
-                    ),
-                }
-            }
-        }
     }
 
     #[test]
@@ -599,7 +493,7 @@ mod tests {
         // cover through `tree.nodes()`, `tree.edges()` and
         // `max_edge_tree_load()`, and must charge exactly what it did.
         let g = generators::grid(16, 16, 1);
-        let run = low_energy_bfs(&g, &[NodeId(0)], 256, &AlgoConfig::default()).unwrap();
+        let run = low_energy_bfs(&g, &[NodeId(0)], 256).unwrap();
         let m = &run.metrics;
         assert_eq!((m.rounds, m.messages), (29_152, 561_640));
         assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (7_444, 770_656));

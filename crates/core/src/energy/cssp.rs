@@ -26,6 +26,7 @@ use congest_graph::{Graph, NodeId};
 use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
+use super::{cover_build_charge, slowdown};
 use crate::result::{DistanceOutput, SourceOffset};
 use crate::spanning_forest::spanning_forest;
 use crate::thresholded::{thresholded_cssp, RecursionStats};
@@ -107,28 +108,15 @@ pub(crate) fn low_energy_cssp(
 
     // Time: each subproblem of size n' costs O(ε⁻¹ · n') wavefront steps times
     // the slowdown and megaround width, plus the forest time.
-    let mut slowdown = config.min_bfs_slowdown.max(1);
-    for j in 1..levels {
-        let latency = ClusterSchedule::new(cover.radius(j), cover.levels[j].max_tree_depth())
-            .propagation_latency();
-        slowdown = slowdown.max(latency.div_ceil((cover.radius(j) / 2).max(1)));
-    }
-    slowdown = slowdown.saturating_mul(config.slowdown_safety_factor.max(1));
     let cutter_steps_per_node = config.epsilon_inverse.saturating_mul(2).saturating_add(1);
     let rounds = base
         .stats
         .total_subproblem_size
         .saturating_mul(cutter_steps_per_node)
-        .saturating_mul(slowdown)
+        .saturating_mul(slowdown(&cover))
         .saturating_mul(megaround);
     // Cover construction (Theorem 3.13 bootstrap), charged once.
-    let log2n_squared = log2n * log2n;
-    let cover_build_rounds = (0..levels).fold(0u64, |rounds, j| {
-        let level = config.cover_build_round_factor.saturating_mul(cover.radius(j));
-        rounds.saturating_add(level.saturating_mul(log2n_squared))
-    });
-    let cover_build_energy =
-        config.cover_build_energy_factor.saturating_mul(log2n_squared * levels as u64);
+    let (cover_build_rounds, cover_build_energy) = cover_build_charge(&cover, n);
 
     // Low-energy forest of the whole graph (Theorem 3.1) contributes its own
     // measured metrics once per recursion level.
@@ -219,21 +207,17 @@ mod tests {
     }
 
     #[test]
-    fn absurd_constants_saturate_instead_of_wrapping() {
-        let g = generators::with_random_weights(&generators::path(24, 1), 4, 7);
-        let default = low_energy_cssp(&g, &[NodeId(0)], &AlgoConfig::default()).unwrap();
-        for field in crate::energy::SLEEPING_MODEL_FIELDS {
-            for value in [0, 1, u64::MAX] {
-                let mut cfg = AlgoConfig::default();
-                *field(&mut cfg) = value;
-                let run = low_energy_cssp(&g, &[NodeId(0)], &cfg).unwrap();
-                assert_eq!(run.output, default.output);
-                if value == u64::MAX {
-                    assert!(run.metrics.rounds >= default.metrics.rounds);
-                    assert!(run.metrics.max_energy() >= default.metrics.max_energy());
-                }
-            }
-        }
+    fn weighted_grid_16x16_accounting_is_pinned() {
+        // Recorded before the slowdown and the cover-construction charge
+        // became constants shared with `energy::bfs`: the accounting must
+        // charge exactly what it did.
+        let g = generators::with_random_weights(&generators::grid(16, 16, 1), 9, 3);
+        let run = low_energy_cssp(&g, &[NodeId(0)], &AlgoConfig::default()).unwrap();
+        let m = &run.metrics;
+        assert_eq!((m.rounds, m.messages), (1_768_832, 55_349));
+        assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (86_868, 18_786_048));
+        assert_eq!((m.max_congestion(), m.edge_congestion.iter().sum::<u64>()), (218, 59_189));
+        assert_eq!((run.per_subproblem_energy, run.megaround, run.cover_levels), (2_976, 4, 2));
     }
 
     #[test]

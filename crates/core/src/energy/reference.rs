@@ -1,24 +1,27 @@
 //! The low-energy BFS accounting as it was before it became linear in the
 //! cover: a sort of every tree edge per level for the megaround width, one
 //! scan of the parent's members per child cluster, two passes over a
-//! cluster's members, plain (overflowing) arithmetic. Compiled for tests
-//! only — the differential tests compare whole [`EnergyBfsRun`]s against it.
+//! cluster's members, plain (overflowing) arithmetic, and its own slowdown
+//! and cover-construction formulas over the shipped constants. Compiled for
+//! tests only — the differential tests compare whole [`EnergyBfsRun`]s
+//! against it.
 
 use congest_cover::{ClusterSchedule, LayeredCover};
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
 
 use super::bfs::EnergyBfsRun;
+use super::{
+    COVER_BUILD_ENERGY_FACTOR, COVER_BUILD_ROUND_FACTOR, MIN_BFS_SLOWDOWN, SLOWDOWN_SAFETY_FACTOR,
+};
 use crate::result::DistanceOutput;
-use crate::{AlgoConfig, AlgoError};
+use crate::AlgoError;
 
 pub(crate) fn covered_bfs_reference(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
     cover: &LayeredCover,
-    charge_cover_build: bool,
-    config: &AlgoConfig,
 ) -> Result<EnergyBfsRun, AlgoError> {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
@@ -42,7 +45,7 @@ pub(crate) fn covered_bfs_reference(
     // Slowdown: the wavefront must advance slowly enough that an activation
     // signal (latency of the parent cluster's schedule) always beats the
     // wavefront across the B^{j+1}/2 buffer zone (Lemma 3.7).
-    let mut slowdown = config.min_bfs_slowdown.max(1);
+    let mut slowdown = MIN_BFS_SLOWDOWN;
     for j in 1..levels {
         let period = cover.radius(j);
         let depth = cover.levels[j].max_tree_depth();
@@ -50,7 +53,7 @@ pub(crate) fn covered_bfs_reference(
         let buffer = (cover.radius(j) / 2).max(1);
         slowdown = slowdown.max(latency.div_ceil(buffer));
     }
-    slowdown = slowdown.saturating_mul(config.slowdown_safety_factor.max(1));
+    slowdown *= SLOWDOWN_SAFETY_FACTOR;
 
     // Initialization: one convergecast/broadcast cycle over every cluster
     // (Section 3.3 "Initialization"): O(max tree depth + top period) rounds,
@@ -211,17 +214,15 @@ pub(crate) fn covered_bfs_reference(
     // the measured level radii: each level costs `factor · B^j · log² n`
     // rounds and `factor · log² n` awake rounds per node.
     let mut cover_build_rounds = 0;
-    if charge_cover_build {
-        let log2n = ((n.max(2)) as f64).log2().ceil() as u64;
-        for j in 0..levels {
-            let level_rounds = config.cover_build_round_factor * cover.radius(j) * log2n * log2n;
-            cover_build_rounds += level_rounds;
-            for v in 0..n {
-                metrics.node_energy[v] += config.cover_build_energy_factor * log2n * log2n;
-            }
+    let log2n = ((n.max(2)) as f64).log2().ceil() as u64;
+    for j in 0..levels {
+        let level_rounds = COVER_BUILD_ROUND_FACTOR * cover.radius(j) * log2n * log2n;
+        cover_build_rounds += level_rounds;
+        for v in 0..n {
+            metrics.node_energy[v] += COVER_BUILD_ENERGY_FACTOR * log2n * log2n;
         }
-        metrics.rounds += cover_build_rounds;
     }
+    metrics.rounds += cover_build_rounds;
 
     // The awake-round accounting uses closed-form upper bounds with additive
     // slack; physically a node can never be awake for more rounds than the

@@ -45,8 +45,9 @@ pub enum AlgoError {
         reason: &'static str,
     },
     /// The low-energy BFS wake schedule could not keep ahead of the BFS
-    /// wavefront (the invariant of Lemma 3.7 was violated); indicates the
-    /// configured slowdown constants are too aggressive for this instance.
+    /// wavefront (the invariant of Lemma 3.7 was violated): the slowdown
+    /// constants are too small for the cover's stretch, as on covers built
+    /// with a base below it.
     WakeScheduleViolation {
         /// The cluster level at which the violation occurred.
         level: usize,

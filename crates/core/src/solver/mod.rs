@@ -222,7 +222,7 @@ impl SolverRequest<'_> {
             }
             Algorithm::Bfs => Ok(simulated(thresholded_bfs(g, &nodes, hop_limit, &self.config)?)),
             Algorithm::LowEnergyBfs => {
-                let run = low_energy_bfs(g, &nodes, hop_limit, &self.config)?;
+                let run = low_energy_bfs(g, &nodes, hop_limit)?;
                 let mut report = new_report(&run.metrics, &run.output);
                 report.sleeping = Some(SleepingReport {
                     slowdown: run.slowdown,
@@ -367,7 +367,7 @@ mod tests {
             }
             Algorithm::Bfs => simulated(thresholded_bfs(g, &s, n, &cfg).unwrap()),
             Algorithm::LowEnergyBfs => {
-                let run = low_energy_bfs(g, &s, n, &cfg).unwrap();
+                let run = low_energy_bfs(g, &s, n).unwrap();
                 let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
                 let (slowdown, megaround) = (run.slowdown, run.megaround);
                 let cover_levels = run.cover_levels as u64;

@@ -48,6 +48,13 @@ pub enum SimError {
         /// The length of the window.
         rounds: u64,
     },
+    /// A random-delay schedule ([`crate::scheduler`]) occupies more rounds
+    /// than memory can hold its per-round count column for (one `u64` per
+    /// occupied round): the allocation failed, and the schedule was not run.
+    ScheduleTooLong {
+        /// The occupied rounds of the schedule.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -68,6 +75,10 @@ impl fmt::Display for SimError {
             SimError::ScheduleHorizonOverflow { delay, rounds } => write!(
                 f,
                 "a schedule window of {rounds} rounds starting at round {delay} ends past u64::MAX"
+            ),
+            SimError::ScheduleTooLong { slots } => write!(
+                f,
+                "a schedule of {slots} occupied rounds is too long to hold a count per round"
             ),
         }
     }
@@ -96,6 +107,8 @@ mod tests {
         assert!(e.to_string().contains("9 words"));
         let e = SimError::ScheduleHorizonOverflow { delay: u64::MAX, rounds: 7 };
         assert!(e.to_string().contains("7 rounds"));
+        let e = SimError::ScheduleTooLong { slots: 1 << 54 };
+        assert!(e.to_string().contains("18014398509481984 occupied rounds"));
     }
 
     #[test]

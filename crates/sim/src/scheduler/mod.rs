@@ -201,9 +201,10 @@ pub fn random_delay_schedule(
 ///
 /// # Panics
 ///
-/// Panics if `delays.len() != traces.len()`, the capacity is zero, or an
-/// instance's `delay + len` does not fit `u64` ([`schedule_spread`] reports
-/// that case as an error instead).
+/// Panics if `delays.len() != traces.len()`, the capacity is zero, an
+/// instance's `delay + len` does not fit `u64`, or the occupied rounds'
+/// count column cannot be allocated ([`schedule_spread`] reports the last
+/// two cases as errors instead).
 pub fn schedule_with_delays(
     traces: &[EdgeUsageTrace],
     delays: &[u64],

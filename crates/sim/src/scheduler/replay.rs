@@ -144,23 +144,33 @@ struct Replay {
 }
 
 impl Replay {
-    fn new(capacity: u32, timeline: Timeline) -> Replay {
+    /// # Errors
+    ///
+    /// [`SimError::ScheduleTooLong`] if the column or its bitmap cannot be
+    /// allocated: the allocation is fallible, so a schedule of `2⁵⁴`
+    /// occupied rounds is an error, not an aborted process.
+    fn new(capacity: u32, timeline: Timeline) -> Result<Replay, SimError> {
         assert!(capacity > 0, "edge capacity must be positive");
         let slots = timeline.slots;
-        Replay {
+        let zeroed = |len: usize| {
+            // simlint::allow(hot-path-alloc: the column and its bitmap, once per schedule, reused by every edge)
+            let mut column = Vec::new();
+            column.try_reserve_exact(len).map_err(|_| SimError::ScheduleTooLong { slots })?;
+            column.resize(len, 0u64);
+            Ok(column)
+        };
+        Ok(Replay {
             capacity: u64::from(capacity),
             timeline,
-            // simlint::allow(hot-path-alloc: the one count column of the schedule, reused by every edge)
-            counts: vec![0; slots],
-            // simlint::allow(hot-path-alloc: the occupancy bitmap of the column, reused by every edge)
-            occupied: vec![0; slots.div_ceil(64)],
+            counts: zeroed(slots)?,
+            occupied: zeroed(slots.div_ceil(64))?,
             lo_word: usize::MAX,
             hi_word: 0,
             congestion: 0,
             total_messages: 0,
             max_backlog: 0,
             last_service_round: 0,
-        }
+        })
     }
 
     /// Adds `count > 0` arrivals of the current edge at column slot `slot`.
@@ -301,7 +311,9 @@ impl Replay {
 /// # Errors
 ///
 /// [`SimError::ScheduleHorizonOverflow`] if an instance's `delay + rounds`
-/// (or the schedule's completion time) does not fit `u64`.
+/// (or the schedule's completion time) does not fit `u64`, and
+/// [`SimError::ScheduleTooLong`] if the occupied rounds' count column cannot
+/// be allocated.
 ///
 /// # Panics
 ///
@@ -311,7 +323,7 @@ pub fn schedule_spread(
     edge_capacity_per_round: u32,
 ) -> Result<ScheduleOutcome, SimError> {
     let timeline = Timeline::new(instances.iter().map(|i| (i.delay, i.rounds.max(1))))?;
-    let mut replay = Replay::new(edge_capacity_per_round, timeline);
+    let mut replay = Replay::new(edge_capacity_per_round, timeline)?;
     let edges = instances.iter().map(|i| i.edge_totals.len()).max().unwrap_or(0);
     for edge in 0..edges {
         for (i, instance) in instances.iter().enumerate() {
@@ -334,7 +346,9 @@ pub fn schedule_spread(
 /// # Errors
 ///
 /// [`SimError::ScheduleHorizonOverflow`] if an instance's `delay + len` (or
-/// the schedule's completion time) does not fit `u64`.
+/// the schedule's completion time) does not fit `u64`, and
+/// [`SimError::ScheduleTooLong`] if the occupied rounds' count column cannot
+/// be allocated.
 pub(super) fn schedule_traces(
     traces: &[EdgeUsageTrace],
     delays: &[u64],
@@ -342,7 +356,7 @@ pub(super) fn schedule_traces(
 ) -> Result<ScheduleOutcome, SimError> {
     assert_eq!(traces.len(), delays.len(), "one delay per instance required");
     let timeline = Timeline::new(traces.iter().zip(delays).map(|(t, &d)| (d, t.len() as u64)))?;
-    let mut replay = Replay::new(edge_capacity_per_round, timeline);
+    let mut replay = Replay::new(edge_capacity_per_round, timeline)?;
 
     // Counting sort of the non-zero entries by edge: `first[e]..first[e + 1]`
     // will be edge `e`'s `(slot, count)` arrivals.
@@ -486,7 +500,7 @@ mod tests {
         // The division-free stepping lands message k in slot ⌊k·R/t⌋.
         for (total, len) in [(1u64, 1u64), (3, 5), (7, 7), (1, 9), (13, 100), (99, 100)] {
             let timeline = Timeline::new(std::iter::once((0, len))).unwrap();
-            let mut replay = Replay::new(1, timeline);
+            let mut replay = Replay::new(1, timeline).unwrap();
             replay.pour_spread(0, len, total);
             let mut expected = vec![0u64; len as usize];
             for k in 0..total {

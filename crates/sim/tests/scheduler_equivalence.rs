@@ -259,6 +259,19 @@ fn far_apart_delays_cost_the_occupied_rounds_only() {
 }
 
 #[test]
+fn a_schedule_too_long_to_hold_is_an_error_not_an_abort() {
+    // One instance of 2^54 rounds occupies 2^54 slots: a count column of
+    // 2^57 bytes, which no allocator grants. The replay reports that before
+    // any message is poured, instead of aborting the process.
+    let totals = [1u64];
+    let instance = SpreadInstance { delay: 0, rounds: 1 << 54, edge_totals: &totals };
+    assert_eq!(
+        schedule_spread(&[instance], 1),
+        Err(congest_sim::SimError::ScheduleTooLong { slots: 1 << 54 })
+    );
+}
+
+#[test]
 fn schedulers_agree_on_edge_case_matrix() {
     let burst = |e: u32, c: u32| EdgeUsageTrace { rounds: vec![vec![(EdgeId(e), c)]] };
     let silent = |len: usize| EdgeUsageTrace { rounds: vec![Vec::new(); len] };

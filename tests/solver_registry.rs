@@ -111,27 +111,24 @@ fn config_fields() -> Vec<(&'static str, Setter)> {
     }
     vec![
         ("epsilon_inverse", |k, x| k.0.epsilon_inverse = x),
-        ("min_bfs_slowdown", |k, x| k.0.min_bfs_slowdown = x),
-        ("slowdown_safety_factor", |k, x| k.0.slowdown_safety_factor = x),
-        ("cover_build_round_factor", |k, x| k.0.cover_build_round_factor = x),
-        ("cover_build_energy_factor", |k, x| k.0.cover_build_energy_factor = x),
         ("sim.edge_capacity", |k, x| k.0.sim.edge_capacity = u32_of(x)),
         ("sim.max_message_words", |k, x| k.0.sim.max_message_words = usize_of(x)),
         ("sim.max_rounds", |k, x| k.0.sim.max_rounds = x),
-        ("apsp.edge_budget_per_round", |k, x| k.1.edge_budget_per_round = u32_of(x)),
-        ("apsp.max_delay", |k, x| k.1.max_delay = Some(x)),
         ("apsp.threads", |k, x| k.1.threads = usize_of(x)),
         ("oracle.fallback_threshold", |k, x| k.2.fallback_threshold = u32_of(x)),
     ]
 }
 
-/// Every registry algorithm, with one configuration field at a time at 0, 1
-/// or its maximum — or, where it takes one, a threshold at those values —
-/// comes back with a run or a typed error, never a panic.
+/// Every registry algorithm, with one configuration field at a time at 0, 1,
+/// `2⁵⁴` or its maximum — or, where it takes one, a threshold at those
+/// values — comes back with a run or a typed error, never a panic or an
+/// abort. `2⁵⁴` is huge but, unlike the maximum, passes every up-front
+/// check: an `epsilon_inverse` of `2⁵⁴` runs APSP instances of `≈ 2⁵⁴`
+/// rounds, whose schedule cannot be allocated.
 #[test]
 fn every_algorithm_at_every_config_extreme_returns_ok_or_a_typed_error() {
     let weighted = generators::with_random_weights(&generators::random_connected(12, 8, 5), 9, 5);
-    let extremes = [0, 1, u64::MAX];
+    let extremes = [0, 1, 1 << 54, u64::MAX];
     for g in [generators::path(4, 1), weighted] {
         for info in registry() {
             let request = Solver::on(&g).algorithm(info.algorithm).source(NodeId(0));
