@@ -38,7 +38,7 @@ const USAGE: &str = "usage: experiments [full] [json] | list-algorithms";
 /// What one invocation does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
-    /// Print the solver registry and the effective engine configuration.
+    /// Print the solver registry and the engine's model parameters.
     ListAlgorithms,
     /// Print the experiment tables, optionally followed by a JSON dump.
     Tables { scale: Scale, json: bool },
@@ -71,18 +71,14 @@ fn print_section<R: TableRow>(title: &str, rows: &[R]) {
 fn list_algorithms() {
     println!("# Algorithm registry ({} algorithms)\n", registry().len());
     print!("{}", render(registry()));
-    // The effective engine configuration these algorithms would run under,
-    // so a CI log records the actual model parameters next to the registry.
+    // The model these algorithms run under, so a CI log records its
+    // parameters next to the registry: the CONGEST bound is two constants,
+    // and the round limit is the one setting.
     let sim = congest_sim::SimConfig::default();
-    println!("\n# Effective engine configuration\n");
-    println!(
-        "- max_message_words: {} (effective {})",
-        sim.max_message_words,
-        sim.effective_max_words()
-    );
-    println!("- edge_capacity: {}", sim.edge_capacity);
-    println!("- max_rounds: {}", sim.max_rounds);
-    println!("- strict_capacity: {}", sim.strict_capacity);
+    println!("\n# Engine model\n");
+    println!("- words per message: {} (Words::CAPACITY)", congest_sim::Words::CAPACITY);
+    println!("- messages per edge direction per round: 1");
+    println!("- max_rounds: {} (default)", sim.max_rounds);
 }
 
 fn main() {

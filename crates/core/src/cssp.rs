@@ -45,18 +45,34 @@ impl CsspRun {
 /// Returns an error if `sources` is empty, a source is out of range, or the
 /// underlying simulation fails.
 pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRun, AlgoError> {
+    let recursion = |h: &Graph, offsets: &[SourceOffset]| {
+        let threshold = h.distance_upper_bound().max(1);
+        Ok((thresholded_cssp_validated(h, offsets, threshold, config)?, ()))
+    };
+    Ok(solve_contracted(g, sources, recursion)?.0)
+}
+
+/// Runs `solve` on `g` with each connected component of its zero-weight
+/// subgraph contracted into one supernode (the device behind Theorem 2.7),
+/// and reads the run back onto `g`: every node inherits its supernode's
+/// distance and participation, a supernode's costs land on its
+/// representative and a contracted edge's on the edge it came from. A graph
+/// whose weights are all positive is solved as it is.
+///
+/// The sources are checked here, once, so `solve` is handed a graph of
+/// positive weights and a non-empty set of plain sources inside it. Whatever
+/// else it returns (`X`) is passed through.
+pub(crate) fn solve_contracted<X>(
+    g: &Graph,
+    sources: &[NodeId],
+    solve: impl FnOnce(&Graph, &[SourceOffset]) -> Result<(CsspRun, X), AlgoError>,
+) -> Result<(CsspRun, X), AlgoError> {
     check_sources(g, sources.iter().copied())?;
-    // The sources are checked above and the weights here, once: the recursion
-    // is entered past its own validation on both paths.
     if g.edges().iter().all(|e| e.w > 0) {
         let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
-        let threshold = g.distance_upper_bound().max(1);
-        return thresholded_cssp_validated(g, &offsets, threshold, config);
+        return solve(g, &offsets);
     }
 
-    // Zero-weight edges: contract each connected component of the zero-weight
-    // subgraph into a supernode, solve on the contracted graph, and read the
-    // supernode's distance back for every original node (Theorem 2.7).
     let contraction = contract_zero_weight(g);
     let super_sources: Vec<SourceOffset> = {
         let mut seen = std::collections::BTreeSet::new();
@@ -68,14 +84,10 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
             })
             .collect()
     };
-    let threshold = contraction.graph.distance_upper_bound().max(1);
-    let run = thresholded_cssp_validated(&contraction.graph, &super_sources, threshold, config)?;
+    let (run, extra) = solve(&contraction.graph, &super_sources)?;
 
-    // Distances: every original node inherits its supernode's distance.
-    let distances: Vec<Distance> =
-        g.nodes().map(|v| run.output.distance(contraction.super_of[v.index()])).collect();
-    // Metrics: attribute supernode costs to representative original nodes and
-    // contracted-edge costs to the original edge they came from.
+    let super_of = |v: NodeId| contraction.super_of[v.index()];
+    let distances: Vec<Distance> = g.nodes().map(|v| run.output.distance(super_of(v))).collect();
     let metrics = run.metrics.remap(
         &contraction.representative,
         &contraction.edge_origin,
@@ -83,18 +95,10 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
         g.edge_count() as usize,
     );
     let stats = RecursionStats {
-        subproblems: run.stats.subproblems,
-        participation: {
-            let mut p = vec![0; g.node_count() as usize];
-            for v in g.nodes() {
-                p[v.index()] = run.stats.participation[contraction.super_of[v.index()].index()];
-            }
-            p
-        },
-        total_subproblem_size: run.stats.total_subproblem_size,
-        levels: run.stats.levels,
+        participation: g.nodes().map(|v| run.stats.participation[super_of(v).index()]).collect(),
+        ..run.stats
     };
-    Ok(CsspRun { output: DistanceOutput { distances }, metrics, stats })
+    Ok((CsspRun { output: DistanceOutput { distances }, metrics, stats }, extra))
 }
 
 /// The result of contracting zero-weight components.

@@ -27,9 +27,10 @@ use congest_sim::Metrics;
 use serde::{Deserialize, Serialize};
 
 use super::{cover_build_charge, slowdown};
+use crate::cssp::{solve_contracted, CsspRun};
 use crate::result::{DistanceOutput, SourceOffset};
 use crate::spanning_forest::spanning_forest;
-use crate::thresholded::{thresholded_cssp, RecursionStats};
+use crate::thresholded::{thresholded_cssp_validated, RecursionStats};
 use crate::{AlgoConfig, AlgoError};
 
 /// The outcome of a low-energy CSSP run.
@@ -50,23 +51,39 @@ pub(crate) struct EnergyCsspRun {
     pub cover_levels: usize,
 }
 
-/// Runs low-energy exact CSSP from `sources` (Theorem 3.15). Edge weights
-/// must be positive.
+/// Runs low-energy exact CSSP from `sources` (Theorem 3.15). Zero-weight
+/// edges are contracted first, as [`crate::cssp::cssp`] contracts them
+/// (Theorem 2.7): the accounting then charges the contracted graph, read back
+/// onto `g`.
 ///
 /// # Errors
 ///
-/// Returns an error for zero edge weights or a failure of the underlying
-/// recursion.
+/// Returns an error if `sources` is empty, a source is out of range, or the
+/// underlying recursion fails.
 pub(crate) fn low_energy_cssp(
     g: &Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
 ) -> Result<EnergyCsspRun, AlgoError> {
-    let offsets: Vec<SourceOffset> = sources.iter().map(|&s| SourceOffset::plain(s)).collect();
+    let charged = |h: &Graph, offsets: &[SourceOffset]| charged_run(h, offsets, config);
+    let (CsspRun { output, metrics, stats }, (per_subproblem_energy, megaround, cover_levels)) =
+        solve_contracted(g, sources, charged)?;
+    Ok(EnergyCsspRun { output, metrics, stats, per_subproblem_energy, megaround, cover_levels })
+}
+
+/// Low-energy CSSP on a graph of positive weights from checked sources: the
+/// recursion's run with its metrics replaced by the sleeping-model charges,
+/// beside the per-subproblem energy, the megaround width and the number of
+/// cover levels.
+fn charged_run(
+    g: &Graph,
+    offsets: &[SourceOffset],
+    config: &AlgoConfig,
+) -> Result<(CsspRun, (u64, u64, usize)), AlgoError> {
     let threshold = g.distance_upper_bound().max(1);
     // The recursion: correctness, per-edge congestion, message counts, and
     // participation structure all come from here.
-    let base = thresholded_cssp(g, &offsets, threshold, config)?;
+    let base = thresholded_cssp_validated(g, offsets, threshold, config)?;
 
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
@@ -137,8 +154,7 @@ pub(crate) fn low_energy_cssp(
     metrics.edge_congestion = base.metrics.edge_congestion.clone();
     // Add the cluster-tree traffic to the congestion: each cluster-tree edge
     // carries a constant number of messages per period per BFS.
-    for (e, c) in metrics.edge_congestion.iter_mut().enumerate() {
-        let _ = e;
+    for c in &mut metrics.edge_congestion {
         *c += 4 * levels as u64;
     }
     for v in 0..n {
@@ -150,14 +166,8 @@ pub(crate) fn low_energy_cssp(
             .min(metrics.rounds);
     }
 
-    Ok(EnergyCsspRun {
-        output: base.output,
-        metrics,
-        stats: base.stats,
-        per_subproblem_energy,
-        megaround,
-        cover_levels: levels,
-    })
+    let run = CsspRun { output: base.output, metrics, stats: base.stats };
+    Ok((run, (per_subproblem_energy, megaround, levels)))
 }
 
 #[cfg(test)]
@@ -221,12 +231,23 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_weights() {
-        let cfg = AlgoConfig::default();
-        let g = Graph::from_edges(3, [(0, 1, 0), (1, 2, 1)]).unwrap();
-        assert!(matches!(
-            low_energy_cssp(&g, &[NodeId(0)], &cfg),
-            Err(AlgoError::ZeroWeightNotSupported { .. })
-        ));
+    fn zero_weights_are_contracted_and_exact() {
+        // 0 -0- 1 -5- 2 -0- 3 -2- 4: dist(0, .) = [0, 0, 5, 5, 7].
+        let g = Graph::from_edges(5, [(0, 1, 0), (1, 2, 5), (2, 3, 0), (3, 4, 2)]).unwrap();
+        let run = check(&g, &[NodeId(0)]);
+        assert_eq!(run.metrics.node_energy.len(), 5);
+        assert_eq!(run.stats.participation.len(), 5);
+        for seed in 0..3 {
+            let g = generators::with_random_weights_zero(
+                &generators::random_connected(30, 50, seed),
+                6,
+                seed,
+            );
+            check(&g, &[NodeId(0), NodeId(10)]);
+        }
+        // All-zero weights: one supernode, every distance 0.
+        let g = generators::with_random_weights_zero(&generators::path(6, 1), 0, 1);
+        let run = check(&g, &[NodeId(2)]);
+        assert_eq!(run.output.reached_count(), 6);
     }
 }

@@ -39,11 +39,12 @@
 //! 2. `deliver` into an arena — inboxes in stream order; messages to
 //!    sleeping or halted nodes lost, to crashed ones dropped, both counted.
 //! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
-//!    the awake rounds to charge; what it sent accounted (bandwidth,
-//!    per-edge-direction capacity — counted per step, since only the sender
+//!    the awake rounds to charge; what it sent accounted (the CONGEST bound —
+//!    at most [`Words::CAPACITY`](crate::Words::CAPACITY) words a message, one
+//!    message per edge direction, checked per step, since only the sender
 //!    writes its direction and it steps once a round; the first violation is
-//!    the strict-mode error —, message and congestion counts, then fault
-//!    fates, for which the step's records are split into one per message);
+//!    the run's error —, message and congestion counts, then fault fates, for
+//!    which the step's records are split into one per message);
 //!    its scheduling request applied.
 //! 4. `end_round` — termination (what is still in flight is lost); else, if this round's sends are in flight, the next
 //!    round with them as its delivery stream; else — nothing was sent, so
@@ -181,7 +182,7 @@ pub struct Engine<'g> {
 
 /// The buffers [`Engine::run`] works in, kept by each thread from one run to
 /// the next so that a small run costs its events and not its set-up: the
-/// wake queue, the delivery arena, a step's port counts, the in-flight
+/// wake queue, the delivery arena, a step's used ports, the in-flight
 /// double buffer and the awake list (see "Per-thread buffers" in the module
 /// docs).
 ///
@@ -249,9 +250,11 @@ impl<'g> Engine<'g> {
     ///
     /// * [`SimError::RoundLimitExceeded`] if the protocol does not halt within
     ///   the configured number of rounds.
-    /// * [`SimError::EdgeCapacityExceeded`] / [`SimError::MessageTooLarge`]
-    ///   if a node violates the CONGEST constraints and `strict_capacity` is
-    ///   enabled.
+    /// * [`SimError::EdgeCapacityExceeded`] if a node sends two messages over
+    ///   one direction of an edge in one round, and
+    ///   [`SimError::MessageTooLarge`] if it sends a message of more than
+    ///   [`Words::CAPACITY`](crate::Words::CAPACITY) words: the first such send
+    ///   in node-id order, then send order, ends the run.
     pub fn run<P, F>(&self, factory: F) -> Result<RunOutcome<P>, SimError>
     where
         P: Protocol,
@@ -301,7 +304,7 @@ impl<'g> Engine<'g> {
 mod tests {
     use super::*;
     use crate::{Message, NodeCtx};
-    use congest_graph::{generators, Distance};
+    use congest_graph::{generators, Distance, EdgeId};
 
     /// Single-source BFS where every node halts once its distance stabilizes
     /// for `n` rounds. Used to exercise the engine end to end.
@@ -472,27 +475,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_capacity_rejects_overload() {
+    fn a_second_message_on_an_edge_is_rejected() {
         let g = generators::path(2, 1);
         let err = Engine::new(&g, SimConfig::default()).run(|_| Spammer).unwrap_err();
-        assert!(matches!(err, SimError::EdgeCapacityExceeded { .. }));
-    }
-
-    #[test]
-    fn lenient_capacity_counts_violations() {
-        let g = generators::path(2, 1);
-        let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
-        let run = Engine::new(&g, cfg).run(|_| Spammer).unwrap();
-        assert_eq!(run.metrics.capacity_violations, 2);
-    }
-
-    #[test]
-    fn capacity_two_allows_two_messages() {
-        let g = generators::path(2, 1);
-        let cfg = SimConfig::default().with_edge_capacity(2);
-        let run = Engine::new(&g, cfg).run(|_| Spammer).unwrap();
-        assert_eq!(run.metrics.capacity_violations, 0);
-        assert_eq!(run.metrics.messages, 4); // both endpoints spam once
+        let first = SimError::EdgeCapacityExceeded { node: NodeId(0), edge: EdgeId(0), round: 0 };
+        assert_eq!(err, first);
     }
 
     /// A protocol that never halts.
@@ -525,7 +512,7 @@ mod tests {
         }
         let g = generators::path(2, 1);
         let err = Engine::new(&g, SimConfig::default()).run(|_| BigTalker).unwrap_err();
-        assert!(matches!(err, SimError::MessageTooLarge { words: 16, .. }));
+        assert_eq!(err, SimError::MessageTooLarge { node: NodeId(0), words: 16 });
     }
 
     // --- Active-set vs reference engine: fixed correctness matrix ----------
@@ -577,13 +564,6 @@ mod tests {
             |id| LossyReceiver { got: 0, is_sender: id == NodeId(0) },
             |a: &LossyReceiver, b: &LossyReceiver| assert_eq!(a.got, b.got),
         );
-    }
-
-    #[test]
-    fn engines_agree_on_lenient_spammers() {
-        let g = generators::cycle(5, 1);
-        let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
-        assert_equivalent(&g, cfg, |_| Spammer, |_: &Spammer, _: &Spammer| {});
     }
 
     /// One BFS wave among listeners: everyone is awake for the whole run, but
@@ -674,6 +654,10 @@ mod tests {
         let cfg = SimConfig::default().with_max_rounds(50);
         let fast = Engine::new(&g, cfg.clone()).run(|_| Immortal).unwrap_err();
         let slow = Engine::new(&g, cfg).run_reference(|_| Immortal).unwrap_err();
+        assert_eq!(fast, slow);
+        let g = generators::cycle(5, 1);
+        let fast = Engine::new(&g, SimConfig::default()).run(|_| Spammer).unwrap_err();
+        let slow = Engine::new(&g, SimConfig::default()).run_reference(|_| Spammer).unwrap_err();
         assert_eq!(fast, slow);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! This is the pre-refactor engine: every round it sweeps all `n` nodes,
 //! allocates fresh per-node inboxes, splits every send record into one
-//! record per message, and tracks edge capacity per round in a `HashMap`.
+//! record per message, and tracks the edge directions used per round in a
+//! `HashSet`.
 //! Its per-round cost is `Θ(n)` regardless of how many nodes are awake, which
 //! is exactly what the active-set engine in [`super`] eliminates — but its
 //! simplicity makes it the semantic ground truth. [`Engine::run`] must
@@ -19,7 +20,7 @@
 //! (`engine/round.rs`): an oracle that called them would agree with them by
 //! construction.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use congest_graph::{EdgeId, NodeId};
 
@@ -27,7 +28,7 @@ use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::{NodeCtx, Request};
-use crate::{Engine, Message, Protocol, RunOutcome, SimError};
+use crate::{Engine, Message, Protocol, RunOutcome, SimError, Words};
 
 /// Per-node bookkeeping of the reference loop.
 #[derive(Debug, Clone)]
@@ -135,8 +136,8 @@ impl Engine<'_> {
             }
 
             // Run awake nodes.
-            // simlint::allow(nondeterministic-iteration: per-round capacity counter probed through entry() only and dropped at round end; nothing ever iterates it)
-            let mut edge_round_count: HashMap<(EdgeId, NodeId), u32> = HashMap::new();
+            // simlint::allow(nondeterministic-iteration: per-round set of used edge directions probed through insert() only and dropped at round end; nothing ever iterates it)
+            let mut used: HashSet<(EdgeId, NodeId)> = HashSet::new();
             let mut any_awake = false;
             for v in graph.nodes() {
                 let st = &status[v.index()];
@@ -169,28 +170,11 @@ impl Engine<'_> {
                 for flight in &outbox {
                     let edge = adjacency[flight.start as usize].edge;
                     let words = flight.sent_words as usize;
-                    if words > config.effective_max_words() {
-                        if config.strict_capacity {
-                            return Err(SimError::MessageTooLarge {
-                                node: v,
-                                words,
-                                max_words: config.effective_max_words(),
-                            });
-                        }
-                        metrics.capacity_violations += 1;
+                    if words > Words::CAPACITY {
+                        return Err(SimError::MessageTooLarge { node: v, words });
                     }
-                    let used = edge_round_count.entry((edge, v)).or_insert(0);
-                    *used += 1;
-                    if *used > config.edge_capacity {
-                        if config.strict_capacity {
-                            return Err(SimError::EdgeCapacityExceeded {
-                                node: v,
-                                edge,
-                                round,
-                                capacity: config.edge_capacity,
-                            });
-                        }
-                        metrics.capacity_violations += 1;
+                    if !used.insert((edge, v)) {
+                        return Err(SimError::EdgeCapacityExceeded { node: v, edge, round });
                     }
                     metrics.messages += 1;
                     metrics.edge_congestion[edge.index()] += 1;

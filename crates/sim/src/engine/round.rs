@@ -5,7 +5,7 @@
 //! run's own, and — borrowed from the thread's
 //! `RunScratch` as a [`RoundScratch`], re-armed by
 //! [`RoundCore::new`] — the in-flight stream being delivered, the awake
-//! list, the scheduler and the per-port counts of a step. Each rule of the
+//! list, the scheduler and the ports a step has used. Each rule of the
 //! model is one method, called by the driver in [`super`] in the order its
 //! module header lists. The reference loop shares nothing with this file — it is
 //! the oracle these rules are tested against.
@@ -24,7 +24,7 @@ use crate::fault::{FaultAction, FaultRuntime};
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::NodeCtx;
-use crate::{Engine, Protocol, RunOutcome, SimError};
+use crate::{Engine, Protocol, RunOutcome, SimError, Words};
 
 use super::active_set::ActiveSet;
 use super::delivery::DeliveryArena;
@@ -43,10 +43,10 @@ pub(super) struct RoundScratch {
     /// The nodes that run this round, sorted by id.
     awake: Vec<NodeId>,
     active: ActiveSet,
-    /// Messages per port of the node being accounted, by position in its
-    /// run; used only by a step that needs counting by port
-    /// ([`RoundCore::account_sends`]), and zeroed by it.
-    port_counts: Vec<u32>,
+    /// Whether the node being accounted has sent on a port yet this round, by
+    /// position in its run; used only by a step of several records
+    /// ([`RoundCore::account_sends`]), and cleared by it.
+    port_used: Vec<bool>,
 }
 
 /// The state and rules of a run's rounds; see the module docs.
@@ -54,8 +54,6 @@ pub(super) struct RoundCore<'e> {
     engine: &'e Engine<'e>,
     /// The graph's flat CSR adjacency, which the send records index.
     adjacency: &'e [Adjacency],
-    /// [`crate::SimConfig::effective_max_words`], worked out once per run.
-    max_words: usize,
     round: u64,
     /// Whether any node had listened by the start of this round. Read once
     /// per round: a node stepped in it can only be in a wait it asked for in
@@ -90,7 +88,6 @@ impl<'e> RoundCore<'e> {
         RoundCore {
             engine,
             adjacency: graph.csr().1,
-            max_words: config.effective_max_words(),
             round: 0,
             listeners: false,
             buf: scratch,
@@ -229,11 +226,11 @@ impl<'e> RoundCore<'e> {
     /// dropped message was still *sent* — and are pure functions of
     /// `(edge, sender, send round)`.
     ///
-    /// Edge capacity is counted per step: only `v` writes its directions of
-    /// its edges, and it steps at most once a round. One record never uses a
-    /// port twice, so a step of one record needs no counting unless the
-    /// capacity is 0; a step of several counts its messages by port, by
-    /// position in `v`'s run.
+    /// The CONGEST bound is checked per step: only `v` writes its directions
+    /// of its edges, and it steps at most once a round. One record never uses
+    /// a port twice, so a step of one record needs no check of the capacity; a
+    /// step of several marks the ports it uses, by position in `v`'s run, and
+    /// a port marked twice is the error.
     #[inline(always)]
     fn account_sends(
         &mut self,
@@ -241,38 +238,28 @@ impl<'e> RoundCore<'e> {
         sent: &mut Vec<InFlight>,
         from: usize,
     ) -> Result<(), SimError> {
-        // The loop's invariants, read once.
-        let config = self.engine.config();
-        let (strict_capacity, edge_capacity) = (config.strict_capacity, config.edge_capacity);
-        let max_words = self.max_words;
         let records = &sent[from..];
-        let by_port = records.len() > 1 || edge_capacity == 0;
+        let by_port = records.len() > 1;
         let (offsets, _) = self.engine.graph().csr();
         let run_start = offsets[v.index()];
         if by_port {
             let degree = (offsets[v.index() + 1] - run_start) as usize;
-            self.buf.port_counts.clear();
-            self.buf.port_counts.resize(degree, 0);
+            self.buf.port_used.clear();
+            self.buf.port_used.resize(degree, false);
         }
         for flight in records {
             let ports = flight.ports(self.adjacency);
             let words = flight.sent_words as usize;
-            if words > max_words {
-                if strict_capacity {
-                    return Err(SimError::MessageTooLarge { node: v, words, max_words });
-                }
-                self.metrics.capacity_violations += ports.len() as u64;
+            if words > Words::CAPACITY {
+                return Err(SimError::MessageTooLarge { node: v, words });
             }
             if by_port {
-                let counts = &mut self.buf.port_counts[(flight.start - run_start) as usize..];
-                for (count, port) in counts.iter_mut().zip(ports) {
-                    *count += 1;
-                    if *count > edge_capacity && strict_capacity {
-                        let (node, edge, round, capacity) =
-                            (v, port.edge, self.round, edge_capacity);
-                        return Err(SimError::EdgeCapacityExceeded { node, edge, round, capacity });
+                let used = &mut self.buf.port_used[(flight.start - run_start) as usize..];
+                for (used, port) in used.iter_mut().zip(ports) {
+                    if std::mem::replace(used, true) {
+                        let (node, edge, round) = (v, port.edge, self.round);
+                        return Err(SimError::EdgeCapacityExceeded { node, edge, round });
                     }
-                    self.metrics.capacity_violations += u64::from(*count > edge_capacity);
                 }
             }
             self.metrics.messages += ports.len() as u64;

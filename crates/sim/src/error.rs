@@ -16,8 +16,8 @@ pub enum SimError {
         /// Number of nodes that had not halted when the limit was hit.
         unhalted_nodes: u32,
     },
-    /// A node attempted to send more messages over an edge in one round than
-    /// the configured capacity allows (only with `strict_capacity`).
+    /// A node sent more than one message over one direction of an edge in one
+    /// round: the CONGEST capacity.
     EdgeCapacityExceeded {
         /// The sending node.
         node: NodeId,
@@ -25,18 +25,14 @@ pub enum SimError {
         edge: EdgeId,
         /// The simulation round.
         round: u64,
-        /// The configured capacity.
-        capacity: u32,
     },
-    /// A message exceeded the configured maximum number of words (only with
-    /// `strict_capacity`).
+    /// A message carried more than [`crate::Words::CAPACITY`] words: the
+    /// CONGEST bandwidth bound.
     MessageTooLarge {
         /// The sending node.
         node: NodeId,
         /// Number of words in the offending message.
         words: usize,
-        /// The configured maximum.
-        max_words: usize,
     },
     /// The time axis of a random-delay schedule ([`crate::scheduler`]) does
     /// not fit `u64`: a window of `rounds` rounds starting at round `delay`
@@ -64,13 +60,14 @@ impl fmt::Display for SimError {
                 f,
                 "simulation exceeded the round limit of {limit} with {unhalted_nodes} nodes still running"
             ),
-            SimError::EdgeCapacityExceeded { node, edge, round, capacity } => write!(
+            SimError::EdgeCapacityExceeded { node, edge, round } => write!(
                 f,
-                "node {node} sent more than {capacity} messages over edge {edge} in round {round}"
+                "node {node} sent more than one message over edge {edge} in round {round}"
             ),
-            SimError::MessageTooLarge { node, words, max_words } => write!(
+            SimError::MessageTooLarge { node, words } => write!(
                 f,
-                "node {node} sent a message of {words} words, exceeding the limit of {max_words}"
+                "node {node} sent a message of {words} words, exceeding the limit of {}",
+                crate::Words::CAPACITY
             ),
             SimError::ScheduleHorizonOverflow { delay, rounds } => write!(
                 f,
@@ -95,16 +92,11 @@ mod tests {
         let e = SimError::RoundLimitExceeded { limit: 100, unhalted_nodes: 3 };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("3"));
-        let e = SimError::EdgeCapacityExceeded {
-            node: NodeId(1),
-            edge: EdgeId(2),
-            round: 7,
-            capacity: 1,
-        };
+        let e = SimError::EdgeCapacityExceeded { node: NodeId(1), edge: EdgeId(2), round: 7 };
         assert!(e.to_string().contains("v1"));
         assert!(e.to_string().contains("e2"));
-        let e = SimError::MessageTooLarge { node: NodeId(0), words: 9, max_words: 4 };
-        assert!(e.to_string().contains("9 words"));
+        let e = SimError::MessageTooLarge { node: NodeId(0), words: 9 };
+        assert!(e.to_string().contains("9 words, exceeding the limit of 4"));
         let e = SimError::ScheduleHorizonOverflow { delay: u64::MAX, rounds: 7 };
         assert!(e.to_string().contains("7 rounds"));
         let e = SimError::ScheduleTooLong { slots: 1 << 54 };

@@ -17,15 +17,14 @@
 //!   any mutable state — the differential harnesses extend to faulty runs
 //!   unchanged.
 //!
-//! One consequence worth knowing: messages that share `(edge, sender, send
-//! round)` share a fate. Under the default CONGEST capacity of 1 that tuple
-//! identifies a message uniquely; with a larger capacity, a burst on one edge
-//! in one round is dropped or delayed as a unit.
+//! The CONGEST capacity — one message per edge direction per round — makes
+//! `(edge, sender, send round)` identify a message uniquely, so no two
+//! messages share a fate.
 //!
 //! # Fault taxonomy
 //!
 //! * **Drop** — a sent message vanishes in transit. It still counts as sent
-//!   (message complexity, congestion and capacity record the send); the
+//!   (message complexity and congestion record the send); the
 //!   loss is tallied in [`crate::Metrics::fault_drops`], separately from the
 //!   sleeping-model's [`crate::Metrics::messages_lost`].
 //! * **Crash / restart** — a node goes down at the *start* of
@@ -225,8 +224,9 @@ impl FaultRuntime {
                 continue;
             }
             // A restart in or before the crash round would be a no-op crash;
-            // normalize it to the first round after the crash.
-            let restart_at = c.restart_at.map(|r| r.max(c.at_round + 1));
+            // normalize it to the first round after the crash (saturated: a
+            // crash at round `u64::MAX` is never opened, nor its restart).
+            let restart_at = c.restart_at.map(|r| r.max(c.at_round.saturating_add(1)));
             events.push(FaultEvent {
                 round: c.at_round,
                 node: c.node,
@@ -330,7 +330,10 @@ impl FaultRuntime {
                     MessageFate::Deliver { delay: 0 } => outgoing.push(one),
                     MessageFate::Deliver { delay } => {
                         metrics.fault_delays += 1;
-                        self.pending.entry(round + 1 + delay).or_default().push(one);
+                        // Saturated: an arrival past `u64::MAX` is one the
+                        // round limit refuses.
+                        let arrival = round.saturating_add(1).saturating_add(delay);
+                        self.pending.entry(arrival).or_default().push(one);
                     }
                 }
             }
@@ -417,6 +420,25 @@ mod tests {
         let e = rt.next_event(11).expect("normalized restart at 11");
         assert_eq!((e.node, e.action), (NodeId(0), FaultAction::Restart));
         assert!(rt.next_event(u64::MAX).is_none());
+    }
+
+    #[test]
+    fn rounds_at_the_end_of_time_saturate() {
+        // A crash at the last round restarts "after" it at `u64::MAX`, and a
+        // delay past the last round arrives at `u64::MAX`: neither wraps.
+        let plan = FaultPlan::none().with_crash(NodeId(0), u64::MAX, Some(0));
+        let mut rt = FaultRuntime::new(&plan, 1).expect("non-empty plan");
+        let events: Vec<_> =
+            std::iter::from_fn(|| rt.next_event(u64::MAX)).map(|e| (e.round, e.action)).collect();
+        let crash = FaultAction::Crash { permanent: false };
+        assert_eq!(events, [(u64::MAX, FaultAction::Restart), (u64::MAX, crash)]);
+
+        let mut rt = FaultRuntime::new(&FaultPlan::none().with_max_skew(u64::MAX), 4).unwrap();
+        let (adjacency, mut metrics) = (ports(8), Metrics::zero(4, 8));
+        let mut sent: Vec<InFlight> = (0..8).map(|e| record(0, e, 1)).collect();
+        rt.apply_message_faults(&mut metrics, u64::MAX - 1, &adjacency, &mut sent, 0);
+        assert!(metrics.fault_delays > 0, "eight draws over all of u64 delay something");
+        assert_eq!(rt.next_pending_round(), Some(u64::MAX));
     }
 
     #[test]

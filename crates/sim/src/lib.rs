@@ -8,10 +8,11 @@
 //! The network is an undirected weighted graph (a [`congest_graph::Graph`]).
 //! Computation proceeds in synchronous rounds. Per round, each *awake* node
 //! receives the messages sent to it in the previous round, performs local
-//! computation, and sends at most [`SimConfig::edge_capacity`] messages of at
-//! most [`SimConfig::max_message_words`] machine words over each incident
-//! edge. A *sleeping* node does nothing and **loses** any message sent to it
-//! (this is the sleeping model of the paper, Section 1.2).
+//! computation, and sends at most one message of at most [`Words::CAPACITY`]
+//! machine words over each incident edge (the CONGEST bound; a send beyond
+//! it is a [`SimError`], never a setting). A *sleeping* node does nothing and
+//! **loses** any message sent to it (this is the sleeping model of the
+//! paper, Section 1.2).
 //!
 //! The simulator measures exactly the quantities the paper's theorems bound:
 //!
@@ -134,36 +135,21 @@ pub use scheduler::EdgeUsageTrace;
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the simulated CONGEST / sleeping model.
+/// Configuration of a simulated run: its round limit and its fault plan.
+///
+/// The model's bandwidth is not configurable: a node puts at most one message
+/// on each edge direction per round, of at most [`Words::CAPACITY`] words
+/// (`B = O(log n)` bits, Section 1.2). Exceeding either bound is always an
+/// error — [`SimError::EdgeCapacityExceeded`] or [`SimError::MessageTooLarge`]
+/// — from both engines alike.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Maximum number of messages a node may send over one edge (one
-    /// direction) in one round. The classic CONGEST model has capacity 1; the
-    /// paper's "megaround" device (Section 3.1.3) corresponds to a larger
-    /// capacity whose width is charged to the time/energy accounting by the
-    /// caller.
-    pub edge_capacity: u32,
-    /// Maximum number of `u64` words per message (`B = O(log n)` bits in the
-    /// paper; one word comfortably holds an id or a distance, so a constant
-    /// number of words is `O(log n)` bits).
-    ///
-    /// Message payloads are stored *inline* with capacity [`Words::CAPACITY`]
-    /// (= the default here), so values above that are clamped: the engines
-    /// enforce [`SimConfig::effective_max_words`]. In lenient mode
-    /// (`strict_capacity: false`) an oversized send is counted as a violation
-    /// and delivered truncated to the inline capacity — identically in both
-    /// engines.
-    pub max_message_words: usize,
     /// Hard limit on the number of simulated rounds; exceeded limits produce
     /// [`SimError::RoundLimitExceeded`] rather than looping forever. The last
     /// round a run may open is `max_rounds`, or `u64::MAX − 1` if that is
     /// smaller: a run that reaches round `u64::MAX` fails with this error at
     /// any limit, since it could not report its length.
     pub max_rounds: u64,
-    /// If `true`, exceeding `edge_capacity` or `max_message_words` is a hard
-    /// error; if `false`, violations are only counted in
-    /// [`Metrics::capacity_violations`].
-    pub strict_capacity: bool,
     /// The fault-injection plan (message loss, node churn, delivery jitter).
     /// Defaults to [`FaultPlan::none`], which keeps both engines on their
     /// unmodified fault-free paths. See the [`fault`] module docs.
@@ -172,24 +158,11 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            edge_capacity: 1,
-            max_message_words: 4,
-            max_rounds: 10_000_000,
-            strict_capacity: true,
-            faults: FaultPlan::none(),
-        }
+        SimConfig { max_rounds: 10_000_000, faults: FaultPlan::none() }
     }
 }
 
 impl SimConfig {
-    /// A configuration with a larger per-edge capacity (a "megaround" of the
-    /// given width, Section 3.1.3 of the paper).
-    pub fn with_edge_capacity(mut self, capacity: u32) -> Self {
-        self.edge_capacity = capacity;
-        self
-    }
-
     /// Sets the round limit.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
@@ -213,12 +186,5 @@ impl SimConfig {
     /// below `u64::MAX` so that a run's length, `round + 1`, fits in a `u64`.
     pub(crate) fn last_round(&self) -> u64 {
         self.max_rounds.min(u64::MAX - 1)
-    }
-
-    /// The per-message word bound the engines actually enforce:
-    /// [`SimConfig::max_message_words`] clamped to the inline payload
-    /// capacity [`Words::CAPACITY`].
-    pub fn effective_max_words(&self) -> usize {
-        self.max_message_words.min(Words::CAPACITY)
     }
 }

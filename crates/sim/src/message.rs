@@ -5,8 +5,8 @@
 //! In the CONGEST model a message carries `B = O(log n)` bits (the paper,
 //! Section 1.2). One `u64` word comfortably holds a node id, an edge id, or a
 //! distance bounded by `n · max_w ≤ poly(n)`, so `O(log n)` bits is a small
-//! *constant* number of words for any graph this workspace simulates — the
-//! default [`crate::SimConfig::max_message_words`] is [`Words::CAPACITY`].
+//! *constant* number of words for any graph this workspace simulates: one
+//! constant, [`Words::CAPACITY`], is the model's bound on a message.
 //!
 //! The simulator exploits that correspondence structurally: a payload is a
 //! [`Words`] value — a fixed-capacity `[u64; CAPACITY]` buffer plus a length,
@@ -24,11 +24,10 @@
 //! after warm-up, a message-saturated round performs no allocation at all.
 //!
 //! A send longer than the inline capacity is, by construction, a violation of
-//! the model's bandwidth bound, and the engine polices it through
-//! `max_message_words` exactly as before: a hard [`crate::SimError`] under
-//! `strict_capacity` (the default), or a counted violation with the payload
-//! truncated to the inline capacity in lenient mode. Truncation is identical
-//! in both engines, so differential harnesses stay bit-exact.
+//! the model's bandwidth bound: both engines end the run with
+//! [`crate::SimError::MessageTooLarge`], and the message is never delivered.
+//! The same holds for the model's other bound, one message per edge direction
+//! per round, and [`crate::SimError::EdgeCapacityExceeded`].
 //!
 //! simlint: hot-path
 
@@ -55,9 +54,9 @@ pub struct Words {
 }
 
 impl Words {
-    /// The inline payload capacity, in `u64` words. Matches the default
-    /// [`crate::SimConfig::max_message_words`]: `CAPACITY` words are
-    /// `O(log n)` bits, the CONGEST bandwidth bound.
+    /// The inline payload capacity, in `u64` words, and the model's bound on a
+    /// message: `CAPACITY` words are `O(log n)` bits, the CONGEST bandwidth
+    /// bound. A longer send is [`crate::SimError::MessageTooLarge`].
     pub const CAPACITY: usize = INLINE_WORDS;
 
     /// The empty payload.
@@ -68,8 +67,8 @@ impl Words {
     /// # Panics
     ///
     /// Panics if `words.len() > Words::CAPACITY`. The engine's send path
-    /// truncates instead of panicking, so oversized *sends* are policed by
-    /// [`crate::SimConfig::max_message_words`] rather than by this panic.
+    /// truncates instead of panicking, so an oversized *send* is the run's
+    /// [`crate::SimError::MessageTooLarge`] rather than this panic.
     pub fn new(words: &[u64]) -> Words {
         assert!(
             words.len() <= Words::CAPACITY,
@@ -82,7 +81,7 @@ impl Words {
 
     /// Copies at most [`Words::CAPACITY`] leading words of `words`, silently
     /// dropping the rest. The engine pairs this with the recorded attempted
-    /// length, so oversized sends still trip `max_message_words`.
+    /// length, so an oversized send is still the error.
     pub(crate) fn truncated(words: &[u64]) -> Words {
         let len = words.len().min(Words::CAPACITY);
         let mut buf = [0u64; INLINE_WORDS];
@@ -145,7 +144,7 @@ impl From<&[u64]> for Words {
 /// The payload is a fixed-capacity inline [`Words`] value (see the module
 /// docs for the correspondence with the model's `B = O(log n)` bandwidth
 /// bound), which makes the whole message a plain `Copy` struct; the engine
-/// enforces [`crate::SimConfig::max_message_words`] on every send.
+/// enforces [`Words::CAPACITY`] on every send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// The neighbour that sent this message.
@@ -189,9 +188,9 @@ pub(crate) struct InFlight {
     pub(crate) len: u32,
     /// The payload length the sender *attempted* (may exceed the inline
     /// capacity, in which case `words` holds the truncated prefix),
-    /// saturated at `u32::MAX`; the engine polices it against
-    /// `max_message_words`, which is at most [`Words::CAPACITY`], so the
-    /// saturation never turns a violation into a legal send.
+    /// saturated at `u32::MAX`; the engine checks it against
+    /// [`Words::CAPACITY`], so the saturation never turns a violation into a
+    /// legal send.
     pub(crate) sent_words: u32,
     /// The payload every message of the record carries.
     pub(crate) words: Words,

@@ -24,9 +24,6 @@ pub struct Metrics {
     pub edge_congestion: Vec<u64>,
     /// Awake rounds per node, indexed by [`NodeId`].
     pub node_energy: Vec<u64>,
-    /// Number of sends that exceeded the per-round edge capacity or message
-    /// size limit (only non-zero when `strict_capacity` is off).
-    pub capacity_violations: u64,
     /// Number of messages lost to the **sleeping model**: sent, but never
     /// received because the recipient was sleeping or had halted at delivery
     /// time (including sends still undeliverable when the run terminated).
@@ -61,7 +58,6 @@ impl Metrics {
             messages: 0,
             edge_congestion: vec![0; m],
             node_energy: vec![0; n],
-            capacity_violations: 0,
             messages_lost: 0,
             fault_drops: 0,
             fault_delays: 0,
@@ -95,7 +91,6 @@ impl Metrics {
     /// per-id vectors.
     fn add_counters(&mut self, other: &Metrics) {
         self.messages += other.messages;
-        self.capacity_violations += other.capacity_violations;
         self.messages_lost += other.messages_lost;
         self.fault_drops += other.fault_drops;
         self.fault_delays += other.fault_delays;
@@ -138,7 +133,6 @@ impl Metrics {
         let mut out = Metrics::zero(n, m);
         out.rounds = self.rounds;
         out.messages = self.messages;
-        out.capacity_violations = self.capacity_violations;
         out.messages_lost = self.messages_lost;
         out.fault_drops = self.fault_drops;
         out.fault_delays = self.fault_delays;
@@ -274,7 +268,6 @@ mod tests {
         sub.fault_delays = 3;
         sub.crashes = 4;
         sub.restarts = 5;
-        sub.capacity_violations = 6;
         // A repeated target accumulates, as in `remap`.
         let (node_map, edge_map) = ([NodeId(3), NodeId(1), NodeId(3)], [EdgeId(2), EdgeId(0)]);
         let mut direct = sample(5, 4, 11);

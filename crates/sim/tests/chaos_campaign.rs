@@ -17,15 +17,16 @@
 
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::workloads::ChaosListener;
-use congest_sim::{Engine, FaultPlan, Message, NodeCtx, Protocol, SimConfig};
+use congest_sim::{Engine, FaultPlan, Message, NodeCtx, Protocol, SimConfig, Words};
 use proptest::prelude::*;
 use rand::{splitmix64, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A deterministic pseudo-random protocol (the same shape as the one in
-/// `engine_equivalence.rs`): random sends, sleeps, and halts, folding every
-/// observation into a digest so any delivery divergence surfaces as a state
-/// mismatch.
+/// `engine_equivalence.rs`): random sends within the CONGEST bound — one
+/// broadcast, or at most one message per edge —, sleeps and halts, folding
+/// every observation into a digest so any delivery divergence surfaces as a
+/// state mismatch.
 #[derive(Debug, Clone)]
 struct ChaosNode {
     rng: ChaCha8Rng,
@@ -42,12 +43,23 @@ impl ChaosNode {
         ChaosNode { rng, lifetime, digest: seed }
     }
 
+    /// A payload of 1 to 4 words: up to the inline capacity.
+    fn payload(&mut self) -> Vec<u64> {
+        let len = self.rng.gen_range(1..=Words::CAPACITY);
+        (0..len).map(|_| self.digest ^ self.rng.gen_range(0u64..1_000_000)).collect()
+    }
+
     fn act(&mut self, ctx: &mut NodeCtx<'_>) {
-        let neighbors: Vec<_> = ctx.neighbors().to_vec();
-        for adj in &neighbors {
-            if self.rng.gen_range(0u32..100) < 40 {
-                let word = self.digest ^ self.rng.gen_range(0u64..1_000_000);
-                ctx.send_on_edge(adj.edge, &[word]);
+        if self.rng.gen_range(0u32..100) < 30 {
+            let words = self.payload();
+            ctx.broadcast(&words);
+        } else {
+            let neighbors: Vec<_> = ctx.neighbors().to_vec();
+            for adj in &neighbors {
+                if self.rng.gen_range(0u32..100) < 40 {
+                    let words = self.payload();
+                    ctx.send_on_edge(adj.edge, &words);
+                }
             }
         }
         if ctx.round() >= self.lifetime {
@@ -166,7 +178,7 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
+        let cfg = SimConfig::default().with_faults(plan);
         assert_engines_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
@@ -186,7 +198,7 @@ proptest! {
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let plan = build_plan(n, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
+        let cfg = SimConfig::default().with_faults(plan);
         assert_listeners_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
@@ -214,7 +226,7 @@ proptest! {
         };
         let plan =
             build_plan(g.node_count(), plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
-        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
+        let cfg = SimConfig::default().with_faults(plan);
         assert_engines_equivalent_under_faults(&g, cfg, protocol_seed);
     }
 
@@ -229,7 +241,7 @@ proptest! {
     ) {
         let g = generators::random_connected(12, 16, 71);
         let plan = build_plan(12, plan_seed, drop_ppm, max_skew, 2, churn_seed);
-        let cfg = SimConfig { strict_capacity: false, faults: plan, ..SimConfig::default() };
+        let cfg = SimConfig::default().with_faults(plan);
         let a = Engine::new(&g, cfg.clone()).run(|id| ChaosNode::new(protocol_seed, id));
         let b = Engine::new(&g, cfg).run(|id| ChaosNode::new(protocol_seed, id));
         match (a, b) {
@@ -268,12 +280,7 @@ proptest! {
         let g = generators::random_connected(8, 10, 5);
         let plan = build_plan(8, plan_seed, drop_ppm, max_skew, crash_count, churn_seed);
         let all_permanent = plan.crashes.iter().filter(|c| c.restart_at.is_none()).count();
-        let cfg = SimConfig {
-            max_rounds: 120,
-            strict_capacity: false,
-            faults: plan,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { max_rounds: 120, faults: plan };
         let fast = Engine::new(&g, cfg.clone()).run(|_| ImmortalTalker);
         let slow = Engine::new(&g, cfg).run_reference(|_| ImmortalTalker);
         match (&fast, &slow) {

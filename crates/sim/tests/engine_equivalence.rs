@@ -1,13 +1,13 @@
 //! Differential testing of the active-set engine against the retained naive
 //! reference loop.
 //!
-//! A pseudo-random "chaos" protocol — nodes send to random neighbours, sleep
-//! random spans, and halt at random rounds, folding everything they observe
-//! into a running digest — runs on random graphs, under random
-//! configurations and random fault plans, through both [`Engine::run`] and
-//! [`Engine::run_reference`]. The two executions must be indistinguishable:
-//! identical [`congest_sim::Metrics`] (rounds, messages, congestion, energy,
-//! capacity violations, lost messages, fault counters) and identical final
+//! A pseudo-random "chaos" protocol — nodes broadcast or send to random
+//! neighbours within the CONGEST bound, sleep random spans, and halt at random
+//! rounds, folding everything they observe into a running digest — runs on
+//! random graphs, with and without random fault plans, through both
+//! [`Engine::run`] and [`Engine::run_reference`]. The two executions must be
+//! indistinguishable: identical [`congest_sim::Metrics`] (rounds, messages,
+//! congestion, energy, lost messages, fault counters) and identical final
 //! states — or the *same* error. The digest
 //! depends on message *content, order, and arrival round*, so any divergence
 //! in scheduling or delivery shows up as a state mismatch, not just a metric
@@ -21,9 +21,10 @@
 //!
 //! The fixed cases name the round rules of `engine/round.rs` one by one —
 //! re-initialisation after a restart, listener wake-up off the jitter-merged
-//! stream, termination with jitter pending, the jump past the round limit,
-//! lenient accounting — and the order in which a round fails: the first
-//! strict violation and the first protocol panic in node-id order.
+//! stream, termination with jitter pending, the jump past the round limit —
+//! and the order in which a round fails: the first violation of the CONGEST
+//! bound (an oversized message, a second message on an edge direction) and
+//! the first protocol panic, in node-id order.
 //!
 //! The dirty-scratch property is about the buffers [`Engine::run`] keeps per
 //! thread: a sequence of unlike runs — other graphs, protocols, fault plans,
@@ -37,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use congest_graph::{generators, Graph, NodeId};
 use congest_sim::workloads::{ChaosListener, Flood, WaveBfs};
 use congest_sim::{
-    Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig, SimError,
+    Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig, SimError, Words,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -56,6 +57,9 @@ struct ChaosNode {
     /// Whether the node ever sleeps; an always-awake one runs every round of
     /// its life.
     sleeps: bool,
+    /// Steps that broadcast, and steps that sent several records.
+    broadcasts: u32,
+    multi_record_steps: u32,
 }
 
 impl ChaosNode {
@@ -64,7 +68,14 @@ impl ChaosNode {
             seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(id.0 as u64 + 1)),
         );
         let lifetime = rng.gen_range(3u64..40);
-        ChaosNode { rng, lifetime, digest: seed, sleeps: true }
+        ChaosNode {
+            rng,
+            lifetime,
+            digest: seed,
+            sleeps: true,
+            broadcasts: 0,
+            multi_record_steps: 0,
+        }
     }
 
     fn absorb(&mut self, round: u64, inbox: &[Message]) {
@@ -81,31 +92,33 @@ impl ChaosNode {
         }
     }
 
-    /// A payload of 1 to 5 words: the lengths straddle the inline capacity
-    /// (4), so oversized sends must be counted and truncated identically by
-    /// both engines.
+    /// A payload of 1 to 4 words: up to the inline capacity.
     fn payload(&mut self) -> Vec<u64> {
-        let len = self.rng.gen_range(1..=5usize);
+        let len = self.rng.gen_range(1..=Words::CAPACITY);
         (0..len).map(|_| self.digest ^ self.rng.gen_range(0u64..1_000_000)).collect()
     }
 
     fn act(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Random sends: in some steps a broadcast — one record over the
-        // node's whole run of ports —, and beside it at most one message per
-        // incident edge, each its own record. A step of several records is
-        // counted by port: the capacity-1 CONGEST bound is violated where a
-        // per-edge send meets the broadcast (parallel edges count apart),
-        // which the lenient configs below merely count.
+        // Random sends within the CONGEST bound: in some steps one broadcast
+        // — one record over the node's whole run of ports —, in the others at
+        // most one message per incident edge, each its own record. A step of
+        // several records is checked port by port (parallel edges are ports
+        // apart).
         if self.rng.gen_range(0u32..100) < 30 {
             let words = self.payload();
             ctx.broadcast(&words);
-        }
-        let neighbors: Vec<_> = ctx.neighbors().to_vec();
-        for adj in &neighbors {
-            if self.rng.gen_range(0u32..100) < 40 {
-                let words = self.payload();
-                ctx.send_on_edge(adj.edge, &words);
+            self.broadcasts += u32::from(!ctx.neighbors().is_empty());
+        } else {
+            let neighbors: Vec<_> = ctx.neighbors().to_vec();
+            let mut records = 0;
+            for adj in &neighbors {
+                if self.rng.gen_range(0u32..100) < 40 {
+                    let words = self.payload();
+                    ctx.send_on_edge(adj.edge, &words);
+                    records += 1;
+                }
             }
+            self.multi_record_steps += u32::from(records > 1);
         }
         // Random schedule: halt at end of life, otherwise sometimes sleep.
         if ctx.round() >= self.lifetime {
@@ -153,9 +166,14 @@ fn assert_equivalent_runs<P: Protocol + std::fmt::Debug, K: PartialEq + std::fmt
     fast
 }
 
-/// Runs the chaos protocol through both engines and asserts equivalence.
-fn assert_engines_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
-    let _ = assert_equivalent_runs(g, cfg, seed, |id| ChaosNode::new(seed, id), |s| s.digest);
+/// Runs the chaos protocol through both engines and asserts equivalence;
+/// returns how many broadcasting and multi-record steps the run made.
+fn assert_engines_equivalent(g: &Graph, cfg: SimConfig, seed: u64) -> (u32, u32) {
+    let node = |id| ChaosNode::new(seed, id);
+    let run = assert_equivalent_runs(g, cfg, seed, node, |s| s.digest);
+    let states = run.map(|run| run.states).unwrap_or_default();
+    let total = |count: fn(&ChaosNode) -> u32| states.iter().map(count).sum();
+    (total(|s| s.broadcasts), total(|s| s.multi_record_steps))
 }
 
 /// The same for the listening chaos protocol. Waits of up to 90 rounds put
@@ -163,15 +181,6 @@ fn assert_engines_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
 fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
     let node = |id| ChaosListener::new(seed, id, 160, 90);
     let _ = assert_equivalent_runs(g, cfg, seed, node, |s| (s.digest, s.calls));
-}
-
-fn chaos_config() -> impl Strategy<Value = SimConfig> {
-    (1u32..3).prop_map(|capacity| SimConfig {
-        edge_capacity: capacity,
-        // Lenient mode: violations are counted (and must match), not fatal.
-        strict_capacity: false,
-        ..SimConfig::default()
-    })
 }
 
 /// Random fault plans: message loss, delivery jitter, and crash/restart
@@ -197,9 +206,11 @@ enum Ending {
     Halt,
     /// The round limit comes first.
     RoundLimit,
-    /// The last node sends twice over one edge, in strict mode, after the
-    /// nodes before it have sent and been accounted in the same round.
+    /// The last node sends twice over one edge, after the nodes before it
+    /// have sent and been accounted in the same round.
     Oversend,
+    /// The same, with one message of more than `Words::CAPACITY` words.
+    Oversize,
     /// The last node's callback panics.
     Panic,
 }
@@ -243,6 +254,7 @@ impl Protocol for Mixed {
                     ctx.send_on_edge(edge, &[1]);
                     ctx.send_on_edge(edge, &[2]);
                 }
+                Ending::Oversize => ctx.broadcast(&[0; Words::CAPACITY + 1]),
                 Ending::Panic => panic!("node {} sabotaged round {}", ctx.node_id(), ctx.round()),
                 Ending::Halt | Ending::RoundLimit => ctx.halt(),
             },
@@ -284,10 +296,11 @@ fn draw_run(rng: &mut ChaCha8Rng) -> (Graph, SimConfig, u64, Ending) {
         0 => Graph::builder(0).build(),
         _ => generators::random_connected(n, rng.gen_range(0u64..30), rng.gen_range(0u64..1 << 20)),
     };
-    let ending = match rng.gen_range(0u32..6) {
+    let ending = match rng.gen_range(0u32..7) {
         0 => Ending::RoundLimit,
         1 => Ending::Oversend,
-        2 => Ending::Panic,
+        2 => Ending::Oversize,
+        3 => Ending::Panic,
         _ => Ending::Halt,
     };
     let faults = if rng.gen_range(0u32..2) == 0 {
@@ -301,12 +314,8 @@ fn draw_run(rng: &mut ChaCha8Rng) -> (Graph, SimConfig, u64, Ending) {
             .with_crash(NodeId(rng.gen_range(0u32..8)), rng.gen_range(1u64..6), Some(9))
             .with_crash(NodeId(rng.gen_range(8u32..16)), rng.gen_range(2u64..30), None)
     };
-    let cfg = SimConfig {
-        strict_capacity: ending == Ending::Oversend,
-        max_rounds: if ending == Ending::RoundLimit { 7 } else { 10_000 },
-        faults,
-        ..SimConfig::default()
-    };
+    let cfg =
+        SimConfig { max_rounds: if ending == Ending::RoundLimit { 7 } else { 10_000 }, faults };
     (g, cfg, rng.gen_range(0u64..1 << 20), ending)
 }
 
@@ -326,14 +335,9 @@ proptest! {
                 if id == last && g.degree(id) > 0 && ending != Ending::Halt {
                     return Mixed::Saboteur { at: 1 + seed % 5, ending };
                 }
-                // Oversized chaos payloads are themselves a strict-mode
-                // error; the run that is to end in a capacity violation has
-                // listeners only (two words a message, one per edge).
                 match (seed + id.0 as u64) % 3 {
-                    0 if !cfg.strict_capacity => Mixed::Chaos(ChaosNode::new(seed, id)),
-                    1 if !cfg.strict_capacity => {
-                        Mixed::Chaos(ChaosNode { sleeps: false, ..ChaosNode::new(seed, id) })
-                    }
+                    0 => Mixed::Chaos(ChaosNode::new(seed, id)),
+                    1 => Mixed::Chaos(ChaosNode { sleeps: false, ..ChaosNode::new(seed, id) }),
                     _ => Mixed::Listener(ChaosListener::new(seed, id, 60, 90)),
                 }
             };
@@ -357,10 +361,9 @@ proptest! {
         extra in 0u64..40,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        cfg in chaos_config(),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
-        assert_engines_equivalent(&g, cfg, protocol_seed);
+        let _ = assert_engines_equivalent(&g, SimConfig::default(), protocol_seed);
     }
 
     #[test]
@@ -369,11 +372,10 @@ proptest! {
         extra in 0u64..30,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        cfg in chaos_config(),
         plan in fault_plan(24),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
-        assert_engines_equivalent(&g, cfg.with_faults(plan), protocol_seed);
+        let _ = assert_engines_equivalent(&g, SimConfig::default().with_faults(plan), protocol_seed);
     }
 
     #[test]
@@ -382,10 +384,9 @@ proptest! {
         extra in 0u64..40,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        cfg in chaos_config(),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
-        assert_listeners_equivalent(&g, cfg, protocol_seed);
+        assert_listeners_equivalent(&g, SimConfig::default(), protocol_seed);
     }
 
     #[test]
@@ -394,22 +395,20 @@ proptest! {
         extra in 0u64..30,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        cfg in chaos_config(),
         plan in fault_plan(24),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
-        assert_listeners_equivalent(&g, cfg.with_faults(plan), protocol_seed);
+        assert_listeners_equivalent(&g, SimConfig::default().with_faults(plan), protocol_seed);
     }
 
     #[test]
     fn engines_are_equivalent_on_multigraphs(
         protocol_seed in 0u64..1_000_000,
-        cfg in chaos_config(),
     ) {
-        // Parallel edges exercise per-edge-direction capacity accounting.
+        // Parallel edges are distinct ports: one message on each is legal.
         let g = Graph::from_edges(3, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (0, 2, 3), (0, 2, 3)])
             .expect("valid multigraph");
-        assert_engines_equivalent(&g, cfg, protocol_seed);
+        let _ = assert_engines_equivalent(&g, SimConfig::default(), protocol_seed);
     }
 }
 
@@ -426,9 +425,10 @@ fn engines_are_equivalent_on_structured_graphs() {
     .enumerate()
     {
         for seed in 0..4 {
-            let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
-            assert_engines_equivalent(&g, cfg.clone(), seed * 1000 + i as u64);
-            assert_listeners_equivalent(&g, cfg, seed * 1000 + i as u64);
+            let (broadcasts, multi_record_steps) =
+                assert_engines_equivalent(&g, SimConfig::default(), seed * 1000 + i as u64);
+            assert!(broadcasts > 0 && multi_record_steps > 0, "graph {i}, seed {seed}");
+            assert_listeners_equivalent(&g, SimConfig::default(), seed * 1000 + i as u64);
         }
     }
 }
@@ -477,9 +477,9 @@ fn a_run_nested_in_a_callback_gets_the_reference_result_for_both_runs() {
             inner: (id == NodeId(0)).then_some(&inner),
             seen: None,
         };
-        let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
         let key = |s: &Nesting| (s.chaos.digest, s.seen.clone());
-        let run = assert_equivalent_runs(&outer, cfg, seed, node, key).expect("halts");
+        let run =
+            assert_equivalent_runs(&outer, SimConfig::default(), seed, node, key).expect("halts");
         let seen = run.states[0].seen.clone().expect("node 0 ran the inner simulation");
         // Node 0 never sleeps, so its first callback is in round 1, before
         // any mail has moved its digest off the seed.
@@ -499,10 +499,11 @@ fn wave_bfs_matches_the_reference() {
     assert!(run.metrics.max_energy() <= 2, "a perfect schedule wakes each node once");
 }
 
-/// Strict-mode violations surface as the *same* first error: the first in
-/// node-id order, though lower-id nodes sent without fault in that round.
+/// Violations of the CONGEST bound surface as the *same* first error: the
+/// first in node-id order, though lower-id nodes sent without fault in that
+/// round.
 #[test]
-fn strict_errors_agree_with_the_reference() {
+fn capacity_errors_agree_with_the_reference() {
     /// High-id nodes double-send on their first incident edge, so capacity 1
     /// breaks deterministically at node 3.
     #[derive(Debug)]
@@ -528,8 +529,8 @@ fn strict_errors_agree_with_the_reference() {
 }
 
 /// Listeners woken by the same round's mail fail in node-id order like any
-/// other awake nodes: the first strict violation and the first protocol
-/// panic are the reference's.
+/// other awake nodes: the first violation of the CONGEST bound and the first
+/// protocol panic are the reference's.
 #[test]
 fn woken_listeners_fail_in_the_order_of_the_reference() {
     /// The hub of a star broadcasts in round 0; every leaf listens to round
@@ -574,12 +575,12 @@ fn woken_listeners_fail_in_the_order_of_the_reference() {
         let ended = ended.map(|outcome| outcome.map(|_| ()));
         ended.map_err(|payload| *payload.downcast::<String>().expect("a formatted panic"))
     };
-    let strict = run(false, Tripwire::Oversend).expect("no panic").expect_err("capacity 1");
+    let err = run(false, Tripwire::Oversend).expect("no panic").expect_err("capacity 1");
     assert!(
-        matches!(strict, SimError::EdgeCapacityExceeded { node: NodeId(3), round: 1, .. }),
-        "{strict:?}"
+        matches!(err, SimError::EdgeCapacityExceeded { node: NodeId(3), round: 1, .. }),
+        "{err:?}"
     );
-    assert_eq!(run(true, Tripwire::Oversend).expect("no panic").expect_err("the same"), strict);
+    assert_eq!(run(true, Tripwire::Oversend).expect("no panic").expect_err("the same"), err);
     for reference in [false, true] {
         assert_eq!(run(reference, Tripwire::Panic).expect_err("leaf 3 panics"), "leaf 3 tripped");
     }
@@ -806,32 +807,36 @@ fn a_run_ends_by_round_u64_max_minus_one_at_any_limit() {
     assert_eq!(run.rounds_visited, 2);
 }
 
-/// Breaks both CONGEST bounds on one edge in one step.
+/// Breaks both CONGEST bounds on one edge in one step: an oversized message
+/// and a second one, in the order `oversized_first` says.
 #[derive(Debug, Clone)]
-struct Loudmouth;
+struct Loudmouth {
+    oversized_first: bool,
+}
 
 impl Protocol for Loudmouth {
     fn init(&mut self, ctx: &mut NodeCtx<'_>) {
         let edge = ctx.neighbors()[0].edge;
-        ctx.send_on_edge(edge, &[1, 2, 3, 4, 5]);
-        ctx.send_on_edge(edge, &[6]);
+        let (big, small) = (&[1, 2, 3, 4, 5][..], &[6][..]);
+        let (first, second) = if self.oversized_first { (big, small) } else { (small, big) };
+        ctx.send_on_edge(edge, first);
+        ctx.send_on_edge(edge, second);
         ctx.halt();
     }
     fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {}
 }
 
-/// Lenient accounting: an oversized message and a second message on the same
-/// edge are one violation each, and both are still sent and counted.
+/// A send is checked for its size before its ports: an oversized message is
+/// that error even when it is also the second on its edge, in both engines.
 #[test]
-fn lenient_mode_counts_an_oversized_and_an_over_capacity_send_separately() {
+fn an_oversized_send_is_met_before_its_edge_is_counted() {
     let g = generators::path(3, 1);
-    let cfg = SimConfig { strict_capacity: false, ..SimConfig::default() };
-    let run = assert_equivalent_runs(&g, cfg, 0, |_| Loudmouth, |_| ()).expect("lenient");
-    assert_eq!((run.metrics.messages, run.metrics.capacity_violations), (6, 6));
-    // In strict mode the oversized one is met first, at node 0.
-    let err = assert_equivalent_runs(&g, SimConfig::default(), 0, |_| Loudmouth, |_| ())
-        .expect_err("strict");
-    assert_eq!(err, SimError::MessageTooLarge { node: NodeId(0), words: 5, max_words: 4 });
+    for oversized_first in [true, false] {
+        let node = |_| Loudmouth { oversized_first };
+        let err = assert_equivalent_runs(&g, SimConfig::default(), 0, node, |_| ())
+            .expect_err("the bound is broken");
+        assert_eq!(err, SimError::MessageTooLarge { node: NodeId(0), words: 5 });
+    }
 }
 
 /// An [`Engine`] is `Sync`: two threads may run on one at the same time.

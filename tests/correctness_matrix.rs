@@ -117,8 +117,10 @@ fn zero_weight_graphs_are_handled_end_to_end() {
             seed,
         );
         let sources = [NodeId(0), NodeId(15)];
-        let run = Solver::on(&g).algorithm(Algorithm::Cssp).sources(&sources).run().unwrap();
         let truth = sequential::dijkstra(&g, &sources);
-        assert_eq!(run.output.distances, truth.distances, "seed {seed}");
+        for info in registry().iter().filter(|i| i.weighted && i.exact() && !i.all_pairs) {
+            let run = Solver::on(&g).algorithm(info.algorithm).sources(&sources).run().unwrap();
+            assert_eq!(run.output.distances, truth.distances, "seed {seed}, {}", info.name);
+        }
     }
 }
