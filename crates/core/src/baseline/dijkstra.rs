@@ -5,16 +5,15 @@
 //! — far from the paper's bounds — and is implemented here as the comparison
 //! point for experiments E1–E3.
 //!
-//! The iteration structure (which node is visited when, which edges are
-//! relaxed) is exactly what a distributed execution would compute; the
-//! per-iteration coordination costs are charged following the textbook
-//! accounting (one convergecast + one broadcast over the BFS tree per
-//! iteration, plus one message per edge of the visited node).
+//! The iteration structure is exactly what a distributed execution would
+//! compute: every node reachable from the sources is visited once, in
+//! distance order, and its incident edges are relaxed. Each visit is charged
+//! the same, following the textbook accounting — one convergecast + one
+//! broadcast over the coordination tree to find the global minimum, plus one
+//! message per incident edge of the visited node — so the costs are a closed
+//! form over the reached set and need no simulated priority queue.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use congest_graph::{Distance, Graph, NodeId};
+use congest_graph::{Graph, NodeId};
 use congest_sim::Metrics;
 
 use crate::result::{AlgoRun, DistanceOutput};
@@ -24,78 +23,47 @@ use crate::result::{AlgoRun, DistanceOutput};
 pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
-    let mut metrics = Metrics::zero(n, m);
 
     // Coordination tree: a BFS forest from the sources (what the "find the
-    // global minimum" convergecast runs over). Its construction costs one BFS.
+    // global minimum" convergecast runs over). Its construction costs one BFS:
+    // one message per edge, every node awake for its `depth + 1` rounds.
     let bfs = congest_graph::sequential::bfs(g, sources);
     let forest = congest_graph::sequential::spanning_forest(g);
     let tree_depth = bfs.distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0).max(1);
-    metrics.rounds += tree_depth + 1;
-    for e in 0..m {
-        metrics.edge_congestion[e] += 1;
-        metrics.messages += 1;
-    }
-    for v in 0..n {
-        metrics.node_energy[v] += tree_depth + 1;
-    }
+    let distances = congest_graph::sequential::dijkstra(g, sources).distances;
 
-    // Dijkstra iterations. The *simulated* selection is still a global
-    // minimum search (and is charged as one), but the host-side bookkeeping
-    // finds that minimum with a lazy-deletion priority queue instead of an
-    // O(n) scan per iteration: every improvement pushes a `(dist, node)`
-    // entry, pops skip visited/stale entries, and the pop order is exactly
-    // the scan's `min_by_key(|v| (dist[v], v))` order — so rounds, messages,
-    // congestion, and energy are bit-identical to the reference scan
-    // (pinned by `queue_selection_is_bit_identical_to_the_scan` below).
-    let mut dist = vec![Distance::Infinite; n];
-    let mut visited = vec![false; n];
-    let mut queue: BinaryHeap<Reverse<(Distance, usize)>> = BinaryHeap::new();
-    for &s in sources {
-        dist[s.index()] = Distance::ZERO;
-        queue.push(Reverse((Distance::ZERO, s.index())));
+    // One iteration per reached node. Its global minimum search is one
+    // convergecast + one broadcast over the coordination tree (`2 · depth + 2`
+    // rounds, 2 messages per tree edge, every node awake for the duration);
+    // its visit is one round with one message per incident edge.
+    let visits = distances.iter().filter(|d| d.is_finite()).count() as u64;
+    let coordination_rounds = 2 * tree_depth + 2;
+    let mut metrics = Metrics::zero(n, m);
+    metrics.rounds = tree_depth + 1 + visits * (coordination_rounds + 1);
+    metrics.messages = m as u64 + visits * 2 * forest.edges.len() as u64;
+    metrics.edge_congestion.fill(1);
+    for e in &forest.edges {
+        metrics.edge_congestion[e.index()] += 2 * visits;
     }
-    while let Some(Reverse((d, v))) = queue.pop() {
-        if visited[v] || d > dist[v] {
-            continue;
-        }
-        // Global minimum search: one convergecast + one broadcast over the
-        // coordination tree (2 * depth rounds, 2 messages per tree edge, every
-        // node awake for the duration).
-        let coordination_rounds = 2 * tree_depth + 2;
-        metrics.rounds += coordination_rounds;
-        for e in &forest.edges {
-            metrics.edge_congestion[e.index()] += 2;
-            metrics.messages += 2;
-        }
-        for u in 0..n {
-            metrics.node_energy[u] += coordination_rounds;
-        }
-        // Visit v and relax its incident edges (one round, one message per
-        // incident edge).
-        visited[v] = true;
-        metrics.rounds += 1;
-        let dv = dist[v];
-        for adj in g.neighbors(NodeId(v as u32)) {
+    metrics.node_energy.fill(tree_depth + 1 + visits * coordination_rounds);
+    for v in g.nodes().filter(|v| distances[v.index()].is_finite()) {
+        for adj in g.neighbors(v) {
             metrics.edge_congestion[adj.edge.index()] += 1;
             metrics.messages += 1;
-            let cand = dv.saturating_add(adj.weight);
-            if cand < dist[adj.neighbor.index()] {
-                dist[adj.neighbor.index()] = cand;
-                queue.push(Reverse((cand, adj.neighbor.index())));
-            }
         }
     }
 
-    AlgoRun { output: DistanceOutput { distances: dist }, metrics }
+    AlgoRun { output: DistanceOutput { distances }, metrics }
 }
 
-/// The pre-queue reference implementation: identical charging, but the next
-/// node is found by an O(n) scan per iteration. Kept as the differential
-/// oracle pinning that the priority-queue rewrite changed *nothing* about
+/// The reference implementation: the iteration itself, the next node found
+/// by an O(n) scan and every visit charged as it happens. Kept as the
+/// differential oracle pinning that the closed form changed *nothing* about
 /// the simulated execution — output and full metrics must stay bit-identical.
 #[cfg(test)]
 fn distributed_dijkstra_scan_reference(g: &Graph, sources: &[NodeId]) -> AlgoRun {
+    use congest_graph::Distance;
+
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let mut metrics = Metrics::zero(n, m);
@@ -190,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_selection_is_bit_identical_to_the_scan() {
+    fn the_closed_form_is_bit_identical_to_the_scan() {
         let workloads = [
             generators::with_random_weights(&generators::random_connected(40, 70, 1), 11, 1),
             generators::with_random_weights_zero(&generators::random_connected(30, 50, 2), 5, 2),
@@ -207,7 +175,7 @@ mod tests {
             let slow = distributed_dijkstra_scan_reference(g, sources);
             // Full AlgoRun equality: distances AND every metrics field
             // (rounds, messages, per-edge congestion, per-node energy).
-            assert_eq!(fast, slow, "workload {i}: queue rewrite changed the execution");
+            assert_eq!(fast, slow, "workload {i}: the closed form changed the execution");
         }
     }
 }

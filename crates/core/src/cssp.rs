@@ -5,13 +5,12 @@
 //! edges are handled by contracting their connected components before running
 //! the recursion (the standard device behind Theorem 2.7).
 
-use std::collections::BTreeMap;
-
 use congest_graph::{Distance, EdgeId, Graph, NodeId};
 use congest_sim::Metrics;
 
 use crate::error::check_sources;
 use crate::result::{DistanceOutput, SourceOffset};
+use crate::spanning_forest::spanning_forest;
 use crate::thresholded::{thresholded_cssp_validated, RecursionStats};
 use crate::{AlgoConfig, AlgoError};
 
@@ -49,15 +48,18 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
         let threshold = h.distance_upper_bound().max(1);
         Ok((thresholded_cssp_validated(h, offsets, threshold, config)?, ()))
     };
-    Ok(solve_contracted(g, sources, recursion)?.0)
+    Ok(solve_contracted(g, sources, false, recursion)?.0)
 }
 
 /// Runs `solve` on `g` with each connected component of its zero-weight
 /// subgraph contracted into one supernode (the device behind Theorem 2.7),
 /// and reads the run back onto `g`: every node inherits its supernode's
-/// distance and participation, a supernode's costs land on its
-/// representative and a contracted edge's on the edge it came from. A graph
-/// whose weights are all positive is solved as it is.
+/// distance, participation and energy — a member is awake whenever its
+/// supernode is — and a contracted edge's congestion lands on the edge it
+/// came from. The contraction is charged as what finds the components, one
+/// spanning forest of the zero-weight subgraph (`low_energy` picks its
+/// variant, Theorem 2.2 or 3.1), run before the recursion. A graph whose
+/// weights are all positive is solved as it is.
 ///
 /// The sources are checked here, once, so `solve` is handed a graph of
 /// positive weights and a non-empty set of plain sources inside it. Whatever
@@ -65,6 +67,7 @@ pub fn cssp(g: &Graph, sources: &[NodeId], config: &AlgoConfig) -> Result<CsspRu
 pub(crate) fn solve_contracted<X>(
     g: &Graph,
     sources: &[NodeId],
+    low_energy: bool,
     solve: impl FnOnce(&Graph, &[SourceOffset]) -> Result<(CsspRun, X), AlgoError>,
 ) -> Result<(CsspRun, X), AlgoError> {
     check_sources(g, sources.iter().copied())?;
@@ -73,29 +76,33 @@ pub(crate) fn solve_contracted<X>(
         return solve(g, &offsets);
     }
 
-    let contraction = contract_zero_weight(g);
+    let Contraction { graph, super_of, edge_origin, mut metrics } =
+        contract_zero_weight(g, low_energy);
     let super_sources: Vec<SourceOffset> = {
         let mut seen = std::collections::BTreeSet::new();
         sources
             .iter()
             .filter_map(|&s| {
-                let sup = contraction.super_of[s.index()];
+                let sup = super_of[s.index()];
                 seen.insert(sup).then(|| SourceOffset::plain(sup))
             })
             .collect()
     };
-    let (run, extra) = solve(&contraction.graph, &super_sources)?;
+    let (run, extra) = solve(&graph, &super_sources)?;
 
-    let super_of = |v: NodeId| contraction.super_of[v.index()];
-    let distances: Vec<Distance> = g.nodes().map(|v| run.output.distance(super_of(v))).collect();
-    let metrics = run.metrics.remap(
-        &contraction.representative,
-        &contraction.edge_origin,
-        g.node_count() as usize,
-        g.edge_count() as usize,
-    );
+    let super_of = |v: NodeId| super_of[v.index()].index();
+    let distances: Vec<Distance> = g.nodes().map(|v| run.output.distances[super_of(v)]).collect();
+    let mut recursion = Metrics {
+        node_energy: g.nodes().map(|v| run.metrics.node_energy[super_of(v)]).collect(),
+        edge_congestion: vec![0; g.edge_count() as usize],
+        ..run.metrics
+    };
+    for (origin, &load) in edge_origin.iter().zip(&run.metrics.edge_congestion) {
+        recursion.edge_congestion[origin.index()] += load;
+    }
+    metrics.merge_sequential(&recursion);
     let stats = RecursionStats {
-        participation: g.nodes().map(|v| run.stats.participation[super_of(v).index()]).collect(),
+        participation: g.nodes().map(|v| run.stats.participation[super_of(v)]).collect(),
         ..run.stats
     };
     Ok((CsspRun { output: DistanceOutput { distances }, metrics, stats }, extra))
@@ -107,59 +114,42 @@ struct Contraction {
     graph: Graph,
     /// `super_of[v]` is the supernode of original node `v`.
     super_of: Vec<NodeId>,
-    /// `representative[s]` is an original node represented by supernode `s`.
-    representative: Vec<NodeId>,
     /// `edge_origin[e]` is the original edge that produced contracted edge `e`.
     edge_origin: Vec<EdgeId>,
+    /// What finding the components cost, on the original graph.
+    metrics: Metrics,
 }
 
-/// Contracts the connected components of the zero-weight subgraph.
-fn contract_zero_weight(g: &Graph) -> Contraction {
-    let n = g.node_count() as usize;
-    // Union-find over zero-weight edges.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
-    }
-    for e in g.edges() {
-        if e.w == 0 {
-            let (a, b) = (find(&mut parent, e.u.index()), find(&mut parent, e.v.index()));
-            if a != b {
-                parent[a] = b;
-            }
-        }
-    }
-    // Dense supernode ids.
-    let mut super_index: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut representative: Vec<NodeId> = Vec::new();
-    let mut super_of = vec![NodeId(0); n];
-    for (v, sup) in super_of.iter_mut().enumerate() {
-        let root = find(&mut parent, v);
-        let next_id = super_index.len() as u32;
-        let id = *super_index.entry(root).or_insert_with(|| {
-            representative.push(NodeId(root as u32));
-            next_id
-        });
-        *sup = NodeId(id);
-    }
-    let mut builder = Graph::builder(super_index.len() as u32);
-    let mut edge_origin = Vec::new();
+/// Contracts the connected components of the zero-weight subgraph, as the
+/// spanning forest of that subgraph labels them: supernodes are numbered in
+/// the order of their smallest members.
+fn contract_zero_weight(g: &Graph, low_energy: bool) -> Contraction {
+    let (n, m) = (g.node_count(), g.edge_count() as usize);
+    let mut zero = Graph::builder(n);
+    let mut zero_edges = Vec::new();
     for e in g.edge_ids() {
         let edge = g.edge(e);
         if edge.w == 0 {
-            continue;
+            zero.add_edge(edge.u.0, edge.v.0, 0).expect("an edge of g is valid");
+            zero_edges.push(e);
         }
+    }
+    let (forest, forest_metrics) = spanning_forest(&zero.build(), low_energy);
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let metrics = forest_metrics.remap(&nodes, &zero_edges, n as usize, m);
+
+    let super_of: Vec<NodeId> = forest.component_of.iter().map(|&c| NodeId(c as u32)).collect();
+    let mut builder = Graph::builder(forest.component_count as u32);
+    let mut edge_origin = Vec::new();
+    for e in g.edge_ids() {
+        let edge = g.edge(e);
         let (su, sv) = (super_of[edge.u.index()], super_of[edge.v.index()]);
         if su != sv {
             builder.add_edge(su.0, sv.0, edge.w).expect("contracted edges are valid");
             edge_origin.push(e);
         }
     }
-    Contraction { graph: builder.build(), super_of, representative, edge_origin }
+    Contraction { graph: builder.build(), super_of, edge_origin, metrics }
 }
 
 #[cfg(test)]
@@ -241,6 +231,28 @@ mod tests {
         let run = check_cssp(&g, &[NodeId(2)]);
         assert_eq!(run.output.reached_count(), 6);
         assert!(run.output.distances.iter().all(|&d| d == Distance::ZERO));
+    }
+
+    #[test]
+    fn a_zero_weight_component_is_charged_on_every_member_and_edge() {
+        // 0 -0- 1 -0- 2 -1- 3 from node 3: {0, 1, 2} is one supernode.
+        let g = Graph::from_edges(4, [(0, 1, 0), (1, 2, 0), (2, 3, 1)]).unwrap();
+        let run = check_cssp(&g, &[NodeId(3)]);
+        let (energy, congestion) = (&run.metrics.node_energy, &run.metrics.edge_congestion);
+        assert!(energy[0] > 0 && energy[0] == energy[1] && energy[1] == energy[2], "{energy:?}");
+        assert!(congestion[0] > 0 && congestion[1] > 0, "{congestion:?}");
+        // The contraction is the always-awake forest of the zero-weight
+        // subgraph, merged before the recursion.
+        let zero = Graph::from_edges(4, [(0, 1, 0), (1, 2, 0)]).unwrap();
+        let (_, forest) = spanning_forest(&zero, false);
+        let recursion =
+            cssp(&Graph::from_edges(2, [(0, 1, 1)]).unwrap(), &[NodeId(1)], &AlgoConfig::default())
+                .unwrap();
+        assert_eq!(run.metrics.rounds, forest.rounds + recursion.metrics.rounds);
+        assert_eq!(run.metrics.messages, forest.messages + recursion.metrics.messages);
+        assert_eq!(energy[0], forest.node_energy[0] + recursion.metrics.node_energy[0]);
+        assert_eq!(energy[3], forest.node_energy[3] + recursion.metrics.node_energy[1]);
+        assert_eq!(congestion[2], recursion.metrics.edge_congestion[0]);
     }
 
     #[test]

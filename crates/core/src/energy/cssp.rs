@@ -53,8 +53,9 @@ pub(crate) struct EnergyCsspRun {
 
 /// Runs low-energy exact CSSP from `sources` (Theorem 3.15). Zero-weight
 /// edges are contracted first, as [`crate::cssp::cssp`] contracts them
-/// (Theorem 2.7): the accounting then charges the contracted graph, read back
-/// onto `g`.
+/// (Theorem 2.7): the accounting then charges the low-energy spanning forest
+/// that finds the zero-weight components (Theorem 3.1), and after it the
+/// contracted graph, read back onto `g`.
 ///
 /// # Errors
 ///
@@ -67,7 +68,7 @@ pub(crate) fn low_energy_cssp(
 ) -> Result<EnergyCsspRun, AlgoError> {
     let charged = |h: &Graph, offsets: &[SourceOffset]| charged_run(h, offsets, config);
     let (CsspRun { output, metrics, stats }, (per_subproblem_energy, megaround, cover_levels)) =
-        solve_contracted(g, sources, charged)?;
+        solve_contracted(g, sources, true, charged)?;
     Ok(EnergyCsspRun { output, metrics, stats, per_subproblem_energy, megaround, cover_levels })
 }
 
@@ -249,5 +250,21 @@ mod tests {
         let g = generators::with_random_weights_zero(&generators::path(6, 1), 0, 1);
         let run = check(&g, &[NodeId(2)]);
         assert_eq!(run.output.reached_count(), 6);
+    }
+
+    #[test]
+    fn a_zero_weight_component_is_charged_on_every_member_and_edge() {
+        // 0 -0- 1 -0- 2 -1- 3: nodes 0, 1 and 2 are one supernode.
+        let g = Graph::from_edges(4, [(0, 1, 0), (1, 2, 0), (2, 3, 1)]).unwrap();
+        let run = check(&g, &[NodeId(3)]);
+        let energy = &run.metrics.node_energy;
+        assert!(energy[0] > 0 && energy[0] == energy[1] && energy[1] == energy[2], "{energy:?}");
+        assert!(run.metrics.edge_congestion.iter().all(|&c| c > 0));
+        // The contraction is the low-energy forest of the zero-weight
+        // subgraph, merged before the recursion.
+        let zero = Graph::from_edges(4, [(0, 1, 0), (1, 2, 0)]).unwrap();
+        let (_, forest) = spanning_forest(&zero, true);
+        assert!(energy[0] > forest.node_energy[0] && run.metrics.rounds > forest.rounds);
+        assert!(run.metrics.max_energy() <= run.metrics.rounds);
     }
 }

@@ -22,7 +22,6 @@
 //! simlint: hot-path
 
 use congest_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
 use crate::workspace::BfsWorkspace;
@@ -30,50 +29,24 @@ use crate::workspace::BfsWorkspace;
 /// A `k`-separated weak-diameter network decomposition: a partition of the
 /// nodes into clusters, grouped into color classes, such that same-color
 /// clusters are more than `k` hops apart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Decomposition {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Decomposition {
     /// The separation parameter `k` the decomposition was built for.
-    pub separation: u64,
+    pub(crate) separation: u64,
     /// All clusters, indexed by [`ClusterId`].
-    pub clusters: Vec<Cluster>,
+    pub(crate) clusters: Vec<Cluster>,
     /// `colors[c]` lists the clusters of color `c`.
-    pub colors: Vec<Vec<ClusterId>>,
+    pub(crate) colors: Vec<Vec<ClusterId>>,
     /// `home[v]` is the cluster node `v` was assigned to (the decomposition
     /// is a partition, so every node has exactly one home cluster).
-    pub home: Vec<ClusterId>,
+    pub(crate) home: Vec<ClusterId>,
 }
 
 impl Decomposition {
     /// Number of colors used.
-    pub fn color_count(&self) -> u32 {
+    pub(crate) fn color_count(&self) -> u32 {
         self.colors.len() as u32
     }
-
-    /// The cluster with the given id.
-    pub fn cluster(&self, id: ClusterId) -> &Cluster {
-        &self.clusters[id.index()]
-    }
-
-    /// The home cluster of node `v`.
-    pub fn home_of(&self, v: NodeId) -> &Cluster {
-        self.cluster(self.home[v.index()])
-    }
-
-    /// The maximum Steiner-tree depth over all clusters (the realized weak
-    /// radius; the paper's analysis allows `O(k log n)`).
-    pub fn max_tree_depth(&self) -> u64 {
-        self.clusters.iter().map(|c| c.tree.max_depth()).max().unwrap_or(0)
-    }
-}
-
-/// Computes a deterministic `k`-separated weak-diameter network decomposition
-/// of `g` (hop distances).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn separated_decomposition(g: &Graph, k: u64) -> Decomposition {
-    carve(g, k, &mut BfsWorkspace::new(g.node_count() as usize), as_claimed)
 }
 
 /// A ball [`carve`] has just claimed, on its way to becoming a [`Cluster`].
@@ -98,22 +71,21 @@ impl Claim<'_> {
     }
 }
 
-/// The finisher of a plain decomposition: the cluster is the claimed ball.
-pub(crate) fn as_claimed(_: &mut BfsWorkspace, claim: Claim<'_>) -> Cluster {
-    let members = claim.members.to_vec(); // simlint::allow(hot-path-alloc: the cluster's member list is output)
-    claim.into_cluster(members)
-}
-
-/// [`separated_decomposition`] over a caller-owned workspace, every claimed
-/// ball turned into its cluster by `finish` — which gets the workspace too:
-/// the carving is done with its search by then, so a cover can run the
-/// expansion there and build each cluster once.
+/// Computes a deterministic `k`-separated weak-diameter network decomposition
+/// of `g` (hop distances) over a caller-owned workspace, every claimed ball
+/// turned into its cluster by `finish` — which gets the workspace too: the
+/// carving is done with its search by then, so a cover can run the expansion
+/// there and build each cluster once.
 ///
 /// Each ball is grown by one depth-bounded BFS that is *extended*, never
 /// restarted: explore to `radius + k`, count the claimable nodes of the ball
 /// and of its next shell off the visit list, and explore `k` hops further
 /// whenever the shell more than doubles the ball. The cost of a cluster is
 /// the size of the last ball explored, not `n` (`docs/COVERS.md`).
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
 pub(crate) fn carve(
     g: &Graph,
     k: u64,
@@ -213,6 +185,17 @@ mod tests {
     use crate::test_graphs::{families, radii};
     use congest_graph::generators;
 
+    /// The decomposition alone: every cluster is the ball it claimed.
+    fn separated_decomposition(g: &Graph, k: u64) -> Decomposition {
+        carve(g, k, &mut BfsWorkspace::new(g.node_count() as usize), as_claimed)
+    }
+
+    /// The finisher of a plain decomposition: the cluster is the claimed ball.
+    fn as_claimed(_: &mut BfsWorkspace, claim: Claim<'_>) -> Cluster {
+        let members = claim.members.to_vec();
+        claim.into_cluster(members)
+    }
+
     /// Checks the three defining properties of the decomposition.
     fn check_decomposition(g: &Graph, k: u64, d: &Decomposition) {
         let n = g.node_count() as usize;
@@ -230,8 +213,8 @@ mod tests {
         for color in &d.colors {
             for (i, &a) in color.iter().enumerate() {
                 for &b in &color[i + 1..] {
-                    let ca = d.cluster(a);
-                    let cb = d.cluster(b);
+                    let ca = &d.clusters[a.index()];
+                    let cb = &d.clusters[b.index()];
                     let dist = multi_source_hops(g, &ca.members);
                     let min_gap =
                         cb.members.iter().filter_map(|v| dist[v.index()]).min().unwrap_or(u64::MAX);
@@ -348,7 +331,7 @@ mod tests {
         let d = separated_decomposition(&g, 5);
         assert_eq!(d.clusters.len(), 1);
         assert_eq!(d.color_count(), 1);
-        assert_eq!(d.cluster(ClusterId(0)).members, vec![NodeId(0)]);
+        assert_eq!(d.clusters[0].members, vec![NodeId(0)]);
     }
 
     #[test]
@@ -357,7 +340,7 @@ mod tests {
         // With k larger than the diameter, the ball swallows the whole cycle.
         let d = separated_decomposition(&g, 50);
         assert_eq!(d.clusters.len(), 1);
-        assert_eq!(d.cluster(ClusterId(0)).len(), 12);
+        assert_eq!(d.clusters[0].len(), 12);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //!
 //! # Contents
 //!
-//! * [`decomposition`] — a deterministic `(2d+1)`-separated weak-diameter
-//!   network decomposition with `O(log n)` colors (the role played by
-//!   Rozhon–Ghaffari \[RG20\] in the paper, Theorem 3.10). Built by
-//!   deterministic ball carving; all output properties required downstream
-//!   are validated by [`sparse_cover::CoverStats`].
 //! * [`sparse_cover`] — sparse `d`-covers obtained by expanding every
-//!   decomposition cluster by its `d`-neighborhood (Theorem 3.11), together
-//!   with property validation.
+//!   cluster of a deterministic `(2d+1)`-separated weak-diameter network
+//!   decomposition with `O(log n)` colors by its `d`-neighborhood
+//!   (Theorem 3.11), together with property validation. The decomposition
+//!   (the role played by Rozhon–Ghaffari \[RG20\] in the paper,
+//!   Theorem 3.10) is the crate-private `decomposition` module's
+//!   deterministic ball carving, which the cover construction runs directly;
+//!   all output properties required downstream are validated by
+//!   [`sparse_cover::CoverStats`].
 //! * [`layered`] — layered sparse `D`-covers (Definition 3.4): a hierarchy of
 //!   sparse `B^j`-covers with parent links such that a parent cluster contains
 //!   its child cluster plus a `B^{j+1}/2`-neighborhood (Observation 3.3).
@@ -37,7 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod decomposition;
+mod decomposition;
 pub mod layered;
 #[cfg(test)]
 mod reference;
@@ -48,7 +49,6 @@ mod test_graphs;
 mod workspace;
 
 pub use cluster::{Cluster, ClusterId, ClusterTree, TreeRow};
-pub use decomposition::{separated_decomposition, Decomposition};
 pub use layered::LayeredCover;
 pub use schedule::ClusterSchedule;
 pub use sparse_cover::{geometric_levels, CoverError, CoverStats, SparseCover};

@@ -20,33 +20,30 @@
 //!   path either.
 //!
 //! Opening a round collects its awake set in an id-ordered bitmap
-//! (`AwakeBits`): every due queue entry, and every listener woken by mail
-//! ([`ActiveSet::wake_listeners`]), sets one bit, and one scan of the set
-//! words writes the id-sorted awake list the engine steps
+//! (`AwakeBits`): every live due queue entry, and every listener woken by
+//! mail ([`ActiveSet::wake_listeners`]), sets one bit, and one scan of the
+//! set words writes the id-sorted awake list the engine steps
 //! ([`ActiveSet::take_awake`]). A node entered twice is one bit, so neither
 //! duplicates nor the order entries arrive in cost a sort. Round 0 — every
 //! node awake — is the bitmap with all `n` bits set by
-//! [`ActiveSet::rearm`]; no queue entry is made for it. One shortcut: a ring
-//! slot that is the whole set and already in id order (always-awake nodes
-//! are rescheduled in the order they were stepped) is the list as it is.
+//! [`ActiveSet::rearm`]; no queue entry is made for it.
 //!
-//! Invariant: a non-halted node `v` runs in round `r` iff
-//! `wake_at[v] == r`. (`wake_at` only ever moves forward, and it is only
-//! rewritten when `v` runs, at which point its old queue entry has already
-//! been consumed — so every queue entry is live and unique, and all entries
-//! in one ring slot share one absolute round.)
+//! One discipline, in every run: **`wake_at` decides who runs.** A node `v`
+//! runs in round `r` iff `wake_at[v] == r`; a halted or crashed node's
+//! `wake_at` is [`NEVER`], a round no run opens. Queue entries only say where
+//! to look: an entry `(r, v)` is *live* iff `wake_at[v] == r`, and a due
+//! entry sets its bit only if it is. Entries go stale when a node leaves the
+//! round it was queued at before that round comes — it crashes, a restart
+//! revives it ([`ActiveSet::revive`] queues it afresh), or it is a listener
+//! woken early by mail — and a stale entry is dropped when its round is
+//! opened, or passed over by [`ActiveSet::next_wake`].
 //!
-//! Two things break the parenthesis, and both switch the queue into
-//! *filtering* mode, where entries are a superset of the truth, `wake_at` is
-//! authoritative and a due entry sets its bit only if it is live:
-//! fault-injected churn (a crashed node's entry goes stale, a revived node is
-//! enqueued twice) and **listening**. A node that asked to
-//! [`crate::NodeCtx::listen_until`] a deadline sits in the queue at that
-//! deadline like a sleeper, but stays awake in the model; when mail arrives
-//! first, [`ActiveSet::wake_listeners`] pulls `wake_at` forward to the
-//! delivery round and the deadline entry is left behind. The rounds it idled
-//! through are never visited: [`ActiveSet::awake_rounds`] settles their
-//! energy in one subtraction when the node next runs.
+//! A node that asked to [`crate::NodeCtx::listen_until`] a deadline sits in
+//! the queue at that deadline like a sleeper, but stays awake in the model;
+//! when mail arrives first, [`ActiveSet::wake_listeners`] pulls `wake_at`
+//! forward to the delivery round and the deadline entry is left behind. The
+//! rounds it idled through are never visited: [`ActiveSet::awake_rounds`]
+//! settles their energy in one subtraction when the node next runs.
 //!
 //! One entry per node and deadline: in a run with listeners the scheduler
 //! remembers, per node, the rounds of its two latest entries known to be
@@ -74,14 +71,23 @@ use crate::node::Request;
 /// low-duty-cycle executions.
 const WINDOW: u64 = 64;
 
+/// The `wake_at` of a node that runs again only if a fault-injected restart
+/// revives it: halted, or down after a crash. The last round a run may open
+/// is `u64::MAX − 1`, so no entry of such a node is live and it is never
+/// receptive.
+const NEVER: u64 = u64::MAX;
+
+/// The `listen_from` of a node that is not listening.
+const NOT_LISTENING: u64 = u64::MAX;
+
 /// Per-node status, the two-tier wake queue and the awake set of the round
 /// being opened. The `Default` value is the scheduler of no run;
 /// [`ActiveSet::rearm`] makes it the scheduler of one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ActiveSet {
-    /// The round in which each node next runs (meaningless once halted).
+    /// The round in which each node next runs, or [`NEVER`].
     wake_at: Vec<u64>,
-    /// Nodes that have halted for good.
+    /// Nodes that have halted (for good, unless a restart revives them).
     halted: Vec<bool>,
     halted_count: usize,
     /// Near-future buckets: the bucket for round `r` lives at slot
@@ -93,16 +99,11 @@ pub(crate) struct ActiveSet {
     far: FarTier,
     /// The nodes awake in the round being opened.
     awake: AwakeBits,
-    /// Nodes currently down due to a fault-injected crash (awaiting restart).
-    /// Empty (all-false) outside fault mode.
-    down: Vec<bool>,
-    /// Nodes currently waiting in [`crate::NodeCtx::listen_until`]. Empty
-    /// until the first listen request of the run sizes it (and
-    /// `listen_from`, `queued_at`), so protocols that never listen run the
-    /// path — and pay the per-run set-up — they always did.
-    listening: Vec<bool>,
-    /// For a listening node, the round in which it last ran (it has been
-    /// awake, unvisited, in every round since); meaningless otherwise.
+    /// For a node waiting in [`crate::NodeCtx::listen_until`], the round in
+    /// which it last ran (it has been awake, unvisited, in every round
+    /// since); [`NOT_LISTENING`] for any other. Empty until the first listen
+    /// request of the run sizes it (and `queued_at`), so protocols that never
+    /// listen pay no per-run set-up for it.
     listen_from: Vec<u64>,
     /// For a node of a run with listeners: the rounds of its two latest
     /// queue entries (ring or far tier) that are known to be queued still,
@@ -111,12 +112,6 @@ pub(crate) struct ActiveSet {
     /// drain one entry per callback of the whole run. A round below the
     /// current one is harmless: every new wake-up is later than it.
     queued_at: Vec<[u64; 2]>,
-    /// Queue entries may be stale (a revived node is re-enqueued without its
-    /// old entry being removable; an early-woken listener leaves its deadline
-    /// entry behind), so [`ActiveSet::collect_due`] must check each entry's
-    /// liveness instead of trusting the buckets. Set by a crash/restart plan
-    /// and by the first listen request.
-    filtering: bool,
 }
 
 /// The far tier of the wake queue: `(round, node)` entries more than
@@ -284,12 +279,6 @@ impl AwakeBits {
         self.bits[w] = old | bits;
     }
 
-    /// `false` once a node has been added since the last read-out (or a node
-    /// added and removed).
-    fn is_empty(&self) -> bool {
-        self.bits[self.words..].iter().all(|&summary| summary == 0)
-    }
-
     /// Takes `v` out of the set. Its summary bit stays: it may be set over a
     /// clear word.
     fn remove(&mut self, v: NodeId) {
@@ -341,120 +330,86 @@ impl ActiveSet {
         self.ring.iter_mut().for_each(Vec::clear);
         self.far.clear();
         self.awake.fill(n);
-        zeroed(&mut self.down, n);
-        self.listening.clear();
         self.listen_from.clear();
         self.queued_at.clear();
-        self.filtering = false;
-    }
-
-    /// Switches the scheduler into fault (churn) mode: queue entries are no
-    /// longer trusted to be live, and [`ActiveSet::collect_due`] checks them.
-    /// Called once, before round 0, when the engine runs with a
-    /// crash/restart plan — the fault-free path never pays for this.
-    pub(crate) fn enable_fault_filtering(&mut self) {
-        self.filtering = true;
     }
 
     /// Takes the queue entries due in `round` — its ring slot and the far
-    /// tier's entries up to it — out of the queue and puts their nodes into
-    /// the round's awake set (in filtering mode, the live ones only). `out`
-    /// is cleared, and receives the slot as it is when the slot is the whole
-    /// set and in id order: the round of always-awake nodes, which were
-    /// rescheduled in the order they were stepped.
-    pub(crate) fn collect_due(&mut self, round: u64, out: &mut Vec<NodeId>) {
-        out.clear();
+    /// tier's entries up to it — out of the queue and puts the nodes of the
+    /// live ones into the round's awake set.
+    pub(crate) fn collect_due(&mut self, round: u64) {
+        let (wake_at, queued_at) = (&self.wake_at, &mut self.queued_at);
         let slot = &mut self.ring[(round % WINDOW) as usize];
-        if self.filtering {
-            let (wake_at, halted, down) = (&self.wake_at, &self.halted, &self.down);
-            let queued_at = &mut self.queued_at;
-            self.awake.extend(
-                slot.iter()
-                    .inspect(|&&v| forget_queued(queued_at, round, v))
-                    .filter(|&&v| is_live(wake_at, halted, down, v, round))
-                    .copied(),
-            );
-        } else {
-            debug_assert!(
-                slot.iter().all(|&v| is_live(&self.wake_at, &self.halted, &self.down, v, round)),
-                "a bucket only holds live entries for its own round"
-            );
-            let alone = self.awake.is_empty() && self.far.earliest().map_or(true, |e| e > round);
-            if alone && slot.windows(2).all(|pair| pair[0] < pair[1]) {
-                out.append(slot);
-                return;
-            }
-            self.awake.extend(slot.iter().copied());
-        }
+        self.awake.extend(
+            slot.iter()
+                .inspect(|&&v| forget_queued(queued_at, round, v))
+                .filter(|&&v| wake_at[v.index()] == round)
+                .copied(),
+        );
         slot.clear();
         // Every live entry's round is visited, so an entry the far tier still
         // holds for an earlier round went stale before its round came.
         while let Some((due, v)) = self.far.due(round) {
             forget_queued(&mut self.queued_at, due, v);
-            if due == round && (!self.filtering || self.is_live(v, round)) {
+            if due == round && self.is_receptive(v, round) {
                 self.awake.extend(std::iter::once(v));
             }
         }
     }
 
-    /// Completes the awake list of the round being opened: unless the set is
-    /// empty — `out` then holds what [`ActiveSet::collect_due`] left in it —
-    /// writes its nodes (the entries `collect_due` took, the listeners
-    /// [`ActiveSet::wake_listeners`] woke, or in round 0 every node) into
-    /// `out`, sorted by id so the execution order matches the reference
-    /// engine's `0..n` sweep, and starts the next round's set empty.
+    /// Writes the awake list of the round being opened into `out` — the
+    /// nodes [`ActiveSet::collect_due`] took, the listeners
+    /// [`ActiveSet::wake_listeners`] woke, or in round 0 every node — sorted
+    /// by id so the execution order matches the reference engine's `0..n`
+    /// sweep, and starts the next round's set empty.
     pub(crate) fn take_awake(&mut self, out: &mut Vec<NodeId>) {
-        if !self.awake.is_empty() {
-            self.awake.drain_into(out);
-        }
+        self.awake.drain_into(out);
     }
 
-    /// `true` iff `v` receives messages delivered in `round` (awake and not
-    /// halted). Must be queried *before* the nodes of `round` are rescheduled
-    /// and, once a node listens, *after* [`ActiveSet::wake_listeners`] — a
-    /// listener with mail runs this round like any other awake node, and one
-    /// without mail is never asked about.
+    /// `true` iff `v` runs in `round`, and so receives the messages delivered
+    /// in it; a queue entry `(round, v)` is live iff this holds. Must be
+    /// queried *before* the nodes of `round` are rescheduled and, once a node
+    /// listens, *after* [`ActiveSet::wake_listeners`] — a listener with mail
+    /// runs this round like any other awake node, and one without mail is
+    /// never asked about.
+    #[inline(always)]
     pub(crate) fn is_receptive(&self, v: NodeId, round: u64) -> bool {
-        !self.halted[v.index()] && self.wake_at[v.index()] == round
+        self.wake_at[v.index()] == round
     }
 
     /// `true` once any node has asked to listen in this run; the engine then
     /// calls [`ActiveSet::wake_listeners`] before each delivery.
     pub(crate) fn has_listeners(&self) -> bool {
-        !self.listening.is_empty()
+        !self.listen_from.is_empty()
     }
 
-    /// `true` iff `v` is waiting in a listen request (never, in a run that has
-    /// not seen one: the bookkeeping is still empty).
-    fn is_listening(&self, v: NodeId) -> bool {
-        self.listening.get(v.index()).is_some_and(|&listening| listening)
-    }
-
-    /// Ends `v`'s wait, if it is in one, and says whether it was.
-    fn stop_listening(&mut self, v: NodeId) -> bool {
-        self.listening.get_mut(v.index()).is_some_and(std::mem::take)
+    /// Ends `v`'s wait, if it is in one, and returns the round it last ran
+    /// in.
+    fn stop_listening(&mut self, v: NodeId) -> Option<u64> {
+        let from = std::mem::replace(self.listen_from.get_mut(v.index())?, NOT_LISTENING);
+        (from != NOT_LISTENING).then_some(from)
     }
 
     /// Puts every listening recipient of `recipients` (this round's delivery
     /// stream) into the round's awake set: mail ends the wait, so the node
     /// runs in `round` instead of at its deadline, whose queue entry stays
-    /// behind for the filter. A recipient named many times is one bit.
-    /// Crashed and halted nodes are never listening, so exactly the
-    /// recipients whose inbox will be non-empty are woken.
+    /// behind, stale. A recipient named many times is one bit. Crashed and
+    /// halted nodes are never listening, so exactly the recipients whose
+    /// inbox will be non-empty are woken.
     pub(crate) fn wake_listeners(&mut self, round: u64, recipients: impl Iterator<Item = NodeId>) {
-        let (listening, wake_at) = (&self.listening, &mut self.wake_at);
-        let woken = recipients.filter(|v| listening.get(v.index()).is_some_and(|&l| l));
+        let (listen_from, wake_at) = (&self.listen_from, &mut self.wake_at);
+        let woken = recipients.filter(|&v| is_listening(listen_from, v));
         self.awake.extend(woken.inspect(|v| wake_at[v.index()] = round));
     }
 
     /// The energy `v` is charged when it is stepped in `round`: one unit for
     /// the round itself, plus — for a listener — one for every round it has
     /// idled through, awake but unvisited, since it last ran.
+    #[inline(always)]
     pub(crate) fn awake_rounds(&self, v: NodeId, round: u64) -> u64 {
-        if self.is_listening(v) {
-            round - self.listen_from[v.index()]
-        } else {
-            1
+        match self.listen_from.get(v.index()) {
+            Some(&from) if from != NOT_LISTENING => round - from,
+            _ => 1,
         }
     }
 
@@ -463,11 +418,7 @@ impl ActiveSet {
     /// energy of the rounds it idled through — up to `round − 1`, the last
     /// one it was up in.
     fn interrupt_listening(&mut self, v: NodeId, round: u64) -> u64 {
-        if self.stop_listening(v) {
-            round - 1 - self.listen_from[v.index()]
-        } else {
-            0
-        }
+        self.stop_listening(v).map_or(0, |from| round - 1 - from)
     }
 
     /// Applies the scheduling request `v` ended its step in `round` with.
@@ -491,16 +442,11 @@ impl ActiveSet {
     /// when mail arrives ([`ActiveSet::wake_listeners`]) or at the deadline.
     pub(crate) fn listen(&mut self, v: NodeId, round: u64, deadline: u64) {
         if !self.has_listeners() {
-            // The first request of the run: size the listening bookkeeping
-            // and switch the stale-entry filtering on. Nothing is stale yet,
-            // so buckets taken unfiltered were exact.
+            // The first request of the run sizes the listening bookkeeping.
             let n = self.wake_at.len();
-            self.listening.resize(n, false);
-            self.listen_from.resize(n, 0);
+            self.listen_from.resize(n, NOT_LISTENING);
             self.queued_at.resize(n, [0; 2]);
-            self.filtering = true;
         }
-        self.listening[v.index()] = true;
         self.listen_from[v.index()] = round;
         self.enqueue(v, round, deadline);
     }
@@ -528,45 +474,32 @@ impl ActiveSet {
     /// restart revives it — see [`ActiveSet::revive`]).
     pub(crate) fn halt(&mut self, v: NodeId) {
         self.stop_listening(v);
-        if !self.halted[v.index()] {
-            self.halted[v.index()] = true;
+        self.wake_at[v.index()] = NEVER;
+        if !std::mem::replace(&mut self.halted[v.index()], true) {
             self.halted_count += 1;
         }
     }
 
-    /// Marks `v` as down due to a fault-injected crash at the start of
-    /// `round`: it neither runs nor receives until revived. Requires fault
-    /// mode. Returns the energy `v` still owes for rounds it listened
-    /// through (zero unless it was listening).
+    /// Takes `v` down after a fault-injected crash at the start of `round`:
+    /// it neither runs nor receives until revived. Returns the energy `v`
+    /// still owes for rounds it listened through (zero unless it was
+    /// listening).
     pub(crate) fn set_down(&mut self, v: NodeId, round: u64) -> u64 {
-        debug_assert!(self.filtering, "churn requires fault filtering");
-        self.down[v.index()] = true;
+        self.wake_at[v.index()] = NEVER;
         // Only round 0's set is filled before its churn is applied.
         self.awake.remove(v);
         self.interrupt_listening(v, round)
     }
 
-    /// `true` iff `v` is currently down due to a fault-injected crash. (The
-    /// engine tracks this authoritatively in its `FaultRuntime`; this
-    /// accessor exists for the scheduler's own tests.)
-    #[cfg(test)]
-    pub(crate) fn is_down(&self, v: NodeId) -> bool {
-        self.down[v.index()]
-    }
-
     /// Revives `v` at `round` after a fault-injected restart: clears its
-    /// down (and, if set, halted) status and schedules it to run *this*
-    /// round. Must be called before [`ActiveSet::collect_due`] takes the
-    /// round's entries; requires fault mode, whose filtering also absorbs the
-    /// duplicate or stale queue entries this can create. Returns the energy
-    /// `v` still owes for rounds it listened through (overlapping crash
-    /// windows can restart a node that is up and listening).
+    /// halted status, if set, and schedules it to run *this* round. Must be
+    /// called before [`ActiveSet::collect_due`] takes the round's entries.
+    /// Returns the energy `v` still owes for rounds it listened through
+    /// (overlapping crash windows can restart a node that is up and
+    /// listening).
     pub(crate) fn revive(&mut self, v: NodeId, round: u64) -> u64 {
-        debug_assert!(self.filtering, "churn requires fault filtering");
         let owed = self.interrupt_listening(v, round);
-        self.down[v.index()] = false;
-        if self.halted[v.index()] {
-            self.halted[v.index()] = false;
+        if std::mem::take(&mut self.halted[v.index()]) {
             self.halted_count -= 1;
         }
         self.wake_at[v.index()] = round;
@@ -589,19 +522,18 @@ impl ActiveSet {
     ///
     /// Ring entries lie in `(round, round + WINDOW]`, a different slot for
     /// each of those rounds, so the slots are visited in round order and the
-    /// walk stops at the first one that holds a live entry — one of a node
-    /// neither halted nor down whose `wake_at` is the slot's round: the
-    /// first entry looked at, until nodes listen or crash and an early
-    /// wake-up, a halt or a crash leaves entries behind, stale. Stale entries
-    /// at the front of the far tier are dropped on the way: `wake_at` is only
-    /// ever set to a future round together with a fresh entry for it, or
-    /// with the knowledge (`queued_at`) that one is still queued, and a
-    /// crashed node comes back through [`ActiveSet::revive`], which queues it
-    /// afresh — so a stale entry is never needed again.
+    /// walk stops at the first one that holds a live entry — mostly the first
+    /// entry looked at, unless crashes or early-woken listeners left entries
+    /// behind. Stale entries at the front of the far tier are dropped
+    /// on the way: `wake_at` is only ever set to a future round together with
+    /// a fresh entry for it, or with the knowledge (`queued_at`) that one is
+    /// still queued, and a crashed node comes back through
+    /// [`ActiveSet::revive`], which queues it afresh — so a stale entry is
+    /// never needed again.
     pub(crate) fn next_wake(&mut self, round: u64) -> Option<u64> {
         // Saturating: the ring ends at the last round there is.
         let near = (round + 1..=round.saturating_add(WINDOW))
-            .find(|&r| self.ring[(r % WINDOW) as usize].iter().any(|&v| self.is_live(v, r)));
+            .find(|&r| self.ring[(r % WINDOW) as usize].iter().any(|&v| self.is_receptive(v, r)));
         // Most jumps end in the ring; the far tier is put in order only when
         // it may hold something earlier.
         let Some(bound) = self.far.earliest() else { return near };
@@ -609,7 +541,7 @@ impl ActiveSet {
             return near;
         }
         while let Some((due, v)) = self.far.first() {
-            if !self.filtering || self.is_live(v, due) {
+            if self.is_receptive(v, due) {
                 return Some(near.map_or(due, |near| near.min(due)));
             }
             self.far.pop();
@@ -617,20 +549,12 @@ impl ActiveSet {
         }
         near
     }
-
-    /// `true` iff a queue entry `(round, v)` is a wake-up: `v` is neither
-    /// halted nor down, and due in `round`.
-    fn is_live(&self, v: NodeId, round: u64) -> bool {
-        is_live(&self.wake_at, &self.halted, &self.down, v, round)
-    }
 }
 
-/// [`ActiveSet::is_live`] on the columns it reads, for loops that hold
-/// another field of the scheduler borrowed.
-#[inline(always)]
-fn is_live(wake_at: &[u64], halted: &[bool], down: &[bool], v: NodeId, round: u64) -> bool {
-    let i = v.index();
-    wake_at[i] == round && !halted[i] && !down[i]
+/// `true` iff `v` is waiting in a listen request (never, in a run that has
+/// not seen one: `listen_from` is still empty).
+fn is_listening(listen_from: &[u64], v: NodeId) -> bool {
+    listen_from.get(v.index()).is_some_and(|&from| from != NOT_LISTENING)
 }
 
 /// Notes that `v`'s queue entry for `due` has been taken out of the queue.
@@ -650,7 +574,7 @@ mod tests {
     /// listening recipients of `mail` — and returns its awake list.
     fn open(a: &mut ActiveSet, round: u64, mail: &[NodeId]) -> Vec<NodeId> {
         let mut awake = Vec::new();
-        a.collect_due(round, &mut awake);
+        a.collect_due(round);
         a.wake_listeners(round, mail.iter().copied());
         a.take_awake(&mut awake);
         awake
@@ -732,9 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn fault_mode_filters_stale_entries_and_revives_nodes() {
+    fn crashed_nodes_leave_stale_entries_and_revives_run_nodes() {
         let mut a = ActiveSet::new(3);
-        a.enable_fault_filtering();
         let awake = open(&mut a, 0, &[]);
         assert_eq!(awake.len(), 3);
         a.reschedule(NodeId(0), 0, 2);
@@ -742,17 +665,17 @@ mod tests {
         a.halt(NodeId(2));
         // Node 0 crashes before its wake round: its queue entry goes stale.
         assert_eq!(a.set_down(NodeId(0), 1), 0, "a sleeper owes nothing");
-        assert!(a.is_down(NodeId(0)));
+        assert_eq!(a.wake_at[0], NEVER);
         let awake = open(&mut a, 2, &[]);
         assert_eq!(awake, vec![NodeId(1)], "down nodes are filtered out");
         a.reschedule(NodeId(1), 2, 100);
         assert_eq!(a.next_wake(2), Some(100));
-        // Restart node 0 (clearing `down`) and even halted node 2: a revive
+        // Restart node 0 and even halted node 2: a revive
         // runs the node in its own round, and duplicates are absorbed.
         a.revive(NodeId(0), 7);
         a.revive(NodeId(0), 7);
         a.revive(NodeId(2), 7);
-        assert!(!a.is_down(NodeId(0)));
+        assert_eq!(a.wake_at[0], 7);
         assert!(!a.all_halted() && a.unhalted() == 3);
         let awake = open(&mut a, 7, &[]);
         assert_eq!(awake, vec![NodeId(0), NodeId(2)]);
@@ -811,7 +734,6 @@ mod tests {
     #[test]
     fn a_crashed_listener_is_charged_through_the_round_before() {
         let mut a = ActiveSet::new(2);
-        a.enable_fault_filtering();
         open(&mut a, 0, &[]);
         a.listen(NodeId(0), 0, 50);
         a.listen(NodeId(1), 0, 50);
@@ -945,7 +867,6 @@ mod tests {
     #[test]
     fn rearming_forgets_whatever_the_last_run_left() {
         let mut a = ActiveSet::new(5);
-        a.enable_fault_filtering();
         open(&mut a, 0, &[]);
         // Abandoned mid-run: ring and far entries, a listener, a crashed and
         // a halted node.
@@ -961,7 +882,7 @@ mod tests {
             let awake = open(&mut a, 0, &[]);
             assert_eq!(awake, (0..n as u32).map(NodeId).collect::<Vec<_>>());
             assert_eq!(a.next_wake(0), None);
-            assert!((0..n as u32).all(|v| !a.is_down(NodeId(v)) && a.is_receptive(NodeId(v), 0)));
+            assert!((0..n as u32).all(|v| a.is_receptive(NodeId(v), 0)));
         }
     }
 
@@ -1011,7 +932,6 @@ mod tests {
     #[test]
     fn a_node_crashed_in_round_zero_does_not_run_in_it() {
         let mut a = ActiveSet::new(130);
-        a.enable_fault_filtering();
         a.set_down(NodeId(64), 0);
         a.set_down(NodeId(129), 0);
         let awake = open(&mut a, 0, &[]);
@@ -1058,9 +978,6 @@ mod tests {
             let mut rng = seed;
             let mut draw = |bound: u64| rand::splitmix64(&mut rng) % bound;
             let mut a = ActiveSet::new(n);
-            if faults {
-                a.enable_fault_filtering();
-            }
             let mut model: BTreeMap<u32, Modelled> =
                 (0..n as u32).map(|v| (v, Modelled::default())).collect();
             let mut round = 0;
@@ -1082,7 +999,7 @@ mod tests {
                     }
                 }
                 let mut awake = Vec::new();
-                a.collect_due(round, &mut awake);
+                a.collect_due(round);
                 let mail: Vec<NodeId> = (0..draw(6)).map(|_| NodeId(draw(n as u64) as u32)).collect();
                 a.wake_listeners(round, mail.iter().copied());
                 for v in &mail {

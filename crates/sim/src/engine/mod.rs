@@ -89,11 +89,10 @@
 //!   listener at round `c` settles `c − 1 − last_ran` on the spot — the node
 //!   was up through round `c − 1`.
 //! * The early wake-up leaves the deadline's queue entry behind, stale. The
-//!   queue therefore switches to the filtering mode fault plans already use
-//!   (entries are a superset, `wake_at` is authoritative, and a due entry
-//!   sets its bit only if it is live) at the first listen request of a run —
-//!   a protocol that never listens never pays for it. A listener that goes
-//!   back to the deadline it is still queued at pushes no second entry.
+//!   queue needs nothing new for it: in every run, `wake_at` decides who
+//!   runs, and a due entry sets its bit only if it is live — the same check
+//!   that drops the entries a halt or a crash leaves behind. A listener that
+//!   goes back to the deadline it is still queued at pushes no second entry.
 //!
 //! Quiet stretches between deadlines are never visited: after a round in
 //! which nothing was sent, `end_round` jumps to the earliest *live* queue

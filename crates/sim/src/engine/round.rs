@@ -55,15 +55,11 @@ pub(super) struct RoundCore<'e> {
     /// The graph's flat CSR adjacency, which the send records index.
     adjacency: &'e [Adjacency],
     round: u64,
-    /// Whether any node had listened by the start of this round. Read once
-    /// per round: a node stepped in it can only be in a wait it asked for in
-    /// an earlier one, so a first request made during this round's steps
-    /// changes nothing until the next.
-    listeners: bool,
     /// The buffers that outlive the run, re-armed for it.
     buf: &'e mut RoundScratch,
-    /// The fault layer: `None` for the empty plan, which keeps every rule on
-    /// its original (allocation-free) fault-free branch.
+    /// The fault layer: `None` for the empty plan, whose rules then apply no
+    /// churn, jitter or message fates. The wake queue is the same either way:
+    /// a crashed node's wake round is never, so it neither runs nor receives.
     faults: Option<FaultRuntime>,
     metrics: Metrics,
     /// See [`RunOutcome::rounds_visited`].
@@ -81,17 +77,12 @@ impl<'e> RoundCore<'e> {
         scratch.incoming.clear();
         scratch.awake.clear();
         scratch.active.rearm(n);
-        let faults = FaultRuntime::new(&config.faults, n);
-        if faults.is_some() {
-            scratch.active.enable_fault_filtering();
-        }
         RoundCore {
             engine,
             adjacency: graph.csr().1,
             round: 0,
-            listeners: false,
             buf: scratch,
-            faults,
+            faults: FaultRuntime::new(&config.faults, n),
             metrics: Metrics::zero(n, m),
             rounds_visited: 0,
         }
@@ -119,10 +110,10 @@ impl<'e> RoundCore<'e> {
             });
         }
         // Churn before anything else: a crash takes effect at the start of
-        // its round (the node never runs in it), and a restart puts the node
-        // — with a fresh state — into this round's wake bucket. A listener
-        // either one interrupts was up through `round − 1` and is charged
-        // for that here.
+        // its round (its wake round becomes never, so it does not run in
+        // it), and a restart puts the node — with a fresh state — into this
+        // round's wake bucket. A listener either one interrupts was up
+        // through `round − 1` and is charged for that here.
         let active = &mut self.buf.active;
         if let Some(rt) = self.faults.as_mut() {
             while let Some(ev) = rt.next_event(round) {
@@ -153,12 +144,11 @@ impl<'e> RoundCore<'e> {
         // the on-time ones, every listening recipient of the complete stream
         // — its wait ends with its first mail. Then the set is written out as
         // the id-sorted awake list.
-        active.collect_due(round, &mut self.buf.awake);
+        active.collect_due(round);
         if let Some(rt) = self.faults.as_mut() {
             rt.merge_due(round, &mut self.buf.incoming);
         }
-        self.listeners = active.has_listeners();
-        if self.listeners {
+        if active.has_listeners() {
             let adjacency = self.adjacency;
             let recipients = self.buf.incoming.iter().flat_map(|f| f.ports(adjacency));
             active.wake_listeners(round, recipients.map(|port| port.neighbor));
@@ -175,15 +165,15 @@ impl<'e> RoundCore<'e> {
     pub(super) fn deliver(&mut self, arena: &mut DeliveryArena) {
         let (round, active, incoming) = (self.round, &self.buf.active, &self.buf.incoming);
         let adjacency = self.adjacency;
+        let lost = arena.build(incoming, adjacency, |v| active.is_receptive(v, round));
         let Some(rt) = self.faults.as_ref() else {
-            let receptive = |v| active.is_receptive(v, round);
-            self.metrics.messages_lost += arena.build(incoming, adjacency, receptive);
+            self.metrics.messages_lost += lost;
             return;
         };
+        // A crashed node is never receptive: its deliveries are among the
+        // lost ones, and are the fault layer's.
         let recipients = incoming.iter().flat_map(|f| f.ports(adjacency));
         let crashed = recipients.filter(|port| rt.crashed[port.neighbor.index()]).count() as u64;
-        let receptive = |v: NodeId| active.is_receptive(v, round) && !rt.crashed[v.index()];
-        let lost = arena.build(incoming, adjacency, receptive);
         self.metrics.messages_lost += lost - crashed;
         self.metrics.fault_drops += crashed;
     }
@@ -203,7 +193,7 @@ impl<'e> RoundCore<'e> {
         sent: &mut Vec<InFlight>,
     ) -> Result<(), SimError> {
         let (round, from) = (self.round, sent.len());
-        let charge = if self.listeners { self.buf.active.awake_rounds(v, round) } else { 1 };
+        let charge = self.buf.active.awake_rounds(v, round);
         let reinit =
             self.faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
         let mut ctx = NodeCtx::new(v, round, self.engine.graph(), sent);

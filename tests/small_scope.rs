@@ -8,13 +8,21 @@
 //! single-source-set entrant is checked against `sequential::dijkstra`, and
 //! the all-pairs entrant's whole matrix against `sequential::all_pairs`.
 //!
+//! Two more checks ride along on every case. An inert fault plan — not
+//! empty, but its one crash comes long after any run of the sweep ends —
+//! changes nothing: every entrant's whole report under it equals the
+//! fault-free one. And on a graph with zero weights, `cssp` charges the
+//! contraction it solves through: the endpoints of a zero-weight edge, one
+//! supernode, report equal energy, and the edge carries messages.
+//!
 //! The tier-1 test takes every graph on up to three nodes from every nonempty
 //! source set, and every graph on four nodes from node 0. The full sweep,
 //! every source set on four nodes too, is the same function in the ignored
 //! test, which CI runs in release.
 
 use congest_sssp_suite::graph::{properties, sequential, Graph, NodeId};
-use congest_sssp_suite::sssp::{registry, Solver};
+use congest_sssp_suite::sssp::cssp::cssp;
+use congest_sssp_suite::sssp::{registry, AlgoConfig, FaultPlan, Solver};
 
 /// The edge weights of the sweep: zero (contracted by the exact solvers),
 /// unit, and a weight a two-edge detour can beat.
@@ -41,6 +49,33 @@ fn connected_graphs(n: u32) -> Vec<Graph> {
     graphs
 }
 
+/// A fault plan that is not empty (`is_none()` is false) but fires nothing
+/// inside any run of the sweep: one crash, at round 2^54.
+fn inert_faults() -> AlgoConfig {
+    let plan = FaultPlan::none().with_crash(NodeId(0), 1 << 54, None);
+    assert!(!plan.is_none());
+    AlgoConfig::default().with_faults(plan)
+}
+
+/// Checks that `cssp` from `sources` charges every zero-weight edge of `g`:
+/// its two endpoints report equal energy and it carries at least one message.
+/// Returns the number of zero-weight edges checked.
+fn check_zero_weight_charges(g: &Graph, sources: &[NodeId], what: &str) -> usize {
+    let zero: Vec<_> = g.edge_ids().filter(|&e| g.edge(e).w == 0).collect();
+    if zero.is_empty() {
+        return 0;
+    }
+    let run = cssp(g, sources, &AlgoConfig::default()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (energy, congestion) = (&run.metrics.node_energy, &run.metrics.edge_congestion);
+    for &e in &zero {
+        let edge = g.edge(e);
+        let (u, v) = (edge.u.index(), edge.v.index());
+        assert_eq!(energy[u], energy[v], "{what}: energy across zero-weight edge {e:?}");
+        assert!(congestion[e.index()] > 0, "{what}: zero-weight edge {e:?} carried nothing");
+    }
+    zero.len()
+}
+
 /// Every nonempty subset of the nodes `0..n`.
 fn source_sets(n: u32) -> Vec<Vec<NodeId>> {
     (1u32..1 << n).map(|set| (0..n).filter(|v| set >> v & 1 == 1).map(NodeId).collect()).collect()
@@ -48,21 +83,29 @@ fn source_sets(n: u32) -> Vec<Vec<NodeId>> {
 
 /// Runs every exact weighted registry entrant on every connected graph of up
 /// to `max_n` nodes: from every nonempty source set on graphs of up to
-/// `every_source_set_to` nodes, and from node 0 on the larger ones. Panics at
-/// the first distance that differs from the sequential truth, or the first
-/// error; returns the number of runs.
-fn sweep(max_n: u32, every_source_set_to: u32) -> usize {
+/// `every_source_set_to` nodes, and from node 0 on the larger ones. Each run
+/// is made again under [`inert_faults`], and `cssp` is checked by
+/// [`check_zero_weight_charges`] from every source set. Panics at the first
+/// distance that differs from the sequential truth, the first report an inert
+/// plan moves, the first uncharged zero-weight edge or the first error;
+/// returns the number of runs (not counting the inert ones) and the number of
+/// zero-weight edges checked.
+fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize) {
     let exact: Vec<_> = registry().iter().filter(|i| i.weighted && i.exact()).collect();
-    let mut runs = 0;
+    let (mut runs, mut zero_edges) = (0, 0);
     for n in 1..=max_n {
         let sets = if n <= every_source_set_to { source_sets(n) } else { vec![vec![NodeId(0)]] };
         for g in connected_graphs(n) {
             let edges: Vec<_> = g.edges().iter().map(|e| (e.u.0, e.v.0, e.w)).collect();
             for info in exact.iter().filter(|i| i.all_pairs) {
-                let run = Solver::on(&g).algorithm(info.algorithm).source(NodeId(0)).run();
-                let run = run.unwrap_or_else(|e| panic!("{} on {edges:?}: {e}", info.name));
+                let what = format!("{} on {edges:?}", info.name);
+                let request = Solver::on(&g).algorithm(info.algorithm).source(NodeId(0));
+                let run = request.clone().run().unwrap_or_else(|e| panic!("{what}: {e}"));
+                let inert = request.config(inert_faults()).run();
+                let inert = inert.unwrap_or_else(|e| panic!("{what}, inert plan: {e}"));
+                assert_eq!(inert.report, run.report, "{what}: the inert plan moved the report");
                 let matrix = run.all_pairs.expect("an all-pairs entrant returns its matrix");
-                assert_eq!(matrix, sequential::all_pairs(&g), "{} on {edges:?}", info.name);
+                assert_eq!(matrix, sequential::all_pairs(&g), "{what}");
                 runs += 1;
             }
             for sources in &sets {
@@ -70,15 +113,20 @@ fn sweep(max_n: u32, every_source_set_to: u32) -> usize {
                 let entrants = exact.iter().filter(|i| !i.all_pairs);
                 for info in entrants.filter(|i| i.multi_source || sources.len() == 1) {
                     let what = format!("{} on {edges:?} from {sources:?}", info.name);
-                    let run = Solver::on(&g).algorithm(info.algorithm).sources(sources).run();
-                    let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let request = Solver::on(&g).algorithm(info.algorithm).sources(sources);
+                    let run = request.clone().run().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let inert = request.config(inert_faults()).run();
+                    let inert = inert.unwrap_or_else(|e| panic!("{what}, inert plan: {e}"));
+                    assert_eq!(inert.report, run.report, "{what}: the inert plan moved the report");
                     assert_eq!(run.output.distances, truth, "{what}");
                     runs += 1;
                 }
+                let what = format!("cssp on {edges:?} from {sources:?}");
+                zero_edges += check_zero_weight_charges(&g, sources, &what);
             }
         }
     }
-    runs
+    (runs, zero_edges)
 }
 
 #[test]
@@ -87,11 +135,15 @@ fn every_exact_weighted_entrant_is_exact_on_every_tiny_graph() {
     // sets; weighted, 1, 3, 54 and 3 834 graphs. Four entrants run on every
     // (graph, source set) — 1 + 3·3 + 54·7 + 3 834 of them —, and the
     // all-pairs entrant once a graph.
-    assert_eq!(sweep(4, 3), 4 * 4_222 + 3_892);
+    let (runs, zero_edges) = sweep(4, 3);
+    assert_eq!(runs, 4 * 4_222 + 3_892);
+    assert!(zero_edges > 0, "the sweep has zero weights");
 }
 
 #[test]
 #[ignore = "the full sweep, every source set on four nodes: run it in release"]
 fn every_exact_weighted_entrant_is_exact_from_every_source_set_of_four_nodes() {
-    assert_eq!(sweep(4, 4), 4 * (4_222 + 14 * 3_834) + 3_892);
+    let (runs, zero_edges) = sweep(4, 4);
+    assert_eq!(runs, 4 * (4_222 + 14 * 3_834) + 3_892);
+    assert!(zero_edges > 0, "the sweep has zero weights");
 }
