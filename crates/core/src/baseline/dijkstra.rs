@@ -39,85 +39,77 @@ pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     let visits = distances.iter().filter(|d| d.is_finite()).count() as u64;
     let coordination_rounds = 2 * tree_depth + 2;
     let mut metrics = Metrics::zero(n, m);
-    metrics.rounds = tree_depth + 1 + visits * (coordination_rounds + 1);
-    metrics.messages = m as u64 + visits * 2 * forest.edges.len() as u64;
-    metrics.edge_congestion.fill(1);
-    for e in &forest.edges {
-        metrics.edge_congestion[e.index()] += 2 * visits;
-    }
-    metrics.node_energy.fill(tree_depth + 1 + visits * coordination_rounds);
+    metrics.charge_rounds(tree_depth + 1 + visits * (coordination_rounds + 1));
+    metrics.charge_awake(g.nodes(), tree_depth + 1 + visits * coordination_rounds);
+    metrics.charge_messages(g.edge_ids(), 1);
+    metrics.charge_messages(forest.edges.iter().copied(), 2 * visits);
     for v in g.nodes().filter(|v| distances[v.index()].is_finite()) {
-        for adj in g.neighbors(v) {
-            metrics.edge_congestion[adj.edge.index()] += 1;
-            metrics.messages += 1;
-        }
+        metrics.charge_messages(g.neighbors(v).iter().map(|adj| adj.edge), 1);
     }
 
     AlgoRun { output: DistanceOutput { distances }, metrics }
 }
 
-/// The reference implementation: the iteration itself, the next node found
-/// by an O(n) scan and every visit charged as it happens. Kept as the
-/// differential oracle pinning that the closed form changed *nothing* about
-/// the simulated execution — output and full metrics must stay bit-identical.
-#[cfg(test)]
-fn distributed_dijkstra_scan_reference(g: &Graph, sources: &[NodeId]) -> AlgoRun {
-    use congest_graph::Distance;
-
-    let n = g.node_count() as usize;
-    let m = g.edge_count() as usize;
-    let mut metrics = Metrics::zero(n, m);
-
-    let bfs = congest_graph::sequential::bfs(g, sources);
-    let forest = congest_graph::sequential::spanning_forest(g);
-    let tree_depth = bfs.distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0).max(1);
-    metrics.rounds += tree_depth + 1;
-    for e in 0..m {
-        metrics.edge_congestion[e] += 1;
-        metrics.messages += 1;
-    }
-    for v in 0..n {
-        metrics.node_energy[v] += tree_depth + 1;
-    }
-
-    let mut dist = vec![Distance::Infinite; n];
-    let mut visited = vec![false; n];
-    for &s in sources {
-        dist[s.index()] = Distance::ZERO;
-    }
-    loop {
-        let next =
-            (0..n).filter(|&v| !visited[v] && dist[v].is_finite()).min_by_key(|&v| (dist[v], v));
-        let Some(v) = next else { break };
-        let coordination_rounds = 2 * tree_depth + 2;
-        metrics.rounds += coordination_rounds;
-        for e in &forest.edges {
-            metrics.edge_congestion[e.index()] += 2;
-            metrics.messages += 2;
-        }
-        for u in 0..n {
-            metrics.node_energy[u] += coordination_rounds;
-        }
-        visited[v] = true;
-        metrics.rounds += 1;
-        let dv = dist[v];
-        for adj in g.neighbors(NodeId(v as u32)) {
-            metrics.edge_congestion[adj.edge.index()] += 1;
-            metrics.messages += 1;
-            let cand = dv.saturating_add(adj.weight);
-            if cand < dist[adj.neighbor.index()] {
-                dist[adj.neighbor.index()] = cand;
-            }
-        }
-    }
-
-    AlgoRun { output: DistanceOutput { distances: dist }, metrics }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::{generators, sequential};
+    use congest_graph::{generators, sequential, Distance};
+
+    /// The reference implementation: the iteration itself, the next node found
+    /// by an O(n) scan and every visit charged as it happens. Kept as the
+    /// differential oracle pinning that the closed form changed *nothing* about
+    /// the simulated execution — output and full metrics must stay bit-identical.
+    fn distributed_dijkstra_scan_reference(g: &Graph, sources: &[NodeId]) -> AlgoRun {
+        let n = g.node_count() as usize;
+        let m = g.edge_count() as usize;
+        let mut metrics = Metrics::zero(n, m);
+
+        let bfs = congest_graph::sequential::bfs(g, sources);
+        let forest = congest_graph::sequential::spanning_forest(g);
+        let tree_depth = bfs.distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0).max(1);
+        metrics.rounds += tree_depth + 1;
+        for e in 0..m {
+            metrics.edge_congestion[e] += 1;
+            metrics.messages += 1;
+        }
+        for v in 0..n {
+            metrics.node_energy[v] += tree_depth + 1;
+        }
+
+        let mut dist = vec![Distance::Infinite; n];
+        let mut visited = vec![false; n];
+        for &s in sources {
+            dist[s.index()] = Distance::ZERO;
+        }
+        loop {
+            let next = (0..n)
+                .filter(|&v| !visited[v] && dist[v].is_finite())
+                .min_by_key(|&v| (dist[v], v));
+            let Some(v) = next else { break };
+            let coordination_rounds = 2 * tree_depth + 2;
+            metrics.rounds += coordination_rounds;
+            for e in &forest.edges {
+                metrics.edge_congestion[e.index()] += 2;
+                metrics.messages += 2;
+            }
+            for u in 0..n {
+                metrics.node_energy[u] += coordination_rounds;
+            }
+            visited[v] = true;
+            metrics.rounds += 1;
+            let dv = dist[v];
+            for adj in g.neighbors(NodeId(v as u32)) {
+                metrics.edge_congestion[adj.edge.index()] += 1;
+                metrics.messages += 1;
+                let cand = dv.saturating_add(adj.weight);
+                if cand < dist[adj.neighbor.index()] {
+                    dist[adj.neighbor.index()] = cand;
+                }
+            }
+        }
+
+        AlgoRun { output: DistanceOutput { distances: dist }, metrics }
+    }
 
     #[test]
     fn distances_match_sequential_dijkstra() {

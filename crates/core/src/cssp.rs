@@ -92,15 +92,12 @@ pub(crate) fn solve_contracted<X>(
 
     let super_of = |v: NodeId| super_of[v.index()].index();
     let distances: Vec<Distance> = g.nodes().map(|v| run.output.distances[super_of(v)]).collect();
-    let mut recursion = Metrics {
+    let recursion = Metrics {
         node_energy: g.nodes().map(|v| run.metrics.node_energy[super_of(v)]).collect(),
-        edge_congestion: vec![0; g.edge_count() as usize],
         ..run.metrics
     };
-    for (origin, &load) in edge_origin.iter().zip(&run.metrics.edge_congestion) {
-        recursion.edge_congestion[origin.index()] += load;
-    }
-    metrics.merge_sequential(&recursion);
+    let members: Vec<NodeId> = g.nodes().collect();
+    metrics.merge_sequential_mapped(&recursion, &members, &edge_origin);
     let stats = RecursionStats {
         participation: g.nodes().map(|v| run.stats.participation[super_of(v)]).collect(),
         ..run.stats

@@ -196,10 +196,9 @@ fn covered_bfs(
     // Energy and message accounting.
     // Init: 1 awake round for the very first round plus a constant number of
     // awake rounds per cluster membership for the initialization cycle.
-    for v in 0..n {
-        let memberships: usize =
-            (0..levels).map(|j| cover.levels[j].clusters_of(NodeId(v as u32)).len()).sum();
-        metrics.node_energy[v] += 1 + 4 * memberships as u64;
+    for v in g.nodes() {
+        let memberships: usize = (0..levels).map(|j| cover.levels[j].clusters_of(v).len()).sum();
+        metrics.charge_awake([v], 1 + 4 * memberships as u64);
     }
     // Cluster-tree traffic and awake windows, and the megaround width
     // (Section 3.1.3: all tree subroutines share edges): the maximum number
@@ -235,10 +234,7 @@ fn covered_bfs(
             if let Some((awake, _)) = charge {
                 // Every tree node (member or Steiner) follows the schedule.
                 cover_entries_read(c.tree.node_count());
-                for node in c.tree.nodes() {
-                    let energy = &mut metrics.node_energy[node.index()];
-                    *energy = energy.saturating_add(awake);
-                }
+                metrics.charge_awake(c.tree.nodes().iter().copied(), awake);
             }
             cover_entries_read(c.tree.node_count());
             for (child, parent) in c.tree.edges() {
@@ -246,9 +242,7 @@ fn covered_bfs(
                 tree_load[eid.index()] += 1;
                 width = width.max(tree_load[eid.index()]);
                 if let Some((_, messages)) = charge {
-                    let congestion = &mut metrics.edge_congestion[eid.index()];
-                    *congestion = congestion.saturating_add(messages);
-                    metrics.messages = metrics.messages.saturating_add(messages);
+                    metrics.charge_messages([eid], messages);
                 }
             }
         }
@@ -259,34 +253,24 @@ fn covered_bfs(
     // each incident edge, and is awake O(1) rounds to do so.
     for v in g.nodes() {
         if distances[v.index()].is_finite() {
-            let energy = &mut metrics.node_energy[v.index()];
-            *energy = energy.saturating_add(2);
-            for adj in g.neighbors(v) {
-                let congestion = &mut metrics.edge_congestion[adj.edge.index()];
-                *congestion = congestion.saturating_add(1);
-                metrics.messages = metrics.messages.saturating_add(1);
-            }
+            metrics.charge_awake([v], 2);
+            metrics.charge_messages(g.neighbors(v).iter().map(|adj| adj.edge), 1);
         }
     }
 
     // Megarounds: every simulated round stands for `megaround` model rounds
     // and awake nodes stay awake for the full megaround (Section 3.1.3).
-    metrics.rounds = t_end;
+    metrics.charge_rounds(t_end);
     metrics.charge_megaround(megaround);
 
     // Cover construction cost (Theorems 3.12/3.13).
     let (cover_build_rounds, cover_build_energy) = cover_build_charge(cover, n);
-    for e in metrics.node_energy.iter_mut() {
-        *e = e.saturating_add(cover_build_energy);
-    }
-    metrics.rounds = metrics.rounds.saturating_add(cover_build_rounds);
+    metrics.charge_awake(g.nodes(), cover_build_energy);
+    metrics.charge_rounds(cover_build_rounds);
 
-    // The awake-round accounting uses closed-form upper bounds with additive
-    // slack; physically a node can never be awake for more rounds than the
-    // execution has, so clamp (this only matters on tiny instances).
-    for e in metrics.node_energy.iter_mut() {
-        *e = (*e).min(metrics.rounds);
-    }
+    // The closed-form awake bounds carry additive slack, which the cap
+    // removes (this only matters on tiny instances).
+    metrics.cap_energy_at_rounds();
 
     Ok(EnergyBfsRun {
         output: DistanceOutput { distances },

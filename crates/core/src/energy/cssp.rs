@@ -87,7 +87,6 @@ fn charged_run(
     let base = thresholded_cssp_validated(g, offsets, threshold, config)?;
 
     let n = g.node_count() as usize;
-    let m = g.edge_count() as usize;
     let log2n = ((n.max(2)) as f64).log2().ceil() as u64;
 
     // One layered cover of the whole graph, built for hop radius n (every
@@ -140,32 +139,27 @@ fn charged_run(
     // measured metrics once per recursion level.
     let (_forest, forest_metrics) = spanning_forest(g, true);
 
-    let mut metrics = Metrics::zero(n, m);
-    metrics.rounds = rounds
-        .saturating_add(cover_build_rounds)
-        .saturating_add(forest_metrics.rounds * base.stats.levels as u64);
-    metrics.messages = base.metrics.messages;
-    // The fault counters are facts about what the fault plan did to the
-    // simulated recursion underneath, not charged quantities — carry them
-    // through so faulty runs don't report a clean fabric.
-    metrics.fault_drops = base.metrics.fault_drops;
-    metrics.fault_delays = base.metrics.fault_delays;
-    metrics.crashes = base.metrics.crashes;
-    metrics.restarts = base.metrics.restarts;
-    metrics.edge_congestion = base.metrics.edge_congestion.clone();
-    // Add the cluster-tree traffic to the congestion: each cluster-tree edge
-    // carries a constant number of messages per period per BFS.
-    for c in &mut metrics.edge_congestion {
-        *c += 4 * levels as u64;
+    // The recursion's traffic and fault counters are facts, carried through.
+    // Its time, energy and sleeping-model losses belong to the wake schedule
+    // this run replaces: they start from zero and are charged below.
+    let mut metrics =
+        Metrics { rounds: 0, node_energy: vec![0; n], messages_lost: 0, ..base.metrics };
+    let recursion_levels = base.stats.levels as u64;
+    metrics.charge_rounds(rounds);
+    metrics.charge_rounds(cover_build_rounds);
+    metrics.charge_rounds(forest_metrics.rounds.saturating_mul(recursion_levels));
+    // The cluster-tree traffic: each cluster-tree edge carries a constant
+    // number of messages per period per BFS.
+    metrics.charge_messages(g.edge_ids(), 4 * levels as u64);
+    for v in g.nodes() {
+        let forest_energy = forest_metrics.node_energy[v.index()].saturating_mul(recursion_levels);
+        let recursion_energy =
+            base.stats.participation[v.index()].saturating_mul(per_subproblem_energy);
+        metrics.charge_awake([v], recursion_energy.saturating_add(forest_energy));
     }
-    for v in 0..n {
-        metrics.node_energy[v] = base.stats.participation[v]
-            .saturating_mul(per_subproblem_energy)
-            .saturating_add(cover_build_energy)
-            .saturating_add(forest_metrics.node_energy[v] * base.stats.levels as u64)
-            // A node can never be awake for more rounds than the execution has.
-            .min(metrics.rounds);
-    }
+    metrics.charge_awake(g.nodes(), cover_build_energy);
+    // A node can never be awake for more rounds than the execution has.
+    metrics.cap_energy_at_rounds();
 
     let run = CsspRun { output: base.output, metrics, stats: base.stats };
     Ok((run, (per_subproblem_energy, megaround, levels)))
@@ -221,13 +215,16 @@ mod tests {
     fn weighted_grid_16x16_accounting_is_pinned() {
         // Recorded before the slowdown and the cover-construction charge
         // became constants shared with `energy::bfs`: the accounting must
-        // charge exactly what it did.
+        // charge exactly what it did. The messages are the summed
+        // congestion: the cover-tree traffic (4 · levels · m = 3 840 messages)
+        // counts in both.
         let g = generators::with_random_weights(&generators::grid(16, 16, 1), 9, 3);
         let run = low_energy_cssp(&g, &[NodeId(0)], &AlgoConfig::default()).unwrap();
         let m = &run.metrics;
-        assert_eq!((m.rounds, m.messages), (1_768_832, 55_349));
+        assert_eq!((m.rounds, m.messages), (1_768_832, 59_189));
         assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (86_868, 18_786_048));
         assert_eq!((m.max_congestion(), m.edge_congestion.iter().sum::<u64>()), (218, 59_189));
+        assert_eq!(m.messages, m.edge_congestion.iter().sum::<u64>());
         assert_eq!((run.per_subproblem_energy, run.megaround, run.cover_levels), (2_976, 4, 2));
     }
 

@@ -651,4 +651,68 @@ mod tests {
             assert_eq!(run.all_pairs.is_some(), info.all_pairs, "{}", info.name);
         }
     }
+
+    /// The metrics of a single-source `algorithm` from `source`, through the
+    /// crate-private call the facade dispatches to (a `RunReport` keeps no
+    /// per-edge load).
+    fn metrics_of(
+        g: &Graph,
+        algorithm: Algorithm,
+        source: NodeId,
+        cfg: &AlgoConfig,
+    ) -> Result<Metrics, AlgoError> {
+        let (s, n) = ([source], g.node_count() as u64);
+        Ok(match algorithm {
+            Algorithm::Cssp => cssp(g, &s, cfg)?.metrics,
+            Algorithm::ApproximateCssp => {
+                let w = g.distance_upper_bound().max(1);
+                approximate_cssp(g, &[SourceOffset::plain(source)], w, cfg)?.metrics
+            }
+            Algorithm::Bfs => thresholded_bfs(g, &s, n, cfg)?.metrics,
+            Algorithm::LowEnergyBfs => low_energy_bfs(g, &s, n)?.metrics,
+            Algorithm::LowEnergyCssp => low_energy_cssp(g, &s, cfg)?.metrics,
+            Algorithm::Dijkstra => distributed_dijkstra(g, &s).metrics,
+            Algorithm::BellmanFord => distributed_bellman_ford(g, &s, cfg)?.metrics,
+            Algorithm::Apsp | Algorithm::DistanceOracle => unreachable!("all-pairs rows compose"),
+        })
+    }
+
+    #[test]
+    fn every_measured_or_charged_run_counts_a_message_on_its_edge() {
+        let graphs = [
+            weighted(16, 5),
+            generators::with_random_weights_zero(&generators::random_connected(16, 24, 6), 5, 6),
+            generators::disjoint_copies(&generators::path(5, 2), 3),
+        ];
+        let plan = FaultPlan::none().with_seed(5).with_drop_ppm(100_000).with_max_skew(2);
+        let configs = [AlgoConfig::default(), AlgoConfig::default().with_faults(plan)];
+        let holds = |metrics: &Metrics, what: &str| {
+            let summed: u64 = metrics.edge_congestion.iter().sum();
+            assert_eq!(metrics.messages, summed, "messages == Σ edge_congestion: {what}");
+            assert!(metrics.max_energy() <= metrics.rounds, "max_energy <= rounds: {what}");
+        };
+        let single_source: Vec<Algorithm> = registry()
+            .iter()
+            .map(|info| info.algorithm)
+            .filter(|a| !matches!(a, Algorithm::Apsp | Algorithm::DistanceOracle))
+            .collect();
+        let mut checked = 0;
+        for (i, g) in graphs.iter().enumerate() {
+            for low_energy in [false, true] {
+                let (_, metrics) = crate::spanning_forest::spanning_forest(g, low_energy);
+                holds(&metrics, &format!("spanning forest (low energy: {low_energy}), graph {i}"));
+            }
+            for (c, cfg) in configs.iter().enumerate() {
+                for &algorithm in &single_source {
+                    if let Ok(metrics) = metrics_of(g, algorithm, NodeId(1), cfg) {
+                        holds(&metrics, &format!("{algorithm}, graph {i}, config {c}"));
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        // Errors are skipped, but most runs must have been checked.
+        let runs = graphs.len() * configs.len() * single_source.len();
+        assert!(4 * checked >= 3 * runs, "only {checked} of {runs} runs returned");
+    }
 }

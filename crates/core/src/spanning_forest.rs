@@ -209,19 +209,12 @@ impl ForestScratch {
             // edge runs over the pre-merge fragment trees; announcing and
             // installing the merge floods the post-merge fragment trees.
             let depth_after = rooted.orient(g, tree_edges);
-            let phase_rounds = 2 * depth_now + 2 * depth_after + 4;
-            metrics.rounds += phase_rounds;
-            for &e in probed_edges.iter() {
-                // Fragment-id exchange across every still-crossing edge (both
-                // directions).
-                metrics.edge_congestion[e.index()] += 2;
-                metrics.messages += 2;
-            }
-            for &e in tree_edges.iter() {
-                // Convergecast + broadcast + merge announcement on tree edges.
-                metrics.edge_congestion[e.index()] += 3;
-                metrics.messages += 3;
-            }
+            metrics.charge_rounds(2 * depth_now + 2 * depth_after + 4);
+            // Fragment-id exchange across every still-crossing edge (both
+            // directions); convergecast + broadcast + merge announcement on
+            // tree edges.
+            metrics.charge_messages(probed_edges.iter().copied(), 2);
+            metrics.charge_messages(tree_edges.iter().copied(), 3);
             depth_now = depth_after;
         }
         if *phases == 0 {
@@ -231,7 +224,7 @@ impl ForestScratch {
         }
         // Every node is awake for every round of a phase (Theorem 2.2), or
         // for 4 rounds of it (Theorem 3.1).
-        metrics.node_energy.fill(if low_energy { 4 * *phases } else { metrics.rounds });
+        metrics.charge_awake(g.nodes(), if low_energy { 4 * *phases } else { metrics.rounds });
         metrics
     }
 }
@@ -239,8 +232,7 @@ impl ForestScratch {
 /// Makes `metrics` the all-zero value for `n` nodes and `m` edges, keeping
 /// its two vectors' storage.
 fn reset_metrics(metrics: &mut Metrics, n: usize, m: usize) {
-    let mut edge_congestion = std::mem::take(&mut metrics.edge_congestion);
-    let mut node_energy = std::mem::take(&mut metrics.node_energy);
+    let Metrics { mut edge_congestion, mut node_energy, .. } = std::mem::take(metrics);
     edge_congestion.clear();
     edge_congestion.resize(m, 0);
     node_energy.clear();

@@ -245,11 +245,8 @@ impl<'a> Recursion<'a> {
         // Time and energy saturate, as in the merged phases: a cutter run can
         // take close to `u64::MAX / 4` rounds.
         let coordination = 2 * nodes.len() as u64 + 2;
-        self.metrics.rounds = self.metrics.rounds.saturating_add(coordination);
-        for &v in nodes {
-            let energy = &mut self.metrics.node_energy[v.index()];
-            *energy = energy.saturating_add(coordination);
-        }
+        self.metrics.charge_rounds(coordination);
+        self.metrics.charge_awake(nodes.iter().copied(), coordination);
 
         // Step 6: second half — the cut sources, on V1 minus the settled V2.
         let mut settled = first.iter().map(|&(v, _)| v).peekable();
@@ -364,16 +361,12 @@ impl<'a> Recursion<'a> {
         // Charge one round of local exchange: every node in the subproblem is
         // awake for it and each internal edge — seen from its lower endpoint —
         // carries one message per direction.
-        self.metrics.rounds = self.metrics.rounds.saturating_add(1);
+        self.metrics.charge_rounds(1);
+        self.metrics.charge_awake(nodes.iter().copied(), 1);
         for &v in nodes {
-            let energy = &mut self.metrics.node_energy[v.index()];
-            *energy = energy.saturating_add(1);
-            for adj in g.neighbors(v) {
-                if adj.neighbor > v && self.marks.contains(adj.neighbor) {
-                    self.metrics.edge_congestion[adj.edge.index()] += 2;
-                    self.metrics.messages += 2;
-                }
-            }
+            let internal = g.neighbors(v).iter().filter(|adj| adj.neighbor > v);
+            let internal = internal.filter(|adj| self.marks.contains(adj.neighbor));
+            self.metrics.charge_messages(internal.map(|adj| adj.edge), 2);
         }
         #[cfg(test)]
         {

@@ -9,7 +9,7 @@
 //! `thread_rng()` in a merge path is caught at the token it appears on.
 //!
 //! The scanner ([`scanner`]) is a hand-rolled comment/string/char-aware Rust
-//! tokenizer (no dependencies); the rule engine ([`rules`]) layers six
+//! tokenizer (no dependencies); the rule engine ([`rules`]) layers seven
 //! path-scoped rules plus an inline suppression pragma grammar on top. The
 //! `simlint` binary walks `crates/*/{src,tests,benches,examples}`, `src/`,
 //! `tests/`, `examples/`, and `benches/` (never `vendor/` or `target/`),

@@ -1,5 +1,6 @@
-//! The rule engine: path-scoped determinism / zero-allocation / safety rules
-//! over one file's token scan, with inline suppression pragmas.
+//! The rule engine: path-scoped determinism / zero-allocation / safety /
+//! cost-accounting rules over one file's token scan, with inline suppression
+//! pragmas.
 //!
 //! # Pragma syntax
 //!
@@ -38,18 +39,24 @@ pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 /// `Ordering::Relaxed` in `crates/sim` always requires a pragma arguing why
 /// it cannot perturb merge determinism.
 pub const RELAXED_ORDERING: &str = "relaxed-ordering";
+/// A direct write to one of `Metrics`' four cost fields in `crates/core`
+/// shipped code: a cost charged outside the engine goes through the charge
+/// methods of `congest_sim::Metrics`, which saturate and count a message on
+/// its edge and in the total together.
+pub const DIRECT_COST_WRITE: &str = "direct-cost-write";
 /// Meta-rule for malformed / unknown / unused pragmas; not itself
 /// suppressible.
 pub const INVALID_PRAGMA: &str = "invalid-pragma";
 
 /// Every suppressible rule, in reporting order.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 7] = [
     NONDETERMINISTIC_ITERATION,
     WALL_CLOCK,
     AMBIENT_RANDOMNESS,
     HOT_PATH_ALLOC,
     FORBID_UNSAFE,
     RELAXED_ORDERING,
+    DIRECT_COST_WRITE,
 ];
 
 /// The module-header comment that opts a file into [`HOT_PATH_ALLOC`].
@@ -109,6 +116,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> FileReport {
     check_hot_path_alloc(rel_path, &sc, &mut raw);
     check_forbid_unsafe(rel_path, &sc, &mut raw);
     check_relaxed_ordering(rel_path, &sc, &mut raw);
+    check_direct_cost_write(rel_path, &sc, &mut raw);
     raw.sort_by_key(|f| (f.line, f.rule));
 
     for f in raw {
@@ -237,7 +245,8 @@ fn use_statement_mask(sc: &ScanResult) -> Vec<bool> {
 }
 
 /// The line of the first `#[cfg(test)] mod …` item, if any: hot-path alloc
-/// scanning stops there — in-file unit tests may allocate freely.
+/// and direct-cost-write scanning stop there — in-file unit tests may
+/// allocate freely, and their oracles keep their own arithmetic.
 fn cfg_test_mod_line(sc: &ScanResult) -> u32 {
     for i in 0..sc.tokens.len() {
         if punct_at(sc, i) == Some('#')
@@ -421,6 +430,95 @@ fn check_relaxed_ordering(rel_path: &str, sc: &ScanResult, out: &mut Vec<Finding
                 "`Ordering::Relaxed` in `crates/sim` requires a pragma justifying why it \
                  cannot perturb merge determinism"
                     .to_string(),
+            ));
+        }
+    }
+}
+
+/// The fields of `congest_sim::Metrics` that hold the four costs the paper
+/// bounds.
+const COST_FIELDS: [&str; 4] = ["rounds", "messages", "node_energy", "edge_congestion"];
+
+/// `true` when tokens `i..` spell an assignment or a compound assignment
+/// (`=`, `+=`, …, `<<=`), but not a comparison (`==`, `<=`, `>=`, `!=`).
+fn assigns_at(sc: &ScanResult, i: usize) -> bool {
+    match (punct_at(sc, i), punct_at(sc, i + 1), punct_at(sc, i + 2)) {
+        (Some('='), next, _) => next != Some('=') && next != Some('>'),
+        (Some('+' | '-' | '*' | '/' | '%' | '|' | '&' | '^'), Some('='), _) => true,
+        (Some('<'), Some('<'), Some('=')) | (Some('>'), Some('>'), Some('=')) => true,
+        _ => false,
+    }
+}
+
+/// The index just past the `]` that closes the `[` at `open`.
+fn past_brackets(sc: &ScanResult, open: usize) -> usize {
+    let mut depth = 0usize;
+    for j in open..sc.tokens.len() {
+        match punct_at(sc, j) {
+            Some('[') => depth += 1,
+            Some(']') => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    sc.tokens.len()
+}
+
+/// `true` when the place expression whose field access is the `.` at `dot`
+/// is borrowed `&mut`: walking back over its path (`self.metrics`,
+/// `run.metrics`, `x::y`) lands on `& mut`.
+fn borrowed_mut(sc: &ScanResult, dot: usize) -> bool {
+    let mut j = dot;
+    while j > 0 {
+        let prev = &sc.tokens[j - 1];
+        if prev.ident().is_some() || matches!(prev.punct(), Some('.' | ':')) {
+            j -= 1;
+        } else {
+            break;
+        }
+    }
+    // The walk stops on `mut` itself when it is the place's first token.
+    j >= 1 && ident_at(sc, j) == Some("mut") && punct_at(sc, j - 1) == Some('&')
+}
+
+fn check_direct_cost_write(rel_path: &str, sc: &ScanResult, out: &mut Vec<Finding>) {
+    if !rel_path.starts_with("crates/core/src/") || rel_path.ends_with("/reference.rs") {
+        return;
+    }
+    let cutoff = cfg_test_mod_line(sc);
+    for i in 0..sc.tokens.len() {
+        let Some(field) = ident_at(sc, i + 1) else { continue };
+        if punct_at(sc, i) != Some('.') || !COST_FIELDS.contains(&field) {
+            continue;
+        }
+        let after = if punct_at(sc, i + 2) == Some('[') { past_brackets(sc, i + 2) } else { i + 2 };
+        let method =
+            |name: &str| punct_at(sc, i + 2) == Some('.') && ident_at(sc, i + 3) == Some(name);
+        let how = if assigns_at(sc, after) {
+            "an assignment to"
+        } else if borrowed_mut(sc, i) {
+            "a `&mut` borrow of"
+        } else if method("fill") || method("iter_mut") {
+            "an in-place sweep over"
+        } else {
+            continue;
+        };
+        let line = sc.tokens[i + 1].line();
+        if line < cutoff {
+            out.push(finding(
+                rel_path,
+                line,
+                DIRECT_COST_WRITE,
+                format!(
+                    "{how} `.{field}`: a cost is charged outside the engine only through \
+                     `Metrics::charge_rounds` / `charge_awake` / `charge_messages` / \
+                     `charge_megaround` / `cap_energy_at_rounds`, which saturate and keep \
+                     `messages == Σ edge_congestion`"
+                ),
             ));
         }
     }

@@ -7,8 +7,8 @@
 //! contain are themselves invisible when `simlint` scans this test file.
 
 use congest_lint::rules::{
-    AMBIENT_RANDOMNESS, FORBID_UNSAFE, HOT_PATH_ALLOC, INVALID_PRAGMA, NONDETERMINISTIC_ITERATION,
-    RELAXED_ORDERING, WALL_CLOCK,
+    AMBIENT_RANDOMNESS, DIRECT_COST_WRITE, FORBID_UNSAFE, HOT_PATH_ALLOC, INVALID_PRAGMA,
+    NONDETERMINISTIC_ITERATION, RELAXED_ORDERING, WALL_CLOCK,
 };
 use congest_lint::{lint_source, FileReport};
 
@@ -217,6 +217,67 @@ fn relaxed_ordering_is_scoped_to_the_sim_crate() {
     assert_eq!(findings("crates/sim/tests/foo.rs", src), vec![(1, RELAXED_ORDERING)]);
     // Other crates: the engine merge path is not at stake.
     assert_eq!(findings("crates/core/src/foo.rs", src), vec![]);
+}
+
+#[test]
+fn direct_cost_writes_in_core_are_flagged() {
+    let src = r#"
+fn charge(m: &mut Metrics, run: &Run, v: usize, e: usize) {
+    m.rounds = run.metrics.rounds;
+    m.messages += 2;
+    m.edge_congestion[e] += 2;
+    m.node_energy[run.index[v]] = 1;
+    let energy = &mut m.node_energy[v];
+    for c in &mut m.edge_congestion {}
+    m.node_energy.fill(3);
+    for c in m.edge_congestion.iter_mut() {}
+    m.rounds <<= 1;
+}
+"#;
+    let flagged: Vec<_> = (3..=11).map(|line| (line, DIRECT_COST_WRITE)).collect();
+    assert_eq!(findings("crates/core/src/foo.rs", src), flagged);
+    assert_eq!(findings("crates/core/src/energy/foo.rs", src), flagged);
+    // Test oracles keep their own arithmetic, and other crates are out of
+    // scope (the engine writes the fields it measures).
+    assert_eq!(findings("crates/core/src/energy/reference.rs", src), vec![]);
+    assert_eq!(findings("crates/core/tests/foo.rs", src), vec![]);
+    assert_eq!(findings("crates/sim/src/metrics.rs", src), vec![]);
+}
+
+#[test]
+fn reads_comparisons_and_charges_are_not_direct_cost_writes() {
+    let src = r#"
+fn read(m: &mut Metrics, other: &Metrics, v: NodeId) -> bool {
+    let total = m.rounds + other.messages;
+    m.charge_awake([v], other.node_energy[v.index()]);
+    m.charge_messages(std::iter::empty(), m.rounds);
+    let fresh = Metrics { rounds: 0, node_energy: vec![0; 3], ..other.clone() };
+    let _ = (&m.edge_congestion, m.node_energy.iter().max(), fresh);
+    m.rounds == total || m.rounds <= 3 || m.messages >= 2 || m.messages != 1
+}
+"#;
+    assert_eq!(findings("crates/core/src/foo.rs", src), vec![]);
+}
+
+#[test]
+fn direct_cost_writes_in_the_unit_test_module_are_exempt() {
+    let src = r#"
+fn charged(m: &mut Metrics) {
+    m.messages += 1;
+}
+#[cfg(test)]
+mod tests {
+    fn reference(m: &mut Metrics) {
+        m.messages += 1;
+    }
+}
+"#;
+    assert_eq!(findings("crates/core/src/foo.rs", src), vec![(3, DIRECT_COST_WRITE)]);
+    let pragma = "fn f(m: &mut Metrics) {\n    // simlint::allow(direct-cost-write: fixture)\n    m.rounds = 1;\n}\n";
+    let r = report("crates/core/src/foo.rs", pragma);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.allowed.len(), 1);
+    assert_eq!(r.allowed[0].rule, DIRECT_COST_WRITE);
 }
 
 // -------------------------------------------------------------------- pragmas

@@ -14,6 +14,24 @@ use serde::{Deserialize, Serialize};
 /// Metrics compose: [`Metrics::merge_sequential`] models running one phase
 /// after another — rounds add, and so do per-edge congestion and per-node
 /// energy, because every message and awake round still happens.
+///
+/// # Charging
+///
+/// The engine measures; every other cost is *charged* by a closed form, and
+/// only through these methods: [`Metrics::charge_rounds`],
+/// [`Metrics::charge_awake`] (awake rounds to a set of nodes) and
+/// [`Metrics::charge_messages`] (messages over a set of edges, counted on
+/// each edge and in the total by the one call), beside the two whole-run
+/// adjustments [`Metrics::charge_megaround`] and
+/// [`Metrics::cap_energy_at_rounds`] (no node is awake longer than the
+/// run). Every charge saturates at `u64::MAX`, so a huge closed form reads
+/// as `u64::MAX`, never as a wrapped underestimate. Because a message only
+/// ever lands on its edge and in the total together,
+/// `messages == Σ edge_congestion` holds for every measured and every
+/// charged run; only composed reports (APSP and the oracle, whose totals
+/// come from a schedule, not from one `Metrics`) are not held to it.
+/// `simlint`'s `direct-cost-write` rule keeps direct writes to the four
+/// cost fields out of `crates/core`'s shipped code.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Number of rounds (time complexity).
@@ -176,6 +194,40 @@ impl Metrics {
         }
     }
 
+    /// Charges `rounds` more rounds of time, saturating.
+    pub fn charge_rounds(&mut self, rounds: u64) {
+        self.rounds = self.rounds.saturating_add(rounds);
+    }
+
+    /// Charges `rounds` awake rounds to each of `nodes` (a node named twice
+    /// is charged twice), saturating.
+    pub fn charge_awake(&mut self, nodes: impl IntoIterator<Item = NodeId>, rounds: u64) {
+        for v in nodes {
+            let energy = &mut self.node_energy[v.index()];
+            *energy = energy.saturating_add(rounds);
+        }
+    }
+
+    /// Charges `k` messages over each of `edges` (an edge named twice is
+    /// charged twice): each edge's congestion and the message total grow
+    /// together, saturating.
+    pub fn charge_messages(&mut self, edges: impl IntoIterator<Item = EdgeId>, k: u64) {
+        for e in edges {
+            let congestion = &mut self.edge_congestion[e.index()];
+            *congestion = congestion.saturating_add(k);
+            self.messages = self.messages.saturating_add(k);
+        }
+    }
+
+    /// Caps every node's energy at the run's rounds: closed-form awake bounds
+    /// carry additive slack, but no node is awake longer than the run.
+    pub fn cap_energy_at_rounds(&mut self) {
+        let rounds = self.rounds;
+        for e in &mut self.node_energy {
+            *e = (*e).min(rounds);
+        }
+    }
+
     /// Multiplies the time and energy accounting by `factor`. Used to charge
     /// "megarounds" (Section 3.1.3 of the paper): when `k` subroutines share
     /// an edge, each simulated round stands for `k` model rounds and an awake
@@ -291,6 +343,59 @@ mod tests {
             assert_eq!(merged.node_energy, vec![u64::MAX, 3]);
             assert_eq!(merged.mean_energy(), (u64::MAX as f64 + 3.0) / 2.0);
         }
+    }
+
+    #[test]
+    fn every_charge_saturates() {
+        let mut x = sample(2, 2, u64::MAX - 1);
+        x.messages = u64::MAX - 1;
+        x.node_energy = vec![u64::MAX - 1, 0];
+        x.edge_congestion = vec![u64::MAX - 1, 0];
+        x.charge_rounds(5);
+        x.charge_awake([NodeId(0)], 5);
+        x.charge_messages([EdgeId(0)], 5);
+        assert_eq!(x.rounds, u64::MAX);
+        assert_eq!(x.node_energy, vec![u64::MAX, 0]);
+        assert_eq!(x.edge_congestion, vec![u64::MAX, 0]);
+        assert_eq!(x.messages, u64::MAX);
+        // The total saturates even where no edge does.
+        let mut y = Metrics::zero(1, 2);
+        y.charge_messages([EdgeId(0), EdgeId(1)], u64::MAX / 3 * 2);
+        assert_eq!(y.edge_congestion, vec![u64::MAX / 3 * 2; 2]);
+        assert_eq!(y.messages, u64::MAX);
+    }
+
+    #[test]
+    fn a_message_charge_moves_its_edges_and_the_total_together() {
+        let mut x = sample(3, 4, 5);
+        x.charge_messages([EdgeId(1), EdgeId(3), EdgeId(1)], 7);
+        assert_eq!(x.edge_congestion, vec![2, 16, 2, 9]);
+        assert_eq!(x.messages, 10 + 21);
+        assert_eq!((x.rounds, x.node_energy.clone()), (5, vec![3; 3]));
+        let mut empty = Metrics::zero(2, 2);
+        empty.charge_messages(std::iter::empty(), 9);
+        assert_eq!(empty, Metrics::zero(2, 2));
+    }
+
+    #[test]
+    fn an_awake_charge_touches_only_the_nodes_named() {
+        let mut x = sample(4, 2, 5);
+        x.charge_awake([NodeId(2), NodeId(0), NodeId(2)], 4);
+        assert_eq!(x.node_energy, vec![7, 3, 11, 3]);
+        assert_eq!((x.rounds, x.messages), (5, 10));
+        assert_eq!(x.edge_congestion, vec![2, 2]);
+        x.charge_rounds(6);
+        assert_eq!(x.rounds, 11);
+        assert_eq!(x.node_energy, vec![7, 3, 11, 3]);
+    }
+
+    #[test]
+    fn the_energy_cap_is_the_run_length() {
+        let mut x = sample(3, 1, 5);
+        x.node_energy = vec![9, 5, 1];
+        x.cap_energy_at_rounds();
+        assert_eq!(x.node_energy, vec![5, 5, 1]);
+        assert_eq!((x.rounds, x.messages, x.edge_congestion.clone()), (5, 10, vec![2]));
     }
 
     #[test]
