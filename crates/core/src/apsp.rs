@@ -241,6 +241,7 @@ where
     impl Drop for AbortOnUnwind<'_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
+                // simlint::allow(relaxed-ordering: the abort flag is advisory; the panic reaches the caller through the scope join)
                 self.0.store(true, Ordering::Relaxed);
             }
         }
@@ -256,13 +257,16 @@ where
             let (next_index, abort, run) = (&next_index, &abort, &run);
             scope.spawn(move || {
                 let _guard = AbortOnUnwind(abort);
+                // simlint::allow(relaxed-ordering: the abort flag is advisory; results and errors travel over the channel)
                 while !abort.load(Ordering::Relaxed) {
+                    // simlint::allow(relaxed-ordering: handing out indices needs only atomicity; no other memory is ordered against the counter)
                     let i = next_index.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
                     let result = run(i);
                     if result.is_err() {
+                        // simlint::allow(relaxed-ordering: the abort flag is advisory; the error itself travels over the channel)
                         abort.store(true, Ordering::Relaxed);
                     }
                     if tx.send((i, result)).is_err() {

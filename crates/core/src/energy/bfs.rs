@@ -25,33 +25,17 @@
 use congest_cover::{ClusterSchedule, LayeredCover};
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
-use serde::{Deserialize, Serialize};
 
 use super::{cover_build_charge, slowdown};
-use crate::result::DistanceOutput;
+use crate::result::{AlgoRun, DistanceOutput, SleepingReport};
 use crate::AlgoError;
-
-/// The outcome of a low-energy BFS run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct EnergyBfsRun {
-    /// Hop distances from the source set (infinite beyond `limit`).
-    pub output: DistanceOutput,
-    /// Complexity measurements in the sleeping model.
-    pub metrics: Metrics,
-    /// The BFS slowdown used (rounds per wavefront hop).
-    pub slowdown: u64,
-    /// The megaround width used (maximum cluster trees sharing one edge).
-    pub megaround: u64,
-    /// Number of levels of the layered cover.
-    pub cover_levels: usize,
-    /// Rounds charged to constructing the layered cover (Theorems 3.12/3.13).
-    pub cover_build_rounds: u64,
-}
 
 /// Runs low-energy `limit`-thresholded BFS from scratch: constructs the
 /// layered cover (charging its cost per Theorem 3.12/3.13) and then runs the
 /// covered BFS (Theorem 3.8) from `sources` (checked by the facade). A limit
-/// above `n` behaves like `n` (no hop distance exceeds `n - 1`).
+/// above `n` behaves like `n` (no hop distance exceeds `n - 1`). Returns the
+/// hop distances (infinite beyond `limit`) with the sleeping-model metrics,
+/// beside the slowdown, megaround width and cover levels used.
 ///
 /// # Errors
 ///
@@ -60,7 +44,7 @@ pub(crate) fn low_energy_bfs(
     g: &Graph,
     sources: &[NodeId],
     limit: u64,
-) -> Result<EnergyBfsRun, AlgoError> {
+) -> Result<(AlgoRun, SleepingReport), AlgoError> {
     let limit = limit.min(g.node_count() as u64);
     let cover = LayeredCover::construct_default(g, limit.max(1));
     covered_bfs(g, sources, limit, &cover)
@@ -90,7 +74,7 @@ fn covered_bfs(
     sources: &[NodeId],
     limit: u64,
     cover: &LayeredCover,
-) -> Result<EnergyBfsRun, AlgoError> {
+) -> Result<(AlgoRun, SleepingReport), AlgoError> {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let limit = limit.min(n as u64);
@@ -272,14 +256,8 @@ fn covered_bfs(
     // removes (this only matters on tiny instances).
     metrics.cap_energy_at_rounds();
 
-    Ok(EnergyBfsRun {
-        output: DistanceOutput { distances },
-        metrics,
-        slowdown,
-        megaround,
-        cover_levels: levels,
-        cover_build_rounds,
-    })
+    let sleeping = SleepingReport { slowdown, megaround, cover_levels: levels as u64 };
+    Ok((AlgoRun { output: DistanceOutput { distances }, metrics }, sleeping))
 }
 
 /// The lowest-numbered edge of `g` between the two ends of a cluster-tree
@@ -318,8 +296,8 @@ mod tests {
     use crate::AlgoConfig;
     use congest_graph::{generators, sequential};
 
-    fn check(g: &Graph, sources: &[NodeId], limit: u64) -> EnergyBfsRun {
-        let run = low_energy_bfs(g, sources, limit).unwrap();
+    fn check(g: &Graph, sources: &[NodeId], limit: u64) -> AlgoRun {
+        let (run, _) = low_energy_bfs(g, sources, limit).unwrap();
         let truth = sequential::bfs(g, sources);
         for v in g.nodes() {
             let t = truth.distance(v);
@@ -358,8 +336,8 @@ mod tests {
         let cfg = AlgoConfig::default();
         let small = generators::path(128, 1);
         let large = generators::path(1024, 1);
-        let low_small = low_energy_bfs(&small, &[NodeId(0)], 128).unwrap();
-        let low_large = low_energy_bfs(&large, &[NodeId(0)], 1024).unwrap();
+        let (low_small, _) = low_energy_bfs(&small, &[NodeId(0)], 128).unwrap();
+        let (low_large, _) = low_energy_bfs(&large, &[NodeId(0)], 1024).unwrap();
         let naive_small = thresholded_bfs(&small, &[NodeId(0)], 128, &cfg).unwrap();
         let naive_large = thresholded_bfs(&large, &[NodeId(0)], 1024, &cfg).unwrap();
         let low_ratio =
@@ -389,7 +367,7 @@ mod tests {
     #[test]
     fn disconnected_components_stay_asleep() {
         let g = generators::disjoint_copies(&generators::path(20, 1), 2);
-        let run = low_energy_bfs(&g, &[NodeId(0)], 40).unwrap();
+        let (run, _) = low_energy_bfs(&g, &[NodeId(0)], 40).unwrap();
         assert_eq!(run.output.reached_count(), 20);
         // Nodes of the sourceless component belong only to irrelevant
         // clusters: their energy is the initialization cost only, strictly
@@ -477,12 +455,13 @@ mod tests {
         // cover through `tree.nodes()`, `tree.edges()` and
         // `max_edge_tree_load()`, and must charge exactly what it did.
         let g = generators::grid(16, 16, 1);
-        let run = low_energy_bfs(&g, &[NodeId(0)], 256).unwrap();
+        let (run, sleeping) = low_energy_bfs(&g, &[NodeId(0)], 256).unwrap();
         let m = &run.metrics;
         assert_eq!((m.rounds, m.messages), (29_152, 561_640));
         assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (7_444, 770_656));
         assert_eq!((m.max_congestion(), m.edge_congestion.iter().sum::<u64>()), (4_674, 561_640));
-        assert_eq!((run.slowdown, run.megaround, run.cover_levels), (14, 4, 2));
-        assert_eq!(run.cover_build_rounds, 14_080);
+        assert_eq!((sleeping.slowdown, sleeping.megaround, sleeping.cover_levels), (14, 4, 2));
+        let cover = LayeredCover::construct_default(&g, 256);
+        assert_eq!(cover_build_charge(&cover, 256).0, 14_080);
     }
 }

@@ -24,38 +24,22 @@
 use congest_cover::{ClusterSchedule, CoverStats, LayeredCover, SparseCover};
 use congest_graph::{Graph, NodeId};
 use congest_sim::Metrics;
-use serde::{Deserialize, Serialize};
 
 use super::{cover_build_charge, slowdown};
 use crate::cssp::{solve_contracted, CsspRun};
-use crate::result::{DistanceOutput, SourceOffset};
+use crate::result::{SleepingReport, SourceOffset};
 use crate::spanning_forest::spanning_forest;
-use crate::thresholded::{thresholded_cssp_validated, RecursionStats};
+use crate::thresholded::thresholded_cssp_validated;
 use crate::{AlgoConfig, AlgoError};
-
-/// The outcome of a low-energy CSSP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct EnergyCsspRun {
-    /// Exact distances from the source set.
-    pub output: DistanceOutput,
-    /// Sleeping-model complexity measurements.
-    pub metrics: Metrics,
-    /// Recursion instrumentation inherited from the underlying recursion.
-    pub stats: RecursionStats,
-    /// The per-subproblem awake-round charge applied to each participating
-    /// node (derived from the measured cover).
-    pub per_subproblem_energy: u64,
-    /// The megaround width used.
-    pub megaround: u64,
-    /// Number of levels of the layered cover.
-    pub cover_levels: usize,
-}
 
 /// Runs low-energy exact CSSP from `sources` (Theorem 3.15). Zero-weight
 /// edges are contracted first, as [`crate::cssp::cssp`] contracts them
 /// (Theorem 2.7): the accounting then charges the low-energy spanning forest
 /// that finds the zero-weight components (Theorem 3.1), and after it the
-/// contracted graph, read back onto `g`.
+/// contracted graph, read back onto `g`. Returns the exact distances with
+/// the sleeping-model metrics and the recursion's instrumentation, beside
+/// the megaround width and cover levels used (the slowdown reads 0: the
+/// accounting has no wavefront of its own).
 ///
 /// # Errors
 ///
@@ -65,22 +49,21 @@ pub(crate) fn low_energy_cssp(
     g: &Graph,
     sources: &[NodeId],
     config: &AlgoConfig,
-) -> Result<EnergyCsspRun, AlgoError> {
+) -> Result<(CsspRun, SleepingReport), AlgoError> {
     let charged = |h: &Graph, offsets: &[SourceOffset]| charged_run(h, offsets, config);
-    let (CsspRun { output, metrics, stats }, (per_subproblem_energy, megaround, cover_levels)) =
-        solve_contracted(g, sources, true, charged)?;
-    Ok(EnergyCsspRun { output, metrics, stats, per_subproblem_energy, megaround, cover_levels })
+    let (run, (sleeping, _per_subproblem_energy)) = solve_contracted(g, sources, true, charged)?;
+    Ok((run, sleeping))
 }
 
 /// Low-energy CSSP on a graph of positive weights from checked sources: the
 /// recursion's run with its metrics replaced by the sleeping-model charges,
-/// beside the per-subproblem energy, the megaround width and the number of
-/// cover levels.
+/// beside the sleeping-model report and the awake rounds charged per
+/// subproblem a node takes part in.
 fn charged_run(
     g: &Graph,
     offsets: &[SourceOffset],
     config: &AlgoConfig,
-) -> Result<(CsspRun, (u64, u64, usize)), AlgoError> {
+) -> Result<(CsspRun, (SleepingReport, u64)), AlgoError> {
     let threshold = g.distance_upper_bound().max(1);
     // The recursion: correctness, per-edge congestion, message counts, and
     // participation structure all come from here.
@@ -162,7 +145,8 @@ fn charged_run(
     metrics.cap_energy_at_rounds();
 
     let run = CsspRun { output: base.output, metrics, stats: base.stats };
-    Ok((run, (per_subproblem_energy, megaround, levels)))
+    let sleeping = SleepingReport { slowdown: 0, megaround, cover_levels: levels as u64 };
+    Ok((run, (sleeping, per_subproblem_energy)))
 }
 
 #[cfg(test)]
@@ -170,8 +154,8 @@ mod tests {
     use super::*;
     use congest_graph::{generators, sequential};
 
-    fn check(g: &Graph, sources: &[NodeId]) -> EnergyCsspRun {
-        let run = low_energy_cssp(g, sources, &AlgoConfig::default()).unwrap();
+    fn check(g: &Graph, sources: &[NodeId]) -> CsspRun {
+        let (run, _) = low_energy_cssp(g, sources, &AlgoConfig::default()).unwrap();
         let truth = sequential::dijkstra(g, sources);
         for v in g.nodes() {
             assert_eq!(run.output.distance(v), truth.distance(v), "node {v}");
@@ -203,12 +187,14 @@ mod tests {
         // must stay far below the always-awake cost of Θ(n) per node once n is
         // moderately large.
         let g = generators::path(128, 2);
-        let run = check(&g, &[NodeId(0)]);
+        let (run, (sleeping, per_subproblem_energy)) =
+            charged_run(&g, &[SourceOffset::plain(NodeId(0))], &AlgoConfig::default()).unwrap();
+        assert_eq!(run, check(&g, &[NodeId(0)]), "positive weights: nothing is contracted");
         let always_awake = run.metrics.rounds; // what a naive node would pay
         assert!(run.metrics.max_energy() < always_awake);
-        assert!(run.per_subproblem_energy > 0);
-        assert!(run.megaround >= 1);
-        assert!(run.cover_levels >= 1);
+        assert!(per_subproblem_energy > 0);
+        assert!(sleeping.megaround >= 1);
+        assert!(sleeping.cover_levels >= 1);
     }
 
     #[test]
@@ -219,13 +205,17 @@ mod tests {
         // congestion: the cover-tree traffic (4 · levels · m = 3 840 messages)
         // counts in both.
         let g = generators::with_random_weights(&generators::grid(16, 16, 1), 9, 3);
-        let run = low_energy_cssp(&g, &[NodeId(0)], &AlgoConfig::default()).unwrap();
+        let config = AlgoConfig::default();
+        let (run, sleeping) = low_energy_cssp(&g, &[NodeId(0)], &config).unwrap();
         let m = &run.metrics;
         assert_eq!((m.rounds, m.messages), (1_768_832, 59_189));
         assert_eq!((m.max_energy(), m.node_energy.iter().sum::<u64>()), (86_868, 18_786_048));
         assert_eq!((m.max_congestion(), m.edge_congestion.iter().sum::<u64>()), (218, 59_189));
         assert_eq!(m.messages, m.edge_congestion.iter().sum::<u64>());
-        assert_eq!((run.per_subproblem_energy, run.megaround, run.cover_levels), (2_976, 4, 2));
+        assert_eq!((sleeping.slowdown, sleeping.megaround, sleeping.cover_levels), (0, 4, 2));
+        let (_, (_, per_subproblem_energy)) =
+            charged_run(&g, &[SourceOffset::plain(NodeId(0))], &config).unwrap();
+        assert_eq!(per_subproblem_energy, 2_976);
     }
 
     #[test]

@@ -3,18 +3,17 @@
 //! scan of the parent's members per child cluster, two passes over a
 //! cluster's members, plain (overflowing) arithmetic, and its own slowdown
 //! and cover-construction formulas over the shipped constants. Compiled for
-//! tests only — the differential tests compare whole [`EnergyBfsRun`]s
-//! against it.
+//! tests only — the differential tests compare whole runs, sleeping-model
+//! report included, against it.
 
 use congest_cover::{ClusterSchedule, LayeredCover};
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::Metrics;
 
-use super::bfs::EnergyBfsRun;
 use super::{
     COVER_BUILD_ENERGY_FACTOR, COVER_BUILD_ROUND_FACTOR, MIN_BFS_SLOWDOWN, SLOWDOWN_SAFETY_FACTOR,
 };
-use crate::result::DistanceOutput;
+use crate::result::{AlgoRun, DistanceOutput, SleepingReport};
 use crate::AlgoError;
 
 pub(crate) fn covered_bfs_reference(
@@ -22,7 +21,7 @@ pub(crate) fn covered_bfs_reference(
     sources: &[NodeId],
     limit: u64,
     cover: &LayeredCover,
-) -> Result<EnergyBfsRun, AlgoError> {
+) -> Result<(AlgoRun, SleepingReport), AlgoError> {
     let n = g.node_count() as usize;
     let m = g.edge_count() as usize;
     let limit = limit.min(n as u64);
@@ -207,8 +206,10 @@ pub(crate) fn covered_bfs_reference(
 
     // Megarounds: every simulated round stands for `megaround` model rounds
     // and awake nodes stay awake for the full megaround (Section 3.1.3).
-    metrics.rounds = t_end;
-    metrics.charge_megaround(megaround);
+    metrics.rounds = t_end * megaround;
+    for e in metrics.node_energy.iter_mut() {
+        *e *= megaround;
+    }
 
     // Cover construction cost (Theorems 3.12/3.13), charged analytically from
     // the measured level radii: each level costs `factor · B^j · log² n`
@@ -231,14 +232,8 @@ pub(crate) fn covered_bfs_reference(
         *e = (*e).min(metrics.rounds);
     }
 
-    Ok(EnergyBfsRun {
-        output: DistanceOutput { distances },
-        metrics,
-        slowdown,
-        megaround,
-        cover_levels: levels,
-        cover_build_rounds,
-    })
+    let sleeping = SleepingReport { slowdown, megaround, cover_levels: levels as u64 };
+    Ok((AlgoRun { output: DistanceOutput { distances }, metrics }, sleeping))
 }
 
 /// Finds an edge of `g` between two adjacent nodes (cluster-tree edges are

@@ -17,13 +17,6 @@ pub enum AlgoError {
         /// The offending node.
         node: NodeId,
     },
-    /// A per-edge weight map did not have one entry per edge.
-    WeightMapMismatch {
-        /// Expected number of entries (the graph's edge count).
-        expected: usize,
-        /// Number of entries supplied.
-        found: usize,
-    },
     /// A zero edge weight was passed to a subroutine that requires positive
     /// weights (zero weights are handled by contraction at the API boundary,
     /// Theorem 2.7).
@@ -64,9 +57,6 @@ impl fmt::Display for AlgoError {
             AlgoError::EmptySourceSet => write!(f, "the source set must be non-empty"),
             AlgoError::SourceOutOfRange { node } => {
                 write!(f, "source node {node} is out of range")
-            }
-            AlgoError::WeightMapMismatch { expected, found } => {
-                write!(f, "weight map has {found} entries but the graph has {expected} edges")
             }
             AlgoError::ZeroWeightNotSupported { edge } => {
                 write!(f, "edge {edge} has weight zero, which this subroutine does not accept")
@@ -122,9 +112,6 @@ mod tests {
     fn display_messages() {
         assert!(AlgoError::EmptySourceSet.to_string().contains("non-empty"));
         assert!(AlgoError::SourceOutOfRange { node: NodeId(3) }.to_string().contains("v3"));
-        assert!(AlgoError::WeightMapMismatch { expected: 4, found: 2 }
-            .to_string()
-            .contains("2 entries"));
         assert!(AlgoError::ZeroWeightNotSupported { edge: EdgeId(1) }.to_string().contains("e1"));
         let sim =
             AlgoError::Simulation(SimError::RoundLimitExceeded { limit: 5, unhalted_nodes: 1 });

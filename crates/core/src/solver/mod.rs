@@ -53,8 +53,7 @@ use crate::energy::{low_energy_bfs, low_energy_cssp};
 use crate::error::check_sources;
 use crate::oracle::{build_oracle, OracleConfig};
 use crate::result::{
-    AlgoRun, DistanceOutput, RecursionReport, RunReport, ScheduleReport, SleepingReport,
-    SourceOffset,
+    AlgoRun, DistanceOutput, RecursionReport, RunReport, ScheduleReport, SourceOffset,
 };
 use crate::thresholded::thresholded_cssp;
 use crate::weighted_bfs::thresholded_bfs;
@@ -113,8 +112,8 @@ impl SolverRequest<'_> {
     }
 
     /// Replaces the source set with offset sources (the recursion's
-    /// "imaginary node" device; only the thresholded CSSP family accepts
-    /// non-zero offsets).
+    /// "imaginary node" device; only [`Algorithm::Cssp`] and
+    /// [`Algorithm::ApproximateCssp`] accept non-zero offsets).
     pub fn source_offsets(mut self, sources: &[SourceOffset]) -> Self {
         self.sources = sources.to_vec();
         self
@@ -222,23 +221,15 @@ impl SolverRequest<'_> {
             }
             Algorithm::Bfs => Ok(simulated(thresholded_bfs(g, &nodes, hop_limit, &self.config)?)),
             Algorithm::LowEnergyBfs => {
-                let run = low_energy_bfs(g, &nodes, hop_limit)?;
+                let (run, sleeping) = low_energy_bfs(g, &nodes, hop_limit)?;
                 let mut report = new_report(&run.metrics, &run.output);
-                report.sleeping = Some(SleepingReport {
-                    slowdown: run.slowdown,
-                    megaround: run.megaround,
-                    cover_levels: run.cover_levels as u64,
-                });
+                report.sleeping = Some(sleeping);
                 Ok(SolverRun { output: run.output, all_pairs: None, report })
             }
             Algorithm::LowEnergyCssp => {
-                let run = low_energy_cssp(g, &nodes, &self.config)?;
+                let (run, sleeping) = low_energy_cssp(g, &nodes, &self.config)?;
                 let mut report = new_report(&run.metrics, &run.output);
-                report.sleeping = Some(SleepingReport {
-                    slowdown: 0,
-                    megaround: run.megaround,
-                    cover_levels: run.cover_levels as u64,
-                });
+                report.sleeping = Some(sleeping);
                 report.recursion = Some(RecursionReport::from(&run.stats));
                 Ok(SolverRun { output: run.output, all_pairs: None, report })
             }
@@ -367,18 +358,15 @@ mod tests {
             }
             Algorithm::Bfs => simulated(thresholded_bfs(g, &s, n, &cfg).unwrap()),
             Algorithm::LowEnergyBfs => {
-                let run = low_energy_bfs(g, &s, n).unwrap();
+                let (run, sleeping) = low_energy_bfs(g, &s, n).unwrap();
                 let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
-                let (slowdown, megaround) = (run.slowdown, run.megaround);
-                let cover_levels = run.cover_levels as u64;
-                report.sleeping = Some(SleepingReport { slowdown, megaround, cover_levels });
+                report.sleeping = Some(sleeping);
                 SolverRun { output: run.output, all_pairs: None, report }
             }
             Algorithm::LowEnergyCssp => {
-                let run = low_energy_cssp(g, &s, &cfg).unwrap();
+                let (run, sleeping) = low_energy_cssp(g, &s, &cfg).unwrap();
                 let mut report = RunReport::new(algorithm, g, &run.metrics, &run.output);
-                let (megaround, cover_levels) = (run.megaround, run.cover_levels as u64);
-                report.sleeping = Some(SleepingReport { slowdown: 0, megaround, cover_levels });
+                report.sleeping = Some(sleeping);
                 report.recursion = Some(RecursionReport::from(&run.stats));
                 SolverRun { output: run.output, all_pairs: None, report }
             }
@@ -515,6 +503,23 @@ mod tests {
                 .unwrap();
         assert_eq!(run.output, direct.output);
         assert_eq!(run.distance(NodeId(0)).finite(), Some(3));
+    }
+
+    #[test]
+    fn exactly_the_two_recursions_accept_offset_sources() {
+        let g = weighted(12, 5);
+        let sources = [SourceOffset { node: NodeId(0), offset: 3 }];
+        let reason = "offset sources";
+        let mut accepted = Vec::new();
+        for info in registry() {
+            match Solver::on(&g).algorithm(info.algorithm).source_offsets(&sources).run() {
+                Ok(_) => accepted.push(info.algorithm),
+                Err(e) => {
+                    assert_eq!(e, AlgoError::UnsupportedRequest { algorithm: info.name, reason })
+                }
+            }
+        }
+        assert_eq!(accepted, [Algorithm::Cssp, Algorithm::ApproximateCssp]);
     }
 
     #[test]
@@ -669,8 +674,8 @@ mod tests {
                 approximate_cssp(g, &[SourceOffset::plain(source)], w, cfg)?.metrics
             }
             Algorithm::Bfs => thresholded_bfs(g, &s, n, cfg)?.metrics,
-            Algorithm::LowEnergyBfs => low_energy_bfs(g, &s, n)?.metrics,
-            Algorithm::LowEnergyCssp => low_energy_cssp(g, &s, cfg)?.metrics,
+            Algorithm::LowEnergyBfs => low_energy_bfs(g, &s, n)?.0.metrics,
+            Algorithm::LowEnergyCssp => low_energy_cssp(g, &s, cfg)?.0.metrics,
             Algorithm::Dijkstra => distributed_dijkstra(g, &s).metrics,
             Algorithm::BellmanFord => distributed_bellman_ford(g, &s, cfg)?.metrics,
             Algorithm::Apsp | Algorithm::DistanceOracle => unreachable!("all-pairs rows compose"),

@@ -62,7 +62,7 @@ pub struct AlgorithmInfo {
     pub approximate: bool,
     /// Computes all-pairs distances (sources select the reported row only).
     pub all_pairs: bool,
-    /// Accepts a distance/hop threshold and offset sources.
+    /// Accepts a distance/hop threshold.
     pub thresholded: bool,
     /// Serves point-to-point queries for *every* pair after one run (the
     /// all-pairs matrix or a distance oracle). `all_pairs` additionally

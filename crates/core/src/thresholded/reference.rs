@@ -1,11 +1,12 @@
 //! The recursion as it was before the workspace: node sets as
 //! `BTreeSet<NodeId>`, results as `BTreeMap<NodeId, Weight>`, one induced
 //! subgraph per subproblem built by scanning every edge of the graph through
-//! a fresh `n`-sized renumbering, every phase's metrics remapped into a fresh
-//! `n + m` [`Metrics`] before being added up, the base case a scan of all `m`
-//! edges. Kept, test-only, as the reference [`super::thresholded_cssp`] must
-//! stay bit-identical to — distances, every metrics field, the recursion
-//! statistics. (One line differs from the original, marked below.)
+//! a fresh `n`-sized renumbering, the base case a scan of all `m` edges.
+//! Kept, test-only, as the reference [`super::thresholded_cssp`] must stay
+//! bit-identical to — distances, every metrics field, the recursion
+//! statistics. It adds every phase up with its own arithmetic, not with
+//! [`Metrics`]' merge, so the differential checks that composition too.
+//! (One line differs from the original, marked below.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,8 +47,23 @@ impl Accumulator {
         }
     }
 
-    fn add_phase(&mut self, phase: &Metrics) {
-        self.metrics.merge_sequential(phase);
+    /// Adds a phase measured on the subgraph whose node `i` / edge `j` is
+    /// `node_map[i]` / `edge_map[j]` here, field by field.
+    fn add_phase(&mut self, phase: &Metrics, node_map: &[NodeId], edge_map: &[EdgeId]) {
+        let total = &mut self.metrics;
+        total.rounds += phase.rounds;
+        total.messages += phase.messages;
+        total.messages_lost += phase.messages_lost;
+        total.fault_drops += phase.fault_drops;
+        total.fault_delays += phase.fault_delays;
+        total.crashes += phase.crashes;
+        total.restarts += phase.restarts;
+        for (i, &orig) in node_map.iter().enumerate() {
+            total.node_energy[orig.index()] += phase.node_energy[i];
+        }
+        for (j, &orig) in edge_map.iter().enumerate() {
+            total.edge_congestion[orig.index()] += phase.edge_congestion[j];
+        }
     }
 
     /// Charges a coordination phase of `rounds` rounds in which every node of
@@ -147,23 +163,13 @@ fn solve(
 
     // Step 1: spanning forest for per-component coordination (Theorem 2.2).
     let (_forest, forest_metrics) = spanning_forest(&sub, false);
-    acc.add_phase(&forest_metrics.remap(
-        &node_map,
-        &edge_map,
-        g.node_count() as usize,
-        g.edge_count() as usize,
-    ));
+    acc.add_phase(&forest_metrics, &node_map, &edge_map);
 
     // Step 2: approximate cutter with W = d (Lemma 2.1).
     let sub_sources: Vec<SourceOffset> =
         sources.iter().map(|s| SourceOffset { node: to_sub[&s.node], offset: s.offset }).collect();
     let cut = approximate_cssp(&sub, &sub_sources, d, config)?;
-    acc.add_phase(&cut.metrics.remap(
-        &node_map,
-        &edge_map,
-        g.node_count() as usize,
-        g.edge_count() as usize,
-    ));
+    acc.add_phase(&cut.metrics, &node_map, &edge_map);
 
     // Step 3: V1 = nodes whose estimate is within d + err.
     let include = cut.inclusion_threshold(d);

@@ -105,12 +105,12 @@ impl Protocol for WaitingBfsNode<'_> {
 /// [`Distance::Infinite`].
 ///
 /// The `weights` slice overrides the graph's own weights (the cutter passes
-/// rounded weights); every entry must be at least 1.
+/// rounded weights): one entry per edge of `g`, every entry at least 1.
 ///
 /// # Errors
 ///
-/// Returns an error if the weight map does not fit `g` or has a zero, or if
-/// the simulation exceeds its round limit.
+/// Returns an error if the weight map has a zero, or if the simulation
+/// exceeds its round limit.
 pub(crate) fn waiting_bfs(
     g: &Graph,
     sources: &[SourceOffset],
@@ -160,12 +160,7 @@ fn run_waiting_bfs<'w, P: Protocol>(
     config: &AlgoConfig,
     protocol: impl Fn(WaitingBfsNode<'w>) -> P,
 ) -> Result<RunOutcome<P>, AlgoError> {
-    if weights.len() != g.edge_count() as usize {
-        return Err(AlgoError::WeightMapMismatch {
-            expected: g.edge_count() as usize,
-            found: weights.len(),
-        });
-    }
+    debug_assert_eq!(weights.len(), g.edge_count() as usize, "one weight per edge");
     if let Some(idx) = weights.iter().position(|&w| w == 0) {
         return Err(AlgoError::ZeroWeightNotSupported { edge: congest_graph::EdgeId(idx as u32) });
     }
@@ -409,14 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn bad_weight_maps_are_rejected() {
+    fn zero_weights_are_rejected() {
         let cfg = AlgoConfig::default();
         let g = generators::path(4, 1);
         let source = [SourceOffset::plain(NodeId(0))];
-        assert!(matches!(
-            waiting_bfs(&g, &source, &[1, 1], 10, &cfg),
-            Err(AlgoError::WeightMapMismatch { expected: 3, found: 2 })
-        ));
         assert!(matches!(
             waiting_bfs(&g, &source, &[1, 0, 1], 10, &cfg),
             Err(AlgoError::ZeroWeightNotSupported { .. })

@@ -36,8 +36,9 @@ pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Crate roots must carry `#![forbid(unsafe_code)]`, and any `unsafe` token
 /// needs a `// SAFETY:` comment on the same line or within three lines above.
 pub const FORBID_UNSAFE: &str = "forbid-unsafe";
-/// `Ordering::Relaxed` in `crates/sim` always requires a pragma arguing why
-/// it cannot perturb merge determinism.
+/// `Ordering::Relaxed` in shipped code (`crates/*/src`, up to the first
+/// `#[cfg(test)] mod`) always requires a pragma arguing why the weak
+/// ordering cannot perturb a result.
 pub const RELAXED_ORDERING: &str = "relaxed-ordering";
 /// A direct write to one of `Metrics`' four cost fields in `crates/core`
 /// shipped code: a cost charged outside the engine goes through the charge
@@ -244,9 +245,10 @@ fn use_statement_mask(sc: &ScanResult) -> Vec<bool> {
     mask
 }
 
-/// The line of the first `#[cfg(test)] mod …` item, if any: hot-path alloc
-/// and direct-cost-write scanning stop there — in-file unit tests may
-/// allocate freely, and their oracles keep their own arithmetic.
+/// The line of the first `#[cfg(test)] mod …` item, if any: hot-path alloc,
+/// relaxed-ordering and direct-cost-write scanning stop there — in-file unit
+/// tests may allocate freely, count with relaxed atomics, and their oracles
+/// keep their own arithmetic.
 fn cfg_test_mod_line(sc: &ScanResult) -> u32 {
     for i in 0..sc.tokens.len() {
         if punct_at(sc, i) == Some('#')
@@ -417,18 +419,25 @@ fn check_forbid_unsafe(rel_path: &str, sc: &ScanResult, out: &mut Vec<Finding>) 
     }
 }
 
+/// `true` for a file under some crate's `src/` directory (`crates/*/src/`).
+fn is_crate_source(rel_path: &str) -> bool {
+    let crate_dir = rel_path.strip_prefix("crates/").and_then(|rest| rest.split_once('/'));
+    crate_dir.is_some_and(|(_, inner)| inner.starts_with("src/"))
+}
+
 fn check_relaxed_ordering(rel_path: &str, sc: &ScanResult, out: &mut Vec<Finding>) {
-    if !rel_path.starts_with("crates/sim/") {
+    if !is_crate_source(rel_path) {
         return;
     }
+    let cutoff = cfg_test_mod_line(sc);
     for (i, t) in sc.tokens.iter().enumerate() {
-        if t.ident() == Some("Ordering") && path_seg(sc, i + 1, "Relaxed") {
+        if t.ident() == Some("Ordering") && path_seg(sc, i + 1, "Relaxed") && t.line() < cutoff {
             out.push(finding(
                 rel_path,
                 t.line(),
                 RELAXED_ORDERING,
-                "`Ordering::Relaxed` in `crates/sim` requires a pragma justifying why it \
-                 cannot perturb merge determinism"
+                "`Ordering::Relaxed` in shipped code requires a pragma justifying why the \
+                 weak ordering cannot perturb a result"
                     .to_string(),
             ));
         }

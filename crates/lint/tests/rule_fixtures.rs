@@ -210,13 +210,19 @@ fn f(p: *const u8) -> u8 {
 }
 
 #[test]
-fn relaxed_ordering_is_scoped_to_the_sim_crate() {
+fn relaxed_ordering_is_scoped_to_shipped_crate_sources() {
     let src =
         "fn f(c: &std::sync::atomic::AtomicU64) { c.load(std::sync::atomic::Ordering::Relaxed); }";
     assert_eq!(findings("crates/sim/src/foo.rs", src), vec![(1, RELAXED_ORDERING)]);
-    assert_eq!(findings("crates/sim/tests/foo.rs", src), vec![(1, RELAXED_ORDERING)]);
-    // Other crates: the engine merge path is not at stake.
-    assert_eq!(findings("crates/core/src/foo.rs", src), vec![]);
+    assert_eq!(findings("crates/core/src/foo.rs", src), vec![(1, RELAXED_ORDERING)]);
+    assert_eq!(findings("crates/core/src/energy/foo.rs", src), vec![(1, RELAXED_ORDERING)]);
+    // Test code: integration tests, and in-file unit tests after the first
+    // `#[cfg(test)] mod`, count with relaxed atomics freely.
+    assert_eq!(findings("crates/sim/tests/foo.rs", src), vec![]);
+    assert_eq!(findings("tests/foo.rs", src), vec![]);
+    assert_eq!(findings("src/foo.rs", src), vec![]);
+    let with_tests = format!("{src}\n#[cfg(test)]\nmod tests {{\n{src}\n}}\n");
+    assert_eq!(findings("crates/core/src/foo.rs", &with_tests), vec![(1, RELAXED_ORDERING)]);
 }
 
 #[test]

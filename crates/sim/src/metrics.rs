@@ -11,9 +11,12 @@ use serde::{Deserialize, Serialize};
 /// * `edge_congestion[e]` — messages sent over edge `e` (both directions),
 /// * `node_energy[v]` — rounds in which node `v` was awake.
 ///
-/// Metrics compose: [`Metrics::merge_sequential`] models running one phase
-/// after another — rounds add, and so do per-edge congestion and per-node
-/// energy, because every message and awake round still happens.
+/// Metrics compose in one method, [`Metrics::merge_sequential_mapped`]: it
+/// models running one phase after another — rounds add, and so do the
+/// counters, per-edge congestion and per-node energy, because every message
+/// and awake round still happens — with the phase's ids scattered through a
+/// node map and an edge map (a subgraph's phase lands on the graph's ids).
+/// [`Metrics::remap`] is that merge into [`Metrics::zero`].
 ///
 /// # Charging
 ///
@@ -24,8 +27,9 @@ use serde::{Deserialize, Serialize};
 /// each edge and in the total by the one call), beside the two whole-run
 /// adjustments [`Metrics::charge_megaround`] and
 /// [`Metrics::cap_energy_at_rounds`] (no node is awake longer than the
-/// run). Every charge saturates at `u64::MAX`, so a huge closed form reads
-/// as `u64::MAX`, never as a wrapped underestimate. Because a message only
+/// run). Every charge and every merge saturates at `u64::MAX` through one
+/// sum, so a huge closed form or a sum of huge phases reads as `u64::MAX`,
+/// never as a wrapped underestimate. Because a message only
 /// ever lands on its edge and in the total together,
 /// `messages == Σ edge_congestion` holds for every measured and every
 /// charged run; only composed reports (APSP and the oracle, whose totals
@@ -105,71 +109,28 @@ impl Metrics {
         }
     }
 
-    /// Adds `other`'s event counters — everything but the rounds and the two
-    /// per-id vectors.
-    fn add_counters(&mut self, other: &Metrics) {
-        self.messages += other.messages;
-        self.messages_lost += other.messages_lost;
-        self.fault_drops += other.fault_drops;
-        self.fault_delays += other.fault_delays;
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
-    }
-
-    /// Accumulates `other` as a phase that runs *after* `self` (sequential
-    /// composition): rounds add, congestion and energy add componentwise.
-    /// Time and energy saturate at `u64::MAX`: one phase can take close to
-    /// `u64::MAX / 4` rounds (an approximate cutter at a huge
-    /// `epsilon_inverse`), and a sum of such phases must not wrap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two metrics are for different graph sizes.
-    pub fn merge_sequential(&mut self, other: &Metrics) {
-        assert_eq!(self.edge_congestion.len(), other.edge_congestion.len());
-        assert_eq!(self.node_energy.len(), other.node_energy.len());
-        self.rounds = self.rounds.saturating_add(other.rounds);
-        self.add_counters(other);
-        for (a, b) in self.edge_congestion.iter_mut().zip(&other.edge_congestion) {
-            *a += b;
-        }
-        for (a, b) in self.node_energy.iter_mut().zip(&other.node_energy) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
     /// Re-attributes metrics measured on a subgraph back to the original
     /// graph: `node_map[i]` / `edge_map[j]` give the original ids of subgraph
-    /// node `i` / edge `j`, and `n`, `m` are the original graph's sizes.
+    /// node `i` / edge `j`, and `n`, `m` are the original graph's sizes: the
+    /// subgraph's metrics merged, as one phase, into `Metrics::zero(n, m)`.
     ///
     /// # Panics
     ///
-    /// Panics if the maps do not match the metric vector lengths.
+    /// Panics if the maps do not match the metric vector lengths or name ids
+    /// outside `n`, `m`.
     pub fn remap(&self, node_map: &[NodeId], edge_map: &[EdgeId], n: usize, m: usize) -> Metrics {
-        assert_eq!(node_map.len(), self.node_energy.len(), "node map length mismatch");
-        assert_eq!(edge_map.len(), self.edge_congestion.len(), "edge map length mismatch");
         let mut out = Metrics::zero(n, m);
-        out.rounds = self.rounds;
-        out.messages = self.messages;
-        out.messages_lost = self.messages_lost;
-        out.fault_drops = self.fault_drops;
-        out.fault_delays = self.fault_delays;
-        out.crashes = self.crashes;
-        out.restarts = self.restarts;
-        for (i, &orig) in node_map.iter().enumerate() {
-            out.node_energy[orig.index()] += self.node_energy[i];
-        }
-        for (j, &orig) in edge_map.iter().enumerate() {
-            out.edge_congestion[orig.index()] += self.edge_congestion[j];
-        }
+        out.merge_sequential_mapped(self, node_map, edge_map);
         out
     }
 
-    /// Accumulates `phase` — measured on a subgraph — as a phase that runs
-    /// after `self`, scattering its per-node and per-edge entries through the
-    /// maps: exactly `self.merge_sequential(&phase.remap(node_map, edge_map,
-    /// n, m))`, saturating alike, without building the `n + m` intermediate.
-    /// Costs the subgraph's size, not the graph's.
+    /// Accumulates `phase` as a phase that runs *after* `self` (sequential
+    /// composition), scattering its per-node and per-edge entries through
+    /// the maps: `node_map[i]` / `edge_map[j]` are the ids in `self` of
+    /// `phase`'s node `i` / edge `j` (identity maps when both are measured on
+    /// one graph). Rounds add, and so do every counter, each node's energy
+    /// and each edge's congestion; an id named twice receives both entries.
+    /// Costs the phase's size, not the graph's.
     ///
     /// # Panics
     ///
@@ -183,28 +144,31 @@ impl Metrics {
     ) {
         assert_eq!(node_map.len(), phase.node_energy.len(), "node map length mismatch");
         assert_eq!(edge_map.len(), phase.edge_congestion.len(), "edge map length mismatch");
-        self.rounds = self.rounds.saturating_add(phase.rounds);
-        self.add_counters(phase);
+        add(&mut self.rounds, phase.rounds);
+        add(&mut self.messages, phase.messages);
+        add(&mut self.messages_lost, phase.messages_lost);
+        add(&mut self.fault_drops, phase.fault_drops);
+        add(&mut self.fault_delays, phase.fault_delays);
+        add(&mut self.crashes, phase.crashes);
+        add(&mut self.restarts, phase.restarts);
         for (&orig, &energy) in node_map.iter().zip(&phase.node_energy) {
-            let total = &mut self.node_energy[orig.index()];
-            *total = total.saturating_add(energy);
+            add(&mut self.node_energy[orig.index()], energy);
         }
-        for (&orig, load) in edge_map.iter().zip(&phase.edge_congestion) {
-            self.edge_congestion[orig.index()] += load;
+        for (&orig, &load) in edge_map.iter().zip(&phase.edge_congestion) {
+            add(&mut self.edge_congestion[orig.index()], load);
         }
     }
 
     /// Charges `rounds` more rounds of time, saturating.
     pub fn charge_rounds(&mut self, rounds: u64) {
-        self.rounds = self.rounds.saturating_add(rounds);
+        add(&mut self.rounds, rounds);
     }
 
     /// Charges `rounds` awake rounds to each of `nodes` (a node named twice
     /// is charged twice), saturating.
     pub fn charge_awake(&mut self, nodes: impl IntoIterator<Item = NodeId>, rounds: u64) {
         for v in nodes {
-            let energy = &mut self.node_energy[v.index()];
-            *energy = energy.saturating_add(rounds);
+            add(&mut self.node_energy[v.index()], rounds);
         }
     }
 
@@ -213,9 +177,8 @@ impl Metrics {
     /// together, saturating.
     pub fn charge_messages(&mut self, edges: impl IntoIterator<Item = EdgeId>, k: u64) {
         for e in edges {
-            let congestion = &mut self.edge_congestion[e.index()];
-            *congestion = congestion.saturating_add(k);
-            self.messages = self.messages.saturating_add(k);
+            add(&mut self.edge_congestion[e.index()], k);
+            add(&mut self.messages, k);
         }
     }
 
@@ -240,6 +203,13 @@ impl Metrics {
     }
 }
 
+/// Adds `amount` to `*total`, saturating at `u64::MAX`: the one sum every
+/// charge and every merge makes, so a huge total reads as `u64::MAX`, never
+/// as a wrapped underestimate.
+fn add(total: &mut u64, amount: u64) {
+    *total = total.saturating_add(amount);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +225,26 @@ mod tests {
             *v = 3;
         }
         x
+    }
+
+    /// Merges `phase` after `a`, both measured on one graph: identity maps.
+    fn merge_after(a: &mut Metrics, phase: &Metrics) {
+        let nodes: Vec<NodeId> = (0..phase.node_energy.len() as u32).map(NodeId).collect();
+        let edges: Vec<EdgeId> = (0..phase.edge_congestion.len() as u32).map(EdgeId).collect();
+        a.merge_sequential_mapped(phase, &nodes, &edges);
+    }
+
+    /// Every scalar field, rounds first.
+    fn scalars(x: &mut Metrics) -> [&mut u64; 7] {
+        [
+            &mut x.rounds,
+            &mut x.messages,
+            &mut x.messages_lost,
+            &mut x.fault_drops,
+            &mut x.fault_delays,
+            &mut x.crashes,
+            &mut x.restarts,
+        ]
     }
 
     #[test]
@@ -276,7 +266,7 @@ mod tests {
         b.fault_drops = 5;
         b.fault_delays = 6;
         b.restarts = 2;
-        a.merge_sequential(&b);
+        merge_after(&mut a, &b);
         assert_eq!(a.rounds, 12);
         assert_eq!(a.messages, 20);
         assert_eq!(a.max_congestion(), 4);
@@ -293,7 +283,7 @@ mod tests {
     fn merging_mismatched_sizes_panics() {
         let mut a = sample(2, 3, 5);
         let b = sample(3, 3, 5);
-        a.merge_sequential(&b);
+        merge_after(&mut a, &b);
     }
 
     #[test]
@@ -325,7 +315,7 @@ mod tests {
         let mut direct = sample(5, 4, 11);
         let mut via_remap = direct.clone();
         direct.merge_sequential_mapped(&sub, &node_map, &edge_map);
-        via_remap.merge_sequential(&sub.remap(&node_map, &edge_map, 5, 4));
+        merge_after(&mut via_remap, &sub.remap(&node_map, &edge_map, 5, 4));
         assert_eq!(direct, via_remap);
         assert_eq!(direct.node_energy, vec![3, 10, 3, 9, 3]);
     }
@@ -336,12 +326,40 @@ mod tests {
         let mut direct = huge.clone();
         direct.node_energy = vec![u64::MAX - 1, 0];
         let mut mapped = direct.clone();
-        direct.merge_sequential(&huge);
+        merge_after(&mut direct, &huge);
         mapped.merge_sequential_mapped(&huge, &[NodeId(0), NodeId(1)], &[EdgeId(0)]);
         for merged in [direct, mapped] {
             assert_eq!(merged.rounds, u64::MAX);
             assert_eq!(merged.node_energy, vec![u64::MAX, 3]);
             assert_eq!(merged.mean_energy(), (u64::MAX as f64 + 3.0) / 2.0);
+        }
+    }
+
+    #[test]
+    fn every_merge_saturates() {
+        let mut near = Metrics::zero(2, 2);
+        for field in scalars(&mut near) {
+            *field = u64::MAX - 1;
+        }
+        near.node_energy = vec![u64::MAX - 1, 1];
+        near.edge_congestion = vec![u64::MAX - 1, 1];
+        let mut phase = Metrics::zero(2, 2);
+        for field in scalars(&mut phase) {
+            *field = 1;
+        }
+        phase.node_energy = vec![1, 1];
+        phase.edge_congestion = vec![1, 1];
+        // Node 0 and edge 0 named twice: each receives both entries.
+        let (node_map, edge_map) = ([NodeId(0); 2], [EdgeId(0); 2]);
+        let mut direct = near.clone();
+        direct.merge_sequential_mapped(&phase, &node_map, &edge_map);
+        // `remap` scatters `near` onto node 0 and edge 0 first.
+        let mut via_remap = near.remap(&node_map, &edge_map, 2, 2);
+        assert_eq!((via_remap.node_energy[0], via_remap.edge_congestion[0]), (u64::MAX, u64::MAX));
+        via_remap.merge_sequential_mapped(&phase, &node_map, &edge_map);
+        for mut merged in [direct, via_remap] {
+            assert_eq!((merged.node_energy[0], merged.edge_congestion[0]), (u64::MAX, u64::MAX));
+            assert!(scalars(&mut merged).iter().all(|field| **field == u64::MAX));
         }
     }
 

@@ -65,14 +65,9 @@ pub struct NodeCtx<'a> {
     /// The engine's round outbox; this node's sends start at the position the
     /// engine recorded before handing out the context.
     outbox: &'a mut Vec<InFlight>,
-    /// If set, the node sleeps (or, with `listen`, listens) and next runs at
-    /// this round.
-    pub(crate) wake_at: Option<u64>,
-    /// `wake_at` is a listening deadline: the node stays awake — charged and
-    /// receptive — and runs earlier if mail arrives.
-    pub(crate) listen: bool,
-    /// The node halts (stops for good; counts no further energy).
-    pub(crate) halt: bool,
+    /// How the engine schedules this node next: the last sleep or listen
+    /// request, unless the node halted.
+    request: Request,
 }
 
 /// What a node asked for while it ran: how the engine schedules it next.
@@ -93,11 +88,14 @@ impl<'a> NodeCtx<'a> {
     /// The scheduling request this step ends with: `halt` beats the sleep
     /// and listen requests, of which the last call won.
     pub(crate) fn request(&self) -> Request {
-        match self.wake_at {
-            _ if self.halt => Request::Halt,
-            Some(round) if self.listen => Request::ListenUntil(round),
-            Some(round) => Request::SleepUntil(round),
-            None => Request::Stay,
+        self.request
+    }
+
+    /// Records a sleep or listen request, unless the node halted or `round`
+    /// is not past the next round.
+    fn wait(&mut self, round: u64, request: Request) {
+        if round > self.round + 1 && self.request != Request::Halt {
+            self.request = request;
         }
     }
 
@@ -116,9 +114,7 @@ impl<'a> NodeCtx<'a> {
             neighbors: &adjacency[lo as usize..hi as usize],
             run_start: lo,
             outbox,
-            wake_at: None,
-            listen: false,
-            halt: false,
+            request: Request::Stay,
         }
     }
 
@@ -193,10 +189,7 @@ impl<'a> NodeCtx<'a> {
     /// [`NodeCtx::listen_until`]. When both are called in one step the last
     /// call wins.
     pub fn sleep_until(&mut self, round: u64) {
-        if round > self.round + 1 {
-            self.wake_at = Some(round);
-            self.listen = false;
-        }
+        self.wait(round, Request::SleepUntil(round));
     }
 
     /// Keeps the node awake but idle until the given round: it is charged one
@@ -214,16 +207,13 @@ impl<'a> NodeCtx<'a> {
     /// When both are called in one step the last call wins, and
     /// [`NodeCtx::halt`] beats both.
     pub fn listen_until(&mut self, round: u64) {
-        if round > self.round + 1 {
-            self.wake_at = Some(round);
-            self.listen = true;
-        }
+        self.wait(round, Request::ListenUntil(round));
     }
 
     /// Halts this node: it stops participating in the protocol, consumes no
     /// further energy, and the simulation ends when every node has halted.
     pub fn halt(&mut self) {
-        self.halt = true;
+        self.request = Request::Halt;
     }
 }
 
@@ -302,23 +292,24 @@ mod tests {
         let mut outbox = Vec::new();
         let mut ctx = NodeCtx::new(NodeId(1), 10, &g, &mut outbox);
         ctx.sleep_until(11);
-        assert_eq!(ctx.wake_at, None, "the next round is no sleep");
+        assert_eq!(ctx.request(), Request::Stay, "the next round is no sleep");
         ctx.sleep_until(16);
-        assert_eq!(ctx.wake_at, Some(16));
+        assert_eq!(ctx.request(), Request::SleepUntil(16));
         ctx.sleep_until(12);
-        assert_eq!(ctx.wake_at, Some(12));
+        assert_eq!(ctx.request(), Request::SleepUntil(12));
         ctx.sleep_until(3);
-        assert_eq!(ctx.wake_at, Some(12), "past targets are ignored");
-        assert!(!ctx.listen);
+        assert_eq!(ctx.request(), Request::SleepUntil(12), "past targets are ignored");
         ctx.listen_until(30);
-        assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true));
+        assert_eq!(ctx.request(), Request::ListenUntil(30));
         ctx.listen_until(11);
-        assert_eq!((ctx.wake_at, ctx.listen), (Some(30), true), "next-round targets are ignored");
+        assert_eq!(ctx.request(), Request::ListenUntil(30), "next-round targets are ignored");
         ctx.sleep_until(12);
-        assert_eq!((ctx.wake_at, ctx.listen), (Some(12), false), "the last call wins");
-        assert!(!ctx.halt);
+        assert_eq!(ctx.request(), Request::SleepUntil(12), "the last call wins");
         ctx.halt();
-        assert!(ctx.halt);
+        assert_eq!(ctx.request(), Request::Halt);
+        ctx.sleep_until(40);
+        ctx.listen_until(40);
+        assert_eq!(ctx.request(), Request::Halt, "halt beats both");
     }
 
     #[test]

@@ -54,9 +54,7 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as `System::alloc`, to which this delegates.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // simlint::allow(relaxed-ordering: as above)
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's `Layout` contract unchanged.
         unsafe { System.alloc(layout) }
@@ -64,9 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // simlint::allow(relaxed-ordering: as above)
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's `Layout` contract unchanged.
         unsafe { System.alloc_zeroed(layout) }
@@ -74,9 +70,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // simlint::allow(relaxed-ordering: monotone test-only counter; snapshots need no ordering with other memory)
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // simlint::allow(relaxed-ordering: as above)
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwards the caller's pointer/layout contract unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -118,7 +112,6 @@ impl Protocol for ProbedFlood {
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
         if ctx.node_id() == NodeId(0) {
-            // simlint::allow(relaxed-ordering: the counter is monotone and single-purpose; an exact-at-a-boundary read is not required)
             self.snapshots.push((ctx.round(), ALLOCATIONS.load(Ordering::Relaxed)));
         }
         for msg in inbox {
@@ -171,10 +164,8 @@ fn setup_allocations_of<T>(run: impl Fn() -> T + Sync) -> (u64, u64) {
 }
 
 fn allocations_of_one<T>(run: impl FnOnce() -> T) -> (u64, u64) {
-    // simlint::allow(relaxed-ordering: monotone test-only counters read on the thread that allocates)
     let before = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     let out = run();
-    // simlint::allow(relaxed-ordering: as above)
     let after = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     drop(out);
     (after.0 - before.0, after.1 - before.1)
@@ -431,7 +422,6 @@ impl Protocol for ProbedListener {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
         match self {
             ProbedListener::Probe { until, snapshots } => {
-                // simlint::allow(relaxed-ordering: the counter is monotone and single-purpose; an exact-at-a-boundary read is not required)
                 snapshots.push((ctx.round(), ALLOCATIONS.load(Ordering::Relaxed)));
                 if ctx.round() >= *until {
                     ctx.halt();
