@@ -518,7 +518,11 @@ mod tests {
         let trace = spread_trace(&[3, 0, 7], 5);
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.total_messages(), 10);
-        assert_eq!(trace.max_edge_total(), 7);
+        let mut per_edge = [0u64; 3];
+        for &(e, c) in trace.rounds.iter().flatten() {
+            per_edge[e.index()] += u64::from(c);
+        }
+        assert_eq!(per_edge, [3, 0, 7]);
     }
 
     #[test]

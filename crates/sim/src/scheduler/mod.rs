@@ -21,32 +21,25 @@
 //!
 //! Edges do not interact under this queueing discipline: each edge serves its
 //! own backlog at `capacity` messages per round, so the whole schedule
-//! decomposes into independent per-edge queues. The implementation (module
-//! `replay`) exploits this literally: it replays **one edge at a time**,
-//! pouring the edge's arrivals into one reusable round-indexed count column
-//! and running the edge's queue over the occupied rounds with lazy service
-//! draining. Two front ends feed that core:
+//! decomposes into independent per-edge queues. [`schedule_spread`] (module
+//! `replay`) exploits this literally: it takes instances as `(delay, rounds,
+//! per-edge totals)`, generates each edge's evenly spread arrivals on the
+//! fly into one reusable count column, and runs the edge's queue over the
+//! occupied rounds with lazy service draining — **one edge at a time**, with
+//! no trace at any point. `congest_sssp::apsp` composes its `n` SSSP
+//! instances through it in `O(messages)` time and `O(n · m + occupied
+//! rounds)` memory (the `n` per-edge total vectors plus the column). Nothing
+//! costs anything per *scheduler round*: the column indexes only the union
+//! of the instances' `[delay, delay + len)` windows, so instances started
+//! `2^40` rounds apart cost the sum of their lengths. `docs/APSP.md` has the
+//! full argument.
 //!
-//! * [`schedule_spread`] takes instances as `(delay, rounds, per-edge
-//!   totals)` and generates their evenly spread arrivals on the fly — no
-//!   trace exists at any point. `congest_sssp::apsp` composes its `n` SSSP
-//!   instances through it in `O(messages)` time and `O(n · m + occupied
-//!   rounds)` memory (the `n` per-edge total vectors plus the column).
-//! * [`schedule_with_delays`] / [`random_delay_schedule`] take explicit
-//!   [`EdgeUsageTrace`]s, built by the caller (the simulator records none);
-//!   their entries are grouped by edge with one counting sort, `O(trace
-//!   entries + edges + occupied rounds)` time and memory.
-//!
-//! Neither costs anything per *scheduler round*: the column indexes only the
-//! union of the instances' `[delay, delay + len)` windows, so instances
-//! started `2^40` rounds apart cost the sum of their lengths. (An earlier
-//! design bucketed arrivals by round in a streaming builder and claimed
-//! `O(m + makespan)` memory for APSP; the buckets were `O(total messages)`
-//! — most of the peak heap — and one `Vec` header per round up to the
-//! largest delay.) The pre-rework round-by-round loop is retained as
-//! [`schedule_reference`], the oracle of the differential tests
-//! (`crates/sim/tests/scheduler_equivalence.rs`, mirroring the
-//! `Engine::run_reference` pattern). `docs/APSP.md` has the full argument.
+//! Explicit [`EdgeUsageTrace`]s, built by the caller (the simulator records
+//! none), go through [`schedule_reference`], the round-by-round loop
+//! ([`random_delay_schedule`] draws the delays and calls it). It is the
+//! oracle of the differential tests (`crates/sim/tests/scheduler_equivalence.rs`,
+//! mirroring the `Engine::run_reference` pattern): [`schedule_spread`] must
+//! equal it on the materialised per-message partition.
 //!
 //! # Makespan semantics
 //!
@@ -73,9 +66,9 @@ pub use reference::schedule_reference;
 pub use replay::{schedule_spread, SpreadInstance};
 
 /// The per-round, per-edge usage of one protocol instance: the input format
-/// of [`schedule_with_delays`], [`random_delay_schedule`] and
-/// [`schedule_reference`]. The simulator does not record it; a caller builds
-/// it, e.g. by spreading an instance's per-edge totals over its rounds.
+/// of [`random_delay_schedule`] and [`schedule_reference`]. The simulator
+/// does not record it; a caller builds it, e.g. by spreading an instance's
+/// per-edge totals over its rounds.
 ///
 /// `rounds[r]` lists `(edge, messages_sent_over_edge_in_round_r)` pairs,
 /// sparsely (edges with zero usage are omitted); the round axis is dense.
@@ -99,18 +92,6 @@ impl EdgeUsageTrace {
     /// Total messages in the trace.
     pub fn total_messages(&self) -> u64 {
         self.rounds.iter().flatten().map(|&(_, c)| c as u64).sum()
-    }
-
-    /// The maximum number of messages any single edge carries over the whole
-    /// trace (the instance's congestion).
-    pub fn max_edge_total(&self) -> u64 {
-        let mut totals = std::collections::BTreeMap::new();
-        for round in &self.rounds {
-            for &(e, c) in round {
-                *totals.entry(e).or_insert(0u64) += c as u64;
-            }
-        }
-        totals.values().copied().max().unwrap_or(0)
     }
 }
 
@@ -167,11 +148,11 @@ pub struct ScheduleOutcome {
 /// Draws one instance start delay: uniform from `0..max_delay`, or a fixed
 /// 0 — consuming no randomness — when `max_delay` is 0 ("no delays").
 ///
-/// This is **the** delay-draw convention: every composer that promises a
-/// delay stream identical to [`random_delay_schedule`]'s (both APSP drivers
-/// in `congest_sssp::apsp`) must call this helper
-/// rather than re-implementing the draw, so the bit-identical-outcome
-/// guarantees cannot drift apart.
+/// This is **the** delay-draw convention: [`random_delay_schedule`],
+/// `congest_sssp::apsp` and its test-only oracle (`apsp/reference.rs`) all
+/// call this helper rather than re-implementing the draw, so their delay
+/// streams, and the bit-identical outcomes that rest on them, cannot drift
+/// apart.
 pub fn draw_delay<R: Rng>(rng: &mut R, max_delay: u64) -> u64 {
     if max_delay == 0 {
         0
@@ -183,37 +164,21 @@ pub fn draw_delay<R: Rng>(rng: &mut R, max_delay: u64) -> u64 {
 /// Superimposes the given instance traces with random start delays and a
 /// per-round edge capacity, and returns the realized makespan.
 ///
+/// Draws one delay per trace with [`draw_delay`], in trace order, and runs
+/// the traces through [`schedule_reference`], the round-by-round loop.
 /// Returns a zero outcome if `traces` is empty.
+///
+/// # Panics
+///
+/// Panics if the capacity is zero or an instance's `delay + len` does not
+/// fit `u64` ([`schedule_spread`] reports the latter as an error instead).
 pub fn random_delay_schedule(
     traces: &[EdgeUsageTrace],
     config: &ScheduleConfig,
 ) -> ScheduleOutcome {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let delays: Vec<u64> = traces.iter().map(|_| draw_delay(&mut rng, config.max_delay)).collect();
-    schedule_with_delays(traces, &delays, config.edge_capacity_per_round)
-}
-
-/// Like [`random_delay_schedule`] but with caller-chosen delays (useful for
-/// testing the best/worst case and for the "no delays" baseline).
-///
-/// Runs the per-edge replay; [`schedule_reference`] is the retained
-/// round-by-round oracle with identical semantics.
-///
-/// # Panics
-///
-/// Panics if `delays.len() != traces.len()`, the capacity is zero, an
-/// instance's `delay + len` does not fit `u64`, or the occupied rounds'
-/// count column cannot be allocated ([`schedule_spread`] reports the last
-/// two cases as errors instead).
-pub fn schedule_with_delays(
-    traces: &[EdgeUsageTrace],
-    delays: &[u64],
-    edge_capacity_per_round: u32,
-) -> ScheduleOutcome {
-    match replay::schedule_traces(traces, delays, edge_capacity_per_round) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("{e}"),
-    }
+    schedule_reference(traces, &delays, config.edge_capacity_per_round)
 }
 
 #[cfg(test)]
@@ -233,7 +198,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
         assert_eq!(t.total_messages(), 6);
-        assert_eq!(t.max_edge_total(), 4);
         assert!(EdgeUsageTrace::default().is_empty());
     }
 
@@ -249,7 +213,7 @@ mod tests {
     #[test]
     fn single_instance_keeps_its_length() {
         let t = uniform_trace(0, 10);
-        let out = schedule_with_delays(&[t], &[0], 1);
+        let out = schedule_reference(&[t], &[0], 1);
         assert_eq!(out.makespan, 10);
         assert_eq!(out.dilation, 10);
         assert_eq!(out.sequential_rounds, 10);
@@ -262,7 +226,7 @@ mod tests {
         // Ten instances, each using a different edge: contention-free.
         let traces: Vec<_> = (0..10).map(|e| uniform_trace(e, 20)).collect();
         let delays = vec![0; 10];
-        let out = schedule_with_delays(&traces, &delays, 1);
+        let out = schedule_reference(&traces, &delays, 1);
         assert_eq!(out.makespan, 20, "no contention, makespan = dilation");
         assert_eq!(out.sequential_rounds, 200);
     }
@@ -273,7 +237,7 @@ mod tests {
         // carry 10 messages per round at capacity 1, so makespan ~ 10 * 20.
         let traces: Vec<_> = (0..10).map(|_| uniform_trace(0, 20)).collect();
         let delays = vec![0; 10];
-        let out = schedule_with_delays(&traces, &delays, 1);
+        let out = schedule_reference(&traces, &delays, 1);
         assert!(out.makespan >= 200, "makespan {} should reflect full serialization", out.makespan);
         assert_eq!(out.congestion, 200);
         assert!(out.max_edge_backlog >= 9);
@@ -286,11 +250,12 @@ mod tests {
         // large window, queueing is much smaller.
         let traces: Vec<_> =
             (0..50).map(|_| EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 1)]] }).collect();
-        let no_delay = schedule_with_delays(&traces, &vec![0; 50], 1);
+        let no_delay = random_delay_schedule(&traces, &ScheduleConfig::default());
         let spread = random_delay_schedule(
             &traces,
             &ScheduleConfig { edge_capacity_per_round: 1, max_delay: 500, seed: 42 },
         );
+        assert_eq!(no_delay.delays, vec![0; 50], "max_delay 0 means no delays");
         assert!(no_delay.max_edge_backlog >= 49);
         assert!(
             spread.max_edge_backlog < no_delay.max_edge_backlog,
@@ -303,8 +268,8 @@ mod tests {
     #[test]
     fn higher_capacity_shrinks_makespan() {
         let traces: Vec<_> = (0..8).map(|_| uniform_trace(0, 10)).collect();
-        let slow = schedule_with_delays(&traces, &[0; 8], 1);
-        let fast = schedule_with_delays(&traces, &[0; 8], 8);
+        let slow = schedule_reference(&traces, &[0; 8], 1);
+        let fast = schedule_reference(&traces, &[0; 8], 8);
         assert!(fast.makespan < slow.makespan);
         assert_eq!(fast.model_rounds, fast.makespan * 8);
     }
@@ -312,7 +277,7 @@ mod tests {
     #[test]
     fn makespan_at_least_delay_plus_length() {
         let t = uniform_trace(0, 5);
-        let out = schedule_with_delays(&[t], &[100], 1);
+        let out = schedule_reference(&[t], &[100], 1);
         assert!(out.makespan >= 105);
     }
 
@@ -332,12 +297,12 @@ mod tests {
         // `model_rounds: 0` while the makespan (= horizon) was nonzero.
         let traces = vec![EdgeUsageTrace { rounds: vec![vec![], vec![], vec![]] }];
         for capacity in [1u32, 4] {
-            let out = schedule_with_delays(&traces, &[7], capacity);
+            let out = schedule_reference(&traces, &[7], capacity);
             assert_eq!(out.makespan, 10, "horizon = delay + len");
             assert_eq!(out.model_rounds, 10 * capacity as u64);
             assert_eq!(out.total_messages, 0);
-            let reference = schedule_reference(&traces, &[7], capacity);
-            assert_eq!(out, reference);
+            let silent = SpreadInstance { delay: 7, rounds: 3, edge_totals: &[] };
+            assert_eq!(schedule_spread(&[silent], capacity), Ok(out));
         }
     }
 
@@ -347,10 +312,10 @@ mod tests {
         // occupies the schedule for its full five-round duration.
         let t =
             EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 1)], vec![], vec![], vec![], vec![]] };
-        let out = schedule_with_delays(std::slice::from_ref(&t), &[0], 1);
+        let out = schedule_reference(std::slice::from_ref(&t), &[0], 1);
         assert_eq!(out.makespan, 5, "trailing silence counts toward the horizon");
         // With a delay the horizon shifts accordingly.
-        let delayed = schedule_with_delays(&[t], &[3], 1);
+        let delayed = schedule_reference(&[t], &[3], 1);
         assert_eq!(delayed.makespan, 8);
     }
 
@@ -361,7 +326,7 @@ mod tests {
         // at most ceil(congestion / capacity) further rounds.
         let traces: Vec<_> = (0..6).map(|_| uniform_trace(0, 9)).collect();
         for capacity in [1u32, 2, 4] {
-            let out = schedule_with_delays(&traces, &[0, 1, 2, 3, 4, 5], capacity);
+            let out = schedule_reference(&traces, &[0, 1, 2, 3, 4, 5], capacity);
             let horizon = 9 + 5;
             assert!(out.makespan >= horizon as u64);
             assert!(

@@ -1,15 +1,17 @@
-//! The retained round-by-round scheduling loop, kept as the oracle for the
-//! per-edge replay (mirroring `Engine::run_reference`).
+//! The round-by-round scheduling loop: the one path for explicit traces and
+//! the oracle of the per-edge replay (mirroring `Engine::run_reference`).
 //!
 //! [`schedule_reference`] replays the superimposed traces one scheduler round
 //! at a time through a `BTreeMap` backlog — `O(busy rounds × instances)` work
 //! plus map overhead, which is exactly the cost profile the per-edge replay
-//! replaces. It stays because its semantics are easy to audit line by line;
-//! the differential harness (`crates/sim/tests/scheduler_equivalence.rs`)
-//! asserts both produce identical [`ScheduleOutcome`]s on random and
-//! adversarial inputs. Its one concession to cost: a stretch of rounds in
-//! which nothing is queued and no instance is running is skipped in one step
-//! (nothing can happen in it), so delays that are far apart stay testable.
+//! ([`super::schedule_spread`]) avoids. Its semantics are easy to audit line
+//! by line; the differential harness
+//! (`crates/sim/tests/scheduler_equivalence.rs`) asserts that the replay
+//! produces identical [`ScheduleOutcome`]s on the materialised per-message
+//! partition of random and adversarial instances. Its one concession to
+//! cost: a stretch of rounds in which nothing is queued and no instance is
+//! running is skipped in one step (nothing can happen in it), so delays that
+//! are far apart stay testable.
 
 use std::collections::BTreeMap;
 
@@ -18,8 +20,11 @@ use congest_graph::EdgeId;
 use super::ScheduleOutcome;
 use crate::EdgeUsageTrace;
 
-/// Round-by-round oracle for [`super::schedule_with_delays`]: identical
-/// semantics, `O(busy rounds × instances)` cost.
+/// Schedules explicit traces started after the given delays, one scheduler
+/// round at a time: `O(busy rounds × instances)` cost. It is the oracle of
+/// [`super::schedule_spread`], which must report the same outcome for the
+/// materialised per-message partition, and the engine of
+/// [`super::random_delay_schedule`].
 ///
 /// # Panics
 ///

@@ -1,24 +1,17 @@
-//! The per-edge replay core of the random-delay scheduler.
+//! The per-edge replay of the random-delay scheduler: [`schedule_spread`].
 //!
+//! Instances are described by `(delay, rounds, per-edge totals)`, their
+//! messages spread evenly over their duration (message `k` of an edge's `t`
+//! goes to local round `⌊k·R/t⌋`); this is what `congest_sssp::apsp` runs.
 //! Edges do not interact under the queueing discipline (each serves its own
 //! backlog at `capacity` messages per round), so the schedule is replayed
-//! **one edge at a time**: a front end pours every arrival of the edge into
-//! one reusable round-indexed count column (plus an occupancy bitmap), and
+//! **one edge at a time**: [`Replay::pour_spread`] generates every arrival of
+//! the edge on the fly into one reusable round-indexed count column (plus an
+//! occupancy bitmap) — no trace is ever materialised — and
 //! [`Replay::close_edge`] runs the edge's queue over the set bits in round
 //! order — lazily draining the service between two arrivals in `O(1)`
 //! arithmetic — and clears the column as it goes. Nothing is allocated per
 //! message, per round or per edge.
-//!
-//! Two front ends feed the core:
-//!
-//! * [`schedule_spread`] — instances described by `(delay, rounds, per-edge
-//!   totals)` whose messages are spread evenly over their duration (message
-//!   `k` of an edge's `t` goes to local round `⌊k·R/t⌋`). The arrivals are
-//!   generated on the fly; no trace is ever materialised. This is what
-//!   `congest_sssp::apsp` runs.
-//! * [`schedule_traces`] — explicit [`EdgeUsageTrace`]s, whose
-//!   `(edge, round, count)` entries are grouped by edge with one counting
-//!   sort. This powers [`super::schedule_with_delays`].
 //!
 //! # Occupied time
 //!
@@ -28,17 +21,17 @@
 //! costs the sum of their lengths, not the gap, while elapsed service time
 //! is still computed from real round numbers. See `docs/APSP.md`.
 //!
-//! The semantics are exactly those of the retained round-by-round oracle
-//! [`super::schedule_reference`]; `crates/sim/tests/scheduler_equivalence.rs`
-//! pins the equivalence for both front ends.
+//! The semantics are exactly those of the round-by-round loop
+//! [`super::schedule_reference`] on the materialised per-message partition;
+//! `crates/sim/tests/scheduler_equivalence.rs` pins the equivalence.
 //!
 //! simlint: hot-path
 
-use crate::{EdgeUsageTrace, SimError};
+use crate::SimError;
 
 use super::ScheduleOutcome;
 
-/// One protocol instance as the spread front end sees it: when it starts,
+/// One protocol instance as [`schedule_spread`] sees it: when it starts,
 /// how long it runs, and how many messages it sends over each edge in total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpreadInstance<'a> {
@@ -340,110 +333,14 @@ pub fn schedule_spread(
     replay.finish(instances.iter().map(|i| i.delay).collect())
 }
 
-/// Schedules explicit traces started after the given delays: the entries are
-/// grouped by edge with one counting sort and replayed edge by edge.
-///
-/// # Errors
-///
-/// [`SimError::ScheduleHorizonOverflow`] if an instance's `delay + len` (or
-/// the schedule's completion time) does not fit `u64`, and
-/// [`SimError::ScheduleTooLong`] if the occupied rounds' count column cannot
-/// be allocated.
-pub(super) fn schedule_traces(
-    traces: &[EdgeUsageTrace],
-    delays: &[u64],
-    edge_capacity_per_round: u32,
-) -> Result<ScheduleOutcome, SimError> {
-    assert_eq!(traces.len(), delays.len(), "one delay per instance required");
-    let timeline = Timeline::new(traces.iter().zip(delays).map(|(t, &d)| (d, t.len() as u64)))?;
-    let mut replay = Replay::new(edge_capacity_per_round, timeline)?;
-
-    // Counting sort of the non-zero entries by edge: `first[e]..first[e + 1]`
-    // will be edge `e`'s `(slot, count)` arrivals.
-    let live = || {
-        traces.iter().enumerate().flat_map(|(i, trace)| {
-            trace.rounds.iter().enumerate().flat_map(move |(local, entries)| {
-                entries.iter().filter(|&&(_, c)| c > 0).map(move |&(e, c)| (i, local, e, c))
-            })
-        })
-    };
-    // simlint::allow(hot-path-alloc: per-schedule set-up, one offset per edge)
-    let mut first = vec![0usize];
-    for (_, _, e, _) in live() {
-        if first.len() < e.index() + 2 {
-            first.resize(e.index() + 2, 0);
-        }
-        first[e.index() + 1] += 1;
-    }
-    let edges = first.len() - 1;
-    for e in 0..edges {
-        first[e + 1] += first[e];
-    }
-    // simlint::allow(hot-path-alloc: per-schedule set-up, the explicit entries grouped by edge)
-    let mut arrivals = vec![(0usize, 0u32); first[edges]];
-    for (i, local, e, c) in live() {
-        arrivals[first[e.index()]] = (replay.timeline.slot_of[i] + local, c);
-        first[e.index()] += 1;
-    }
-    // Filling advanced every `first[e]` to the end of `e`'s run, which is
-    // where `e + 1`'s begins.
-    let mut begin = 0;
-    for &end in &first[..edges] {
-        for &(slot, count) in &arrivals[begin..end] {
-            replay.pour(slot, u64::from(count));
-        }
-        replay.close_edge();
-        begin = end;
-    }
-    replay.finish(delays.to_vec()) // simlint::allow(hot-path-alloc: part of the outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::schedule_with_delays;
-    use congest_graph::EdgeId;
-
-    #[test]
-    fn lazy_draining_tracks_interleaved_batches() {
-        // Edge 0: 5 messages at round 0, 2 more at round 2, capacity 2.
-        // Backlog: r0 = 5 (peak), serve 2; r1 = 3, serve 2; r2 = 1 + 2 = 3,
-        // serve 2; r3 = 1, serve 1 -> last service round 3, makespan 4.
-        let trace =
-            EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 5)], vec![], vec![(EdgeId(0), 2)]] };
-        let out = schedule_with_delays(&[trace], &[0], 2);
-        assert_eq!(out.makespan, 4);
-        assert_eq!(out.max_edge_backlog, 5);
-        assert_eq!(out.congestion, 7);
-        assert_eq!(out.model_rounds, 8);
-    }
-
-    #[test]
-    fn batches_that_drain_before_the_next_arrival_finalize_their_span() {
-        // Edge 0: 2 messages at round 0 (drain by round 1), 1 at round 9.
-        // Last service round is 9, makespan 10, peak backlog 2.
-        let mut rounds = vec![vec![(EdgeId(0), 2)]];
-        rounds.extend(std::iter::repeat_with(Vec::new).take(8));
-        rounds.push(vec![(EdgeId(0), 1)]);
-        let out = schedule_with_delays(&[EdgeUsageTrace { rounds }], &[0], 1);
-        assert_eq!(out.makespan, 10);
-        assert_eq!(out.max_edge_backlog, 2);
-    }
-
-    #[test]
-    fn zero_count_entries_are_ignored() {
-        let trace = EdgeUsageTrace { rounds: vec![vec![(EdgeId(3), 0), (EdgeId(1), 0)], vec![]] };
-        let out = schedule_with_delays(&[trace], &[4], 1);
-        assert_eq!(out.total_messages, 0);
-        assert_eq!(out.makespan, 6, "horizon = delay 4 + len 2");
-        assert_eq!(out.model_rounds, 6);
-        assert_eq!(out.congestion, 0);
-    }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
-        let _ = schedule_with_delays(&[], &[], 0);
+        let _ = schedule_spread(&[], 0);
     }
 
     #[test]

@@ -1,74 +1,24 @@
-//! Differential testing of the per-edge replay scheduler against the retained
-//! round-by-round reference loop, through both of its front ends.
+//! Differential testing of the per-edge replay scheduler
+//! ([`schedule_spread`]) against the round-by-round reference loop
+//! ([`schedule_reference`]).
 //!
-//! Random trace sets (random lengths, sparse per-round edge usage including
-//! zero-count entries and empty rounds), random delays, and random capacities
-//! run through both [`schedule_with_delays`] (the explicit-entry front end)
-//! and [`schedule_reference`]. The two must produce identical
+//! The replay never sees a trace: it is compared with the reference run on
+//! the *materialised* per-message partition (message `k` of an edge's `t` in
+//! local round `⌊k·R/t⌋`). The two must produce identical
 //! [`ScheduleOutcome`]s — makespan, model rounds, congestion, dilation, peak
-//! backlog, everything. A fixed matrix of edge cases (empty input, all-zero
-//! traces, capacity far above the congestion, single instance, trailing
-//! message-free rounds, adversarial same-edge pileups) complements the
-//! random sweep.
-//!
-//! The spread front end ([`schedule_spread`]) never sees a trace: it is
-//! compared with the reference run on the *materialised* per-message
-//! partition (message `k` of an edge's `t` in local round `⌊k·R/t⌋`).
+//! backlog, everything — on random instance sets (random lengths, totals,
+//! delays near and far apart) and on a fixed matrix of edge cases (empty
+//! input, all-zero instances, capacity far above the congestion, single
+//! instance, trailing message-free rounds, adversarial same-edge pileups).
 
 use congest_graph::EdgeId;
 use congest_sim::scheduler::{
-    schedule_reference, schedule_spread, schedule_with_delays, ScheduleOutcome, SpreadInstance,
+    schedule_reference, schedule_spread, ScheduleOutcome, SpreadInstance,
 };
 use congest_sim::EdgeUsageTrace;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Generates a pseudo-random trace set plus per-instance delays from a seed.
-fn random_workload(
-    seed: u64,
-    instances: usize,
-    max_len: usize,
-    edge_span: u32,
-    max_delay: u64,
-) -> (Vec<EdgeUsageTrace>, Vec<u64>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut traces = Vec::with_capacity(instances);
-    let mut delays = Vec::with_capacity(instances);
-    for _ in 0..instances {
-        let len = rng.gen_range(0..=max_len);
-        let mut rounds = Vec::with_capacity(len);
-        for _ in 0..len {
-            let entries = rng.gen_range(0..4usize);
-            let mut round = Vec::with_capacity(entries);
-            for _ in 0..entries {
-                // Zero counts are deliberately included: they must be inert
-                // in both schedulers.
-                round.push((EdgeId(rng.gen_range(0..edge_span)), rng.gen_range(0..5u32)));
-            }
-            rounds.push(round);
-        }
-        traces.push(EdgeUsageTrace { rounds });
-        delays.push(if max_delay == 0 { 0 } else { rng.gen_range(0..max_delay) });
-    }
-    (traces, delays)
-}
-
-/// Runs both schedulers and asserts identical outcomes; returns the outcome
-/// so callers can pile on further invariants.
-fn assert_schedulers_equivalent(
-    traces: &[EdgeUsageTrace],
-    delays: &[u64],
-    capacity: u32,
-) -> ScheduleOutcome {
-    let event = schedule_with_delays(traces, delays, capacity);
-    let reference = schedule_reference(traces, delays, capacity);
-    assert_eq!(
-        event, reference,
-        "event-driven and reference schedulers diverged (capacity {capacity})"
-    );
-    event
-}
 
 /// Invariants every outcome must satisfy regardless of input.
 fn assert_outcome_invariants(out: &ScheduleOutcome, capacity: u32) {
@@ -78,61 +28,7 @@ fn assert_outcome_invariants(out: &ScheduleOutcome, capacity: u32) {
     assert!(out.max_edge_backlog <= out.total_messages);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    #[test]
-    fn schedulers_agree_on_random_workloads(
-        seed in 0u64..1_000_000,
-        instances in 0usize..12,
-        max_len in 0usize..10,
-        edge_span in 1u32..8,
-        max_delay in 0u64..20,
-        capacity in 1u32..5,
-    ) {
-        let (traces, delays) = random_workload(seed, instances, max_len, edge_span, max_delay);
-        let out = assert_schedulers_equivalent(&traces, &delays, capacity);
-        assert_outcome_invariants(&out, capacity);
-        // Termination/tightness bound: once arrivals stop (at the horizon),
-        // the worst edge drains in ceil(congestion / capacity) rounds.
-        let horizon = traces
-            .iter()
-            .zip(&delays)
-            .map(|(t, &d)| t.len() as u64 + d)
-            .max()
-            .unwrap_or(0);
-        prop_assert!(
-            out.makespan <= horizon + out.congestion.div_ceil(capacity as u64),
-            "makespan {} beyond horizon {} + ceil({} / {})",
-            out.makespan, horizon, out.congestion, capacity
-        );
-    }
-
-    #[test]
-    fn schedulers_agree_on_contended_single_edge_workloads(
-        seed in 0u64..1_000_000,
-        instances in 1usize..16,
-        capacity in 1u32..4,
-    ) {
-        // Everything on edge 0: maximal queueing, exercises long lazy drains.
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let traces: Vec<EdgeUsageTrace> = (0..instances)
-            .map(|_| {
-                let len = rng.gen_range(1..8usize);
-                EdgeUsageTrace {
-                    rounds: (0..len)
-                        .map(|_| vec![(EdgeId(0), rng.gen_range(0..6u32))])
-                        .collect(),
-                }
-            })
-            .collect();
-        let delays: Vec<u64> = (0..instances).map(|_| rng.gen_range(0..6u64)).collect();
-        let out = assert_schedulers_equivalent(&traces, &delays, capacity);
-        assert_outcome_invariants(&out, capacity);
-    }
-}
-
-/// The trace the spread front end stands for: message `k` of edge `e`'s total
+/// The trace a spread instance stands for: message `k` of edge `e`'s total
 /// `t` sits in round `⌊k·R/t⌋` of `R = rounds.max(1)`, one push per message.
 fn materialised(edge_totals: &[u64], rounds: u64) -> EdgeUsageTrace {
     let r = rounds.max(1);
@@ -146,11 +42,11 @@ fn materialised(edge_totals: &[u64], rounds: u64) -> EdgeUsageTrace {
     EdgeUsageTrace { rounds: per_round }
 }
 
-/// Runs the spread front end and the reference on the materialised traces.
-fn assert_spread_matches_reference(
-    instances: &[(u64, u64, Vec<u64>)],
-    capacity: u32,
-) -> ScheduleOutcome {
+/// One spread instance: `(delay, rounds, per-edge totals)`.
+type Instance = (u64, u64, Vec<u64>);
+
+/// Runs the replay and the reference on the materialised traces.
+fn assert_spread_matches_reference(instances: &[Instance], capacity: u32) -> ScheduleOutcome {
     let spread: Vec<SpreadInstance<'_>> = instances
         .iter()
         .map(|(delay, rounds, totals)| SpreadInstance {
@@ -166,10 +62,8 @@ fn assert_spread_matches_reference(
     assert_eq!(
         out,
         schedule_reference(&traces, &delays, capacity),
-        "spread front end and reference diverged (capacity {capacity}) on {instances:?}"
+        "replay and reference diverged (capacity {capacity}) on {instances:?}"
     );
-    // The explicit front end agrees on the same materialisation, too.
-    assert_eq!(out, schedule_with_delays(&traces, &delays, capacity));
     out
 }
 
@@ -186,7 +80,7 @@ proptest! {
         far_apart in 0u64..3,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let set: Vec<(u64, u64, Vec<u64>)> = (0..instances)
+        let set: Vec<Instance> = (0..instances)
             .map(|i| {
                 // R in {0, 1} and t = R, t > R, t < R all occur; some
                 // instances are all-zero, some lack trailing edges.
@@ -214,9 +108,17 @@ proptest! {
                 (delay, rounds, totals)
             })
             .collect();
+        // Once arrivals stop (at the horizon), the worst edge drains in
+        // ceil(congestion / capacity) rounds.
+        let horizon = set.iter().map(|(delay, rounds, _)| delay + (*rounds).max(1)).max();
         for capacity in [1u32, 3, 64] {
             let out = assert_spread_matches_reference(&set, capacity);
             assert_outcome_invariants(&out, capacity);
+            prop_assert!(
+                out.makespan <= horizon.unwrap_or(0) + out.congestion.div_ceil(capacity as u64),
+                "makespan {} beyond horizon {:?} + ceil({} / {})",
+                out.makespan, horizon, out.congestion, capacity
+            );
         }
     }
 }
@@ -239,21 +141,20 @@ fn spread_front_end_edge_cases() {
 
 #[test]
 fn far_apart_delays_cost_the_occupied_rounds_only() {
-    // Two three-round instances 2^40 rounds apart: the replay's column has
-    // six slots (a round-indexed structure would need 2^40), the reference
-    // skips the idle stretch, and both agree on the real round numbers.
-    let trace = EdgeUsageTrace {
-        rounds: vec![vec![(EdgeId(0), 4)], vec![(EdgeId(1), 1)], vec![(EdgeId(0), 2)]],
-    };
-    let traces = vec![trace.clone(), trace];
+    // Two three-round instances 2^40 rounds apart, each 4 messages on edge 0,
+    // then 1 on edge 1, then 2 on edge 0: the replay's column has six slots
+    // (a round-indexed structure would need 2^40), the reference skips the
+    // idle stretch, and both agree on the real round numbers.
+    let three_rounds = |d: u64| [(d, 1, vec![4]), (d + 1, 1, vec![0, 1]), (d + 2, 1, vec![2])];
     let far = 1u64 << 40;
+    let set: Vec<_> = three_rounds(0).into_iter().chain(three_rounds(far)).collect();
     for capacity in [1u32, 2] {
-        let out = assert_schedulers_equivalent(&traces, &[0, far], capacity);
+        let out = assert_spread_matches_reference(&set, capacity);
         assert!(out.makespan >= far + 3);
         assert_eq!(out.congestion, 12);
     }
     // The backlog of the first instance drains long before the second starts.
-    let out = assert_schedulers_equivalent(&traces, &[0, far], 1);
+    let out = assert_spread_matches_reference(&set, 1);
     assert_eq!(out.makespan, far + 6, "4 at round far, 2 more at far+2: served through far+5");
     assert_eq!(out.max_edge_backlog, 4);
 }
@@ -273,29 +174,28 @@ fn a_schedule_too_long_to_hold_is_an_error_not_an_abort() {
 
 #[test]
 fn schedulers_agree_on_edge_case_matrix() {
-    let burst = |e: u32, c: u32| EdgeUsageTrace { rounds: vec![vec![(EdgeId(e), c)]] };
-    let silent = |len: usize| EdgeUsageTrace { rounds: vec![Vec::new(); len] };
-    let cases: Vec<(&str, Vec<EdgeUsageTrace>, Vec<u64>)> = vec![
-        ("empty input", vec![], vec![]),
-        ("single empty trace", vec![EdgeUsageTrace::default()], vec![0]),
-        ("single empty trace, delayed", vec![EdgeUsageTrace::default()], vec![9]),
-        ("all-zero counts", vec![EdgeUsageTrace { rounds: vec![vec![(EdgeId(2), 0)]] }], vec![3]),
-        ("message-free rounds only", vec![silent(5), silent(2)], vec![1, 7]),
-        ("single instance", vec![burst(0, 4)], vec![0]),
-        ("single instance, delayed", vec![burst(3, 7)], vec![11]),
-        (
-            "trailing silence after a burst",
-            vec![EdgeUsageTrace {
-                rounds: vec![vec![(EdgeId(0), 9)], vec![], vec![], vec![], vec![]],
-            }],
-            vec![0],
-        ),
-        ("pileup on one edge", (0..6).map(|_| burst(1, 3)).collect(), vec![0, 0, 1, 1, 2, 2]),
-        ("disjoint edges", (0..5).map(|e| burst(e, 2)).collect(), vec![0, 1, 2, 3, 4]),
+    // One round carrying `c` messages on edge `e` is an instance of one
+    // round with total `c` there.
+    let burst = |d: u64, e: usize, c: u64| {
+        let mut totals = vec![0; e + 1];
+        totals[e] = c;
+        (d, 1, totals)
+    };
+    let cases: Vec<(&str, Vec<Instance>)> = vec![
+        ("empty input", vec![]),
+        ("single zero-round instance", vec![(0, 0, vec![])]),
+        ("single zero-round instance, delayed", vec![(9, 0, vec![])]),
+        ("all-zero totals", vec![(3, 1, vec![0, 0, 0])]),
+        ("message-free rounds only", vec![(1, 5, vec![]), (7, 2, vec![])]),
+        ("single instance", vec![burst(0, 0, 4)]),
+        ("single instance, delayed", vec![burst(11, 3, 7)]),
+        ("trailing silence after a burst", vec![burst(0, 0, 9), (0, 5, vec![])]),
+        ("pileup on one edge", [0, 0, 1, 1, 2, 2].iter().map(|&d| burst(d, 1, 3)).collect()),
+        ("disjoint edges", (0..5).map(|e| burst(e as u64, e, 2)).collect()),
     ];
     for capacity in [1u32, 2, 7, 1000] {
-        for (label, traces, delays) in &cases {
-            let out = assert_schedulers_equivalent(traces, delays, capacity);
+        for (label, set) in &cases {
+            let out = assert_spread_matches_reference(set, capacity);
             assert_eq!(
                 out.model_rounds,
                 out.makespan * capacity as u64,
@@ -306,13 +206,43 @@ fn schedulers_agree_on_edge_case_matrix() {
 }
 
 #[test]
+fn lazy_draining_tracks_interleaved_batches() {
+    // Edge 0: 5 messages at round 0, 2 more at round 2, capacity 2.
+    // Backlog: r0 = 5 (peak), serve 2; r1 = 3, serve 2; r2 = 1 + 2 = 3,
+    // serve 2; r3 = 1, serve 1 -> last service round 3, makespan 4.
+    let out = assert_spread_matches_reference(&[(0, 1, vec![5]), (2, 1, vec![2])], 2);
+    assert_eq!(out.makespan, 4);
+    assert_eq!(out.max_edge_backlog, 5);
+    assert_eq!(out.congestion, 7);
+    assert_eq!(out.model_rounds, 8);
+}
+
+#[test]
+fn batches_that_drain_before_the_next_arrival_finalize_their_span() {
+    // Edge 0: 2 messages at round 0 (drain by round 1), 1 at round 9, in one
+    // ten-round segment. Last service round is 9, makespan 10, peak backlog 2.
+    let set = [(0, 1, vec![2]), (0, 10, vec![]), (9, 1, vec![1])];
+    let out = assert_spread_matches_reference(&set, 1);
+    assert_eq!(out.makespan, 10);
+    assert_eq!(out.max_edge_backlog, 2);
+}
+
+#[test]
+fn zero_totals_are_ignored() {
+    let out = assert_spread_matches_reference(&[(4, 2, vec![0, 0, 0, 0])], 1);
+    assert_eq!(out.total_messages, 0);
+    assert_eq!(out.makespan, 6, "horizon = delay 4 + len 2");
+    assert_eq!(out.model_rounds, 6);
+    assert_eq!(out.congestion, 0);
+}
+
+#[test]
 fn huge_capacity_collapses_makespan_to_the_horizon() {
     // Capacity far above the congestion: every arrival is served the round it
-    // lands, so the makespan is exactly the horizon.
-    let traces: Vec<EdgeUsageTrace> =
-        (0..8).map(|_| EdgeUsageTrace { rounds: vec![vec![(EdgeId(0), 3)]; 4] }).collect();
-    let delays = vec![0, 1, 2, 3, 4, 5, 6, 7];
-    let out = assert_schedulers_equivalent(&traces, &delays, 10_000);
+    // lands, so the makespan is exactly the horizon. Each instance sends 12
+    // messages on edge 0 over 4 rounds: 3 a round.
+    let set: Vec<_> = (0..8).map(|d| (d, 4, vec![12])).collect();
+    let out = assert_spread_matches_reference(&set, 10_000);
     assert_eq!(out.makespan, 4 + 7, "horizon = max(len + delay)");
     // Everything is served the round it arrives, so the peak backlog is the
     // largest single-round arrival: 4 overlapping instances x 3 messages.
@@ -322,15 +252,12 @@ fn huge_capacity_collapses_makespan_to_the_horizon() {
 
 #[test]
 fn replay_handles_sparse_far_apart_arrivals_cheaply() {
-    // Two arrivals 50k rounds apart within one instance: the replay's cost is
-    // two column entries (plus the 50k-slot column), not 50k x instances
-    // trace probes per round. This is a correctness check that distant
-    // batches still finalize their service spans properly.
-    let mut rounds = vec![vec![(EdgeId(0), 5)]];
-    rounds.extend(std::iter::repeat_with(Vec::new).take(50_000 - 1));
-    rounds.push(vec![(EdgeId(0), 2)]);
-    let traces = vec![EdgeUsageTrace { rounds }];
-    let out = assert_schedulers_equivalent(&traces, &[0], 1);
+    // Two arrivals 50k rounds apart inside one silent 50k-round instance:
+    // the replay's cost is two column entries (plus the 50k-slot column),
+    // not 50k x instances trace probes per round. This is a correctness
+    // check that distant batches still finalize their service spans properly.
+    let set = [(0, 1, vec![5]), (0, 50_001, vec![]), (50_000, 1, vec![2])];
+    let out = assert_spread_matches_reference(&set, 1);
     assert_eq!(out.makespan, 50_002, "second batch serves at rounds 50000-50001");
     assert_eq!(out.max_edge_backlog, 5);
     assert_eq!(out.congestion, 7);
