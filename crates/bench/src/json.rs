@@ -118,9 +118,8 @@ impl_row_json! {
         thresholded, queryable,
     }
     RunReport {
-        algorithm, n, m, rounds, messages, messages_lost, fault_drops, fault_delays, crashes,
-        restarts, max_congestion, max_energy, mean_energy, reached, error_bound, sleeping,
-        recursion, schedule, oracle,
+        algorithm, n, m, rounds, messages, messages_lost, fault_drops, max_congestion, max_energy,
+        mean_energy, reached, error_bound, sleeping, recursion, schedule, oracle,
     }
     SleepingReport { slowdown, megaround, cover_levels }
     RecursionReport { levels, subproblems, max_participation, total_subproblem_size }

@@ -13,10 +13,21 @@
 //! message per incident edge of the visited node — so the costs are a closed
 //! form over the reached set and need no simulated priority queue.
 
-use congest_graph::{Graph, NodeId};
+use congest_graph::sequential::ShortestPaths;
+use congest_graph::{EdgeId, Graph, NodeId};
 use congest_sim::Metrics;
 
 use crate::result::{AlgoRun, DistanceOutput};
+
+/// The edges of the BFS forest `bfs`: for each reached node with a parent,
+/// the first port in its parent's row that leads to it.
+fn forest_edges<'a>(g: &'a Graph, bfs: &'a ShortestPaths) -> impl Iterator<Item = EdgeId> + 'a {
+    g.nodes().filter_map(move |v| {
+        let parent = bfs.parents[v.index()]?;
+        let port = g.neighbors(parent).iter().find(|adj| adj.neighbor == v);
+        Some(port.expect("a BFS parent is a neighbour").edge)
+    })
+}
 
 /// Runs the distributed-Dijkstra baseline from `sources` (checked by the
 /// facade). Infallible: the iteration is computed, not simulated.
@@ -28,7 +39,6 @@ pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     // global minimum" convergecast runs over). Its construction costs one BFS:
     // one message per edge, every node awake for its `depth + 1` rounds.
     let bfs = congest_graph::sequential::bfs(g, sources);
-    let forest = congest_graph::sequential::spanning_forest(g);
     let tree_depth = bfs.distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0).max(1);
     let distances = congest_graph::sequential::dijkstra(g, sources).distances;
 
@@ -42,7 +52,7 @@ pub(crate) fn distributed_dijkstra(g: &Graph, sources: &[NodeId]) -> AlgoRun {
     metrics.charge_rounds(tree_depth + 1 + visits * (coordination_rounds + 1));
     metrics.charge_awake(g.nodes(), tree_depth + 1 + visits * coordination_rounds);
     metrics.charge_messages(g.edge_ids(), 1);
-    metrics.charge_messages(forest.edges.iter().copied(), 2 * visits);
+    metrics.charge_messages(forest_edges(g, &bfs), 2 * visits);
     for v in g.nodes().filter(|v| distances[v.index()].is_finite()) {
         metrics.charge_messages(g.neighbors(v).iter().map(|adj| adj.edge), 1);
     }
@@ -65,7 +75,16 @@ mod tests {
         let mut metrics = Metrics::zero(n, m);
 
         let bfs = congest_graph::sequential::bfs(g, sources);
-        let forest = congest_graph::sequential::spanning_forest(g);
+        // The forest's edges: for each node with a BFS parent, the first
+        // port of the parent's row that leads to it.
+        let mut forest = Vec::new();
+        for v in 0..n {
+            if let Some(p) = bfs.parents[v] {
+                let row = g.neighbors(p);
+                let first = (0..row.len()).find(|&i| row[i].neighbor.index() == v);
+                forest.push(row[first.expect("a BFS parent is a neighbour")].edge);
+            }
+        }
         let tree_depth = bfs.distances.iter().filter_map(|d| d.finite()).max().unwrap_or(0).max(1);
         metrics.rounds += tree_depth + 1;
         for e in 0..m {
@@ -88,7 +107,7 @@ mod tests {
             let Some(v) = next else { break };
             let coordination_rounds = 2 * tree_depth + 2;
             metrics.rounds += coordination_rounds;
-            for e in &forest.edges {
+            for e in &forest {
                 metrics.edge_congestion[e.index()] += 2;
                 metrics.messages += 2;
             }
@@ -147,6 +166,18 @@ mod tests {
         let sources = [NodeId(0), NodeId(24)];
         let run = distributed_dijkstra(&g, &sources);
         assert_eq!(run.output.distances, sequential::dijkstra(&g, &sources).distances);
+    }
+
+    #[test]
+    fn coordination_messages_go_over_the_sources_bfs_forest() {
+        // From both ends of a path, the BFS forest leaves the middle edge
+        // (2, 3) out: it carries only the construction message and the two
+        // visits of its endpoints, while each forest edge also carries
+        // 2 · 5 coordination messages.
+        let g = generators::path(5, 1);
+        let run = distributed_dijkstra(&g, &[NodeId(0), NodeId(4)]);
+        assert_eq!(run.metrics.edge_congestion, [13, 13, 3, 13]);
+        assert_eq!((run.metrics.messages, run.metrics.rounds), (42, 38));
     }
 
     #[test]

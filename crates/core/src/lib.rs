@@ -93,4 +93,4 @@ pub use solver::{registry, Algorithm, AlgorithmInfo, Solver, SolverRequest, Solv
 
 // Fault-injection surface, re-exported so experiment drivers can build chaos
 // configurations without depending on `congest_sim` directly.
-pub use congest_sim::{CrashEvent, FaultPlan};
+pub use congest_sim::FaultPlan;

@@ -93,8 +93,10 @@ pub fn build_oracle(
                 .source(NodeId(center as u32))
                 .config(config.clone())
                 .run()?;
-            rounds += run.report.rounds;
-            messages += run.report.messages;
+            // Saturating, as every `Metrics` sum is: a cluster's run may
+            // already report `u64::MAX`.
+            rounds = rounds.saturating_add(run.report.rounds);
+            messages = messages.saturating_add(run.report.messages);
             max_congestion = max_congestion.max(run.report.max_congestion);
             builder.push_cluster(&new_to_old, &run.output.distances);
         }
@@ -320,6 +322,21 @@ mod tests {
         let memberships: Vec<u32> =
             report.level_stats.iter().map(|s| s.max_membership as u32).collect();
         assert_eq!(report.level_widths, memberships);
+    }
+
+    #[test]
+    fn cluster_totals_saturate() {
+        // At a huge `epsilon_inverse` a cluster's run reports `u64::MAX`
+        // rounds, and the sum over the clusters must stay there.
+        let g = generators::with_random_weights(&generators::grid(4, 4, 1), 9, 5);
+        let run = Solver::on(&g)
+            .algorithm(Algorithm::DistanceOracle)
+            .source(NodeId(0))
+            .config(AlgoConfig::default().with_epsilon_inverse(1 << 54))
+            .oracle_config(OracleConfig::default().with_fallback_threshold(0))
+            .run()
+            .expect("the oracle builds");
+        assert_eq!(run.report.rounds, u64::MAX);
     }
 
     #[test]

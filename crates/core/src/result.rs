@@ -75,15 +75,8 @@ pub struct RunReport {
     /// Messages dropped on sleeping/halted recipients (sleeping-model
     /// accounting; fault-injected losses are in [`RunReport::fault_drops`]).
     pub messages_lost: u64,
-    /// Messages destroyed by the fault plan: random in-transit drops plus
-    /// deliveries addressed to crashed nodes (0 for fault-free runs).
+    /// Messages the fault plan dropped in transit (0 for fault-free runs).
     pub fault_drops: u64,
-    /// Messages delayed in transit by fault-plan jitter.
-    pub fault_delays: u64,
-    /// Crash events applied by the fault plan.
-    pub crashes: u64,
-    /// Restart events applied by the fault plan.
-    pub restarts: u64,
     /// Maximum per-edge congestion.
     pub max_congestion: u64,
     /// Maximum per-node energy (awake rounds). All-pairs compositions do
@@ -125,9 +118,6 @@ impl RunReport {
             messages: metrics.messages,
             messages_lost: metrics.messages_lost,
             fault_drops: metrics.fault_drops,
-            fault_delays: metrics.fault_delays,
-            crashes: metrics.crashes,
-            restarts: metrics.restarts,
             max_congestion: metrics.max_congestion(),
             max_energy: metrics.max_energy(),
             mean_energy: metrics.mean_energy(),

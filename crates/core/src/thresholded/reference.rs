@@ -55,9 +55,6 @@ impl Accumulator {
         total.messages += phase.messages;
         total.messages_lost += phase.messages_lost;
         total.fault_drops += phase.fault_drops;
-        total.fault_delays += phase.fault_delays;
-        total.crashes += phase.crashes;
-        total.restarts += phase.restarts;
         for (i, &orig) in node_map.iter().enumerate() {
             total.node_energy[orig.index()] += phase.node_energy[i];
         }

@@ -52,10 +52,11 @@ impl WaitingBfsNode<'_> {
         }
         if let Some(b) = self.best.finite() {
             // Mail arrives the round after it is sent and every weight is at
-            // least 1, so `b < round` only for a source restarted after its
-            // offset round, or for mail held back by delay faults. The node
-            // keeps `b`, but the wavefront it would have joined has left, so
-            // it does not announce.
+            // least 1, so a candidate is never below the round it arrives in,
+            // and a node is called back by the round its pending distance
+            // comes due: `b < round` does not happen. Were it to, the node
+            // would keep `b` but not announce it, the wavefront it would
+            // have joined having left.
             if b <= ctx.round() {
                 self.finalized = true;
                 if b == ctx.round() && b < self.announce_below {

@@ -10,7 +10,7 @@
 //! * [`generators`] — deterministic and seeded-random workload generators
 //!   (paths, grids, Erdős–Rényi graphs, trees, barbells, …).
 //! * [`sequential`] — classical *sequential* shortest-path algorithms
-//!   (Dijkstra, Bellman–Ford, BFS, connected components, spanning forests)
+//!   (Dijkstra, Bellman–Ford, BFS, connected components)
 //!   used as ground truth when testing the distributed algorithms. The
 //!   default Dijkstra runs on a crate-private monotone radix heap; the
 //!   binary-heap implementation is retained as `dijkstra_binary_heap` and

@@ -1,6 +1,5 @@
 //! Sequential reference algorithms used as ground truth for the distributed
-//! implementations: Dijkstra, Bellman–Ford, BFS, connected components, and
-//! spanning forests.
+//! implementations: Dijkstra, Bellman–Ford, BFS and connected components.
 //!
 //! Everything in this module is *centralized* — it sees the whole graph at
 //! once — and exists so that tests can check the distributed algorithms
@@ -10,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::radix_heap::RadixHeap;
-use crate::{Distance, EdgeId, Graph, NodeId, Weight};
+use crate::{Distance, Graph, NodeId, Weight};
 
 /// The result of a single-source / closest-source shortest-path computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -319,68 +318,6 @@ pub fn connected_components(g: &Graph) -> Components {
     Components { labels, component_count: count }
 }
 
-/// A maximal spanning forest: one spanning tree per connected component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanningForest {
-    /// The edges included in the forest.
-    pub edges: Vec<EdgeId>,
-    /// `parent[v]` is `v`'s parent in its rooted tree, or `None` for roots.
-    pub parents: Vec<Option<NodeId>>,
-    /// `root[v]` is the root node of `v`'s tree.
-    pub roots: Vec<NodeId>,
-    /// `depth[v]` is the depth of `v` in its rooted tree (roots have depth 0).
-    pub depths: Vec<u32>,
-}
-
-impl SpanningForest {
-    /// The maximum tree depth over all nodes.
-    pub fn max_depth(&self) -> u32 {
-        self.depths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The children of `v` in the rooted forest.
-    pub fn children(&self, v: NodeId) -> Vec<NodeId> {
-        self.parents
-            .iter()
-            .enumerate()
-            .filter(|&(_, p)| *p == Some(v))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-}
-
-/// Computes a maximal spanning forest (BFS trees, one per component), rooted
-/// at the smallest node id of each component.
-pub fn spanning_forest(g: &Graph) -> SpanningForest {
-    let n = g.node_count() as usize;
-    let mut parents = vec![None; n];
-    let mut roots = vec![NodeId(0); n];
-    let mut depths = vec![0u32; n];
-    let mut visited = vec![false; n];
-    let mut edges = Vec::new();
-    for start in g.nodes() {
-        if visited[start.index()] {
-            continue;
-        }
-        visited[start.index()] = true;
-        roots[start.index()] = start;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(v) = queue.pop_front() {
-            for adj in g.neighbors(v) {
-                if !visited[adj.neighbor.index()] {
-                    visited[adj.neighbor.index()] = true;
-                    parents[adj.neighbor.index()] = Some(v);
-                    roots[adj.neighbor.index()] = start;
-                    depths[adj.neighbor.index()] = depths[v.index()] + 1;
-                    edges.push(adj.edge);
-                    queue.push_back(adj.neighbor);
-                }
-            }
-        }
-    }
-    SpanningForest { edges, parents, roots, depths }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,31 +455,6 @@ mod tests {
         assert_eq!(cc.members(0).len(), 4);
         assert!(cc.same_component(NodeId(0), NodeId(3)));
         assert!(!cc.same_component(NodeId(0), NodeId(4)));
-    }
-
-    #[test]
-    fn spanning_forest_properties() {
-        let g = generators::disjoint_copies(&generators::random_connected(20, 30, 3), 2);
-        let f = spanning_forest(&g);
-        // A maximal forest has n - (#components) edges.
-        assert_eq!(f.edges.len(), 40 - 2);
-        let cc = connected_components(&g);
-        for v in g.nodes() {
-            assert!(cc.same_component(v, f.roots[v.index()]));
-            if let Some(p) = f.parents[v.index()] {
-                assert_eq!(f.depths[v.index()], f.depths[p.index()] + 1);
-                assert!(g.has_edge(v, p));
-            } else {
-                assert_eq!(f.roots[v.index()], v);
-                assert_eq!(f.depths[v.index()], 0);
-            }
-        }
-        assert!(f.max_depth() > 0);
-        // Children relation is consistent with parents.
-        let root = f.roots[0];
-        for c in f.children(root) {
-            assert_eq!(f.parents[c.index()], Some(root));
-        }
     }
 
     #[test]

@@ -29,13 +29,12 @@
 //! [`ActiveSet::rearm`]; no queue entry is made for it.
 //!
 //! One discipline, in every run: **`wake_at` decides who runs.** A node `v`
-//! runs in round `r` iff `wake_at[v] == r`; a halted or crashed node's
-//! `wake_at` is [`NEVER`], a round no run opens. Queue entries only say where
-//! to look: an entry `(r, v)` is *live* iff `wake_at[v] == r`, and a due
-//! entry sets its bit only if it is. Entries go stale when a node leaves the
-//! round it was queued at before that round comes — it crashes, a restart
-//! revives it ([`ActiveSet::revive`] queues it afresh), or it is a listener
-//! woken early by mail — and a stale entry is dropped when its round is
+//! runs in round `r` iff `wake_at[v] == r`; a halted node's `wake_at` is
+//! [`NEVER`], a round no run opens. Queue entries only say where to look: an
+//! entry `(r, v)` is *live* iff `wake_at[v] == r`, and a due entry sets its
+//! bit only if it is. Entries go stale when a node leaves the round it was
+//! queued at before that round comes — it is a listener woken early by mail,
+//! and then perhaps halts — and a stale entry is dropped when its round is
 //! opened, or passed over by [`ActiveSet::next_wake`].
 //!
 //! A node that asked to [`crate::NodeCtx::listen_until`] a deadline sits in
@@ -71,9 +70,8 @@ use crate::node::Request;
 /// low-duty-cycle executions.
 const WINDOW: u64 = 64;
 
-/// The `wake_at` of a node that runs again only if a fault-injected restart
-/// revives it: halted, or down after a crash. The last round a run may open
-/// is `u64::MAX − 1`, so no entry of such a node is live and it is never
+/// The `wake_at` of a halted node. The last round a run may open is
+/// `u64::MAX − 1`, so no entry of such a node is live and it is never
 /// receptive.
 const NEVER: u64 = u64::MAX;
 
@@ -85,10 +83,9 @@ const NOT_LISTENING: u64 = u64::MAX;
 /// [`ActiveSet::rearm`] makes it the scheduler of one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ActiveSet {
-    /// The round in which each node next runs, or [`NEVER`].
+    /// The round in which each node next runs, or [`NEVER`] once it has
+    /// halted.
     wake_at: Vec<u64>,
-    /// Nodes that have halted (for good, unless a restart revives them).
-    halted: Vec<bool>,
     halted_count: usize,
     /// Near-future buckets: the bucket for round `r` lives at slot
     /// `r % WINDOW`. Draining a slot keeps its capacity, so steady-state
@@ -279,12 +276,6 @@ impl AwakeBits {
         self.bits[w] = old | bits;
     }
 
-    /// Takes `v` out of the set. Its summary bit stays: it may be set over a
-    /// clear word.
-    fn remove(&mut self, v: NodeId) {
-        self.bits[v.index() / 64] &= !(1 << (v.index() % 64));
-    }
-
     /// Replaces `out` with the set's nodes in id order and empties the set.
     /// The set words are counted first, so `out` is sized once, before it
     /// is written.
@@ -323,7 +314,6 @@ impl ActiveSet {
     /// allocation-free once the buffers have seen a run this large.
     pub(crate) fn rearm(&mut self, n: usize) {
         zeroed(&mut self.wake_at, n);
-        zeroed(&mut self.halted, n);
         self.halted_count = 0;
         // simlint::allow(hot-path-alloc: the ring's buckets, created by a scratch's first run and recycled by every later one)
         self.ring.resize_with(WINDOW as usize, Vec::new);
@@ -393,9 +383,9 @@ impl ActiveSet {
     /// Puts every listening recipient of `recipients` (this round's delivery
     /// stream) into the round's awake set: mail ends the wait, so the node
     /// runs in `round` instead of at its deadline, whose queue entry stays
-    /// behind, stale. A recipient named many times is one bit. Crashed and
-    /// halted nodes are never listening, so exactly the recipients whose
-    /// inbox will be non-empty are woken.
+    /// behind, stale. A recipient named many times is one bit. Halted nodes
+    /// are never listening, so exactly the recipients whose inbox will be
+    /// non-empty are woken.
     pub(crate) fn wake_listeners(&mut self, round: u64, recipients: impl Iterator<Item = NodeId>) {
         let (listen_from, wake_at) = (&self.listen_from, &mut self.wake_at);
         let woken = recipients.filter(|&v| is_listening(listen_from, v));
@@ -411,14 +401,6 @@ impl ActiveSet {
             Some(&from) if from != NOT_LISTENING => round - from,
             _ => 1,
         }
-    }
-
-    /// Ends `v`'s listening because a fault-plan event replaces it in
-    /// `round` (a crash, or a restart of a node that is up), and returns the
-    /// energy of the rounds it idled through — up to `round − 1`, the last
-    /// one it was up in.
-    fn interrupt_listening(&mut self, v: NodeId, round: u64) -> u64 {
-        self.stop_listening(v).map_or(0, |from| round - 1 - from)
     }
 
     /// Applies the scheduling request `v` ended its step in `round` with.
@@ -470,51 +452,22 @@ impl ActiveSet {
         }
     }
 
-    /// Marks `v` as halted; it never runs again (unless a fault-injected
-    /// restart revives it — see [`ActiveSet::revive`]).
-    pub(crate) fn halt(&mut self, v: NodeId) {
+    /// Marks `v`, which has just run, as halted: it never runs again.
+    fn halt(&mut self, v: NodeId) {
         self.stop_listening(v);
-        self.wake_at[v.index()] = NEVER;
-        if !std::mem::replace(&mut self.halted[v.index()], true) {
-            self.halted_count += 1;
-        }
-    }
-
-    /// Takes `v` down after a fault-injected crash at the start of `round`:
-    /// it neither runs nor receives until revived. Returns the energy `v`
-    /// still owes for rounds it listened through (zero unless it was
-    /// listening).
-    pub(crate) fn set_down(&mut self, v: NodeId, round: u64) -> u64 {
-        self.wake_at[v.index()] = NEVER;
-        // Only round 0's set is filled before its churn is applied.
-        self.awake.remove(v);
-        self.interrupt_listening(v, round)
-    }
-
-    /// Revives `v` at `round` after a fault-injected restart: clears its
-    /// halted status, if set, and schedules it to run *this* round. Must be
-    /// called before [`ActiveSet::collect_due`] takes the round's entries.
-    /// Returns the energy `v` still owes for rounds it listened through
-    /// (overlapping crash windows can restart a node that is up and
-    /// listening).
-    pub(crate) fn revive(&mut self, v: NodeId, round: u64) -> u64 {
-        let owed = self.interrupt_listening(v, round);
-        if std::mem::take(&mut self.halted[v.index()]) {
-            self.halted_count -= 1;
-        }
-        self.wake_at[v.index()] = round;
-        self.ring[(round % WINDOW) as usize].push(v);
-        owed
+        let wake_at = std::mem::replace(&mut self.wake_at[v.index()], NEVER);
+        debug_assert!(wake_at != NEVER, "node {v} halts twice");
+        self.halted_count += 1;
     }
 
     /// `true` once every node has halted.
     pub(crate) fn all_halted(&self) -> bool {
-        self.halted_count == self.halted.len()
+        self.halted_count == self.wake_at.len()
     }
 
     /// Number of nodes that have not halted.
     pub(crate) fn unhalted(&self) -> u32 {
-        (self.halted.len() - self.halted_count) as u32
+        (self.wake_at.len() - self.halted_count) as u32
     }
 
     /// The earliest round after `round` — the round just stepped — in which
@@ -523,13 +476,11 @@ impl ActiveSet {
     /// Ring entries lie in `(round, round + WINDOW]`, a different slot for
     /// each of those rounds, so the slots are visited in round order and the
     /// walk stops at the first one that holds a live entry — mostly the first
-    /// entry looked at, unless crashes or early-woken listeners left entries
-    /// behind. Stale entries at the front of the far tier are dropped
-    /// on the way: `wake_at` is only ever set to a future round together with
-    /// a fresh entry for it, or with the knowledge (`queued_at`) that one is
-    /// still queued, and a crashed node comes back through
-    /// [`ActiveSet::revive`], which queues it afresh — so a stale entry is
-    /// never needed again.
+    /// entry looked at, unless early-woken listeners left entries behind.
+    /// Stale entries at the front of the far tier are dropped on the way:
+    /// `wake_at` is only ever set to a future round together with a fresh
+    /// entry for it, or with the knowledge (`queued_at`) that one is still
+    /// queued — so a stale entry is never needed again.
     pub(crate) fn next_wake(&mut self, round: u64) -> Option<u64> {
         // Saturating: the ring ends at the last round there is.
         let near = (round + 1..=round.saturating_add(WINDOW))
@@ -620,11 +571,19 @@ mod tests {
         let mut a = ActiveSet::new(2);
         assert_eq!(a.unhalted(), 2);
         a.halt(NodeId(0));
-        a.halt(NodeId(0)); // idempotent
         assert_eq!(a.unhalted(), 1);
         assert!(!a.all_halted());
         a.halt(NodeId(1));
         assert!(a.all_halted());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "node v0 halts twice")]
+    fn a_node_halts_once() {
+        let mut a = ActiveSet::new(2);
+        a.halt(NodeId(0));
+        a.halt(NodeId(0));
     }
 
     #[test]
@@ -653,42 +612,6 @@ mod tests {
         assert_eq!(a.next_wake(WINDOW + 1), Some(10 * WINDOW));
         let awake = open(&mut a, 10 * WINDOW, &[]);
         assert_eq!(awake, vec![NodeId(2)]);
-    }
-
-    #[test]
-    fn crashed_nodes_leave_stale_entries_and_revives_run_nodes() {
-        let mut a = ActiveSet::new(3);
-        let awake = open(&mut a, 0, &[]);
-        assert_eq!(awake.len(), 3);
-        a.reschedule(NodeId(0), 0, 2);
-        a.reschedule(NodeId(1), 0, 2);
-        a.halt(NodeId(2));
-        // Node 0 crashes before its wake round: its queue entry goes stale.
-        assert_eq!(a.set_down(NodeId(0), 1), 0, "a sleeper owes nothing");
-        assert_eq!(a.wake_at[0], NEVER);
-        let awake = open(&mut a, 2, &[]);
-        assert_eq!(awake, vec![NodeId(1)], "down nodes are filtered out");
-        a.reschedule(NodeId(1), 2, 100);
-        assert_eq!(a.next_wake(2), Some(100));
-        // Restart node 0 and even halted node 2: a revive
-        // runs the node in its own round, and duplicates are absorbed.
-        a.revive(NodeId(0), 7);
-        a.revive(NodeId(0), 7);
-        a.revive(NodeId(2), 7);
-        assert_eq!(a.wake_at[0], 7);
-        assert!(!a.all_halted() && a.unhalted() == 3);
-        let awake = open(&mut a, 7, &[]);
-        assert_eq!(awake, vec![NodeId(0), NodeId(2)]);
-        // A crashed node's entry, in the ring or in the far tier, is no
-        // wake-up to jump to.
-        a.reschedule(NodeId(0), 7, 9);
-        a.reschedule(NodeId(2), 7, 10);
-        assert_eq!(a.next_wake(7), Some(9));
-        a.set_down(NodeId(0), 8);
-        assert_eq!(a.next_wake(7), Some(10));
-        a.set_down(NodeId(1), 8);
-        a.set_down(NodeId(2), 8);
-        assert_eq!(a.next_wake(7), None);
     }
 
     #[test]
@@ -729,24 +652,6 @@ mod tests {
         assert_eq!(a.awake_rounds(NodeId(3), 200), 1, "sleep is free");
         a.reschedule(NodeId(0), 200, 201);
         assert_eq!(a.awake_rounds(NodeId(0), 201), 1, "running ends the wait");
-    }
-
-    #[test]
-    fn a_crashed_listener_is_charged_through_the_round_before() {
-        let mut a = ActiveSet::new(2);
-        open(&mut a, 0, &[]);
-        a.listen(NodeId(0), 0, 50);
-        a.listen(NodeId(1), 0, 50);
-        assert_eq!(a.set_down(NodeId(0), 7), 6, "rounds 1..=6");
-        let awake = open(&mut a, 7, &[NodeId(0)]);
-        assert!(awake.is_empty(), "a crashed node is no longer listening");
-        // A restart that finds the node up (overlapping crash windows) also
-        // settles the wait it cuts short.
-        assert_eq!(a.revive(NodeId(1), 10), 9);
-        assert_eq!(a.revive(NodeId(0), 10), 0);
-        let awake = open(&mut a, 10, &[]);
-        assert_eq!(awake, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(a.awake_rounds(NodeId(1), 10), 1);
     }
 
     #[test]
@@ -868,12 +773,11 @@ mod tests {
     fn rearming_forgets_whatever_the_last_run_left() {
         let mut a = ActiveSet::new(5);
         open(&mut a, 0, &[]);
-        // Abandoned mid-run: ring and far entries, a listener, a crashed and
-        // a halted node.
+        // Abandoned mid-run: ring and far entries, a listener and a halted
+        // node.
         a.reschedule(NodeId(0), 0, 3);
         a.reschedule(NodeId(1), 0, 1000);
         a.listen(NodeId(2), 0, 9);
-        a.set_down(NodeId(3), 1);
         a.halt(NodeId(4));
         for n in [2, 7, 0] {
             a.rearm(n);
@@ -929,16 +833,6 @@ mod tests {
         assert_eq!(far(&a), 0);
     }
 
-    #[test]
-    fn a_node_crashed_in_round_zero_does_not_run_in_it() {
-        let mut a = ActiveSet::new(130);
-        a.set_down(NodeId(64), 0);
-        a.set_down(NodeId(129), 0);
-        let awake = open(&mut a, 0, &[]);
-        let expected: Vec<_> = (0..130).filter(|&v| v != 64 && v != 129).map(NodeId).collect();
-        assert_eq!(awake, expected);
-    }
-
     /// A node of the model [`ActiveSet`] is checked against.
     #[derive(Debug, Clone, Copy, Default)]
     struct Modelled {
@@ -948,18 +842,6 @@ mod tests {
         /// The last deadline it listened to.
         deadline: u64,
         halted: bool,
-        down: bool,
-    }
-
-    impl Modelled {
-        fn live(&self) -> bool {
-            !self.halted && !self.down
-        }
-
-        /// The energy a fault-plan event in `round` settles, ending the wait.
-        fn interrupt(&mut self, round: u64) -> u64 {
-            self.listen_from.take().map_or(0, |from| round - 1 - from)
-        }
     }
 
     proptest::proptest! {
@@ -970,11 +852,10 @@ mod tests {
         #[test]
         fn every_opened_round_agrees_with_a_naive_model(
             size in 0usize..5,
-            faults in 0u8..2,
             seed in 0u64..u64::MAX,
         ) {
             use std::collections::BTreeMap;
-            let (n, faults) = ([1, 63, 64, 65, 130][size], faults == 1);
+            let n = [1, 63, 64, 65, 130][size];
             let mut rng = seed;
             let mut draw = |bound: u64| rand::splitmix64(&mut rng) % bound;
             let mut a = ActiveSet::new(n);
@@ -982,22 +863,6 @@ mod tests {
                 (0..n as u32).map(|v| (v, Modelled::default())).collect();
             let mut round = 0;
             for _ in 0..80 {
-                for _ in 0..if faults { draw(3) } else { 0 } {
-                    let v = draw(n as u64) as u32;
-                    let node = model.get_mut(&v).expect("modelled");
-                    let owed = node.interrupt(round);
-                    if draw(2) == 0 {
-                        proptest::prop_assert_eq!(a.set_down(NodeId(v), round), owed);
-                        node.down = true;
-                        if draw(4) == 0 {
-                            a.halt(NodeId(v));
-                            node.halted = true;
-                        }
-                    } else {
-                        proptest::prop_assert_eq!(a.revive(NodeId(v), round), owed);
-                        *node = Modelled { wake_at: round, ..Modelled::default() };
-                    }
-                }
                 let mut awake = Vec::new();
                 a.collect_due(round);
                 let mail: Vec<NodeId> = (0..draw(6)).map(|_| NodeId(draw(n as u64) as u32)).collect();
@@ -1009,7 +874,7 @@ mod tests {
                     }
                 }
                 a.take_awake(&mut awake);
-                let live = model.iter().filter(|(_, m)| m.live() && m.wake_at == round);
+                let live = model.iter().filter(|(_, m)| !m.halted && m.wake_at == round);
                 let expected: Vec<NodeId> = live.map(|(&v, _)| NodeId(v)).collect();
                 proptest::prop_assert_eq!(&awake, &expected, "round {}", round);
 
@@ -1040,12 +905,12 @@ mod tests {
                 }
                 let unhalted = model.values().filter(|m| !m.halted).count();
                 proptest::prop_assert_eq!(a.unhalted() as usize, unhalted);
-                let wakes = model.values().filter(|m| m.live()).map(|m| m.wake_at);
+                let wakes = model.values().filter(|m| !m.halted).map(|m| m.wake_at);
                 let next = wakes.min();
                 proptest::prop_assert!(next.map_or(true, |next| next > round));
                 proptest::prop_assert_eq!(a.next_wake(round), next, "after round {}", round);
                 // The engine opens a round at or before the next wake-up:
-                // that one, or an earlier one with mail or churn in it.
+                // that one, or an earlier one with mail in it.
                 round = match next {
                     Some(next) if draw(2) == 0 => next,
                     Some(next) => round + 1 + draw(next - round),

@@ -31,28 +31,25 @@
 //!
 //! # A round is these calls on `RoundCore`, in this order
 //!
-//! 1. `begin_round` — the round limit; this round's churn (a crash takes its
-//!    node down, a restart resets its state and re-queues it); the round's
-//!    due queue entries collected into the awake set; jitter arrivals merged
-//!    into the delivery stream; listening recipients of that stream added to
-//!    the awake set; the set written out as the id-sorted awake list.
+//! 1. `begin_round` — the round limit; the round's due queue entries
+//!    collected into the awake set; listening recipients of the delivery
+//!    stream added to it; the set written out as the id-sorted awake list.
 //! 2. `deliver` into an arena — inboxes in stream order; messages to
-//!    sleeping or halted nodes lost, to crashed ones dropped, both counted.
+//!    sleeping or halted nodes lost, and counted.
 //! 3. for each awake node in id order, `step_node`: `init` or `on_round`;
 //!    the awake rounds to charge; what it sent accounted (the CONGEST bound —
 //!    at most [`Words::CAPACITY`](crate::Words::CAPACITY) words a message, one
 //!    message per edge direction, checked per step, since only the sender
 //!    writes its direction and it steps once a round; the first violation is
-//!    the run's error —, message and congestion counts, then fault fates, for
+//!    the run's error —, message and congestion counts, then drop fates, for
 //!    which the step's records are split into one per message);
 //!    its scheduling request applied.
 //! 4. `end_round` — termination (what is still in flight is lost); else, if this round's sends are in flight, the next
 //!    round with them as its delivery stream; else — nothing was sent, so
 //!    nothing can happen before somebody's wake-up — straight to the
-//!    earliest wake-up (under a fault plan: or jittered arrival, or churn
-//!    event), be it the next round or a million on. A round with nothing in
-//!    it is opened only when no event is left at all, on the way to the
-//!    round limit.
+//!    earliest wake-up, be it the next round or a million on. A round with
+//!    nothing in it is opened only when no wake-up is left at all, on the
+//!    way to the round limit.
 //!
 //! [`Engine::run`] is that list, inline, on the calling thread. Host
 //! parallelism lives a layer up, across independent runs (the APSP
@@ -85,13 +82,11 @@
 //!   order — so joining the awake list costs neither a dedup nor a sort. A
 //!   listener without mail is not touched.
 //! * Energy is settled when the node is next stepped: `round − last_ran`
-//!   units instead of one. A fault plan that crashes (or restarts) a
-//!   listener at round `c` settles `c − 1 − last_ran` on the spot — the node
-//!   was up through round `c − 1`.
+//!   units instead of one.
 //! * The early wake-up leaves the deadline's queue entry behind, stale. The
 //!   queue needs nothing new for it: in every run, `wake_at` decides who
 //!   runs, and a due entry sets its bit only if it is live — the same check
-//!   that drops the entries a halt or a crash leaves behind. A listener that
+//!   that drops the entries a halt leaves behind. A listener that
 //!   goes back to the deadline it is still queued at pushes no second entry.
 //!
 //! Quiet stretches between deadlines are never visited: after a round in
@@ -119,8 +114,7 @@
 //! fault plan — and however it ended: finished, failed mid-round with its
 //! counters half-written, or unwound by a protocol panic. Nothing is cleaned
 //! up at exit, so nothing depends on an exit having happened. The states and
-//! the two [`Metrics`] columns are the run's results and are allocated fresh;
-//! the fault layer belongs to the run's plan.
+//! the two [`Metrics`] columns are the run's results and are allocated fresh.
 //!
 //! Nothing is given back either: a thread keeps the capacity of the largest
 //! run it has made until it exits, as a scratch held by the caller would.
@@ -266,11 +260,7 @@ impl<'g> Engine<'g> {
     }
 
     /// [`Engine::run`] in `scratch`.
-    fn run_in<P, F>(
-        &self,
-        scratch: &mut RunScratch,
-        mut factory: F,
-    ) -> Result<RunOutcome<P>, SimError>
+    fn run_in<P, F>(&self, scratch: &mut RunScratch, factory: F) -> Result<RunOutcome<P>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
@@ -278,13 +268,13 @@ impl<'g> Engine<'g> {
         let graph = self.graph;
         // Each node's sends are accounted in place and its request applied
         // at once, so nothing is buffered per step.
-        let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
+        let mut states: Vec<P> = graph.nodes().map(factory).collect();
         let RunScratch { round, arena, outgoing } = scratch;
         let mut core = RoundCore::new(self, round);
         arena.rearm(graph.node_count() as usize);
         outgoing.clear();
         loop {
-            if core.begin_round(|v| states[v.index()] = factory(v))? {
+            if core.begin_round()? {
                 core.deliver(arena);
                 // By index: a step borrows the core mutably.
                 for i in 0..core.awake().len() {

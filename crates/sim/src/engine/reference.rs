@@ -24,7 +24,7 @@ use std::collections::HashSet;
 
 use congest_graph::{EdgeId, NodeId};
 
-use crate::fault::{FaultAction, FaultRuntime};
+use crate::fault::FaultRuntime;
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::{NodeCtx, Request};
@@ -40,8 +40,6 @@ struct NodeStatus {
     listening: bool,
     /// The node has halted for good.
     halted: bool,
-    /// The node is down due to a fault-injected crash (awaiting restart).
-    down: bool,
 }
 
 impl Engine<'_> {
@@ -55,7 +53,7 @@ impl Engine<'_> {
     /// # Errors
     ///
     /// Same conditions as [`Engine::run`].
-    pub fn run_reference<P, F>(&self, mut factory: F) -> Result<RunOutcome<P>, SimError>
+    pub fn run_reference<P, F>(&self, factory: F) -> Result<RunOutcome<P>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
@@ -65,10 +63,9 @@ impl Engine<'_> {
         let config = self.config();
         let n = graph.node_count() as usize;
         let m = graph.edge_count() as usize;
-        let mut states: Vec<P> = graph.nodes().map(&mut factory).collect();
-        let mut status =
-            vec![NodeStatus { wake_at: 0, listening: false, halted: false, down: false }; n];
-        let mut faults = FaultRuntime::new(&config.faults, n);
+        let mut states: Vec<P> = graph.nodes().map(factory).collect();
+        let mut status = vec![NodeStatus { wake_at: 0, listening: false, halted: false }; n];
+        let faults = FaultRuntime::new(&config.faults);
         let mut metrics = Metrics::zero(n, m);
 
         // Messages sent in the previous round, awaiting delivery this round:
@@ -85,50 +82,14 @@ impl Engine<'_> {
                 });
             }
 
-            // Apply the churn events of this round first, exactly as the
-            // active-set engine does: crashes take effect at the start of
-            // their round, restarts re-create the node's state and run it
-            // (through `init`) this very round.
-            if let Some(rt) = faults.as_mut() {
-                while let Some(ev) = rt.next_event(round) {
-                    let st = &mut status[ev.node.index()];
-                    match ev.action {
-                        FaultAction::Crash { permanent } => {
-                            metrics.crashes += 1;
-                            rt.crashed[ev.node.index()] = true;
-                            st.down = true;
-                            if permanent {
-                                st.halted = true;
-                            }
-                        }
-                        FaultAction::Restart => {
-                            metrics.restarts += 1;
-                            rt.crashed[ev.node.index()] = false;
-                            rt.reinit[ev.node.index()] = true;
-                            st.down = false;
-                            st.halted = false;
-                            st.wake_at = round;
-                            st.listening = false;
-                            states[ev.node.index()] = factory(ev.node);
-                        }
-                    }
-                }
-                // Jitter-delayed messages due this round join the stream
-                // after the on-time ones, as in the active-set engine.
-                rt.merge_due(round, &mut in_flight);
-            }
-
             // Deliver messages sent last round. Messages to sleeping or halted
-            // nodes are lost (the defining property of the sleeping model);
-            // messages to a crashed node are the fault layer's drops.
+            // nodes are lost (the defining property of the sleeping model).
             let mut inboxes: Vec<Vec<Message>> = vec![Vec::new(); n];
             for flight in in_flight.drain(..) {
                 let port = &adjacency[flight.start as usize];
                 let to = port.neighbor.index();
                 let st = &status[to];
-                if faults.as_ref().is_some_and(|rt| rt.crashed[to]) {
-                    metrics.fault_drops += 1;
-                } else if !st.halted && (st.wake_at <= round || st.listening) {
+                if !st.halted && (st.wake_at <= round || st.listening) {
                     inboxes[to].push(flight.message(port));
                 } else {
                     metrics.messages_lost += 1;
@@ -141,7 +102,7 @@ impl Engine<'_> {
             let mut any_awake = false;
             for v in graph.nodes() {
                 let st = &status[v.index()];
-                if st.halted || st.down || (st.wake_at > round && !st.listening) {
+                if st.halted || (st.wake_at > round && !st.listening) {
                     continue;
                 }
                 any_awake = true;
@@ -156,9 +117,7 @@ impl Engine<'_> {
                 // allocation profile: it is the definition, not a fast path.
                 let mut outbox: Vec<InFlight> = Vec::new();
                 let mut ctx = NodeCtx::new(v, round, self.graph(), &mut outbox);
-                let run_init = round == 0
-                    || faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
-                if run_init {
+                if round == 0 {
                     states[v.index()].init(&mut ctx);
                 } else {
                     states[v.index()].on_round(&mut ctx, &inboxes[v.index()]);
@@ -182,10 +141,8 @@ impl Engine<'_> {
                 // Roll the fate of this node's sends after accounting (a
                 // dropped message was still sent), before they join the
                 // in-flight pool — same call sequence as the active engine.
-                if let Some(rt) = faults.as_mut() {
-                    if rt.has_message_faults() {
-                        rt.apply_message_faults(&mut metrics, round, adjacency, &mut outbox, 0);
-                    }
+                if let Some(rt) = &faults {
+                    rt.apply_message_faults(&mut metrics, round, adjacency, &mut outbox, 0);
                 }
                 in_flight.append(&mut outbox);
                 // Process sleep/listen/halt requests.
@@ -207,9 +164,6 @@ impl Engine<'_> {
             let all_halted = status.iter().all(|s| s.halted);
             if all_halted {
                 metrics.messages_lost += in_flight.len() as u64;
-                if let Some(rt) = faults.as_ref() {
-                    metrics.messages_lost += rt.pending_count();
-                }
                 metrics.rounds = round + 1;
                 return Ok(RunOutcome { states, metrics, rounds_visited: 0 });
             }
@@ -217,19 +171,8 @@ impl Engine<'_> {
             // Deadlock / quiescence guard: nobody is awake now or in the
             // future and no message is in flight — the protocol will never
             // make progress again. Treat it as termination at this round;
-            // protocols that rely on this behave like "implicit halt". Under
-            // a fault plan the next event may also be a pending jittered
-            // delivery or a churn event.
-            let next_wake = {
-                let mut t = status.iter().filter(|s| !s.halted && !s.down).map(|s| s.wake_at).min();
-                if let Some(rt) = faults.as_ref() {
-                    t = [t, rt.next_pending_round(), rt.next_event_round()]
-                        .into_iter()
-                        .flatten()
-                        .min();
-                }
-                t
-            };
+            // protocols that rely on this behave like "implicit halt".
+            let next_wake = status.iter().filter(|s| !s.halted).map(|s| s.wake_at).min();
             if in_flight.is_empty() && !any_awake {
                 if let Some(w) = next_wake.filter(|&w| w > round) {
                     // Jump to the next scheduled wake-up. The skipped rounds

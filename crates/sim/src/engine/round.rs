@@ -20,7 +20,7 @@
 
 use congest_graph::{Adjacency, NodeId};
 
-use crate::fault::{FaultAction, FaultRuntime};
+use crate::fault::FaultRuntime;
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::NodeCtx;
@@ -35,10 +35,9 @@ use super::delivery::DeliveryArena;
 /// however it ended — cannot be observed.
 #[derive(Debug, Default)]
 pub(super) struct RoundScratch {
-    /// The send records delivered this round: sent last round, plus the
-    /// jitter arrivals [`RoundCore::begin_round`] merges in. Double-buffered
-    /// with the driver's outbox, so the steady-state message path never
-    /// allocates.
+    /// The send records delivered this round: those sent last round.
+    /// Double-buffered with the driver's outbox, so the steady-state message
+    /// path never allocates.
     incoming: Vec<InFlight>,
     /// The nodes that run this round, sorted by id.
     awake: Vec<NodeId>,
@@ -57,9 +56,8 @@ pub(super) struct RoundCore<'e> {
     round: u64,
     /// The buffers that outlive the run, re-armed for it.
     buf: &'e mut RoundScratch,
-    /// The fault layer: `None` for the empty plan, whose rules then apply no
-    /// churn, jitter or message fates. The wake queue is the same either way:
-    /// a crashed node's wake round is never, so it neither runs nor receives.
+    /// The fault layer: `None` for a plan that drops nothing, whose rules
+    /// then roll no message fates.
     faults: Option<FaultRuntime>,
     metrics: Metrics,
     /// See [`RunOutcome::rounds_visited`].
@@ -82,7 +80,7 @@ impl<'e> RoundCore<'e> {
             adjacency: graph.csr().1,
             round: 0,
             buf: scratch,
-            faults: FaultRuntime::new(&config.faults, n),
+            faults: FaultRuntime::new(&config.faults),
             metrics: Metrics::zero(n, m),
             rounds_visited: 0,
         }
@@ -95,12 +93,11 @@ impl<'e> RoundCore<'e> {
     }
 
     /// Opens the round: enforces the round limit (the last round a run may
-    /// open is [`crate::SimConfig::max_rounds`], and never `u64::MAX`),
-    /// applies the round's churn (`reset` must replace the named node's
-    /// protocol state with a fresh one), fixes the awake list and completes
-    /// the delivery stream. Returns whether there is anything to deliver or
-    /// step; an entirely empty round needs neither pass.
-    pub(super) fn begin_round(&mut self, mut reset: impl FnMut(NodeId)) -> Result<bool, SimError> {
+    /// open is [`crate::SimConfig::max_rounds`], and never `u64::MAX`), fixes
+    /// the awake list and wakes the listeners the round's mail is for.
+    /// Returns whether there is anything to deliver or step; an entirely
+    /// empty round needs neither pass.
+    pub(super) fn begin_round(&mut self) -> Result<bool, SimError> {
         let round = self.round;
         self.rounds_visited += 1;
         if round > self.engine.config().last_round() {
@@ -109,45 +106,13 @@ impl<'e> RoundCore<'e> {
                 unhalted_nodes: self.buf.active.unhalted(),
             });
         }
-        // Churn before anything else: a crash takes effect at the start of
-        // its round (its wake round becomes never, so it does not run in
-        // it), and a restart puts the node — with a fresh state — into this
-        // round's wake bucket. A listener either one interrupts was up
-        // through `round − 1` and is charged for that here.
-        let active = &mut self.buf.active;
-        if let Some(rt) = self.faults.as_mut() {
-            while let Some(ev) = rt.next_event(round) {
-                let i = ev.node.index();
-                let energy = &mut self.metrics.node_energy[i];
-                match ev.action {
-                    FaultAction::Crash { permanent } => {
-                        self.metrics.crashes += 1;
-                        rt.crashed[i] = true;
-                        *energy = energy.saturating_add(active.set_down(ev.node, round));
-                        if permanent {
-                            active.halt(ev.node);
-                        }
-                    }
-                    FaultAction::Restart => {
-                        self.metrics.restarts += 1;
-                        rt.crashed[i] = false;
-                        rt.reinit[i] = true;
-                        reset(ev.node);
-                        *energy = energy.saturating_add(active.revive(ev.node, round));
-                    }
-                }
-            }
-        }
         // The awake set is collected before delivery, which reads
-        // start-of-round receptivity: the round's due queue entries; then,
-        // once jitter-delayed messages due now have joined the stream after
-        // the on-time ones, every listening recipient of the complete stream
-        // — its wait ends with its first mail. Then the set is written out as
-        // the id-sorted awake list.
+        // start-of-round receptivity: the round's due queue entries, then
+        // every listening recipient of the stream — its wait ends with its
+        // first mail. Then the set is written out as the id-sorted awake
+        // list.
+        let active = &mut self.buf.active;
         active.collect_due(round);
-        if let Some(rt) = self.faults.as_mut() {
-            rt.merge_due(round, &mut self.buf.incoming);
-        }
         if active.has_listeners() {
             let adjacency = self.adjacency;
             let recipients = self.buf.incoming.iter().flat_map(|f| f.ports(adjacency));
@@ -158,30 +123,19 @@ impl<'e> RoundCore<'e> {
     }
 
     /// Builds the inboxes in `arena` from this round's stream, fanning each
-    /// record out over its ports, in stream order. Messages to sleeping or halted nodes are lost (the defining
-    /// property of the sleeping model) — and counted, so protocol bugs
-    /// cannot hide in silence; deliveries onto a crashed node are attributed
-    /// to the fault layer instead.
+    /// record out over its ports, in stream order. Messages to sleeping or
+    /// halted nodes are lost (the defining property of the sleeping model) —
+    /// and counted, so protocol bugs cannot hide in silence.
     pub(super) fn deliver(&mut self, arena: &mut DeliveryArena) {
-        let (round, active, incoming) = (self.round, &self.buf.active, &self.buf.incoming);
-        let adjacency = self.adjacency;
-        let lost = arena.build(incoming, adjacency, |v| active.is_receptive(v, round));
-        let Some(rt) = self.faults.as_ref() else {
-            self.metrics.messages_lost += lost;
-            return;
-        };
-        // A crashed node is never receptive: its deliveries are among the
-        // lost ones, and are the fault layer's.
-        let recipients = incoming.iter().flat_map(|f| f.ports(adjacency));
-        let crashed = recipients.filter(|port| rt.crashed[port.neighbor.index()]).count() as u64;
-        self.metrics.messages_lost += lost - crashed;
-        self.metrics.fault_drops += crashed;
+        let (round, active) = (self.round, &self.buf.active);
+        let lost =
+            arena.build(&self.buf.incoming, self.adjacency, |v| active.is_receptive(v, round));
+        self.metrics.messages_lost += lost;
     }
 
-    /// Steps `v` in this round: runs its callback — `init` in round 0 and for
-    /// a node freshly revived by a fault-injected restart (which ignores any
-    /// inbox), `on_round` on its inbox in `arena` otherwise — with its sends
-    /// appended to `sent`; charges it the awake rounds of the step (this one,
+    /// Steps `v` in this round: runs its callback — `init` in round 0,
+    /// `on_round` on its inbox in `arena` otherwise — with its sends appended
+    /// to `sent`; charges it the awake rounds of the step (this one,
     /// plus the rounds a listener idled through since it last ran); accounts
     /// the sends; and schedules the node as it asked.
     #[inline(always)]
@@ -194,10 +148,8 @@ impl<'e> RoundCore<'e> {
     ) -> Result<(), SimError> {
         let (round, from) = (self.round, sent.len());
         let charge = self.buf.active.awake_rounds(v, round);
-        let reinit =
-            self.faults.as_mut().is_some_and(|rt| std::mem::take(&mut rt.reinit[v.index()]));
         let mut ctx = NodeCtx::new(v, round, self.engine.graph(), sent);
-        if round == 0 || reinit {
+        if round == 0 {
             state.init(&mut ctx);
         } else {
             state.on_round(&mut ctx, arena.inbox(v));
@@ -211,10 +163,9 @@ impl<'e> RoundCore<'e> {
     }
 
     /// Validates and accounts the send records `sent[from..]` — node `v`'s
-    /// step — then rolls their fault fates: drops vanish (counted), jittered
-    /// messages move to the pending buffer. Fates come after accounting — a
-    /// dropped message was still *sent* — and are pure functions of
-    /// `(edge, sender, send round)`.
+    /// step — then rolls their fault fates: drops vanish (counted). Fates
+    /// come after accounting — a dropped message was still *sent* — and are
+    /// pure functions of `(edge, sender, send round)`.
     ///
     /// The CONGEST bound is checked per step: only `v` writes its directions
     /// of its edges, and it steps at most once a round. One record never uses
@@ -257,10 +208,8 @@ impl<'e> RoundCore<'e> {
                 self.metrics.edge_congestion[port.edge.index()] += 1;
             }
         }
-        if let Some(rt) = self.faults.as_mut() {
-            if rt.has_message_faults() {
-                rt.apply_message_faults(&mut self.metrics, self.round, self.adjacency, sent, from);
-            }
+        if let Some(rt) = &self.faults {
+            rt.apply_message_faults(&mut self.metrics, self.round, self.adjacency, sent, from);
         }
         Ok(())
     }
@@ -271,17 +220,13 @@ impl<'e> RoundCore<'e> {
     pub(super) fn end_round(&mut self, sent: &mut Vec<InFlight>) -> bool {
         let round = self.round;
         // Delivered or counted as lost, all of it (the arena build does not
-        // drain) — and jitter arrivals merge into this buffer next round.
+        // drain).
         self.buf.incoming.clear();
 
         // Termination: all halted and nothing in flight. Whatever was sent
-        // this round — including jittered messages still held in the fault
-        // layer — can never be delivered: count it as lost.
+        // this round can never be delivered: count it as lost.
         if self.buf.active.all_halted() {
             self.metrics.messages_lost += sent.iter().map(|f| u64::from(f.len)).sum::<u64>();
-            if let Some(rt) = self.faults.as_ref() {
-                self.metrics.messages_lost += rt.pending_count();
-            }
             self.metrics.rounds = round + 1;
             return true;
         }
@@ -290,19 +235,9 @@ impl<'e> RoundCore<'e> {
         // can happen before the next scheduled wake-up — jump straight to
         // it, whether that is the next round (somebody who just ran stays
         // awake) or a thousand on. The skipped rounds still exist in the
-        // model but cost nothing. Under a fault plan the next event is the
-        // earliest of a wake-up, a pending jittered delivery, and a churn
-        // event.
+        // model but cost nothing.
         if sent.is_empty() {
-            let wake = self.buf.active.next_wake(round);
-            let target = match self.faults.as_ref() {
-                Some(rt) => [wake, rt.next_pending_round(), rt.next_event_round()]
-                    .into_iter()
-                    .flatten()
-                    .min(),
-                None => wake,
-            };
-            if let Some(w) = target.filter(|&w| w > round) {
+            if let Some(w) = self.buf.active.next_wake(round).filter(|&w| w > round) {
                 self.round = w;
                 return false;
             }

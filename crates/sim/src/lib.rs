@@ -30,11 +30,10 @@
 //!
 //! On top of the well-behaved model, [`SimConfig::faults`] can carry a
 //! seeded, deterministic [`FaultPlan`]: random message drops at one uniform
-//! probability, node crash/restart churn at chosen rounds with a full state
-//! reset, and bounded delivery-latency jitter, drawn per message. Both
-//! engines apply the identical fault schedule — the differential harnesses
-//! extend to faulty runs unchanged — and fault losses are counted separately
-//! ([`Metrics::fault_drops`]) from sleeping-model losses. The empty plan
+//! probability, drawn per message. Both engines apply the identical fault
+//! schedule — the differential harnesses extend to faulty runs unchanged —
+//! and fault losses are counted separately ([`Metrics::fault_drops`]) from
+//! sleeping-model losses. The empty plan
 //! ([`FaultPlan::none`], the default) leaves both engines on their original
 //! fault-free paths, bit for bit. See `docs/FAULT_MODEL.md` for the taxonomy
 //! and guarantees, and `EXPERIMENTS.md` (E14) for the measured degradation
@@ -127,7 +126,7 @@ pub mod workloads;
 
 pub use engine::{Engine, RunOutcome};
 pub use error::SimError;
-pub use fault::{CrashEvent, FaultPlan};
+pub use fault::FaultPlan;
 pub use message::{Message, Words};
 pub use metrics::Metrics;
 pub use node::{NodeCtx, Protocol};
@@ -150,7 +149,7 @@ pub struct SimConfig {
     /// smaller: a run that reaches round `u64::MAX` fails with this error at
     /// any limit, since it could not report its length.
     pub max_rounds: u64,
-    /// The fault-injection plan (message loss, node churn, delivery jitter).
+    /// The fault-injection plan (message loss).
     /// Defaults to [`FaultPlan::none`], which keeps both engines on their
     /// unmodified fault-free paths. See the [`fault`] module docs.
     pub faults: FaultPlan,

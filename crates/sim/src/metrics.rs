@@ -51,25 +51,17 @@ pub struct Metrics {
     /// time (including sends still undeliverable when the run terminated).
     /// This is a property of the protocol's wake schedule, *not* of fault
     /// injection — messages dropped by a [`crate::FaultPlan`] are counted in
-    /// [`Metrics::fault_drops`] instead (deliveries onto a *crashed* node
-    /// count there too, since the crash is the fault layer's doing).
+    /// [`Metrics::fault_drops`] instead.
     /// Protocols that rely on precise wake schedules should see 0 here for
     /// wavefront traffic; a surprising non-zero value is usually a protocol
     /// bug, which is why the engine counts it instead of dropping messages
     /// silently.
     pub messages_lost: u64,
-    /// Number of messages dropped by fault injection: in-transit drops rolled
-    /// by the [`crate::FaultPlan`] fate stream, plus deliveries addressed to
-    /// a crashed node. Disjoint from [`Metrics::messages_lost`]; both are
-    /// subsets of [`Metrics::messages`]. Always 0 without a fault plan.
+    /// Number of messages dropped in transit by fault injection, as rolled
+    /// by the [`crate::FaultPlan`] fate stream. Disjoint from
+    /// [`Metrics::messages_lost`]; both are subsets of [`Metrics::messages`].
+    /// Always 0 without a fault plan.
     pub fault_drops: u64,
-    /// Number of messages delayed by fault-injected delivery jitter (each
-    /// delayed message is counted once, whatever its extra latency).
-    pub fault_delays: u64,
-    /// Number of crash events applied by the fault plan.
-    pub crashes: u64,
-    /// Number of restart events applied by the fault plan.
-    pub restarts: u64,
 }
 
 impl Metrics {
@@ -82,9 +74,6 @@ impl Metrics {
             node_energy: vec![0; n],
             messages_lost: 0,
             fault_drops: 0,
-            fault_delays: 0,
-            crashes: 0,
-            restarts: 0,
         }
     }
 
@@ -148,9 +137,6 @@ impl Metrics {
         add(&mut self.messages, phase.messages);
         add(&mut self.messages_lost, phase.messages_lost);
         add(&mut self.fault_drops, phase.fault_drops);
-        add(&mut self.fault_delays, phase.fault_delays);
-        add(&mut self.crashes, phase.crashes);
-        add(&mut self.restarts, phase.restarts);
         for (&orig, &energy) in node_map.iter().zip(&phase.node_energy) {
             add(&mut self.node_energy[orig.index()], energy);
         }
@@ -235,16 +221,8 @@ mod tests {
     }
 
     /// Every scalar field, rounds first.
-    fn scalars(x: &mut Metrics) -> [&mut u64; 7] {
-        [
-            &mut x.rounds,
-            &mut x.messages,
-            &mut x.messages_lost,
-            &mut x.fault_drops,
-            &mut x.fault_delays,
-            &mut x.crashes,
-            &mut x.restarts,
-        ]
+    fn scalars(x: &mut Metrics) -> [&mut u64; 4] {
+        [&mut x.rounds, &mut x.messages, &mut x.messages_lost, &mut x.fault_drops]
     }
 
     #[test]
@@ -260,12 +238,9 @@ mod tests {
         let mut a = sample(2, 3, 5);
         a.messages_lost = 1;
         a.fault_drops = 4;
-        a.crashes = 1;
         let mut b = sample(2, 3, 7);
         b.messages_lost = 2;
         b.fault_drops = 5;
-        b.fault_delays = 6;
-        b.restarts = 2;
         merge_after(&mut a, &b);
         assert_eq!(a.rounds, 12);
         assert_eq!(a.messages, 20);
@@ -273,9 +248,6 @@ mod tests {
         assert_eq!(a.max_energy(), 6);
         assert_eq!(a.messages_lost, 3);
         assert_eq!(a.fault_drops, 9);
-        assert_eq!(a.fault_delays, 6);
-        assert_eq!(a.crashes, 1);
-        assert_eq!(a.restarts, 2);
     }
 
     #[test]
@@ -307,9 +279,6 @@ mod tests {
         sub.edge_congestion = vec![9, 2];
         sub.messages_lost = 1;
         sub.fault_drops = 2;
-        sub.fault_delays = 3;
-        sub.crashes = 4;
-        sub.restarts = 5;
         // A repeated target accumulates, as in `remap`.
         let (node_map, edge_map) = ([NodeId(3), NodeId(1), NodeId(3)], [EdgeId(2), EdgeId(0)]);
         let mut direct = sample(5, 4, 11);

@@ -17,14 +17,14 @@
 //! CONGEST model permits — so an engine can only win by moving
 //! messages cheaply.
 //!
-//! A third family hardens BFS and flooding against the fault fabric
-//! ([`crate::FaultPlan`], see `docs/FAULT_MODEL.md`): [`ChaosWaveBfs`]
+//! A third family runs BFS and flooding under the fault fabric's message
+//! loss ([`crate::FaultPlan`], see `docs/FAULT_MODEL.md`): [`ChaosWaveBfs`]
 //! widens the wave schedule into per-hop awake windows with rebroadcasts
-//! (exact under pure bounded jitter, loss-resilient under drops),
-//! [`ChaosPulseBfs`] is an oracle-free periodic BFS that wakes for two
-//! rounds per period and re-announces its distance every period, and
-//! [`ChaosFlood`] counts its deliveries so degradation is measurable. All
-//! three halt unconditionally on a schedule, so no fault plan can wedge them.
+//! (exact without faults, one-sided under drops), [`ChaosPulseBfs`] is an
+//! oracle-free periodic BFS that wakes for two rounds per period and
+//! re-announces its distance every period, and [`ChaosFlood`] counts its
+//! deliveries so degradation is measurable. All three halt unconditionally
+//! on a schedule, so no fault plan can wedge them.
 //!
 //! Finally, [`ChaosListener`] is the seeded differential-testing workload of
 //! [`crate::NodeCtx::listen_until`]: random sends, listens, sleeps and halts
@@ -138,26 +138,24 @@ impl Protocol for Flood {
     }
 }
 
-/// Chaos-hardened [`WaveBfs`]: the wave schedule stretched to tolerate
-/// fault-injected delivery jitter of up to `skew` rounds.
+/// [`WaveBfs`] with its schedule stretched into awake windows of
+/// `skew + 1` rounds.
 ///
 /// Node `v` at hop distance `d(v)` is awake for the *window* of `skew + 1`
 /// rounds starting at `d(v) · (skew + 1)`, rebroadcasts its best known
 /// distance in every window round, and halts unconditionally at the window's
-/// end — so no fault plan can wedge it, and every hop gets `skew + 1`
-/// independent delivery attempts (loss resilience).
+/// end — so no fault plan can wedge it.
 ///
-/// Under *pure* jitter bounded by `skew` (no drops) the output is exact: by
-/// induction, a node's **last** window-round broadcast (round
-/// `d·(skew+1) + skew`) carries its true distance, and its arrival — delayed
-/// by at most `skew` — lands within `[(d+1)(skew+1), (d+1)(skew+1) + skew]`,
-/// the awake window of the next layer, which therefore knows *its* true
-/// distance by its own last window round. Earlier, luckier broadcasts may
-/// arrive before the receiver's window opens and be lost to the sleeping
-/// model (counted in `messages_lost`), but the final attempt cannot miss.
-/// With `skew = 0` this degenerates to [`WaveBfs`] (single-round windows).
+/// Without faults the output is exact: by induction, a node's **last**
+/// window-round broadcast (round `d·(skew+1) + skew`) carries its true
+/// distance and arrives in round `(d+1)(skew+1)`, the first of the next
+/// layer's window, which therefore knows *its* true distance by its own last
+/// window round. Every mail arrives the round after it is sent, so the
+/// earlier broadcasts arrive before the receiver's window opens and are lost
+/// to the sleeping model (counted in `messages_lost`). With `skew = 0` this
+/// is [`WaveBfs`] (single-round windows).
 ///
-/// Under drops a node that misses all attempts of the true wavefront keeps
+/// Under drops a node that misses the true wavefront keeps
 /// `Distance::Infinite` or settles on a same-layer overestimate — estimates
 /// never *under*shoot, which is what makes the E14 degradation measurable as
 /// a one-sided error.
@@ -166,23 +164,23 @@ pub struct ChaosWaveBfs {
     /// First round of this node's awake window (already scaled by
     /// `skew + 1`), or `None` for unreachable nodes, which halt immediately.
     wake: Option<u64>,
-    /// The jitter bound the schedule was stretched for.
+    /// The width of the awake window, minus one.
     skew: u64,
     /// The distance this node computed (the protocol's output).
     pub dist: Distance,
 }
 
 impl ChaosWaveBfs {
-    /// The stretched wake schedule for a BFS from `sources` on `g` under a
-    /// jitter bound of `skew`: `schedule[v] = Some(d(v) · (skew + 1))`, or
-    /// `None` if `v` is unreachable.
+    /// The stretched wake schedule for a BFS from `sources` on `g` with
+    /// windows of `skew + 1` rounds: `schedule[v] = Some(d(v) · (skew + 1))`,
+    /// or `None` if `v` is unreachable.
     pub fn schedule(g: &Graph, sources: &[NodeId], skew: u64) -> Vec<Option<u64>> {
         let truth = congest_graph::sequential::bfs(g, sources);
         g.nodes().map(|v| truth.distance(v).finite().map(|d| d * (skew + 1))).collect()
     }
 
     /// A node with the given window start (an entry of
-    /// [`ChaosWaveBfs::schedule`]) and jitter bound.
+    /// [`ChaosWaveBfs::schedule`]) and window width minus one.
     pub fn new(wake: Option<u64>, skew: u64) -> ChaosWaveBfs {
         ChaosWaveBfs { wake, skew, dist: Distance::Infinite }
     }
@@ -229,8 +227,9 @@ impl Protocol for ChaosWaveBfs {
 /// Time is divided into periods of `period` rounds. Every node is awake for
 /// the two rounds `k·period` (talk) and `k·period + 1` (listen), and asleep
 /// otherwise, so the wavefront crosses one hop per period. A node
-/// re-announces its best distance at every talk round, absorbs arrivals in
-/// *both* rounds (a jittered arrival can land on a talk round), and halts
+/// re-announces its best distance at every talk round, absorbs the arrivals
+/// of every round it is awake in (mail arrives the round after it is sent,
+/// so all of it lands on listen rounds), and halts
 /// unconditionally on the first listen round past `(hop_bound + 2) · period`
 /// — so message loss costs accuracy, never termination. Without faults the
 /// output is the exact hop distance.
@@ -559,28 +558,22 @@ mod tests {
     }
 
     #[test]
-    fn chaos_wave_bfs_is_exact_under_pure_bounded_jitter() {
-        // The headline guarantee: jitter alone (no drops) cannot corrupt the
-        // output, on either engine, because the last rebroadcast of each
-        // window always lands inside the next layer's window.
+    fn chaos_wave_bfs_is_exact_at_every_window_width() {
+        // Only the last rebroadcast of each window lands inside the next
+        // layer's window, and it carries the true distance, on either engine.
         let g = generators::random_connected(48, 70, 29);
         let truth = sequential::bfs(&g, &[NodeId(0)]);
         for skew in [1u64, 3] {
             let sched = ChaosWaveBfs::schedule(&g, &[NodeId(0)], skew);
-            let cfg = SimConfig::default()
-                .with_faults(FaultPlan::none().with_seed(99).with_max_skew(skew));
-            let fast = Engine::new(&g, cfg.clone())
-                .run(|id| ChaosWaveBfs::new(sched[id.index()], skew))
-                .unwrap();
-            let slow = Engine::new(&g, cfg)
-                .run_reference(|id| ChaosWaveBfs::new(sched[id.index()], skew))
-                .unwrap();
+            let engine = Engine::new(&g, SimConfig::default());
+            let fast = engine.run(|id| ChaosWaveBfs::new(sched[id.index()], skew)).unwrap();
+            let slow =
+                engine.run_reference(|id| ChaosWaveBfs::new(sched[id.index()], skew)).unwrap();
             assert_eq!(fast.metrics, slow.metrics, "skew {skew}");
             for v in g.nodes() {
                 assert_eq!(fast.states[v.index()].dist, truth.distance(v), "node {v} skew {skew}");
                 assert_eq!(slow.states[v.index()].dist, truth.distance(v), "node {v} skew {skew}");
             }
-            assert!(fast.metrics.fault_delays > 0, "skew {skew} must actually jitter");
             // Each node is awake for init plus at most its skew+1 window.
             assert!(fast.metrics.max_energy() <= skew + 2);
         }
@@ -599,8 +592,8 @@ mod tests {
         }
         // Under heavy loss the distances may degrade, but the unconditional
         // halt schedule still terminates the run well inside the limit.
-        let cfg = SimConfig::default()
-            .with_faults(FaultPlan::none().with_seed(3).with_drop_ppm(400_000).with_max_skew(2));
+        let cfg =
+            SimConfig::default().with_faults(FaultPlan::none().with_seed(3).with_drop_ppm(400_000));
         let lossy =
             Engine::new(&g, cfg).run(|id| ChaosPulseBfs::new(id == NodeId(0), 6, n)).unwrap();
         assert!(lossy.metrics.rounds <= (n + 2) * 6 + 2);
@@ -617,7 +610,7 @@ mod tests {
     fn chaos_flood_counts_deliveries_exactly() {
         let g = generators::random_connected(20, 30, 5);
         let cfg = SimConfig::default()
-            .with_faults(FaultPlan::none().with_seed(12).with_drop_ppm(150_000).with_max_skew(1));
+            .with_faults(FaultPlan::none().with_seed(12).with_drop_ppm(150_000));
         let run = Engine::new(&g, cfg).run(|id| ChaosFlood::new(id, 12)).unwrap();
         let received: u64 = run.states.iter().map(|s| s.received).sum();
         assert_eq!(

@@ -215,6 +215,13 @@ fn round_deltas(snapshots_of_run: impl Fn() -> Vec<(u64, u64)> + Sync) -> Vec<(u
 /// larger-grained records, so their outbox and delivery stream grow in fewer
 /// steps: the wave went from (39, 21 784) to (34, 9 896), the listeners from
 /// (38, 25 096) to (33, 13 208).
+///
+/// They moved down once more when the wake queue lost its `halted` column
+/// (one byte a node; `wake_at == NEVER` marks a halted node) with the
+/// crash/restart fault kind that needed it: measured before and after, the
+/// large run went from (11, 1 328 672) to (10, 1 312 288), the wave from
+/// (33, 9 864) to (32, 9 832) and the listeners from (31, 13 144) to
+/// (30, 13 112).
 fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     // What the ledger's `sim.wave_run_setup_us` times: every node of the
     // `engine-wave` grid halts in round 0. The engine is built inside the
@@ -229,15 +236,15 @@ fn per_run_setup_is_what_the_hand_written_loop_asked_for() {
     let wave = setup_allocations_of(|| {
         engine(&small).run(|id| WaveBfs::new(schedule[id.index()])).expect("halts")
     });
-    assert!(halt_at_once.0 <= 12 && halt_at_once.1 <= 1_345_056, "16384 nodes: {halt_at_once:?}");
-    assert!(wave.0 <= 34 && wave.1 <= 9_896, "32 nodes: {wave:?}");
+    assert!(halt_at_once.0 <= 10 && halt_at_once.1 <= 1_312_288, "16384 nodes: {halt_at_once:?}");
+    assert!(wave.0 <= 32 && wave.1 <= 9_832, "32 nodes: {wave:?}");
     assert_eq!(allocations_of(|| engine(&grid)), (0, 0), "building an engine is free");
     // Deadlines beyond the wake queue's ring: the far tier is two flat
     // buffers, with one entry per listener however often it is woken.
     let far = setup_allocations_of(|| {
         engine(&small).run(|id| ListeningWave::new(id, 10_000)).expect("halts at the deadline")
     });
-    assert!(far.0 <= 33 && far.1 <= 13_208, "32 listeners: {far:?}");
+    assert!(far.0 <= 30 && far.1 <= 13_112, "32 listeners: {far:?}");
 }
 
 /// One wave among listeners: node 0 announces in round 0, everybody else

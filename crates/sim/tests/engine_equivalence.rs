@@ -20,9 +20,8 @@
 //! round-by-round definition of them.
 //!
 //! The fixed cases name the round rules of `engine/round.rs` one by one —
-//! re-initialisation after a restart, listener wake-up off the jitter-merged
-//! stream, termination with jitter pending, the jump past the round limit —
-//! and the order in which a round fails: the first violation of the CONGEST
+//! listener wake-up off the stream the drop pass left, the jump past the
+//! round limit — and the order in which a round fails: the first violation of the CONGEST
 //! bound (an oversized message, a second message on an edge direction) and
 //! the first protocol panic, in node-id order.
 //!
@@ -183,20 +182,10 @@ fn assert_listeners_equivalent(g: &Graph, cfg: SimConfig, seed: u64) {
     let _ = assert_equivalent_runs(g, cfg, seed, node, |s| (s.digest, s.calls));
 }
 
-/// Random fault plans: message loss, delivery jitter, and crash/restart
-/// churn.
-fn fault_plan(n: u32) -> impl Strategy<Value = FaultPlan> {
-    (0u64..1_000_000, 0u32..200_000, 0u64..3, 0u8..2, 0u64..16).prop_map(
-        move |(seed, drop_ppm, skew, crash, crash_at)| {
-            let mut plan =
-                FaultPlan::none().with_seed(seed).with_drop_ppm(drop_ppm).with_max_skew(skew);
-            if crash == 1 {
-                let node = NodeId(seed as u32 % n);
-                plan = plan.with_crash(node, crash_at, Some(crash_at + 3));
-            }
-            plan
-        },
-    )
+/// Random fault plans: message loss at up to one message in five.
+fn fault_plan() -> impl Strategy<Value = FaultPlan> {
+    (0u64..1_000_000, 0u32..200_000)
+        .prop_map(|(seed, drop_ppm)| FaultPlan::none().with_seed(seed).with_drop_ppm(drop_ppm))
 }
 
 /// How one run of the dirty-scratch property is made to end.
@@ -306,13 +295,10 @@ fn draw_run(rng: &mut ChaCha8Rng) -> (Graph, SimConfig, u64, Ending) {
     let faults = if rng.gen_range(0u32..2) == 0 {
         FaultPlan::none()
     } else {
-        // Jitter on every edge, a crash with a restart and a crash for good;
-        // nodes a small graph does not have are ignored by the plan.
+        // Drops on every edge, so every step's records are split.
         FaultPlan::none()
             .with_seed(rng.gen_range(0u64..1 << 20))
-            .with_max_skew(3)
-            .with_crash(NodeId(rng.gen_range(0u32..8)), rng.gen_range(1u64..6), Some(9))
-            .with_crash(NodeId(rng.gen_range(8u32..16)), rng.gen_range(2u64..30), None)
+            .with_drop_ppm(rng.gen_range(1u32..300_000))
     };
     let cfg =
         SimConfig { max_rounds: if ending == Ending::RoundLimit { 7 } else { 10_000 }, faults };
@@ -372,7 +358,7 @@ proptest! {
         extra in 0u64..30,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        plan in fault_plan(24),
+        plan in fault_plan(),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         let _ = assert_engines_equivalent(&g, SimConfig::default().with_faults(plan), protocol_seed);
@@ -395,7 +381,7 @@ proptest! {
         extra in 0u64..30,
         graph_seed in 0u64..1_000_000,
         protocol_seed in 0u64..1_000_000,
-        plan in fault_plan(24),
+        plan in fault_plan(),
     ) {
         let g = generators::random_connected(n, extra, graph_seed);
         assert_listeners_equivalent(&g, SimConfig::default().with_faults(plan), protocol_seed);
@@ -459,8 +445,8 @@ impl Protocol for Nesting<'_> {
 /// The listening chaos workload on `g` from `seed`, through [`Engine::run`]
 /// or the reference loop: its metrics and final `(digest, calls)`.
 fn inner_run(g: &Graph, seed: u64, reference: bool) -> (Metrics, Vec<(u64, u64)>) {
-    let engine =
-        Engine::new(g, SimConfig::default().with_faults(FaultPlan::none().with_max_skew(2)));
+    let plan = FaultPlan::none().with_seed(2).with_drop_ppm(100_000);
+    let engine = Engine::new(g, SimConfig::default().with_faults(plan));
     let node = |id| ChaosListener::new(seed, id, 60, 90);
     let run = if reference { engine.run_reference(node) } else { engine.run(node) };
     let run = run.expect("the listeners halt");
@@ -592,48 +578,6 @@ fn woken_listeners_fail_in_the_order_of_the_reference() {
 // `engine/round.rs` decides the outcome, run through `run_reference` and
 // `run` and compared whole.
 
-/// Counts its callbacks; always awake and talking until round `until`.
-#[derive(Debug, Clone)]
-struct Chatter {
-    until: u64,
-    inits: u32,
-    steps: u32,
-}
-
-impl Protocol for Chatter {
-    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.inits += 1;
-        ctx.broadcast(&[ctx.round()]);
-    }
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
-        self.steps += inbox.len() as u32;
-        if ctx.round() >= self.until {
-            ctx.halt();
-        } else {
-            ctx.broadcast(&[ctx.round()]);
-        }
-    }
-}
-
-/// Churn, then the re-init flag: a node restarted in round 4 is stepped in
-/// that very round through `init` (on a fresh state, its waiting mail
-/// ignored), and through `on_round` from round 5 on — the flag is cleared by
-/// the step that read it, once.
-#[test]
-fn a_restarted_node_reinitialises_in_its_restart_round_and_only_then() {
-    let g = generators::cycle(6, 1);
-    let plan = FaultPlan::none().with_crash(NodeId(4), 2, Some(4));
-    let cfg = SimConfig::default().with_faults(plan);
-    let node = |_| Chatter { until: 8, inits: 0, steps: 0 };
-    let run = assert_equivalent_runs(&g, cfg, 0, node, |s| (s.inits, s.steps)).expect("halts");
-    assert_eq!((run.metrics.crashes, run.metrics.restarts), (1, 1));
-    // Two neighbours' mail in each of rounds 5..=8, none counted in round 4.
-    assert_eq!((run.states[4].inits, run.states[4].steps), (1, 8));
-    assert_eq!((run.states[0].inits, run.states[0].steps), (1, 16));
-    // Up in rounds 0, 1 and 4..=8.
-    assert_eq!(run.metrics.node_energy[4], 7);
-}
-
 /// Node 0 talks in rounds 0..=5 and then sleeps; node 1 listens, re-listening
 /// to the same deadline every time mail wakes it.
 #[derive(Debug, Clone)]
@@ -664,50 +608,27 @@ impl Protocol for Patient {
     }
 }
 
-/// Listener wake-up off the *merged* stream: a jitter-delayed message is not
-/// in the buffer the previous round's sends left behind, yet its arrival must
-/// wake the listener — whose deadline entry then sits stale in the wake queue
-/// and is filtered out when the deadline round comes.
+/// Listener wake-up off the stream the drop pass left: a dropped message
+/// wakes no listener, so the listener is called back once per message that
+/// survives, and once more at its deadline.
 #[test]
-fn a_jittered_arrival_wakes_a_listener_and_its_deadline_entry_goes_stale() {
+fn a_dropped_message_wakes_no_listener() {
     let g = generators::path(2, 1);
-    let plan = FaultPlan::none().with_seed(5).with_max_skew(6);
-    let cfg = SimConfig::default().with_faults(plan);
     let node = |_| Patient { deadline: 40, calls: Vec::new() };
-    let run = assert_equivalent_runs(&g, cfg, 5, node, |s| s.calls.clone()).expect("halts");
-    assert!(run.metrics.fault_delays > 0, "the case needs a delayed message");
-    let listener = &run.states[1].calls;
-    let mail: u64 = listener.iter().map(|c| c & 0xff).sum();
-    assert_eq!(mail, 6, "every message arrives, late or not: {listener:?}");
-    assert!(listener.iter().any(|c| c >> 8 > 6), "one arrives after the last send: {listener:?}");
-    assert_eq!(listener.last(), Some(&(40 << 8)), "the deadline callback runs once, without mail");
-    assert_eq!(run.metrics.node_energy[1], 41, "awake in every round, stepped in few");
-}
-
-/// Says something to everyone and stops.
-#[derive(Debug, Clone)]
-struct LastWords;
-
-impl Protocol for LastWords {
-    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.broadcast(&[1]);
-        ctx.halt();
+    let mut dropped = 0;
+    for seed in 0..8 {
+        let plan = FaultPlan::none().with_seed(seed).with_drop_ppm(500_000);
+        let cfg = SimConfig::default().with_faults(plan);
+        let run = assert_equivalent_runs(&g, cfg, seed, node, |s| s.calls.clone()).expect("halts");
+        let listener = &run.states[1].calls;
+        let kept = 6 - run.metrics.fault_drops;
+        assert!(listener.iter().all(|c| c >> 8 == 40 || c & 0xff == 1), "{listener:?}");
+        assert_eq!(listener.len() as u64, kept + 1, "seed {seed}: {listener:?}");
+        assert_eq!(listener.last(), Some(&(40 << 8)), "the deadline callback runs once, mail-less");
+        assert_eq!(run.metrics.node_energy[1], 41, "awake in every round, stepped in few");
+        dropped += run.metrics.fault_drops;
     }
-    fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, _inbox: &[Message]) {}
-}
-
-/// Termination: everyone halts in round 0 with messages on the wire and in
-/// the jitter buffer; neither kind can be delivered, both count as lost.
-#[test]
-fn termination_counts_pending_jitter_as_lost() {
-    let g = generators::star(8, 1);
-    let plan = FaultPlan::none().with_seed(9).with_max_skew(4);
-    let cfg = SimConfig::default().with_faults(plan);
-    let run = assert_equivalent_runs(&g, cfg, 9, |_| LastWords, |_| ()).expect("halts");
-    assert_eq!((run.metrics.rounds, run.metrics.messages), (1, 14));
-    assert!(run.metrics.fault_delays > 0, "the case needs a message held back");
-    assert!(run.metrics.fault_delays < 14, "and one on the wire");
-    assert_eq!(run.metrics.messages_lost, 14);
+    assert!(dropped > 0 && dropped < 8 * 6, "some of the 48 messages are dropped, some kept");
 }
 
 /// Sleeps to a round far past any limit.
@@ -724,19 +645,13 @@ impl Protocol for FarSleeper {
 }
 
 /// The round limit, met by a fast-forward jump: the jump is refused with the
-/// error a round-by-round run would end in. With a fault plan the jump
-/// target is the earliest of the wake buckets' and the fault layer's next
-/// events.
+/// error a round-by-round run would end in.
 #[test]
 fn a_jump_past_the_round_limit_is_the_round_limit_error() {
     let g = generators::path(2, 1);
-    let churn = FaultPlan::none().with_crash(NodeId(0), 5, Some(7));
-    for plan in [FaultPlan::none(), churn] {
-        let cfg = SimConfig::default().with_faults(plan);
-        let err = assert_equivalent_runs(&g, cfg, 0, |_| FarSleeper(1 << 36), |_| ())
-            .expect_err("2^36 is past the default limit");
-        assert_eq!(err, SimError::RoundLimitExceeded { limit: 10_000_000, unhalted_nodes: 2 });
-    }
+    let err = assert_equivalent_runs(&g, SimConfig::default(), 0, |_| FarSleeper(1 << 36), |_| ())
+        .expect_err("2^36 is past the default limit");
+    assert_eq!(err, SimError::RoundLimitExceeded { limit: 10_000_000, unhalted_nodes: 2 });
     // Below the limit the jump is taken: the run ends in the sleeper's round.
     let run = assert_equivalent_runs(&g, SimConfig::default(), 0, |_| FarSleeper(1000), |_| ())
         .expect("halts");

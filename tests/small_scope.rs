@@ -8,10 +8,12 @@
 //! single-source-set entrant is checked against `sequential::dijkstra`, and
 //! the all-pairs entrant's whole matrix against `sequential::all_pairs`.
 //!
-//! Two more checks ride along on every case. An inert fault plan — not
-//! empty, but its one crash comes long after any run of the sweep ends —
-//! changes nothing: every entrant's whole report under it equals the
-//! fault-free one. And on a graph with zero weights, `cssp` charges the
+//! Two more checks ride along on every case. A drop plan that drops nothing
+//! changes nothing: every run is made again under a plan that drops one
+//! message in a million, and every rerun that dropped none reports exactly
+//! what the fault-free run reports — so splitting each step's send records
+//! and rolling their fates moves no statistic. And on a graph with zero
+//! weights, `cssp` charges the
 //! contraction it solves through: the endpoints of a zero-weight edge, one
 //! supernode, report equal energy, and the edge carries messages.
 //!
@@ -22,7 +24,7 @@
 
 use congest_sssp_suite::graph::{properties, sequential, Graph, NodeId};
 use congest_sssp_suite::sssp::cssp::cssp;
-use congest_sssp_suite::sssp::{registry, AlgoConfig, FaultPlan, Solver};
+use congest_sssp_suite::sssp::{registry, AlgoConfig, FaultPlan, Solver, SolverRequest, SolverRun};
 
 /// The edge weights of the sweep: zero (contracted by the exact solvers),
 /// unit, and a weight a two-edge detour can beat.
@@ -49,12 +51,23 @@ fn connected_graphs(n: u32) -> Vec<Graph> {
     graphs
 }
 
-/// A fault plan that is not empty (`is_none()` is false) but fires nothing
-/// inside any run of the sweep: one crash, at round 2^54.
-fn inert_faults() -> AlgoConfig {
-    let plan = FaultPlan::none().with_crash(NodeId(0), 1 << 54, None);
-    assert!(!plan.is_none());
-    AlgoConfig::default().with_faults(plan)
+/// Runs `request` again under a plan that drops one message in a million,
+/// seeded with `seed`; if the rerun drops nothing, its whole report must be
+/// `run`'s. Returns whether it dropped nothing.
+fn rerun_under_rare_drops(
+    request: SolverRequest<'_>,
+    run: &SolverRun,
+    seed: u64,
+    what: &str,
+) -> bool {
+    let plan = FaultPlan::none().with_seed(seed).with_drop_ppm(1);
+    let rerun = request.config(AlgoConfig::default().with_faults(plan)).run();
+    let rerun = rerun.unwrap_or_else(|e| panic!("{what}, drop plan: {e}"));
+    if rerun.report.fault_drops > 0 {
+        return false;
+    }
+    assert_eq!(rerun.report, run.report, "{what}: a plan that dropped nothing moved the report");
+    true
 }
 
 /// Checks that `cssp` from `sources` charges every zero-weight edge of `g`:
@@ -84,15 +97,16 @@ fn source_sets(n: u32) -> Vec<Vec<NodeId>> {
 /// Runs every exact weighted registry entrant on every connected graph of up
 /// to `max_n` nodes: from every nonempty source set on graphs of up to
 /// `every_source_set_to` nodes, and from node 0 on the larger ones. Each run
-/// is made again under [`inert_faults`], and `cssp` is checked by
+/// is made again by [`rerun_under_rare_drops`], and `cssp` is checked by
 /// [`check_zero_weight_charges`] from every source set. Panics at the first
-/// distance that differs from the sequential truth, the first report an inert
-/// plan moves, the first uncharged zero-weight edge or the first error;
-/// returns the number of runs (not counting the inert ones) and the number of
-/// zero-weight edges checked.
-fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize) {
+/// distance that differs from the sequential truth, the first report a plan
+/// that dropped nothing moves, the first uncharged zero-weight edge or the
+/// first error; returns the number of runs (not counting the reruns), the
+/// number of reruns that dropped nothing and the number of zero-weight edges
+/// checked.
+fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize, usize) {
     let exact: Vec<_> = registry().iter().filter(|i| i.weighted && i.exact()).collect();
-    let (mut runs, mut zero_edges) = (0, 0);
+    let (mut runs, mut undropped, mut zero_edges) = (0, 0, 0);
     for n in 1..=max_n {
         let sets = if n <= every_source_set_to { source_sets(n) } else { vec![vec![NodeId(0)]] };
         for g in connected_graphs(n) {
@@ -101,9 +115,7 @@ fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize) {
                 let what = format!("{} on {edges:?}", info.name);
                 let request = Solver::on(&g).algorithm(info.algorithm).source(NodeId(0));
                 let run = request.clone().run().unwrap_or_else(|e| panic!("{what}: {e}"));
-                let inert = request.config(inert_faults()).run();
-                let inert = inert.unwrap_or_else(|e| panic!("{what}, inert plan: {e}"));
-                assert_eq!(inert.report, run.report, "{what}: the inert plan moved the report");
+                undropped += usize::from(rerun_under_rare_drops(request, &run, runs as u64, &what));
                 let matrix = run.all_pairs.expect("an all-pairs entrant returns its matrix");
                 assert_eq!(matrix, sequential::all_pairs(&g), "{what}");
                 runs += 1;
@@ -115,9 +127,8 @@ fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize) {
                     let what = format!("{} on {edges:?} from {sources:?}", info.name);
                     let request = Solver::on(&g).algorithm(info.algorithm).sources(sources);
                     let run = request.clone().run().unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let inert = request.config(inert_faults()).run();
-                    let inert = inert.unwrap_or_else(|e| panic!("{what}, inert plan: {e}"));
-                    assert_eq!(inert.report, run.report, "{what}: the inert plan moved the report");
+                    let seed = runs as u64;
+                    undropped += usize::from(rerun_under_rare_drops(request, &run, seed, &what));
                     assert_eq!(run.output.distances, truth, "{what}");
                     runs += 1;
                 }
@@ -126,7 +137,7 @@ fn sweep(max_n: u32, every_source_set_to: u32) -> (usize, usize) {
             }
         }
     }
-    (runs, zero_edges)
+    (runs, undropped, zero_edges)
 }
 
 #[test]
@@ -135,15 +146,17 @@ fn every_exact_weighted_entrant_is_exact_on_every_tiny_graph() {
     // sets; weighted, 1, 3, 54 and 3 834 graphs. Four entrants run on every
     // (graph, source set) — 1 + 3·3 + 54·7 + 3 834 of them —, and the
     // all-pairs entrant once a graph.
-    let (runs, zero_edges) = sweep(4, 3);
+    let (runs, undropped, zero_edges) = sweep(4, 3);
     assert_eq!(runs, 4 * 4_222 + 3_892);
+    assert!(undropped > 0, "some reruns drop nothing");
     assert!(zero_edges > 0, "the sweep has zero weights");
 }
 
 #[test]
 #[ignore = "the full sweep, every source set on four nodes: run it in release"]
 fn every_exact_weighted_entrant_is_exact_from_every_source_set_of_four_nodes() {
-    let (runs, zero_edges) = sweep(4, 4);
+    let (runs, undropped, zero_edges) = sweep(4, 4);
     assert_eq!(runs, 4 * (4_222 + 14 * 3_834) + 3_892);
+    assert!(undropped > 0, "some reruns drop nothing");
     assert!(zero_edges > 0, "the sweep has zero weights");
 }

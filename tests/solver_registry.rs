@@ -8,7 +8,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use congest_sssp_suite::graph::{generators, sequential, Graph, NodeId};
-use congest_sssp_suite::sim::{CrashEvent, FaultPlan};
+use congest_sssp_suite::sim::FaultPlan;
 use congest_sssp_suite::sssp::apsp::ApspConfig;
 use congest_sssp_suite::sssp::{registry, AlgoConfig, OracleConfig, Solver};
 use proptest::prelude::*;
@@ -103,7 +103,9 @@ type Knobs = (AlgoConfig, ApspConfig, OracleConfig);
 type Setter = fn(&mut Knobs, u64);
 
 /// Every integer field of the configurations, by name: the fault plan's
-/// included.
+/// included. One case sets two fields: a huge `epsilon_inverse` with the
+/// oracle's fallback off, so the oracle sums the rounds of clusters that
+/// each report `u64::MAX`.
 fn config_fields() -> Vec<(&'static str, Setter)> {
     fn u32_of(x: u64) -> u32 {
         u32::try_from(x).unwrap_or(u32::MAX)
@@ -111,22 +113,18 @@ fn config_fields() -> Vec<(&'static str, Setter)> {
     fn usize_of(x: u64) -> usize {
         usize::try_from(x).unwrap_or(usize::MAX)
     }
-    fn crash(at_round: u64, restart_at: Option<u64>) -> CrashEvent {
-        CrashEvent { node: NodeId(1), at_round, restart_at }
-    }
     vec![
         ("epsilon_inverse", |k, x| k.0.epsilon_inverse = x),
+        ("epsilon_inverse, oracle.fallback_threshold = 0", |k, x| {
+            k.0.epsilon_inverse = x;
+            k.2.fallback_threshold = 0;
+        }),
         ("sim.max_rounds", |k, x| k.0.sim.max_rounds = x),
         // A seed draws fates only beside a message fault: one drop in ten.
         ("sim.faults.seed", |k, x| {
             k.0.sim.faults = FaultPlan::none().with_seed(x).with_drop_ppm(100_000)
         }),
         ("sim.faults.drop_ppm", |k, x| k.0.sim.faults.drop_ppm = u32_of(x)),
-        ("sim.faults.max_skew", |k, x| k.0.sim.faults.max_skew = x),
-        // One crash of node 1, at round 1 and back in round 3, but for the
-        // field set.
-        ("sim.faults.crash.at_round", |k, x| k.0.sim.faults.crashes = vec![crash(x, Some(3))]),
-        ("sim.faults.crash.restart_at", |k, x| k.0.sim.faults.crashes = vec![crash(1, Some(x))]),
         ("apsp.threads", |k, x| k.1.threads = usize_of(x)),
         ("oracle.fallback_threshold", |k, x| k.2.fallback_threshold = u32_of(x)),
     ]
@@ -138,8 +136,7 @@ fn config_fields() -> Vec<(&'static str, Setter)> {
 /// abort. `2⁵⁴` is huge but, unlike the maximum, passes every up-front
 /// check: an `epsilon_inverse` of `2⁵⁴` runs APSP instances of `≈ 2⁵⁴`
 /// rounds, whose schedule cannot be allocated. The fault plan's fields are
-/// among them: a crash at round `u64::MAX` once overflowed normalising its
-/// restart to the round after it.
+/// among them.
 #[test]
 fn every_algorithm_at_every_config_extreme_returns_ok_or_a_typed_error() {
     let weighted = generators::with_random_weights(&generators::random_connected(12, 8, 5), 9, 5);
