@@ -35,8 +35,8 @@
 //! entire `ApspRun` are therefore **bit-identical regardless of thread
 //! count** — parallelism changes wall-clock time only. The composition costs
 //! `O(messages)` time; peak memory beyond the `O(n²)` distance matrix is
-//! `O(n · m + occupied rounds)` — the per-edge totals plus the scheduler's
-//! one count column. (Earlier versions streamed materialised traces into
+//! `O(n · m + rounds)` — the per-edge totals plus the scheduler's one count
+//! column, a word per round from the earliest delay to the horizon. (Earlier versions streamed materialised traces into
 //! per-round arrival buckets and claimed `O(m + makespan)`; the buckets were
 //! `O(total messages)`, two thirds of the peak heap at `n = 64`.)
 //!
@@ -201,9 +201,9 @@ fn budget(n: u32) -> u32 {
 ///
 /// Propagates any SSSP failure (the first one in source order observed), and
 /// reports as [`AlgoError::Simulation`] a schedule whose horizon — a start
-/// delay plus an instance's rounds — does not fit `u64`, or whose occupied
-/// rounds are too many to hold one count each in memory (at a huge
-/// `epsilon_inverse`, the instances run that long).
+/// delay plus an instance's rounds — does not fit `u64`, or whose rounds are
+/// too many to hold one count each in memory (at a huge `epsilon_inverse`,
+/// the instances run that long).
 pub(crate) fn apsp(
     g: &Graph,
     config: &AlgoConfig,

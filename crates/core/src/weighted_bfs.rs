@@ -54,12 +54,11 @@ impl WaitingBfsNode<'_> {
             // Mail arrives the round after it is sent and every weight is at
             // least 1, so a candidate is never below the round it arrives in,
             // and a node is called back by the round its pending distance
-            // comes due: `b < round` does not happen. Were it to, the node
-            // would keep `b` but not announce it, the wavefront it would
-            // have joined having left.
-            if b <= ctx.round() {
+            // comes due. A fault plan only removes mail.
+            debug_assert!(b >= ctx.round(), "distance {b} came due before round {}", ctx.round());
+            if b == ctx.round() {
                 self.finalized = true;
-                if b == ctx.round() && b < self.announce_below {
+                if b < self.announce_below {
                     ctx.broadcast(&[b]);
                 }
             }

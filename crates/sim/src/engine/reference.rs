@@ -24,7 +24,6 @@ use std::collections::HashSet;
 
 use congest_graph::{EdgeId, NodeId};
 
-use crate::fault::FaultRuntime;
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::{NodeCtx, Request};
@@ -65,7 +64,7 @@ impl Engine<'_> {
         let m = graph.edge_count() as usize;
         let mut states: Vec<P> = graph.nodes().map(factory).collect();
         let mut status = vec![NodeStatus { wake_at: 0, listening: false, halted: false }; n];
-        let faults = FaultRuntime::new(&config.faults);
+        let faults = (!config.faults.is_none()).then_some(&config.faults);
         let mut metrics = Metrics::zero(n, m);
 
         // Messages sent in the previous round, awaiting delivery this round:
@@ -141,8 +140,8 @@ impl Engine<'_> {
                 // Roll the fate of this node's sends after accounting (a
                 // dropped message was still sent), before they join the
                 // in-flight pool — same call sequence as the active engine.
-                if let Some(rt) = &faults {
-                    rt.apply_message_faults(&mut metrics, round, adjacency, &mut outbox, 0);
+                if let Some(plan) = faults {
+                    plan.apply_message_faults(&mut metrics, round, adjacency, &mut outbox, 0);
                 }
                 in_flight.append(&mut outbox);
                 // Process sleep/listen/halt requests.

@@ -20,7 +20,7 @@
 
 use congest_graph::{Adjacency, NodeId};
 
-use crate::fault::FaultRuntime;
+use crate::fault::FaultPlan;
 use crate::message::InFlight;
 use crate::metrics::Metrics;
 use crate::node::NodeCtx;
@@ -58,7 +58,7 @@ pub(super) struct RoundCore<'e> {
     buf: &'e mut RoundScratch,
     /// The fault layer: `None` for a plan that drops nothing, whose rules
     /// then roll no message fates.
-    faults: Option<FaultRuntime>,
+    faults: Option<&'e FaultPlan>,
     metrics: Metrics,
     /// See [`RunOutcome::rounds_visited`].
     rounds_visited: u64,
@@ -80,7 +80,7 @@ impl<'e> RoundCore<'e> {
             adjacency: graph.csr().1,
             round: 0,
             buf: scratch,
-            faults: FaultRuntime::new(&config.faults),
+            faults: (!config.faults.is_none()).then_some(&config.faults),
             metrics: Metrics::zero(n, m),
             rounds_visited: 0,
         }
@@ -208,8 +208,8 @@ impl<'e> RoundCore<'e> {
                 self.metrics.edge_congestion[port.edge.index()] += 1;
             }
         }
-        if let Some(rt) = &self.faults {
-            rt.apply_message_faults(&mut self.metrics, self.round, self.adjacency, sent, from);
+        if let Some(plan) = self.faults {
+            plan.apply_message_faults(&mut self.metrics, self.round, self.adjacency, sent, from);
         }
         Ok(())
     }

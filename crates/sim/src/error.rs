@@ -44,11 +44,12 @@ pub enum SimError {
         /// The length of the window.
         rounds: u64,
     },
-    /// A random-delay schedule ([`crate::scheduler`]) occupies more rounds
-    /// than memory can hold its per-round count column for (one `u64` per
-    /// occupied round): the allocation failed, and the schedule was not run.
+    /// A random-delay schedule ([`crate::scheduler`]) spans more rounds, from
+    /// its earliest delay to its horizon, than memory can hold its per-round
+    /// count column for (one `u64` per round): the allocation failed, and
+    /// the schedule was not run.
     ScheduleTooLong {
-        /// The occupied rounds of the schedule.
+        /// The rounds the schedule spans.
         slots: usize,
     },
 }
@@ -75,7 +76,7 @@ impl fmt::Display for SimError {
             ),
             SimError::ScheduleTooLong { slots } => write!(
                 f,
-                "a schedule of {slots} occupied rounds is too long to hold a count per round"
+                "a schedule spanning {slots} rounds is too long to hold a count per round"
             ),
         }
     }
@@ -100,7 +101,7 @@ mod tests {
         let e = SimError::ScheduleHorizonOverflow { delay: u64::MAX, rounds: 7 };
         assert!(e.to_string().contains("7 rounds"));
         let e = SimError::ScheduleTooLong { slots: 1 << 54 };
-        assert!(e.to_string().contains("18014398509481984 occupied rounds"));
+        assert!(e.to_string().contains("spanning 18014398509481984 rounds"));
     }
 
     #[test]

@@ -81,39 +81,12 @@ impl FaultPlan {
         self.drop_ppm = ppm.min(PPM);
         self
     }
-}
-
-/// Mixes a message's identity into a fate-stream key. Shared verbatim by
-/// both engines, which is what makes their fault schedules identical.
-fn fate_key(edge: EdgeId, from: NodeId, send_round: u64) -> u64 {
-    let mut s = (edge.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ (from.0 as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9)
-        ^ send_round.wrapping_mul(0x94d0_49bb_1331_11eb);
-    splitmix64(&mut s)
-}
-
-/// The per-run runtime of a non-empty plan: its seed and drop rate. It holds
-/// no state a run changes, so both engines, calling it with the identical
-/// sequence of sends, draw the identical fates — the determinism argument in
-/// one sentence.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FaultRuntime {
-    seed: u64,
-    drop_ppm: u32,
-}
-
-impl FaultRuntime {
-    /// The runtime of `plan`; `None` for a plan that drops nothing, which
-    /// keeps the engines on their fault-free paths.
-    pub(crate) fn new(plan: &FaultPlan) -> Option<FaultRuntime> {
-        if plan.is_none() {
-            return None;
-        }
-        Some(FaultRuntime { seed: plan.seed, drop_ppm: plan.drop_ppm.min(PPM) })
-    }
 
     /// Whether the message sent over `edge` by `from` in `send_round` is
-    /// dropped: a pure function of the plan and the message's identity.
+    /// dropped: a pure function of the plan and the message's identity, so
+    /// both engines, calling it with the identical sequence of sends, draw
+    /// the identical fates — the determinism argument in one sentence. A
+    /// `drop_ppm` of [`PPM`] or more drops every message.
     pub(crate) fn drops(&self, edge: EdgeId, from: NodeId, send_round: u64) -> bool {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ fate_key(edge, from, send_round));
         rng.gen_range(0u32..PPM) < self.drop_ppm
@@ -124,7 +97,8 @@ impl FaultRuntime {
     /// is first split into one-message records, then drops are removed (and
     /// tallied) and the other messages stay, in send order. A fate is keyed
     /// by the message's edge, as it was before records existed. Both engines
-    /// call this with the exact same `(record, round)` sequence.
+    /// call this with the exact same `(record, round)` sequence, and only for
+    /// a plan that is not [`FaultPlan::none`].
     pub(crate) fn apply_message_faults(
         &self,
         metrics: &mut Metrics,
@@ -150,6 +124,15 @@ impl FaultRuntime {
     }
 }
 
+/// Mixes a message's identity into a fate-stream key. Shared verbatim by
+/// both engines, which is what makes their fault schedules identical.
+fn fate_key(edge: EdgeId, from: NodeId, send_round: u64) -> u64 {
+    let mut s = (edge.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (from.0 as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+        ^ send_round.wrapping_mul(0x94d0_49bb_1331_11eb);
+    splitmix64(&mut s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,24 +154,21 @@ mod tests {
     fn a_plan_without_drops_compiles_to_nothing() {
         assert!(FaultPlan::none().is_none());
         assert!(FaultPlan::none().with_seed(7).is_none(), "a seed alone is inert");
-        assert!(FaultRuntime::new(&FaultPlan::none().with_seed(7)).is_none());
         assert!(!FaultPlan::none().with_drop_ppm(1).is_none());
-        assert!(FaultRuntime::new(&FaultPlan::none().with_drop_ppm(1)).is_some());
     }
 
     #[test]
     fn fates_are_deterministic_and_seed_dependent() {
         let plan = FaultPlan::none().with_seed(11).with_drop_ppm(500_000);
-        let rt = FaultRuntime::new(&plan).expect("non-empty plan");
         let fates: Vec<bool> =
-            (0..64).map(|r| rt.drops(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
+            (0..64).map(|r| plan.drops(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
         let again: Vec<bool> =
-            (0..64).map(|r| rt.drops(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
+            (0..64).map(|r| plan.drops(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
         assert_eq!(fates, again, "fates are a pure function of the plan");
         assert!(fates.contains(&true), "a 50% rate drops something in 64 draws");
         assert!(fates.contains(&false), "and keeps something");
 
-        let other = FaultRuntime::new(&plan.clone().with_seed(12)).expect("non-empty plan");
+        let other = plan.clone().with_seed(12);
         let reseeded: Vec<bool> =
             (0..64).map(|r| other.drops(EdgeId(r % 6), NodeId(r % 4), r as u64)).collect();
         assert_ne!(fates, reseeded, "the seed selects the schedule");
@@ -198,9 +178,11 @@ mod tests {
     fn ppm_is_clamped_and_certain_drop_always_drops() {
         let plan = FaultPlan::none().with_drop_ppm(u32::MAX);
         assert_eq!(plan.drop_ppm, PPM);
-        let rt = FaultRuntime::new(&plan).expect("non-empty plan");
-        for r in 0..32 {
-            assert!(rt.drops(EdgeId(r % 2), NodeId(0), r as u64));
+        // A plan built past the clamp drops every message too.
+        for plan in [plan, FaultPlan { seed: 0, drop_ppm: u32::MAX }] {
+            for r in 0..32 {
+                assert!(plan.drops(EdgeId(r % 2), NodeId(0), r as u64));
+            }
         }
     }
 
@@ -210,7 +192,6 @@ mod tests {
         // uniform plan that drops: every message is dropped or kept, exactly
         // once, as a one-message record.
         let plan = FaultPlan::none().with_seed(5).with_drop_ppm(300_000);
-        let rt = FaultRuntime::new(&plan).expect("non-empty plan");
         let adjacency = ports(48);
         let mut metrics = Metrics::zero(4, 48);
         let mut sent = Vec::new();
@@ -225,7 +206,7 @@ mod tests {
         };
         let mut outgoing = sent.clone();
         let (round, start) = (4, 5);
-        rt.apply_message_faults(&mut metrics, round, &adjacency, &mut outgoing, start);
+        plan.apply_message_faults(&mut metrics, round, &adjacency, &mut outgoing, start);
         assert_eq!(edges(&outgoing[..start]), edges(&sent[..start]), "records before `start` stay");
         assert!(outgoing[start..].iter().all(|f| f.len == 1), "survivors are one message each");
         let kept = (outgoing.len() - start) as u64;
@@ -235,7 +216,7 @@ mod tests {
         let survivors: Vec<InFlight> = sent[start..]
             .iter()
             .flat_map(|f| f.split())
-            .filter(|f| !rt.drops(adjacency[f.start as usize].edge, f.from, round))
+            .filter(|f| !plan.drops(adjacency[f.start as usize].edge, f.from, round))
             .collect();
         assert_eq!(edges(&outgoing[start..]), edges(&survivors), "kept messages keep their order");
     }

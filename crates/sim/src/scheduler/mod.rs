@@ -25,14 +25,13 @@
 //! `replay`) exploits this literally: it takes instances as `(delay, rounds,
 //! per-edge totals)`, generates each edge's evenly spread arrivals on the
 //! fly into one reusable count column, and runs the edge's queue over the
-//! occupied rounds with lazy service draining — **one edge at a time**, with
-//! no trace at any point. `congest_sssp::apsp` composes its `n` SSSP
-//! instances through it in `O(messages)` time and `O(n · m + occupied
-//! rounds)` memory (the `n` per-edge total vectors plus the column). Nothing
-//! costs anything per *scheduler round*: the column indexes only the union
-//! of the instances' `[delay, delay + len)` windows, so instances started
-//! `2^40` rounds apart cost the sum of their lengths. `docs/APSP.md` has the
-//! full argument.
+//! rounds that receive messages with lazy service draining — **one edge at
+//! a time**, with no trace at any point. `congest_sssp::apsp` composes its
+//! `n` SSSP instances through it in `O(messages)` time and `O(n · m +
+//! rounds)` memory (the `n` per-edge total vectors plus the column, one word
+//! per round from the earliest delay to the horizon; `apsp`'s delays are
+//! below `n`, so the rounds between windows add fewer than `n`).
+//! `docs/APSP.md` has the full argument.
 //!
 //! Explicit [`EdgeUsageTrace`]s, built by the caller (the simulator records
 //! none), go through [`schedule_reference`], the round-by-round loop

@@ -13,13 +13,15 @@
 //! arithmetic — and clears the column as it goes. Nothing is allocated per
 //! message, per round or per edge.
 //!
-//! # Occupied time
+//! # One time axis
 //!
-//! The column is indexed by **occupied** time only: the union of the
-//! instances' `[delay, delay + len)` windows, merged after sorting by delay
-//! ([`Timeline`]). A schedule whose instances start `2^40` rounds apart
-//! costs the sum of their lengths, not the gap, while elapsed service time
-//! is still computed from real round numbers. See `docs/APSP.md`.
+//! Slot `s` of the column is round `earliest + s`, where `earliest` is the
+//! smallest delay, and the column ends at the horizon: instance `i`'s local
+//! round `r` is slot `delay_i − earliest + r`. `congest_sssp::apsp` draws
+//! its delays from `0..n`, so the rounds between windows that the column
+//! also holds are fewer than `n`. A schedule whose instances start too far
+//! apart for memory to hold a count per round between them is
+//! [`SimError::ScheduleTooLong`]. See `docs/APSP.md`.
 //!
 //! The semantics are exactly those of the round-by-round loop
 //! [`super::schedule_reference`] on the materialised per-message partition;
@@ -45,84 +47,17 @@ pub struct SpreadInstance<'a> {
     pub edge_totals: &'a [u64],
 }
 
-/// A maximal run of consecutive occupied rounds.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    /// The real scheduler round of the segment's first slot.
-    start: u64,
-    /// The column slot of the segment's first round.
-    base: usize,
-    len: usize,
-}
-
-/// The occupied part of the time axis, compacted: maps each instance's local
-/// round 0 to a column slot and each slot back to its real round.
-#[derive(Debug)]
-struct Timeline {
-    segments: Vec<Segment>,
-    /// `slot_of[i]` is the column slot of instance `i`'s local round 0.
-    slot_of: Vec<usize>,
-    slots: usize,
-    horizon: u64,
-    sequential_rounds: u64,
-    dilation: u64,
-}
-
-impl Timeline {
-    /// Lays out the windows `[delay, delay + len)` of the given instances.
-    fn new(windows: impl Iterator<Item = (u64, u64)>) -> Result<Timeline, SimError> {
-        let order = windows.enumerate().map(|(i, (delay, len))| (delay, len, i));
-        // simlint::allow(hot-path-alloc: per-schedule set-up, one entry per instance)
-        let mut order: Vec<(u64, u64, usize)> = order.collect();
-        let mut timeline = Timeline {
-            // simlint::allow(hot-path-alloc: per-schedule set-up, at most one segment per instance)
-            segments: Vec::new(),
-            // simlint::allow(hot-path-alloc: per-schedule set-up, one slot base per instance)
-            slot_of: vec![0; order.len()],
-            slots: 0,
-            horizon: 0,
-            sequential_rounds: 0,
-            dilation: 0,
-        };
-        order.sort_unstable();
-        for &(delay, len, instance) in &order {
-            let overflow = || SimError::ScheduleHorizonOverflow { delay, rounds: len };
-            let end = delay.checked_add(len).ok_or_else(overflow)?;
-            timeline.horizon = timeline.horizon.max(end);
-            timeline.sequential_rounds = timeline.sequential_rounds.saturating_add(len);
-            timeline.dilation = timeline.dilation.max(len);
-            if len == 0 {
-                continue; // occupies no round; only its horizon counts
-            }
-            let len = usize::try_from(len).map_err(|_| overflow())?;
-            match timeline.segments.last_mut() {
-                // Overlapping or adjacent: the window extends the open segment.
-                Some(seg) if delay - seg.start <= seg.len as u64 => {
-                    let offset = (delay - seg.start) as usize;
-                    timeline.slot_of[instance] = seg.base + offset;
-                    let grown = seg.len.max(offset.checked_add(len).ok_or_else(overflow)?);
-                    timeline.slots =
-                        timeline.slots.checked_add(grown - seg.len).ok_or_else(overflow)?;
-                    seg.len = grown;
-                }
-                _ => {
-                    let base = timeline.slots;
-                    timeline.slot_of[instance] = base;
-                    timeline.slots = base.checked_add(len).ok_or_else(overflow)?;
-                    timeline.segments.push(Segment { start: delay, base, len });
-                }
-            }
-        }
-        Ok(timeline)
-    }
-}
-
 /// The replay state: the shared count column and the statistics folded in
 /// edge by edge.
 #[derive(Debug)]
 struct Replay {
     capacity: u64,
-    timeline: Timeline,
+    /// The round of slot 0: the smallest delay (0 without instances).
+    earliest: u64,
+    /// `max_i(delay_i + len_i)`: the column ends here.
+    horizon: u64,
+    sequential_rounds: u64,
+    dilation: u64,
     /// `counts[slot]` messages of the current edge arrive in that slot.
     counts: Vec<u64>,
     /// Bit `slot` is set iff `counts[slot] > 0`.
@@ -137,14 +72,33 @@ struct Replay {
 }
 
 impl Replay {
+    /// Lays the instances' windows `[delay, delay + len)` out on one axis
+    /// (`len = rounds.max(1)`) and allocates a clear column for the rounds
+    /// `earliest..horizon`.
+    ///
     /// # Errors
     ///
+    /// [`SimError::ScheduleHorizonOverflow`] if a window ends past
+    /// `u64::MAX`, found before anything is allocated, and
     /// [`SimError::ScheduleTooLong`] if the column or its bitmap cannot be
-    /// allocated: the allocation is fallible, so a schedule of `2⁵⁴`
-    /// occupied rounds is an error, not an aborted process.
-    fn new(capacity: u32, timeline: Timeline) -> Result<Replay, SimError> {
+    /// allocated: the allocation is fallible, so a schedule spanning `2⁵⁴`
+    /// rounds is an error, not an aborted process.
+    fn new(capacity: u32, instances: &[SpreadInstance<'_>]) -> Result<Replay, SimError> {
         assert!(capacity > 0, "edge capacity must be positive");
-        let slots = timeline.slots;
+        let (mut earliest, mut horizon) = (u64::MAX, 0u64);
+        let (mut sequential_rounds, mut dilation) = (0u64, 0u64);
+        for &SpreadInstance { delay, rounds, .. } in instances {
+            let len = rounds.max(1);
+            let overflow = SimError::ScheduleHorizonOverflow { delay, rounds: len };
+            horizon = horizon.max(delay.checked_add(len).ok_or(overflow)?);
+            earliest = earliest.min(delay);
+            sequential_rounds = sequential_rounds.saturating_add(len);
+            dilation = dilation.max(len);
+        }
+        // Every window is at least one round long, so `earliest < horizon`
+        // unless there are no instances.
+        let earliest = earliest.min(horizon);
+        let slots = usize::try_from(horizon - earliest).unwrap_or(usize::MAX);
         let zeroed = |len: usize| {
             // simlint::allow(hot-path-alloc: the column and its bitmap, once per schedule, reused by every edge)
             let mut column = Vec::new();
@@ -154,7 +108,10 @@ impl Replay {
         };
         Ok(Replay {
             capacity: u64::from(capacity),
-            timeline,
+            earliest,
+            horizon,
+            sequential_rounds,
+            dilation,
             counts: zeroed(slots)?,
             occupied: zeroed(slots.div_ceil(64))?,
             lo_word: usize::MAX,
@@ -179,10 +136,12 @@ impl Replay {
         self.hi_word = self.hi_word.max(word);
     }
 
-    /// Pours the `total > 0` messages one instance sends over the current
-    /// edge, spread evenly over its `len` rounds starting at slot `base`:
-    /// message `k` lands in local round `⌊k·len/total⌋`.
-    fn pour_spread(&mut self, base: usize, len: u64, total: u64) {
+    /// Pours the `total > 0` messages one instance starting at `delay` sends
+    /// over the current edge, spread evenly over its `len` rounds: message
+    /// `k` lands in local round `⌊k·len/total⌋`.
+    fn pour_spread(&mut self, delay: u64, len: u64, total: u64) {
+        // Below the column's length, which is a `usize`.
+        let base = (delay - self.earliest) as usize;
         if total <= len {
             // Consecutive messages land `len/total ≥ 1` rounds apart, one per
             // occupied round. Step `⌊k·len/total⌋` without dividing per
@@ -220,19 +179,13 @@ impl Replay {
         }
         let capacity = self.capacity;
         let (mut backlog, mut last_arrival, mut total) = (0u64, 0u64, 0u64);
-        let mut segment = 0usize;
         for word in self.lo_word..=self.hi_word {
             let mut bits = std::mem::take(&mut self.occupied[word]);
             while bits != 0 {
                 let slot = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let count = std::mem::take(&mut self.counts[slot]);
-                let segments = &self.timeline.segments;
-                while slot >= segments[segment].base + segments[segment].len {
-                    segment += 1;
-                }
-                let seg = segments[segment];
-                let round = seg.start + (slot - seg.base) as u64;
+                let round = self.earliest + slot as u64;
 
                 total = total.saturating_add(count);
                 if backlog > 0 {
@@ -268,22 +221,21 @@ impl Replay {
     }
 
     fn finish(self, delays: Vec<u64>) -> Result<ScheduleOutcome, SimError> {
-        let Timeline { horizon, sequential_rounds, dilation, .. } = self.timeline;
         let makespan = if self.total_messages == 0 {
             // No messages: nothing queues, the makespan is the horizon (the
             // instances still occupy their full durations).
-            horizon
+            self.horizon
         } else {
             let served = self.last_service_round.checked_add(1).ok_or(
                 SimError::ScheduleHorizonOverflow { delay: self.last_service_round, rounds: 1 },
             )?;
-            served.max(horizon)
+            served.max(self.horizon)
         };
         Ok(ScheduleOutcome {
             makespan,
             model_rounds: makespan.saturating_mul(self.capacity),
-            sequential_rounds,
-            dilation,
+            sequential_rounds: self.sequential_rounds,
+            dilation: self.dilation,
             congestion: self.congestion,
             total_messages: self.total_messages,
             max_edge_backlog: self.max_backlog,
@@ -299,14 +251,15 @@ impl Replay {
 /// The outcome equals what [`super::schedule_reference`] reports for the
 /// materialised per-message partition. Cost is `O(messages)` for instances
 /// with at most one message per edge and round (`O(R)` per heavier edge),
-/// plus `O(instances · edges)`; memory is one `u64` per occupied round.
+/// plus `O(instances · edges)`; memory is one `u64` per round from the
+/// earliest delay to the horizon.
 ///
 /// # Errors
 ///
 /// [`SimError::ScheduleHorizonOverflow`] if an instance's `delay + rounds`
 /// (or the schedule's completion time) does not fit `u64`, and
-/// [`SimError::ScheduleTooLong`] if the occupied rounds' count column cannot
-/// be allocated.
+/// [`SimError::ScheduleTooLong`] if the count column of the rounds from the
+/// earliest delay to the horizon cannot be allocated.
 ///
 /// # Panics
 ///
@@ -315,14 +268,13 @@ pub fn schedule_spread(
     instances: &[SpreadInstance<'_>],
     edge_capacity_per_round: u32,
 ) -> Result<ScheduleOutcome, SimError> {
-    let timeline = Timeline::new(instances.iter().map(|i| (i.delay, i.rounds.max(1))))?;
-    let mut replay = Replay::new(edge_capacity_per_round, timeline)?;
+    let mut replay = Replay::new(edge_capacity_per_round, instances)?;
     let edges = instances.iter().map(|i| i.edge_totals.len()).max().unwrap_or(0);
     for edge in 0..edges {
-        for (i, instance) in instances.iter().enumerate() {
+        for instance in instances {
             match instance.edge_totals.get(edge) {
                 Some(&total) if total > 0 => {
-                    replay.pour_spread(replay.timeline.slot_of[i], instance.rounds.max(1), total);
+                    replay.pour_spread(instance.delay, instance.rounds.max(1), total);
                 }
                 _ => {}
             }
@@ -341,21 +293,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = schedule_spread(&[], 0);
-    }
-
-    #[test]
-    fn the_timeline_indexes_occupied_rounds_only() {
-        // Windows [0, 5), [3, 9), [9, 10) merge into one segment; the window
-        // at 2^40 opens a second one right behind it in the column.
-        let far = 1u64 << 40;
-        let t = Timeline::new([(3, 6), (far, 4), (0, 5), (9, 1), (7, 0)].into_iter()).unwrap();
-        assert_eq!(t.slots, 14);
-        assert_eq!(t.slot_of, vec![3, 10, 0, 9, 0]);
-        assert_eq!(t.horizon, far + 4);
-        assert_eq!(t.sequential_rounds, 16);
-        assert_eq!(t.dilation, 6);
-        assert_eq!(t.segments.len(), 2);
-        assert_eq!((t.segments[1].start, t.segments[1].base, t.segments[1].len), (far, 10, 4));
     }
 
     #[test]
@@ -396,9 +333,9 @@ mod tests {
     fn spread_stepping_matches_the_quotients() {
         // The division-free stepping lands message k in slot ⌊k·R/t⌋.
         for (total, len) in [(1u64, 1u64), (3, 5), (7, 7), (1, 9), (13, 100), (99, 100)] {
-            let timeline = Timeline::new(std::iter::once((0, len))).unwrap();
-            let mut replay = Replay::new(1, timeline).unwrap();
-            replay.pour_spread(0, len, total);
+            let instance = SpreadInstance { delay: 3, rounds: len, edge_totals: &[] };
+            let mut replay = Replay::new(1, &[instance]).unwrap();
+            replay.pour_spread(3, len, total);
             let mut expected = vec![0u64; len as usize];
             for k in 0..total {
                 expected[(u128::from(k) * u128::from(len) / u128::from(total)) as usize] += 1;

@@ -14,12 +14,15 @@
 //! left, so a dropped message that would have ended a wait is exactly where
 //! it could drift from the reference.
 
+mod common;
+
 use congest_graph::{generators, Graph, NodeId};
-use congest_sim::workloads::ChaosListener;
 use congest_sim::{Engine, FaultPlan, Message, NodeCtx, Protocol, SimConfig, Words};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use common::ChaosListener;
 
 /// A deterministic pseudo-random protocol (the same shape as the one in
 /// `engine_equivalence.rs`): random sends within the CONGEST bound — one
@@ -248,21 +251,29 @@ proptest! {
 /// the graceful half of the degradation story, pinned at the extremes.
 #[test]
 fn scheduled_workloads_always_terminate_under_total_loss() {
-    use congest_sim::workloads::{ChaosPulseBfs, ChaosWaveBfs};
+    use congest_sim::workloads::WaveBfs;
     let g = generators::grid(5, 4, 1);
     let n = g.node_count() as u64;
+    let truth = congest_graph::sequential::bfs(&g, &[NodeId(0)]);
+    let sched = WaveBfs::schedule(&g, &[NodeId(0)]);
     for drop_ppm in [250_000u32, 1_000_000] {
         let cfg = SimConfig::default()
             .with_faults(FaultPlan::none().with_seed(17).with_drop_ppm(drop_ppm));
-        let skew = 2;
-        let sched = ChaosWaveBfs::schedule(&g, &[NodeId(0)], skew);
+        // Each node wakes once, by its hop distance, and halts.
         let wave = Engine::new(&g, cfg.clone())
-            .run(|id| ChaosWaveBfs::new(sched[id.index()], skew))
-            .expect("chaos wave always halts");
-        assert!(wave.metrics.rounds <= (n + 1) * (skew + 1) + 2);
-        let pulse = Engine::new(&g, cfg)
-            .run(|id| ChaosPulseBfs::new(id == NodeId(0), 4, n))
-            .expect("chaos pulse always halts");
-        assert!(pulse.metrics.rounds <= (n + 2) * 4 + 2);
+            .run(|id| WaveBfs::new(sched[id.index()]))
+            .expect("the wave always halts");
+        assert!(wave.metrics.rounds <= n);
+        for v in g.nodes() {
+            // Loss leaves a node uninformed, never wrong.
+            let dist = wave.states[v.index()].dist;
+            assert!(dist.is_infinite() || dist == truth.distance(v), "node {v} at {drop_ppm}");
+        }
+        // Each node halts in its first step at or after its lifetime (≤ 100),
+        // and no wait is longer than 40 rounds.
+        let listeners = Engine::new(&g, cfg)
+            .run(|id| ChaosListener::new(17, id, 100, 40))
+            .expect("listeners always halt");
+        assert!(listeners.metrics.rounds <= 100 + 40 + 1);
     }
 }

@@ -32,16 +32,20 @@
 //! on the reference loop. A run nested in another's callback, which finds
 //! its thread's buffers in use, must come out as the reference too.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use congest_graph::{generators, Graph, NodeId};
-use congest_sim::workloads::{ChaosListener, Flood, WaveBfs};
+use congest_sim::workloads::{Flood, WaveBfs};
 use congest_sim::{
     Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, RunOutcome, SimConfig, SimError, Words,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use common::ChaosListener;
 
 /// A deterministic pseudo-random protocol. Behaviour depends only on the
 /// node's own RNG stream and what the engine shows it, so two semantically

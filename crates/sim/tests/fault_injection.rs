@@ -5,6 +5,7 @@
 //! agree bit for bit.
 
 use congest_graph::{generators, Graph, NodeId};
+use congest_sim::workloads::Flood;
 use congest_sim::{Engine, FaultPlan, Message, Metrics, NodeCtx, Protocol, SimConfig};
 
 /// Runs `factory` under `cfg` through both engines, asserts metric and
@@ -51,13 +52,37 @@ impl Protocol for Broadcaster {
     }
 }
 
+/// [`Flood`] plus a count of the messages this node received, so a faulty
+/// run's delivery ratio is measurable directly
+/// (`Σ received = messages − messages_lost − fault_drops`).
+#[derive(Debug, Clone)]
+struct CountingFlood {
+    flood: Flood,
+    received: u64,
+}
+
+impl CountingFlood {
+    fn new(id: NodeId, until: u64) -> CountingFlood {
+        CountingFlood { flood: Flood::new(id, until), received: 0 }
+    }
+}
+
+impl Protocol for CountingFlood {
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.flood.init(ctx);
+    }
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Message]) {
+        self.received += inbox.len() as u64;
+        self.flood.on_round(ctx, inbox);
+    }
+}
+
 #[test]
 fn certain_drop_loses_every_message_and_counts_it() {
-    use congest_sim::workloads::ChaosFlood;
     let g = generators::random_connected(10, 15, 3);
     let cfg =
         SimConfig::default().with_faults(FaultPlan::none().with_seed(8).with_drop_ppm(1_000_000));
-    let (states, metrics) = run_both(&g, cfg, |id| ChaosFlood::new(id, 6));
+    let (states, metrics) = run_both(&g, cfg, |id| CountingFlood::new(id, 6));
     assert!(metrics.messages > 0);
     assert_eq!(metrics.fault_drops, metrics.messages, "ppm 1_000_000 drops everything");
     assert_eq!(metrics.messages_lost, 0, "nothing survives to be slept away");
@@ -69,11 +94,10 @@ fn engines_agree_under_drops_on_a_message_heavy_workload() {
     // Drops on the full-bandwidth flood: both engines must apply the
     // identical drop schedule, and every message is delivered, slept away or
     // dropped.
-    use congest_sim::workloads::ChaosFlood;
     let g = generators::random_connected(64, 128, 29);
     let plan = FaultPlan::none().with_seed(0xC4A0_5EED).with_drop_ppm(150_000);
     let cfg = SimConfig::default().with_faults(plan);
-    let (states, metrics) = run_both(&g, cfg, |id| ChaosFlood::new(id, 48));
+    let (states, metrics) = run_both(&g, cfg, |id| CountingFlood::new(id, 48));
     assert!(metrics.fault_drops > 0, "the chaos plan must actually inject faults");
     let received: u64 = states.iter().map(|s| s.received).sum();
     assert_eq!(received, metrics.messages - metrics.messages_lost - metrics.fault_drops);
