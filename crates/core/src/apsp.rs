@@ -22,23 +22,22 @@
 //!
 //! ## Execution pipeline and cost
 //!
-//! `apsp` runs the `n` independent SSSP instances **in parallel across OS
-//! threads** (`std::thread::scope`; instances are handed out one source at a
-//! time from a shared atomic counter, so threads stay load-balanced). An
-//! instance's usage trace is a pure function of its per-edge totals and its
-//! round count, so none is ever built: each finished instance leaves its
-//! distances, its round count and its per-edge totals (`n + m` words) in
-//! slot `i` of the assembly, in whatever order the threads finish, and the
-//! composition is one call of [`schedule_spread`], which generates the
-//! spread arrivals edge by edge. The `n` delays are drawn up front in source
-//! order. Distances, instance statistics, the delay stream, and hence the
-//! entire `ApspRun` are therefore **bit-identical regardless of thread
-//! count** — parallelism changes wall-clock time only. The composition costs
-//! `O(messages)` time; peak memory beyond the `O(n²)` distance matrix is
-//! `O(n · m + rounds)` — the per-edge totals plus the scheduler's one count
-//! column, a word per round from the earliest delay to the horizon. (Earlier versions streamed materialised traces into
-//! per-round arrival buckets and claimed `O(m + makespan)`; the buckets were
-//! `O(total messages)`, two thirds of the peak heap at `n = 64`.)
+//! `apsp` runs the `n` independent SSSP instances on `T` workers in one
+//! `std::thread::scope`: worker `t` takes the sources `t, t + T, …` in
+//! order and stops at its first error, and worker 0 is the calling thread,
+//! so one thread spawns nothing and every instance runs in that thread's
+//! warm engine buffers. A finished instance keeps its distances, its round
+//! count and its per-edge totals (`n + m` words) and drops the rest of its
+//! run. Its usage trace is a pure function of its totals and its round
+//! count, so none is ever built: the composition is one call of
+//! [`schedule_spread`], which generates the spread arrivals edge by edge
+//! under delays drawn in source order. The split is fixed and the results
+//! return in source order, so the whole `ApspRun` is **bit-identical for
+//! every thread count** — threads change wall-clock time only. The
+//! composition costs `O(messages)` time; peak memory beyond the `O(n²)`
+//! distance matrix is `O(n · m + rounds)` — the per-edge totals plus the
+//! scheduler's one count column, a word per round from the earliest delay to
+//! the horizon.
 //!
 //! `apsp` is the one shipped driver, reached through the facade's
 //! [`crate::Algorithm::Apsp`] and the oracle's exact fallback; this module
@@ -46,9 +45,6 @@
 //! instance loop, all traces materialized, round-by-round reference
 //! scheduler — is kept test-only in `apsp/reference.rs`, as the oracle the
 //! differential tests below hold `apsp` to.
-
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc;
 
 use congest_graph::{Distance, Graph, NodeId};
 use congest_sim::scheduler::{draw_delay, schedule_spread, ScheduleOutcome, SpreadInstance};
@@ -64,18 +60,16 @@ use crate::{AlgoConfig, AlgoError};
 pub(crate) struct ApspRun {
     /// `distances[s][v]` is the exact distance from source `s` to node `v`.
     pub distances: Vec<Vec<Distance>>,
-    /// Rounds of each individual SSSP instance.
-    pub instance_rounds: Vec<u64>,
     /// Maximum per-edge congestion of any single instance.
     pub max_instance_congestion: u64,
+    /// The per-round per-edge message budget the schedule ran under.
+    pub budget: u32,
     /// The scheduling outcome when all instances run concurrently with random
-    /// delays (the paper's APSP): `schedule.makespan` is the APSP time.
+    /// delays (the paper's APSP): `schedule.makespan` is the APSP time,
+    /// `schedule.total_messages` the instances' messages and
+    /// `schedule.sequential_rounds` the sum of their rounds, the cost of the
+    /// trivial sequential composition.
     pub schedule: ScheduleOutcome,
-    /// The cost of the trivial sequential composition (sum of instance
-    /// rounds), for comparison.
-    pub sequential_rounds: u64,
-    /// Total messages over all instances.
-    pub total_messages: u64,
 }
 
 /// Configuration of the APSP scheduling experiment.
@@ -84,95 +78,30 @@ pub struct ApspConfig {
     /// Seed for the random delays (the only randomness in the whole APSP
     /// algorithm, as the paper emphasizes).
     pub seed: u64,
-    /// Number of OS threads to run SSSP instances on: `0` uses the host's
-    /// available parallelism, `1` forces the in-thread sequential path. The
-    /// result is bit-identical for every value — threads only change
-    /// wall-clock time.
+    /// Number of OS threads to run SSSP instances on, the calling thread
+    /// among them: `0` uses the host's available parallelism, `1` spawns
+    /// none. The result is bit-identical for every value — threads only
+    /// change wall-clock time.
     pub threads: usize,
 }
 
-/// Everything one SSSP instance contributes to the APSP composition.
+/// What one SSSP instance contributes to the APSP composition; the rest of
+/// its run is dropped as soon as it finishes.
 struct InstanceRun {
     distances: Vec<Distance>,
     /// Messages per edge (the instance's `Metrics::edge_congestion`, moved).
     edge_totals: Vec<u64>,
     rounds: u64,
-    max_congestion: u64,
-    messages: u64,
 }
 
-/// Runs the SSSP instance for one source and packages its contribution.
+/// Runs the SSSP instance for one source and keeps its contribution.
 fn run_instance(g: &Graph, source: NodeId, config: &AlgoConfig) -> Result<InstanceRun, AlgoError> {
     let run = cssp(g, &[source], config)?;
     Ok(InstanceRun {
-        rounds: run.metrics.rounds,
-        max_congestion: run.metrics.max_congestion(),
-        messages: run.metrics.messages,
-        edge_totals: run.metrics.edge_congestion,
         distances: run.output.distances,
+        edge_totals: run.metrics.edge_congestion,
+        rounds: run.metrics.rounds,
     })
-}
-
-/// Collects the instance results, in any order: instance `i` owns slot `i`
-/// of every column, and the two scalars are a max and a sum, so the writes
-/// commute. The delays are drawn up front, one PRNG draw per instance in
-/// index order — the stream the test-only reference driver draws.
-struct Assembly {
-    /// The per-round per-edge message budget, [`budget`] of `n`.
-    budget: u32,
-    delays: Vec<u64>,
-    distances: Vec<Vec<Distance>>,
-    instance_rounds: Vec<u64>,
-    edge_totals: Vec<Vec<u64>>,
-    max_instance_congestion: u64,
-    total_messages: u64,
-}
-
-impl Assembly {
-    /// An empty assembly of `n` instances, with start delays drawn from
-    /// `0..n`.
-    fn new(n: u32, seed: u64) -> Assembly {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let slots = n as usize;
-        Assembly {
-            budget: budget(n),
-            delays: (0..n).map(|_| draw_delay(&mut rng, u64::from(n))).collect(),
-            distances: vec![Vec::new(); slots],
-            instance_rounds: vec![0; slots],
-            edge_totals: vec![Vec::new(); slots],
-            max_instance_congestion: 0,
-            total_messages: 0,
-        }
-    }
-
-    fn consume(&mut self, index: usize, run: InstanceRun) {
-        self.distances[index] = run.distances;
-        self.instance_rounds[index] = run.rounds;
-        self.edge_totals[index] = run.edge_totals;
-        self.max_instance_congestion = self.max_instance_congestion.max(run.max_congestion);
-        self.total_messages += run.messages;
-    }
-
-    /// Composes the collected instances under their delays.
-    fn finish(self) -> Result<ApspRun, AlgoError> {
-        let instances: Vec<SpreadInstance<'_>> = (0..self.delays.len())
-            .map(|i| SpreadInstance {
-                delay: self.delays[i],
-                rounds: self.instance_rounds[i],
-                edge_totals: &self.edge_totals[i],
-            })
-            .collect();
-        let schedule = schedule_spread(&instances, self.budget)?;
-        let sequential_rounds = self.instance_rounds.iter().sum();
-        Ok(ApspRun {
-            distances: self.distances,
-            instance_rounds: self.instance_rounds,
-            max_instance_congestion: self.max_instance_congestion,
-            schedule,
-            sequential_rounds,
-            total_messages: self.total_messages,
-        })
-    }
 }
 
 /// Resolves the configured thread count against the host and the workload.
@@ -199,11 +128,11 @@ fn budget(n: u32) -> u32 {
 ///
 /// # Errors
 ///
-/// Propagates any SSSP failure (the first one in source order observed), and
-/// reports as [`AlgoError::Simulation`] a schedule whose horizon — a start
-/// delay plus an instance's rounds — does not fit `u64`, or whose rounds are
-/// too many to hold one count each in memory (at a huge `epsilon_inverse`,
-/// the instances run that long).
+/// Propagates the SSSP failure of the smallest failing source, and reports
+/// as [`AlgoError::Simulation`] a schedule whose horizon — a start delay
+/// plus an instance's rounds — does not fit `u64`, or whose rounds are too
+/// many to hold one count each in memory (at a huge `epsilon_inverse`, the
+/// instances run that long).
 pub(crate) fn apsp(
     g: &Graph,
     config: &AlgoConfig,
@@ -211,90 +140,65 @@ pub(crate) fn apsp(
 ) -> Result<ApspRun, AlgoError> {
     let n = g.node_count();
     let threads = resolve_threads(apsp_config.threads, n as usize);
-    let mut assembly = Assembly::new(n, apsp_config.seed);
-
-    assemble(n, threads, &mut assembly, |i| run_instance(g, NodeId(i), config))?;
-    assembly.finish()
+    let runs = fan_out(n, threads, |i| run_instance(g, NodeId(i), config))?;
+    let mut rng = ChaCha8Rng::seed_from_u64(apsp_config.seed);
+    let delays = (0..n).map(|_| draw_delay(&mut rng, u64::from(n)));
+    compose(runs, delays, budget(n))
 }
 
-/// Runs instances `0..n` through `run` on `threads` OS threads and hands the
-/// results to `assembly` as they arrive. With one thread everything happens
-/// on the calling thread; otherwise workers self-schedule indices off an
-/// atomic counter and send results over a channel. An `InstanceRun` is what
-/// the [`ApspRun`] keeps of the instance anyway, so nothing needs bounding or
-/// reordering.
-fn assemble<F>(n: u32, threads: usize, assembly: &mut Assembly, run: F) -> Result<(), AlgoError>
+/// Composes the instances, in source order, under their start delays.
+fn compose(
+    runs: Vec<InstanceRun>,
+    delays: impl IntoIterator<Item = u64>,
+    budget: u32,
+) -> Result<ApspRun, AlgoError> {
+    let instances: Vec<SpreadInstance<'_>> = runs
+        .iter()
+        .zip(delays)
+        .map(|(run, delay)| SpreadInstance {
+            delay,
+            rounds: run.rounds,
+            edge_totals: &run.edge_totals,
+        })
+        .collect();
+    let schedule = schedule_spread(&instances, budget)?;
+    let max_instance_congestion =
+        runs.iter().flat_map(|run| run.edge_totals.iter().copied()).max().unwrap_or(0);
+    let distances = runs.into_iter().map(|run| run.distances).collect();
+    Ok(ApspRun { distances, max_instance_congestion, budget, schedule })
+}
+
+/// Runs `run` on the indices `0..n` over `threads` workers and returns the
+/// results in index order. Worker `t` takes `t, t + threads, …` in order and
+/// stops at its first error; worker 0 is the calling thread, so one thread
+/// spawns nothing. The error of the smallest failing index wins: the worker
+/// that owns it met no error before it, and every other worker's first error
+/// is larger. A panic reaches the caller through the join.
+fn fan_out<T, F>(n: u32, threads: usize, run: F) -> Result<Vec<T>, AlgoError>
 where
-    F: Fn(u32) -> Result<InstanceRun, AlgoError> + Sync,
+    T: Send,
+    F: Fn(u32) -> Result<T, AlgoError> + Sync,
 {
-    if threads <= 1 {
-        for i in 0..n {
-            assembly.consume(i as usize, run(i)?);
-        }
-        return Ok(());
-    }
-
-    /// Sets the abort flag if its thread unwinds, so a panic in one instance
-    /// stops the other workers at their next index (the scope join then
-    /// re-raises the panic) instead of letting them finish the whole batch.
-    struct AbortOnUnwind<'a>(&'a AtomicBool);
-    impl Drop for AbortOnUnwind<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                // simlint::allow(relaxed-ordering: the abort flag is advisory; the panic reaches the caller through the scope join)
-                self.0.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    let next_index = AtomicU32::new(0);
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(u32, Result<InstanceRun, AlgoError>)>();
-    let mut first_error: Option<(u32, AlgoError)> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next_index, abort, run) = (&next_index, &abort, &run);
-            scope.spawn(move || {
-                let _guard = AbortOnUnwind(abort);
-                // simlint::allow(relaxed-ordering: the abort flag is advisory; results and errors travel over the channel)
-                while !abort.load(Ordering::Relaxed) {
-                    // simlint::allow(relaxed-ordering: handing out indices needs only atomicity; no other memory is ordered against the counter)
-                    let i = next_index.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = run(i);
-                    if result.is_err() {
-                        // simlint::allow(relaxed-ordering: the abort flag is advisory; the error itself travels over the channel)
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        for (index, result) in rx {
-            match result {
-                Ok(instance) => assembly.consume(index as usize, instance),
-                Err(e) => match &first_error {
-                    // Keep the error of the smallest failing index, matching
-                    // what the sequential loop would have surfaced first:
-                    // indices are handed out in order, so every index below
-                    // a failing one is already running and reports too.
-                    Some((seen, _)) if *seen <= index => {}
-                    _ => first_error = Some((index, e)),
-                },
-            }
-        }
+    let worker = |t: usize| -> Result<Vec<T>, (u32, AlgoError)> {
+        (t as u32..n).step_by(threads).map(|i| run(i).map_err(|e| (i, e))).collect()
+    };
+    let lanes: Vec<_> = std::thread::scope(|scope| {
+        let worker = &worker;
+        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || worker(t))).collect();
+        let first = worker(0);
+        let joined = spawned
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        std::iter::once(first).chain(joined).collect()
     });
-    match first_error {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
+    let (lanes, failures): (Vec<_>, Vec<_>) = lanes.into_iter().partition(Result::is_ok);
+    if let Some((_, e)) = failures.into_iter().filter_map(Result::err).min_by_key(|&(i, _)| i) {
+        return Err(e);
     }
+    let mut lanes: Vec<_> = lanes.into_iter().flatten().map(Vec::into_iter).collect();
+    Ok((0..n as usize)
+        .map(|i| lanes[i % threads].next().expect("lane `i % threads` holds index i"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -323,10 +227,10 @@ mod tests {
         let g = generators::random_connected(24, 60, 5);
         let run = apsp(&g, &AlgoConfig::default(), &ApspConfig::default()).unwrap();
         assert!(
-            run.schedule.makespan < run.sequential_rounds,
+            run.schedule.makespan < run.schedule.sequential_rounds,
             "concurrent makespan {} should beat sequential {}",
             run.schedule.makespan,
-            run.sequential_rounds
+            run.schedule.sequential_rounds
         );
     }
 
@@ -336,8 +240,8 @@ mod tests {
         let run = apsp(&g, &AlgoConfig::default(), &ApspConfig::default()).unwrap();
         // Every instance has polylog congestion; far below n.
         assert!(run.max_instance_congestion < g.node_count() as u64 * 4);
-        assert!(run.total_messages > 0);
-        assert_eq!(run.instance_rounds.len(), g.node_count() as usize);
+        assert!(run.schedule.total_messages > 0);
+        assert_eq!(run.schedule.delays.len(), g.node_count() as usize);
     }
 
     #[test]
@@ -364,52 +268,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assembly_surfaces_instance_errors_and_stops() {
-        // Instances past index 5 fail: the parallel assembler must abort,
-        // drain cleanly, and surface the error instead of hanging.
+    fn fan_out_reports_the_smallest_failing_index_and_stops() {
+        // Odd indices from 5 on fail, each with its own error: whatever the
+        // split, the smallest failing index is the one reported, and no
+        // worker runs past its first failure.
         use std::sync::atomic::{AtomicU32, Ordering};
-        let attempts = AtomicU32::new(0);
-        let run = |i: u32| -> Result<InstanceRun, AlgoError> {
-            attempts.fetch_add(1, Ordering::Relaxed);
-            if i >= 5 {
-                return Err(AlgoError::EmptySourceSet);
-            }
-            Ok(InstanceRun {
-                distances: Vec::new(),
-                edge_totals: Vec::new(),
-                rounds: 1,
-                max_congestion: 0,
-                messages: 0,
-            })
-        };
-        let mut assembly = Assembly::new(64, 0);
-        assert!(matches!(assemble(64, 3, &mut assembly, run), Err(AlgoError::EmptySourceSet)));
-        // The abort flag keeps workers from grinding through all 64 indices.
-        assert!(attempts.load(Ordering::Relaxed) < 64);
-        // The sequential path surfaces the same error.
-        let mut assembly = Assembly::new(64, 0);
-        assert!(assemble(64, 1, &mut assembly, run).is_err());
+        for threads in [1usize, 2, 3, 7] {
+            let attempts = AtomicU32::new(0);
+            let run = |i: u32| -> Result<u32, AlgoError> {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                if i >= 5 && i % 2 == 1 {
+                    return Err(AlgoError::SourceOutOfRange { node: NodeId(i) });
+                }
+                Ok(i)
+            };
+            assert_eq!(
+                fan_out(64, threads, run),
+                Err(AlgoError::SourceOutOfRange { node: NodeId(5) }),
+                "{threads} threads"
+            );
+            assert!(attempts.load(Ordering::Relaxed) < 64, "{threads} threads");
+        }
     }
 
     #[test]
-    #[should_panic] // scope re-raises with its own "a scoped thread panicked" payload
-    fn parallel_assembly_propagates_instance_panics() {
-        // A panicking instance must bring the whole call down (via the scope
-        // join) rather than be swallowed by the channel.
-        let run = |i: u32| -> Result<InstanceRun, AlgoError> {
+    #[should_panic(expected = "instance 7 exploded")]
+    fn fan_out_propagates_instance_panics() {
+        // A panicking instance brings the whole call down, with its own
+        // payload, instead of being swallowed by the join.
+        let run = |i: u32| -> Result<u32, AlgoError> {
             if i == 7 {
                 panic!("instance 7 exploded");
             }
-            Ok(InstanceRun {
-                distances: Vec::new(),
-                edge_totals: Vec::new(),
-                rounds: 1,
-                max_congestion: 0,
-                messages: 0,
-            })
+            Ok(i)
         };
-        let mut assembly = Assembly::new(64, 0);
-        let _ = assemble(64, 3, &mut assembly, run);
+        let _ = fan_out(64, 3, run);
     }
 
     #[test]
@@ -422,39 +315,47 @@ mod tests {
     }
 
     #[test]
-    fn any_completion_order_gives_the_sequential_run() {
-        // Instance i lands in slot i with delay i of the stream, whichever
-        // thread finishes first. Distinguishable instances (rounds, totals
-        // and distances all depend on i) pin this.
-        let run = |i: u32| -> Result<InstanceRun, AlgoError> {
-            Ok(InstanceRun {
-                distances: vec![Distance::Finite(i as u64)],
-                edge_totals: vec![1 + i as u64 % 3, i as u64],
-                rounds: 1 + i as u64,
-                max_congestion: i as u64,
-                messages: 1 + i as u64 % 3 + i as u64,
-            })
-        };
-        let mut sequential = Assembly::new(40, 9);
-        assemble(40, 1, &mut sequential, run).unwrap();
-        let sequential = sequential.finish().unwrap();
-        assert_eq!(sequential.max_instance_congestion, 39);
-        assert_eq!(sequential.schedule.total_messages, sequential.total_messages);
-        for threads in [2usize, 4, 7] {
-            let mut parallel = Assembly::new(40, 9);
-            assemble(40, threads, &mut parallel, run).unwrap();
-            assert_eq!(parallel.finish().unwrap(), sequential, "{threads} threads");
+    fn fan_out_returns_results_in_index_order() {
+        let run = |i: u32| -> Result<u64, AlgoError> { Ok(u64::from(i) * 3 + 1) };
+        let expected: Vec<u64> = (0..40).map(|i| i * 3 + 1).collect();
+        for threads in [1usize, 2, 4, 7, 40] {
+            assert_eq!(fan_out(40, threads, run).unwrap(), expected, "{threads} threads");
         }
-        // The orders threads happen to produce are near-sequential; force two
-        // that are not: reversed, and a stride permutation.
-        let orders: [Vec<u32>; 2] =
-            [(0..40).rev().collect(), (0..40).map(|i| (i * 7 + 3) % 40).collect()];
-        for order in orders {
-            let mut shuffled = Assembly::new(40, 9);
-            for i in order {
-                shuffled.consume(i as usize, run(i).unwrap());
-            }
-            assert_eq!(shuffled.finish().unwrap(), sequential);
+        assert_eq!(fan_out(0, 1, run).unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn the_schedule_totals_are_the_instances_sums() {
+        // `ApspRun` keeps no message or round sums of its own: the
+        // schedule's are the instances' `Metrics` sums, because every
+        // instance runs at least one round (`rounds.max(1)` changes nothing)
+        // and charges each message to an edge.
+        let random =
+            generators::with_random_weights(&generators::random_connected(14, 20, 3), 7, 5);
+        let zero =
+            generators::with_random_weights_zero(&generators::random_connected(12, 16, 8), 4, 2);
+        assert!(zero.edges().iter().any(|e| e.w == 0), "the zero-weight case has a zero weight");
+        let copies = generators::disjoint_copies(&generators::path(5, 2), 3);
+        let single = generators::path(1, 1);
+        for (name, g) in [("random", random), ("zero", zero), ("copies", copies), ("n = 1", single)]
+        {
+            let runs: Vec<_> =
+                g.nodes().map(|s| cssp(&g, &[s], &AlgoConfig::default()).unwrap()).collect();
+            let instances: Vec<SpreadInstance<'_>> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, run)| SpreadInstance {
+                    delay: i as u64 % 3,
+                    rounds: run.metrics.rounds,
+                    edge_totals: &run.metrics.edge_congestion,
+                })
+                .collect();
+            let schedule = schedule_spread(&instances, budget(g.node_count())).unwrap();
+            let messages: u64 = runs.iter().map(|run| run.metrics.messages).sum();
+            let rounds: u64 = runs.iter().map(|run| run.metrics.rounds).sum();
+            assert!(runs.iter().all(|run| run.metrics.rounds >= 1), "{name}");
+            assert_eq!(schedule.total_messages, messages, "{name}");
+            assert_eq!(schedule.sequential_rounds, rounds, "{name}");
         }
     }
 
@@ -463,20 +364,11 @@ mod tests {
         // Delays are drawn from 0..n, so only an instance of nearly
         // `u64::MAX` rounds reaches the end of the axis; force the case
         // directly.
-        let mut assembly = Assembly::new(2, 0);
-        assembly.delays = vec![0, u64::MAX - 1];
-        for i in 0..2 {
-            let run = InstanceRun {
-                distances: Vec::new(),
-                edge_totals: vec![1],
-                rounds: 5,
-                max_congestion: 1,
-                messages: 1,
-            };
-            assembly.consume(i, run);
-        }
+        let runs = (0..2)
+            .map(|_| InstanceRun { distances: Vec::new(), edge_totals: vec![1], rounds: 5 })
+            .collect();
         assert!(matches!(
-            assembly.finish(),
+            compose(runs, [0, u64::MAX - 1], 2),
             Err(AlgoError::Simulation(congest_sim::SimError::ScheduleHorizonOverflow { .. }))
         ));
     }

@@ -3,8 +3,9 @@
 //! usage spread into a materialised [`EdgeUsageTrace`], the traces composed
 //! by the round-by-round [`schedule_reference`] loop, the budget computed in
 //! floating point. Kept, test-only, as the reference [`super::apsp`] must
-//! stay bit-identical to — distances, instance statistics and the whole
-//! [`congest_sim::scheduler::ScheduleOutcome`].
+//! stay bit-identical to — distances, the largest instance congestion, the
+//! budget and the whole [`congest_sim::scheduler::ScheduleOutcome`], whose
+//! message and round sums are the instances'.
 
 use congest_graph::{EdgeId, Graph};
 use congest_sim::scheduler::{draw_delay, schedule_reference};
@@ -32,15 +33,12 @@ pub(super) fn apsp_reference(
     let n = g.node_count();
     let mut distances = Vec::with_capacity(n as usize);
     let mut traces = Vec::with_capacity(n as usize);
-    let mut instance_rounds = Vec::with_capacity(n as usize);
     let mut max_instance_congestion = 0u64;
-    let mut total_messages = 0u64;
 
     for s in g.nodes() {
         let run = run_instance(g, s, config)?;
-        instance_rounds.push(run.rounds);
-        max_instance_congestion = max_instance_congestion.max(run.max_congestion);
-        total_messages += run.messages;
+        let congestion = run.edge_totals.iter().copied().max().unwrap_or(0);
+        max_instance_congestion = max_instance_congestion.max(congestion);
         traces.push(spread_trace(&run.edge_totals, run.rounds));
         distances.push(run.distances);
     }
@@ -49,16 +47,8 @@ pub(super) fn apsp_reference(
     let mut rng = ChaCha8Rng::seed_from_u64(apsp_config.seed);
     let delays: Vec<u64> = traces.iter().map(|_| draw_delay(&mut rng, u64::from(n))).collect();
     let schedule = schedule_reference(&traces, &delays, budget);
-    let sequential_rounds = instance_rounds.iter().sum();
 
-    Ok(ApspRun {
-        distances,
-        instance_rounds,
-        max_instance_congestion,
-        schedule,
-        sequential_rounds,
-        total_messages,
-    })
+    Ok(ApspRun { distances, max_instance_congestion, budget, schedule })
 }
 
 /// Spreads each edge's total message count evenly over the instance's

@@ -64,7 +64,7 @@ pub fn build_oracle(
         let run = apsp(g, config, apsp_config)?;
         let rounds = run.schedule.model_rounds;
         let max_congestion = run.schedule.congestion;
-        let messages = run.total_messages;
+        let messages = run.schedule.total_messages;
         let oracle = DistanceOracle::exact(n, run.distances);
         let report = report_of(&oracle, Vec::new(), Vec::new());
         return Ok(OracleBuild { oracle, rounds, messages, max_congestion, report });

@@ -246,16 +246,14 @@ impl SolverRequest<'_> {
                     g,
                     &output,
                     schedule.model_rounds,
-                    run.total_messages,
+                    schedule.total_messages,
                     schedule.congestion,
                 );
                 report.schedule = Some(ScheduleReport {
                     makespan: schedule.makespan,
                     model_rounds: schedule.model_rounds,
-                    // The schedule's realized per-round capacity; a schedule
-                    // with no messages still ran under a budget >= 1.
-                    edge_budget: (schedule.model_rounds / schedule.makespan.max(1)).max(1),
-                    sequential_rounds: run.sequential_rounds,
+                    edge_budget: u64::from(run.budget),
+                    sequential_rounds: schedule.sequential_rounds,
                     max_instance_congestion: run.max_instance_congestion,
                 });
                 Ok(SolverRun { output, all_pairs: Some(run.distances), report })
@@ -375,16 +373,22 @@ mod tests {
             Algorithm::Apsp => {
                 let run = apsp(g, &cfg, &ApspConfig::default()).unwrap();
                 let output = DistanceOutput { distances: run.distances[source.index()].clone() };
-                let (rounds, congestion) = (run.schedule.model_rounds, run.schedule.congestion);
+                let schedule = &run.schedule;
                 let report = RunReport {
-                    schedule: facade.report.schedule,
+                    schedule: Some(ScheduleReport {
+                        makespan: schedule.makespan,
+                        model_rounds: schedule.model_rounds,
+                        edge_budget: u64::from(run.budget),
+                        sequential_rounds: schedule.sequential_rounds,
+                        max_instance_congestion: run.max_instance_congestion,
+                    }),
                     ..RunReport::composed(
                         algorithm,
                         g,
                         &output,
-                        rounds,
-                        run.total_messages,
-                        congestion,
+                        schedule.model_rounds,
+                        schedule.total_messages,
+                        schedule.congestion,
                     )
                 };
                 SolverRun { output, all_pairs: Some(run.distances), report }
